@@ -1,23 +1,25 @@
-"""Cluster commit-path latency: parallel 2PC fan-out vs sequential.
+"""Cluster commit-path latency: the 2PC fan-out against its analytic cost.
 
 Measures the coordinator's PREPARE and COMMIT phase latency on a
-fabric-enabled cluster (fixed one-way message latency, no loss) for
-replication factors 2, 3, and 5 under both write policies. The
-sequential reference coordinator pays one round trip per participant
-per phase; the parallel fan-out issues every branch at once and pays
-one round trip per phase regardless of fan-out width, so the expected
-p50 speedup is roughly the replication factor.
+fabric-enabled cluster (fixed one-way message latency ``L``, no loss)
+for replication factors 2, 3, and 5 under both write policies. The
+fan-out issues every branch at once, so a phase costs one round trip
+(``2L`` plus the participant's log flush) regardless of fan-out width; a
+coordinator contacting its participants one at a time would pay
+``rf * 2L``. The run asserts the first and reports the second (the
+sequential coordinator itself was measured at 2.0x/3.0x/5.0x the
+fan-out's 2PC p50 when it was retired; see README).
 
 Two modes:
 
 * ``pytest benchmarks/bench_cluster_txn.py --benchmark-only`` — a
-  pytest-benchmark wrapper timing one full bench run per mode (the
-  simulation is deterministic; this tracks harness wall-clock);
+  pytest-benchmark wrapper timing one full bench run (the simulation is
+  deterministic; this tracks harness wall-clock);
 * ``python benchmarks/bench_cluster_txn.py`` — plain mode: runs the
   full sweep and writes ``BENCH_cluster_txn.json`` (phase-latency
-  percentiles and speedups per configuration) at the repository root.
-  ``--smoke`` restricts the sweep to replication factor 3 with fewer
-  transactions for CI.
+  percentiles and analytic costs per configuration) at the repository
+  root. ``--smoke`` restricts the sweep to replication factor 3 with
+  fewer transactions for CI.
 """
 
 import sys
@@ -36,60 +38,40 @@ POLICIES = (WritePolicy.AGGRESSIVE, WritePolicy.CONSERVATIVE)
 LATENCY_S = 0.003
 
 
-def run_pair(replicas, policy, transactions_per_client=50):
-    """One (sequential, parallel) result pair, identical otherwise."""
-    results = {}
-    for parallel in (False, True):
-        results[parallel] = run_commit_latency_bench(
-            replicas=replicas, write_policy=policy,
-            parallel_commit=parallel, latency_s=LATENCY_S,
-            transactions_per_client=transactions_per_client)
-    return results[False], results[True]
-
-
 def sweep(replication_factors=(2, 3, 5), transactions_per_client=50):
-    """{rf: {policy: row}} with per-phase p50/p95 and speedups."""
+    """{rf: {policy: row}} with per-phase p50/p95 and analytic costs."""
     table = {}
     for replicas in replication_factors:
         per_policy = {}
         for policy in POLICIES:
-            seq, par = run_pair(replicas, policy,
-                                transactions_per_client)
-            for result in (seq, par):
-                assert not check_controller(result.controller), \
-                    "invariant violation in bench run"
-                assert result.committed > 0
-            row = {"committed": par.committed}
-            for label, result in (("sequential", seq), ("parallel", par)):
-                for phase in ("prepare", "commit", "txn"):
-                    stats = result.latencies.get(phase, {})
-                    row[f"{label}_{phase}_p50"] = stats.get("p50", 0.0)
-                    row[f"{label}_{phase}_p95"] = stats.get("p95", 0.0)
-            for phase in ("prepare", "commit"):
-                seq_p50 = row[f"sequential_{phase}_p50"]
-                par_p50 = row[f"parallel_{phase}_p50"]
-                row[f"{phase}_speedup"] = (
-                    round(seq_p50 / par_p50, 2) if par_p50 else 0.0)
-            commit_path = (seq.commit_path_p50, par.commit_path_p50)
-            row["commit_path_speedup"] = (
-                round(commit_path[0] / commit_path[1], 2)
-                if commit_path[1] else 0.0)
+            result = run_commit_latency_bench(
+                replicas=replicas, write_policy=policy, latency_s=LATENCY_S,
+                transactions_per_client=transactions_per_client)
+            assert not check_controller(result.controller), \
+                "invariant violation in bench run"
+            assert result.committed > 0
+            row = {"committed": result.committed,
+                   "round_trip_s": result.round_trip_s,
+                   "serial_phase_s": result.serial_phase_s}
+            for phase in ("prepare", "commit", "txn"):
+                stats = result.latencies.get(phase, {})
+                row[f"{phase}_p50"] = stats.get("p50", 0.0)
+                row[f"{phase}_p95"] = stats.get("p95", 0.0)
             per_policy[policy.value] = row
         table[replicas] = per_policy
     return table
 
 
 def format_sweep(table):
-    lines = [f"{'rf':>2}  {'policy':<12}  {'seq 2pc p50':>11}  "
-             f"{'par 2pc p50':>11}  {'speedup':>7}"]
+    lines = [f"{'rf':>2}  {'policy':<12}  {'prepare p50':>11}  "
+             f"{'commit p50':>10}  {'2L':>7}  {'rf*2L':>7}"]
     for replicas, per_policy in sorted(table.items()):
         for policy, row in sorted(per_policy.items()):
-            seq = (row["sequential_prepare_p50"]
-                   + row["sequential_commit_p50"])
-            par = row["parallel_prepare_p50"] + row["parallel_commit_p50"]
-            lines.append(f"{replicas:>2}  {policy:<12}  {seq:>11.4f}  "
-                         f"{par:>11.4f}  "
-                         f"{row['commit_path_speedup']:>6.2f}x")
+            lines.append(f"{replicas:>2}  {policy:<12}  "
+                         f"{row['prepare_p50']:>11.4f}  "
+                         f"{row['commit_p50']:>10.4f}  "
+                         f"{row['round_trip_s']:>7.4f}  "
+                         f"{row['serial_phase_s']:>7.4f}")
     return "\n".join(lines)
 
 
@@ -97,11 +79,8 @@ def format_sweep(table):
 
 
 @pytest.mark.benchmark(group="cluster-txn")
-@pytest.mark.parametrize("parallel", [True, False],
-                         ids=["parallel", "sequential"])
-def test_bench_commit_path(benchmark, parallel):
+def test_bench_commit_path(benchmark):
     result = benchmark(run_commit_latency_bench, replicas=3,
-                       parallel_commit=parallel,
                        transactions_per_client=20)
     assert result.committed > 0
 
@@ -128,12 +107,16 @@ def main(argv=None) -> int:
     table = sweep(replication_factors=factors,
                   transactions_per_client=per_client)
 
+    # One round trip per phase whatever the width: each p50 sits between
+    # 2L and 2L plus a log flush, well under even two serial round trips.
     for replicas, per_policy in table.items():
         for policy, row in per_policy.items():
-            if replicas >= 3:
-                assert row["commit_path_speedup"] >= 2.0, (
-                    f"rf={replicas} {policy}: commit-path speedup "
-                    f"{row['commit_path_speedup']} < 2x")
+            trip = row["round_trip_s"]
+            for phase in ("prepare", "commit"):
+                p50 = row[f"{phase}_p50"]
+                assert trip <= p50 < 1.5 * trip, (
+                    f"rf={replicas} {policy}: {phase} p50 {p50} is not one "
+                    f"round trip ({trip})")
 
     payload = {
         "benchmark": "cluster_txn",

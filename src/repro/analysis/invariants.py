@@ -8,7 +8,8 @@ correctness properties the paper's controller design promises:
   strict mode every prepared transaction must reach a terminal state.
 * **decision-before-commit** — no COMMIT message leaves the coordinator
   before the commit decision is logged (mirrored to the process-pair
-  backup when one is attached).
+  backup when one is attached). On a truncated trace only transactions
+  whose ``txn_begin`` is inside the trace are held to it.
 * **conservative-all-acked** — under the conservative write policy a
   commit decision is only taken once every issued replica write has been
   acknowledged (or its machine has failed).
@@ -117,6 +118,9 @@ class _TxnAudit:
     """Checker-side state of one traced transaction."""
 
     db: Optional[str] = None
+    # ``txn_begin`` was seen: the transaction's whole life is inside the
+    # trace, even when older events fell off the ring.
+    began: bool = False
     prepared: bool = False
     decision_seq: Optional[int] = None
     terminal_kinds: List[str] = field(default_factory=list)
@@ -203,7 +207,9 @@ class InvariantChecker:
                     f"{e.kind} on fenced machine {e.machine}",
                     txn=e.txn, db=e.db, seq=e.seq))
 
-            if e.kind == "write_issued":
+            if e.kind == "txn_begin":
+                state.began = True
+            elif e.kind == "write_issued":
                 state.outstanding[e.machine] = (
                     state.outstanding.get(e.machine, 0) + 1)
             elif e.kind in ("write_acked", "write_failed"):
@@ -240,7 +246,12 @@ class InvariantChecker:
                                "earlier)" if lease is not None else ""),
                             txn=e.txn, db=e.db, seq=e.seq))
             elif e.kind == "commit_sent":
-                if state.decision_seq is None:
+                # On a truncated trace the decision of a transaction
+                # that began before the ring's oldest event may have
+                # fallen off with it; only one that began inside the
+                # trace must show its decision.
+                if state.decision_seq is None and (state.began
+                                                   or not truncated):
                     self.violations.append(Violation(
                         "decision-before-commit",
                         "COMMIT sent before the decision was logged",

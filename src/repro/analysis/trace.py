@@ -20,7 +20,7 @@ poisoned           an aggressive-mode background write failure was recorded
 prepare            2PC phase 1 succeeded on one participant
 prepare_failed     2PC phase 1 errored on one participant
 fanout_start       a coordinator broadcast was issued (``label`` names the
-                   phase, ``width`` the branch count, ``parallel`` the mode)
+                   phase, ``width`` the branch count)
 fanout_done        every gathered branch of that broadcast settled
                    (``elapsed`` is the scatter-to-gather span)
 decision_logged    the coordinator decided commit (after mirroring to the

@@ -47,13 +47,6 @@ class ClusterConfig:
     read_option: ReadOption = ReadOption.OPTION_1
     write_policy: WritePolicy = WritePolicy.CONSERVATIVE
     replication_factor: int = 2
-    # Issue every coordinator broadcast (2PC PREPARE / COMMIT, read-only
-    # lock release, aborts) to all participants at once and gather the
-    # per-branch outcomes, so a phase costs one round trip instead of
-    # ``replication_factor`` serial ones. The sequential reference path
-    # is kept for benchmarking (``parallel_commit=False``) and decides
-    # identically — presumed-abort still sees every branch outcome.
-    parallel_commit: bool = True
     # Bound on the statement-classification cache (parsed kind/table per
     # distinct SQL string). Least-recently-used entries are evicted past
     # this size; 0 means unbounded. Evictions are counted in

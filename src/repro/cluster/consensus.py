@@ -958,7 +958,7 @@ class ConsensusControlPlane:
         controller.trace.emit("ctl_takeover", machine=node.name, term=term,
                               previous=previous, completed=committed,
                               aborted=aborted)
-        if controller.fabric.enabled and controller._detector_proc is not None:
+        if controller.detector.started:
             controller.start_failure_detector()
         self.propose_async("reconcile", {
             "replicas": {db: list(controller.replica_map.replicas(db))

@@ -37,6 +37,7 @@ from repro.analysis.trace import Tracer
 from repro.cluster.admission import AdmissionController
 from repro.cluster.config import ClusterConfig
 from repro.cluster.machine import Machine
+from repro.cluster.membership import HeartbeatDetector
 from repro.cluster.network import CONTROLLER, NetworkFabric
 from repro.cluster.replica_map import ReplicaMap
 from repro.cluster.routing import ReadOption, ReadRouter, WritePolicy
@@ -195,8 +196,9 @@ class ClusterController:
         self.router = ReadRouter(self.config.read_option)
         self.metrics = MetricsCollector(
             resident_tenants=self.config.metrics_resident_tenants)
-        self.fabric = NetworkFabric(sim, self.config.network,
-                                    metrics=self.metrics)
+        self.fabric = NetworkFabric(
+            sim, self.config.network, metrics=self.metrics,
+            direct_latency_s=self.config.machine.network_latency_s)
         self.trace = Tracer(capacity=self.config.trace_capacity,
                             clock=lambda: self.sim.now)
         self.fabric.trace = self.trace
@@ -282,16 +284,18 @@ class ClusterController:
         # *with its data* after delta catch-up; the colo re-counts its
         # hosted databases against its placement bin.
         self.machine_rejoin_hook = None
-        # Failure-detector state (heartbeats over the fabric).
-        self.suspected: Dict[str, float] = {}   # name -> suspected-at time
         self.declared_dead: Set[str] = set()
         self.fenced: Set[str] = set()
-        self._hb_misses: Dict[str, int] = {}
-        self._detector_proc: Optional[Process] = None
-        # Outstanding heartbeat probe per machine: a probe that outlasts
-        # the interval suppresses new probes for the same machine, so
-        # slow links cannot pile up probes and double-count misses.
-        self._probes: Dict[str, Process] = {}
+        # Heartbeats over CONTROLLER -> machine links; this class keeps
+        # only the reactions (declare_dead / _readmit).
+        self.detector = HeartbeatDetector(
+            sim, self.fabric, CONTROLLER, self.machines,
+            self.declared_dead, self.config,
+            name=f"{name}:detector", probe_prefix="hb",
+            on_suspect=self._on_suspect, on_unsuspect=self._on_unsuspect,
+            on_declare=self.declare_dead, on_return=self._readmit,
+            declare_allowed=self._declare_allowed,
+            active=lambda: self.primary_alive)
         # False until the primary controller is "crashed" by a fault
         # injector; the process-pair backup then takes over and this flag
         # fences the old primary (no decision/COMMIT may leave it).
@@ -370,12 +374,7 @@ class ClusterController:
             self._cold_dbs.add(db)
         else:
             for name in machines:
-                engine = self.machines[name].engine
-                engine.create_database(db)
-                setup_txn = engine.begin()
-                for statement in ddl:
-                    engine.execute_sync(setup_txn, db, statement)
-                engine.commit(setup_txn)
+                self.machines[name].engine.create_database_from_ddl(db, ddl)
             self.schemas[db] = (
                 self.machines[machines[0]].engine.database(db).schema)
         self.replica_map.add_database(db, list(machines))
@@ -478,11 +477,9 @@ class ClusterController:
         self._log_lru.clear()
         self._stale_holdings.clear()
         self._open_writers.clear()
-        self.suspected.clear()
+        self.detector.reset()
         self.declared_dead.clear()
         self.fenced.clear()
-        self._hb_misses.clear()
-        self._probes.clear()
         self.primary_alive = True
         self.trace.emit("cluster_reset")
 
@@ -527,14 +524,8 @@ class ClusterController:
             machine = self.machines.get(name)
             if machine is None or not machine.alive or machine.fenced:
                 continue
-            engine = machine.engine
-            if engine.hosts(db):
-                continue
-            engine.create_database(db)
-            setup_txn = engine.begin()
-            for statement in ddl:
-                engine.execute_sync(setup_txn, db, statement)
-            engine.commit(setup_txn)
+            if not machine.engine.hosts(db):
+                machine.engine.create_database_from_ddl(db, ddl)
         if replicas and db not in self.schemas:
             first = self.machines.get(replicas[0])
             if first is not None and first.engine.hosts(db):
@@ -913,21 +904,19 @@ class ClusterController:
     def _issue_branch(self, name: str,
                       make_body: Callable[[Machine], Generator], *,
                       txn_id: int, label: str,
-                      timeout: Optional[float] = None,
                       retries: Optional[int] = None) -> _Branch:
         """Start one branch RPC without waiting on it."""
         machine = self.machines[name]
         if self.fabric.enabled:
             proc = self.sim.process(
                 self._rpc(machine, lambda m=machine: make_body(m),
-                          txn_id=txn_id, label=label, timeout=timeout,
-                          retries=retries),
+                          txn_id=txn_id, label=label, retries=retries),
                 name=f"rpc:{label}:{txn_id}:{name}")
         else:
             proc = machine.submit(txn_id, make_body(machine), label=label)
-        # Every branch outcome is observed through the gathered
-        # BranchOutcome, never by yielding the process directly; defuse
-        # so one early branch failure cannot crash the kernel.
+        # The coordinator observes every branch outcome itself (gathered
+        # BranchOutcome, or the write wait policies); defuse so one early
+        # branch failure cannot crash the kernel before it gets there.
         proc.defused = True
         return _Branch(name, proc, self.sim.now)
 
@@ -959,57 +948,32 @@ class ClusterController:
     def _fanout(self, names: Sequence[str],
                 make_body: Callable[[Machine], Generator], *,
                 txn_id: int, label: str,
-                timeout: Optional[float] = None,
-                retries: Optional[int] = None,
-                parallel: Optional[bool] = None,
-                stop_on_fatal: bool = False) -> Generator:
+                retries: Optional[int] = None) -> Generator:
         """Broadcast one RPC to ``names`` and gather every branch outcome.
 
-        The parallel mode (default, ``config.parallel_commit``) issues
-        all branches at once and waits for the *complete* set of
-        outcomes — one round trip per phase regardless of the
-        replication factor, and exactly the information presumed-abort
-        needs (a timed-out branch aborts the transaction even when
-        another branch answered first). The sequential mode is the
-        pre-fan-out reference: one branch at a time in order, stopping
-        at the first fatal outcome when ``stop_on_fatal`` (machines
-        after the stop are simply never issued, as the old loop left
-        them). Returns the outcomes in issue order.
+        All branches leave at once and the *complete* set of outcomes
+        is awaited: one round trip per phase whatever the replication
+        factor, and exactly what presumed-abort needs (a timed-out
+        branch aborts even when another answered first). Outcomes are
+        returned in issue order.
         """
-        if parallel is None:
-            parallel = self.config.parallel_commit
         names = list(names)
         self.metrics.record_fanout(label, len(names))
         self.trace.emit("fanout_start", txn=txn_id, label=label,
-                        width=len(names), parallel=parallel,
-                        machines=list(names))
+                        width=len(names), machines=list(names))
         started = self.sim.now
-        outcomes: List[BranchOutcome] = []
-        if parallel:
-            branches = [self._issue_branch(name, make_body, txn_id=txn_id,
-                                           label=label, timeout=timeout,
-                                           retries=retries)
-                        for name in names]
-            settled = [self._await_branch(branch) for branch in branches]
-            if settled:
-                yield self.sim.all_of(settled)
-            outcomes = [self._branch_outcome(branch) for branch in branches]
-        else:
-            for name in names:
-                branch = self._issue_branch(name, make_body, txn_id=txn_id,
-                                            label=label, timeout=timeout,
-                                            retries=retries)
-                yield self._await_branch(branch)
-                outcome = self._branch_outcome(branch)
-                outcomes.append(outcome)
-                if stop_on_fatal and outcome.fatal:
-                    break
+        branches = [self._issue_branch(name, make_body, txn_id=txn_id,
+                                       label=label, retries=retries)
+                    for name in names]
+        settled = [self._await_branch(branch) for branch in branches]
+        if settled:
+            yield self.sim.all_of(settled)
+        outcomes = [self._branch_outcome(branch) for branch in branches]
         for outcome in outcomes:
             self.metrics.record_fanout(label, 0,
                                        branch_latency=outcome.latency)
         self.trace.emit("fanout_done", txn=txn_id, label=label,
-                        width=len(outcomes), parallel=parallel,
-                        elapsed=self.sim.now - started)
+                        width=len(outcomes), elapsed=self.sim.now - started)
         return outcomes
 
     def _fanout_fire(self, names: Sequence[str],
@@ -1182,29 +1146,17 @@ class ClusterController:
         targets = self._write_targets(conn.db, table)
         writes: List[Tuple[str, Process]] = []
         for name in targets:
-            machine = self.machines[name]
-            if self.fabric.enabled:
-                # Count executed writes machine-side so PREPARE can
-                # detect a branch that silently missed a dropped write.
-                proc = self.sim.process(
-                    self._rpc(machine,
-                              lambda m=machine: m.statement_body(
-                                  txn.txn_id, conn.db, sql, params,
-                                  self.config.lock_wait_timeout_s,
-                                  count_write=True),
-                              txn_id=txn.txn_id, label=f"w:{sql[:24]}"),
-                    name=f"rpc:w:{txn.txn_id}:{name}")
-            else:
-                proc = machine.submit(
-                    txn.txn_id,
-                    machine.statement_body(txn.txn_id, conn.db, sql, params,
-                                           self.config.lock_wait_timeout_s),
-                    label=f"w:{sql[:24]}")
-            # The controller observes every write outcome itself (below or
-            # in _watch_writes); pre-defuse so an early failure on one
-            # replica cannot crash the kernel before we reach its yield.
-            proc.defused = True
-            writes.append((name, proc))
+            # Over the fabric, executed writes are counted machine-side
+            # so PREPARE can detect a branch that silently missed a
+            # dropped write.
+            branch = self._issue_branch(
+                name,
+                lambda m: m.statement_body(
+                    txn.txn_id, conn.db, sql, params,
+                    self.config.lock_wait_timeout_s,
+                    count_write=self.fabric.enabled),
+                txn_id=txn.txn_id, label=f"w:{sql[:24]}")
+            writes.append((name, branch.proc))
             txn.touched.add(name)
             txn.write_participants.add(name)
             txn.writes_sent[name] = txn.writes_sent.get(name, 0) + 1
@@ -1323,13 +1275,7 @@ class ClusterController:
                 yield proc
             except MachineFailedError:
                 continue
-            except (DeadlockError, LockTimeoutError) as exc:
-                if not txn.finished and txn.poisoned is None:
-                    txn.poisoned = exc
-                    self.trace.emit("poisoned", db=txn.db, txn=txn.txn_id,
-                                    machine=name,
-                                    error=type(exc).__name__)
-            except Exception as exc:  # replica divergence and the like
+            except Exception as exc:  # deadlock, lock timeout, divergence
                 if not txn.finished and txn.poisoned is None:
                     txn.poisoned = exc
                     self.trace.emit("poisoned", db=txn.db, txn=txn.txn_id,
@@ -1400,7 +1346,7 @@ class ClusterController:
                 txn.txn_id,
                 expected_writes=(txn.writes_sent.get(m.name)
                                  if self.fabric.enabled else None)),
-            txn_id=txn.txn_id, label="prepare", stop_on_fatal=True)
+            txn_id=txn.txn_id, label="prepare")
         prepared: List[str] = []
         failure: Optional[BaseException] = None
         for outcome in outcomes:
@@ -1605,9 +1551,8 @@ class ClusterController:
         machine.repair()
         self.declared_dead.discard(name)
         self.fenced.discard(name)
-        self.suspected.pop(name, None)
+        self.detector.forget(name)
         self._stale_holdings.pop(name, None)
-        self._hb_misses[name] = 0
         if self.machine_reset_hook is not None:
             self.machine_reset_hook(name)
         self.trace.emit("machine_repaired", machine=name)
@@ -1663,78 +1608,20 @@ class ClusterController:
     # -- heartbeat failure detection -----------------------------------------------------
 
     def start_failure_detector(self) -> Process:
-        """Start heartbeating every machine over the fabric.
+        """Start heartbeating every machine over the fabric (needs
+        ``config.network.enabled``): *suspected* after
+        ``suspect_after_misses`` silent heartbeats, *declared* dead
+        (fenced, replicas removed, recovery scheduled) after
+        ``declare_after_misses``, readmitted if it ever answers again."""
+        return self.detector.start()
 
-        A machine is *suspected* after ``suspect_after_misses``
-        consecutive silent heartbeats, *declared* dead (fenced, replicas
-        removed, recovery scheduled) after ``declare_after_misses``, and
-        readmitted as a blank spare if it ever answers again.
-        """
-        if not self.fabric.enabled:
-            raise RuntimeError(
-                "the failure detector needs config.network.enabled")
-        if self._detector_proc is not None and not self._detector_proc.triggered:
-            return self._detector_proc
-        self._detector_proc = self.sim.process(
-            self._detector_loop(), name=f"{self.name}:detector")
-        self._detector_proc.defused = True
-        return self._detector_proc
+    def _on_suspect(self, name: str, misses: int) -> None:
+        self.trace.emit("machine_suspected", machine=name, misses=misses)
 
-    def _detector_loop(self) -> Generator:
-        while self.primary_alive:
-            for name in list(self.machines):
-                outstanding = self._probes.get(name)
-                if outstanding is not None and outstanding.is_alive:
-                    # The previous probe outlasted the interval (slow or
-                    # cut link); don't stack another one — it would
-                    # double-count misses for the same silence.
-                    continue
-                probe = self.sim.process(self._probe(name),
-                                         name=f"hb:{name}")
-                probe.defused = True
-                self._probes[name] = probe
-            yield self.sim.timeout(self.config.heartbeat_interval_s)
-
-    def _ping(self, machine: Machine) -> Generator:
-        """One heartbeat round trip. A fenced machine still answers
-        pings (it refuses *work*, not liveness probes) — that is how a
-        falsely declared machine gets readmitted after the partition
-        heals. Late responses count as misses."""
-        deadline = self.sim.now + self.config.heartbeat_interval_s
-        delivered = yield from self.fabric.deliver(CONTROLLER, machine.name)
-        if not delivered or not machine.alive:
-            return False
-        delivered = yield from self.fabric.deliver(machine.name, CONTROLLER)
-        return delivered and self.sim.now <= deadline
-
-    def _probe(self, name: str) -> Generator:
-        machine = self.machines.get(name)
-        if machine is None:
-            return
-        answered = yield from self._ping(machine)
-        if not self.primary_alive:
-            return
-        if answered:
-            self._hb_misses[name] = 0
-            if name in self.declared_dead:
-                self._readmit(name)
-            elif name in self.suspected:
-                since = self.suspected.pop(name)
-                self.metrics.record_false_suspicion()
-                self.trace.emit("machine_unsuspected", machine=name,
-                                suspected_for=self.sim.now - since)
-            return
-        if name in self.declared_dead:
-            return
-        misses = self._hb_misses.get(name, 0) + 1
-        self._hb_misses[name] = misses
-        if (misses >= self.config.suspect_after_misses
-                and name not in self.suspected):
-            self.suspected[name] = self.sim.now
-            self.trace.emit("machine_suspected", machine=name, misses=misses)
-        if (misses >= self.config.declare_after_misses
-                and name in self.suspected and self._declare_allowed(name)):
-            self.declare_dead(name, reason=f"{misses} missed heartbeats")
+    def _on_unsuspect(self, name: str, suspected_for: float) -> None:
+        self.metrics.record_false_suspicion()
+        self.trace.emit("machine_unsuspected", machine=name,
+                        suspected_for=suspected_for)
 
     def _declare_allowed(self, name: str) -> bool:
         """Never declare the machine holding the last live replica of
@@ -1764,7 +1651,7 @@ class ClusterController:
             raise ValueError(f"unknown machine {name!r}")
         if name in self.declared_dead:
             return []
-        self.suspected.pop(name, None)
+        self.detector.forget(name)
         self.declared_dead.add(name)
         self.fenced.add(name)
         was_alive = machine.alive
@@ -1811,8 +1698,7 @@ class ClusterController:
         machine = self.machines[name]
         self.declared_dead.discard(name)
         self.fenced.discard(name)
-        self.suspected.pop(name, None)
-        self._hb_misses[name] = 0
+        self.detector.forget(name)
         holdings = self._stale_holdings.pop(name, {})
         eligible: Dict[str, int] = {}
         if self.config.delta_recovery and machine.alive:

@@ -3,10 +3,12 @@
 Section 4.1 counts, besides failures, "the number of times a replica of
 database j is moved from one machine to another during time period T due
 to system maintenance and reorganization". This module implements those
-planned moves with exactly the machinery Algorithm 1 provides for
-recovery copies: the same per-table copy pipeline, the same write
-rejection window, the same consistency argument — because a migration
-*is* a replica creation followed by retiring the old replica.
+planned moves on the machinery Algorithm 1 provides for recovery copies
+(:func:`repro.cluster.recovery.copy_replica`: the same copy pipeline,
+the same write rejection window, the same consistency argument) —
+because a migration *is* a replica creation followed by retiring the old
+replica. What is left here is validation, the replica switch and the
+grace-period retire.
 
 :class:`MigrationManager` offers one-shot ``migrate_replica`` plus a
 simple ``rebalance_once`` policy (move a replica off the most-loaded
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from repro.cluster.controller import ClusterController, CopyState
-from repro.cluster.recovery import CopyGranularity
-from repro.errors import NoReplicaError, PlatformError
+from repro.cluster.controller import ClusterController
+from repro.cluster.recovery import CopyGranularity, copy_replica
+from repro.errors import PlatformError
 from repro.sim import Process
 
 
@@ -120,64 +122,16 @@ class MigrationManager:
     def _migrate(self, db: str, source_name: str,
                  target_name: str) -> Generator:
         controller = self.controller
-        source = controller.machines[source_name]
-        target = controller.machines[target_name]
         started = self.sim.now
         controller.ensure_materialised(db)
 
-        # Phase 1: build the new replica (identical to recovery's copy).
-        target.engine.create_database(db)
-        setup = target.engine.begin()
-        for statement in controller.ddl[db]:
-            target.engine.execute_sync(setup, db, statement)
-        target.engine.commit(setup)
-
-        state = CopyState(db, target_name, source=source_name)
-        controller.copy_states[db] = state
-        controller.trace.emit("migration_start", db=db, machine=target_name,
-                              source=source_name)
-        total = 0
-        try:
-            if self.granularity is CopyGranularity.DATABASE:
-                state.copying_all = True
-                dumps = yield source.run_copy(
-                    source.dump_database_body(db), label=f"mdump:{db}")
-                for dump in dumps:
-                    yield from self._transfer(dump.bytes_estimate)
-                    yield target.run_copy(
-                        target.load_rows_body(db, dump.table, dump.rows),
-                        label=f"mload:{db}.{dump.table}")
-                    total += dump.bytes_estimate
-                for dump in dumps:
-                    state.copied_tables.add(dump.table)
-                state.copying_all = False
-            else:
-                for table_name in sorted(source.engine.database(db).tables):
-                    state.copying_table = table_name
-                    dump = yield source.run_copy(
-                        source.dump_table_body(db, table_name),
-                        label=f"mdump:{db}.{table_name}")
-                    yield from self._transfer(dump.bytes_estimate)
-                    yield target.run_copy(
-                        target.load_rows_body(db, table_name, dump.rows),
-                        label=f"mload:{db}.{table_name}")
-                    state.copying_table = None
-                    state.copied_tables.add(table_name)
-                    total += dump.bytes_estimate
-        except Exception as exc:
-            # Source or target died: abandon; recovery (if attached)
-            # will restore the replication factor.
-            partial_dropped = False
-            if target.alive and target.engine.hosts(db):
-                target.engine.drop_database(db)
-                partial_dropped = True
-            controller.trace.emit("migration_abandoned", db=db,
-                                  machine=target_name,
-                                  error=type(exc).__name__,
-                                  partial_dropped=partial_dropped)
-            raise
-        finally:
-            controller.copy_states.pop(db, None)
+        # Phase 1: build the new replica with recovery's copy pipeline
+        # (a full copy: the move is planned, so nothing needs catching
+        # up). If the source or target dies it abandons; recovery (if
+        # attached) restores the replication factor.
+        total, _lsn = yield from copy_replica(
+            controller, db, source_name, target_name,
+            self.granularity.value, event="migration")
 
         # Phase 2: switch replicas — the new one in, the old one out.
         controller.replica_map.add_replica(db, target_name)
@@ -204,10 +158,3 @@ class MigrationManager:
         machine = self.controller.machines.get(source_name)
         if machine is not None and machine.alive and machine.engine.hosts(db):
             machine.engine.drop_database(db)
-
-    def _transfer(self, nbytes: int) -> Generator:
-        machine_cfg = self.controller.config.machine
-        scaled = nbytes * machine_cfg.copy_bytes_factor
-        seconds = (scaled / (1024.0 * 1024.0)) / machine_cfg.network_mbps
-        if seconds > 0:
-            yield self.sim.timeout(seconds + machine_cfg.network_latency_s)

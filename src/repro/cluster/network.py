@@ -82,11 +82,14 @@ class NetworkFabric:
     """All messages between cluster endpoints flow through here."""
 
     def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None,
-                 metrics=None, trace=None):
+                 metrics=None, trace=None, direct_latency_s: float = 0.0):
         self.sim = sim
         self.config = config or NetworkConfig()
         self.metrics = metrics
         self.trace = trace
+        # What a bulk copy stream pays on top of its transfer time while
+        # the fabric is disabled (the owner's pre-fabric link latency).
+        self.direct_latency_s = direct_latency_s
         self.rng = SeededRNG(self.config.seed).fork("network-fabric")
         # Directed cuts: (src, dst) pairs that currently drop everything.
         self._cuts: Set[Tuple[str, str]] = set()
@@ -216,9 +219,10 @@ class NetworkFabric:
 
         Copy streams (dump/load) are long-lived bulk transfers rather
         than individual messages; they are gated on connectivity at each
-        step instead of being broken into per-page messages.
+        step instead of being broken into per-page messages. A disabled
+        fabric has no cuts to check.
         """
-        if not self.connected(src, dst):
+        if self.enabled and not self.connected(src, dst):
             raise NetworkPartitionedError(
                 f"link {src} -> {dst} is cut")
 
@@ -227,9 +231,12 @@ class NetworkFabric:
 
         Partition-checked at both ends of the window: a stream that was
         cut mid-flight fails when it completes (the receiving side never
-        sees the tail of the stream).
+        sees the tail of the stream). Disabled, the stream pays the
+        owner's fixed direct-link latency and cannot be cut.
         """
         self.copy_gate(src, dst)
         if seconds > 0:
-            yield self.sim.timeout(seconds + self.sample_latency())
+            yield self.sim.timeout(seconds + (
+                self.sample_latency() if self.enabled
+                else self.direct_latency_s))
         self.copy_gate(src, dst)

@@ -20,7 +20,8 @@ rejects at either granularity:
 * ``DATABASE`` — the whole database is copied under one lock footprint;
   every write to the database is rejected for the copy's full duration.
 
-The copy pipeline charges simulated time for the source read, the rack
+The copy pipeline (:func:`copy_replica`, also what planned migration
+copies through) charges simulated time for the source read, the rack
 network transfer, and the destination load, so recovery durations scale
 with database size like the paper's ~2 minutes for 200 MB.
 """
@@ -122,7 +123,7 @@ class RecoveryManager:
                 # Source or target died mid-copy, no machine can host
                 # the replica yet, or another pipeline owns the copy:
                 # back off, then retry if still needed. All partial-state
-                # cleanup already happened inside _recover_database with
+                # cleanup already happened inside copy_replica with
                 # the copy's source/target still in hand; by the time
                 # control returns here the copy state is gone, so a
                 # second state-keyed cleanup pass would find nothing.
@@ -168,8 +169,6 @@ class RecoveryManager:
             key=lambda m: self.controller.replica_map.hosted_count(m.name))
         return candidates[0].name
 
-    # -- the copy pipeline -------------------------------------------------------------
-
     def _recover_database(self, db: str) -> Generator:
         controller = self.controller
         if db in controller.copy_states:
@@ -199,66 +198,18 @@ class RecoveryManager:
         # (consensus mode) so every replica knows where the new copy of
         # this database is headed.
         controller._propose_meta("placement", db=db, target=target_name)
-        source = controller.machines[source_name]
-        target = controller.machines[target_name]
-        delta = controller.config.delta_recovery
-        mode = "delta" if delta else self.granularity.value
-
+        mode = ("delta" if controller.config.delta_recovery
+                else self.granularity.value)
         started = self.sim.now
-        copied_bytes = 0
-        applied_lsn = None
-
-        # Register the copy state *before* touching the target: every
-        # setup step from here on runs under the abandonment protocol
-        # (fail_machine finds the state, the except arm below drops the
-        # partial replica), so a failure mid-setup can no longer strand
-        # an orphaned half-created database on the target.
-        state = CopyState(db, target_name, source=source_name)
-        controller.copy_states[db] = state
-        controller.trace.emit("rereplication_start", db=db,
-                              machine=target_name, source=source_name,
-                              mode=mode)
         try:
-            # Create the (empty) database on the target from the saved DDL.
-            target.engine.create_database(db)
-            setup = target.engine.begin()
-            for statement in controller.ddl[db]:
-                target.engine.execute_sync(setup, db, statement)
-            target.engine.commit(setup)
-
-            if delta:
-                copied_bytes, applied_lsn = yield from self._copy_delta(
-                    db, state, source, target)
-            elif self.granularity is CopyGranularity.DATABASE:
-                copied_bytes = yield from self._copy_database(
-                    db, state, source, target)
-            else:
-                copied_bytes = yield from self._copy_tables(
-                    db, state, source, target)
-        except Exception as exc:
-            # Clean the partial replica off a surviving target here, with
-            # the target still in hand: when the *source* died,
-            # fail_machine has already dropped the CopyState, so a
-            # state-based cleanup could not find the target.
-            partial_dropped = False
-            if target.alive and target.engine.hosts(db):
-                target.engine.drop_database(db)
-                partial_dropped = True
-            controller.trace.emit("rereplication_abandoned", db=db,
-                                  machine=target_name,
-                                  error=type(exc).__name__,
-                                  partial_dropped=partial_dropped)
+            copied_bytes, applied_lsn = yield from copy_replica(
+                controller, db, source_name, target_name, mode,
+                event="rereplication")
+        except Exception:
             self.records.append(RecoveryRecord(
                 db, source_name, target_name, started, self.sim.now,
-                copied_bytes, succeeded=False, mode=mode))
+                0, succeeded=False, mode=mode))
             raise
-        finally:
-            # Pop only our own state: a failure may have routed through
-            # _abandon_copies already, and a rejoin catch-up could have
-            # registered a fresh state for the same database since.
-            if controller.copy_states.get(db) is state:
-                del controller.copy_states[db]
-
         controller.replica_map.add_replica(db, target_name)
         if applied_lsn is not None:
             controller.note_replica_caught_up(db, target_name, applied_lsn)
@@ -270,122 +221,160 @@ class RecoveryManager:
             db, source_name, target_name, started, self.sim.now,
             copied_bytes, succeeded=True, mode=mode))
 
-    def _copy_delta(self, db: str, state: CopyState, source,
-                    target) -> Generator:
-        """Log-structured copy: snapshot at a pinned LSN, no rejection.
 
-        The dump still takes its whole-database S-lock footprint, but
-        only for the instant the rows are read (in-flight writers drain
-        into it; the bulk I/O charge happens after release), and the
-        copy state stays passive — Algorithm 1 rejects nothing while
-        the snapshot streams and loads. ``on_snapshot`` pins the
-        commit log at the dump instant: the S locks guarantee every
-        commit with an assigned LSN has been applied on the source, so
-        the snapshot contains exactly the commits with LSN <= pin and
-        the retained tail after the pin is exactly what the target is
-        missing. Replay then catches the target up live, and only the
-        final drain handoff rejects writes.
-        """
-        controller = self.controller
-        log = controller.database_log(db)
-        fabric = controller.fabric
-        holder = {}
+# -- the replica-copy pipeline (re-replication and planned migration) --------------
 
-        def on_snapshot(_dumps):
-            holder["pin"] = log.pin()
-            controller.trace.emit("delta_snapshot", db=db,
-                                  machine=target.name,
-                                  lsn=holder["pin"].lsn)
 
-        try:
-            if fabric.enabled:
-                fabric.copy_gate(CONTROLLER, source.name)
-            dumps = yield source.run_copy(
-                source.dump_database_body(db, on_snapshot=on_snapshot),
-                label=f"dump:{db}")
-            total = 0
-            for dump in dumps:
-                yield from self._transfer(source.name, target.name,
-                                          dump.bytes_estimate)
-                if fabric.enabled:
-                    fabric.copy_gate(CONTROLLER, target.name)
-                yield target.run_copy(
-                    target.load_rows_body(db, dump.table, dump.rows),
-                    label=f"load:{db}.{dump.table}")
-                total += dump.bytes_estimate
-            applied, _reject_s, _replayed = (
-                yield from controller.delta_replay_and_handoff(
-                    db, target, holder["pin"].lsn, state))
-            return total, applied
-        finally:
-            pin = holder.get("pin")
-            if pin is not None:
-                log.release(pin)
+def copy_replica(controller: ClusterController, db: str, source_name: str,
+                 target_name: str, mode: str, event: str) -> Generator:
+    """Build a replica of ``db`` on ``target_name`` from ``source_name``.
 
-    def _copy_tables(self, db: str, state: CopyState, source,
-                     target) -> Generator:
-        """Table-granularity copy: reject window is one table at a time."""
-        total = 0
-        fabric = self.controller.fabric
-        table_names = sorted(source.engine.database(db).tables)
-        for table_name in table_names:
-            state.copying_table = table_name
-            if fabric.enabled:
-                # The copy tool is driven from the controller: it must
-                # reach the source to dump and the target to load.
-                fabric.copy_gate(CONTROLLER, source.name)
-            dump = yield source.run_copy(
-                source.dump_table_body(db, table_name),
-                label=f"dump:{db}.{table_name}")
-            yield from self._transfer(source.name, target.name,
-                                      dump.bytes_estimate)
-            if fabric.enabled:
-                fabric.copy_gate(CONTROLLER, target.name)
-            yield target.run_copy(
-                target.load_rows_body(db, table_name, dump.rows),
-                label=f"load:{db}.{table_name}")
-            state.copying_table = None
-            state.copied_tables.add(table_name)
-            total += dump.bytes_estimate
-        return total
+    The one copy pipeline: register the :class:`CopyState`, create the
+    empty database on the target from the saved DDL, run the ``mode``
+    strategy (``"delta"``, or a full copy at ``"table"`` /
+    ``"database"`` granularity), and clean up. ``event`` prefixes the
+    ``*_start`` / ``*_abandoned`` trace kinds. Returns ``(bytes copied,
+    LSN the target is consistent through)`` — the LSN is ``None`` for a
+    full copy. The caller adds the replica to the map in the same
+    instant (no sim time passes after the strategy returns).
+    """
+    source = controller.machines[source_name]
+    target = controller.machines[target_name]
+    # Register the copy state *before* touching the target: every
+    # set-up step from here on runs under the abandonment protocol
+    # (fail_machine finds the state, the except arm below drops the
+    # partial replica), so a failure mid-set-up cannot strand an
+    # orphaned half-created database on the target.
+    state = CopyState(db, target_name, source=source_name)
+    controller.copy_states[db] = state
+    controller.trace.emit(f"{event}_start", db=db, machine=target_name,
+                          source=source_name, mode=mode)
+    try:
+        target.engine.create_database_from_ddl(db, controller.ddl[db])
+        return (yield from _STRATEGIES[mode](controller, db, state,
+                                             source, target))
+    except Exception as exc:
+        # Clean the partial replica off a surviving target here, with
+        # the target still in hand: when the *source* died,
+        # fail_machine has already dropped the CopyState, so a
+        # state-based cleanup could not find the target.
+        partial_dropped = False
+        if target.alive and target.engine.hosts(db):
+            target.engine.drop_database(db)
+            partial_dropped = True
+        controller.trace.emit(f"{event}_abandoned", db=db,
+                              machine=target_name,
+                              error=type(exc).__name__,
+                              partial_dropped=partial_dropped)
+        raise
+    finally:
+        # Pop only our own state: a failure may have routed through
+        # _abandon_copies already, and a rejoin catch-up could have
+        # registered a fresh state for the same database since.
+        if controller.copy_states.get(db) is state:
+            del controller.copy_states[db]
 
-    def _copy_database(self, db: str, state: CopyState, source,
-                       target) -> Generator:
-        """Database-granularity copy: everything rejects for the duration."""
-        state.copying_all = True
-        fabric = self.controller.fabric
-        if fabric.enabled:
-            fabric.copy_gate(CONTROLLER, source.name)
-        dumps = yield source.run_copy(source.dump_database_body(db),
-                                      label=f"dump:{db}")
-        total = 0
-        for dump in dumps:
-            yield from self._transfer(source.name, target.name,
-                                      dump.bytes_estimate)
-            if fabric.enabled:
-                fabric.copy_gate(CONTROLLER, target.name)
-            yield target.run_copy(
-                target.load_rows_body(db, dump.table, dump.rows),
-                label=f"load:{db}.{dump.table}")
-            total += dump.bytes_estimate
-        # Tables become visible to writes only when the whole copy is done.
-        for dump in dumps:
-            state.copied_tables.add(dump.table)
-        state.copying_all = False
-        return total
 
-    def _transfer(self, src: str, dst: str, nbytes: int) -> Generator:
-        """Rack-network transfer time between source and target.
+def _dump(controller: ClusterController, source, body: Generator,
+          label: str) -> Generator:
+    # The copy tool is driven from the controller: it must reach the
+    # source to dump (and the target to load, see _stream).
+    controller.fabric.copy_gate(CONTROLLER, source.name)
+    return (yield source.run_copy(body, label=label))
 
-        With the fabric enabled the stream is partition-checked at both
-        ends of the transfer window, so a cut mid-copy abandons the
-        re-replication (and its Algorithm 1 reject window) promptly.
-        """
-        machine_cfg = self.controller.config.machine
-        scaled = nbytes * machine_cfg.copy_bytes_factor
+
+def _stream(controller: ClusterController, db: str, source, target,
+            dumps) -> Generator:
+    """Ship dumped tables across the rack and load them on the target.
+
+    The stream is partition-checked at both ends of each transfer
+    window, so a cut mid-copy abandons the copy (and its Algorithm 1
+    reject window) promptly.
+    """
+    machine_cfg = controller.config.machine
+    total = 0
+    for dump in dumps:
+        scaled = dump.bytes_estimate * machine_cfg.copy_bytes_factor
         seconds = (scaled / (1024.0 * 1024.0)) / machine_cfg.network_mbps
-        fabric = self.controller.fabric
-        if fabric.enabled:
-            yield from fabric.transfer(src, dst, seconds)
-        elif seconds > 0:
-            yield self.sim.timeout(seconds + machine_cfg.network_latency_s)
+        yield from controller.fabric.transfer(source.name, target.name,
+                                              seconds)
+        controller.fabric.copy_gate(CONTROLLER, target.name)
+        yield target.run_copy(
+            target.load_rows_body(db, dump.table, dump.rows),
+            label=f"load:{db}.{dump.table}")
+        total += dump.bytes_estimate
+    return total
+
+
+def _copy_tables(controller: ClusterController, db: str, state: CopyState,
+                 source, target) -> Generator:
+    """Table-granularity copy: reject window is one table at a time."""
+    total = 0
+    for table_name in sorted(source.engine.database(db).tables):
+        state.copying_table = table_name
+        dump = yield from _dump(
+            controller, source, source.dump_table_body(db, table_name),
+            label=f"dump:{db}.{table_name}")
+        total += yield from _stream(controller, db, source, target, [dump])
+        state.copying_table = None
+        state.copied_tables.add(table_name)
+    return total, None
+
+
+def _copy_database(controller: ClusterController, db: str, state: CopyState,
+                   source, target) -> Generator:
+    """Database-granularity copy: everything rejects for the duration."""
+    state.copying_all = True
+    dumps = yield from _dump(controller, source,
+                             source.dump_database_body(db),
+                             label=f"dump:{db}")
+    total = yield from _stream(controller, db, source, target, dumps)
+    # Tables become visible to writes only when the whole copy is done.
+    state.copied_tables.update(dump.table for dump in dumps)
+    state.copying_all = False
+    return total, None
+
+
+def _copy_delta(controller: ClusterController, db: str, state: CopyState,
+                source, target) -> Generator:
+    """Log-structured copy: snapshot at a pinned LSN, no rejection.
+
+    The dump still takes its whole-database S-lock footprint, but
+    only for the instant the rows are read (in-flight writers drain
+    into it; the bulk I/O charge happens after release), and the
+    copy state stays passive — Algorithm 1 rejects nothing while
+    the snapshot streams and loads. ``on_snapshot`` pins the
+    commit log at the dump instant: the S locks guarantee every
+    commit with an assigned LSN has been applied on the source, so
+    the snapshot contains exactly the commits with LSN <= pin and
+    the retained tail after the pin is exactly what the target is
+    missing. Replay then catches the target up live, and only the
+    final drain handoff rejects writes.
+    """
+    log = controller.database_log(db)
+    holder = {}
+
+    def on_snapshot(_dumps):
+        holder["pin"] = log.pin()
+        controller.trace.emit("delta_snapshot", db=db, machine=target.name,
+                              lsn=holder["pin"].lsn)
+
+    try:
+        dumps = yield from _dump(
+            controller, source,
+            source.dump_database_body(db, on_snapshot=on_snapshot),
+            label=f"dump:{db}")
+        total = yield from _stream(controller, db, source, target, dumps)
+        applied, _reject_s, _replayed = (
+            yield from controller.delta_replay_and_handoff(
+                db, target, holder["pin"].lsn, state))
+        return total, applied
+    finally:
+        pin = holder.get("pin")
+        if pin is not None:
+            log.release(pin)
+
+
+_STRATEGIES = {"delta": _copy_delta,
+               CopyGranularity.TABLE.value: _copy_tables,
+               CopyGranularity.DATABASE.value: _copy_database}

@@ -13,7 +13,8 @@ use that raises :class:`WouldBlockError` on any lock wait.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.engine import compile as comp
 from repro.engine import executor as ex
@@ -67,6 +68,16 @@ class Engine:
         self.databases[name] = database
         self._planners[name] = pl.Planner(database.schema, database,
                                           self.config)
+        return database
+
+    def create_database_from_ddl(self, name: str,
+                                 ddl: Iterable[str]) -> StoredDatabase:
+        """Create ``name`` and run its DDL in one set-up transaction."""
+        database = self.create_database(name)
+        setup = self.begin()
+        for statement in ddl:
+            self.execute_sync(setup, name, statement)
+        self.commit(setup)
         return database
 
     def attach_database(self, database: StoredDatabase) -> None:

@@ -34,8 +34,9 @@ The drivers cover the paper's evaluation section plus the soaks:
 * :func:`run_sla_placement` — zipf-skewed SLA demands packed by
   First-Fit vs. the exact optimum (Table 2);
 * :func:`run_commit_latency_bench` — 2PC phase latency with fabric
-  latency on, comparing the parallel commit fan-out against the
-  sequential reference coordinator.
+  latency on, set against the analytic cost of one round trip (what the
+  commit fan-out pays) and of one round trip per replica (what a serial
+  coordinator would pay).
 """
 
 from __future__ import annotations
@@ -1245,11 +1246,11 @@ def run_sla_placement(
 
 @dataclass
 class CommitLatencyBenchResult:
-    """Commit-pipeline latency under one fan-out mode and policy."""
+    """Commit-pipeline latency under one replication factor and policy."""
 
     replicas: int
     write_policy: WritePolicy
-    parallel_commit: bool
+    latency_s: float
     committed: int
     aborted: int
     sim_seconds: float
@@ -1266,15 +1267,20 @@ class CommitLatencyBenchResult:
         return summary["p50"] if summary else 0.0
 
     @property
-    def commit_path_p50(self) -> float:
-        """Median coordinator 2PC cost: PREPARE p50 + COMMIT p50."""
-        return self.p50("prepare") + self.p50("commit")
+    def round_trip_s(self) -> float:
+        """Analytic cost of one phase of the fan-out: one round trip."""
+        return 2 * self.latency_s
+
+    @property
+    def serial_phase_s(self) -> float:
+        """Analytic cost of one phase for a coordinator that contacts
+        its participants one at a time: a round trip per replica."""
+        return self.replicas * self.round_trip_s
 
 
 def run_commit_latency_bench(
     replicas: int = 3,
     write_policy: WritePolicy = WritePolicy.CONSERVATIVE,
-    parallel_commit: bool = True,
     clients: int = 4,
     transactions_per_client: int = 50,
     keys: int = 64,
@@ -1287,17 +1293,14 @@ def run_commit_latency_bench(
 
     One cluster of ``replicas`` machines (so every write fans out to
     all of them), a seeded key-value workload, and a lossless fabric
-    with a fixed one-way ``latency_s`` — the setting where a sequential
-    coordinator pays ``replicas`` round trips per phase and the
-    parallel fan-out pays one. ``parallel_commit`` selects the path;
-    everything else (seed, workload, latency) is identical, so two runs
-    differ only in coordinator scheduling.
+    with a fixed one-way ``latency_s`` — the setting where a serial
+    coordinator would pay ``replicas`` round trips per phase and the
+    fan-out pays one (plus the participant's log flush).
     """
     sim = Simulator()
     config = ClusterConfig(
         write_policy=write_policy,
         replication_factor=replicas,
-        parallel_commit=parallel_commit,
         network=NetworkConfig(enabled=True, latency_s=latency_s,
                               jitter_s=jitter_s, drop_probability=0.0,
                               seed=seed),
@@ -1320,7 +1323,7 @@ def run_commit_latency_bench(
     return CommitLatencyBenchResult(
         replicas=replicas,
         write_policy=write_policy,
-        parallel_commit=parallel_commit,
+        latency_s=latency_s,
         committed=metrics.total_committed(),
         aborted=sum(s.aborted for s in stats),
         sim_seconds=sim.now,

@@ -46,7 +46,8 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis.metrics import MetricsCollector
 from repro.analysis.trace import Tracer
-from repro.cluster.controller import Connection, CopyState, TransactionAborted
+from repro.cluster.controller import Connection, TransactionAborted
+from repro.cluster.membership import HeartbeatDetector
 from repro.cluster.network import SYSTEM, NetworkConfig, NetworkFabric
 from repro.errors import NoReplicaError, PlatformError
 from repro.platform.colo import ColoController
@@ -104,17 +105,11 @@ class SystemController:
                  wan_mbps: float = 50.0,
                  apply_retries: Optional[int] = None,
                  reprotect_retry_s: float = 5.0,
-                 delta_reprotect: bool = True,
                  trace_capacity: int = 65536):
         self.sim = sim
         self.wan_latency_s = wan_latency_s
         self.wan_config = wan or NetworkConfig()
         self.wan_mbps = wan_mbps
-        # Log-structured re-protection: attach the replication link at
-        # the dump's snapshot instant instead of rejecting writes for
-        # the dump's whole duration. The full-copy reference path
-        # (rejection via Algorithm 1) is kept behind False.
-        self.delta_reprotect = delta_reprotect
         # Fabric-path apply conflicts retry until they succeed by
         # default (None = unbounded), preserving the prefix guarantee;
         # a bound turns exhausted entries into counted drops.
@@ -126,8 +121,9 @@ class SystemController:
         self.metrics = MetricsCollector()
         self.trace = Tracer(capacity=trace_capacity,
                             clock=lambda: self.sim.now)
-        self.wan = NetworkFabric(sim, self.wan_config, metrics=self.metrics)
-        self.wan.trace = self.trace
+        self.wan = NetworkFabric(sim, self.wan_config, metrics=self.metrics,
+                                 trace=self.trace,
+                                 direct_latency_s=wan_latency_s)
         self.trace.emit("trace_meta", tier="system",
                         wan_enabled=self.wan.enabled)
         self.colos: Dict[str, ColoController] = {}
@@ -137,15 +133,16 @@ class SystemController:
         self.records: Dict[str, DbRecord] = {}
         # Monotonic fencing epoch; bumped by every declare/fail.
         self.epoch = 0
-        # Colo failure-detector state (heartbeats over the WAN fabric).
-        self.suspected: Dict[str, float] = {}   # name -> suspected-at time
         self.declared_dead: set = set()
-        self._hb_misses: Dict[str, int] = {}
-        self._detector_proc: Optional[Process] = None
-        # Outstanding probe per colo: a probe that outlasts the interval
-        # (slow or cut WAN link) suppresses new probes for that colo so
-        # misses are not double-counted.
-        self._probes: Dict[str, Process] = {}
+        # Heartbeats over SYSTEM -> colo links of the WAN fabric; this
+        # class keeps only the reactions (declare_colo_dead /
+        # repair_colo).
+        self.detector = HeartbeatDetector(
+            sim, self.wan, SYSTEM, self.colos, self.declared_dead, self,
+            name="system:colo-detector", probe_prefix="colo-hb",
+            on_suspect=self._on_suspect, on_unsuspect=self._on_unsuspect,
+            on_declare=self.declare_colo_dead, on_return=self._on_return,
+            declare_allowed=self._declare_colo_allowed)
         self._reprotect_procs: Dict[str, Process] = {}
 
     # -- membership ------------------------------------------------------------
@@ -431,78 +428,24 @@ class SystemController:
         silent heartbeats, *declared* dead (fenced under a new epoch,
         standbys promoted, re-protection scheduled) after
         ``declare_after_misses``, and rejoined as a blank standby target
-        if it ever answers again.
+        if it ever answers again. Needs ``wan.enabled``.
         """
-        if not self.wan.enabled:
-            raise RuntimeError(
-                "the colo failure detector needs the WAN fabric "
-                "(wan.enabled)")
-        if (self._detector_proc is not None
-                and not self._detector_proc.triggered):
-            return self._detector_proc
-        self._detector_proc = self.sim.process(self._detector_loop(),
-                                               name="system:colo-detector")
-        self._detector_proc.defused = True
-        return self._detector_proc
+        return self.detector.start()
 
-    def _detector_loop(self) -> Generator:
-        try:
-            while True:
-                for name in list(self.colos):
-                    outstanding = self._probes.get(name)
-                    if outstanding is not None and outstanding.is_alive:
-                        continue  # earlier probe still in flight
-                    probe = self.sim.process(self._probe_colo(name),
-                                             name=f"colo-hb:{name}")
-                    probe.defused = True
-                    self._probes[name] = probe
-                yield self.sim.timeout(self.heartbeat_interval_s)
-        except Interrupt:
-            return
+    def _on_suspect(self, name: str, misses: int) -> None:
+        self.trace.emit("colo_suspected", machine=name, misses=misses)
 
-    def _ping_colo(self, colo: ColoController) -> Generator:
-        """One heartbeat round trip over the WAN. A fenced colo still
-        answers pings (it refuses *work*, not liveness probes) — that is
-        how a falsely declared colo rejoins after the partition heals.
-        Late responses count as misses."""
-        deadline = self.sim.now + self.heartbeat_interval_s
-        delivered = yield from self.wan.deliver(SYSTEM, colo.name)
-        if not delivered or not colo.alive:
-            return False
-        delivered = yield from self.wan.deliver(colo.name, SYSTEM)
-        return delivered and self.sim.now <= deadline
+    def _on_unsuspect(self, name: str, suspected_for: float) -> None:
+        self.metrics.record_dr_false_suspicion()
+        self.trace.emit("colo_unsuspected", machine=name,
+                        suspected_for=suspected_for)
 
-    def _probe_colo(self, name: str) -> Generator:
-        colo = self.colos.get(name)
-        if colo is None:
-            return
-        answered = yield from self._ping_colo(colo)
-        if answered:
-            self._hb_misses[name] = 0
-            if name in self.declared_dead:
-                # False declaration: the colo was alive behind a
-                # partition. Its state is stale (its databases were
-                # promoted away); it rejoins blank through failback.
-                self.metrics.record_dr_false_suspicion()
-                self.repair_colo(name)
-            elif name in self.suspected:
-                since = self.suspected.pop(name)
-                self.metrics.record_dr_false_suspicion()
-                self.trace.emit("colo_unsuspected", machine=name,
-                                suspected_for=self.sim.now - since)
-            return
-        if name in self.declared_dead:
-            return
-        misses = self._hb_misses.get(name, 0) + 1
-        self._hb_misses[name] = misses
-        if (misses >= self.suspect_after_misses
-                and name not in self.suspected):
-            self.suspected[name] = self.sim.now
-            self.trace.emit("colo_suspected", machine=name, misses=misses)
-        if (misses >= self.declare_after_misses and name in self.suspected
-                and self._declare_colo_allowed(name)):
-            self.declare_colo_dead(name,
-                                   reason=f"{misses} missed heartbeats")
+    def _on_return(self, name: str) -> None:
+        # False declaration: the colo was alive behind a partition. Its
+        # state is stale (its databases were promoted away); it rejoins
+        # blank through failback.
+        self.metrics.record_dr_false_suspicion()
+        self.repair_colo(name)
 
     def _declare_colo_allowed(self, name: str) -> bool:
         """Never declare a colo whose loss would lose a database
@@ -534,7 +477,7 @@ class SystemController:
             raise ValueError(f"unknown colo {name!r}")
         if name in self.declared_dead:
             return []
-        self.suspected.pop(name, None)
+        self.detector.forget(name)
         self.declared_dead.add(name)
         self.epoch += 1
         was_alive = colo.alive
@@ -564,7 +507,7 @@ class SystemController:
         colo.crash()
         colo.fence()
         self.declared_dead.add(name)
-        self.suspected.pop(name, None)
+        self.detector.forget(name)
         self.epoch += 1
         self.trace.emit("colo_failed", machine=name, epoch=self.epoch)
         return self._handle_colo_loss(name, self.epoch, self.sim.now)
@@ -577,8 +520,7 @@ class SystemController:
             raise ValueError(f"unknown colo {name!r}")
         colo.repair()
         self.declared_dead.discard(name)
-        self.suspected.pop(name, None)
-        self._hb_misses[name] = 0
+        self.detector.forget(name)
         self.trace.emit("colo_repaired", machine=name)
         self._kick_reprotects()
 
@@ -719,18 +661,12 @@ class SystemController:
                         target_name: str) -> Generator:
         """One snapshot-copy + catch-up attempt toward ``target_name``.
 
-        Delta mode (the default): the dump runs *without* rejecting
-        writes, and the replication link is attached at the snapshot
-        instant — the dump's S locks guarantee every commit whose hook
-        has fired is in the snapshot, and every later commit's hook
-        lands in the fresh link's log, so catch-up replays exactly the
-        suffix after the snapshot. Reference mode
-        (``delta_reprotect=False``): the snapshot is dumped under
-        Algorithm 1's write-rejection window (writes to the database
-        are refused for the dump's duration), so the instant the dump
-        completes there are no in-flight writes and the link attached
-        then sequences the same precise suffix. Either way the standby
-        is a transaction-consistent prefix.
+        The dump runs *without* rejecting writes, and the replication
+        link is attached at the snapshot instant — the dump's S locks
+        guarantee every commit whose hook has fired is in the snapshot,
+        and every later commit's hook lands in the fresh link's log, so
+        catch-up replays exactly the suffix after the snapshot and the
+        standby is a transaction-consistent prefix.
         """
         primary_colo = self.colos[primary]
         target_colo = self.colos[target_name]
@@ -739,47 +675,27 @@ class SystemController:
         if not sources:
             raise NoReplicaError(f"no live replica of {db!r} to copy")
         self.trace.emit("dr_reprotect_start", db=db, src=primary,
-                        target=target_name,
-                        mode="delta" if self.delta_reprotect else "full")
+                        target=target_name, mode="delta")
         target_colo.place_database(db, record.ddl, record.requirement,
                                    record.standby_replicas)
         link: Optional[ReplicationLink] = None
         try:
             source = cluster.machines[sources[-1]]  # spare the primary
-            if self.delta_reprotect:
-                # No copy state, no rejection: commit hooks fire at the
-                # decision point, and a decided-but-unapplied commit's X
-                # locks block the dump — so attaching the link inside
-                # the dump's synchronous snapshot step (no yields)
-                # splits commits exactly: hooks fired before the attach
-                # are in the rows read, hooks after land in the link log.
-                holder: Dict[str, ReplicationLink] = {}
+            # No copy state, no rejection: commit hooks fire at the
+            # decision point, and a decided-but-unapplied commit's X
+            # locks block the dump — so attaching the link inside the
+            # dump's synchronous snapshot step (no yields) splits
+            # commits exactly: hooks fired before the attach are in the
+            # rows read, hooks after land in the link log.
+            holder: Dict[str, ReplicationLink] = {}
 
-                def on_snapshot(_dumps):
-                    holder["link"] = self._attach_link(db, primary,
-                                                       target_name)
+            def on_snapshot(_dumps):
+                holder["link"] = self._attach_link(db, primary, target_name)
 
-                dumps = yield source.run_copy(
-                    source.dump_database_body(db, on_snapshot=on_snapshot),
-                    label=f"dr-dump:{db}")
-                link = holder.get("link")
-            else:
-                state = CopyState(db, f"colo:{target_name}",
-                                  source=source.name)
-                state.copying_all = True
-                cluster.copy_states[db] = state
-                try:
-                    dumps = yield source.run_copy(
-                        source.dump_database_body(db),
-                        label=f"dr-dump:{db}")
-                    # The dump just finished and writes were rejected
-                    # throughout, so nothing is in flight *now*: attach
-                    # the link at this exact instant (no yields) and the
-                    # log is the precise commit suffix after the snapshot.
-                    link = self._attach_link(db, primary, target_name)
-                finally:
-                    if cluster.copy_states.get(db) is state:
-                        del cluster.copy_states[db]
+            dumps = yield source.run_copy(
+                source.dump_database_body(db, on_snapshot=on_snapshot),
+                label=f"dr-dump:{db}")
+            link = holder.get("link")
             nbytes = sum(dump.bytes_estimate for dump in dumps)
             yield from self._wan_transfer(primary, target_name, nbytes)
             if (not primary_colo.alive or primary_colo.fenced
@@ -814,10 +730,7 @@ class SystemController:
         machine_cfg = self.colos[src].cluster_config.machine
         scaled = nbytes * machine_cfg.copy_bytes_factor
         seconds = (scaled / (1024.0 * 1024.0)) / self.wan_mbps
-        if self.wan.enabled:
-            yield from self.wan.transfer(src, dst, seconds)
-        elif seconds > 0:
-            yield self.sim.timeout(seconds + self.wan_latency_s)
+        yield from self.wan.transfer(src, dst, seconds)
 
     # -- metrics ---------------------------------------------------------------------
 

@@ -2,12 +2,20 @@
 
 import pytest
 
-from repro.cluster import CopyGranularity
-from repro.cluster.controller import TransactionAborted
+from repro.cluster import CopyGranularity, RecoveryManager
+from repro.cluster.controller import CopyState, TransactionAborted
 from repro.cluster.migration import MigrationError, MigrationManager
+from repro.cluster.network import NetworkConfig, NetworkPartitionedError
 from repro.errors import ProactiveRejectionError
+from repro.sim import Simulator
 from tests.conftest import (assert_no_violations, make_kv_cluster,
                             read_table)
+from tests.integration.test_delta_recovery import fingerprint
+
+
+def spare_of(controller, db="kv"):
+    return [m for m in controller.machines
+            if m not in controller.replica_map.replicas(db)][0]
 
 
 class TestMigrateReplica:
@@ -171,3 +179,104 @@ class TestMigrateReplica:
         counts = [len(controller.replica_map.hosted_on(m))
                   for m in controller.machines]
         return max(counts) - min(counts)
+
+
+class TestSharedCopyPipeline:
+    """Migration rides recovery's copy pipeline: same clean-up, same
+    fabric, same bytes on the target."""
+
+    def test_abandoned_migration_leaves_a_newer_copy_state_alone(self, sim):
+        controller = make_kv_cluster(sim, machines=4, keys=30)
+        controller.config.machine.copy_bytes_factor = 200_000.0
+        manager = MigrationManager(controller)
+        source = controller.replica_map.replicas("kv")[1]
+        target, rejoiner = [m for m in controller.machines
+                            if m not in controller.replica_map.replicas("kv")]
+        proc = manager.migrate_replica("kv", source, target)
+        proc.defused = True
+        fresh = CopyState("kv", rejoiner, source=rejoiner)
+
+        def source_dies_then_a_rejoin_registers():
+            yield sim.timeout(0.5)
+            assert controller.copy_states["kv"].target == target
+            # fail_machine abandons the migration's state at once; a
+            # rejoin catch-up (_readmit) can then register its own for
+            # the same database before the migration's clean-up runs.
+            controller.fail_machine(source)
+            assert "kv" not in controller.copy_states
+            controller.copy_states["kv"] = fresh
+
+        sim.process(source_dies_then_a_rejoin_registers())
+        sim.run()
+        assert not proc.ok
+        # The migration cleaned up after itself only: its partial
+        # replica is gone, the other copy's Algorithm 1 window stands.
+        assert controller.copy_states.get("kv") is fresh
+        assert not controller.machines[target].engine.hosts("kv")
+        abandoned = controller.trace.events(kind="migration_abandoned")
+        assert abandoned and abandoned[0].extra["partial_dropped"]
+
+    def test_link_cut_mid_copy_abandons_the_migration(self, sim):
+        controller = make_kv_cluster(
+            sim, machines=3, keys=30,
+            network=NetworkConfig(enabled=True, seed=5))
+        controller.config.machine.copy_bytes_factor = 200_000.0
+        manager = MigrationManager(controller)
+        source = controller.replica_map.replicas("kv")[1]
+        target = spare_of(controller)
+        before = controller.replica_map.replicas("kv")
+        proc = manager.migrate_replica("kv", source, target)
+        proc.defused = True
+
+        def cut():
+            yield sim.timeout(0.5)
+            assert "kv" in controller.copy_states
+            controller.fabric.cut(source, target)
+
+        sim.process(cut())
+        sim.run()
+        assert isinstance(proc.value, NetworkPartitionedError)
+        abandoned = controller.trace.events(kind="migration_abandoned")
+        assert [e.machine for e in abandoned] == [target]
+        assert abandoned[0].extra["partial_dropped"]
+        assert not controller.machines[target].engine.hosts("kv")
+        assert "kv" not in controller.copy_states
+        assert controller.replica_map.replicas("kv") == before
+        assert not manager.records
+        assert_no_violations(controller)
+
+    @pytest.mark.parametrize("granularity", list(CopyGranularity))
+    def test_migrated_replica_identical_to_recovery_copied(self, granularity):
+        def cluster():
+            sim = Simulator()
+            controller = make_kv_cluster(sim, machines=3, keys=30,
+                                         delta_recovery=False)
+            controller.create_database(
+                "idx", ["CREATE TABLE a (k INTEGER PRIMARY KEY, v INTEGER)",
+                        "CREATE INDEX a_v ON a (v)",
+                        "CREATE TABLE b (k INTEGER PRIMARY KEY, s VARCHAR(8))"],
+                machines=controller.replica_map.replicas("kv"))
+            controller.bulk_load("idx", "a", [(k, k % 7) for k in range(40)])
+            controller.bulk_load("idx", "b", [(k, f"s{k}") for k in range(9)])
+            return sim, controller
+
+        sim, migrated = cluster()
+        source = migrated.replica_map.replicas("idx")[1]
+        target = spare_of(migrated, "idx")
+        proc = MigrationManager(migrated, granularity=granularity) \
+            .migrate_replica("idx", source, target)
+        sim.run()
+        assert proc.ok, proc.value
+
+        sim, recovered = cluster()
+        recovery = RecoveryManager(recovered, granularity=granularity)
+        recovery.start()
+        recovered.fail_machine(source)
+        sim.run()
+        record = [r for r in recovery.records if r.db == "idx"][-1]
+        assert record.succeeded and record.mode == granularity.value
+        assert record.target == target
+
+        assert (fingerprint(migrated, target, "idx")
+                == fingerprint(recovered, target, "idx"))
+        assert proc.value.bytes_copied == record.bytes_copied

@@ -74,10 +74,10 @@ class TestFalseSuspicion:
         # Cut long enough to suspect (2 misses) but not declare (5).
         controller.fabric.cut(CONTROLLER, victim)
         sim.run(until=0.7)
-        assert victim in controller.suspected
+        assert victim in controller.detector.suspected
         controller.fabric.heal(CONTROLLER, victim)
         sim.run(until=3.0)
-        assert victim not in controller.suspected
+        assert victim not in controller.detector.suspected
         assert victim not in controller.declared_dead
         assert victim in controller.replica_map.replicas("kv")
         assert_no_violations(controller)
@@ -109,10 +109,10 @@ class TestDetectionDrivenRecovery:
         # Declaring would discard the only replica: the machine stays
         # suspected (the suspicion resolves once the partition heals).
         assert only not in controller.declared_dead
-        assert only in controller.suspected
+        assert only in controller.detector.suspected
         controller.fabric.heal(CONTROLLER, only)
         sim.run(until=15.0)
-        assert only not in controller.suspected
+        assert only not in controller.detector.suspected
         assert_no_violations(controller)
 
 
@@ -128,7 +128,7 @@ class TestPartitionSoak:
         assert summary["messages_sent"] > 0
         assert summary["delivered"] <= summary["messages_sent"]
         # The drain healed everything; no suspicion dangles.
-        assert not result.controller.suspected
+        assert not result.controller.detector.suspected
 
     def test_seeded_soak_aggressive_policy(self):
         result = run_partition_soak(duration_s=20.0, drain_s=30.0, seed=5,

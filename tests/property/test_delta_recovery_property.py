@@ -45,4 +45,4 @@ def test_partition_soak_with_delta_audits_clean(seed):
                                   expect_recovery_complete=True)
     assert not violations, "\n".join(str(v) for v in violations)
     # The drain healed every partition; no suspicion dangles.
-    assert not result.controller.suspected
+    assert not result.controller.detector.suspected

@@ -229,6 +229,24 @@ class TestRecoveryRule:
         assert truncated == []
 
 
+    def test_truncated_ring_excuses_only_txns_begun_before_it(self):
+        # txn 1's begin, prepare and decision fell off the ring; txn 2
+        # began inside it and really did send COMMIT undecided.
+        events = trace(
+            ("commit_sent", {"db": "kv", "txn": 1, "machine": "m0"}),
+            ("committed", {"db": "kv", "txn": 1}),
+            ("txn_begin", {"db": "kv", "txn": 2}),
+            ("prepare", {"db": "kv", "txn": 2, "machine": "m0"}),
+            ("commit_sent", {"db": "kv", "txn": 2, "machine": "m0"}),
+        )
+        complete = check_trace(events)
+        assert [v.txn for v in complete] == [1, 2]
+        assert rules(complete) == ["decision-before-commit"]
+        truncated = check_trace(events, dropped=5)
+        assert [(v.rule, v.txn) for v in truncated] == [
+            ("decision-before-commit", 2)]
+
+
 def run_client(sim, gen):
     proc = sim.process(gen)
     sim.run()
