@@ -16,6 +16,8 @@ from repro.sim.core import Event, SimulationError, Simulator
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource", "granted_at")
+
     def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource

@@ -1,0 +1,132 @@
+"""Host-independent performance gate on the simulation kernel.
+
+Wall-clock cannot be asserted on shared CI runners; two exact counts can.
+A small production-profile cluster (fabric with jitter, 3-node consensus,
+admission, heartbeat detector; one KV database at RF 3) runs the
+``kv_prod_write`` transaction shape of ``benchmarks/e2e`` — 2 SELECT +
+2 UPDATE + commit through ``Connection`` — from four closed-loop clients,
+pumped by a local ``step()`` loop.
+
+* **Bounded schedule.** ``sim.pending`` tracks the work *in flight*: one
+  transaction per client with at most three RPCs outstanding, plus the
+  background loops. It does not grow with the commit rate or with
+  ``rpc_timeout_s``, as it did when every answered RPC left its deadline
+  timer on the heap until it expired (about 15 x commit rate x timeout
+  entries: 1 580 / 2 860 / 3 501 in the three runs below, now 15 / 20 / 15).
+* **Event budget.** Kernel steps per commit over a fixed window of
+  transactions: an exact count that repeats per seed (223.19 before timers
+  were dropped). Run with ``-s`` to see the measured values.
+"""
+
+import pytest
+
+from repro.analysis.invariants import check_controller
+from repro.cluster import ClusterConfig, ClusterController
+from repro.sim import Simulator
+from repro.sim.rng import SeededRNG
+from repro.sla.model import Sla
+from repro.workloads.microbench import KV_DDL
+
+SEED = 7
+CLIENTS = 4
+REPLICAS = 3
+KEYS = 400
+SETTLE_S = 1.0          # bootstrap election
+WARM_COMMITS = 40
+WINDOW_COMMITS = 200
+SAMPLE_EVERY = 50
+
+#: Steps per commit measured at the PR that introduced the ready queue and
+#: droppable timers (seed 7, the window above).
+STEPS_PER_COMMIT = 211.63
+#: Schedule entries one outstanding RPC may account for: its deadline, the
+#: timer it is currently waiting out (fabric hop, CPU, WAL flush), and a
+#: ready entry handing its result up the process chain.
+ENTRIES_PER_RPC = 3
+
+
+def run_cluster(think_s=0.01, rpc_timeout_s=None):
+    """Returns (background pending, peak pending, steps/commit, controller)."""
+    sim = Simulator()
+    config = ClusterConfig(replication_factor=REPLICAS, consensus_enabled=True,
+                           admission_control=True)
+    config.network.enabled = True
+    config.network.latency_s = 0.0005
+    config.network.jitter_s = 0.0001
+    config.network.seed = config.consensus.seed = SEED
+    config.consensus.replicas = 3
+    if rpc_timeout_s is not None:
+        config.network.rpc_timeout_s = rpc_timeout_s
+    controller = ClusterController(sim, config)
+    controller.add_machines(4)
+    controller.create_database(
+        "kv", KV_DDL, replicas=REPLICAS,
+        sla=Sla(min_throughput_tps=2000.0, max_rejected_fraction=0.05))
+    controller.bulk_load("kv", "kv", [(k, 0) for k in range(KEYS)])
+    controller.start_failure_detector()
+    commits = 0
+
+    def client(cid):
+        nonlocal commits
+        rng = SeededRNG(SEED).fork(f"client-{cid}")
+        yield sim.timeout(SETTLE_S + rng.uniform(0.0, think_s))
+        conn = controller.connect("kv")
+
+        def key():      # clients never share a row: no lock waits
+            return rng.randint(0, KEYS // CLIENTS - 1) * CLIENTS + cid
+
+        while True:
+            for _ in range(2):
+                yield conn.execute("SELECT v FROM kv WHERE k = ?", (key(),))
+            for _ in range(2):
+                yield conn.execute("UPDATE kv SET v = v + 1 WHERE k = ?",
+                                   (key(),))
+            yield conn.commit()
+            commits += 1
+            yield sim.timeout(rng.expovariate(1.0 / think_s))
+
+    sim.run(until=SETTLE_S * 0.99)
+    background = sim.pending
+    for cid in range(CLIENTS):
+        sim.process(client(cid))
+    while commits < WARM_COMMITS:
+        sim.step()
+    steps, peak, next_sample = 0, 0, commits
+    while commits < WARM_COMMITS + WINDOW_COMMITS:
+        sim.step()
+        steps += 1
+        if commits >= next_sample:
+            peak = max(peak, sim.pending)
+            next_sample += SAMPLE_EVERY
+    return background, peak, steps / WINDOW_COMMITS, controller
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return run_cluster()
+
+
+def test_schedule_is_bounded_by_work_in_flight(baseline):
+    runs = {
+        "baseline": baseline,
+        "think time / 10": run_cluster(think_s=0.001),
+        "rpc_timeout_s x 10": run_cluster(rpc_timeout_s=5.0),
+    }
+    for label, (background, peak, _, _) in runs.items():
+        bound = background + CLIENTS * REPLICAS * ENTRIES_PER_RPC
+        print(f"\n{label}: peak sim.pending {peak} "
+              f"(background {background}, bound {bound})")
+        assert 0 < peak <= bound, label
+
+
+def test_steps_per_commit_within_budget(baseline):
+    _, _, steps_per_commit, _ = baseline
+    print(f"\nsteps per commit {steps_per_commit:.3f} "
+          f"(budget {STEPS_PER_COMMIT} + 2 %)")
+    assert steps_per_commit <= STEPS_PER_COMMIT * 1.02
+    assert run_cluster()[2] == steps_per_commit     # repeats exactly
+
+
+def test_trace_passes_the_invariant_audit(baseline):
+    violations = check_controller(baseline[3])
+    assert not violations, "\n".join(str(v) for v in violations)

@@ -1,8 +1,14 @@
+# Reference kernel for differential tests: ``src/repro/sim/core.py`` as it
+# stood before the ready queue and droppable timers (PR 13), verbatim below
+# this comment. One heap keyed ``(time, eid)``; every scheduled event is
+# pushed, popped and dispatched. ``src/`` never imports this module;
+# ``tests/property/test_kernel_order_property.py`` runs the same programs
+# on both kernels and requires the same observations in the same order.
 """Core discrete-event simulation primitives.
 
 The model follows the classic event-loop + generator-process design:
 
-* :class:`Simulator` owns the clock and the schedule of pending events.
+* :class:`Simulator` owns the clock and a priority queue of scheduled events.
 * :class:`Event` is a one-shot occurrence that processes can wait on. An
   event either *succeeds* with a value or *fails* with an exception.
 * :class:`Process` wraps a generator. Each ``yield`` hands the simulator an
@@ -12,54 +18,14 @@ The model follows the classic event-loop + generator-process design:
 * :class:`AnyOf` / :class:`AllOf` compose events (used by the cluster
   controller's aggressive / conservative write-ack policies).
 
-Determinism: events are dispatched in ``(time, scheduling order)`` order,
-so a run is exactly reproducible for a given seed and program.
-
-The schedule
-------------
-
-That order is the order of a single heap keyed ``(time, eid)`` with
-``eid`` a counter bumped on every scheduling (the reference kernel the
-differential tests compare against is exactly that heap). Here it is kept
-in two structures, because most events are scheduled for *now*:
-
-* ``_ready`` — a FIFO of everything scheduled for the current instant
-  (``succeed``/``fail``, process start and end, interrupts, a timeout whose
-  ``now + delay == now``);
-* ``_heap`` — ``(when, eid, timeout)`` entries with ``when > now``.
-
-:meth:`Simulator.step` runs deferred callbacks first, then heap entries
-that are due (``when <= now``), then the FIFO, and only then pops the heap
-to advance the clock. This is the ``(time, eid)`` order: a heap entry due
-at ``now`` was pushed while the clock was still earlier (it needed
-``when > now`` to get into the heap), so its ``eid`` is smaller than that of
-anything scheduled since the clock arrived at ``now`` — and those later
-ones are exactly the FIFO's content, in ``eid`` order. A positive delay too
-small to move the float clock therefore belongs to the FIFO: in the heap
-it would be "already due" and overtake everything queued before it.
-
-Dropped timers
---------------
-
-A heap :class:`Timeout` that can no longer matter is *dropped*: never
-dispatched, never advancing the clock, invisible to ``peek()``, ``run()``
-and ``pending``. Two places drop, and only when the timer has no other
-waiter: an :class:`AnyOf` that triggers drops its losing timers, and an
-interrupted process drops the timer it was blocked on. Dispatching such a
-timer would run ``AnyOf._check`` on a condition that already triggered
-(a counter decrement) or nothing at all, so leaving it out reorders
-nothing. Dropped entries leave the heap lazily — discarded when they reach
-the top, and swept by an in-place compaction once they outnumber the live
-entries — so the schedule stays proportional to the work in flight.
-Waiting on a dropped timer again brings it back at its original
-``(when, eid)`` position (or finds it processed, if that position is
-behind the clock), exactly as if it had never left.
+Determinism: ties in the event queue are broken by insertion order, so a
+run is exactly reproducible for a given seed and program.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -82,15 +48,6 @@ class Interrupt(Exception):
 # Sentinel: an event value that has not been set yet.
 _PENDING = object()
 
-_INF = float("inf")
-
-# Timeout._dropped states: on the schedule, dropped with its entry still in
-# the heap, dropped with its entry gone.
-_LIVE, _DROPPED, _EVICTED = 0, 1, 2
-
-# Dropped heap entries tolerated before compaction is considered at all.
-_COMPACT_FLOOR = 64
-
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -99,8 +56,6 @@ class Event:
     triggers them, which schedules their callbacks to run at the current
     simulation time. A process waits on an event by yielding it.
     """
-
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -124,7 +79,7 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event succeeded. Only valid once triggered."""
-        if self._value is _PENDING:
+        if not self.triggered:
             raise SimulationError("event not yet triggered")
         return bool(self._ok)
 
@@ -137,11 +92,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self._value is not _PENDING:
+        if self.triggered:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.sim._ready.append(self)
+        self.sim._schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -149,13 +104,13 @@ class Event:
 
         Waiting processes will have ``exception`` thrown into them.
         """
-        if self._value is not _PENDING:
+        if self.triggered:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.sim._ready.append(self)
+        self.sim._schedule(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -166,7 +121,7 @@ class Event:
         keeps long chains of completed events from recursing).
         """
         if self.callbacks is None:
-            self.sim._soon.append((callback, self))
+            self.sim._call_soon(callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -174,48 +129,14 @@ class Event:
 class Timeout(Event):
     """An event that succeeds ``delay`` time units after creation."""
 
-    __slots__ = ("delay", "_when", "_eid", "_dropped")
-
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Event's fields set here, not through Event.__init__: the three
-        # subclasses are built some 130 times per transaction, and the
-        # extra call is a tenth of the kernel's time on an RPC.
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
+        super().__init__(sim)
         self.delay = delay
-        self._dropped = _LIVE
-        self._when = when = sim.now + delay
-        if when > sim.now:
-            sim._eid = self._eid = eid = sim._eid + 1
-            heappush(sim._heap, (when, eid, self))
-        else:
-            # Due this instant (zero delay, or one too small to move the
-            # clock): queued behind what is already ready, never dropped.
-            self._eid = 0
-            sim._ready.append(self)
-
-    @property
-    def processed(self) -> bool:
-        """As :attr:`Event.processed`; a dropped timer counts from the
-        moment it would have been dispatched."""
-        return self.callbacks is None or (
-            self._dropped == _EVICTED and self.sim._passed(self))
-
-    def add_callback(self, callback: Callable[[Event], None]) -> None:
-        if self._dropped:
-            self.sim._revive(self)
-        Event.add_callback(self, callback)
-
-
-# What a starting process is resumed with: a bare successful event.
-_START = Event.__new__(Event)
-_START._ok = True
-_START._value = None
+        self._ok = True
+        self._value = value
+        sim._schedule(self, delay=delay)
 
 
 class Process(Event):
@@ -226,22 +147,19 @@ class Process(Event):
     with the uncaught exception that killed it.
     """
 
-    __slots__ = ("name", "_generator", "_target")
-
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+        super().__init__(sim)
         if not hasattr(generator, "throw"):
             raise SimulationError("process requires a generator")
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self.defused = False
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._target: Optional[Event] = None
-        # Kick-start: a ready entry whose value is still pending can only
-        # be a process that has not begun; step() resumes it.
-        sim._ready.append(self)
+        # Kick-start: resume the generator at the current time.
+        init = Event(sim)
+        init._ok = True
+        init._value = None
+        init.add_callback(self._resume)
+        sim._schedule(init)
 
     @property
     def is_alive(self) -> bool:
@@ -254,32 +172,26 @@ class Process(Event):
         Interrupting a dead process is a no-op; interrupting a process
         blocked on an event cancels that wait.
         """
-        if self._value is not _PENDING:
+        if not self.is_alive:
             return
         event = Event(self.sim)
         event._ok = False
         event._value = Interrupt(cause)
         event.defused = True
-        event.callbacks.append(self._resume)
-        self.sim._ready.append(event)
+        event.add_callback(self._resume)
+        self.sim._schedule(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the triggered event's outcome."""
-        if self._value is not _PENDING:
+        if not self.is_alive:
             return
         # Detach from the event we were waiting on (it may differ from
         # `event` if this resume is an interrupt).
-        waited = self._target
-        if waited is not None and waited is not event:
-            callbacks = waited.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-                if not callbacks and type(waited) is Timeout and waited._eid:
-                    # Its only waiter is gone.
-                    self.sim._drop(waited)
+        if self._target is not None and self._target is not event:
+            try:
+                self._target.callbacks.remove(self._resume)
+            except (ValueError, AttributeError):
+                pass
         self._target = None
 
         try:
@@ -291,41 +203,41 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
+            self.sim._schedule(self)
+            return
         except Interrupt as exc:
             # An unhandled interrupt terminates the process quietly with
             # the interrupt as its failure value.
             self._ok = False
             self._value = exc
             self.defused = True
+            self.sim._schedule(self)
+            return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-        else:
-            if isinstance(target, Event):
-                if target.sim is not self.sim:
-                    raise SimulationError(
-                        "cannot wait on an event from another simulator")
-                self._target = target
-                target.add_callback(self._resume)
-                return
-            self._ok = False
-            self._value = SimulationError(
+            self.sim._schedule(self)
+            return
+
+        if not isinstance(target, Event):
+            kill = SimulationError(
                 f"process {self.name!r} yielded a non-event: {target!r}"
             )
-        self.sim._ready.append(self)
+            self._ok = False
+            self._value = kill
+            self.sim._schedule(self)
+            return
+        if target.sim is not self.sim:
+            raise SimulationError("cannot wait on an event from another simulator")
+        self._target = target
+        target.add_callback(self._resume)
 
 
 class _Condition(Event):
     """Base for AnyOf/AllOf composite events."""
 
-    __slots__ = ("events", "_pending")
-
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self.defused = False
+        super().__init__(sim)
         self.events = list(events)
         # Number of member events whose callbacks have not yet run. We
         # count processed events rather than inspecting ``triggered``
@@ -338,9 +250,8 @@ class _Condition(Event):
         if not self.events:
             self.succeed({})
             return
-        check = self._check
         for event in self.events:
-            event.add_callback(check)
+            event.add_callback(self._check)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -349,7 +260,7 @@ class _Condition(Event):
         return {
             ev: ev._value
             for ev in self.events
-            if ev.callbacks is None and ev._ok
+            if ev.processed and ev._ok
         }
 
 
@@ -360,28 +271,16 @@ class AnyOf(_Condition):
     event's exception (remaining failures are defused).
     """
 
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         self._pending -= 1
         if not event._ok:
             event.defused = True
-        if self._value is not _PENDING:
+        if self.triggered:
             return
         if event._ok:
             self.succeed(self._collect())
         else:
             self.fail(event._value)
-        # The race is over: a losing timer that only this condition waits
-        # on has nothing left to do (dropped after the result is collected,
-        # so a dropped timer is never reported as fired).
-        for loser in self.events:
-            if type(loser) is Timeout and loser._eid:
-                callbacks = loser.callbacks
-                if (callbacks is not None and len(callbacks) == 1
-                        and callbacks[0] == self._check):
-                    callbacks.clear()
-                    self.sim._drop(loser)
 
 
 class AllOf(_Condition):
@@ -390,13 +289,11 @@ class AllOf(_Condition):
     Fails fast with the first failure (remaining failures are defused).
     """
 
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         self._pending -= 1
         if not event._ok:
             event.defused = True
-        if self._value is not _PENDING:
+        if self.triggered:
             return
         if not event._ok:
             self.fail(event._value)
@@ -406,19 +303,12 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The discrete-event engine: clock plus schedule (see module docstring)."""
+    """The discrete-event engine: clock plus scheduled-event queue."""
 
     def __init__(self):
         self.now: float = 0.0
-        # Everything scheduled for the current instant, in scheduling order.
-        self._ready: deque = deque()
-        # (when, eid, timeout) for when > now; may hold dropped timers.
-        self._heap: list = []
+        self._queue: list = []
         self._eid = 0
-        self._dropped = 0
-        # Position within the current instant: every heap entry due now
-        # with a smaller eid has been dispatched (inf once the FIFO runs).
-        self._cursor: float = 0
         # Deferred callbacks on already-processed events; drained before
         # the next scheduled event, preserving FIFO order.
         self._soon: deque = deque()
@@ -443,71 +333,25 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- dropped timers ------------------------------------------------------
-
-    def _drop(self, timer: Timeout) -> None:
-        """Take a heap timer nobody waits on off the schedule."""
-        timer._dropped = _DROPPED
-        self._dropped += 1
-        heap = self._heap
-        if self._dropped > _COMPACT_FLOOR and self._dropped * 2 > len(heap):
-            live = []
-            for entry in heap:
-                if entry[2]._dropped:
-                    entry[2]._dropped = _EVICTED
-                else:
-                    live.append(entry)
-            # In place: a step() in progress holds this very list. Any
-            # valid heap pops unique (when, eid) keys in the same order.
-            heap[:] = live
-            heapify(heap)
-            self._dropped = 0
-
-    def _passed(self, timer: Timeout) -> bool:
-        """Would the plain (time, eid) heap have dispatched ``timer`` by now?"""
-        return timer._when < self.now or (
-            timer._when == self.now and timer._eid < self._cursor)
-
-    def _revive(self, timer: Timeout) -> None:
-        """Somebody waits on a dropped timer again: undo the drop."""
-        if timer._dropped == _DROPPED:
-            # Entry still in the heap, hence (see _due) still ahead of us.
-            self._dropped -= 1
-        elif self._passed(timer):
-            timer.callbacks = None
-        else:
-            heappush(self._heap, (timer._when, timer._eid, timer))
-        timer._dropped = _LIVE
-
-    def _due(self) -> float:
-        """Time of the first live heap entry (inf if none).
-
-        Dropped entries above it are discarded, so a dropped entry left in
-        the heap always sits behind a live one: never in the clock's past.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2]._dropped:
-                return entry[0]
-            heappop(heap)
-            entry[2]._dropped = _EVICTED
-            self._dropped -= 1
-        return _INF
-
     # -- scheduling ----------------------------------------------------------
+
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        self._eid += 1
+        heapq.heappush(self._queue, (self.now + delay, self._eid, event))
+
+    def _call_soon(self, callback: Callable[[Event], None],
+                   event: Event) -> None:
+        self._soon.append((callback, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""
-        if self._soon or self._ready:
+        if self._soon:
             return self.now
-        return self._due()
+        return self._queue[0][0] if self._queue else float("inf")
 
     @property
-    def pending(self) -> int:
-        """Scheduled work: live timers, ready events, deferred callbacks."""
-        return (len(self._heap) - self._dropped
-                + len(self._ready) + len(self._soon))
+    def _has_work(self) -> bool:
+        return bool(self._queue) or bool(self._soon)
 
     def step(self) -> None:
         """Process one deferred callback or one scheduled event."""
@@ -515,23 +359,10 @@ class Simulator:
             callback, event = self._soon.popleft()
             callback(event)
             return
-        ready = self._ready
-        heap = self._heap
-        if heap and (not ready or heap[0][0] <= self.now):
-            # A heap entry already due precedes the FIFO; with the FIFO
-            # empty the first entry advances the clock.
-            if heap[0][2]._dropped:
-                self._due()     # discard the dropped top, then look again
-                return self.step()
-            self.now, self._cursor, event = heappop(heap)
-        elif ready:
-            event = ready.popleft()
-            self._cursor = _INF
-            if event._value is _PENDING:
-                event._resume(_START)
-                return
-        else:
+        if not self._queue:
             raise SimulationError("step() on an empty schedule")
+        when, _, event = heapq.heappop(self._queue)
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -542,14 +373,13 @@ class Simulator:
         """Run until the schedule drains or the clock reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past")
-        while True:
-            when = self.peek()
-            if when == _INF or (until is not None and when > until):
-                break
+        while self._has_work:
+            if until is not None and self.peek() > until:
+                self.now = until
+                return
             self.step()
         if until is not None:
             self.now = until
-            self._cursor = _INF
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: run ``generator`` to completion and return its value.
@@ -558,11 +388,11 @@ class Simulator:
         scheduled work keeps running while the target process is alive.
         """
         proc = self.process(generator, name=name)
-        while proc._value is _PENDING and self.pending:
+        while proc.is_alive and self._has_work:
             self.step()
-        if proc._value is _PENDING:
+        if proc.is_alive:
             raise SimulationError(f"process {proc.name!r} starved (deadlock?)")
-        if not proc._ok:
+        if not proc.ok:
             proc.defused = True
-            raise proc._value
-        return proc._value
+            raise proc.value
+        return proc.value
