@@ -10,6 +10,15 @@ coordinator contacting its participants one at a time would pay
 sequential coordinator itself was measured at 2.0x/3.0x/5.0x the
 fan-out's 2PC p50 when it was retired; see README).
 
+The ``concurrency`` section then holds the replication factor at 3 and
+raises the number of closed-loop clients from 1 to 64. Every participant
+forces its log twice per transaction, on one disk per machine; a machine
+shares each force between the committers waiting for one (group commit,
+DESIGN §4m), so a phase costs ``2L`` plus between one and two log flushes
+however many clients there are, and WAL flushes per commit fall from six
+towards one. A lone client shares nothing: its phases cost exactly
+``2L + log_flush``.
+
 Two modes:
 
 * ``pytest benchmarks/bench_cluster_txn.py --benchmark-only`` — a
@@ -19,7 +28,8 @@ Two modes:
   full sweep and writes ``BENCH_cluster_txn.json`` (phase-latency
   percentiles and analytic costs per configuration) at the repository
   root. ``--smoke`` restricts the sweep to replication factor 3 with
-  fewer transactions for CI.
+  fewer transactions, and the concurrency section to 1 and 16 clients,
+  for CI.
 """
 
 import sys
@@ -36,6 +46,12 @@ POLICIES = (WritePolicy.AGGRESSIVE, WritePolicy.CONSERVATIVE)
 #: Fixed one-way fabric latency for every run; well under the RPC
 #: timeout so no run pays a retransmission.
 LATENCY_S = 0.003
+#: The concurrency section's one-way latency: short, so that the log
+#: flush (0.8 ms) and the queue for it are most of a phase.
+CONCURRENCY_LATENCY_S = 0.0005
+#: Its key space: large enough that clients all but never meet on a row,
+#: so what they queue for is the log disk.
+CONCURRENCY_KEYS = 8192
 
 
 def sweep(replication_factors=(2, 3, 5), transactions_per_client=50):
@@ -72,6 +88,63 @@ def format_sweep(table):
                          f"{row['commit_p50']:>10.4f}  "
                          f"{row['round_trip_s']:>7.4f}  "
                          f"{row['serial_phase_s']:>7.4f}")
+    return "\n".join(lines)
+
+
+def concurrency(clients=(1, 4, 16, 64), transactions_per_client=60):
+    """{clients: row} at RF 3, conservative: tps, phase percentiles and
+    WAL flushes per commit as the number of concurrent clients grows."""
+    rows = {}
+    for n in clients:
+        result = run_commit_latency_bench(
+            replicas=3, write_policy=WritePolicy.CONSERVATIVE, clients=n,
+            keys=CONCURRENCY_KEYS, latency_s=CONCURRENCY_LATENCY_S,
+            transactions_per_client=transactions_per_client)
+        assert not check_controller(result.controller), \
+            "invariant violation in bench run"
+        machines = result.controller.machines.values()
+        flushes = sum(m.engine.wal.stats.flushes for m in machines)
+        row = {"committed": result.committed, "aborted": result.aborted,
+               "tps": result.committed / result.sim_seconds,
+               "wal_flushes_per_commit": flushes / result.committed,
+               "round_trip_s": result.round_trip_s,
+               "log_flush_s":
+                   result.controller.config.machine.engine.log_flush_ms / 1e3}
+        for phase in ("prepare", "commit"):
+            row[f"{phase}_p50"] = result.latencies[phase]["p50"]
+            row[f"{phase}_p95"] = result.latencies[phase]["p95"]
+        rows[n] = row
+    return rows
+
+
+def check_concurrency(rows):
+    for n, row in rows.items():
+        trip, flush = row["round_trip_s"], row["log_flush_s"]
+        if n == 1:
+            # Nobody to share with: one round trip and one flush, exactly.
+            for phase in ("prepare", "commit"):
+                assert abs(row[f"{phase}_p50"] - (trip + flush)) < 1e-9, (
+                    f"1 client: {phase} p50 {row[f'{phase}_p50']} is not "
+                    f"2L + log_flush ({trip + flush})")
+        else:
+            assert row["prepare_p50"] <= trip + 2 * flush + 0.001, (
+                f"{n} clients: prepare p50 {row['prepare_p50']} is more "
+                f"than 2L + two flushes (+ 1 ms of CPU and page reads)")
+        if n >= 64:
+            assert row["wal_flushes_per_commit"] < 2, (
+                f"{n} clients: {row['wal_flushes_per_commit']:.2f} WAL "
+                f"flushes per commit")
+
+
+def format_concurrency(rows):
+    lines = [f"{'clients':>7}  {'tps':>7}  {'prepare p50':>11}  "
+             f"{'prepare p95':>11}  {'commit p50':>10}  {'commit p95':>10}  "
+             f"{'flushes/commit':>14}"]
+    for n, row in sorted(rows.items()):
+        lines.append(f"{n:>7}  {row['tps']:>7.1f}  {row['prepare_p50']:>11.4f}  "
+                     f"{row['prepare_p95']:>11.4f}  {row['commit_p50']:>10.4f}  "
+                     f"{row['commit_p95']:>10.4f}  "
+                     f"{row['wal_flushes_per_commit']:>14.2f}")
     return "\n".join(lines)
 
 
@@ -118,6 +191,9 @@ def main(argv=None) -> int:
                     f"rf={replicas} {policy}: {phase} p50 {p50} is not one "
                     f"round trip ({trip})")
 
+    rows = concurrency(clients=(1, 16) if args.smoke else (1, 4, 16, 64))
+    check_concurrency(rows)
+
     payload = {
         "benchmark": "cluster_txn",
         "unit": "seconds",
@@ -127,6 +203,12 @@ def main(argv=None) -> int:
             str(replicas): per_policy
             for replicas, per_policy in table.items()
         },
+        "concurrency": {
+            "fabric_latency_s": CONCURRENCY_LATENCY_S,
+            "replicas": 3,
+            "keys": CONCURRENCY_KEYS,
+            "clients": {str(n): row for n, row in rows.items()},
+        },
     }
     out = args.out or os.path.normpath(os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..",
@@ -135,6 +217,7 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(format_sweep(table))
+    print(format_concurrency(rows))
     print(f"wrote {out}")
     return 0
 

@@ -14,28 +14,36 @@
   re-replication invariants the controller design promises.
 """
 
-from repro.analysis.history import GlobalHistory, SiteHistory
-from repro.analysis.invariants import (InvariantChecker, Violation,
-                                       check_controller, check_trace)
-from repro.analysis.metrics import MetricsCollector, TimeSeries
-from repro.analysis.serialization_graph import (SerializationGraph,
-                                                check_one_copy_serializable)
-from repro.analysis.trace import (LatencyHistogram, TraceEvent, Tracer,
-                                  load_jsonl)
+from importlib import import_module
 
-__all__ = [
-    "GlobalHistory",
-    "InvariantChecker",
-    "LatencyHistogram",
-    "MetricsCollector",
-    "SerializationGraph",
-    "SiteHistory",
-    "TimeSeries",
-    "TraceEvent",
-    "Tracer",
-    "Violation",
-    "check_controller",
-    "check_one_copy_serializable",
-    "check_trace",
-    "load_jsonl",
-]
+# Public name -> submodule that defines it.
+_EXPORTS = {
+    "GlobalHistory": "history",
+    "InvariantChecker": "invariants",
+    "LatencyHistogram": "trace",
+    "MetricsCollector": "metrics",
+    "SerializationGraph": "serialization_graph",
+    "SiteHistory": "history",
+    "TimeSeries": "metrics",
+    "TraceEvent": "trace",
+    "Tracer": "trace",
+    "Violation": "invariants",
+    "check_controller": "invariants",
+    "check_one_copy_serializable": "serialization_graph",
+    "check_trace": "invariants",
+    "load_jsonl": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # Submodules load on first use of one of their names, not with the
+    # package: ``python -m repro.analysis.invariants`` imports the package
+    # first, and runpy warns ("found in sys.modules ... unpredictable
+    # behaviour") when that has already loaded the module it is to run.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -1753,9 +1753,10 @@ class ClusterController:
                           pins: Dict[str, tuple]) -> Generator:
         """Delta catch-up of a readmitted machine, one database at a time.
 
-        Every database replays the retained log from the machine's last
-        durable LSN, skipping entries whose COMMIT is already durable in
-        its WAL (applied pre-declaration but never acked), then drains
+        Every database replays the retained log from the last LSN the
+        machine acknowledged, skipping entries whose COMMIT record is
+        already in its WAL (applied pre-declaration but never acked —
+        forced or not, its memory survived the fencing), then drains
         through the shrunken reject window and rejoins the replica map.
         A failure mid-catch-up drops the partial database and hands it
         back to normal re-replication.

@@ -4,8 +4,9 @@ The machine converts engine cost reports into simulated time on its CPU
 and disk resources, enforces per-transaction FIFO ordering of operations
 (a statement sent to this machine for transaction T executes after every
 earlier operation of T here — the property the paper's anomaly example
-relies on), applies the cluster's lock-wait timeout, and models failure:
-``fail()`` kills the engine and interrupts everything in flight.
+relies on), applies the cluster's lock-wait timeout, forces the log once
+per batch of waiting committers (:meth:`Machine._force_log`), and models
+failure: ``fail()`` kills the engine and interrupts everything in flight.
 """
 
 from __future__ import annotations
@@ -20,7 +21,20 @@ from repro.engine.executor import ExecResult
 from repro.engine.transactions import Transaction, TxnState
 from repro.errors import (DeadlockError, LockTimeoutError,
                           MachineFailedError, TransactionError)
-from repro.sim import Interrupt, Process, Resource, Simulator
+from repro.sim import Event, Interrupt, Process, Resource, Simulator
+
+
+class _LogFlush:
+    """One force of a machine's log, shared by every committer it covers."""
+
+    __slots__ = ("covered", "done")
+
+    def __init__(self):
+        #: Highest LSN this flush made durable; 0 until its hold finishes.
+        self.covered = 0
+        #: Wakes the followers. Created by the first of them, so a flush
+        #: nobody joined costs what a plain disk hold costs.
+        self.done: Optional[Event] = None
 
 
 class Machine:
@@ -55,6 +69,8 @@ class Machine:
         # this against the coordinator's sent count to detect a branch
         # that missed a (dropped) write.
         self._write_counts: Dict[int, int] = {}
+        # The log flush queued for or holding the disk, if any.
+        self._flush: Optional[_LogFlush] = None
 
     # -- load signals (overload detection) -------------------------------------
 
@@ -167,14 +183,17 @@ class Machine:
         self._write_counts.clear()
 
     def committed_txn_ids(self) -> set:
-        """Transactions whose COMMIT is durable in this machine's WAL.
+        """Transactions whose COMMIT record is in this machine's WAL.
 
         The rejoin catch-up replays only log entries outside this set, so
-        a commit the machine applied but never acked (the ack was lost
-        right before it was declared) is not applied twice.
+        a commit the machine applied but never acked is not applied
+        twice: the ack was lost right before the machine was declared, or
+        the COMMIT was still waiting for its force (:meth:`_force_log`).
+        Flushed or not makes no difference here — a fenced machine keeps
+        its memory, and a commit is applied in memory when it is logged.
         """
         from repro.engine.wal import RecordType
-        return {r.txn_id for r in self.engine.wal.durable_records()
+        return {r.txn_id for r in self.engine.wal.all_records()
                 if r.kind is RecordType.COMMIT}
 
     def _check_alive(self) -> None:
@@ -361,9 +380,9 @@ class Machine:
                 raise TransactionError(
                     f"cannot prepare txn {txn_id} on {self.name}: "
                     f"executed {executed} of {expected_writes} writes")
-        self.engine.prepare(txn)
+        lsn = self.engine.log_prepare(txn)
         try:
-            yield from self.disk.use(self.config.engine.log_flush_ms / 1e3)
+            yield from self._force_log(lsn)
         except Interrupt as exc:
             # Died mid-flush: surface the machine failure, not the raw
             # interrupt, so the coordinator's 2PC handling sees it.
@@ -376,16 +395,56 @@ class Machine:
         txn = self.engine.transactions.get(txn_id)
         if txn is None or txn.finished:
             return True
-        self.engine.commit(txn)
-        try:
-            yield from self.disk.use(self.config.engine.log_flush_ms / 1e3)
-        except Interrupt as exc:
-            # Died mid-flush: the coordinator must keep delivering the
-            # decided COMMIT to the surviving participants, so this must
-            # arrive as the MachineFailedError its phase-2 loop skips.
-            raise MachineFailedError(self.name) from exc
+        lsn = self.engine.log_commit(txn)
+        if txn.wrote:
+            # A branch that only read has nothing to make durable.
+            try:
+                yield from self._force_log(lsn)
+            except Interrupt as exc:
+                # Died mid-flush: the coordinator must keep delivering
+                # the decided COMMIT to the surviving participants, so
+                # this must arrive as the MachineFailedError its phase-2
+                # loop skips.
+                raise MachineFailedError(self.name) from exc
         self.forget_txn(txn_id)
         return True
+
+    def _force_log(self, lsn: int) -> Generator:
+        """Return once a log flush that covers ``lsn`` has finished.
+
+        Group commit without a window. With no flush in progress the
+        caller leads one: it queues for the disk like any other I/O,
+        flushes the WAL the instant the disk is granted — covering every
+        record appended by then, its followers' included — and holds the
+        disk for ``log_flush_ms``. Anyone arriving meanwhile waits for
+        that flush, and leads or joins the next if it was granted the
+        disk before their record was appended. A lone committer is always
+        a leader, so it pays one disk request and one hold.
+        """
+        while self._flush is not None:
+            flush = self._flush
+            if flush.done is None:
+                flush.done = self.sim.event()
+            yield flush.done
+            if flush.covered >= lsn:
+                return
+        flush = self._flush = _LogFlush()
+        request = self.disk.request()
+        try:
+            yield request
+            wal = self.engine.wal
+            wal.flush()
+            covered = wal.flushed_lsn
+            yield self.sim.timeout(self.config.engine.log_flush_ms / 1e3)
+            flush.covered = covered
+        finally:
+            # Also the way out of fail()/fence(): the disk is freed and
+            # the followers, interrupted like the leader, are let go of a
+            # flush that covered nothing.
+            self.disk.release(request)
+            self._flush = None
+            if flush.done is not None:
+                flush.done.succeed()
 
     def abort_body(self, txn_id: int) -> Generator:
         if not self.alive:

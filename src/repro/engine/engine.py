@@ -122,26 +122,48 @@ class Engine:
         return txn
 
     def prepare(self, txn: Transaction) -> None:
-        """2PC phase one: force the log, optionally shed read locks."""
-        txn.require(TxnState.ACTIVE)
-        self.wal.append(txn.txn_id, RecordType.PREPARE)
+        """2PC phase one: log PREPARE and force the log."""
+        self.log_prepare(txn)
         self.wal.flush()
+
+    def commit(self, txn: Transaction) -> None:
+        """Log COMMIT and force the log."""
+        self.log_commit(txn)
+        self.wal.flush()
+
+    def log_prepare(self, txn: Transaction) -> int:
+        """Append PREPARE, optionally shed read locks; returns the LSN.
+
+        Nothing is forced: the caller owes a :meth:`WriteAheadLog.flush`
+        covering the returned LSN before it votes (a machine shares that
+        flush between every committer waiting for one).
+        """
+        txn.require(TxnState.ACTIVE)
+        lsn = self.wal.append(txn.txn_id, RecordType.PREPARE).lsn
         if self.config.release_read_locks_at_prepare:
             self.locks.release_shared(txn.txn_id)
         txn.state = TxnState.PREPARED
         if self.history is not None:
             self.history.record_prepare(txn.txn_id)
+        return lsn
 
-    def commit(self, txn: Transaction) -> None:
+    def log_commit(self, txn: Transaction) -> int:
+        """Append COMMIT, apply it and release every lock; returns the LSN.
+
+        As with :meth:`log_prepare` the force is left to the caller. Locks
+        go at append, not at the force: the log is flushed in LSN order,
+        so whoever reads this transaction's writes logs behind it and
+        cannot become durable before it.
+        """
         txn.require(TxnState.ACTIVE, TxnState.PREPARED)
-        self.wal.append(txn.txn_id, RecordType.COMMIT)
-        self.wal.flush()
+        lsn = self.wal.append(txn.txn_id, RecordType.COMMIT).lsn
         self._apply_stats_deltas(txn)
         self._clear_dirty(txn)
         self.locks.release_all(txn.txn_id)
         txn.state = TxnState.COMMITTED
         if self.history is not None:
             self.history.record_commit(txn.txn_id)
+        return lsn
 
     def abort(self, txn: Transaction) -> None:
         if txn.state is TxnState.COMMITTED:

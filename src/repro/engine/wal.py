@@ -3,6 +3,10 @@
 The WAL is the engine's durability story: every row change is logged
 before it is applied, COMMIT and PREPARE force the log, and
 :func:`recover` rebuilds storage state from a log after a crash-restart.
+Logging and forcing are separate steps: :meth:`WriteAheadLog.append`
+hands out the LSN, :meth:`WriteAheadLog.flush` moves the flush horizon
+over everything appended so far — so one flush can serve every committer
+whose record it covers (``Machine._force_log``).
 
 The recovery contract matters for 2PC: transactions that logged PREPARE
 but no outcome are restored *in doubt* — their effects applied and their

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import CopyGranularity, RecoveryManager
 from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import CONTROLLER, NetworkConfig
+from repro.engine.wal import RecordType
 from repro.errors import ProactiveRejectionError
 from repro.sim import Simulator
 from tests.conftest import (assert_no_violations, make_cluster,
@@ -292,6 +293,66 @@ class TestRejoinCatchUp:
         assert victim in controller.replica_map.replicas("kv")
         replicas = controller.replica_map.replicas("kv")
         assert len(replicas) == 2
+        fps = [fingerprint(controller, m, "kv") for m in replicas]
+        assert fps[0] == fps[1]
+        assert_no_violations(controller)
+
+    def test_fenced_between_commit_append_and_force_replays_nothing_twice(
+            self, sim):
+        # The machine is fenced while a COMMIT it has already applied in
+        # memory still waits behind the log flush in progress. It keeps
+        # its engine, so catch-up must skip that commit although it was
+        # never flushed (and never acked): replaying it would add 1 twice.
+        writers = 8
+        controller = make_kv_cluster(
+            sim, machines=4, keys=writers, heartbeat_interval_s=0.2,
+            network=NetworkConfig(enabled=True, latency_s=0.001, seed=1))
+        controller.start_failure_detector()
+        victim = controller.replica_map.replicas("kv")[1]
+        wal = controller.machines[victim].engine.wal
+        disk = controller.machines[victim].disk
+        committed = [0] * writers
+
+        def writer(key):
+            conn = controller.connect("kv")
+            while sim.now < 3.0:
+                try:
+                    yield conn.execute(
+                        "UPDATE kv SET v = v + 1 WHERE k = ?", (key,))
+                    yield conn.commit()
+                    committed[key] += 1
+                except TransactionAborted:
+                    yield sim.timeout(0.05)
+
+        for key in range(writers):
+            sim.process(writer(key))
+
+        def commits_awaiting_force():
+            # Mid-hold only: a leader that finds the disk free flushes in
+            # the instant it logs, fenced or not.
+            if not disk.users or disk.users[0].granted_at == sim.now:
+                return set()
+            return {r.txn_id for r in wal.records_since(wal.flushed_lsn)
+                    if r.kind is RecordType.COMMIT}
+
+        while not commits_awaiting_force() and sim.now < 1.0:
+            sim.step()
+        assert commits_awaiting_force(), \
+            "no COMMIT ever waited behind a flush"
+        controller.fabric.cut(CONTROLLER, victim)
+        controller.declare_dead(victim, reason="test")
+        sim.run(until=sim.now + 1.0)
+        controller.fabric.heal(CONTROLLER, victim)
+        sim.run(until=10.0)
+
+        catchups = controller.trace.events(kind="machine_catchup_done")
+        assert catchups and catchups[-1].extra["replayed"] > 0
+        replicas = controller.replica_map.replicas("kv")
+        assert len(replicas) == 2 and victim in replicas
+        for name in replicas:
+            assert read_table(controller, name, "kv",
+                              "SELECT k, v FROM kv ORDER BY k") == [
+                (key, committed[key]) for key in range(writers)], name
         fps = [fingerprint(controller, m, "kv") for m in replicas]
         assert fps[0] == fps[1]
         assert_no_violations(controller)

@@ -12,7 +12,7 @@ pumped by a local ``step()`` loop.
   background loops. It does not grow with the commit rate or with
   ``rpc_timeout_s``, as it did when every answered RPC left its deadline
   timer on the heap until it expired (about 15 x commit rate x timeout
-  entries: 1 580 / 2 860 / 3 501 in the three runs below, now 15 / 20 / 15).
+  entries: 1 580 / 2 860 / 3 501 in the three runs below, now 13 / 22 / 13).
 * **Event budget.** Kernel steps per commit over a fixed window of
   transactions: an exact count that repeats per seed (223.19 before timers
   were dropped). Run with ``-s`` to see the measured values.
@@ -36,9 +36,11 @@ WARM_COMMITS = 40
 WINDOW_COMMITS = 200
 SAMPLE_EVERY = 50
 
-#: Steps per commit measured at the PR that introduced the ready queue and
-#: droppable timers (seed 7, the window above).
-STEPS_PER_COMMIT = 211.63
+#: Steps per commit measured at PR 15, group commit (seed 7, the window
+#: above): 211.63 with the ready queue and droppable timers of PR 13, plus
+#: one wake-up for each committer that arrives while the log disk is held
+#: and then leads the next flush itself.
+STEPS_PER_COMMIT = 212.605
 #: Schedule entries one outstanding RPC may account for: its deadline, the
 #: timer it is currently waiting out (fabric hop, CPU, WAL flush), and a
 #: ready entry handing its result up the process chain.

@@ -1,10 +1,30 @@
 """Unit tests for histories, the serialization graph, and metrics."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis import (GlobalHistory, MetricsCollector,
                             SerializationGraph, SiteHistory, TimeSeries,
                             check_one_copy_serializable)
+
+
+class TestPackageImport:
+    @pytest.mark.parametrize("module", ["invariants", "trace"])
+    def test_python_dash_m_on_a_submodule_raises_no_runtime_warning(
+            self, module):
+        # runpy warns when importing the package has already loaded the
+        # module it is about to execute; CI runs the audits this way.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             f"repro.analysis.{module}", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSiteHistory:
