@@ -9,19 +9,18 @@ Two modes:
 * ``pytest benchmarks/bench_engine_micro.py --benchmark-only`` — the
   pytest-benchmark suite (per-op statistics);
 * ``python benchmarks/bench_engine_micro.py`` — plain mode: runs every
-  group against a compiled-plans engine and an interpreter engine and
-  writes ``BENCH_engine_micro.json`` (statements/sec per group, compiled
-  vs interpreted) at the repository root, so the repo's perf trajectory
-  is machine-readable. Rates are best-of-N to shrug off scheduler noise.
+  group and writes ``BENCH_engine_micro.json`` (statements/sec per group)
+  at the repository root, so the repo's perf trajectory is
+  machine-readable. Rates are best-of-N to shrug off scheduler noise.
 """
 
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
 
 
-def make_engine(rows: int = 2000, config: EngineConfig = None):
-    engine = Engine("micro", config=config)
+def make_engine(rows: int = 2000):
+    engine = Engine("micro")
     engine.create_database("db")
     txn = engine.begin()
     engine.execute_sync(txn, "db",
@@ -240,13 +239,11 @@ def _plain_groups():
 
 
 def run_plain(repeats: int = 5, smoke: bool = False):
-    """Measure statements/sec per group, compiled vs interpreted.
+    """Measure statements/sec per group (best of ``repeats``).
 
-    The two modes are interleaved repeat-by-repeat (not run back to
-    back) so a CPU-frequency or scheduler shift mid-run skews both
-    sides equally instead of poisoning the speedup ratio. ``smoke``
-    shrinks tables and inner loops so CI can exercise every group in a
-    few seconds (numbers are then functional coverage, not results).
+    ``smoke`` shrinks tables and inner loops so CI can exercise every
+    group in a few seconds (numbers are then functional coverage, not
+    results).
     """
     import time
 
@@ -256,24 +253,15 @@ def run_plain(repeats: int = 5, smoke: bool = False):
         if smoke:
             rows = min(rows, 300)
             inner = min(inner, 10)
-        ops = {}
-        for label, compiled in (("compiled", True), ("interpreted", False)):
-            engine = make_engine(rows,
-                                 config=EngineConfig(compile_plans=compiled))
-            ops[label] = factory(engine)
-            ops[label]()  # warm plan + compile caches
-        best = {"compiled": 0.0, "interpreted": 0.0}
+        op = factory(make_engine(rows))
+        op()  # warm the statement cache
+        best = 0.0
         for _ in range(repeats):
-            for label, op in ops.items():
-                start = time.perf_counter()
-                for _ in range(inner):
-                    op()
-                elapsed = time.perf_counter() - start
-                best[label] = max(best[label], inner / elapsed)
-        rates[name] = {label: round(rate, 1)
-                       for label, rate in best.items()}
-        rates[name]["speedup"] = round(
-            best["compiled"] / best["interpreted"], 2)
+            start = time.perf_counter()
+            for _ in range(inner):
+                op()
+            best = max(best, inner / (time.perf_counter() - start))
+        rates[name] = {"statements_per_s": round(best, 1)}
     return rates
 
 
@@ -310,11 +298,9 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     width = max(len(name) for name in rates)
-    print(f"{'group':<{width}}  {'compiled':>12}  {'interpreted':>12}  "
-          f"{'speedup':>7}")
+    print(f"{'group':<{width}}  {'statements/s':>12}")
     for name, group in rates.items():
-        print(f"{name:<{width}}  {group['compiled']:>12.1f}  "
-              f"{group['interpreted']:>12.1f}  {group['speedup']:>6.2f}x")
+        print(f"{name:<{width}}  {group['statements_per_s']:>12.1f}")
     print(f"wrote {out}")
     return 0
 

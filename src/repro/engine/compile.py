@@ -1,9 +1,8 @@
 """Plan compilation: turn bound plans into Python closures.
 
-The tree-walking interpreter in :mod:`repro.engine.executor` re-dispatches
-on ``isinstance`` for every plan node and re-interprets every bound
-expression tree once per row. This module performs all of that dispatch
-*once per cached plan*:
+Every statement the engine executes runs through a runner built here,
+once per cached plan, so that no per-row work is spent re-dispatching on
+plan-node or expression types:
 
 * every bound expression compiles to a ``(row, params) -> value`` closure
   with SQL three-valued logic baked in (constant subtrees are folded at
@@ -14,22 +13,26 @@ expression tree once per row. This module performs all of that dispatch
   key positions, the history/no-history decision — hoisted out of the
   loop;
 * ``ORDER BY`` compiles to key-tuple sorts (one stable pass per key,
-  applied last-key-first) instead of a ``cmp_to_key`` comparator that
-  re-evaluates both sort expressions on every comparison.
+  applied last-key-first) instead of a comparator that re-evaluates both
+  sort expressions on every comparison.
 
-Compiled statements are behavior-identical to the interpreter: same rows,
-same lock acquisition order, same buffer-pool page touches, same
-:class:`CostReport` counters, and same history records. The interpreter
-remains the reference implementation; ``EngineConfig.compile_plans``
-selects between them and a differential property test
-(``tests/property/test_compiled_executor_property.py``) holds the two
-paths together.
+Two node families exist, and which one a subtree gets is decided from
+the plan's shape alone (:func:`_batch_source`): a
+``Filter*(SeqScan | IndexRangeScan)`` chain at slot offset zero moves
+:class:`Batch` blocks; everything else — DML sources (which need rids),
+join inners (non-zero offsets), the child of an unfused ``Limit`` (which
+must stop scanning where the limit is reached) — moves one row at a time.
+
+What a runner must do — rows, lock acquisition order, buffer-pool page
+touches, :class:`CostReport` counters, history records, errors — is
+defined by the tree-walking interpreter kept as the test suite's
+reference, ``tests/oracles/tree_executor.py``; the differential property
+tests that hold the two together are listed in ``tests/oracles/README.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -49,23 +52,11 @@ ExprFn = Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]
 NodeFn = Callable[..., Generator]
 
 
-@dataclass(frozen=True)
-class CompileOptions:
-    """Compilation knobs, threaded in from :class:`EngineConfig`.
-
-    ``batch`` turns on columnar batch execution for the hot read path:
-    scan/filter chains at slot offset zero emit :class:`Batch` blocks
-    instead of per-row yields, filters evaluate column vectors under a
-    selection vector, and aggregates consume batches directly. Batched
-    subtrees are behavior-identical to row-at-a-time execution on every
-    non-erroring statement (same rows, lock order, page touches, cost
-    counters, history records); when a statement raises mid-scan the
-    batch path may have scanned up to one batch further before the same
-    error surfaces.
-    """
-
-    batch: bool = False
-    batch_size: int = 256
+# Rows per Batch. Batched subtrees are behavior-identical to row-at-a-time
+# execution on every non-erroring statement; when a statement raises
+# mid-scan the batch path may have scanned up to one batch further before
+# the same error surfaces.
+BATCH_SIZE = 256
 
 
 class Batch:
@@ -109,8 +100,7 @@ def _fold(fn: ExprFn, const: bool) -> Tuple[ExprFn, bool]:
     """Evaluate a constant subtree once; fall back on any failure.
 
     Folding must never change *when* an error surfaces, so a constant
-    subtree that raises is left unfolded and raises at row time exactly
-    like the interpreter.
+    subtree that raises is left unfolded and raises at row time.
     """
     if not const:
         return fn, False
@@ -277,7 +267,7 @@ def _compile_binary(expr: n.BinaryOp) -> Tuple[ExprFn, bool]:
 
 
 def _truthy(value: Any) -> bool:
-    # Same verdicts as executor._truthy (0/0.0 compare equal to False).
+    # 0 and 0.0 compare equal to False, so they are excluded by value.
     return value is True or (value not in (None, False) and bool(value))
 
 
@@ -285,7 +275,7 @@ def _truthy(value: Any) -> bool:
 # Every compiled node is a closure (ctx, outer_row=()) -> generator that
 # follows the executor protocol. Lock acquisition is inlined (the fast
 # granted path avoids a sub-generator per request) but performs exactly
-# the interpreter's sequence of LockManager calls.
+# the reference interpreter's sequence of LockManager calls.
 
 
 def _scan_lock_modes(exclusive: bool) -> Tuple[LockMode, LockMode]:
@@ -449,7 +439,7 @@ def _compile_index_eq_scan(plan: p.IndexEqScan, with_rids: bool) -> NodeFn:
 
 
 def _compile_index_range_scan(plan: p.IndexRangeScan, with_rids: bool,
-                              batch_size: int = None) -> NodeFn:
+                              batched: bool = False) -> NodeFn:
     table_name = plan.binding.table
     index_name = plan.index.name
     lo_fn = compile_expr(plan.lo) if plan.lo is not None else None
@@ -460,10 +450,10 @@ def _compile_index_range_scan(plan: p.IndexRangeScan, with_rids: bool,
     table_mode = _scan_lock_modes(plan.lock_exclusive)[0]
     lock_exclusive = plan.lock_exclusive
     db_name = plan.db
-    if batch_size is None:
-        fetch = _compile_fetch_loop(plan, with_rids)
+    if batched:
+        fetch = _compile_fetch_batches(plan)
     else:
-        fetch = _compile_fetch_batches(plan, batch_size)
+        fetch = _compile_fetch_loop(plan, with_rids)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()) -> Generator:
         table = ctx.database.table(table_name)
@@ -506,8 +496,8 @@ def _compile_index_range_scan(plan: p.IndexRangeScan, with_rids: bool,
 
 
 def _compile_filter(plan: p.Filter, with_rids: bool,
-                    opts: CompileOptions) -> NodeFn:
-    child = _compile_node(plan.child, with_rids, opts)
+                    batch: bool) -> NodeFn:
+    child = _compile_node(plan.child, with_rids, batch)
     pred = compile_expr(plan.predicate)
 
     if with_rids:
@@ -548,8 +538,8 @@ def _compile_projector(exprs: List[n.Expr]) -> ExprFn:
     return lambda row, params: tuple(fn(row, params) for fn in expr_fns)
 
 
-def _compile_project(plan: p.Project, opts: CompileOptions) -> NodeFn:
-    child = _compile_node(plan.child, False, opts)
+def _compile_project(plan: p.Project, batch: bool) -> NodeFn:
+    child = _compile_node(plan.child, False, batch)
     project = _compile_projector(plan.exprs)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
@@ -564,8 +554,8 @@ def _compile_project(plan: p.Project, opts: CompileOptions) -> NodeFn:
 
 
 def _compile_index_lookup_join(plan: p.IndexLookupJoin,
-                               opts: CompileOptions) -> NodeFn:
-    outer = _compile_node(plan.outer, False, opts)
+                               batch: bool) -> NodeFn:
+    outer = _compile_node(plan.outer, False, batch)
     inner_plan = plan.inner
     if isinstance(inner_plan, p.IndexEqScan):
         inner = _compile_index_eq_scan(inner_plan, with_rids=False)
@@ -588,9 +578,9 @@ def _compile_index_lookup_join(plan: p.IndexLookupJoin,
     return run
 
 
-def _compile_hash_join(plan: p.HashJoin, opts: CompileOptions) -> NodeFn:
-    outer = _compile_node(plan.outer, False, opts)
-    inner = _compile_node(plan.inner, False, opts)
+def _compile_hash_join(plan: p.HashJoin, batch: bool) -> NodeFn:
+    outer = _compile_node(plan.outer, False, batch)
+    inner = _compile_node(plan.inner, False, batch)
     outer_key_fns = [compile_expr(e) for e in plan.outer_keys]
     inner_key_fns = [compile_expr(e) for e in plan.inner_keys]
     pad = (None,) * plan.inner_offset
@@ -620,9 +610,9 @@ def _compile_hash_join(plan: p.HashJoin, opts: CompileOptions) -> NodeFn:
     return run
 
 
-def _compile_cross_join(plan: p.CrossJoin, opts: CompileOptions) -> NodeFn:
-    outer = _compile_node(plan.outer, False, opts)
-    inner = _compile_node(plan.inner, False, opts)
+def _compile_cross_join(plan: p.CrossJoin, batch: bool) -> NodeFn:
+    outer = _compile_node(plan.outer, False, batch)
+    inner = _compile_node(plan.inner, False, batch)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
         inner_rows = []
@@ -715,12 +705,12 @@ def _compile_agg(item: p.AggItem):
     return make_best, update_best, result_best
 
 
-def _compile_aggregate(plan: p.Aggregate, opts: CompileOptions) -> NodeFn:
-    if opts.batch:
-        source = _batch_source(plan.child, opts)
+def _compile_aggregate(plan: p.Aggregate, batch: bool) -> NodeFn:
+    if batch:
+        source = _batch_source(plan.child)
         if source is not None:
             return _compile_aggregate_batches(plan, source[0])
-    child = _compile_node(plan.child, False, opts)
+    child = _compile_node(plan.child, False, batch)
     group_fns = [compile_expr(g) for g in plan.group_exprs]
     specs = [_compile_agg(a) for a in plan.aggs]
     makes = [s[0] for s in specs]
@@ -754,8 +744,8 @@ def _compile_aggregate(plan: p.Aggregate, opts: CompileOptions) -> NodeFn:
     return run
 
 
-def _compile_sort(plan: p.Sort, opts: CompileOptions) -> NodeFn:
-    child = _compile_node(plan.child, False, opts)
+def _compile_sort(plan: p.Sort, batch: bool) -> NodeFn:
+    child = _compile_node(plan.child, False, batch)
     key_specs = [(compile_expr(e), descending) for e, descending in plan.keys]
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
@@ -799,7 +789,7 @@ class _Descending:
 
 
 def _compile_topn(sort_plan: p.Sort, project: Optional[ExprFn],
-                  limit: int, offset: int, opts: CompileOptions) -> NodeFn:
+                  limit: int, offset: int, batch: bool) -> NodeFn:
     """Fused ``Limit(Sort)`` — a bounded top-N instead of a full sort.
 
     ``heapq.nsmallest`` is documented equivalent to ``sorted(...)[:n]``
@@ -808,7 +798,7 @@ def _compile_topn(sort_plan: p.Sort, project: Optional[ExprFn],
     :func:`_compile_sort`: NULL maps below every value, and descending
     keys wrap in :class:`_Descending`.
     """
-    child = _compile_node(sort_plan.child, False, opts)
+    child = _compile_node(sort_plan.child, False, batch)
     key_specs = [(compile_expr(e), descending)
                  for e, descending in sort_plan.keys]
     count = limit + offset
@@ -841,22 +831,22 @@ def _compile_topn(sort_plan: p.Sort, project: Optional[ExprFn],
     return run
 
 
-def _compile_limit(plan: p.Limit, opts: CompileOptions) -> NodeFn:
+def _compile_limit(plan: p.Limit, batch: bool) -> NodeFn:
     limit, offset = plan.limit, plan.offset
     if limit is not None:
         if isinstance(plan.child, p.Sort):
-            return _compile_topn(plan.child, None, limit, offset, opts)
+            return _compile_topn(plan.child, None, limit, offset, batch)
         if (isinstance(plan.child, p.Project)
                 and isinstance(plan.child.child, p.Sort)):
             projector = _compile_projector(plan.child.exprs)
             return _compile_topn(plan.child.child, projector, limit,
-                                 offset, opts)
-        # An unfused LIMIT stops pulling once the cap is reached, and the
-        # interpreter's per-row scan count reflects exactly where it
-        # stopped. A batched child scans a batch at a time, so its
-        # rows_scanned would run ahead — keep the child row-at-a-time.
-        opts = CompileOptions(batch=False, batch_size=opts.batch_size)
-    child = _compile_node(plan.child, False, opts)
+                                 offset, batch)
+        # An unfused LIMIT stops pulling once the cap is reached, and
+        # rows_scanned must reflect exactly where it stopped. A batched
+        # child scans a batch at a time, so its count would run ahead —
+        # keep the child row-at-a-time.
+        batch = False
+    child = _compile_node(plan.child, False, batch)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
         skipped = 0
@@ -876,8 +866,8 @@ def _compile_limit(plan: p.Limit, opts: CompileOptions) -> NodeFn:
     return run
 
 
-def _compile_distinct(plan: p.Distinct, opts: CompileOptions) -> NodeFn:
-    child = _compile_node(plan.child, False, opts)
+def _compile_distinct(plan: p.Distinct, batch: bool) -> NodeFn:
+    child = _compile_node(plan.child, False, batch)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
         seen = set()
@@ -892,10 +882,10 @@ def _compile_distinct(plan: p.Distinct, opts: CompileOptions) -> NodeFn:
 
 
 def _compile_node(plan: p.Plan, with_rids: bool,
-                  opts: CompileOptions) -> NodeFn:
+                  batch: bool) -> NodeFn:
     """Compile one read-plan node (``with_rids`` for DML source trees)."""
-    if not with_rids and opts.batch:
-        source = _batch_source(plan, opts)
+    if batch and not with_rids:
+        source = _batch_source(plan)
         if source is not None:
             return _flatten_batches(source[0])
     if isinstance(plan, p.SeqScan):
@@ -905,25 +895,25 @@ def _compile_node(plan: p.Plan, with_rids: bool,
     if isinstance(plan, p.IndexRangeScan):
         return _compile_index_range_scan(plan, with_rids)
     if isinstance(plan, p.Filter):
-        return _compile_filter(plan, with_rids, opts)
+        return _compile_filter(plan, with_rids, batch)
     if with_rids:
         raise SqlError(f"invalid DML source node {type(plan).__name__}")
     if isinstance(plan, p.IndexLookupJoin):
-        return _compile_index_lookup_join(plan, opts)
+        return _compile_index_lookup_join(plan, batch)
     if isinstance(plan, p.HashJoin):
-        return _compile_hash_join(plan, opts)
+        return _compile_hash_join(plan, batch)
     if isinstance(plan, p.CrossJoin):
-        return _compile_cross_join(plan, opts)
+        return _compile_cross_join(plan, batch)
     if isinstance(plan, p.Project):
-        return _compile_project(plan, opts)
+        return _compile_project(plan, batch)
     if isinstance(plan, p.Aggregate):
-        return _compile_aggregate(plan, opts)
+        return _compile_aggregate(plan, batch)
     if isinstance(plan, p.Sort):
-        return _compile_sort(plan, opts)
+        return _compile_sort(plan, batch)
     if isinstance(plan, p.Limit):
-        return _compile_limit(plan, opts)
+        return _compile_limit(plan, batch)
     if isinstance(plan, p.Distinct):
-        return _compile_distinct(plan, opts)
+        return _compile_distinct(plan, batch)
     raise SqlError(f"cannot compile plan node {type(plan).__name__}")
 
 
@@ -935,7 +925,7 @@ def _compile_node(plan: p.Plan, with_rids: bool,
 # row-at-a-time code; only the shape of the Python loops changes.
 
 
-def _compile_seq_scan_batches(plan: p.SeqScan, batch_size: int) -> NodeFn:
+def _compile_seq_scan_batches(plan: p.SeqScan) -> NodeFn:
     table_name = plan.binding.table
     lock_exclusive = plan.lock_exclusive
     table_res = ("tbl", plan.db, table_name)
@@ -964,8 +954,8 @@ def _compile_seq_scan_batches(plan: p.SeqScan, batch_size: int) -> NodeFn:
             # is recorded per row, so the heap can be sliced wholesale.
             rows = table.scan_rows()
             cost.rows_scanned += len(rows)
-            for start in range(0, len(rows), batch_size):
-                yield Batch(rows[start:start + batch_size])
+            for start in range(0, len(rows), BATCH_SIZE):
+                yield Batch(rows[start:start + BATCH_SIZE])
             return
         committed_view = ctx.committed_view
         txn_id = ctx.txn.txn_id
@@ -981,7 +971,7 @@ def _compile_seq_scan_batches(plan: p.SeqScan, batch_size: int) -> NodeFn:
                        if pk_positions else (rid,))
                 history.record_read(txn_id, (db_name, table_name, key))
             buf.append(row)
-            if len(buf) >= batch_size:
+            if len(buf) >= BATCH_SIZE:
                 yield Batch(buf)
                 buf = []
         if buf:
@@ -990,7 +980,7 @@ def _compile_seq_scan_batches(plan: p.SeqScan, batch_size: int) -> NodeFn:
     return run
 
 
-def _compile_fetch_batches(plan, batch_size: int):
+def _compile_fetch_batches(plan):
     """Batched variant of :func:`_compile_fetch_loop`.
 
     Performs the exact per-rid lock/re-check/page-charge sequence of the
@@ -1053,7 +1043,7 @@ def _compile_fetch_batches(plan, batch_size: int):
                        if pk_positions else (rid,))
                 history.record_read(txn_id, (db_name, table_name, key))
             buf.append(row)
-            if len(buf) >= batch_size:
+            if len(buf) >= BATCH_SIZE:
                 yield Batch(buf)
                 buf = []
         if buf:
@@ -1251,7 +1241,7 @@ def _compile_filter_batches(plan: p.Filter, child: NodeFn,
     return run
 
 
-def _batch_source(plan: p.Plan, opts: CompileOptions):
+def _batch_source(plan: p.Plan):
     """Batch-compile a ``Filter*(SeqScan | IndexRangeScan)`` chain.
 
     Returns ``(node_fn, table_schema)`` — the node yields Batches — or
@@ -1262,15 +1252,14 @@ def _batch_source(plan: p.Plan, opts: CompileOptions):
     if isinstance(plan, p.SeqScan):
         if plan.binding.offset != 0:
             return None
-        return (_compile_seq_scan_batches(plan, opts.batch_size),
-                plan.binding.schema)
+        return _compile_seq_scan_batches(plan), plan.binding.schema
     if isinstance(plan, p.IndexRangeScan):
         if plan.binding.offset != 0:
             return None
-        return (_compile_index_range_scan(plan, False, opts.batch_size),
+        return (_compile_index_range_scan(plan, False, batched=True),
                 plan.binding.schema)
     if isinstance(plan, p.Filter):
-        source = _batch_source(plan.child, opts)
+        source = _batch_source(plan.child)
         if source is None:
             return None
         child_fn, schema = source
@@ -1499,60 +1488,36 @@ def _compile_aggregate_batches(plan: p.Aggregate, child: NodeFn) -> NodeFn:
 # -- top-level statements -----------------------------------------------------
 
 
-def _compile_select(plan: p.SelectPlan,
-                    opts: CompileOptions) -> Callable[[ExecContext],
-                                                      Generator]:
+def _compile_select(plan: p.SelectPlan) -> Callable[[ExecContext],
+                                                    Generator]:
     column_names = plan.column_names
-    if opts.batch:
-        # Batched roots collect whole blocks at a time; a Project root
-        # fuses its projector into the per-batch loop.
-        if isinstance(plan.root, p.Project):
-            source = _batch_source(plan.root.child, opts)
-            if source is not None:
-                child = source[0]
-                project = _compile_projector(plan.root.exprs)
-
-                def run_batched_project(ctx: ExecContext) -> Generator:
-                    params = ctx.params
-                    rows = []
-                    extend = rows.extend
-                    for item in child(ctx):
-                        if isinstance(item, LockRequest):
-                            yield item
-                        else:
-                            extend([project(row, params)
-                                    for row in item.rows])
-                    ctx.cost.rows_returned = len(rows)
-                    return ExecResult(columns=column_names, rows=rows,
-                                      rowcount=len(rows), cost=ctx.cost)
-
-                return run_batched_project
-        else:
-            source = _batch_source(plan.root, opts)
-            if source is not None:
-                child = source[0]
-
-                def run_batched(ctx: ExecContext) -> Generator:
-                    rows = []
-                    extend = rows.extend
-                    for item in child(ctx):
-                        if isinstance(item, LockRequest):
-                            yield item
-                        else:
-                            extend(item.rows)
-                    ctx.cost.rows_returned = len(rows)
-                    return ExecResult(columns=column_names, rows=rows,
-                                      rowcount=len(rows), cost=ctx.cost)
-
-                return run_batched
-    # A Project root fuses into the collection loop (row-by-row, same
-    # evaluation order as the interpreter) — one generator layer fewer on
-    # every SELECT.
     if isinstance(plan.root, p.Project):
-        child = _compile_node(plan.root.child, False, opts)
+        # A Project root fuses its projector into the collection loop
+        # (per batch, or row by row in plan order) — one generator layer
+        # fewer on every SELECT.
         project = _compile_projector(plan.root.exprs)
+        source = _batch_source(plan.root.child)
+        if source is not None:
+            child = source[0]
 
-        def run(ctx: ExecContext) -> Generator:
+            def run_batched_project(ctx: ExecContext) -> Generator:
+                params = ctx.params
+                rows = []
+                extend = rows.extend
+                for item in child(ctx):
+                    if isinstance(item, LockRequest):
+                        yield item
+                    else:
+                        extend([project(row, params) for row in item.rows])
+                ctx.cost.rows_returned = len(rows)
+                return ExecResult(columns=column_names, rows=rows,
+                                  rowcount=len(rows), cost=ctx.cost)
+
+            return run_batched_project
+
+        child = _compile_node(plan.root.child, with_rids=False, batch=True)
+
+        def run_project(ctx: ExecContext) -> Generator:
             params = ctx.params
             rows = []
             append = rows.append
@@ -1565,9 +1530,27 @@ def _compile_select(plan: p.SelectPlan,
             return ExecResult(columns=column_names, rows=rows,
                               rowcount=len(rows), cost=ctx.cost)
 
-        return run
+        return run_project
 
-    root = _compile_node(plan.root, False, opts)
+    source = _batch_source(plan.root)
+    if source is not None:
+        child = source[0]
+
+        def run_batched(ctx: ExecContext) -> Generator:
+            rows = []
+            extend = rows.extend
+            for item in child(ctx):
+                if isinstance(item, LockRequest):
+                    yield item
+                else:
+                    extend(item.rows)
+            ctx.cost.rows_returned = len(rows)
+            return ExecResult(columns=column_names, rows=rows,
+                              rowcount=len(rows), cost=ctx.cost)
+
+        return run_batched
+
+    root = _compile_node(plan.root, with_rids=False, batch=True)
 
     def run(ctx: ExecContext) -> Generator:
         rows = []
@@ -1638,11 +1621,10 @@ def _compile_insert(plan: p.InsertPlan) -> Callable[[ExecContext], Generator]:
     return run
 
 
-def _compile_update(plan: p.UpdatePlan,
-                    opts: CompileOptions) -> Callable[[ExecContext],
-                                                      Generator]:
+def _compile_update(plan: p.UpdatePlan) -> Callable[[ExecContext],
+                                                    Generator]:
     table_name = plan.binding.table
-    source = _compile_node(plan.source, True, opts)
+    source = _compile_node(plan.source, with_rids=True, batch=False)
     assignment_fns = [(pos, compile_expr(expr))
                       for pos, expr in plan.assignments]
     pk_positions = plan.binding.schema.pk_positions()
@@ -1709,11 +1691,10 @@ def _compile_update(plan: p.UpdatePlan,
     return run
 
 
-def _compile_delete(plan: p.DeletePlan,
-                    opts: CompileOptions) -> Callable[[ExecContext],
-                                                      Generator]:
+def _compile_delete(plan: p.DeletePlan) -> Callable[[ExecContext],
+                                                    Generator]:
     table_name = plan.binding.table
-    source = _compile_node(plan.source, True, opts)
+    source = _compile_node(plan.source, with_rids=True, batch=False)
     pk_positions = plan.binding.schema.pk_positions()
     db_name = plan.db
 
@@ -1758,21 +1739,19 @@ def _compile_delete(plan: p.DeletePlan,
     return run
 
 
-def compile_statement(plan: p.Plan, options: CompileOptions = None
-                      ) -> Callable[[ExecContext], Generator]:
+def compile_statement(plan: p.Plan) -> Callable[[ExecContext], Generator]:
     """Compile a top-level statement plan to a ``ctx -> generator`` closure.
 
     The returned closure follows the executor protocol: it yields
     :class:`LockRequest` objects on waits and returns an
     :class:`ExecResult` via ``StopIteration``.
     """
-    opts = options if options is not None else CompileOptions()
     if isinstance(plan, p.SelectPlan):
-        return _compile_select(plan, opts)
+        return _compile_select(plan)
     if isinstance(plan, p.InsertPlan):
         return _compile_insert(plan)
     if isinstance(plan, p.UpdatePlan):
-        return _compile_update(plan, opts)
+        return _compile_update(plan)
     if isinstance(plan, p.DeletePlan):
-        return _compile_delete(plan, opts)
+        return _compile_delete(plan)
     raise SqlError(f"cannot compile statement {type(plan).__name__}")

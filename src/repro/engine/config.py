@@ -14,6 +14,11 @@ from dataclasses import dataclass
 class EngineConfig:
     """Configuration for one engine (one simulated MySQL instance).
 
+    Every field either sizes the modelled machine or selects between
+    behaviours the paper's experiments need both of. How a statement is
+    planned and executed is not configurable: there is one pipeline (see
+    :mod:`repro.engine.engine`).
+
     Attributes:
         rows_per_page: heap rows stored per page; page count drives the
             buffer-pool footprint of each table.
@@ -25,22 +30,6 @@ class EngineConfig:
             dropping shared locks once a transaction is PREPARED. The
             paper's Table 1 anomaly requires this to be True (the default,
             as in real systems).
-        compile_plans: compile cached plans to Python closures (see
-            :mod:`repro.engine.compile`) instead of tree-walking them.
-            Behavior-identical to the interpreter — same rows, locks, and
-            cost counters — just faster; disable to debug lock semantics
-            against the reference interpreter.
-        cost_based: run the cost-based optimizer stage (see
-            :mod:`repro.engine.optimizer`): selectivity estimation from
-            catalogue statistics, access-path choice by estimated cost,
-            and greedy cost-ordered join enumeration. Disable to get the
-            original purely syntactic heuristic planner, kept as the
-            reference implementation.
-        batch_execution: let the compiled executor run the hot read path
-            over columnar row batches (scan/filter/aggregate) instead of
-            one row at a time. Observable behavior (rows, locks, cost
-            counters) is identical either way.
-        batch_size: rows per batch when batch_execution is on.
         cpu_cost_per_row_us: simulated CPU microseconds charged per row
             examined by the executor.
         cpu_cost_per_statement_us: fixed per-statement overhead (parse,
@@ -55,10 +44,6 @@ class EngineConfig:
     buffer_pool_pages: int = 2048
     btree_order: int = 32
     release_read_locks_at_prepare: bool = True
-    compile_plans: bool = True
-    cost_based: bool = True
-    batch_execution: bool = True
-    batch_size: int = 256
     # InnoDB-style non-locking consistent reads: plain SELECTs take no
     # locks and see the last committed image of rows another transaction
     # is currently changing (read-committed via before-images). Writes,

@@ -5,16 +5,21 @@ one "mysqld". Transactions carry *global* ids supplied by the cluster
 controller (the same logical transaction executes on every replica
 machine), or engine-local ids for standalone use.
 
-``execute`` is a generator (see :mod:`repro.engine.executor` for the
-protocol); ``execute_sync`` is the convenience driver for single-session
-use that raises :class:`WouldBlockError` on any lock wait.
+Every statement takes one path: parse → plan (:mod:`repro.engine.planner`
+over the candidates :mod:`repro.engine.optimizer` enumerates and picks
+from) → compile to a runner (:mod:`repro.engine.compile`) → run. Plan and
+runner are cached per database by SQL text and dropped by that
+database's DDL. ``execute`` is a generator (see
+:mod:`repro.engine.executor` for the protocol); ``execute_sync`` is the
+convenience driver for single-session use that raises
+:class:`WouldBlockError` on any lock wait.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Dict, Generator, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.engine import compile as comp
 from repro.engine import executor as ex
@@ -33,6 +38,8 @@ from repro.errors import (SchemaError, SqlError, TransactionError,
                           WouldBlockError)
 
 ExecResult = ex.ExecResult
+# A statement's runner: ExecContext -> generator (the executor protocol).
+Runner = Callable[[ex.ExecContext], Generator]
 
 
 class Engine:
@@ -50,9 +57,11 @@ class Engine:
         self.databases: Dict[str, StoredDatabase] = {}
         self.history = history
         self._planners: Dict[str, pl.Planner] = {}
-        self._plan_cache: Dict[Tuple[str, str], Any] = {}
-        # Compiled executors, keyed and invalidated exactly like plans.
-        self._compiled_cache: Dict[Tuple[str, str], Any] = {}
+        # The statement cache: db -> {sql -> (plan, runner)}. The runner
+        # is None until the statement first executes; a database's DDL
+        # (and dropping it) forgets that database's entry.
+        self._statements: Dict[str, Dict[str, Tuple[pl.Plan,
+                                                    Optional[Runner]]]] = {}
         self._local_txn_ids = itertools.count(1_000_000_000)
         self.transactions: Dict[int, Transaction] = {}
         # Uncommitted row changes, for non-locking consistent reads:
@@ -66,8 +75,7 @@ class Engine:
             raise SchemaError(f"database {name!r} already exists on {self.name}")
         database = StoredDatabase(DatabaseSchema(name), self.config)
         self.databases[name] = database
-        self._planners[name] = pl.Planner(database.schema, database,
-                                          self.config)
+        self._planners[name] = self._planner_for(database)
         return database
 
     def create_database_from_ddl(self, name: str,
@@ -85,20 +93,16 @@ class Engine:
         if database.name in self.databases:
             raise SchemaError(f"database {database.name!r} already on {self.name}")
         self.databases[database.name] = database
-        self._planners[database.name] = pl.Planner(database.schema,
-                                                   database, self.config)
+        self._planners[database.name] = self._planner_for(database)
+
+    def _planner_for(self, database: StoredDatabase) -> pl.Planner:
+        """The planner of a database this engine hosts."""
+        return pl.Planner(database.schema, database)
 
     def drop_database(self, name: str) -> None:
         self.databases.pop(name, None)
         self._planners.pop(name, None)
-        self._plan_cache = {
-            key: plan for key, plan in self._plan_cache.items()
-            if key[0] != name
-        }
-        self._compiled_cache = {
-            key: fn for key, fn in self._compiled_cache.items()
-            if key[0] != name
-        }
+        self._statements.pop(name, None)
         self.buffer_pool.invalidate_prefix((name,))
 
     def database(self, name: str) -> StoredDatabase:
@@ -194,10 +198,11 @@ class Engine:
         The undo log already carries exact before/after images for every
         change, so statistics maintenance is a pure replay of it — no
         rescans, and aborted transactions (whose physical changes are
-        rolled back) never touch the sketches.
+        rolled back) never touch the sketches. That replay is the undo
+        log's last reader, so the row images are dropped with it: a
+        finished transaction stays in ``self.transactions``, its writes
+        must not.
         """
-        if not txn.undo:
-            return
         for entry in txn.undo:
             database = self.databases.get(entry.db)
             if database is None:
@@ -206,6 +211,7 @@ class Engine:
             if stats is None:
                 continue
             stats.apply_delta(entry.kind, entry.before, entry.after)
+        txn.undo.clear()
 
     def table_stats(self, db_name: str, table_name: str):
         """Catalogue statistics for one table (the live object)."""
@@ -223,10 +229,11 @@ class Engine:
     # -- statement execution ------------------------------------------------
 
     def plan(self, db_name: str, sql: str):
-        """Parse and plan a statement, with caching keyed by SQL text."""
-        key = (db_name, sql)
-        if key in self._plan_cache:
-            return self._plan_cache[key]
+        """Parse and plan a statement, cached by SQL text; compiles
+        nothing."""
+        cached = self._statements.get(db_name, {}).get(sql)
+        if cached is not None:
+            return cached[0]
         stmt = parse(sql)
         planner = self._planner(db_name)
         if isinstance(stmt, n.Select):
@@ -241,37 +248,29 @@ class Engine:
             return stmt  # DDL executes directly, uncached
         else:
             raise SqlError(f"unsupported statement {type(stmt).__name__}")
-        self._plan_cache[key] = plan
+        self._statements.setdefault(db_name, {})[sql] = (plan, None)
         return plan
-
-    def compiled(self, db_name: str, sql: str):
-        """Compiled executor for a statement, or None when interpreting.
-
-        Compilation happens once per cached plan; the artifact is
-        invalidated together with the plan on DDL. Returns None when
-        ``compile_plans`` is off or the plan has no compiled form (DDL).
-        """
-        if not self.config.compile_plans:
-            return None
-        key = (db_name, sql)
-        if key in self._compiled_cache:
-            return self._compiled_cache[key]
-        plan = self.plan(db_name, sql)
-        if isinstance(plan, (pl.SelectPlan, pl.InsertPlan, pl.UpdatePlan,
-                             pl.DeletePlan)):
-            compiled = comp.compile_statement(
-                plan, comp.CompileOptions(
-                    batch=self.config.batch_execution,
-                    batch_size=self.config.batch_size))
-        else:
-            compiled = None
-        self._compiled_cache[key] = compiled
-        return compiled
 
     def _planner(self, db_name: str) -> pl.Planner:
         if db_name not in self._planners:
             raise SchemaError(f"no database {db_name!r} on engine {self.name}")
         return self._planners[db_name]
+
+    def _prepare(self, db_name: str, sql: str) -> Runner:
+        """Plan a statement (through the cache) and make its runner."""
+        plan = self.plan(db_name, sql)
+        if isinstance(plan, (n.CreateTable, n.CreateIndex)):
+            def run_ddl(ctx: ex.ExecContext) -> Generator:
+                return self._execute_ddl(db_name, plan)
+                yield  # pragma: no cover - makes this function a generator
+            return run_ddl
+        run = self._runner(plan)
+        self._statements[db_name][sql] = (plan, run)
+        return run
+
+    def _runner(self, plan: pl.Plan) -> Runner:
+        """The generator function that executes ``plan``."""
+        return comp.compile_statement(plan)
 
     def execute(self, txn: Transaction, db_name: str, sql: str,
                 params: Sequence[Any] = ()) -> Generator:
@@ -280,39 +279,17 @@ class Engine:
         Yields :class:`LockRequest` on waits; returns :class:`ExecResult`.
         """
         txn.require(TxnState.ACTIVE)
-        # Compiled fast path: one cache lookup covers parse + plan +
-        # compile for every statement after the first.
-        compiled = (self._compiled_cache.get((db_name, sql))
-                    if self.config.compile_plans else None)
-        if compiled is not None:
-            txn.databases.add(db_name)
-            ctx = ex.ExecContext(txn, self.database(db_name), self.locks,
-                                 self.buffer_pool, self.wal, tuple(params),
-                                 history=self.history, dirty=self.dirty)
-            result = yield from compiled(ctx)
-            return result
-        plan = self.plan(db_name, sql)
+        try:
+            run = self._statements[db_name][sql][1]
+        except KeyError:
+            run = None
+        if run is None:  # first execution (or first since this db's DDL)
+            run = self._prepare(db_name, sql)
         txn.databases.add(db_name)
-        if isinstance(plan, (n.CreateTable, n.CreateIndex)):
-            result = self._execute_ddl(db_name, plan)
-            return result
-            yield  # pragma: no cover - makes this function a generator
         ctx = ex.ExecContext(txn, self.database(db_name), self.locks,
                              self.buffer_pool, self.wal, tuple(params),
                              history=self.history, dirty=self.dirty)
-        compiled = self.compiled(db_name, sql)
-        if compiled is not None:
-            result = yield from compiled(ctx)
-        elif isinstance(plan, pl.SelectPlan):
-            result = yield from ex.execute_select(plan, ctx)
-        elif isinstance(plan, pl.InsertPlan):
-            result = yield from ex.execute_insert(plan, ctx)
-        elif isinstance(plan, pl.UpdatePlan):
-            result = yield from ex.execute_update(plan, ctx)
-        elif isinstance(plan, pl.DeletePlan):
-            result = yield from ex.execute_delete(plan, ctx)
-        else:
-            raise SqlError(f"unsupported plan {type(plan).__name__}")
+        result = yield from run(ctx)
         return result
 
     def execute_sync(self, txn: Transaction, db_name: str, sql: str,
@@ -349,14 +326,7 @@ class Engine:
             for rid, row in table.scan():
                 tree.insert(table.index_key(index, row), rid)
             table.indexes[stmt.name] = tree
-        self._plan_cache = {
-            key: plan for key, plan in self._plan_cache.items()
-            if key[0] != db_name
-        }
-        self._compiled_cache = {
-            key: fn for key, fn in self._compiled_cache.items()
-            if key[0] != db_name
-        }
+        self._statements.pop(db_name, None)
         return ExecResult(rowcount=0)
 
     # -- copy support (dump tool backend) ---------------------------------------
@@ -396,10 +366,7 @@ def recover_engine(name: str, config: EngineConfig,
     """
     engine = Engine(name, config, history=history)
     for schema in db_schemas:
-        fresh = DatabaseSchema(schema.name)
-        engine.databases[schema.name] = StoredDatabase(fresh, config)
-        engine._planners[schema.name] = pl.Planner(
-            fresh, engine.databases[schema.name], config)
+        engine.create_database(schema.name)
         for tschema in schema.tables.values():
             engine.databases[schema.name].add_table(
                 TableSchema(tschema.name, list(tschema.columns),

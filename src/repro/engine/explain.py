@@ -119,7 +119,7 @@ def _children(plan) -> List:
 
 
 def _estimate_suffix(node) -> str:
-    """Cost-based annotations, when the optimizer stamped this node."""
+    """Estimates, when the optimizer stamped this node."""
     est = getattr(node, "est_rows", None)
     cost = getattr(node, "est_cost", None)
     if est is None or cost is None:
@@ -130,10 +130,10 @@ def _estimate_suffix(node) -> str:
 def explain(plan, verbose: bool = False) -> str:
     """Render a plan (or SelectPlan/DML plan) as an indented tree.
 
-    Nodes the cost-based optimizer estimated carry a ``(~N rows,
-    cost C)`` suffix. With ``verbose``, plans the optimizer considered
-    and rejected (alternative access paths, join orders, join
-    algorithms) are listed after the tree.
+    Nodes the optimizer estimated carry a ``(~N rows, cost C)`` suffix.
+    With ``verbose``, plans the optimizer considered and rejected
+    (alternative access paths, join orders, join algorithms) are listed
+    after the tree.
     """
     rejected: List[str] = []
     if isinstance(plan, p.SelectPlan):
@@ -157,15 +157,5 @@ def explain(plan, verbose: bool = False) -> str:
 
 def explain_statement(engine, db_name: str, sql: str,
                       verbose: bool = False) -> str:
-    """Explain a statement as the engine would run it.
-
-    Renders the plan tree plus an execution-mode line: ``compiled`` when
-    the engine will run a closure-compiled executor for this statement
-    (see :mod:`repro.engine.compile`), ``interpreted`` when it will
-    tree-walk the plan (``EngineConfig.compile_plans`` off, or a
-    statement kind with no compiled form).
-    """
-    plan = engine.plan(db_name, sql)
-    mode = "compiled" if engine.compiled(db_name, sql) is not None \
-        else "interpreted"
-    return explain(plan, verbose=verbose) + f"\n[execution: {mode}]"
+    """Explain a statement as ``engine`` plans (and will run) it."""
+    return explain(engine.plan(db_name, sql), verbose=verbose)

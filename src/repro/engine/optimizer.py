@@ -1,25 +1,30 @@
-"""Cost-based optimization over catalogue statistics.
+"""Candidate enumeration, pricing and choice: the planner's decisions.
 
-This stage sits between binding and physical plan construction. Given
-the per-table :mod:`~repro.engine.stats` sketches it:
+This stage sits between binding and physical plan construction. It is
+the one place that knows which conjunct shapes make an index usable and
+which join methods a pair of tables allows:
 
-* estimates conjunct selectivities (equality against a literal reads the
-  value's exact frequency from the sketch; parameters fall back to
-  ``1/ndv``; ranges interpolate over the value counts);
-* prices each access path (seq scan vs index-eq vs index-range) and each
-  join edge (IndexLookupJoin vs HashJoin vs CrossJoin) with a simple
-  page/row/probe cost model that mirrors what the executor actually
-  charges to the buffer pool;
-* replaces the syntactic join order with a greedy cost-ordered
-  enumeration (smallest estimated frontier first);
-* annotates every constructed operator with ``est_rows`` / ``est_cost``
-  and records rejected alternatives for ``EXPLAIN ... verbose``.
+* :func:`access_candidates` / :func:`join_candidates` enumerate every
+  physical alternative for a scan or a join edge, each priced with a
+  simple page/row/probe cost model that mirrors what the executor
+  actually charges to the buffer pool (equality against a literal reads
+  the value's exact frequency from the :mod:`~repro.engine.stats`
+  sketch; parameters fall back to ``1/ndv``; ranges interpolate over the
+  value counts);
+* :func:`pick_cheapest` chooses among them where the table has
+  statistics; :func:`pick_syntactic` — longest equality prefix, else the
+  first alternative in enumeration order — chooses where it has none
+  (row count zero: the prices would be noise) and for every DML target
+  scan, so schema-only workloads plan from syntax alone;
+* :func:`choose_join_order` replaces the syntactic join order with a
+  greedy cost-ordered enumeration (smallest estimated frontier first)
+  when every table has statistics;
+* :func:`plan_joins` builds the join tree, annotating every operator
+  with ``est_rows`` / ``est_cost`` and recording rejected alternatives
+  for ``EXPLAIN ... verbose``.
 
-Decisions degrade conservatively: any table with no statistics yet (row
-count zero) makes the affected decision fall back to the heuristic
-planner's choice, so schema-only workloads plan exactly as before.
-The heuristic planner itself remains available wholesale behind
-``EngineConfig.cost_based=False`` as the reference implementation.
+The purely syntactic planner these rules descend from is kept as the test
+suite's reference, ``tests/oracles/heuristic_planner.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.engine import planner as pl
 from repro.engine.sqlparse import nodes as n
 from repro.engine.stats import UNKNOWN, TableStats
+from repro.errors import SqlError
 
 # Cost units: ~one row examined by the executor. PAGE covers a
 # sequential heap-page touch, PROBE one B+Tree root-to-leaf traversal,
@@ -44,21 +50,42 @@ LIKE_SEL = 0.25
 
 
 class CostModel:
-    """Statistics access + cost arithmetic for one database."""
+    """Statistics access + cost arithmetic for one database.
 
-    def __init__(self, storage):
+    ``storage`` is the database's :class:`StoredDatabase`; without one
+    (a planner over a bare schema) no table has statistics, every choice
+    is the syntactic one, and nothing is annotated.
+    """
+
+    def __init__(self, db_name: str, storage=None):
+        self.db_name = db_name
         self.storage = storage
-        self.db_name = storage.name
-        self.rows_per_page = storage.config.rows_per_page
+        # Page arithmetic only ever decides between candidates of a table
+        # that has rows, which takes a storage.
+        self.rows_per_page = (storage.config.rows_per_page
+                              if storage is not None else 1)
 
     def stats(self, table_name: str) -> Optional[TableStats]:
+        if self.storage is None:
+            return None
         return self.storage.stats.get(table_name)
+
+    def has_rows(self, table_name: str) -> bool:
+        """Whether the table's candidates can be priced at all."""
+        stats = self.stats(table_name)
+        return stats is not None and stats.row_count > 0
 
     def pages(self, row_count: int) -> int:
         return max(1, -(-row_count // self.rows_per_page))
 
     def seq_cost(self, row_count: int) -> float:
         return self.pages(row_count) * PAGE_COST + row_count * ROW_COST
+
+    def annotate(self, plan: pl.Plan, est_rows: float,
+                 est_cost: float) -> None:
+        if self.storage is not None:
+            plan.est_rows = est_rows
+            plan.est_cost = est_cost
 
 
 class SlotMap:
@@ -168,32 +195,30 @@ def conjunct_selectivity(conjunct: n.Expr, slot_map: SlotMap) -> float:
     return DEFAULT_SEL
 
 
-def annotate(plan: pl.Plan, est_rows: float, est_cost: float) -> None:
-    plan.est_rows = est_rows
-    plan.est_cost = est_cost
-
-
 # -- candidate enumeration ----------------------------------------------------
 
 
 class Candidate:
     """One priced physical alternative for a scan or join edge."""
 
-    __slots__ = ("kind", "cost", "rows", "used", "build")
+    __slots__ = ("kind", "cost", "rows", "used", "build", "eq_prefix")
 
     def __init__(self, kind: str, cost: float, rows: float,
-                 used: List[n.Expr], build):
+                 used: List[n.Expr], build, eq_prefix: int = 0):
         self.kind = kind       # display label for rejected-plan notes
         self.cost = cost       # total cost of producing `rows`
         self.rows = rows       # estimated output rows
         self.used = used       # conjuncts the alternative consumes
         self.build = build     # () -> Plan
+        # Leading index columns matched by equality (0: not an index
+        # equality path) — all the syntactic pick looks at.
+        self.eq_prefix = eq_prefix
 
 
 def _parse_access_conjuncts(binding: pl.Binding, conjuncts: List[n.Expr],
                             available: Set[int]):
-    """Split conjuncts into per-column eq and range maps (heuristic's
-    shapes, shared so cost-based plans stay structurally identical)."""
+    """Split conjuncts into per-column eq and range maps: the conjunct
+    shapes (``column OP constant-or-outer-slot``) an index can serve."""
     local = set(range(binding.offset, binding.offset + binding.width))
     eq: Dict[str, Tuple[n.Expr, n.Expr]] = {}
     ranges: Dict[str, List[Tuple[str, n.Expr, n.Expr]]] = {}
@@ -247,7 +272,7 @@ def access_candidates(binding: pl.Binding, conjuncts: List[n.Expr],
                                       lock_exclusive=lock_exclusive)
 
             out.append(Candidate(f"IndexEqScan({index.name})", cost, est,
-                                 used, build_eq))
+                                 used, build_eq, eq_prefix=len(prefix)))
             continue
         col = index.columns[0]
         if col in ranges:
@@ -305,7 +330,7 @@ def join_candidates(outer: Optional[pl.Plan], outer_rows: float,
     db = model.db_name
 
     # Index lookup: any index access path usable with the outer slots
-    # available (the heuristic wraps every such path in IndexLookupJoin).
+    # available.
     for cand in access_candidates(binding, conjuncts, available, model):
         if cand.kind == "SeqScan":
             continue
@@ -317,7 +342,7 @@ def join_candidates(outer: Optional[pl.Plan], outer_rows: float,
             return pl.IndexLookupJoin(outer, cand.build())
 
         out.append(Candidate(f"IndexLookupJoin/{cand.kind}", cost, result,
-                             cand.used, build_ilj))
+                             cand.used, build_ilj, cand.eq_prefix))
 
     # Hash join on equality conjuncts linking outer and inner.
     local = set(range(binding.offset, binding.offset + binding.width))
@@ -373,12 +398,29 @@ def join_candidates(outer: Optional[pl.Plan], outer_rows: float,
     return out
 
 
-def _pick(candidates: List[Candidate]) -> Candidate:
-    """Cheapest candidate; ties resolve in enumeration order, which
-    mirrors the heuristic's index-first preference."""
+def pick_cheapest(candidates: List[Candidate]) -> Candidate:
+    """Cheapest candidate; ties resolve in enumeration order (indexes
+    first)."""
     best = candidates[0]
     for cand in candidates[1:]:
         if cand.cost < best.cost:
+            best = cand
+    return best
+
+
+def pick_syntactic(candidates: List[Candidate]) -> Candidate:
+    """The choice that needs no statistics.
+
+    The longest index equality prefix wins (the first index on ties);
+    without one, the first candidate in enumeration order — a range scan
+    before the sequential scan; an index lookup join before a hash join
+    before a cross join. Used for tables that have no rows to estimate
+    from and for DML target scans, whose lock granularity must not
+    depend on the data.
+    """
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if cand.eq_prefix > best.eq_prefix:
             best = cand
     return best
 
@@ -403,12 +445,12 @@ def choose_join_order(bindings: List[pl.Binding], conjuncts: List[n.Expr],
 
     Returns a permutation of binding positions plus rejected-order
     notes, or None to keep the syntactic order (any table without
-    statistics yet, including empty tables, defers to the heuristic).
+    statistics yet, including empty tables).
     """
     count = len(bindings)
-    all_stats = [model.stats(b.table) for b in bindings]
-    if any(s is None or s.row_count <= 0 for s in all_stats):
+    if not all(model.has_rows(b.table) for b in bindings):
         return None
+    all_stats = [model.stats(b.table) for b in bindings]
     slot_map = SlotMap(bindings, model)
     local_slots = [set(range(b.offset, b.offset + b.width))
                    for b in bindings]
@@ -428,8 +470,8 @@ def choose_join_order(bindings: List[pl.Binding], conjuncts: List[n.Expr],
     notes: List[str] = []
     scores = []
     for i in range(count):
-        access = _pick(access_candidates(bindings[i], conjuncts, set(),
-                                         model))
+        access = pick_cheapest(access_candidates(bindings[i], conjuncts,
+                                                 set(), model))
         scores.append((access.cost + eff_rows[i], i))
     start = min(scores)[1]
     rejected_starts = ", ".join(
@@ -447,9 +489,9 @@ def choose_join_order(bindings: List[pl.Binding], conjuncts: List[n.Expr],
     while remaining:
         step_scores = []
         for j in remaining:
-            cand = _pick(join_candidates(None, frontier, bindings[j],
-                                         conjuncts, placed, model,
-                                         slot_map))
+            cand = pick_cheapest(join_candidates(
+                None, frontier, bindings[j], conjuncts, placed, model,
+                slot_map))
             result = cand.rows * local_sel[j]
             step_scores.append((cand.cost + result, j, result))
         step_scores.sort()
@@ -467,82 +509,58 @@ def choose_join_order(bindings: List[pl.Binding], conjuncts: List[n.Expr],
     return order, notes
 
 
-# -- cost-based plan construction ---------------------------------------------
+# -- plan construction ---------------------------------------------------------
 
 
-def plan_joins(planner, bindings: List[pl.Binding],
-               conjuncts: List[n.Expr], model: CostModel,
-               rejected: List[str]) -> pl.Plan:
-    """Cost-based analogue of ``Planner._plan_joins``.
+def plan_joins(bindings: List[pl.Binding], conjuncts: List[n.Expr],
+               model: CostModel, rejected: List[str]) -> pl.Plan:
+    """Build the scan-and-join tree over ``bindings``, in that order.
 
-    Same conjunct bookkeeping (consume on use, filter as soon as a
-    conjunct's slots are available) so every plan it emits is one the
-    interpreter executes identically; only the choices are priced.
-    Tables without statistics defer each decision to the heuristic.
+    Conjuncts are consumed by the access path or join that uses them and
+    otherwise become a ``Filter`` as soon as their slots are available.
+    Each table's candidates are priced and the cheapest kept when the
+    table has statistics; a table without rows gets the syntactic pick
+    and an estimate of zero.
     """
     slot_map = SlotMap(bindings, model)
     remaining = list(conjuncts)
     available: Set[int] = set()
-
-    def usable(expr: n.Expr) -> bool:
-        return pl.expr_slots(expr) <= available
-
-    first = bindings[0]
-    first_stats = model.stats(first.table)
-    if first_stats is None or first_stats.row_count <= 0:
-        root, used = planner._access_path(first, remaining, available)
-        est = 0.0
-        cost = 0.0
-    else:
-        candidates = access_candidates(first, remaining, available, model)
-        chosen = _pick(candidates)
-        note = _note_choice(f"scan {first.name}", chosen, candidates)
-        if note:
-            rejected.append(note)
-        root, used, est, cost = (chosen.build(), chosen.used, chosen.rows,
-                                 chosen.cost)
-    annotate(root, est, cost)
-    for conjunct in used:
-        remaining.remove(conjunct)
-    available |= set(range(first.offset, first.offset + first.width))
-    root, est = _apply_filters(root, remaining, usable, slot_map, est, cost)
-
-    for binding in bindings[1:]:
-        stats = model.stats(binding.table)
-        if stats is None or stats.row_count <= 0:
-            root, used = planner._join_one(root, binding, remaining,
-                                           available)
-            est = 0.0
+    root: Optional[pl.Plan] = None
+    est = cost = 0.0
+    for binding in bindings:
+        if root is None:
+            what = f"scan {binding.name}"
+            candidates = access_candidates(binding, remaining, available,
+                                           model)
         else:
+            what = f"join {binding.name}"
             candidates = join_candidates(root, est, binding, remaining,
                                          available, model, slot_map)
-            chosen = _pick(candidates)
-            note = _note_choice(f"join {binding.name}", chosen, candidates)
+        if model.has_rows(binding.table):
+            chosen = pick_cheapest(candidates)
+            note = _note_choice(what, chosen, candidates)
             if note:
                 rejected.append(note)
+            est = chosen.rows
             cost += chosen.cost
-            root, used, est = chosen.build(), chosen.used, chosen.rows
-        annotate(root, est, cost)
-        for conjunct in used:
+        else:
+            chosen = pick_syntactic(candidates)
+            est = 0.0
+        root = chosen.build()
+        model.annotate(root, est, cost)
+        for conjunct in chosen.used:
             remaining.remove(conjunct)
         available |= set(range(binding.offset,
                                binding.offset + binding.width))
-        root, est = _apply_filters(root, remaining, usable, slot_map, est,
-                                   cost)
+        for conjunct in [c for c in remaining
+                         if pl.expr_slots(c) <= available]:
+            root = pl.Filter(root, conjunct)
+            est *= conjunct_selectivity(conjunct, slot_map)
+            model.annotate(root, est, cost)
+            remaining.remove(conjunct)
     if remaining:
-        raise pl.SqlError(f"unplaceable predicates: {remaining}")
+        raise SqlError(f"unplaceable predicates: {remaining}")
     return root
-
-
-def _apply_filters(plan: pl.Plan, remaining: List[n.Expr], usable,
-                   slot_map: SlotMap, est: float,
-                   cost: float) -> Tuple[pl.Plan, float]:
-    for conjunct in [c for c in remaining if usable(c)]:
-        plan = pl.Filter(plan, conjunct)
-        est *= conjunct_selectivity(conjunct, slot_map)
-        annotate(plan, est, cost)
-        remaining.remove(conjunct)
-    return plan, est
 
 
 def finalize_estimates(plan: pl.Plan, slot_map: SlotMap) -> None:
@@ -599,5 +617,5 @@ def _walk_estimates(plan, slot_map: SlotMap):
         cost = child_cost
     else:
         return None
-    annotate(plan, rows, cost)
+    slot_map.model.annotate(plan, rows, cost)
     return rows, cost

@@ -1,30 +1,36 @@
 """Query planning: name resolution and physical plan construction.
 
 The planner binds a parsed statement against the catalog and emits a tree
-of physical operators that the executor interprets:
+of physical operators that :mod:`repro.engine.compile` turns into a
+runner:
 
 * access paths — ``IndexEqScan`` / ``IndexRangeScan`` when a WHERE
   conjunct matches an index prefix, ``SeqScan`` otherwise;
-* joins — tables join in syntactic order; an ``IndexLookupJoin`` is used
-  when the join key hits an index on the inner table, a ``HashJoin`` when
-  there is an equality conjunct without an index, and a filtered
-  cross-product as the last resort;
+* joins — an ``IndexLookupJoin`` when the join key hits an index on the
+  inner table, a ``HashJoin`` when there is an equality conjunct without
+  an index, and a filtered cross-product as the last resort;
 * ``Filter`` / ``Project`` / ``Aggregate`` / ``Sort`` / ``Limit`` /
   ``Distinct`` on top.
 
+Which of those alternatives a statement's conjuncts allow is enumerated
+in one place, :mod:`repro.engine.optimizer`, which also picks among them:
+by estimated cost where the catalogue has statistics, by a syntactic
+rule where it has none and for every DML target scan.
+
 Rows flow through the plan as concatenated tuples (one slot range per
-FROM-table in syntactic order), so a column reference binds to a fixed
-global offset.
+FROM-table in join order), so a column reference binds to a fixed global
+offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.engine import optimizer
 from repro.engine.schema import DatabaseSchema, IndexDef, TableSchema
 from repro.engine.sqlparse import nodes as n
-from repro.errors import SchemaError, SqlError
+from repro.errors import SqlError
 
 
 # -- binding ------------------------------------------------------------------
@@ -319,8 +325,8 @@ class DeletePlan(Plan):
 class SelectPlan(Plan):
     root: Plan
     column_names: List[str]
-    # Alternatives the cost-based optimizer priced and discarded
-    # (EXPLAIN verbose); empty under the heuristic planner.
+    # Alternatives the optimizer priced and discarded (EXPLAIN verbose);
+    # empty when no table of the statement has statistics.
     rejected: List[str] = field(default_factory=list)
 
 
@@ -330,29 +336,21 @@ class SelectPlan(Plan):
 class Planner:
     """Builds physical plans for one database's statements.
 
-    With ``storage`` and a ``config`` whose ``cost_based`` flag is on,
-    SELECT planning runs the cost-based optimizer stage (see
-    :mod:`repro.engine.optimizer`): join order, access paths, and join
-    methods are priced against the catalogue statistics, and plan nodes
-    carry ``est_rows``/``est_cost`` annotations. Without them the
-    original purely syntactic heuristics apply (the reference path
-    behind ``EngineConfig.cost_based=False``). DML target scans always
-    use the heuristic access path: their lock granularity (row X vs
-    table X) is part of the concurrency behavior tests pin down.
+    Access paths and join methods come from the one candidate
+    enumerator in :mod:`repro.engine.optimizer`. With ``storage``, SELECT
+    planning prices the candidates of every table that has rows against
+    the catalogue statistics, reorders joins by cost, and stamps
+    ``est_rows``/``est_cost`` on the nodes; a table without statistics —
+    every table, when there is no ``storage`` — gets the syntactic pick
+    (:func:`~repro.engine.optimizer.pick_syntactic`) and no reordering.
+    DML target scans always use the syntactic pick: their lock
+    granularity (row X vs table X) is part of the concurrency behavior
+    tests pin down.
     """
 
-    def __init__(self, db_schema: DatabaseSchema, storage=None,
-                 config=None):
+    def __init__(self, db_schema: DatabaseSchema, storage=None):
         self.db = db_schema
-        self.storage = storage
-        self.config = config
-
-    def _cost_model(self):
-        if (self.storage is None or self.config is None
-                or not self.config.cost_based):
-            return None
-        from repro.engine import optimizer
-        return optimizer.CostModel(self.storage)
+        self.model = optimizer.CostModel(db_schema.name, storage)
 
     # .. SELECT ..................................................................
 
@@ -380,31 +378,30 @@ class Planner:
     def plan_select(self, stmt: n.Select) -> SelectPlan:
         refs = list(stmt.tables) + [j.table for j in stmt.joins]
         order = list(range(len(refs)))
-        model = self._cost_model()
         rejected: List[str] = []
-        if model is not None and len(refs) > 1:
-            from repro.engine import optimizer
+        if len(refs) > 1:
             # Bind once in syntactic order purely for cardinality
             # analysis; the real bindings below re-assign slot offsets
             # in the chosen join order and everything is rebound.
             syn_bindings, syn_scope = self._make_bindings(refs, order)
             syn_conjuncts = self._bind_conjuncts(stmt, syn_scope)
             picked = optimizer.choose_join_order(syn_bindings,
-                                                 syn_conjuncts, model)
+                                                 syn_conjuncts, self.model)
             if picked is not None:
                 order, notes = picked
                 rejected.extend(notes)
 
         bindings, scope = self._make_bindings(refs, order)
         conjuncts = self._bind_conjuncts(stmt, scope)
-        join_sequence = [bindings[i] for i in order]
+        root = optimizer.plan_joins([bindings[i] for i in order], conjuncts,
+                                    self.model, rejected)
+        return self._plan_above_joins(stmt, bindings, scope, root, rejected)
 
-        if model is not None:
-            from repro.engine import optimizer
-            root = optimizer.plan_joins(self, join_sequence, conjuncts,
-                                        model, rejected)
-        else:
-            root = self._plan_joins(join_sequence, conjuncts)
+    def _plan_above_joins(self, stmt: n.Select, bindings: List[Binding],
+                          scope: Scope, root: Plan,
+                          rejected: List[str]) -> SelectPlan:
+        """SELECT list, GROUP BY, ORDER BY, DISTINCT and LIMIT over a
+        join tree."""
         if stmt.for_update:
             _set_exclusive_recursive(root)
 
@@ -470,10 +467,8 @@ class Planner:
             root = Distinct(root)
         if stmt.limit is not None or stmt.offset is not None:
             root = Limit(root, stmt.limit, stmt.offset or 0)
-        if model is not None:
-            from repro.engine import optimizer
-            optimizer.finalize_estimates(
-                root, optimizer.SlotMap(bindings, model))
+        optimizer.finalize_estimates(
+            root, optimizer.SlotMap(bindings, self.model))
         return SelectPlan(root, column_names, rejected=rejected)
 
     def _plan_aggregate(self, stmt: n.Select, scope: Scope, child: Plan,
@@ -502,135 +497,6 @@ class Planner:
         return Aggregate(child, group_exprs, aggs, output_exprs,
                          output_names, having=having)
 
-    def _plan_joins(self, bindings: List[Binding],
-                    conjuncts: List[n.Expr]) -> Plan:
-        remaining = list(conjuncts)
-        available: Set[int] = set()
-
-        def usable(expr: n.Expr) -> bool:
-            return expr_slots(expr) <= available
-
-        first = bindings[0]
-        root, used = self._access_path(first, remaining, available)
-        for conjunct in used:
-            remaining.remove(conjunct)
-        available |= set(range(first.offset, first.offset + first.width))
-        root = self._apply_filters(root, remaining, usable)
-
-        for binding in bindings[1:]:
-            root, used = self._join_one(root, binding, remaining, available)
-            for conjunct in used:
-                remaining.remove(conjunct)
-            available |= set(range(binding.offset,
-                                   binding.offset + binding.width))
-            root = self._apply_filters(root, remaining, usable)
-        if remaining:
-            leftovers = remaining
-            raise SqlError(f"unplaceable predicates: {leftovers}")
-        return root
-
-    def _apply_filters(self, plan: Plan, remaining: List[n.Expr],
-                       usable) -> Plan:
-        for conjunct in [c for c in remaining if usable(c)]:
-            plan = Filter(plan, conjunct)
-            remaining.remove(conjunct)
-        return plan
-
-    def _access_path(self, binding: Binding, conjuncts: List[n.Expr],
-                     available: Set[int]) -> Tuple[Plan, List[n.Expr]]:
-        """Pick the best access path for a base table.
-
-        Considers equality conjuncts of the form slot = constant/param
-        (or = available outer slot) matching an index prefix; then a
-        one-column range; falls back to a sequential scan.
-        """
-        local = set(range(binding.offset, binding.offset + binding.width))
-        eq: Dict[str, Tuple[n.Expr, n.Expr]] = {}
-        ranges: Dict[str, List[Tuple[str, n.Expr, n.Expr]]] = {}
-        for conjunct in conjuncts:
-            parsed = _match_comparison(conjunct, local, available)
-            if parsed is None:
-                continue
-            op, slot_expr, other = parsed
-            col = binding.schema.columns[slot_expr.index - binding.offset].name
-            if op == "=":
-                eq.setdefault(col, (conjunct, other))
-            else:
-                ranges.setdefault(col, []).append((op, conjunct, other))
-
-        best: Optional[Tuple[IndexDef, List[str]]] = None
-        for index in binding.schema.indexes.values():
-            prefix: List[str] = []
-            for col in index.columns:
-                if col in eq:
-                    prefix.append(col)
-                else:
-                    break
-            if prefix and (best is None or len(prefix) > len(best[1])):
-                best = (index, prefix)
-        if best is not None:
-            index, prefix = best
-            used = [eq[c][0] for c in prefix]
-            key_exprs = [eq[c][1] for c in prefix]
-            return (IndexEqScan(binding, self.db.name, index, key_exprs), used)
-
-        # Range on the first column of some index.
-        for index in binding.schema.indexes.values():
-            col = index.columns[0]
-            if col in ranges:
-                lo = hi = None
-                lo_inc = hi_inc = True
-                used = []
-                for op, conjunct, other in ranges[col]:
-                    if op in (">", ">=") and lo is None:
-                        lo, lo_inc = other, (op == ">=")
-                        used.append(conjunct)
-                    elif op in ("<", "<=") and hi is None:
-                        hi, hi_inc = other, (op == "<=")
-                        used.append(conjunct)
-                if used:
-                    return (IndexRangeScan(binding, self.db.name, index,
-                                           lo, hi, lo_inc, hi_inc), used)
-        return SeqScan(binding, self.db.name), []
-
-    def _join_one(self, outer: Plan, binding: Binding,
-                  conjuncts: List[n.Expr],
-                  available: Set[int]) -> Tuple[Plan, List[n.Expr]]:
-        """Join the next table onto the running plan."""
-        inner_path, used = self._access_path(binding, conjuncts, available)
-        if isinstance(inner_path, (IndexEqScan, IndexRangeScan)):
-            keyed = (isinstance(inner_path, IndexEqScan)
-                     and any(expr_slots(e) & available
-                             for e in inner_path.key_exprs))
-            top_level_const = (isinstance(inner_path, IndexEqScan)
-                               and not keyed)
-            if keyed or top_level_const or isinstance(inner_path, IndexRangeScan):
-                return IndexLookupJoin(outer, inner_path), used
-
-        # Hash join on equality conjuncts linking outer and inner.
-        local = set(range(binding.offset, binding.offset + binding.width))
-        outer_keys: List[n.Expr] = []
-        inner_keys: List[n.Expr] = []
-        used = []
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, n.BinaryOp) or conjunct.op != "=":
-                continue
-            left_slots = expr_slots(conjunct.left)
-            right_slots = expr_slots(conjunct.right)
-            if left_slots <= available and right_slots <= local and right_slots:
-                outer_keys.append(conjunct.left)
-                inner_keys.append(conjunct.right)
-                used.append(conjunct)
-            elif right_slots <= available and left_slots <= local and left_slots:
-                outer_keys.append(conjunct.right)
-                inner_keys.append(conjunct.left)
-                used.append(conjunct)
-        inner_scan = SeqScan(binding, self.db.name)
-        if outer_keys:
-            return (HashJoin(outer, inner_scan, outer_keys, inner_keys,
-                             binding.width, binding.offset), used)
-        return CrossJoin(outer, inner_scan), []
-
     # .. DML .....................................................................
 
     def plan_insert(self, stmt: n.Insert) -> InsertPlan:
@@ -650,38 +516,33 @@ class Planner:
             rows.append(full)
         return InsertPlan(self.db.name, schema, rows)
 
-    def plan_update(self, stmt: n.Update) -> UpdatePlan:
-        schema = self.db.table(stmt.table)
-        binding = Binding(stmt.table, stmt.table, schema, 0)
+    def _target_scan(self, table: str, where: Optional[n.Expr]
+                     ) -> Tuple[Binding, Scope, Plan]:
+        """The X-locking scan that finds an UPDATE/DELETE's target rows."""
+        binding = Binding(table, table, self.db.table(table), 0)
         scope = Scope([binding])
         conjuncts: List[n.Expr] = []
-        if stmt.where is not None:
-            _split_conjuncts(bind_expr(stmt.where, scope), conjuncts)
-        source, used = self._access_path(binding, conjuncts, set())
-        for conjunct in used:
+        if where is not None:
+            _split_conjuncts(bind_expr(where, scope), conjuncts)
+        chosen = optimizer.pick_syntactic(optimizer.access_candidates(
+            binding, conjuncts, set(), self.model, lock_exclusive=True))
+        source = chosen.build()
+        for conjunct in chosen.used:
             conjuncts.remove(conjunct)
-        _set_exclusive(source)
         for conjunct in conjuncts:
             source = Filter(source, conjunct)
+        return binding, scope, source
+
+    def plan_update(self, stmt: n.Update) -> UpdatePlan:
+        binding, scope, source = self._target_scan(stmt.table, stmt.where)
         assignments = [
-            (schema.column_position(col), bind_expr(expr, scope))
+            (binding.schema.column_position(col), bind_expr(expr, scope))
             for col, expr in stmt.assignments
         ]
         return UpdatePlan(self.db.name, binding, source, assignments)
 
     def plan_delete(self, stmt: n.Delete) -> DeletePlan:
-        schema = self.db.table(stmt.table)
-        binding = Binding(stmt.table, stmt.table, schema, 0)
-        scope = Scope([binding])
-        conjuncts: List[n.Expr] = []
-        if stmt.where is not None:
-            _split_conjuncts(bind_expr(stmt.where, scope), conjuncts)
-        source, used = self._access_path(binding, conjuncts, set())
-        for conjunct in used:
-            conjuncts.remove(conjunct)
-        _set_exclusive(source)
-        for conjunct in conjuncts:
-            source = Filter(source, conjunct)
+        binding, _, source = self._target_scan(stmt.table, stmt.where)
         return DeletePlan(self.db.name, binding, source)
 
 

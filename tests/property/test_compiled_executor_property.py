@@ -1,18 +1,20 @@
 """Differential property tests: compiled executor vs the interpreter.
 
-Two engines are loaded with identical data — one with
-``compile_plans=True`` (closure-compiled executor), one with
-``compile_plans=False`` (the tree-walking interpreter, kept as the
-reference implementation). Every generated statement must produce
-identical rows, rowcounts, CostReport counters, and lock footprints on
-both; DML must leave identical table contents behind. Any divergence is
-a compiler bug by definition.
+Two engines are loaded with identical data — the production ``Engine``
+(closure-compiled executor) and ``InterpretedEngine`` (same planner, the
+tree-walking reference interpreter of ``tests/oracles/tree_executor.py``).
+Every generated statement must produce identical rows, rowcounts,
+CostReport counters, and lock footprints on both; DML must leave
+identical table contents behind. Any divergence is a compiler bug by
+definition.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
+
+from tests.oracles.engines import InterpretedEngine
 
 values = st.integers(min_value=-20, max_value=20)
 # k: primary key; v: nullable, unindexed (NULL keys are not supported
@@ -75,8 +77,8 @@ def _param_count(sql):
 
 def build_pair(rows):
     engines = []
-    for compiled in (True, False):
-        engine = Engine(config=EngineConfig(compile_plans=compiled))
+    for engine_class in (Engine, InterpretedEngine):
+        engine = engine_class()
         engine.create_database("db")
         txn = engine.begin()
         engine.execute_sync(

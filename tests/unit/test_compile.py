@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
+
+from tests.oracles.engines import InterpretedEngine
 
 
-def make_engine(compile_plans=True):
-    engine = Engine(config=EngineConfig(compile_plans=compile_plans))
+def make_engine(compiled=True):
+    """The production engine, or the reference interpreter over the same
+    planner (``tests/oracles/engines.py``)."""
+    engine = Engine() if compiled else InterpretedEngine()
     engine.create_database("db")
     txn = engine.begin()
     engine.execute_sync(txn, "db",
@@ -87,38 +91,38 @@ class TestCompiledExpressions:
 class TestAggregateResultTypes:
     """SUM/MIN/MAX over INTEGER columns stay integers (like MySQL)."""
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_sum_over_integer_is_int(self, compile_plans):
-        engine = make_engine(compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_sum_over_integer_is_int(self, compiled):
+        engine = make_engine(compiled)
         total = query(engine, "SELECT SUM(v) FROM t").scalar()
         assert total == 45
         assert type(total) is int
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_min_max_preserve_int(self, compile_plans):
-        engine = make_engine(compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_min_max_preserve_int(self, compiled):
+        engine = make_engine(compiled)
         low, high = query(engine, "SELECT MIN(v), MAX(v) FROM t").rows[0]
         assert (low, high) == (-5, 30)
         assert type(low) is int and type(high) is int
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_avg_is_float(self, compile_plans):
-        engine = make_engine(compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_avg_is_float(self, compiled):
+        engine = make_engine(compiled)
         avg = query(engine, "SELECT AVG(v) FROM t").scalar()
         assert avg == 45 / 4
         assert type(avg) is float
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_count_ignores_null_distinct_dedupes(self, compile_plans):
-        engine = make_engine(compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_count_ignores_null_distinct_dedupes(self, compiled):
+        engine = make_engine(compiled)
         row = query(engine,
                     "SELECT COUNT(*), COUNT(v), COUNT(DISTINCT v) "
                     "FROM t").rows[0]
         assert row == (5, 4, 3)
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_empty_aggregates_are_null(self, compile_plans):
-        engine = make_engine(compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_empty_aggregates_are_null(self, compiled):
+        engine = make_engine(compiled)
         query(engine, "DELETE FROM t")
         row = query(engine,
                     "SELECT COUNT(*), SUM(v), AVG(v), MIN(v) FROM t").rows[0]
@@ -177,45 +181,69 @@ class TestCompiledPlanParity:
 
 
 class TestCompiledCache:
+    """The engine's one statement cache: db -> {sql -> (plan, runner)}."""
+
+    @staticmethod
+    def runner(engine, sql, db="db"):
+        return engine._statements[db][sql][1]
+
     def test_statement_compiles_once(self, eng):
-        first = eng.compiled("db", "SELECT k FROM t WHERE k = ?")
-        second = eng.compiled("db", "SELECT k FROM t WHERE k = ?")
+        sql = "SELECT k FROM t WHERE k = ?"
+        query(eng, sql, (1,))
+        first = self.runner(eng, sql)
+        query(eng, sql, (2,))
         assert first is not None
-        assert second is first
+        assert self.runner(eng, sql) is first
+
+    def test_planning_alone_compiles_nothing(self, eng):
+        sql = "SELECT k FROM t WHERE k = ?"
+        plan = eng.plan("db", sql)
+        assert eng._statements["db"][sql] == (plan, None)
+        query(eng, sql, (1,))
+        assert eng.plan("db", sql) is plan
+        assert self.runner(eng, sql) is not None
 
     def test_ddl_invalidates_compiled_cache(self, eng):
         sql = "SELECT k FROM t WHERE v = 1"
-        before = eng.compiled("db", sql)
+        query(eng, sql)
+        before = self.runner(eng, sql)
         assert before is not None
         # The B+Tree cannot index NULL keys; clear them before the DDL.
         query(eng, "DELETE FROM t WHERE v IS NULL")
         query(eng, "CREATE INDEX t_v ON t (v)")
-        after = eng.compiled("db", sql)
-        assert after is not None
-        assert after is not before
+        assert "db" not in eng._statements
         # The recompiled artifact runs against the new physical plan.
         assert query(eng, sql).rows == []
+        after = self.runner(eng, sql)
+        assert after is not None
+        assert after is not before
 
     def test_ddl_in_other_database_keeps_cache(self, eng):
         sql = "SELECT k FROM t"
-        before = eng.compiled("db", sql)
+        query(eng, sql)
+        before = self.runner(eng, sql)
         eng.create_database("other")
         txn = eng.begin()
         eng.execute_sync(txn, "other",
                          "CREATE TABLE x (a INTEGER PRIMARY KEY)")
+        eng.execute_sync(txn, "other", "SELECT a FROM x")
         eng.commit(txn)
-        assert eng.compiled("db", sql) is before
+        assert self.runner(eng, sql) is before
+        eng.drop_database("other")
+        assert self.runner(eng, sql) is before
 
     def test_ddl_has_no_compiled_form(self, eng):
-        assert eng.compiled("db", "CREATE TABLE y "
-                                  "(a INTEGER PRIMARY KEY)") is None
-
-    def test_compile_plans_off_disables_cache(self):
-        engine = make_engine(compile_plans=False)
-        assert engine.compiled("db", "SELECT k FROM t") is None
-        assert query(engine, "SELECT COUNT(*) FROM t").scalar() == 5
+        # DDL runs through a throwaway runner: nothing to plan, nothing
+        # worth caching (and its own invalidation would drop it anyway).
+        ddl = "CREATE TABLE y (a INTEGER PRIMARY KEY)"
+        query(eng, "SELECT k FROM t")
+        assert query(eng, ddl).rowcount == 0
+        assert "db" not in eng._statements
+        query(eng, "SELECT a FROM y")
+        assert ddl not in eng._statements["db"]
 
     def test_drop_database_clears_cache(self, eng):
-        eng.compiled("db", "SELECT k FROM t")
+        query(eng, "SELECT k FROM t")
+        assert "db" in eng._statements
         eng.drop_database("db")
-        assert not any(db == "db" for db, _ in eng._compiled_cache)
+        assert "db" not in eng._statements

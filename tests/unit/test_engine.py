@@ -233,6 +233,62 @@ class TestTransactions:
         assert q(shop, "SELECT i_cost FROM item WHERE i_id = 7").scalar() == 7.0
 
 
+class TestCommitReleasesUndo:
+    def test_commit_folds_undo_into_stats_and_drops_it(self, shop):
+        stats = shop.table_stats("shop", "item")
+        assert stats.row_count == 40
+        txn = shop.begin()
+        shop.execute_sync(txn, "shop", "INSERT INTO item VALUES (?, ?, ?, ?)",
+                          (100, "new", 1.0, 2))
+        shop.execute_sync(txn, "shop", "DELETE FROM item WHERE i_id < 3")
+        shop.execute_sync(txn, "shop",
+                          "UPDATE item SET i_a_id = 9 WHERE i_id = 5")
+        assert len(txn.undo) == 5
+        assert stats.row_count == 40  # uncommitted work is not counted
+        shop.commit(txn)
+        assert txn.undo == []
+        assert shop.transactions[txn.txn_id] is txn
+        assert stats.row_count == 38
+        a_id = stats.columns[3]
+        assert a_id.eq_fraction(9, stats.row_count) == 1 / 38
+
+    def test_recovered_in_doubt_commit_applies_deltas_once(self, shop):
+        from repro.engine.engine import recover_engine
+        txn = shop.begin()
+        shop.execute_sync(txn, "shop", "DELETE FROM item WHERE i_id >= 30")
+        shop.prepare(txn)
+        recovered, in_doubt = recover_engine(
+            "recovered", shop.config,
+            [db.schema for db in shop.databases.values()],
+            shop.wal.durable_records())
+        stats = recovered.table_stats("shop", "item")
+        assert stats.row_count == 40  # the in-doubt deletes are backed out
+        assert len(in_doubt[0].undo) == 10
+        recovered.commit(in_doubt[0])
+        assert in_doubt[0].undo == []
+        assert stats.row_count == 30
+        assert q(recovered, "SELECT COUNT(*) FROM item").scalar() == 30
+
+
+class TestEngineConfigSurface:
+    def test_option_count_is_pinned(self):
+        """Adding an engine switch means deleting a line of this test
+        (ROADMAP north-star 2: one implementation per mechanism)."""
+        import dataclasses
+        assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+            "rows_per_page",
+            "buffer_pool_pages",
+            "btree_order",
+            "release_read_locks_at_prepare",
+            "nonlocking_reads",
+            "cpu_cost_per_row_us",
+            "cpu_cost_per_statement_us",
+            "page_hit_us",
+            "page_miss_ms",
+            "log_flush_ms",
+        }
+
+
 class TestEngineAdmin:
     def test_duplicate_database(self, shop):
         with pytest.raises(SchemaError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
 from repro.engine.explain import explain, explain_statement
 
 
@@ -75,18 +75,8 @@ class TestExplain:
 
 
 class TestExplainStatement:
-    def test_reports_compiled_mode(self, eng):
-        text = explain_statement(eng, "db",
-                                 "SELECT i_title FROM item WHERE i_id = 1")
+    def test_renders_the_engines_plan(self, eng):
+        sql = "SELECT i_title FROM item WHERE i_id = 1"
+        text = explain_statement(eng, "db", sql)
         assert "IndexEqScan item.__pk__" in text
-        assert text.endswith("[execution: compiled]")
-
-    def test_reports_interpreted_when_compilation_off(self):
-        engine = Engine(config=EngineConfig(compile_plans=False))
-        engine.create_database("db")
-        txn = engine.begin()
-        engine.execute_sync(txn, "db",
-                            "CREATE TABLE x (a INT PRIMARY KEY)")
-        engine.commit(txn)
-        text = explain_statement(engine, "db", "SELECT a FROM x")
-        assert text.endswith("[execution: interpreted]")
+        assert text == explain(eng.plan("db", sql))

@@ -1,15 +1,18 @@
 """Top-N fusion: ORDER BY + LIMIT must equal full-sort-then-slice.
 
-Both execution paths (compiled and interpreted) fuse ``Limit(Sort)``
-into a bounded heap selection. These tests pin the fused result to the
-unfused oracle — the same query without LIMIT, sliced in Python — over
-the awkward cases: NULL ordering, DESC keys, multi-key sorts, OFFSET,
-and duplicate sort keys (stability).
+Both executors (production's compiled one and the reference interpreter
+of ``tests/oracles/``) fuse ``Limit(Sort)`` into a bounded heap
+selection. These tests pin the fused result to the unfused oracle — the
+same query without LIMIT, sliced in Python — over the awkward cases:
+NULL ordering, DESC keys, multi-key sorts, OFFSET, and duplicate sort
+keys (stability).
 """
 
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
+
+from tests.oracles.engines import InterpretedEngine
 
 ROWS = [
     (0, None, "b"), (1, 5, "a"), (2, 5, "c"), (3, None, "a"),
@@ -30,8 +33,8 @@ LIMITS = [" LIMIT 3", " LIMIT 3 OFFSET 2", " LIMIT 0", " LIMIT 20",
           " LIMIT 20 OFFSET 4"]
 
 
-def build(compile_plans):
-    engine = Engine(config=EngineConfig(compile_plans=compile_plans))
+def build(compiled):
+    engine = Engine() if compiled else InterpretedEngine()
     engine.create_database("db")
     txn = engine.begin()
     engine.execute_sync(txn, "db",
@@ -51,12 +54,12 @@ def rows_for(engine, sql):
     return result.rows
 
 
-@pytest.mark.parametrize("compile_plans", [True, False],
+@pytest.mark.parametrize("compiled", [True, False],
                          ids=["compiled", "interpreted"])
 @pytest.mark.parametrize("query", QUERIES)
 @pytest.mark.parametrize("limit", LIMITS)
-def test_fused_topn_equals_sort_then_slice(compile_plans, query, limit):
-    engine = build(compile_plans)
+def test_fused_topn_equals_sort_then_slice(compiled, query, limit):
+    engine = build(compiled)
     full = rows_for(engine, query.format(limit=""))
     fused = rows_for(engine, query.format(limit=limit))
     n = int(limit.split("LIMIT ")[1].split()[0])
@@ -64,12 +67,12 @@ def test_fused_topn_equals_sort_then_slice(compile_plans, query, limit):
     assert fused == full[offset:offset + n]
 
 
-@pytest.mark.parametrize("compile_plans", [True, False],
+@pytest.mark.parametrize("compiled", [True, False],
                          ids=["compiled", "interpreted"])
-def test_fusion_is_stable_on_duplicate_keys(compile_plans):
+def test_fusion_is_stable_on_duplicate_keys(compiled):
     """Rows tied on every sort key keep their underlying order, exactly
     as the full stable sort would emit them."""
-    engine = build(compile_plans)
+    engine = build(compiled)
     full = rows_for(engine, "SELECT k FROM t ORDER BY s")
     for n in range(len(ROWS) + 1):
         assert rows_for(engine,
