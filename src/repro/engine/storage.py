@@ -8,6 +8,7 @@ ids a traversal would touch.
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.btree import BPlusTree
@@ -19,6 +20,24 @@ from repro.errors import ConstraintError, SchemaError
 
 Row = Tuple[Any, ...]
 PageId = Tuple[Any, ...]
+
+
+def _placement_hash(key: Tuple[Any, ...]) -> int:
+    """``hash(key)`` as a function of the key's *value* only.
+
+    Numbers hash the same in every process; ``str`` hashes are salted per
+    process and ``hash(None)`` is an address before Python 3.12, so those
+    components are replaced (crc32 of the bytes, as ``SeededRNG.fork``
+    does; 0) before the tuple is hashed. Integer-only keys keep exactly
+    the hash they always had.
+    """
+    for value in key:
+        if value is None or isinstance(value, str):
+            return hash(tuple(
+                0 if v is None
+                else zlib.crc32(v.encode()) if isinstance(v, str) else v
+                for v in key))
+    return hash(key)
 
 
 class HeapTable:
@@ -92,7 +111,9 @@ class HeapTable:
 
         Upper levels are modeled as one hot page per level (realistic —
         the root and internal nodes of a small index stay resident); the
-        leaf level is spread over ``leaf_count`` pages by key hash.
+        leaf level is spread over ``leaf_count`` pages by a hash of the
+        key's value (the same leaf in every process: simulated buffer-pool
+        behaviour must be reproducible from the seed alone).
         """
         tree = self.indexes[index_name]
         leaf_count = max(1, len(tree) // self._rows_per_page)
@@ -105,7 +126,8 @@ class HeapTable:
             cached = (tree.height, leaf_count, internal,
                       prefix + (index_name, "leaf"))
             self._index_page_cache[index_name] = cached
-        return cached[2] + [cached[3] + (hash(key) % leaf_count,)]
+        leaf = _placement_hash(key) % leaf_count
+        return cached[2] + [cached[3] + (leaf,)]
 
     # -- mutation -----------------------------------------------------------
 

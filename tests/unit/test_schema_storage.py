@@ -1,12 +1,52 @@
 """Unit tests for catalog objects and heap storage."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.engine.config import EngineConfig
 from repro.engine.schema import Column, DatabaseSchema, IndexDef, TableSchema
 from repro.engine.storage import HeapTable, StoredDatabase
 from repro.engine.types import SqlType
 from repro.errors import ConstraintError, SchemaError
+
+
+_PRINT_LEAVES = """
+from repro.engine.config import EngineConfig
+from repro.engine.schema import Column, IndexDef, TableSchema
+from repro.engine.storage import HeapTable
+from repro.engine.types import SqlType
+
+schema = TableSchema("t", [Column("k", SqlType.INTEGER, nullable=False),
+                           Column("s", SqlType.VARCHAR),
+                           Column("n", SqlType.INTEGER)],
+                     primary_key=["k"])
+schema.add_index(IndexDef("by_s", ("s",)))
+schema.add_index(IndexDef("by_s_n", ("s", "n")))
+table = HeapTable("db", schema, EngineConfig(rows_per_page=4))
+for k in range(200):
+    table.insert((k, f"title{k}", k % 7))
+keys = [("by_s", (f"title{k}",)) for k in range(0, 200, 9)]
+keys += [("by_s_n", (f"title{k}", k % 7)) for k in range(0, 200, 11)]
+keys += [("by_s", (None,)), ("by_s_n", ("title3", None)),
+         ("by_s_n", (None, None)), ("by_s_n", ("title5",)), ("by_s", ())]
+print(" ".join(str(table.index_pages(name, key)[-1][-1])
+               for name, key in keys))
+"""
+
+
+def _leaves_in_fresh_process(hash_seed: str) -> str:
+    """Leaf numbers of a fixed list of string / mixed / NULL-bearing index
+    keys, computed by an interpreter started with ``PYTHONHASHSEED``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _PRINT_LEAVES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def kv_schema():
@@ -134,6 +174,24 @@ class TestHeapTable:
         pages = table.index_pages("__pk__", (25,))
         assert len(pages) >= 1
         assert pages[-1][4] == "leaf"
+
+    def test_integer_keys_keep_their_leaf(self, table):
+        """Integer-only keys hash as Python hashes them (no salt there),
+        so the integer-keyed workloads' page touches never moved."""
+        for k in range(200):
+            table.insert((k, "x"))
+        leaf_count = 200 // 4
+        for key in [(0,), (7,), (199,), (10 ** 12,), (-3,), (3, 4), ()]:
+            leaf = table.index_pages("__pk__", key)[-1]
+            assert leaf[-2:] == ("leaf", hash(key) % leaf_count)
+
+    def test_leaf_placement_is_independent_of_the_process(self):
+        """String (and NULL-bearing) index keys land on the same leaf in
+        every process: ``hash(str)`` is salted per process, and
+        ``hash(None)`` is an address before Python 3.12."""
+        leaves = [_leaves_in_fresh_process(salt) for salt in ("1", "2")]
+        assert leaves[0] == leaves[1]
+        assert len(set(leaves[0].split())) > 4  # spread, not one leaf
 
     def test_scan_in_rid_order(self, table):
         rids = [table.insert((k, "x")) for k in (5, 3, 9)]
