@@ -179,6 +179,26 @@ def test_analytic_global_agg(benchmark, engine):
     assert result.rows[0][0] == 1000
 
 
+# Best-sellers' shape: an index range scan over ~400 rows -> GROUP BY ->
+# ORDER BY aggregate DESC, key LIMIT 10, in a transaction of its own so
+# every row lock is a first-time grant.
+RANGE_GROUP_TOPN = ("SELECT s, SUM(k) AS total FROM t WHERE v >= ? "
+                    "GROUP BY s ORDER BY total DESC, s LIMIT 10")
+
+
+@pytest.mark.benchmark(group="engine-micro")
+def test_range_group_topn(benchmark, engine):
+    def op():
+        txn = engine.begin()
+        result = engine.execute_sync(txn, "db", RANGE_GROUP_TOPN, (40,))
+        engine.commit(txn)
+        return result
+
+    result = benchmark(op)
+    assert result.rows[0] == ("s001999", 1999)
+    assert result.cost.rows_scanned == 400
+
+
 # -- plain mode ---------------------------------------------------------------
 
 
@@ -210,6 +230,14 @@ def _plain_groups():
 
         return op
 
+    def range_group_topn(engine):
+        def op():
+            txn = engine.begin()
+            engine.execute_sync(txn, "db", RANGE_GROUP_TOPN, (40,))
+            engine.commit(txn)
+
+        return op
+
     return [
         ("point_select", 3000,
          lambda e: query(e, "SELECT v FROM t WHERE k = ?", (777,))),
@@ -235,6 +263,7 @@ def _plain_groups():
         ("analytic_global_agg", 200,
          lambda e: query(e, "SELECT COUNT(*), SUM(v), MIN(k), MAX(k) "
                             "FROM t WHERE v < ?", (25,))),
+        ("range_group_topn", 100, range_group_topn),
     ]
 
 

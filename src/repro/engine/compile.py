@@ -32,7 +32,6 @@ tests that hold the two together are listed in ``tests/oracles/README.md``.
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -273,9 +272,12 @@ def _truthy(value: Any) -> bool:
 
 # -- plan-node compilation ----------------------------------------------------
 # Every compiled node is a closure (ctx, outer_row=()) -> generator that
-# follows the executor protocol. Lock acquisition is inlined (the fast
-# granted path avoids a sub-generator per request) but performs exactly
-# the reference interpreter's sequence of LockManager calls.
+# follows the executor protocol. Every lock site has one shape,
+#     if not try_acquire(txn_id, resource, mode):
+#         yield from ctx.lock(resource, mode)
+# — a grant that does not wait is one allocation-free call, and only a
+# real wait pays for ExecContext.lock's sub-generator and LockRequest.
+# Locks are taken in exactly the reference interpreter's order.
 
 
 def _scan_lock_modes(exclusive: bool) -> Tuple[LockMode, LockMode]:
@@ -296,15 +298,9 @@ def _compile_seq_scan(plan: p.SeqScan, with_rids: bool) -> NodeFn:
         cost = ctx.cost
         nonlocking = ctx.nonlocking_reads and not lock_exclusive
         if not nonlocking:
-            txn_id = ctx.txn.txn_id
-            if not ctx.locks.try_reentrant(txn_id, table_res, table_mode):
-                request = ctx.locks.acquire(txn_id, table_res, table_mode)
-                if not request.granted:
-                    cost.lock_waits += 1
-                    yield request
-                    if not request.granted:
-                        raise request.error or RuntimeError(
-                            "lock wait failed")
+            if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res,
+                                         table_mode):
+                yield from ctx.lock(table_res, table_mode)
         ctx.touch(table.heap_pages())
         history = ctx.history
         committed_view = ctx.committed_view
@@ -338,8 +334,7 @@ def _compile_fetch_loop(plan, with_rids: bool):
 
     def fetch(ctx: ExecContext, table, rids) -> Generator:
         cost = ctx.cost
-        locks = ctx.locks
-        try_reentrant = locks.try_reentrant
+        try_acquire = ctx.locks.try_acquire
         txn_id = ctx.txn.txn_id
         access = ctx.pool.access
         history = ctx.history
@@ -356,18 +351,8 @@ def _compile_fetch_loop(plan, with_rids: bool):
                     continue
             else:
                 resource = row_res_prefix + (rid,)
-                if try_reentrant(txn_id, resource, row_mode):
-                    row = get(rid)
-                    if row is None:
-                        continue
-                else:
-                    request = locks.acquire(txn_id, resource, row_mode)
-                    if not request.granted:
-                        cost.lock_waits += 1
-                        yield request
-                        if not request.granted:
-                            raise request.error or RuntimeError(
-                                "lock wait failed")
+                if not try_acquire(txn_id, resource, row_mode):
+                    yield from ctx.lock(resource, row_mode)
                     row = get(rid)
                     if row is None:
                         continue  # deleted while we waited for the lock
@@ -401,15 +386,9 @@ def _compile_index_eq_scan(plan: p.IndexEqScan, with_rids: bool) -> NodeFn:
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()) -> Generator:
         table = ctx.database.table(table_name)
         if not (ctx.nonlocking_reads and not lock_exclusive):
-            txn_id = ctx.txn.txn_id
-            if not ctx.locks.try_reentrant(txn_id, table_res, table_mode):
-                request = ctx.locks.acquire(txn_id, table_res, table_mode)
-                if not request.granted:
-                    ctx.cost.lock_waits += 1
-                    yield request
-                    if not request.granted:
-                        raise request.error or RuntimeError(
-                            "lock wait failed")
+            if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res,
+                                         table_mode):
+                yield from ctx.lock(table_res, table_mode)
         params = ctx.params
         if single_key:
             key = (key_fn0(outer_row, params),)
@@ -458,15 +437,9 @@ def _compile_index_range_scan(plan: p.IndexRangeScan, with_rids: bool,
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()) -> Generator:
         table = ctx.database.table(table_name)
         if not (ctx.nonlocking_reads and not lock_exclusive):
-            txn_id = ctx.txn.txn_id
-            if not ctx.locks.try_reentrant(txn_id, table_res, table_mode):
-                request = ctx.locks.acquire(txn_id, table_res, table_mode)
-                if not request.granted:
-                    ctx.cost.lock_waits += 1
-                    yield request
-                    if not request.granted:
-                        raise request.error or RuntimeError(
-                            "lock wait failed")
+            if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res,
+                                         table_mode):
+                yield from ctx.lock(table_res, table_mode)
         params = ctx.params
         lo = (lo_fn(outer_row, params),) if lo_fn is not None else None
         hi = (hi_fn(outer_row, params),) if hi_fn is not None else None
@@ -744,18 +717,21 @@ def _compile_aggregate(plan: p.Aggregate, batch: bool) -> NodeFn:
     return run
 
 
-def _compile_sort(plan: p.Sort, batch: bool) -> NodeFn:
+def _compile_sorted_rows(plan: p.Sort, batch: bool) -> NodeFn:
+    """``sorted_rows(ctx, outer_row)``: a generator that yields the child's
+    lock waits and *returns* its rows as a list in ORDER BY order."""
     child = _compile_node(plan.child, False, batch)
     key_specs = [(compile_expr(e), descending) for e, descending in plan.keys]
 
-    def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
+    def sorted_rows(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
         params = ctx.params
         rows = []
+        append = rows.append
         for item in child(ctx, outer_row):
             if isinstance(item, LockRequest):
                 yield item
             else:
-                rows.append(item)
+                append(item)
         # One stable pass per key, applied last-key-first, gives the
         # lexicographic multi-key order of the interpreter's comparator.
         # NULLs map to (False, 0) so they sort before every value
@@ -768,63 +744,39 @@ def _compile_sort(plan: p.Sort, batch: bool) -> NodeFn:
                     return (False, 0)
                 return (True, value)
             rows.sort(key=sort_key, reverse=descending)
-        yield from rows
+        return rows
+
+    return sorted_rows
+
+
+def _compile_sort(plan: p.Sort, batch: bool) -> NodeFn:
+    sorted_rows = _compile_sorted_rows(plan, batch)
+
+    def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
+        yield from (yield from sorted_rows(ctx, outer_row))
 
     return run
 
 
-class _Descending:
-    """Key part that inverts comparison order inside a sort key tuple."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
 def _compile_topn(sort_plan: p.Sort, project: Optional[ExprFn],
                   limit: int, offset: int, batch: bool) -> NodeFn:
-    """Fused ``Limit(Sort)`` — a bounded top-N instead of a full sort.
+    """Fused ``Limit(Sort)``: the sort, sliced, projecting only the rows
+    that survive the slice.
 
-    ``heapq.nsmallest`` is documented equivalent to ``sorted(...)[:n]``
-    (stable), so the emitted prefix is identical to sort-then-limit. The
-    composite key reproduces the layered stable sorts of
-    :func:`_compile_sort`: NULL maps below every value, and descending
-    keys wrap in :class:`_Descending`.
+    A full sort, not a bounded heap: the key-tuple passes compare in C,
+    while a heap over one composite key needs a Python-level wrapper to
+    invert its descending parts and measures no faster even at 1 800
+    rows in, 10 out.
     """
-    child = _compile_node(sort_plan.child, False, batch)
-    key_specs = [(compile_expr(e), descending)
-                 for e, descending in sort_plan.keys]
-    count = limit + offset
+    sorted_rows = _compile_sorted_rows(sort_plan, batch)
+    end = offset + limit
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
-        params = ctx.params
-        rows = []
-        append = rows.append
-        for item in child(ctx, outer_row):
-            if isinstance(item, LockRequest):
-                yield item
-            else:
-                append(item)
-
-        def sort_key(row):
-            key = []
-            for fn, descending in key_specs:
-                value = fn(row, params)
-                part = (False, 0) if value is None else (True, value)
-                key.append(_Descending(part) if descending else part)
-            return tuple(key)
-
-        top = heapq.nsmallest(count, rows, key=sort_key)[offset:]
+        top = (yield from sorted_rows(ctx, outer_row))[offset:end]
         if project is None:
             yield from top
         else:
+            params = ctx.params
             for row in top:
                 yield project(row, params)
 
@@ -938,15 +890,9 @@ def _compile_seq_scan_batches(plan: p.SeqScan) -> NodeFn:
         cost = ctx.cost
         nonlocking = ctx.nonlocking_reads and not lock_exclusive
         if not nonlocking:
-            txn_id = ctx.txn.txn_id
-            if not ctx.locks.try_reentrant(txn_id, table_res, table_mode):
-                request = ctx.locks.acquire(txn_id, table_res, table_mode)
-                if not request.granted:
-                    cost.lock_waits += 1
-                    yield request
-                    if not request.granted:
-                        raise request.error or RuntimeError(
-                            "lock wait failed")
+            if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res,
+                                         table_mode):
+                yield from ctx.lock(table_res, table_mode)
         ctx.touch(table.heap_pages())
         history = ctx.history
         if history is None and not nonlocking:
@@ -984,8 +930,8 @@ def _compile_fetch_batches(plan):
     """Batched variant of :func:`_compile_fetch_loop`.
 
     Performs the exact per-rid lock/re-check/page-charge sequence of the
-    row loop but accumulates surviving rows into Batches, flushing the
-    buffer before any lock wait is surfaced.
+    row loop but accumulates surviving rows into Batches; the buffer is
+    flushed early only when a lock request really has to be yielded.
     """
     table_name = plan.binding.table
     row_mode = _scan_lock_modes(plan.lock_exclusive)[1]
@@ -996,8 +942,7 @@ def _compile_fetch_batches(plan):
 
     def fetch(ctx: ExecContext, table, rids) -> Generator:
         cost = ctx.cost
-        locks = ctx.locks
-        try_reentrant = locks.try_reentrant
+        try_acquire = ctx.locks.try_acquire
         txn_id = ctx.txn.txn_id
         access = ctx.pool.access
         history = ctx.history
@@ -1015,21 +960,14 @@ def _compile_fetch_batches(plan):
                     continue
             else:
                 resource = row_res_prefix + (rid,)
-                if try_reentrant(txn_id, resource, row_mode):
-                    row = get(rid)
-                    if row is None:
-                        continue
-                else:
+                if not try_acquire(txn_id, resource, row_mode):
+                    # A real wait, and other transactions run while it
+                    # lasts: the consumer gets every row scanned so far
+                    # first, as it would from the row-at-a-time loop.
                     if buf:
                         yield Batch(buf)
                         buf = []
-                    request = locks.acquire(txn_id, resource, row_mode)
-                    if not request.granted:
-                        cost.lock_waits += 1
-                        yield request
-                        if not request.granted:
-                            raise request.error or RuntimeError(
-                                "lock wait failed")
+                    yield from ctx.lock(resource, row_mode)
                     row = get(rid)
                     if row is None:
                         continue  # deleted while we waited for the lock
@@ -1578,25 +1516,18 @@ def _compile_insert(plan: p.InsertPlan) -> Callable[[ExecContext], Generator]:
 
     def run(ctx: ExecContext) -> Generator:
         table = ctx.database.table(table_name)
-        request = ctx.locks.acquire(ctx.txn.txn_id, table_res, LockMode.IX)
-        if not request.granted:
-            ctx.cost.lock_waits += 1
-            yield request
-            if not request.granted:
-                raise request.error or RuntimeError("lock wait failed")
-        params = ctx.params
         txn = ctx.txn
+        try_acquire = ctx.locks.try_acquire
+        if not try_acquire(txn.txn_id, table_res, LockMode.IX):
+            yield from ctx.lock(table_res, LockMode.IX)
+        params = ctx.params
         inserted = 0
         for fns in row_fns:
             values = tuple(fn((), params) for fn in fns)
             rid = table.insert(values)
-            request = ctx.locks.acquire(txn.txn_id, row_res_prefix + (rid,),
-                                        LockMode.X)
-            if not request.granted:
-                ctx.cost.lock_waits += 1
-                yield request
-                if not request.granted:
-                    raise request.error or RuntimeError("lock wait failed")
+            row_res = row_res_prefix + (rid,)
+            if not try_acquire(txn.txn_id, row_res, LockMode.X):
+                yield from ctx.lock(row_res, LockMode.X)
             after = table.get(rid)
             ctx.wal.append(txn.txn_id, RecordType.INSERT, db=db_name,
                            table=table_name, rid=rid, after=after)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Tuple
 
 from repro.engine.engine import Engine
+from repro.engine.executor import ExecContext
 from repro.engine.locks import LockMode
 
 
@@ -36,12 +37,10 @@ class TableDump:
     bytes_estimate: int = 0
 
 
-def _acquire(engine: Engine, txn_id: int, resource, mode) -> Generator:
-    request = engine.locks.acquire(txn_id, resource, mode)
-    if not request.granted:
-        yield request
-        if not request.granted:
-            raise request.error or RuntimeError("dump lock wait failed")
+def _wait_context(engine: Engine, txn, db_name: str) -> ExecContext:
+    """The context a copy transaction waits for a lock through."""
+    return ExecContext(txn, engine.database(db_name), engine.locks,
+                       engine.buffer_pool, engine.wal, ())
 
 
 def dump_table(engine: Engine, db_name: str, table_name: str) -> Generator:
@@ -53,8 +52,10 @@ def dump_table(engine: Engine, db_name: str, table_name: str) -> Generator:
     """
     txn = engine.begin()
     try:
-        yield from _acquire(engine, txn.txn_id,
-                            ("tbl", db_name, table_name), LockMode.S)
+        resource = ("tbl", db_name, table_name)
+        if not engine.locks.try_acquire(txn.txn_id, resource, LockMode.S):
+            yield from _wait_context(engine, txn, db_name).lock(
+                resource, LockMode.S)
         table = engine.database(db_name).table(table_name)
         report = engine.buffer_pool.access_many(table.heap_pages())
         rows = engine.snapshot_table(db_name, table_name)
@@ -80,8 +81,11 @@ def dump_database(engine: Engine, db_name: str) -> Generator:
     dumps: List[TableDump] = []
     try:
         for table_name in table_names:
-            yield from _acquire(engine, txn.txn_id,
-                                ("tbl", db_name, table_name), LockMode.S)
+            resource = ("tbl", db_name, table_name)
+            if not engine.locks.try_acquire(txn.txn_id, resource,
+                                            LockMode.S):
+                yield from _wait_context(engine, txn, db_name).lock(
+                    resource, LockMode.S)
         for table_name in table_names:
             table = database.table(table_name)
             report = engine.buffer_pool.access_many(table.heap_pages())

@@ -107,7 +107,10 @@ class ExecContext:
     def lock(self, resource, mode: LockMode) -> Generator:
         """Acquire a lock, yielding the request while it waits.
 
-        May raise :class:`DeadlockError` synchronously (local deadlock).
+        The wait path of every lock site: callers try
+        ``locks.try_acquire`` first and come here only when that
+        refused. May raise :class:`DeadlockError` synchronously (local
+        deadlock).
         """
         request = self.locks.acquire(self.txn.txn_id, resource, mode)
         if not request.granted:

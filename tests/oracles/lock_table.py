@@ -1,4 +1,12 @@
-"""Multi-granularity strict two-phase locking.
+"""Reference lock manager: ``repro/engine/locks.py`` before PR 18, verbatim.
+
+One ``_LockTable`` (holders + FIFO queue) per resource, ``acquire`` as the
+only grant path (``try_reentrant`` is its allocation-free shortcut for
+locks already held). ``tests/property/test_locks_property.py`` drives it
+and the production manager with one action list and requires identical
+outcomes. The original module docstring follows.
+
+Multi-granularity strict two-phase locking.
 
 Lock modes are the textbook five (IS, IX, S, SIX, X). Resources are
 hashable tuples at two granularities:
@@ -7,26 +15,9 @@ hashable tuples at two granularities:
   S for table scans and the dump tool, X for bulk statements;
 * ``("row", db, table, pk)`` — S/X locks on individual rows.
 
-State is flat and exists only where something is true: ``_holders`` maps
-a resource to ``{txn: mode}`` while somebody holds it, ``_queues`` maps it
-to its FIFO of :class:`LockRequest` while somebody waits, ``_held`` is the
-per-transaction inverse of ``_holders`` and ``_waiting`` each blocked
-transaction's one pending request. An uncontended lock is therefore two
-dict entries, and nothing that handles contention (regrant, the deadlock
-search) ever looks at it.
-
-:meth:`LockManager.try_acquire` is the only place a lock is granted
-without waiting. Its four immediate grants: the transaction already holds
-the resource at least as strongly (re-entrant); nobody holds it (first
-holder); the other holders' modes are compatible *and nobody is queued*
-(FIFO — a compatible newcomer may not barge past a waiter); and an
-*upgrade* (strengthening a mode already held) that the other holders
-allow. Upgrades ignore the queue, and a blocked upgrade waits at its
-front, as in real engines: every queued waiter is already behind the
-upgrader's current hold, so sending the upgrade to the back would be a
-guaranteed deadlock. :meth:`LockManager.acquire` is ``try_acquire``, else
-enqueue; statement runners call ``try_acquire`` directly and touch a
-:class:`LockRequest` only when they really wait.
+Requests queue FIFO per resource; lock *upgrades* (a transaction
+strengthening a mode it already holds) jump the queue, as in real engines,
+to avoid guaranteed upgrade deadlocks against queued waiters.
 
 Deadlock policy: on every block the manager searches the waits-for graph
 for a cycle through the requester and, if found, raises
@@ -142,6 +133,19 @@ class LockRequest:
                 f"mode={self.mode.name}, {state})")
 
 
+class _LockTable:
+    """Per-resource lock state: holders and a FIFO wait queue."""
+
+    __slots__ = ("holders", "queue")
+
+    def __init__(self):
+        self.holders: Dict[int, LockMode] = {}
+        self.queue: List[LockRequest] = []
+
+    def empty(self) -> bool:
+        return not self.holders and not self.queue
+
+
 class LockStats:
     """Cumulative lock-manager counters (per engine instance)."""
 
@@ -155,22 +159,11 @@ class LockStats:
                 "deadlocks": self.deadlocks}
 
 
-def _others_allow(holders: Dict[int, LockMode], txn_id: int,
-                  mode: LockMode) -> bool:
-    """The grant rule: every holder other than ``txn_id`` coexists with
-    ``mode``."""
-    for holder, held_mode in holders.items():
-        if holder != txn_id and mode not in _COMPAT[held_mode]:
-            return False
-    return True
-
-
 class LockManager:
     """Strict-2PL lock manager for one engine instance."""
 
     def __init__(self):
-        self._holders: Dict[Resource, Dict[int, LockMode]] = {}
-        self._queues: Dict[Resource, List[LockRequest]] = {}
+        self._tables: Dict[Resource, _LockTable] = defaultdict(_LockTable)
         self._held: Dict[int, Dict[Resource, LockMode]] = defaultdict(dict)
         self._waiting: Dict[int, LockRequest] = {}
         self.stats = LockStats()
@@ -189,46 +182,28 @@ class LockManager:
     def waiting_request(self, txn_id: int) -> Optional[LockRequest]:
         return self._waiting.get(txn_id)
 
-    # -- acquisition ----------------------------------------------------------
+    def try_reentrant(self, txn_id: int, resource: Resource,
+                      mode: LockMode) -> bool:
+        """Allocation-free re-acquire of an already-held lock.
 
-    def try_acquire(self, txn_id: int, resource: Resource,
-                    mode: LockMode) -> bool:
-        """Grant ``mode`` on ``resource`` if that needs no wait.
-
-        The only place a lock is granted without waiting, and it
-        allocates nothing beyond the holder map of a resource nobody
-        held. True means the lock is held (and counted in
-        ``stats.acquired``); False means nothing changed and the caller
-        must go through :meth:`acquire`, which will queue the request or
-        raise.
+        True when ``txn_id`` already holds ``resource`` at least as
+        strongly as ``mode`` (the grant is counted exactly like the
+        re-entrant path of :meth:`acquire`); False means the caller must
+        go through :meth:`acquire`.
         """
-        if txn_id in self._waiting:
-            return False
-        held = self._held[txn_id]
-        held_mode = held.get(resource)
-        if held_mode is None:
-            holders = self._holders.get(resource)
-            if holders is None:
-                self._holders[resource] = {txn_id: mode}
-            elif (resource in self._queues
-                  or not _others_allow(holders, txn_id, mode)):
-                return False
-            else:
-                holders[txn_id] = mode
-            held[resource] = mode
-        else:
-            effective = _SUP[(held_mode, mode)]
-            if effective is not held_mode:
-                holders = self._holders[resource]
-                if not _others_allow(holders, txn_id, effective):
-                    return False
-                holders[txn_id] = held[resource] = effective
-        self.stats.acquired += 1
-        return True
+        held_mode = self._held[txn_id].get(resource)
+        if (held_mode is not None
+                and _SUP[(held_mode, mode)] == held_mode
+                and txn_id not in self._waiting):
+            self.stats.acquired += 1
+            return True
+        return False
+
+    # -- acquisition ----------------------------------------------------------
 
     def acquire(self, txn_id: int, resource: Resource,
                 mode: LockMode) -> LockRequest:
-        """Request ``mode`` on ``resource``: :meth:`try_acquire`, else queue.
+        """Request ``mode`` on ``resource``.
 
         Returns a :class:`LockRequest`; check ``granted``. When the request
         must wait it is queued and the caller should subscribe to
@@ -239,29 +214,46 @@ class LockManager:
             raise RuntimeError(
                 f"txn {txn_id} already has a pending lock request"
             )
-        if self.try_acquire(txn_id, resource, mode):
-            request = LockRequest(txn_id, resource,
-                                  self._held[txn_id][resource])
-            request.granted = True
+        held_mode = self._held[txn_id].get(resource)
+        if held_mode is not None and _SUP[(held_mode, mode)] == held_mode:
+            # Re-entrant fast path: already strong enough. Taken before
+            # the per-resource table is touched so repeated acquisitions
+            # (every statement of a transaction re-locking its rows) do
+            # no queue or compatibility work.
+            request = LockRequest(txn_id, resource, held_mode)
+            request._grant()
+            self.stats.acquired += 1
+            return request
+        table = self._tables[resource]
+        effective = mode if held_mode is None else supremum(held_mode, mode)
+        request = LockRequest(txn_id, resource, effective)
+
+        others_compatible = all(
+            compatible(h, effective)
+            for holder, h in table.holders.items()
+            if holder != txn_id
+        )
+        is_upgrade = held_mode is not None
+
+        if others_compatible and (is_upgrade or not table.queue):
+            table.holders[txn_id] = effective
+            self._held[txn_id][resource] = effective
+            request._grant()
+            self.stats.acquired += 1
             return request
 
         # Must wait. Upgrades go to the front of the queue.
-        held_mode = self._held[txn_id].get(resource)
         self.stats.waits += 1
-        queue = self._queues.setdefault(resource, [])
-        if held_mode is None:
-            request = LockRequest(txn_id, resource, mode)
-            queue.append(request)
+        if is_upgrade:
+            table.queue.insert(0, request)
         else:
-            request = LockRequest(txn_id, resource,
-                                  _SUP[(held_mode, mode)])
-            queue.insert(0, request)
+            table.queue.append(request)
         self._waiting[txn_id] = request
 
         victim_cycle = self._find_cycle(txn_id)
         if victim_cycle is not None:
             self.stats.deadlocks += 1
-            self._dequeue(request)
+            self._remove_from_queue(request)
             del self._waiting[txn_id]
             raise DeadlockError(
                 f"txn {txn_id} deadlocked on {resource} "
@@ -269,12 +261,13 @@ class LockManager:
             )
         return request
 
-    def _dequeue(self, request: LockRequest) -> None:
-        queue = self._queues.get(request.resource)
-        if queue is not None and request in queue:
-            queue.remove(request)
-            if not queue:
-                del self._queues[request.resource]
+    def _remove_from_queue(self, request: LockRequest) -> None:
+        table = self._tables.get(request.resource)
+        if table is not None:
+            try:
+                table.queue.remove(request)
+            except ValueError:
+                pass
 
     # -- release --------------------------------------------------------------
 
@@ -282,7 +275,7 @@ class LockManager:
         """Drop every lock held by ``txn_id`` and fail its pending wait."""
         pending = self._waiting.pop(txn_id, None)
         if pending is not None:
-            self._dequeue(pending)
+            self._remove_from_queue(pending)
             if pending.pending:
                 pending._fail(DeadlockError(f"txn {txn_id} aborted"))
             # FIFO queueing means an incompatible head blocks compatible
@@ -290,8 +283,16 @@ class LockManager:
             # the requests behind it even when this txn held nothing on
             # the resource.
             self._regrant(pending.resource)
-        for resource in self._held.pop(txn_id, ()):
-            self._unhold(txn_id, resource)
+            table = self._tables.get(pending.resource)
+            if table is not None and table.empty():
+                del self._tables[pending.resource]
+        resources = list(self._held.pop(txn_id, {}))
+        for resource in resources:
+            table = self._tables[resource]
+            table.holders.pop(txn_id, None)
+            self._regrant(resource)
+            if table.empty():
+                del self._tables[resource]
 
     def release_shared(self, txn_id: int) -> None:
         """Drop read locks only: S and IS released, SIX weakened to IX.
@@ -303,38 +304,36 @@ class LockManager:
         for resource, mode in list(held.items()):
             if mode in (LockMode.S, LockMode.IS):
                 del held[resource]
-                self._unhold(txn_id, resource)
+                table = self._tables[resource]
+                table.holders.pop(txn_id, None)
+                self._regrant(resource)
+                if table.empty():
+                    del self._tables[resource]
             elif mode is LockMode.SIX:
                 held[resource] = LockMode.IX
-                self._holders[resource][txn_id] = LockMode.IX
+                self._tables[resource].holders[txn_id] = LockMode.IX
                 self._regrant(resource)
-
-    def _unhold(self, txn_id: int, resource: Resource) -> None:
-        """Take ``txn_id`` out of a resource's holder map; wake waiters."""
-        holders = self._holders[resource]
-        del holders[txn_id]
-        if not holders:
-            del self._holders[resource]
-        if resource in self._queues:
-            self._regrant(resource)
 
     def _regrant(self, resource: Resource) -> None:
         """Grant queued requests that are now compatible, FIFO order."""
-        queue = self._queues.get(resource)
-        if queue is None:
+        table = self._tables.get(resource)
+        if table is None:
             return
-        while queue:
-            request = queue[0]
-            holders = self._holders.setdefault(resource, {})
-            if not _others_allow(holders, request.txn_id, request.mode):
+        while table.queue:
+            request = table.queue[0]
+            ok = all(
+                compatible(h, request.mode)
+                for holder, h in table.holders.items()
+                if holder != request.txn_id
+            )
+            if not ok:
                 return
-            queue.pop(0)
-            holders[request.txn_id] = request.mode
+            table.queue.pop(0)
+            table.holders[request.txn_id] = request.mode
             self._held[request.txn_id][resource] = request.mode
             self._waiting.pop(request.txn_id, None)
             request._grant()
             self.stats.acquired += 1
-        del self._queues[resource]
 
     # -- deadlock detection ------------------------------------------------------
 
@@ -343,17 +342,14 @@ class LockManager:
 
         A waiter waits on (a) holders whose mode conflicts with its request
         and (b) earlier queued waiters whose requested mode conflicts.
-        Only contended resources have a queue, so the cost is independent
-        of how many uncontended locks are held.
         """
         edges: Dict[int, Set[int]] = defaultdict(set)
-        for resource, queue in self._queues.items():
-            holders = self._holders[resource]
-            for pos, request in enumerate(queue):
-                for holder, mode in holders.items():
+        for resource, table in self._tables.items():
+            for pos, request in enumerate(table.queue):
+                for holder, mode in table.holders.items():
                     if holder != request.txn_id and not compatible(mode, request.mode):
                         edges[request.txn_id].add(holder)
-                for earlier in queue[:pos]:
+                for earlier in table.queue[:pos]:
                     if earlier.txn_id != request.txn_id and not compatible(
                         earlier.mode, request.mode
                     ):

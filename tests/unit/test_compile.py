@@ -3,6 +3,9 @@
 import pytest
 
 from repro.engine import Engine
+from repro.engine import compile as comp
+from repro.engine.executor import ExecContext
+from repro.engine.locks import LockRequest
 
 from tests.oracles.engines import InterpretedEngine
 
@@ -247,3 +250,62 @@ class TestCompiledCache:
         assert "db" in eng._statements
         eng.drop_database("db")
         assert "db" not in eng._statements
+
+
+class TestRangeScanBatches:
+    """``_compile_fetch_batches`` cuts a batch when it is full or when a
+    lock request really has to go out — not before every first-time row
+    lock."""
+
+    ROWS = 600
+
+    @pytest.fixture
+    def scan(self):
+        engine = Engine()
+        engine.create_database("db")
+        txn = engine.begin()
+        engine.execute_sync(txn, "db", "CREATE TABLE r (k INTEGER PRIMARY "
+                                       "KEY, g INTEGER, v INTEGER)")
+        engine.execute_sync(txn, "db", "CREATE INDEX r_g ON r (g)")
+        for k in range(3000):
+            engine.execute_sync(txn, "db", "INSERT INTO r VALUES (?, ?, ?)",
+                                (k, k, k % 7))
+        engine.commit(txn)
+        node = engine.plan("db", "SELECT k, v FROM r WHERE g >= ?").root.child
+        assert type(node).__name__ == "IndexRangeScan"
+        run = comp._compile_index_range_scan(node, False, batched=True)
+
+        def items(txn):
+            ctx = ExecContext(txn, engine.database("db"), engine.locks,
+                              engine.buffer_pool, engine.wal,
+                              (3000 - self.ROWS,))
+            return run(ctx)
+
+        return engine, items
+
+    def test_fresh_row_locks_do_not_cut_batches(self, scan):
+        engine, items = scan
+        txn = engine.begin()
+        batches = list(items(txn))
+        assert all(type(b) is comp.Batch for b in batches)
+        assert [len(b) for b in batches] == [
+            comp.BATCH_SIZE, comp.BATCH_SIZE, self.ROWS - 2 * comp.BATCH_SIZE]
+        assert len(engine.locks.held(txn.txn_id)) == self.ROWS + 1
+        engine.commit(txn)
+
+    def test_rows_before_a_wait_arrive_before_the_request(self, scan):
+        engine, items = scan
+        writer = engine.begin()
+        engine.execute_sync(writer, "db", "UPDATE r SET v = 0 WHERE k = ?",
+                            (3000 - self.ROWS + 100,))
+        reader = engine.begin()
+        gen = items(reader)
+        first, request = next(gen), next(gen)
+        assert [row[0] for row in first.rows] == list(range(2400, 2500))
+        assert isinstance(request, LockRequest) and not request.granted
+        engine.commit(writer)
+        assert request.granted
+        rest = list(gen)
+        assert [len(b) for b in rest] == [256, 244]
+        assert rest[0].rows[0] == (2500, 2500, 0)   # re-read after the wait
+        engine.commit(reader)

@@ -344,3 +344,85 @@ class TestEngineAdmin:
         assert other.execute_sync(txn, "shop",
                                   "SELECT COUNT(*) FROM author").scalar() == 4
         other.commit(txn)
+
+
+class TestUncontendedLocksAllocateNothing:
+    """A lock granted without waiting never becomes a ``LockRequest``."""
+
+    @pytest.fixture
+    def requests(self, monkeypatch):
+        from repro.engine.locks import LockRequest
+        made = []
+        init = LockRequest.__init__
+
+        def counting_init(self, txn_id, resource, mode):
+            made.append((txn_id, resource, mode))
+            init(self, txn_id, resource, mode)
+
+        monkeypatch.setattr(LockRequest, "__init__", counting_init)
+        return made
+
+    def test_tpcw_interactions_on_one_session(self, requests):
+        from repro.sim.rng import SeededRNG
+        from repro.workloads.tpcw.datagen import TpcwDatabase, TpcwScale
+        from repro.workloads.tpcw.mixes import INTERACTIONS
+        from repro.workloads.tpcw.schema import TPCW_DDL
+        from repro.workloads.tpcw.transactions import TpcwSession
+
+        engine = Engine()
+        engine.create_database_from_ddl("db", TPCW_DDL)
+        data = TpcwDatabase(TpcwScale(items=40, emulated_browsers=2), seed=1)
+        for table, rows in data.rows.items():
+            engine.load_table_rows("db", table, [tuple(r) for r in rows])
+
+        class Conn:
+            txn = engine.begin()
+            statements = set()
+
+            def execute(self, sql, params=()):
+                self.statements.add(sql)
+                return engine.execute_sync(self.txn, "db", sql, params)
+
+            def commit(self):
+                engine.commit(self.txn)
+                self.txn = engine.begin()
+
+        conn = Conn()
+        session = TpcwSession(conn, data, SeededRNG(5), customer_id=3,
+                              cart_id=2)
+        for _ in range(200):
+            # As in test_cost_based_property's ``shopping`` fixture: extra
+            # cart visits reach the rarest statement.
+            for name in ["shopping_cart"] * 4 + INTERACTIONS:
+                interaction = getattr(session, name)()
+                reply = None
+                try:
+                    while True:
+                        reply = interaction.send(reply)
+                except StopIteration:
+                    pass
+            if len(conn.statements) == 30:
+                break
+        assert len(conn.statements) == 30
+        assert engine.locks.stats.acquired > 1000
+        assert requests == []
+
+    def test_a_wait_constructs_exactly_one(self, shop, requests):
+        from repro.engine.locks import LockMode
+        writer = shop.begin()
+        shop.execute_sync(writer, "shop",
+                          "UPDATE item SET i_cost = 0.0 WHERE i_id = 7")
+        reader = shop.begin()
+        gen = shop.execute(reader, "shop",
+                           "SELECT i_cost FROM item WHERE i_id = 7")
+        request = next(gen)
+        assert requests == [(reader.txn_id, ("row", "shop", "item", 7),
+                             LockMode.S)]
+        shop.commit(writer)
+        assert request.granted
+        with pytest.raises(StopIteration) as done:
+            next(gen)
+        assert done.value.value.rows == [(0.0,)]
+        shop.commit(reader)
+        assert len(requests) == 1
+        assert shop.locks.stats.waits == 1

@@ -5,6 +5,8 @@ import pytest
 from repro.engine.locks import (LockManager, LockMode, compatible, supremum)
 from repro.errors import DeadlockError
 
+from tests.oracles import lock_table
+
 ROW_A = ("row", "db", "t", 1)
 ROW_B = ("row", "db", "t", 2)
 TBL = ("tbl", "db", "t")
@@ -212,3 +214,87 @@ class TestDeadlocks:
         lm.acquire(2, ROW_A, LockMode.S)
         edges = lm.waits_for_edges()
         assert edges == {2: {1}}
+
+
+class TestFlatState:
+    """Uncontended locks cost nothing to the paths that handle contention,
+    and released state is deleted, not left empty."""
+
+    @staticmethod
+    def assert_empty(lm):
+        assert lm._holders == {}
+        assert lm._queues == {}
+        assert lm._waiting == {}
+        assert not any(lm._held.values())
+
+    def test_deadlock_search_sees_only_contended_resources(self):
+        lm, reference = LockManager(), lock_table.LockManager()
+        for txn in range(1, 51):
+            for manager, mode in ((lm, LockMode), (reference,
+                                                   lock_table.LockMode)):
+                manager.acquire(txn, TBL, mode.IX)
+                for i in range(100):
+                    manager.acquire(txn, ("row", "db", "t", txn * 100 + i),
+                                    mode.X)
+        assert len(lm._holders) == 5001
+        assert lm._queues == {}
+        assert lm.waits_for_edges() == {}
+
+        contended = ("row", "db", "t", 7 * 100 + 3)
+        assert not lm.try_acquire(51, contended, LockMode.S)
+        assert not lm.acquire(51, contended, LockMode.S).granted
+        reference.acquire(51, contended, lock_table.LockMode.S)
+        assert lm.waits_for_edges() == reference.waits_for_edges() == {51: {7}}
+        assert list(lm._queues) == [contended]
+
+        for txn in range(1, 52):
+            lm.release_all(txn)
+        self.assert_empty(lm)
+
+    def test_deadlock_victim_leaves_nothing_behind(self):
+        lm = LockManager()
+        lm.acquire(1, ROW_A, LockMode.X)
+        lm.acquire(2, ROW_B, LockMode.X)
+        lm.acquire(1, ROW_B, LockMode.X)
+        with pytest.raises(DeadlockError):
+            lm.acquire(2, ROW_A, LockMode.X)
+        assert ROW_A not in lm._queues      # the victim's request is gone
+        lm.release_all(2)
+        assert lm.held(1) == {ROW_A: LockMode.X, ROW_B: LockMode.X}
+        lm.release_all(1)
+        self.assert_empty(lm)
+
+    def test_release_shared_leaves_nothing_behind(self):
+        lm = LockManager()
+        lm.acquire(1, TBL, LockMode.IS)
+        lm.acquire(1, ROW_A, LockMode.S)
+        lm.acquire(1, ROW_B, LockMode.X)
+        waiter = lm.acquire(2, ROW_A, LockMode.X)
+        lm.release_shared(1)
+        assert waiter.granted
+        assert set(lm._holders) == {ROW_A, ROW_B}
+        assert lm._queues == {}
+        lm.release_all(1)
+        lm.release_all(2)
+        self.assert_empty(lm)
+
+    def test_try_acquire_covers_the_four_immediate_grants(self):
+        lm = LockManager()
+        assert lm.try_acquire(1, ROW_A, LockMode.S)        # first holder
+        assert lm.try_acquire(1, ROW_A, LockMode.IS)       # re-entrant
+        assert lm.try_acquire(2, ROW_A, LockMode.S)        # compatible
+        assert not lm.try_acquire(1, ROW_A, LockMode.X)    # 2 forbids it
+        assert lm.stats.snapshot() == {"acquired": 3, "waits": 0,
+                                       "deadlocks": 0}
+        lm.release_all(2)
+        assert lm.try_acquire(1, ROW_A, LockMode.X)        # upgrade
+        assert lm.held(1) == {ROW_A: LockMode.X}
+
+    def test_try_acquire_does_not_barge_but_upgrades_do(self):
+        lm = LockManager()
+        lm.acquire(1, ROW_A, LockMode.IS)
+        lm.acquire(2, ROW_A, LockMode.X)                   # queued
+        assert not lm.try_acquire(3, ROW_A, LockMode.IS)   # FIFO
+        assert lm.held(3) == {}
+        assert lm.try_acquire(1, ROW_A, LockMode.S)        # upgrade
+        assert lm.stats.waits == 1                         # refusals count nothing
