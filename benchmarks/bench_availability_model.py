@@ -11,52 +11,39 @@ prediction built from the same run's observed failure count and copy
 durations. A reproduction of the *model*, not just the mechanism.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.cluster import (ClusterConfig, ClusterController,
-                           CopyGranularity, ReadOption, RecoveryManager,
-                           WritePolicy)
-from repro.harness import format_table
-from repro.harness.faults import FailureInjector
-from repro.sim import Simulator
-from repro.sla.model import AvailabilityInputs, rejected_fraction_bound
+from repro.harness import format_table, soaks
+from repro.harness.scenario import run_scenario
+from repro.sla.model import rejected_fraction_bound
 from repro.sla.monitor import observed_availability_inputs
-from repro.workloads.microbench import KeyValueWorkload
 
 DURATION_S = 300.0
 MTBF_S = 40.0
+DB = "kv0"
 
 
 def run_soak():
-    sim = Simulator()
-    config = ClusterConfig(read_option=ReadOption.OPTION_1,
-                           write_policy=WritePolicy.CONSERVATIVE)
-    config.machine.copy_bytes_factor = 20_000.0  # ~10 s copies
-    controller = ClusterController(sim, config)
-    controller.add_machines(6)
-    workload = KeyValueWorkload(controller, db_name="app", keys=40, seed=2)
-    workload.install(replicas=2)
-    recovery = RecoveryManager(controller,
-                               granularity=CopyGranularity.DATABASE,
-                               threads=2, retry_delay_s=1.0)
-    recovery.start()
-    injector = FailureInjector(controller, mtbf_s=MTBF_S, seed=9,
-                               min_live_machines=3)
-    injector.start()
-    for cid in range(4):
-        proc = sim.process(workload.client(
-            cid, transactions=100_000, reads_per_txn=1, writes_per_txn=1,
-            think_time_s=0.25))
-        proc.defused = True
-    sim.run(until=DURATION_S)
-    injector.stop()
+    # The fault soak with database-level copies (the rejection window is
+    # the whole copy), sized to one tenant under four clients; nothing
+    # is measured after the failures stop, so there is no drain.
+    scenario = dataclasses.replace(
+        soaks.faults(copy="database", duration_s=DURATION_S, drain_s=0.0,
+                     mtbf_s=MTBF_S, seed=9),
+        databases=1, keys_per_db=40, clients_per_db=4, think_time_s=0.25)
+    scenario.config.machine.copy_bytes_factor = 20_000.0  # ~0.8 s copies
+    run = run_scenario(scenario)
+    assert all(r.mode == "database" for r in run.recoveries)
 
-    counters = controller.metrics.db("app")
+    counters = run.metrics.db(DB)
     measured_fraction = counters.rejected_fraction()
     failures_hitting_db = sum(
-        1 for event in injector.events if "app" in event.databases_affected)
+        1 for event in run.parts["crashes"].events
+        if DB in event.databases_affected)
     inputs = observed_availability_inputs(
-        "app", recovery.records, failures_observed=failures_hitting_db,
+        DB, run.recoveries, failures_observed=failures_hitting_db,
         window_s=DURATION_S, write_mix=1.0, period_s=DURATION_S)
     predicted = rejected_fraction_bound(inputs, DURATION_S)
     return {

@@ -29,7 +29,8 @@ import pytest
 sys.path.insert(0, "src")
 
 from repro.analysis.invariants import check_controller
-from repro.harness.runner import run_stampede_soak
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 
 #: The per-tenant SLA every database in the soak declares.
 SLA_TPS = 4.0
@@ -40,11 +41,13 @@ SMOKE = {"duration_s": 24.0, "ramp_at_s": 9.0}
 
 
 def run_point(admission, duration_s, ramp_at_s, seed=3):
-    result = run_stampede_soak(admission=admission, duration_s=duration_s,
-                               ramp_at_s=ramp_at_s, sla_tps=SLA_TPS,
-                               max_rejected_fraction=MAX_REJECTED_FRACTION,
-                               seed=seed)
-    violations = check_controller(result.controller)
+    run = run_scenario(soaks.stampede(
+        admission=admission, duration_s=duration_s, ramp_at_s=ramp_at_s,
+        sla_tps=SLA_TPS, max_rejected_fraction=MAX_REJECTED_FRACTION,
+        seed=seed))
+    result = soaks.stampede_report(run)
+    breaches = run.parts["overload_monitor"].breaches
+    violations = check_controller(run.controller)
     assert not violations, \
         "invariant violation in bench run:\n" + \
         "\n".join(str(v) for v in violations)
@@ -60,17 +63,16 @@ def run_point(admission, duration_s, ramp_at_s, seed=3):
         }
     return {
         "admission": bool(admission),
-        "hot_db": result.hot_db,
+        "hot_db": soaks.HOT_DB,
         "hot_provisioned_tps": result.hot_provisioned_tps,
         "hot_goodput_tps": round(result.hot_goodput_tps, 4),
         "hot_admitted_fraction": round(result.hot_admitted_fraction, 6),
         "neighbour_max_rejected_fraction":
             round(result.neighbour_max_rejected_fraction, 6),
         "neighbour_p99_ratio": round(result.neighbour_p99_ratio, 4),
-        "shed_reads": result.shed_reads,
-        "breaches": len(result.breaches),
-        "in_rate_breaches": sum(1 for b in result.breaches
-                                if b.within_rate),
+        "shed_reads": len(run.events("shed_read")),
+        "breaches": len(breaches),
+        "in_rate_breaches": sum(1 for b in breaches if b.within_rate),
         "per_db": per_db,
     }
 
@@ -129,9 +131,9 @@ def format_rows(on, off):
 @pytest.mark.benchmark(group="overload")
 @pytest.mark.parametrize("admission", [True, False], ids=["on", "off"])
 def test_bench_stampede(benchmark, admission):
-    result = benchmark(run_stampede_soak, admission=admission,
-                       duration_s=20.0, ramp_at_s=8.0)
-    assert result.metrics.total_committed() > 0
+    result = benchmark(lambda: run_scenario(soaks.stampede(
+        admission=admission, duration_s=20.0, ramp_at_s=8.0)))
+    assert result.committed > 0
 
 
 # -- plain mode ---------------------------------------------------------------

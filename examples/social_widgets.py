@@ -9,8 +9,8 @@ databases while the widgets keep serving.
 Run:  python examples/social_widgets.py
 """
 
-from repro.cluster import (ClusterConfig, ClusterController, CopyGranularity,
-                           ReadOption, RecoveryManager, WritePolicy)
+from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
+                           RecoveryManager, WritePolicy)
 from repro.cluster.controller import TransactionAborted
 from repro.harness import format_table
 from repro.sim import Simulator
@@ -50,8 +50,7 @@ def main():
                 for u in range(users) for p in range(3)]
         controller.bulk_load(db, "state", rows)
 
-    recovery = RecoveryManager(controller,
-                               granularity=CopyGranularity.TABLE, threads=2)
+    recovery = RecoveryManager(controller, threads=2)
     recovery.start()
 
     def widget_client(db, client_id, users):

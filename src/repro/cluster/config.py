@@ -57,13 +57,6 @@ class ClusterConfig:
     lock_wait_timeout_s: float = 5.0
     # Recovery: number of concurrent database copy processes.
     recovery_threads: int = 1
-    # Log-structured delta re-replication: dump the snapshot at a pinned
-    # LSN *without* rejecting writes, stream it, replay the retained
-    # per-database commit log on the target, and shrink Algorithm 1's
-    # write-rejection window to the final log-drain handoff. When False
-    # the original full-copy path (rejection for the copy's whole
-    # duration) is the reference implementation.
-    delta_recovery: bool = True
     # Entries of the per-database commit log retained for delta catch-up
     # (snapshot pins hold truncation back further while a copy is in
     # flight). A rejoining machine whose last durable LSN fell behind

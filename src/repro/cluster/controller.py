@@ -1689,19 +1689,18 @@ class ClusterController:
 
     def _readmit(self, name: str) -> None:
         """A declared-dead machine answered a heartbeat: a false
-        suspicion. With delta recovery on, databases it still holds
-        intact — and whose commit suffix the retained log still covers —
-        catch up from their last durable LSN and rejoin; everything else
-        is stale and dropped. Without delta recovery (or when nothing is
-        catchable) it re-enters as a blank spare (fresh empty engine),
-        eligible as a copy target."""
+        suspicion. Databases it still holds intact — and whose commit
+        suffix the retained log still covers — catch up from their last
+        durable LSN and rejoin; everything else is stale and dropped.
+        When nothing is catchable it re-enters as a blank spare (fresh
+        empty engine), eligible as a copy target."""
         machine = self.machines[name]
         self.declared_dead.discard(name)
         self.fenced.discard(name)
         self.detector.forget(name)
         holdings = self._stale_holdings.pop(name, {})
         eligible: Dict[str, int] = {}
-        if self.config.delta_recovery and machine.alive:
+        if machine.alive:
             for db, lsn in holdings.items():
                 if not self.replica_map.has(db):
                     continue

@@ -6,19 +6,20 @@ number of *recovery threads* (the x-axis of the paper's Figure 8); each
 thread takes one under-replicated database at a time and copies it to a
 new machine with the dump tool.
 
-With ``ClusterConfig.delta_recovery`` on (the default), the copy is
-*log-structured*: the dump snapshots the database at a pinned LSN of the
-per-database commit log **without rejecting writes**, the snapshot
-streams to the target while writes keep flowing, and the retained log
-replays on the target from the pinned LSN. Algorithm 1's write-rejection
-window shrinks to the final log-drain handoff — independent of database
-size. The original full-copy reference path (``delta_recovery=False``)
-rejects at either granularity:
+The copy strategy is the manager's ``copy`` argument:
 
-* ``TABLE`` — tables are copied one at a time; only writes to the table
-  *currently* being copied are rejected (Algorithm 1 line 11);
-* ``DATABASE`` — the whole database is copied under one lock footprint;
-  every write to the database is rejected for the copy's full duration.
+* ``"delta"`` (the default) — *log-structured*: the dump snapshots the
+  database at a pinned LSN of the per-database commit log **without
+  rejecting writes**, the snapshot streams to the target while writes
+  keep flowing, and the retained log replays on the target from the
+  pinned LSN. The write-rejection window shrinks to the final log-drain
+  handoff — independent of database size;
+* ``"table"`` — the paper's Algorithm 1: tables are copied one at a
+  time; only writes to the table *currently* being copied are rejected
+  (Algorithm 1 line 11);
+* ``"database"`` — the whole database is copied under one lock
+  footprint; every write to the database is rejected for the copy's
+  full duration (the lower-concurrency curve of Figure 8).
 
 The copy pipeline (:func:`copy_replica`, also what planned migration
 copies through) charges simulated time for the source read, the rack
@@ -69,12 +70,15 @@ class RecoveryManager:
     """Re-replicates under-replicated databases in the background."""
 
     def __init__(self, controller: ClusterController,
-                 granularity: CopyGranularity = CopyGranularity.TABLE,
+                 copy: str = "delta",
                  threads: Optional[int] = None,
                  retry_delay_s: float = 5.0):
+        if copy not in _STRATEGIES:
+            raise ValueError(f"unknown copy strategy {copy!r}; "
+                             f"expected one of {sorted(_STRATEGIES)}")
         self.controller = controller
         self.sim: Simulator = controller.sim
-        self.granularity = granularity
+        self.copy = copy
         self.threads = threads or controller.config.recovery_threads
         # Wait this long before retrying a failed re-replication (e.g.
         # when no machine can host the new replica yet).
@@ -198,8 +202,7 @@ class RecoveryManager:
         # (consensus mode) so every replica knows where the new copy of
         # this database is headed.
         controller._propose_meta("placement", db=db, target=target_name)
-        mode = ("delta" if controller.config.delta_recovery
-                else self.granularity.value)
+        mode = self.copy
         started = self.sim.now
         try:
             copied_bytes, applied_lsn = yield from copy_replica(

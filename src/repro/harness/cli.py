@@ -15,22 +15,27 @@ makes the command exit non-zero. The figure benchmarks under
 ``benchmarks/`` are the authoritative regenerators (with shape
 assertions); this CLI is the quick interactive way to eyeball a table
 without pytest.
+
+:data:`COMMANDS` is the registry: one ordered table that ``--list``,
+the argparse choices, ``all`` and dispatch all read. A command runs its
+experiment, prints its tables and returns its invariant-violation count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from typing import Callable, Dict, Tuple
 
-from repro.analysis.invariants import check_controller, check_trace
-from repro.cluster import CopyGranularity, ReadOption, WritePolicy
+from repro.analysis.invariants import check_trace
+from repro.cluster import ReadOption, WritePolicy
+from repro.harness import soaks
 from repro.harness.reporting import format_table
-from repro.harness.runner import (run_commit_latency_bench,
-                                  run_controller_soak, run_dr_soak,
-                                  run_fault_soak, run_many_tenants,
-                                  run_partition_soak,
-                                  run_recovery_experiment, run_sla_placement,
-                                  run_stampede_soak, run_tpcw_cluster)
+from repro.harness.runner import (run_commit_latency_bench, run_dr_soak,
+                                  run_many_tenants, run_recovery_experiment,
+                                  run_sla_placement, run_tpcw_cluster)
+from repro.harness.scenario import run_scenario
 from repro.sla.model import ResourceVector
 from repro.workloads.tpcw import TpcwScale
 
@@ -45,15 +50,14 @@ def _trace_path(base: str, label: str) -> str:
     return f"{base}.{label}"
 
 
-def _export_trace(controller, args, label: str = "",
-                  expect_recovery_complete: bool = False) -> int:
-    """Dump one run's trace and audit it; returns the violation count."""
-    if not getattr(args, "trace", None):
+def _export_trace(trace, args, label: str = "", **audit) -> int:
+    """Dump one tracer's events and audit them with the ``audit`` flags
+    of the invariant checker; returns the violation count."""
+    if not args.trace:
         return 0
     path = _trace_path(args.trace, label)
-    count = controller.trace.dump_jsonl(path)
-    violations = check_controller(
-        controller, expect_recovery_complete=expect_recovery_complete)
+    count = trace.dump_jsonl(path)
+    violations = check_trace(trace.events(), dropped=trace.dropped, **audit)
     status = "OK" if not violations else f"{len(violations)} VIOLATED"
     print(f"trace: {count} events -> {path}; invariants: {status}")
     for violation in violations[:20]:
@@ -61,7 +65,17 @@ def _export_trace(controller, args, label: str = "",
     return len(violations)
 
 
-def cmd_table2(args) -> None:
+def _export_cluster(controller, args, label: str = "",
+                    expect_recovery_complete: bool = False) -> int:
+    """A cluster's trace, audited under the cluster's own policy."""
+    return _export_trace(
+        controller.trace, args, label,
+        write_policy=controller.config.write_policy.value,
+        replication_factor=controller.config.replication_factor,
+        expect_recovery_complete=expect_recovery_complete)
+
+
+def cmd_table2(args) -> int:
     capacity = ResourceVector(cpu=2.0, memory_mb=1200.0, disk_io_mbps=60.0,
                               disk_mb=20000.0)
     rows = []
@@ -76,6 +90,7 @@ def cmd_table2(args) -> None:
     print(format_table(
         ["Skew Factor", "Average Size (MB)", "Average Throughput (TPS)",
          "# of Machines Used", "Optimal Solution"], rows))
+    return 0
 
 
 def cmd_throughput(mix: str, args) -> int:
@@ -95,8 +110,8 @@ def cmd_throughput(mix: str, args) -> int:
             think_time_s=0.02, buffer_pool_pages=256)
         rows.append([label, result.throughput_tps, result.buffer_hit_rate,
                      result.deadlocks])
-        violations += _export_trace(result.controller, args,
-                                    label=f"{mix}-{label}")
+        violations += _export_cluster(result.controller, args,
+                                      label=f"{mix}-{label}")
     print(format_table(["configuration", "throughput (tps)",
                         "buffer hit rate", "deadlocks"], rows))
     return violations
@@ -105,53 +120,47 @@ def cmd_throughput(mix: str, args) -> int:
 def cmd_recovery(args) -> int:
     rows = []
     violations = 0
-    for granularity in (CopyGranularity.TABLE, CopyGranularity.DATABASE):
+    for copy in ("table", "database"):
         for threads in (1, 2, 4):
-            # Figures 8-9 measure the full-copy reference path: the
-            # reject window *is* the quantity under study.
+            # Figures 8-9 measure Algorithm 1's full copies: the reject
+            # window *is* the quantity under study.
             result = run_recovery_experiment(
-                granularity=granularity, recovery_threads=threads,
-                machines=4, n_databases=4, clients_per_db=2,
+                copy=copy, recovery_threads=threads,
                 duration_s=args.duration, failure_time_s=20.0,
-                copy_bytes_factor=2000.0, think_time_s=0.3,
-                delta_recovery=False)
-            rows.append([granularity.value, threads,
+                copy_bytes_factor=2000.0)
+            rows.append([copy, threads,
                          result.mean_rejections_per_db,
                          result.throughput_before_tps,
                          result.throughput_during_tps,
                          result.throughput_after_tps])
-            violations += _export_trace(
-                result.controller, args,
-                label=f"{granularity.value}-{threads}")
+            violations += _export_cluster(result.controller, args,
+                                          label=f"{copy}-{threads}")
     print(format_table(
         ["copy granularity", "recovery threads", "rejections/db",
          "tps before", "tps during", "tps after"], rows))
     return violations
 
 
-def cmd_delta_recovery(args) -> int:
+def cmd_delta(args) -> int:
     """Log-structured delta recovery vs the full-copy reference."""
     rows = []
     violations = 0
-    for label, delta in (("full-copy", False), ("delta", True)):
+    for label, copy in (("full-copy", "database"), ("delta", "delta")):
         # Enough recovery threads that every database affected by the
         # failure starts copying immediately, and a copy size small
         # enough that concurrent copies (which contend for disk I/O on
         # shared targets) all drain to full re-protection within the
         # run — the trace is audited with expect_recovery_complete.
         result = run_recovery_experiment(
-            granularity=CopyGranularity.DATABASE, recovery_threads=4,
-            machines=4, n_databases=4, clients_per_db=2,
-            duration_s=args.duration * 2, failure_time_s=5.0,
-            copy_bytes_factor=800.0, think_time_s=0.3,
-            delta_recovery=delta)
+            copy=copy, recovery_threads=4, duration_s=args.duration * 2,
+            failure_time_s=5.0, copy_bytes_factor=800.0)
         rows.append([label, result.rejections_total,
                      result.throughput_during_tps,
                      result.recovery_complete_time,
                      sum(1 for r in result.recovery_records
                          if r.succeeded)])
-        violations += _export_trace(result.controller, args, label=label,
-                                    expect_recovery_complete=True)
+        violations += _export_cluster(result.controller, args, label=label,
+                                      expect_recovery_complete=True)
     print(format_table(
         ["pipeline", "rejections", "tps during", "recovered at (s)",
          "recoveries"], rows))
@@ -160,57 +169,59 @@ def cmd_delta_recovery(args) -> int:
 
 def cmd_faults(args) -> int:
     """MTBF-driven failure soak; the flagship --trace demonstration."""
-    result = run_fault_soak(duration_s=args.duration * 2,
-                            drain_s=args.duration, mtbf_s=args.mtbf,
-                            seed=args.seed)
+    run = run_scenario(soaks.faults(
+        duration_s=args.duration * 2, drain_s=args.duration,
+        mtbf_s=args.mtbf, seed=args.seed))
     print(format_table(
         ["failures", "committed", "aborted", "rejected", "tps",
          "recoveries"],
-        [[len(result.failures), result.committed, result.aborted,
-          result.rejections, result.throughput_tps,
-          sum(1 for r in result.recovery_records if r.succeeded)]]))
-    latencies = result.metrics.latency_summary()
+        [[len(run.parts["crashes"].events), run.committed, run.aborted,
+          run.rejections, run.throughput_tps, len(run.recoveries)]]))
+    latencies = run.metrics.latency_summary()
     if latencies:
         print(format_table(
             ["phase", "count", "mean (s)", "p50 (s)", "p95 (s)", "p99 (s)"],
             [[phase, int(stats["count"]), stats["mean"], stats["p50"],
               stats["p95"], stats["p99"]]
              for phase, stats in latencies.items()]))
-    return _export_trace(result.controller, args,
-                         expect_recovery_complete=True)
+    return _export_cluster(run.controller, args,
+                           expect_recovery_complete=True)
 
 
 def cmd_stampede(args) -> int:
     """Noisy-neighbour stampede: admission control on vs off."""
     violations = 0
     for label, admission in (("admission-on", True), ("admission-off", False)):
-        result = run_stampede_soak(
+        run = run_scenario(soaks.stampede(
             admission=admission, duration_s=args.duration * 3,
             ramp_at_s=args.duration, mtbf_s=args.stampede_mtbf,
             drain_s=args.duration if args.stampede_mtbf else 0.0,
-            seed=args.seed)
+            seed=args.seed))
+        report = soaks.stampede_report(run)
+        crashes = run.parts.get("crashes")
         print(f"-- {label} --")
         print(format_table(
             ["hot goodput (tps)", "provisioned (tps)", "admitted frac",
              "worst nbr rej frac", "worst nbr p99 ratio", "shed reads",
              "breaches", "failures"],
-            [[result.hot_goodput_tps,
-              "-" if result.hot_provisioned_tps is None
-              else result.hot_provisioned_tps,
-              result.hot_admitted_fraction,
-              result.neighbour_max_rejected_fraction,
-              result.neighbour_p99_ratio, result.shed_reads,
-              len(result.breaches), len(result.failures)]]))
-        summary = result.metrics.per_db_summary()
+            [[report.hot_goodput_tps,
+              "-" if report.hot_provisioned_tps is None
+              else report.hot_provisioned_tps,
+              report.hot_admitted_fraction,
+              report.neighbour_max_rejected_fraction,
+              report.neighbour_p99_ratio, len(run.events("shed_read")),
+              len(run.parts["overload_monitor"].breaches),
+              len(crashes.events) if crashes is not None else 0]]))
+        summary = run.metrics.per_db_summary()
         print(format_table(
             ["db", "committed", "overload rejected", "rejected frac",
              "baseline p99 (s)", "stampede p99 (s)"],
             [[db, row["committed"], row["overload_rejected"],
               row["overload_rejected_fraction"],
-              result.baseline_p99.get(db, 0.0),
-              result.stampede_p99.get(db, 0.0)]
+              report.baseline_p99.get(db, 0.0),
+              report.stampede_p99.get(db, 0.0)]
              for db, row in summary.items()]))
-        violations += _export_trace(result.controller, args, label=label)
+        violations += _export_cluster(run.controller, args, label=label)
     return violations
 
 
@@ -237,52 +248,58 @@ def _print_network(metrics) -> None:
 
 def cmd_partitions(args) -> int:
     """Unreliable-fabric soak: partitions, silent crashes, takeover."""
-    result = run_partition_soak(duration_s=args.duration * 2,
-                                drain_s=max(args.duration, 30.0),
-                                partition_mtbf_s=args.mtbf,
-                                seed=args.seed)
+    run = run_scenario(soaks.partitions(
+        duration_s=args.duration * 2, drain_s=max(args.duration, 30.0),
+        partition_mtbf_s=args.mtbf, seed=args.seed))
+    crashes, backup = run.parts["crashes"], run.parts["process_pair"]
     print(format_table(
         ["partitions", "crashes", "repairs", "committed", "aborted",
          "rejected", "tps", "recoveries"],
-        [[len(result.partitions), len(result.failures),
-          len(result.repairs), result.committed, result.aborted,
-          result.rejections, result.throughput_tps,
-          sum(1 for r in result.recovery_records if r.succeeded)]]))
+        [[len(run.parts["partitions"].events), len(crashes.events),
+          len(crashes.repairs), run.committed, run.aborted,
+          run.rejections, run.throughput_tps, len(run.recoveries)]]))
     print(format_table(
         ["suspected", "declared", "readmitted", "takeover commits",
          "takeover aborts"],
-        [[result.suspected_total, len(result.declared),
-          len(result.readmitted), len(result.takeover_committed),
-          len(result.takeover_aborted)]]))
-    _print_network(result.metrics)
-    return _export_trace(result.controller, args,
-                         expect_recovery_complete=True)
+        [[len(run.events("machine_suspected")),
+          len(run.events("machine_declared")),
+          len(run.events("machine_readmitted")),
+          len(backup.completed_on_takeover),
+          len(backup.aborted_on_takeover)]]))
+    _print_network(run.metrics)
+    return _export_cluster(run.controller, args,
+                           expect_recovery_complete=True)
 
 
 def cmd_controllers(args) -> int:
     """Controller-churn soak: consensus group vs process-pair reference."""
     violations = 0
     for label, consensus in (("consensus", True), ("pair", False)):
-        result = run_controller_soak(
+        run = run_scenario(soaks.controllers(
             consensus=consensus, duration_s=args.duration * 2,
             drain_s=max(args.duration, 15.0), ctl_kill_mtbf_s=args.mtbf,
-            seed=args.seed)
+            seed=args.seed))
         mode = ("multi-Paxos group (consensus_enabled=True)" if consensus
                 else "process pair (consensus_enabled=False)")
         print(f"-- {mode} --")
+        # The pair's one controller failure is the staged primary crash.
+        kills = run.parts.get("ctl_kills")
+        crashes = kills.events if kills else run.events("primary_crashed")
+        network = run.metrics.network
         print(format_table(
             ["ctl kills", "ctl partitions", "elections", "leader changes",
              "takeovers", "orphaned txns"],
-            [[len(result.kills), len(result.ctl_partitions),
-              result.elections, result.leader_changes, result.takeovers,
-              result.orphaned]]))
+            [[len(crashes), len(kills.partitions) if kills else 0,
+              network.elections, network.leader_changes,
+              len(run.events("ctl_takeover" if consensus else "takeover")),
+              len(run.events("txn_orphaned"))]]))
         print(format_table(
             ["committed", "aborted", "reconnects", "recoveries"],
-            [[result.committed, result.aborted, result.reconnects,
-              sum(1 for r in result.recovery_records if r.succeeded)]]))
-        _print_network(result.metrics)
-        violations += _export_trace(result.controller, args, label=label,
-                                    expect_recovery_complete=True)
+            [[run.committed, run.aborted,
+              sum(s.reconnects for s in run.stats), len(run.recoveries)]]))
+        _print_network(run.metrics)
+        violations += _export_cluster(run.controller, args, label=label,
+                                      expect_recovery_complete=True)
     return violations
 
 
@@ -317,19 +334,7 @@ def cmd_disaster(args) -> int:
     _print_network(result.metrics)
     # The system tier has its own tracer; audit with the DR rules armed
     # (a drained soak must end with every live link caught up).
-    system = result.system
-    if not getattr(args, "trace", None):
-        return 0
-    path = _trace_path(args.trace, "")
-    count = system.trace.dump_jsonl(path)
-    violations = check_trace(system.trace.events(),
-                             expect_lag_drained=True,
-                             dropped=system.trace.dropped)
-    status = "OK" if not violations else f"{len(violations)} VIOLATED"
-    print(f"trace: {count} events -> {path}; invariants: {status}")
-    for violation in violations[:20]:
-        print(f"  {violation}")
-    return len(violations)
+    return _export_trace(result.system.trace, args, expect_lag_drained=True)
 
 
 def cmd_clustertxn(args) -> int:
@@ -374,44 +379,67 @@ def cmd_many_tenants(args) -> int:
           result.resident_latency_histograms,
           result.summarised_latency_tenants, result.cold_engine_tenants,
           result.paged_out_logs]]))
-    return _export_trace(result.controller, args)
+    return _export_cluster(result.controller, args)
 
 
-def cmd_table1(args) -> None:
+def cmd_table1(args) -> int:
     # Import lazily: the benchmark module carries the implementation.
     sys.path.insert(0, "benchmarks")
     try:
         from bench_table1_serializability import regenerate_table1
     except ImportError:
         print("run from the repository root (needs benchmarks/ on path)")
-        return
+        return 0
     table, _ = regenerate_table1()
     print(table)
+    return 0
 
 
-EXPERIMENTS = [
-    ("table1", "serializability matrix for the read/write policy options"),
-    ("table2", "SLA-driven placement vs optimal bin packing"),
-    ("fig2", "TPC-W shopping-mix throughput across replication options"),
-    ("fig3", "TPC-W browsing-mix throughput across replication options"),
-    ("fig4", "TPC-W ordering-mix throughput across replication options"),
-    ("fig8-9", "recovery throughput/rejections by copy granularity"),
-    ("delta", "log-structured delta recovery vs the full-copy reference"),
-    ("faults", "MTBF failure soak with recovery (trace/invariant demo)"),
-    ("stampede", "noisy-neighbour stampede soak: per-tenant admission "
-                 "control, read shedding, SLA-bound rejections"),
-    ("partitions", "unreliable-fabric soak: partitions, heartbeat "
-                   "detection, fencing, process-pair takeover"),
-    ("controllers", "controller-kill soak: multi-Paxos elections, leader "
-                    "leases, take-over cleanup vs the process pair"),
-    ("disaster", "cross-colo DR soak: lossy WAN log shipping, colo kill, "
-                 "fenced failover, re-protection, RPO/RTO"),
-    ("clustertxn", "2PC phase latency of the commit fan-out vs its "
-                   "analytic one-round-trip cost"),
-    ("manytenants", "tenant-scale soak: thousands of mostly-cold tenants "
-                    "on the lazy fast path, with churn and a flash crowd"),
-    ("all", "every experiment above, quick settings"),
-]
+#: name -> (help, banner, command(args) -> violations), in the order
+#: ``--list`` prints and ``all`` runs them.
+COMMANDS: Dict[str, Tuple[str, str, Callable[[argparse.Namespace], int]]] = {
+    "table1": ("serializability matrix for the read/write policy options",
+               "== Table 1: serializability matrix ==", cmd_table1),
+    "table2": ("SLA-driven placement vs optimal bin packing",
+               "\n== Table 2: SLA placement ==", cmd_table2),
+    **{fig: (f"TPC-W {mix}-mix throughput across replication options",
+             f"\n== {fig.upper()}: throughput, {mix} mix ==",
+             partial(cmd_throughput, mix))
+       for fig, mix in (("fig2", "shopping"), ("fig3", "browsing"),
+                        ("fig4", "ordering"))},
+    "fig8-9": ("recovery throughput/rejections by copy granularity",
+               "\n== Figures 8-9: recovery ==", cmd_recovery),
+    "delta": ("log-structured delta recovery vs the full-copy reference",
+              "\n== Delta recovery: log-structured vs full copy ==",
+              cmd_delta),
+    "faults": ("MTBF failure soak with recovery (trace/invariant demo)",
+               "\n== Fault soak: MTBF failures with recovery ==", cmd_faults),
+    "stampede": ("noisy-neighbour stampede soak: per-tenant admission "
+                 "control, read shedding, SLA-bound rejections",
+                 "\n== Stampede soak: admission control vs noisy "
+                 "neighbour ==", cmd_stampede),
+    "partitions": ("unreliable-fabric soak: partitions, heartbeat "
+                   "detection, fencing, process-pair takeover",
+                   "\n== Partition soak: unreliable fabric, detection, "
+                   "takeover ==", cmd_partitions),
+    "controllers": ("controller-kill soak: multi-Paxos elections, leader "
+                    "leases, take-over cleanup vs the process pair",
+                    "\n== Controller soak: Paxos elections, leases, "
+                    "take-over ==", cmd_controllers),
+    "disaster": ("cross-colo DR soak: lossy WAN log shipping, colo kill, "
+                 "fenced failover, re-protection, RPO/RTO",
+                 "\n== Disaster soak: WAN shipping, colo failover, "
+                 "RPO/RTO ==", cmd_disaster),
+    "clustertxn": ("2PC phase latency of the commit fan-out vs its "
+                   "analytic one-round-trip cost",
+                   "\n== Cluster commit: fan-out phase latency ==",
+                   cmd_clustertxn),
+    "manytenants": ("tenant-scale soak: thousands of mostly-cold tenants "
+                    "on the lazy fast path, with churn and a flash crowd",
+                    "\n== Many tenants: lazy fast path at tenant scale ==",
+                    cmd_many_tenants),
+}
+ALL = ("all", "every experiment above, quick settings")
 
 
 def main(argv=None) -> int:
@@ -419,7 +447,7 @@ def main(argv=None) -> int:
         prog="repro.harness",
         description="Regenerate the paper's evaluation tables")
     parser.add_argument("experiment", nargs="?",
-                        choices=[name for name, _ in EXPERIMENTS])
+                        choices=[*COMMANDS, ALL[0]])
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
     parser.add_argument("--duration", type=float, default=12.0,
@@ -444,54 +472,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        width = max(len(name) for name, _ in EXPERIMENTS)
-        for name, description in EXPERIMENTS:
+        listing = [*((name, c[0]) for name, c in COMMANDS.items()), ALL]
+        width = max(len(name) for name, _ in listing)
+        for name, description in listing:
             print(f"{name:<{width}}  {description}")
         return 0
     if args.experiment is None:
         parser.error("the following arguments are required: experiment")
 
-    chosen = args.experiment
+    chosen = COMMANDS if args.experiment == ALL[0] else [args.experiment]
     violations = 0
-    if chosen in ("table1", "all"):
-        print("== Table 1: serializability matrix ==")
-        cmd_table1(args)
-    if chosen in ("table2", "all"):
-        print("\n== Table 2: SLA placement ==")
-        cmd_table2(args)
-    for fig, mix in (("fig2", "shopping"), ("fig3", "browsing"),
-                     ("fig4", "ordering")):
-        if chosen in (fig, "all"):
-            print(f"\n== {fig.upper()}: throughput, {mix} mix ==")
-            violations += cmd_throughput(mix, args)
-    if chosen in ("fig8-9", "all"):
-        print("\n== Figures 8-9: recovery ==")
-        violations += cmd_recovery(args)
-    if chosen in ("delta", "all"):
-        print("\n== Delta recovery: log-structured vs full copy ==")
-        violations += cmd_delta_recovery(args)
-    if chosen in ("faults", "all"):
-        print("\n== Fault soak: MTBF failures with recovery ==")
-        violations += cmd_faults(args)
-    if chosen in ("stampede", "all"):
-        print("\n== Stampede soak: admission control vs noisy neighbour ==")
-        violations += cmd_stampede(args)
-    if chosen in ("partitions", "all"):
-        print("\n== Partition soak: unreliable fabric, detection, "
-              "takeover ==")
-        violations += cmd_partitions(args)
-    if chosen in ("controllers", "all"):
-        print("\n== Controller soak: Paxos elections, leases, take-over ==")
-        violations += cmd_controllers(args)
-    if chosen in ("disaster", "all"):
-        print("\n== Disaster soak: WAN shipping, colo failover, RPO/RTO ==")
-        violations += cmd_disaster(args)
-    if chosen in ("clustertxn", "all"):
-        print("\n== Cluster commit: fan-out phase latency ==")
-        violations += cmd_clustertxn(args)
-    if chosen in ("manytenants", "all"):
-        print("\n== Many tenants: lazy fast path at tenant scale ==")
-        violations += cmd_many_tenants(args)
+    for name in chosen:
+        _help, banner, command = COMMANDS[name]
+        print(banner)
+        violations += command(args)
     if violations:
         print(f"\n{violations} invariant violation(s) detected")
         return 1

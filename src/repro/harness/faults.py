@@ -99,6 +99,34 @@ class _RestartableInjector:
                 proc.interrupt("injector stopped")
         self._procs = []
 
+    def _cut_episodes(self, fabric, mtbf_s: float, mean_heal_s: float,
+                      cut, log: List[PartitionEvent]) -> Generator:
+        """Sequential cut → wait → heal episodes drawn from ``self.rng``.
+
+        ``cut()`` severs some links and returns the :class:`PartitionEvent`
+        (or None when there is nothing to cut this round); the links an
+        episode cut are healed by the same episode, and a stop heals
+        whatever is still cut so a stopped soak can drain cleanly.
+        """
+        sim = self.controller.sim
+        try:
+            while True:
+                yield sim.timeout(self.rng.expovariate(1.0 / mtbf_s))
+                event = cut()
+                if event is None:
+                    continue
+                log.append(event)
+                yield sim.timeout(self.rng.expovariate(1.0 / mean_heal_s))
+                for a, b in event.links:
+                    fabric.heal(a, b)
+                event.healed_at = sim.now
+        except Interrupt:
+            for event in log:
+                if event.healed_at is None:
+                    for a, b in event.links:
+                        fabric.heal(a, b)
+                    event.healed_at = sim.now
+
 
 class FailureInjector(_RestartableInjector):
     """Fails random live machines with exponential inter-arrival times."""
@@ -245,7 +273,10 @@ class ControllerKillInjector(_RestartableInjector):
         if (self.partition_mtbf_s is not None
                 and self.controller.fabric.enabled):
             loops.append(("controller-partition-injector",
-                          self._partition_loop()))
+                          self._cut_episodes(
+                              self.controller.fabric, self.partition_mtbf_s,
+                              self.mean_heal_s, self._cut_controller_link,
+                              self.partitions)))
         return loops
 
     def _pick_victim(self) -> Optional[str]:
@@ -286,31 +317,13 @@ class ControllerKillInjector(_RestartableInjector):
                     event.repaired_at = self.controller.sim.now
             return
 
-    def _partition_loop(self) -> Generator:
-        sim = self.controller.sim
-        fabric = self.controller.fabric
-        names = list(self.consensus.group.names)
-        try:
-            while True:
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.partition_mtbf_s))
-                if len(names) < 2:
-                    continue
-                a, b = self.rng.sample(sorted(names), 2)
-                fabric.cut(a, b)
-                event = PartitionEvent(sim.now, "cut", links=[(a, b)])
-                self.partitions.append(event)
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.mean_heal_s))
-                fabric.heal(a, b)
-                event.healed_at = sim.now
-        except Interrupt:
-            for event in self.partitions:
-                if event.healed_at is None:
-                    for a, b in event.links:
-                        self.controller.fabric.heal(a, b)
-                    event.healed_at = self.controller.sim.now
-            return
+    def _cut_controller_link(self) -> Optional[PartitionEvent]:
+        names = sorted(self.consensus.group.names)
+        if len(names) < 2:
+            return None
+        a, b = self.rng.sample(names, 2)
+        self.controller.fabric.cut(a, b)
+        return PartitionEvent(self.controller.sim.now, "cut", links=[(a, b)])
 
 
 class PartitionInjector(_RestartableInjector):
@@ -349,37 +362,17 @@ class PartitionInjector(_RestartableInjector):
         self.events: List[PartitionEvent] = []
 
     def _loops(self) -> List[Tuple[str, Generator]]:
-        return [("partition-injector", self._loop())]
+        return [("partition-injector", self._cut_episodes(
+            self.controller.fabric, self.mtbf_s, self.mean_heal_s,
+            self._cut, self.events))]
 
-    def _loop(self) -> Generator:
-        sim = self.controller.sim
-        fabric = self.controller.fabric
-        try:
-            while True:
-                yield sim.timeout(self.rng.expovariate(1.0 / self.mtbf_s))
-                machines = sorted(self.controller.machines)
-                if not machines:
-                    continue
-                if (len(machines) >= 2
-                        and self.rng.random() < self.split_probability):
-                    event = self._split(machines)
-                else:
-                    event = self._cut_links(machines)
-                self.events.append(event)
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.mean_heal_s))
-                for a, b in event.links:
-                    fabric.heal(a, b)
-                event.healed_at = sim.now
-        except Interrupt:
-            # Heal whatever this injector still has cut so a stopped
-            # soak can drain cleanly.
-            for event in self.events:
-                if event.healed_at is None:
-                    for a, b in event.links:
-                        self.controller.fabric.heal(a, b)
-                    event.healed_at = sim.now
-            return
+    def _cut(self) -> Optional[PartitionEvent]:
+        machines = sorted(self.controller.machines)
+        if not machines:
+            return None
+        if len(machines) >= 2 and self.rng.random() < self.split_probability:
+            return self._split(machines)
+        return self._cut_links(machines)
 
     def _split(self, machines: List[str]) -> PartitionEvent:
         """Isolate a random minority of machines from everyone else."""
@@ -454,38 +447,19 @@ class WanPartitionInjector(_RestartableInjector):
         self.events: List[PartitionEvent] = []
 
     def _loops(self) -> List[Tuple[str, Generator]]:
-        return [("wan-partition-injector", self._loop())]
+        return [("wan-partition-injector", self._cut_episodes(
+            self.system.wan, self.mtbf_s, self.mean_heal_s, self._cut,
+            self.events))]
 
-    def _loop(self) -> Generator:
-        sim = self.system.sim
-        fabric = self.system.wan
-        try:
-            while True:
-                yield sim.timeout(self.rng.expovariate(1.0 / self.mtbf_s))
-                colos = sorted(self.system.colos)
-                if not colos:
-                    continue
-                if self.rng.random() < self.isolate_probability:
-                    event = self._isolate(colos)
-                elif len(colos) >= 2:
-                    event = self._cut_wan_link(colos)
-                else:
-                    continue
-                self.events.append(event)
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.mean_heal_s))
-                for a, b in event.links:
-                    fabric.heal(a, b)
-                event.healed_at = sim.now
-        except Interrupt:
-            # Heal whatever this injector still has cut so a stopped
-            # soak can drain cleanly.
-            for event in self.events:
-                if event.healed_at is None:
-                    for a, b in event.links:
-                        self.system.wan.heal(a, b)
-                    event.healed_at = self.system.sim.now
-            return
+    def _cut(self) -> Optional[PartitionEvent]:
+        colos = sorted(self.system.colos)
+        if not colos:
+            return None
+        if self.rng.random() < self.isolate_probability:
+            return self._isolate(colos)
+        if len(colos) >= 2:
+            return self._cut_wan_link(colos)
+        return None
 
     def _isolate(self, colos: List[str]) -> PartitionEvent:
         """Cut one colo off from the system controller and every peer."""

@@ -7,7 +7,7 @@ free-machine hook when no existing machine can host a new replica.
 
 import pytest
 
-from repro.cluster import CopyGranularity, RecoveryManager
+from repro.cluster import RecoveryManager
 from repro.platform import ColoController
 from repro.sim import Simulator
 from repro.sla.model import ResourceVector
@@ -24,8 +24,7 @@ class TestFreePoolRecovery:
                                      disk_io_mbps=1, disk_mb=10)
         colo.place_database("db", list(DDL), requirement, replicas=2)
         cluster.bulk_load("db", "t", [(k, 0) for k in range(10)])
-        recovery = RecoveryManager(cluster,
-                                   granularity=CopyGranularity.TABLE)
+        recovery = RecoveryManager(cluster)
         recovery.start()
 
         # With only 2 machines, losing one leaves no spare: the recovery

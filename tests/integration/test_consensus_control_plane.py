@@ -211,28 +211,31 @@ class TestConsensusDisabled:
 class TestControllerSoakSmoke:
     def test_consensus_soak_audits_clean(self):
         from repro.analysis.invariants import check_controller
-        from repro.harness.runner import run_controller_soak
+        from repro.harness import soaks
+        from repro.harness.scenario import run_scenario
 
-        result = run_controller_soak(consensus=True, duration_s=15.0,
-                                     drain_s=10.0, ctl_kill_mtbf_s=5.0,
-                                     seed=11)
-        assert result.consensus
+        result = run_scenario(soaks.controllers(
+            consensus=True, duration_s=15.0, drain_s=10.0,
+            ctl_kill_mtbf_s=5.0, seed=11))
+        assert result.controller.consensus is not None
         assert result.committed > 0
-        assert result.kills, "soak never killed a controller replica"
-        assert result.elections >= 1
+        assert result.parts["ctl_kills"].events, \
+            "soak never killed a controller replica"
+        assert result.metrics.network.elections >= 1
         violations = check_controller(result.controller,
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)
 
     def test_pair_soak_stages_one_takeover(self):
         from repro.analysis.invariants import check_controller
-        from repro.harness.runner import run_controller_soak
+        from repro.harness import soaks
+        from repro.harness.scenario import run_scenario
 
-        result = run_controller_soak(consensus=False, duration_s=12.0,
-                                     drain_s=8.0, seed=11)
-        assert not result.consensus
+        result = run_scenario(soaks.controllers(
+            consensus=False, duration_s=12.0, drain_s=8.0, seed=11))
+        assert result.controller.consensus is None
         assert result.committed > 0
-        assert result.takeovers == 1
+        assert len(result.events("takeover")) == 1
         violations = check_controller(result.controller,
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)

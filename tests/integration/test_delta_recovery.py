@@ -11,7 +11,7 @@ retained commit log instead of being wiped to a blank spare.
 
 import pytest
 
-from repro.cluster import CopyGranularity, RecoveryManager
+from repro.cluster import RecoveryManager
 from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.engine.wal import RecordType
@@ -42,10 +42,9 @@ class TestDeltaDifferential:
 
     def _recover(self, delta):
         sim = Simulator()
-        controller = make_kv_cluster(sim, machines=4, keys=30,
-                                     delta_recovery=delta)
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.DATABASE)
+        controller = make_kv_cluster(sim, machines=4, keys=30)
+        recovery = RecoveryManager(
+            controller, copy="delta" if delta else "database")
         recovery.start()
 
         def scenario():
@@ -90,8 +89,7 @@ class TestDeltaUnderWrites:
         # delta pipeline accepts (almost) everything instead.
         controller = make_kv_cluster(sim, machines=4, keys=40)
         controller.config.machine.copy_bytes_factor = 50_000.0
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.DATABASE)
+        recovery = RecoveryManager(controller)
         recovery.start()
         victim = controller.replica_map.replicas("kv")[1]
         outcomes = {"rejected": 0, "committed": 0}
@@ -164,8 +162,7 @@ class TestCopyFaultCleanup:
         controller = make_kv_cluster(sim, machines=6, keys=30, replicas=3,
                                      replication_factor=3)
         controller.config.machine.copy_bytes_factor = 200_000.0
-        recovery = RecoveryManager(controller, retry_delay_s=0.5,
-                                   granularity=CopyGranularity.DATABASE)
+        recovery = RecoveryManager(controller, retry_delay_s=0.5)
         recovery.start()
         victim = controller.replica_map.replicas("kv")[1]
         self._kill_mid_copy(sim, controller, "source")
@@ -194,8 +191,7 @@ class TestCopyFaultCleanup:
     def test_target_dies_mid_copy_no_orphan_then_retry_succeeds(self, sim):
         controller = make_kv_cluster(sim, machines=5, keys=30)
         controller.config.machine.copy_bytes_factor = 200_000.0
-        recovery = RecoveryManager(controller, retry_delay_s=0.5,
-                                   granularity=CopyGranularity.DATABASE)
+        recovery = RecoveryManager(controller, retry_delay_s=0.5)
         recovery.start()
         victim = controller.replica_map.replicas("kv")[1]
         self._kill_mid_copy(sim, controller, "target")
@@ -357,26 +353,52 @@ class TestRejoinCatchUp:
         assert fps[0] == fps[1]
         assert_no_violations(controller)
 
-    def test_rejoin_disabled_without_delta_recovery(self, sim):
-        controller = make_kv_cluster(
-            sim, machines=4, keys=10, delta_recovery=False,
-            heartbeat_interval_s=0.2,
-            network=NetworkConfig(enabled=True, latency_s=0.001, seed=1))
-        controller.start_failure_detector()
+
+class TestCopyStrategyArgument:
+    """The strategy a manager copies with is its ``copy`` argument and
+    nothing else: there is no cluster-wide setting that overrides it."""
+
+    def _fail_under_writes(self, sim, **manager):
+        controller = make_kv_cluster(sim, machines=4, keys=40)
+        controller.config.machine.copy_bytes_factor = 50_000.0
+        RecoveryManager(controller, **manager).start()
         victim = controller.replica_map.replicas("kv")[1]
+        rejected = []
 
-        def scenario():
-            controller.fabric.cut(CONTROLLER, victim)
-            while victim not in controller.declared_dead:
-                yield sim.timeout(0.1)
-            controller.fabric.heal(CONTROLLER, victim)
+        def writer():
+            conn = controller.connect("kv")
+            for i in range(60):
+                try:
+                    yield conn.execute(
+                        "UPDATE kv SET v = v + 1 WHERE k = ?", (i % 40,))
+                    yield conn.commit()
+                except TransactionAborted as exc:
+                    if isinstance(exc.cause, ProactiveRejectionError):
+                        state = controller.copy_states["kv"]
+                        rejected.append(state.copying_table)
+                yield sim.timeout(0.05)
 
-        sim.process(scenario())
-        sim.run(until=20.0)
+        def failer():
+            yield sim.timeout(0.2)
+            controller.fail_machine(victim)
 
-        # The reference path wipes the machine to a blank spare even
-        # though its data was intact.
-        readmits = controller.trace.events(kind="machine_readmitted")
-        assert readmits and readmits[-1].extra["mode"] == "spare"
-        assert victim not in controller.replica_map.replicas("kv")
-        assert not controller.machines[victim].engine.hosts("kv")
+        sim.process(writer())
+        sim.process(failer())
+        sim.run()
+        done = controller.trace.events(kind="rereplication_done")
+        assert len(done) == 1
+        assert_no_violations(controller, expect_recovery_complete=True)
+        return done[0].extra["mode"], rejected
+
+    def test_table_copy_rejects_writes_to_the_table_being_copied(self, sim):
+        mode, rejected = self._fail_under_writes(sim, copy="table")
+        assert mode == "table"
+        assert rejected and set(rejected) == {"kv"}
+
+    def test_default_copy_is_delta(self, sim):
+        mode, _rejected = self._fail_under_writes(sim)
+        assert mode == "delta"
+
+    def test_unknown_strategy_is_refused(self, sim):
+        with pytest.raises(ValueError, match="unknown copy strategy"):
+            RecoveryManager(make_kv_cluster(sim), copy="full")

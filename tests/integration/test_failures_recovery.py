@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import CopyGranularity, ReadOption, RecoveryManager
+from repro.cluster import ReadOption, RecoveryManager
 from repro.cluster.controller import TransactionAborted
 from repro.errors import ProactiveRejectionError
 from tests.conftest import make_kv_cluster, read_table
@@ -104,20 +104,18 @@ class TestMachineFailure:
 
 
 class TestRecoveryAlgorithm1:
-    def _setup(self, sim, granularity, threads=1):
-        # These tests pin the full-copy reference path: Algorithm 1's
-        # reject windows at both granularities (delta recovery replaces
-        # them with the log-drain handoff, tested separately).
-        controller = make_kv_cluster(sim, machines=4, keys=40,
-                                     delta_recovery=False)
+    def _setup(self, sim, copy, threads=1):
+        # These tests pin the full-copy strategies: Algorithm 1's
+        # reject windows at both granularities (the default delta copy
+        # replaces them with the log-drain handoff, tested separately).
+        controller = make_kv_cluster(sim, machines=4, keys=40)
         controller.config.machine.copy_bytes_factor = 50_000.0
-        recovery = RecoveryManager(controller, granularity=granularity,
-                                   threads=threads)
+        recovery = RecoveryManager(controller, copy=copy, threads=threads)
         recovery.start()
         return controller, recovery
 
     def test_replica_recreated_and_consistent(self, sim):
-        controller, recovery = self._setup(sim, CopyGranularity.TABLE)
+        controller, recovery = self._setup(sim, "table")
         victim = controller.replica_map.replicas("kv")[1]
 
         def scenario():
@@ -136,7 +134,7 @@ class TestRecoveryAlgorithm1:
         assert len(states[0]) == 40
 
     def test_writes_during_copy_rejected_then_recovered(self, sim):
-        controller, recovery = self._setup(sim, CopyGranularity.DATABASE)
+        controller, recovery = self._setup(sim, "database")
         victim = controller.replica_map.replicas("kv")[1]
         outcomes = {"rejected": 0, "committed": 0}
 
@@ -185,8 +183,7 @@ class TestRecoveryAlgorithm1:
         ].engine.database("kv").schema
         controller.bulk_load("kv", "other", [(k, 0) for k in range(10)])
         controller.config.machine.copy_bytes_factor = 100_000.0
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.TABLE)
+        recovery = RecoveryManager(controller, copy="table")
         recovery.start()
         victim = controller.replica_map.replicas("kv")[1]
         results = {"rejected": 0, "committed": 0}
@@ -217,7 +214,7 @@ class TestRecoveryAlgorithm1:
         assert results["committed"] == 1
 
     def test_recovery_target_receives_writes_to_copied_tables(self, sim):
-        controller, recovery = self._setup(sim, CopyGranularity.TABLE)
+        controller, recovery = self._setup(sim, "table")
         victim = controller.replica_map.replicas("kv")[1]
 
         def scenario():

@@ -6,7 +6,7 @@ working, replicas are re-created, replicas stay mutually consistent.
 
 import pytest
 
-from repro.cluster import CopyGranularity, RecoveryManager
+from repro.cluster import RecoveryManager
 from repro.harness.faults import FailureInjector
 from repro.workloads.microbench import KeyValueWorkload, KvStats
 from tests.conftest import assert_no_violations, make_cluster, read_table
@@ -19,9 +19,7 @@ class TestFaultInjection:
         workload = KeyValueWorkload(controller, db_name="app", keys=30,
                                     seed=1)
         workload.install(replicas=2)
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.TABLE,
-                                   threads=2, retry_delay_s=1.0)
+        recovery = RecoveryManager(controller, threads=2, retry_delay_s=1.0)
         recovery.start()
         injector = FailureInjector(controller, mtbf_s=8.0, seed=3,
                                    min_live_machines=3)

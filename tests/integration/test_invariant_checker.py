@@ -5,7 +5,7 @@ dies)."""
 
 import pytest
 
-from repro.cluster import (CopyGranularity, RecoveryManager, WritePolicy)
+from repro.cluster import RecoveryManager, WritePolicy
 from repro.cluster.controller import TransactionAborted
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.harness.faults import FailureInjector
@@ -165,9 +165,7 @@ class TestPartialCopyCleanup:
                                      replication_factor=3)
         # Paper-scale copy durations so a failure can land mid-copy.
         controller.config.machine.copy_bytes_factor = 200_000.0
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.TABLE,
-                                   threads=1, retry_delay_s=1.0)
+        recovery = RecoveryManager(controller, threads=1, retry_delay_s=1.0)
         recovery.start()
         return controller, recovery
 
@@ -251,9 +249,7 @@ class TestCheckerOnFaultInjection:
         workload = KeyValueWorkload(controller, db_name="app", keys=20,
                                     seed=2)
         workload.install(replicas=2)
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.TABLE,
-                                   threads=2, retry_delay_s=1.0)
+        recovery = RecoveryManager(controller, threads=2, retry_delay_s=1.0)
         recovery.start()
         injector = FailureInjector(controller, mtbf_s=6.0, seed=7,
                                    min_live_machines=3)

@@ -249,8 +249,7 @@ class TestSharedCopyPipeline:
     def test_migrated_replica_identical_to_recovery_copied(self, granularity):
         def cluster():
             sim = Simulator()
-            controller = make_kv_cluster(sim, machines=3, keys=30,
-                                         delta_recovery=False)
+            controller = make_kv_cluster(sim, machines=3, keys=30)
             controller.create_database(
                 "idx", ["CREATE TABLE a (k INTEGER PRIMARY KEY, v INTEGER)",
                         "CREATE INDEX a_v ON a (v)",
@@ -269,7 +268,7 @@ class TestSharedCopyPipeline:
         assert proc.ok, proc.value
 
         sim, recovered = cluster()
-        recovery = RecoveryManager(recovered, granularity=granularity)
+        recovery = RecoveryManager(recovered, copy=granularity.value)
         recovery.start()
         recovered.fail_machine(source)
         sim.run()

@@ -9,7 +9,8 @@ from repro.analysis.trace import TraceEvent
 from repro.cluster import ClusterConfig, ClusterController, WritePolicy
 from repro.cluster.controller import TransactionAborted
 from repro.errors import OverloadRejectedError
-from repro.harness.runner import run_stampede_soak
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 from repro.sim import Simulator
 from repro.sla.model import Sla
 from repro.workloads.microbench import KV_DDL
@@ -201,24 +202,28 @@ class TestOverloadInvariantRules:
 
 class TestStampedeSoak:
     def test_admission_on_throttles_and_isolates(self):
-        result = run_stampede_soak(admission=True, duration_s=16.0,
-                                   ramp_at_s=6.0, hot_clients=30, seed=5)
-        rate = result.hot_provisioned_tps
+        result = run_scenario(soaks.stampede(
+            admission=True, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
+            seed=5))
+        report = soaks.stampede_report(result)
+        monitor = result.parts["overload_monitor"]
+        rate = report.hot_provisioned_tps
         assert rate == pytest.approx(6.0)
-        assert result.hot_goodput_tps <= rate * 1.3 + 0.5
-        assert result.neighbour_max_rejected_fraction <= 0.05
-        assert all(not b.within_rate for b in result.breaches), \
+        assert report.hot_goodput_tps <= rate * 1.3 + 0.5
+        assert report.neighbour_max_rejected_fraction <= 0.05
+        assert all(not b.within_rate for b in monitor.breaches), \
             "every breach window must belong to an over-rate tenant"
-        assert result.monitor_windows > 0
+        assert monitor.windows > 0
         assert_no_violations(result.controller)
 
     def test_admission_off_replays_unthrottled(self):
-        result = run_stampede_soak(admission=False, duration_s=16.0,
-                                   ramp_at_s=6.0, hot_clients=30, seed=5)
-        assert result.hot_provisioned_tps is None
+        result = run_scenario(soaks.stampede(
+            admission=False, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
+            seed=5))
+        assert soaks.stampede_report(result).hot_provisioned_tps is None
         assert result.controller.admission is None
         assert result.metrics.per_db["kv0"].overload_rejected == 0
-        assert result.shed_reads == 0
+        assert result.events("shed_read") == []
         assert_no_violations(result.controller)
 
 

@@ -9,7 +9,8 @@ from repro.cluster import RecoveryManager, WritePolicy
 from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.errors import ControllerFailedError
-from repro.harness.runner import run_partition_soak
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 from tests.conftest import (assert_no_violations, make_kv_cluster,
                             read_table)
 
@@ -118,12 +119,14 @@ class TestDetectionDrivenRecovery:
 
 class TestPartitionSoak:
     def test_seeded_soak_has_zero_violations(self):
-        result = run_partition_soak(duration_s=20.0, drain_s=30.0, seed=3)
+        result = run_scenario(soaks.partitions(
+            duration_s=20.0, drain_s=30.0, seed=3))
         violations = check_controller(result.controller,
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)
         assert result.committed > 0
-        assert result.partitions, "expected partition episodes"
+        assert result.parts["partitions"].events, \
+            "expected partition episodes"
         summary = result.metrics.network_summary()
         assert summary["messages_sent"] > 0
         assert summary["delivered"] <= summary["messages_sent"]
@@ -131,8 +134,9 @@ class TestPartitionSoak:
         assert not result.controller.detector.suspected
 
     def test_seeded_soak_aggressive_policy(self):
-        result = run_partition_soak(duration_s=20.0, drain_s=30.0, seed=5,
-                                    write_policy=WritePolicy.AGGRESSIVE)
+        result = run_scenario(soaks.partitions(
+            duration_s=20.0, drain_s=30.0, seed=5,
+            write_policy=WritePolicy.AGGRESSIVE))
         violations = check_controller(result.controller,
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import CopyGranularity, RecoveryManager
+from repro.cluster import RecoveryManager
 from repro.cluster.controller import TransactionAborted
 from repro.sla.model import Sla, availability_ok
 from repro.sla.monitor import SlaMonitor, observed_availability_inputs
@@ -26,13 +26,11 @@ class TestSlaRuntime:
         assert all(r.compliant for r in reports)
 
     def test_recovery_rejections_feed_availability_estimate(self, sim):
-        # Pins the full-copy reference path: the whole-copy reject
+        # Pins the database-level full copy: the whole-copy reject
         # window is what feeds the Section 4.1 availability estimate.
-        controller = make_kv_cluster(sim, machines=4, keys=40,
-                                     delta_recovery=False)
+        controller = make_kv_cluster(sim, machines=4, keys=40)
         controller.config.machine.copy_bytes_factor = 100_000.0
-        recovery = RecoveryManager(controller,
-                                   granularity=CopyGranularity.DATABASE)
+        recovery = RecoveryManager(controller, copy="database")
         recovery.start()
         workload = KeyValueWorkload(controller, db_name="kv2", keys=40)
         workload.install(replicas=2)

@@ -1,0 +1,93 @@
+"""Replay identity: same seed, same trace — byte for byte.
+
+Every CI soak at its CI size (the stampede at the tier-1 size) must dump
+exactly the trace recorded below. The hashes were recorded at the commit
+before the soaks became declarations (PR 19's parent) and each one
+repeats across processes and under any ``PYTHONHASHSEED``.
+
+A PR that changes simulated behaviour on purpose updates the constants
+and says so in CHANGES.md; one that claims "no behaviour change" must
+leave them alone. To refresh: run this file, copy the ``got`` hashes out
+of the assertion messages.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from repro.harness import soaks
+from repro.harness.runner import run_dr_soak, run_many_tenants
+from repro.harness.scenario import run_scenario
+
+
+def trace_md5(tracer) -> str:
+    buffer = io.StringIO()
+    tracer.dump_jsonl(buffer)
+    return hashlib.md5(buffer.getvalue().encode()).hexdigest()
+
+
+def cluster_trace(scenario):
+    return run_scenario(scenario).controller.trace
+
+
+# The arguments are what the ci.yml command lines resolve to.
+SOAKS = {
+    # faults --duration 10
+    "faults": (
+        lambda: cluster_trace(soaks.faults(
+            duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
+        "2ba57dee013cf3b050a557d05ac60df1"),
+    # partitions --duration 10 --seed 3
+    "partitions": (
+        lambda: cluster_trace(soaks.partitions(
+            duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
+        "fb8f8c6ce1ed55ea0894d8d281cfdedc"),
+    # controllers --duration 10 --seed 3
+    "controllers-consensus": (
+        lambda: cluster_trace(soaks.controllers(
+            consensus=True, duration_s=20.0, drain_s=15.0,
+            ctl_kill_mtbf_s=8.0, seed=3)),
+        "90948f6e38c1cf77672769c1c352a2a9"),
+    "controllers-pair": (
+        lambda: cluster_trace(soaks.controllers(
+            consensus=False, duration_s=20.0, drain_s=15.0,
+            ctl_kill_mtbf_s=8.0, seed=3)),
+        "2e3ebf402988d155b0c575d0c922172d"),
+    # stampede --duration 4 --seed 3 --stampede-mtbf 16
+    "stampede-admission-on": (
+        lambda: cluster_trace(soaks.stampede(
+            admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
+            mtbf_s=16.0, seed=3)),
+        "1faf9cfd2018fab48936f77cdbec0aef"),
+    "stampede-admission-off": (
+        lambda: cluster_trace(soaks.stampede(
+            admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
+            mtbf_s=16.0, seed=3)),
+        "926b3e4506bd3802ce6148b155052c40"),
+    # disaster --duration 15 --seed 3
+    "disaster": (
+        lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,
+                            wan_partition_mtbf_s=8.0, seed=3).system.trace,
+        "4c2ab28ac42e9c4ea083e0c1ae1203d7"),
+    # manytenants --tenants 2000 --duration 6
+    "manytenants": (
+        lambda: run_many_tenants(n_databases=2000, duration_s=12.0,
+                                 flash_at_s=6.0, seed=3).controller.trace,
+        "d64f211a5ad74f62a657d4c6ed748d60"),
+}
+
+
+@pytest.mark.parametrize("name", list(SOAKS))
+def test_soak_trace_is_the_recorded_one(name):
+    run, recorded = SOAKS[name]
+    got = trace_md5(run())
+    assert got == recorded, f"{name}: got {got}, recorded {recorded}"
+
+
+def test_same_seed_same_trace_within_one_process():
+    run, _recorded = SOAKS["partitions"]
+    first, second = io.StringIO(), io.StringIO()
+    run().dump_jsonl(first)
+    run().dump_jsonl(second)
+    assert first.getvalue() == second.getvalue()

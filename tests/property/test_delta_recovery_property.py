@@ -13,22 +13,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.invariants import check_controller
-from repro.harness.runner import run_fault_soak, run_partition_soak
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_fault_soak_with_delta_audits_clean(seed):
-    result = run_fault_soak(duration_s=15.0, drain_s=25.0, seed=seed,
-                            delta_recovery=True)
+    result = run_scenario(soaks.faults(
+        duration_s=15.0, drain_s=25.0, seed=seed, copy="delta"))
     assert result.committed > 0
     violations = check_controller(result.controller,
                                   expect_recovery_complete=True)
     assert not violations, "\n".join(str(v) for v in violations)
     # Every completed re-replication in this configuration ran the
     # delta pipeline, not the full-copy reference.
-    finished = [r for r in result.recovery_records if r.succeeded]
-    assert all(r.mode == "delta" for r in finished)
+    assert all(r.mode == "delta" for r in result.recoveries)
 
 
 @settings(max_examples=3, deadline=None)
@@ -38,8 +38,8 @@ def test_fault_soak_with_delta_audits_clean(seed):
 # the now-fenced replica (fenced-replica-never-serves).
 @example(seed=319)
 def test_partition_soak_with_delta_audits_clean(seed):
-    result = run_partition_soak(duration_s=15.0, drain_s=30.0, seed=seed,
-                                delta_recovery=True)
+    result = run_scenario(soaks.partitions(
+        duration_s=15.0, drain_s=30.0, seed=seed, copy="delta"))
     assert result.committed > 0
     violations = check_controller(result.controller,
                                   expect_recovery_complete=True)

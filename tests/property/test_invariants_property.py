@@ -5,47 +5,26 @@ Whatever failure schedule the injector draws and whichever transactions
 it cuts down mid-flight, the trace the cluster emits must satisfy every
 2PC/replication invariant — under both write policies."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.invariants import check_controller
-from repro.cluster import (ClusterConfig, ClusterController,
-                           CopyGranularity, ReadOption, RecoveryManager,
-                           WritePolicy)
-from repro.harness.faults import FailureInjector
-from repro.sim import Simulator
-from repro.workloads.microbench import KeyValueWorkload, KvStats
+from repro.cluster import WritePolicy
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 
 
 def run_soak(seed, write_policy, mtbf_s):
-    sim = Simulator()
-    config = ClusterConfig(read_option=ReadOption.OPTION_1,
-                           write_policy=write_policy,
-                           lock_wait_timeout_s=1.0)
-    controller = ClusterController(sim, config)
-    controller.add_machines(5)
-    controller.config.machine.copy_bytes_factor = 500.0
-    workload = KeyValueWorkload(controller, db_name="app", keys=15,
-                                seed=seed)
-    workload.install(replicas=2)
-    recovery = RecoveryManager(controller,
-                               granularity=CopyGranularity.TABLE,
-                               threads=2, retry_delay_s=0.5)
-    recovery.start()
-    injector = FailureInjector(controller, mtbf_s=mtbf_s, seed=seed,
-                               min_live_machines=3)
-    injector.start()
-
-    stats = [KvStats() for _ in range(3)]
-    for cid in range(3):
-        proc = sim.process(workload.client(cid, transactions=40,
-                                           think_time_s=0.1,
-                                           stats=stats[cid]))
-        proc.defused = True
-    sim.run(until=15.0)
-    injector.stop()
-    sim.run(until=40.0)  # drain recovery and in-flight clients
-    return controller, stats
+    # The fault soak, sized down to one small tenant on five machines.
+    scenario = dataclasses.replace(
+        soaks.faults(seed=seed, mtbf_s=mtbf_s, duration_s=15.0,
+                     drain_s=25.0),
+        machines=5, databases=1, keys_per_db=15, clients_per_db=3)
+    scenario.config.write_policy = write_policy
+    run = run_scenario(scenario)
+    return run.controller, run.stats
 
 
 @settings(max_examples=6, deadline=None)

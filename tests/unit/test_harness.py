@@ -1,10 +1,14 @@
 """Unit tests for the experiment harness and reporting."""
 
+import ast
+import pathlib
+
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.harness import format_series, format_table, run_sla_placement
 from repro.harness.runner import run_tpcw_cluster
-from repro.cluster import ReadOption, WritePolicy
+from repro.harness.scenario import Scenario, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 
@@ -72,3 +76,128 @@ class TestSlaPlacementRunner:
         a = run_sla_placement(1.2, n_databases=8, seed=5)
         b = run_sla_placement(1.2, n_databases=8, seed=5)
         assert a == b
+
+
+class _RecordingInjector:
+    def __init__(self, name, log, sim):
+        self.name, self.log, self.sim = name, log, sim
+
+    def start(self):
+        self.log.append(("start", self.name, self.sim.now))
+
+    def stop(self):
+        self.log.append(("stop", self.name, self.sim.now))
+
+
+def _tiny(**fields):
+    return Scenario(config=ClusterConfig(), seed=1, duration_s=2.0,
+                    machines=3, databases=1, keys_per_db=10,
+                    clients_per_db=1, **fields)
+
+
+class TestRunScenario:
+    def test_services_then_injectors_in_declared_order(self):
+        log = []
+
+        def service(name):
+            return lambda run: log.append(("service", name, run.sim.now))
+
+        def injector(name):
+            return lambda run: _RecordingInjector(name, log, run.sim)
+
+        run = run_scenario(_tiny(
+            services={"s2": service("s2"), "s1": service("s1")},
+            injectors={"i2": injector("i2"), "i1": injector("i1")}))
+        assert [entry[:2] for entry in log] == [
+            ("service", "s2"), ("service", "s1"),
+            ("start", "i2"), ("start", "i1"),
+            ("stop", "i2"), ("stop", "i1")]
+        assert list(run.parts) == ["s2", "s1", "i2", "i1"]
+
+    def test_injectors_stop_at_duration_services_outlive_the_drain(self):
+        log, ticks = [], []
+
+        def ticker(run):
+            def loop():
+                while True:
+                    yield run.sim.timeout(0.5)
+                    ticks.append(run.sim.now)
+            return run.sim.process(loop())
+
+        run = run_scenario(_tiny(
+            drain_s=3.0, services={"ticker": ticker},
+            injectors={"i": lambda run: _RecordingInjector(
+                "i", log, run.sim)}))
+        assert log == [("start", "i", 0.0), ("stop", "i", 2.0)]
+        assert run.sim.now == 5.0
+        assert run.parts["ticker"].is_alive
+        assert max(ticks) > 4.0
+
+    def test_staged_action_runs_at_its_instant_and_can_spawn_clients(self):
+        def crowd(run):
+            run.marks["at"] = run.sim.now
+            run.marks["crowd"] = [run.spawn_client(0, 100 + i, 0.01)
+                                  for i in range(3)]
+
+        run = run_scenario(_tiny(staged=[(1.25, crowd)]))
+        assert run.marks["at"] == 1.25
+        assert len(run.stats) == 1 + 3
+        assert all(s.committed > 0 for s in run.marks["crowd"])
+        assert run.committed == sum(s.committed for s in run.stats)
+
+    def test_no_heal_all_without_the_fabric(self):
+        run = run_scenario(_tiny(drain_s=1.0))
+        assert not run.controller.fabric.enabled
+        assert run.events("net_heal_all") == []
+        assert run.recoveries == [] and "recovery" not in run.parts
+
+    def test_finale_records_the_primary_crash(self):
+        run = run_scenario(_tiny(drain_s=1.0, takeover_wait_s=2.0))
+        assert run.marks["primary_crashed_at"] == 3.0
+        assert run.sim.now == 5.0
+        assert [e.t for e in run.events("primary_crashed")] == [3.0]
+
+
+def test_every_harness_parameter_has_a_caller():
+    """A settable value nobody sets is dead weight that still has to be
+    read, documented and kept working: every parameter of every public
+    harness function must be passed by some call site under ``src/``,
+    ``tests/``, ``benchmarks/`` or ``examples/`` (by keyword or by
+    position; a function handed over as a value — a CLI command in the
+    registry — is called with its required parameters)."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    declared, required = {}, {}
+    for path in sorted((root / "src/repro/harness").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                spec = node.args
+                params = [a.arg for a in
+                          spec.posonlyargs + spec.args + spec.kwonlyargs]
+                declared[node.name] = params
+                required[node.name] = params[:len(spec.posonlyargs)
+                                             + len(spec.args)
+                                             - len(spec.defaults)]
+    passed = {name: set() for name in declared}
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (root / top).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            callees = set()
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                callees.add(id(node.func))
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                if name in declared:
+                    passed[name].update(declared[name][:len(node.args)])
+                    passed[name].update(k.arg for k in node.keywords)
+            for node in ast.walk(tree):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (isinstance(node, (ast.Name, ast.Attribute))
+                        and name in declared and id(node) not in callees):
+                    passed[name].update(required[name])
+    orphans = [f"{name}: {param}" for name, params in declared.items()
+               for param in params if param not in passed[name]]
+    assert not orphans, "parameters no call site passes:\n" + \
+        "\n".join(orphans)
