@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -97,8 +96,10 @@ class ControllerState:
     ``machine_repaired``   operator repair completed
     ``placement``          recovery chose a re-replication target
     ``decision``           2PC commit decision (the ProcessPairBackup
-                           mirror, now quorum-replicated)
-    ``decision_clear``     all participants acked COMMIT
+                           mirror, now quorum-replicated); its ``retire``
+                           list names earlier decisions every participant
+                           has acked, dropped in the same step
+    ``decision_clear``     an idle leader's batch of such retirements
     ``reconcile``          new leader's authoritative metadata snapshot
     ``noop``               gap filler from leader change-over
     """
@@ -148,8 +149,11 @@ class ControllerState:
         elif kind == "decision":
             self.decisions[payload["txn"]] = (
                 payload["decision"], list(payload["machines"]))
+            for txn in payload.get("retire", ()):
+                self.decisions.pop(txn, None)
         elif kind == "decision_clear":
-            self.decisions.pop(payload["txn"], None)
+            for txn in payload["txns"]:
+                self.decisions.pop(txn, None)
         elif kind == "reconcile":
             self.replicas = {db: list(hosts) for db, hosts
                              in payload["replicas"].items()}
@@ -199,8 +203,6 @@ class PaxosNode:
         self.lease_holder: Optional[str] = None
         self.lease_until = 0.0
         # Volatile state — reset by a crash.
-        self.inbox: deque = deque()
-        self.wake = None
         self.round_hint = 0
         self.is_leader = False
         self.ballot: Ballot = NO_BALLOT
@@ -227,14 +229,8 @@ class FabricTransport:
 
     def send(self, group: "PaxosGroup", src: str, dst: str,
              msg: Dict[str, Any]) -> None:
-        proc = self.sim.process(self._deliver(group, src, dst, msg),
-                                name=f"ctl:{src}->{dst}:{msg['type']}")
-        proc.defused = True
-
-    def _deliver(self, group, src, dst, msg):
-        delivered = yield from self.fabric.deliver(src, dst)
-        if delivered:
-            group.enqueue(dst, msg)
+        self.fabric.post(src, dst, lambda delivered:
+                         delivered and group.enqueue(dst, msg))
 
 
 class PaxosGroup:
@@ -269,6 +265,9 @@ class PaxosGroup:
         self._rngs = {name: base.fork(f"ctl:{name}") for name in self.names}
         self.last_leader: Optional[str] = None
         self._started = False
+        # id(command) -> (command, digest): every replica applies the
+        # same tuple object, so the audit digest is computed once.
+        self._digests: Dict[int, Tuple[Command, str]] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -285,23 +284,20 @@ class PaxosGroup:
             self._start_campaign(self.nodes[self.names[bootstrap]])
 
     def _spawn(self, node: PaxosNode) -> None:
-        loops = [("msg", self._msg_loop(node)),
-                 ("timer", self._timer_loop(node))]
-        for label, gen in loops:
-            proc = self.sim.process(gen, name=f"{node.name}:{label}")
-            proc.defused = True
-            node.procs.append(proc)
+        proc = self.sim.process(self._timer_loop(node),
+                                name=f"{node.name}:timer")
+        proc.defused = True
+        node.procs.append(proc)
 
     def crash(self, name: str) -> None:
         """Fail-stop a replica. Durable acceptor state (promises,
         accepted/chosen entries, the applied state machine) survives;
-        leadership, campaigns, and queued messages do not."""
+        leadership and campaigns do not, and messages that arrive while it
+        is down are ignored."""
         node = self.nodes[name]
         if not node.alive:
             return
         node.alive = False
-        node.inbox.clear()
-        node.wake = None
         node.is_leader = False
         node.campaign = None
         node.renew_grants.clear()
@@ -368,25 +364,10 @@ class PaxosGroup:
         raise pend.done.value
 
     def enqueue(self, dst: str, msg: Dict[str, Any]) -> None:
-        """Transport callback: hand a delivered message to a replica."""
-        node = self.nodes[dst]
-        if not node.alive:
-            return
-        node.inbox.append(msg)
-        if node.wake is not None and not node.wake.triggered:
-            node.wake.succeed()
+        """Transport callback: a delivered message is handled at once."""
+        self._dispatch(self.nodes[dst], msg)
 
     # -- loops -----------------------------------------------------------------
-
-    def _msg_loop(self, node: PaxosNode):
-        try:
-            while node.alive:
-                while node.inbox:
-                    self._dispatch(node, node.inbox.popleft())
-                node.wake = self.sim.event()
-                yield node.wake
-        except Interrupt:
-            return
 
     def _timer_loop(self, node: PaxosNode):
         cfg = self.config
@@ -681,13 +662,19 @@ class PaxosGroup:
         """Advance the applied prefix; contiguous chosen entries only."""
         while node.applied_to + 1 in node.chosen:
             index = node.applied_to + 1
-            kind, payload = node.chosen[index]
+            cmd = node.chosen[index]
+            kind, payload = cmd
             node.state.apply(kind, payload)
             node.applied_to = index
             if self.trace is not None:
+                memo = self._digests.get(id(cmd))
+                if memo is None or memo[0] is not cmd:
+                    if len(self._digests) >= 256:
+                        self._digests.clear()
+                    memo = self._digests[id(cmd)] = (
+                        cmd, command_digest(kind, payload))
                 self.trace.emit("ctl_applied", machine=node.name,
-                                index=index, command=kind,
-                                digest=command_digest(kind, payload))
+                                index=index, command=kind, digest=memo[1])
             if (kind == "leader_takeover" and node.is_leader
                     and payload.get("node") == node.name
                     and self.on_leader is not None):
@@ -859,6 +846,10 @@ class ConsensusControlPlane:
         self.acting = names[0]
         self.term = 0
         self._had_leader = False
+        # Decisions every participant acked, waiting to ride the next
+        # decision command out of the replicated table.
+        self._retire: List[int] = []
+        self._flush = None  # timer of the idle flush, while one is armed
         self.kills: List[Tuple[float, str]] = []
         self.repairs: List[Tuple[float, str]] = []
         controller.consensus = self
@@ -906,9 +897,10 @@ class ConsensusControlPlane:
             raise ControllerFailedError(
                 f"controller {self.controller.name}: no valid leader lease")
         try:
-            yield from self.group.propose(
-                node, ("decision", {"txn": txn_id, "decision": decision,
-                                    "machines": list(machines), "db": db}))
+            yield from self._propose_retiring(
+                node, "decision", "retire",
+                {"txn": txn_id, "decision": decision,
+                 "machines": list(machines), "db": db})
         except NotLeaderError as exc:
             raise ControllerFailedError(str(exc)) from exc
         if self.acting != node.name or not self.lease_valid():
@@ -917,7 +909,39 @@ class ConsensusControlPlane:
                 f"while replicating the decision for txn {txn_id}")
 
     def clear_decision(self, db: str, txn_id: int) -> None:
-        self.propose_async("decision_clear", {"txn": txn_id, "db": db})
+        """Retire a decision: not a command of its own — it rides in the
+        next ``decision``, or in the batched ``decision_clear`` an idle
+        leader proposes within one ``renew_interval_s``."""
+        self._retire_later([txn_id])
+
+    def _retire_later(self, txn_ids: List[int]) -> None:
+        self._retire.extend(txn_ids)
+        if self._flush is None:
+            self._flush = self.sim.timeout(self.config.renew_interval_s)
+            self._flush.add_callback(self._flush_retired)
+
+    def _flush_retired(self, _timer) -> None:
+        self._flush = None
+        node = self.acting_node
+        # Without a leader the list waits: _on_leader rebuilds it from
+        # the table the new leader inherits.
+        if self._retire and node.alive and node.is_leader:
+            proc = self.sim.process(
+                self._propose_retiring(node, "decision_clear", "txns", {}),
+                name="ctl-propose:decision_clear")
+            proc.defused = True
+
+    def _propose_retiring(self, node: PaxosNode, kind: str, key: str,
+                          payload: Dict[str, Any]):
+        """Propose a command carrying the retire list under ``key``; a
+        failed proposal puts the list back (it may still be chosen later:
+        retiring twice is a no-op)."""
+        payload[key], self._retire = self._retire, []
+        try:
+            yield from self.group.propose(node, (kind, payload))
+        except NotLeaderError:
+            self._retire_later(payload[key])
+            raise
 
     def propose_async(self, kind: str, payload: Dict[str, Any]) -> None:
         """Fire-and-forget metadata replication. Retries across leader
@@ -954,6 +978,10 @@ class ConsensusControlPlane:
             return  # bootstrap election: nothing to take over
         committed, aborted = takeover_cleanup(
             controller, dict(node.state.decisions), actor=node.name)
+        # Every inherited decision is now complete on its participants;
+        # the old leader's unproposed retirements are among them.
+        self._retire = []
+        self._retire_later(committed)
         controller.primary_alive = True
         controller.trace.emit("ctl_takeover", machine=node.name, term=term,
                               previous=previous, completed=committed,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -50,12 +51,7 @@ from repro.errors import (ControllerFailedError, DeadlockError,
                           NoReplicaError, OverloadRejectedError,
                           PlatformError, ProactiveRejectionError,
                           RPCTimeoutError, TransactionError)
-from repro.sim import Event, Interrupt, Process, Simulator
-
-
-# Sentinel: an RPC attempt produced silence (drop, partition, dead or
-# fenced machine, or an over-deadline execution) rather than an answer.
-_RPC_TIMED_OUT = object()
+from repro.sim import Event, Interrupt, Process, Simulator, Timeout
 
 
 class TransactionAborted(PlatformError):
@@ -98,7 +94,7 @@ class _Branch:
     """One in-flight branch of a fan-out (issue-time bookkeeping)."""
 
     machine: str
-    proc: Process
+    proc: Event                 # the machine's process, or the _Rpc to it
     issued_at: float
     settled_at: Optional[float] = None
 
@@ -181,6 +177,109 @@ class Connection:
                 # gauge) must still be released here, or it leaks.
                 self.controller._finish(self, self.txn)
         self.closed = True
+
+
+class _Rpc(Event):
+    """One logical RPC over the fabric, and the event its caller waits on.
+
+    Post the request; on arrival ``machine.submit_rpc`` under a deadline
+    armed only while the machine executes; when that process completes
+    post the reply; settle with its value or error. Anything else is
+    silence — a lost leg, a dead or fenced machine (the caller cannot
+    tell them apart), an execution still running ``timeout`` after the
+    send — which waits out that instant, then retransmits after a backoff
+    under the same ``msg_id`` (the machine's dedup cache keeps the call
+    at-most-once) or, ``retries`` spent, fails with RPCTimeoutError.
+    """
+
+    __slots__ = ("ctl", "machine", "make_body", "txn_id", "label", "timeout",
+                 "retries", "msg_id", "attempt", "expires", "deadline", "proc")
+
+    def __init__(self, ctl: "ClusterController", machine: Machine, make_body,
+                 txn_id: int, label: str, timeout: Optional[float] = None,
+                 retries: Optional[int] = None):
+        Event.__init__(self, ctl.sim)
+        net = ctl.config.network
+        self.ctl = ctl
+        self.machine = machine
+        self.make_body = make_body
+        self.txn_id = txn_id
+        self.label = label
+        self.timeout = net.rpc_timeout_s if timeout is None else timeout
+        self.retries = net.rpc_max_retries if retries is None else retries
+        self.msg_id = next(ctl._msg_ids)  # stable across retransmissions
+        self.attempt = 0
+        self.deadline: Optional[Timeout] = None  # set while executing
+        self._send()
+
+    def _send(self, _backoff=None) -> None:
+        self.attempt += 1
+        self.expires = self.sim.now + self.timeout
+        self.ctl.fabric.post(CONTROLLER, self.machine.name, self._on_request)
+
+    def _on_request(self, delivered: bool) -> None:
+        machine = self.machine
+        if not delivered or not machine.alive or machine.fenced:
+            return self._silence()
+        proc = self.proc = machine.submit_rpc(
+            self.msg_id, self.txn_id, self.make_body, label=self.label)
+        proc.defused = True
+        if proc.triggered:
+            return self._reply()  # a retransmission found the cached result
+        self.deadline = self.sim.timeout(
+            max(0.0, self.expires - self.sim.now))
+        self.deadline.add_callback(self._timed_out)
+        proc.add_callback(self._on_done)
+
+    def _on_done(self, proc: Process) -> None:
+        # A completion seen by an attempt that already timed out is not
+        # an answer: the retransmission finds it in the machine's cache.
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+            self._reply()
+
+    def _reply(self) -> None:
+        machine = self.machine
+        if not machine.alive or machine.fenced:
+            # Finished (or was interrupted) but can no longer answer.
+            return self._silence()
+        self.ctl.fabric.post(machine.name, CONTROLLER, self._on_reply)
+
+    def _on_reply(self, delivered: bool) -> None:
+        if not delivered:
+            return self._silence()
+        proc = self.proc
+        if proc.ok:
+            return self.succeed(proc.value)
+        exc = proc.value
+        if isinstance(exc, Interrupt):
+            cause = exc.cause
+            exc = (cause if isinstance(cause, BaseException)
+                   else MachineFailedError(self.machine.name))
+        self.fail(exc)
+
+    def _silence(self) -> None:
+        remaining = self.expires - self.sim.now
+        if remaining > 0:
+            self.sim.timeout(remaining).add_callback(self._timed_out)
+        else:
+            self._timed_out()
+
+    def _timed_out(self, _timer=None) -> None:
+        # Silence waited out, or the deadline itself: the machine is still
+        # executing, and goes on doing so.
+        self.deadline = None
+        ctl = self.ctl
+        if self.attempt > self.retries:
+            ctl.metrics.record_rpc_timeout()
+            self.fail(RPCTimeoutError(
+                f"{self.label} to {self.machine.name} timed out "
+                f"after {self.attempt} attempts"))
+        else:
+            ctl.metrics.record_rpc_timeout(retry=True)
+            self.sim.timeout(ctl.fabric.backoff_delay(
+                self.attempt)).add_callback(self._send)
 
 
 class ClusterController:
@@ -774,9 +873,8 @@ class ClusterController:
                     or not self.primary_alive):
                 return
             try:
-                yield from self._rpc(machine,
-                                     lambda m=machine: m.commit_body(txn_id),
-                                     txn_id=txn_id, label="commit-redeliver")
+                yield _Rpc(self, machine, partial(machine.commit_body, txn_id),
+                           txn_id, "commit-redeliver")
             except RPCTimeoutError:
                 continue
             except Exception:
@@ -814,90 +912,16 @@ class ClusterController:
 
         With the fabric disabled (default) this is exactly the pre-fabric
         direct submit — no extra simulation events, identical
-        interleavings. With it enabled, each attempt is a request leg and
-        a response leg over the fabric plus a deadline; timed-out
-        attempts are retransmitted with exponential backoff under one
-        stable message id, so the machine-side dedup cache makes the
-        whole logical call at-most-once.
+        interleavings. With it enabled it is one :class:`_Rpc`: a request
+        and a response message per attempt plus a deadline, timed-out
+        attempts retransmitted with exponential backoff.
         """
         if not self.fabric.enabled:
             result = yield machine.submit(txn_id, make_body(), label=label)
             return result
-        result = yield from self._rpc(machine, make_body, txn_id=txn_id,
-                                      label=label, timeout=timeout,
-                                      retries=retries)
+        result = yield _Rpc(self, machine, make_body, txn_id, label,
+                            timeout, retries)
         return result
-
-    def _rpc(self, machine: Machine, make_body, *, txn_id: int, label: str,
-             timeout: Optional[float] = None,
-             retries: Optional[int] = None) -> Generator:
-        net = self.config.network
-        timeout = net.rpc_timeout_s if timeout is None else timeout
-        retries = net.rpc_max_retries if retries is None else retries
-        msg_id = next(self._msg_ids)  # stable across retransmissions
-        attempt = 0
-        while True:
-            attempt += 1
-            outcome = yield from self._rpc_attempt(machine, make_body, msg_id,
-                                                   txn_id, label, timeout)
-            if outcome is not _RPC_TIMED_OUT:
-                ok, value = outcome
-                if ok:
-                    return value
-                raise value
-            if attempt > retries:
-                self.metrics.record_rpc_timeout()
-                raise RPCTimeoutError(
-                    f"{label} to {machine.name} timed out "
-                    f"after {attempt} attempts")
-            self.metrics.record_rpc_timeout(retry=True)
-            yield self.sim.timeout(self.fabric.backoff_delay(attempt))
-
-    def _rpc_attempt(self, machine: Machine, make_body, msg_id: int,
-                     txn_id: int, label: str, timeout: float) -> Generator:
-        """One send/execute/reply round. Returns ``_RPC_TIMED_OUT`` or
-        ``(ok, value)``; a machine that is dead or fenced answers with
-        silence, never an error (the caller cannot tell the difference)."""
-        started = self.sim.now
-
-        def wait_out_deadline():
-            remaining = started + timeout - self.sim.now
-            if remaining > 0:
-                yield self.sim.timeout(remaining)
-
-        delivered = yield from self.fabric.deliver(CONTROLLER, machine.name)
-        if not delivered or not machine.alive or machine.fenced:
-            yield from wait_out_deadline()
-            return _RPC_TIMED_OUT
-        proc = machine.submit_rpc(msg_id, txn_id, make_body, label=label)
-        proc.defused = True
-        if not proc.triggered:
-            settled = self.sim.event()
-            proc.add_callback(lambda p, e=settled: e.succeed(p))
-            deadline = self.sim.timeout(max(0.0,
-                                            started + timeout - self.sim.now))
-            yield self.sim.any_of([settled, deadline])
-            if not proc.triggered:
-                # Still executing at the deadline. Execution continues
-                # server-side; the retransmission finds its cached result.
-                return _RPC_TIMED_OUT
-        if not machine.alive or machine.fenced:
-            # Finished (or was interrupted) but the machine can no longer
-            # answer: silence.
-            yield from wait_out_deadline()
-            return _RPC_TIMED_OUT
-        delivered = yield from self.fabric.deliver(machine.name, CONTROLLER)
-        if not delivered:
-            yield from wait_out_deadline()
-            return _RPC_TIMED_OUT
-        if proc.ok:
-            return (True, proc.value)
-        exc = proc.value
-        if isinstance(exc, Interrupt):
-            cause = exc.cause
-            exc = (cause if isinstance(cause, BaseException)
-                   else MachineFailedError(machine.name))
-        return (False, exc)
 
     # -- scatter/gather fan-out (the commit-path broadcast primitive) ------------------
 
@@ -908,10 +932,8 @@ class ClusterController:
         """Start one branch RPC without waiting on it."""
         machine = self.machines[name]
         if self.fabric.enabled:
-            proc = self.sim.process(
-                self._rpc(machine, lambda m=machine: make_body(m),
-                          txn_id=txn_id, label=label, retries=retries),
-                name=f"rpc:{label}:{txn_id}:{name}")
+            proc = _Rpc(self, machine, partial(make_body, machine), txn_id,
+                        label, retries=retries)
         else:
             proc = machine.submit(txn_id, make_body(machine), label=label)
         # The coordinator observes every branch outcome itself (gathered

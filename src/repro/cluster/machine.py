@@ -207,15 +207,16 @@ class Machine:
     def submit(self, txn_id: int, body: Generator, label: str = "") -> Process:
         """Queue ``body`` behind the transaction's earlier ops here."""
         prev = self._tails.get(txn_id)
-        proc = self.sim.process(self._chained(prev, body),
-                                name=f"{self.name}:{label or txn_id}")
+        if prev is not None and prev.is_alive:
+            body = self._chained(prev, body)
+        proc = self.sim.process(body, name=f"{self.name}:{label or txn_id}")
         self._tails[txn_id] = proc
         self._active.add(proc)
         proc.add_callback(lambda _e: self._active.discard(proc))
         return proc
 
-    def _chained(self, prev: Optional[Process], body: Generator) -> Generator:
-        if prev is not None and prev.is_alive:
+    def _chained(self, prev: Process, body: Generator) -> Generator:
+        if prev.is_alive:   # it may have finished since submit()
             try:
                 yield prev
             except Exception:

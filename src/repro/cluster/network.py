@@ -25,7 +25,8 @@ exponential backoff, and the heartbeat failure detector's transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import PlatformError
 from repro.sim import Simulator
@@ -71,11 +72,14 @@ class NetworkConfig:
 
 @dataclass
 class LinkStats:
-    """Per-directed-link delivery counters."""
+    """Per-directed-link delivery counters, and the link's FIFO clamp."""
 
     sent: int = 0
     dropped: int = 0       # random loss
     cut_dropped: int = 0   # lost to a partition
+    # Earliest time the next message on the link may arrive.
+    last_arrival: float = field(default=0.0, init=False, repr=False,
+                                compare=False)
 
 
 class NetworkFabric:
@@ -93,8 +97,6 @@ class NetworkFabric:
         self.rng = SeededRNG(self.config.seed).fork("network-fabric")
         # Directed cuts: (src, dst) pairs that currently drop everything.
         self._cuts: Set[Tuple[str, str]] = set()
-        # FIFO clamp: earliest time the next message on a link may arrive.
-        self._last_arrival: Dict[Tuple[str, str], float] = {}
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
 
     @property
@@ -151,13 +153,6 @@ class NetworkFabric:
 
     # -- message delivery ------------------------------------------------------
 
-    def _stats(self, src: str, dst: str) -> LinkStats:
-        key = (src, dst)
-        stats = self.link_stats.get(key)
-        if stats is None:
-            stats = self.link_stats[key] = LinkStats()
-        return stats
-
     def sample_latency(self) -> float:
         """One-way latency draw: mean ± uniform jitter, never negative."""
         cfg = self.config
@@ -165,6 +160,40 @@ class NetworkFabric:
         if cfg.jitter_s > 0:
             latency += self.rng.uniform(-cfg.jitter_s, cfg.jitter_s)
         return max(0.0, latency)
+
+    def _depart(self, src: str, dst: str) -> Tuple[LinkStats, float, bool]:
+        """Send-time half of a message: ``(link, delay, dropped)``."""
+        link = self.link_stats.get((src, dst))
+        if link is None:
+            link = self.link_stats[(src, dst)] = LinkStats()
+        link.sent += 1
+        if self.metrics is not None:
+            self.metrics.record_message_sent()
+        latency = self.sample_latency()
+        dropped = (self.config.drop_probability > 0
+                   and self.rng.random() < self.config.drop_probability)
+        # Reserve the arrival slot at *send* time so a fast later message
+        # can never overtake a slow earlier one on the same link.
+        sent_at = self.sim.now
+        link.last_arrival = max(sent_at + latency, link.last_arrival)
+        return link, link.last_arrival - sent_at, dropped
+
+    def _arrive(self, src: str, dst: str, link: LinkStats, delay: float,
+                dropped: bool) -> bool:
+        """Arrival-time verdict: did the message survive cuts and loss?"""
+        if (src, dst) in self._cuts:
+            link.cut_dropped += 1
+            if self.metrics is not None:
+                self.metrics.record_message_dropped(cut=True)
+            return False
+        if dropped:
+            link.dropped += 1
+            if self.metrics is not None:
+                self.metrics.record_message_dropped(cut=False)
+            return False
+        if self.metrics is not None:
+            self.metrics.record_link_latency(src, dst, delay)
+        return True
 
     def deliver(self, src: str, dst: str) -> Generator:
         """Send one message ``src -> dst``; returns True if it arrived.
@@ -175,34 +204,20 @@ class NetworkFabric:
         message still consumes the latency — the sender only learns of
         the loss through its own timeout.
         """
-        stats = self._stats(src, dst)
-        stats.sent += 1
-        if self.metrics is not None:
-            self.metrics.record_message_sent()
-        latency = self.sample_latency()
-        dropped = (self.config.drop_probability > 0
-                   and self.rng.random() < self.config.drop_probability)
-        key = (src, dst)
-        # Reserve the arrival slot at *send* time so a fast later message
-        # can never overtake a slow earlier one on the same link.
-        sent_at = self.sim.now
-        arrival = max(sent_at + latency, self._last_arrival.get(key, 0.0))
-        self._last_arrival[key] = arrival
-        if arrival > sent_at:
-            yield self.sim.timeout(arrival - sent_at)
-        if not self.connected(src, dst):
-            stats.cut_dropped += 1
-            if self.metrics is not None:
-                self.metrics.record_message_dropped(cut=True)
-            return False
-        if dropped:
-            stats.dropped += 1
-            if self.metrics is not None:
-                self.metrics.record_message_dropped(cut=False)
-            return False
-        if self.metrics is not None:
-            self.metrics.record_link_latency(src, dst, arrival - sent_at)
-        return True
+        link, delay, dropped = self._depart(src, dst)
+        if delay > 0:
+            yield self.sim.timeout(delay)
+        return self._arrive(src, dst, link, delay, dropped)
+
+    def post(self, src: str, dst: str,
+             on_arrival: Callable[[bool], None]) -> None:
+        """:meth:`deliver` for a sender that does not wait: one timer,
+        whose callback hands ``on_arrival`` the delivered flag at the
+        arrival instant — lost messages included."""
+        link, delay, dropped = self._depart(src, dst)
+        self.sim.timeout(delay).add_callback(
+            lambda _timer: on_arrival(
+                self._arrive(src, dst, link, delay, dropped)))
 
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with jitter for RPC retry ``attempt``."""

@@ -45,7 +45,8 @@ A heap :class:`Timeout` that can no longer matter is *dropped*: never
 dispatched, never advancing the clock, invisible to ``peek()``, ``run()``
 and ``pending``. Two places drop, and only when the timer has no other
 waiter: an :class:`AnyOf` that triggers drops its losing timers, and an
-interrupted process drops the timer it was blocked on. Dispatching such a
+interrupted process drops the timer it was blocked on; a timer's owner
+asks for the same with :meth:`Timeout.cancel`. Dispatching such a
 timer would run ``AnyOf._check`` on a condition that already triggered
 (a counter decrement) or nothing at all, so leaving it out reorders
 nothing. Dropped entries leave the heap lazily — discarded when they reach
@@ -211,6 +212,18 @@ class Timeout(Event):
             self.sim._revive(self)
         Event.add_callback(self, callback)
 
+    def cancel(self) -> None:
+        """Detach every waiter; a timer still in the heap is dropped.
+
+        For the owner of a timer that lost its race (an RPC deadline whose
+        reply arrived). Waiting on it again brings it back, as for any
+        dropped timer.
+        """
+        if self.callbacks is not None and not self._dropped:
+            self.callbacks.clear()
+            if self._eid:
+                self.sim._drop(self)
+
 
 # What a starting process is resumed with: a bare successful event.
 _START = Event.__new__(Event)
@@ -277,7 +290,8 @@ class Process(Event):
                     callbacks.remove(self._resume)
                 except ValueError:
                     pass
-                if not callbacks and type(waited) is Timeout and waited._eid:
+                if (not callbacks and type(waited) is Timeout
+                        and waited._eid and not waited._dropped):
                     # Its only waiter is gone.
                     self.sim._drop(waited)
         self._target = None

@@ -39,11 +39,15 @@ class TestConsensusCommitPath:
         assert proc.ok and done.get("committed")
 
         group = controller.consensus.group
-        # The decision and its clear both reached every replica's log.
+        # The decision reached every replica's log, and with no later
+        # decision to ride on, the idle leader's batched clear did too.
         for node in group.nodes.values():
-            kinds = [cmd[0] for cmd in node.chosen.values()]
-            assert "decision" in kinds
-            assert "decision_clear" in kinds
+            decisions = [payload for kind, payload in node.chosen.values()
+                         if kind == "decision"]
+            assert len(decisions) == 1 and decisions[0]["retire"] == []
+            clears = [payload for kind, payload in node.chosen.values()
+                      if kind == "decision_clear"]
+            assert clears == [{"txns": [decisions[0]["txn"]]}]
             assert node.state.decisions == {}
         applies = controller.trace.events(kind="ctl_applied")
         decided_on = {e.machine for e in applies
@@ -130,6 +134,126 @@ class TestConsensusCommitPath:
         assert not old_node.is_leader
         assert old_node.applied_to == new_node.applied_to
         assert_no_violations(controller)
+
+
+class TestRetireList:
+    """A clear is not a command: it rides the next decision, an idle
+    leader batches what is left, and a take-over drains what it inherits."""
+
+    @staticmethod
+    def _live_tables(plane):
+        return {name: dict(node.state.decisions)
+                for name, node in plane.group.nodes.items() if node.alive}
+
+    def test_table_is_empty_after_quiescence_plus_one_renew_interval(self, sim):
+        controller = make_kv_cluster(
+            sim, keys=64, machines=4, replicas=3, consensus_enabled=True,
+            admission_control=True,
+            network=NetworkConfig(enabled=True, latency_s=0.0005,
+                                  jitter_s=0.0001, seed=3))
+        controller.start_failure_detector()
+        plane = controller.consensus
+        commits = []
+
+        def client(cid):
+            yield sim.timeout(1.0)
+            conn = controller.connect("kv")
+            for i in range(25):
+                key = (i * 4 + cid) % 64
+                yield conn.execute("SELECT v FROM kv WHERE k = ?", (key,))
+                yield conn.execute("UPDATE kv SET v = v + 1 WHERE k = ?",
+                                   (key,))
+                yield conn.commit()
+                commits.append(sim.now)
+
+        for cid in range(4):
+            sim.process(client(cid))
+        sim.run(until=1.5)
+        assert len(commits) == 100
+        # Clears rode on decisions: about one command per commit, not two.
+        node = plane.acting_node
+        kinds = [kind for kind, _ in node.chosen.values()]
+        assert kinds.count("decision") == 100
+        assert kinds.count("decision_clear") <= 1
+        retired = [txn for kind, payload in node.chosen.values()
+                   if kind == "decision" for txn in payload["retire"]]
+        assert len(retired) >= 90 and len(set(retired)) == len(retired)
+        # One renew interval (plus a quorum round trip) after the last
+        # commit the idle leader has flushed the rest, on every replica.
+        sim.run(until=max(commits) + plane.config.renew_interval_s + 0.01)
+        assert plane._retire == []
+        assert all(table == {} for table in self._live_tables(plane).values())
+        assert_no_violations(controller)
+
+    def test_table_drains_under_the_leader_that_takes_over(self, sim):
+        controller = make_consensus_cluster(sim, seed=4)
+        plane = controller.consensus
+        done = {}
+
+        def client():
+            yield sim.timeout(1.0)
+            conn = controller.connect("kv")
+            yield conn.execute("UPDATE kv SET v = 7 WHERE k = 7")
+            done["txn"] = conn.txn.txn_id
+            yield conn.commit()
+            # Every COMMIT is acked, the retirement is queued behind a
+            # decision that will never come: kill the leader right here.
+            assert plane._retire == [done["txn"]]
+            plane.crash_controller(plane.acting)
+
+        sim.process(client())
+        sim.run(until=20.0)
+        new_leader = plane.group.leader()
+        assert new_leader is not None and new_leader.name == plane.acting
+        takeover = controller.trace.events(kind="ctl_takeover")[0]
+        # The new leader inherited the decision, completed it (again:
+        # idempotent) and aborted nothing that was committed ...
+        assert takeover.extra["completed"] == [done["txn"]]
+        assert done["txn"] not in takeover.extra["aborted"]
+        for name in controller.replica_map.replicas("kv"):
+            rows = controller.machines[name].engine.execute_sync(
+                controller.machines[name].engine.begin(), "kv",
+                "SELECT v FROM kv WHERE k = 7").rows
+            assert rows == [(7,)]
+        # ... then retired it: the table is empty on every live replica.
+        assert all(table == {} for table in self._live_tables(plane).values())
+        # Retiring it a second time is a no-op command.
+        plane.clear_decision("kv", done["txn"])
+        sim.run(until=22.0)
+        clears = [payload for kind, payload in new_leader.chosen.values()
+                  if kind == "decision_clear"]
+        assert clears == [{"txns": [done["txn"]]}] * 2
+        assert all(table == {} for table in self._live_tables(plane).values())
+        assert_no_violations(controller)
+
+    def test_failed_proposal_puts_the_retire_list_back(self, sim):
+        controller = make_consensus_cluster(sim)
+        plane = controller.consensus
+        sim.run(until=1.0)
+        plane._retire_later([41, 42])
+        others = [n for n in plane.group.names if n != plane.acting]
+        for name in others:
+            controller.fabric.cut(plane.acting, name)
+        out = {}
+
+        def decide():
+            try:
+                yield from plane.replicate_decision("kv", 43, "commit", [])
+            except PlatformError as exc:
+                out["error"] = exc
+
+        sim.process(decide())
+        sim.run(until=1.2)
+        assert plane._retire == []              # riding the proposal
+        sim.run(until=12.0)
+        # The isolated leader's proposal failed, the list went back, and
+        # the leader elected meanwhile flushed it (no-ops here: nobody
+        # ever decided 41 or 42).
+        assert "error" in out and plane.acting in others
+        clears = [payload["txns"] for kind, payload
+                  in plane.acting_node.chosen.values()
+                  if kind == "decision_clear"]
+        assert [41, 42] in clears and plane._retire == []
 
 
 class TestTakeoverClearsDrainGauge:

@@ -1,6 +1,6 @@
 """Host-independent performance gate on the simulation kernel.
 
-Wall-clock cannot be asserted on shared CI runners; two exact counts can.
+Wall-clock cannot be asserted on shared CI runners; exact counts can.
 A small production-profile cluster (fabric with jitter, 3-node consensus,
 admission, heartbeat detector; one KV database at RF 3) runs the
 ``kv_prod_write`` transaction shape of ``benchmarks/e2e`` — 2 SELECT +
@@ -15,7 +15,11 @@ pumped by a local ``step()`` loop.
   entries: 1 580 / 2 860 / 3 501 in the three runs below, now 13 / 22 / 13).
 * **Event budget.** Kernel steps per commit over a fixed window of
   transactions: an exact count that repeats per seed (223.19 before timers
-  were dropped). Run with ``-s`` to see the measured values.
+  were dropped, 212.6 while a message was a process). Run with ``-s`` to
+  see the measured values.
+* **Message and command budgets.** Fabric messages and consensus commands
+  per commit over the same window, counted where ``benchmarks/e2e`` counts
+  them (``metrics.network.messages_sent``, the acting replica's ``chosen``).
 """
 
 import pytest
@@ -36,19 +40,27 @@ WARM_COMMITS = 40
 WINDOW_COMMITS = 200
 SAMPLE_EVERY = 50
 
-#: Steps per commit measured at PR 15, group commit (seed 7, the window
-#: above): 211.63 with the ready queue and droppable timers of PR 13, plus
-#: one wake-up for each committer that arrives while the log disk is held
-#: and then leads the next flush itself.
-STEPS_PER_COMMIT = 212.605
-#: Schedule entries one outstanding RPC may account for: its deadline, the
-#: timer it is currently waiting out (fabric hop, CPU, WAL flush), and a
-#: ready entry handing its result up the process chain.
-ENTRIES_PER_RPC = 3
+#: Steps per commit measured at PR 20 (seed 7, the window above): 212.605
+#: at PR 15, less a coordinator process, a ``settled`` relay and an ``AnyOf``
+#: per RPC, a process and an inbox wake-up per Paxos message, and the whole
+#: ``decision_clear`` round of every commit.
+STEPS_PER_COMMIT = 128.635
+#: 28 RPC legs (7 round trips x 2; 3 of them to three replicas) and one
+#: Paxos round of 6 (accept / accepted / decide to two followers), plus the
+#: window's share of heartbeats and lease renewals: 34.1 measured.
+MESSAGES_PER_COMMIT = 35
+#: One ``decision`` per commit; clears ride on it. The slack is for a
+#: batched ``decision_clear`` when the leader idles.
+COMMANDS_PER_COMMIT = 1.05
+#: Schedule entries one outstanding RPC may account for: the timer it is
+#: currently waiting out (fabric hop, CPU, WAL flush) and either its
+#: deadline or a ready entry handing its result to the coordinator.
+ENTRIES_PER_RPC = 2
 
 
 def run_cluster(think_s=0.01, rpc_timeout_s=None):
-    """Returns (background pending, peak pending, steps/commit, controller)."""
+    """Returns (background pending, peak pending, steps/commit, controller,
+    messages/commit, commands/commit)."""
     sim = Simulator()
     config = ClusterConfig(replication_factor=REPLICAS, consensus_enabled=True,
                            admission_control=True)
@@ -94,13 +106,18 @@ def run_cluster(think_s=0.01, rpc_timeout_s=None):
     while commits < WARM_COMMITS:
         sim.step()
     steps, peak, next_sample = 0, 0, commits
+    network, log = controller.metrics.network, controller.consensus
+    messages, commands = network.messages_sent, len(log.acting_node.chosen)
     while commits < WARM_COMMITS + WINDOW_COMMITS:
         sim.step()
         steps += 1
         if commits >= next_sample:
             peak = max(peak, sim.pending)
             next_sample += SAMPLE_EVERY
-    return background, peak, steps / WINDOW_COMMITS, controller
+    messages = network.messages_sent - messages
+    commands = len(log.acting_node.chosen) - commands
+    return (background, peak, steps / WINDOW_COMMITS, controller,
+            messages / WINDOW_COMMITS, commands / WINDOW_COMMITS)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +131,7 @@ def test_schedule_is_bounded_by_work_in_flight(baseline):
         "think time / 10": run_cluster(think_s=0.001),
         "rpc_timeout_s x 10": run_cluster(rpc_timeout_s=5.0),
     }
-    for label, (background, peak, _, _) in runs.items():
+    for label, (background, peak, *_) in runs.items():
         bound = background + CLIENTS * REPLICAS * ENTRIES_PER_RPC
         print(f"\n{label}: peak sim.pending {peak} "
               f"(background {background}, bound {bound})")
@@ -122,11 +139,20 @@ def test_schedule_is_bounded_by_work_in_flight(baseline):
 
 
 def test_steps_per_commit_within_budget(baseline):
-    _, _, steps_per_commit, _ = baseline
+    steps_per_commit = baseline[2]
     print(f"\nsteps per commit {steps_per_commit:.3f} "
           f"(budget {STEPS_PER_COMMIT} + 2 %)")
     assert steps_per_commit <= STEPS_PER_COMMIT * 1.02
     assert run_cluster()[2] == steps_per_commit     # repeats exactly
+
+
+def test_messages_and_commands_per_commit_within_budget(baseline):
+    messages, commands = baseline[4:]
+    print(f"\nmessages per commit {messages:.3f} (ceiling "
+          f"{MESSAGES_PER_COMMIT}), commands per commit {commands:.3f} "
+          f"(ceiling {COMMANDS_PER_COMMIT})")
+    assert 0 < messages <= MESSAGES_PER_COMMIT
+    assert 1.0 <= commands <= COMMANDS_PER_COMMIT
 
 
 def test_trace_passes_the_invariant_audit(baseline):

@@ -2,8 +2,10 @@
 
 Every CI soak at its CI size (the stampede at the tier-1 size) must dump
 exactly the trace recorded below. The hashes were recorded at the commit
-before the soaks became declarations (PR 19's parent) and each one
-repeats across processes and under any ``PYTHONHASHSEED``.
+before the soaks became declarations (PR 19's parent) — the three
+fabric-on ones (``partitions``, both ``controllers``) again at PR 20,
+which made a message one kernel event — and each one repeats across
+processes and under any ``PYTHONHASHSEED``.
 
 A PR that changes simulated behaviour on purpose updates the constants
 and says so in CHANGES.md; one that claims "no behaviour change" must
@@ -42,18 +44,18 @@ SOAKS = {
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "fb8f8c6ce1ed55ea0894d8d281cfdedc"),
+        "ea5307135dc5cd5ca090f7fd316c903d"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             consensus=True, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "90948f6e38c1cf77672769c1c352a2a9"),
+        "dbc6a93ca89902861ca2146883520c44"),
     "controllers-pair": (
         lambda: cluster_trace(soaks.controllers(
             consensus=False, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "2e3ebf402988d155b0c575d0c922172d"),
+        "197fe9eacd4967db752197679dd88ce9"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(

@@ -138,6 +138,13 @@ class Timeout(Event):
         self._value = value
         sim._schedule(self, delay=delay)
 
+    def cancel(self) -> None:
+        # Not in the pre-PR-13 kernel: the reference meaning of the public
+        # drop PR 20 added. Every waiter is detached; the entry stays in
+        # the heap and is dispatched to nobody.
+        if self.callbacks is not None:
+            self.callbacks.clear()
+
 
 class Process(Event):
     """A running simulation process wrapping a generator.

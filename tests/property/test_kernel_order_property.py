@@ -8,7 +8,9 @@ only (processes, timeouts with zero / duplicate / sub-ulp delays,
 ``any_of`` / ``all_of`` over fresh timers, shared timers, plain events and
 processes, events succeeded and failed from other processes, interrupts of
 blocked and of not-yet-started processes, waiting again on a timer after
-its race, unhandled failures). Each program runs on both kernels and must
+its race, unhandled failures, timers with a plain callback that are
+cancelled — as are shared timers others sleep on and race losers — and
+given a callback again). Each program runs on both kernels and must
 produce the same sequence of ``(now, label, outcome)`` observations and the
 same exceptions out of ``run()``.
 
@@ -50,6 +52,9 @@ ops = st.one_of(
     st.tuples(st.just("fail"), small),
     st.tuples(st.just("interrupt"), small),
     st.tuples(st.just("spawn"), delays, st.booleans()),
+    st.tuples(st.just("post"), delays),
+    st.tuples(st.just("cancel"), small),
+    st.tuples(st.just("repost"), small),
     st.tuples(st.just("raise")),
 )
 programs = st.lists(st.lists(ops, min_size=0, max_size=6),
@@ -63,6 +68,7 @@ def run_program(kernel, program):
     events = [sim.event() for _ in range(N_EVENTS)]
     shared = {}
     procs = []
+    posted = []     # timers with a plain callback instead of a waiter
 
     def shared_timer(i):
         i %= len(SHARED_DELAYS)
@@ -124,6 +130,24 @@ def run_program(kernel, program):
                     if op[2]:
                         spawned.interrupt("before-start")
                     got = yield spawned
+                elif op[0] == "post":
+                    posted.append(sim.timeout(op[1], label))
+                    posted[-1].add_callback(lambda ev, label=label: seen.append(
+                        (sim.now, f"{label}.fired", ev.value)))
+                    got = None
+                elif op[0] == "cancel":
+                    pool = posted + mine + [shared[i] for i in sorted(shared)]
+                    if not pool:
+                        continue
+                    pool[op[1] % len(pool)].cancel()
+                    got = None
+                elif op[0] == "repost":
+                    if not posted:
+                        continue
+                    posted[op[1] % len(posted)].add_callback(
+                        lambda ev, label=label: seen.append(
+                            (sim.now, f"{label}.again", ev.value)))
+                    got = None
                 else:
                     raise KeyError(label)
             except (kernel.Interrupt, ValueError) as exc:
@@ -195,8 +219,24 @@ BACK_AFTER_ITS_TURN = [
 ]
 
 
+#: The RPC deadline: a posted timer is cancelled before it is due, after it
+#: fired (nothing to do), twice, and then given a callback again — which
+#: brings it back at its own position, between p1's two naps. p1 cancels a
+#: shared timer p2 sleeps on: p2 never wakes, on either kernel; interrupting
+#: it later must not drop that timer a second time.
+CANCELLED_DEADLINE = [
+    [("post", 2), ("post", 0.5), ("sleep", 1), ("cancel", 0), ("cancel", 1),
+     ("cancel", 0), ("repost", 0), ("post", 0), ("cancel", 2)],
+    [("sleep", 1), ("cancel", 3), ("sleep", 1), ("sleep", 1e-20),
+     ("interrupt", 2)],
+    [("sleep_shared", 1)],
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(program=programs, eager_compaction=st.booleans())
+@example(program=CANCELLED_DEADLINE, eager_compaction=False)
+@example(program=CANCELLED_DEADLINE, eager_compaction=True)
 @example(program=HEAP_BEFORE_READY, eager_compaction=False)
 @example(program=LOSER_WITH_SECOND_WAITER, eager_compaction=False)
 @example(program=LOSER_WITH_SECOND_WAITER, eager_compaction=True)

@@ -1,0 +1,278 @@
+"""Property test: the RPC state machine against the generator RPC it replaced.
+
+``repro.cluster.controller._Rpc`` is a callback state machine over
+``fabric.post``; ``tests/oracles/generator_rpc.py`` is the generator RPC
+(one coordinator process, a ``settled`` relay, an ``AnyOf`` and a deadline
+per attempt) the controller ran before. Hypothesis scripts a scenario — a
+lone call through ``_call`` or a fan-out of one to three branches through
+``_issue_branch``, per-branch body durations on both sides of the deadline
+(some bodies raise), 0–4 retries, a drop probability, and cuts / heals /
+``fail`` / ``fence`` at scripted instants — and runs it in two same-seed
+sims. Both must give every branch the same outcome (value, or exception
+type and message: the timeout message carries the attempt count), the same
+settle instant, the same fabric counters (messages sent / dropped / cut,
+timeouts, retransmissions), at most one execution per message id, and a
+schedule that is empty again once everything settled.
+
+Fan-outs replace the fabric's random stream by a constant and drop
+nothing at random: when two branches of one fan-out reach ``started +
+timeout`` in the same instant, the generator RPC resumed through an
+``AnyOf`` hop and the state machine does not, so the two draw their backoff
+jitter in a different order. That is a tie-break, not behaviour; lone
+calls keep the seeded stream, random drops included.
+
+``test_mutants_are_caught`` breaks the state machine three ways and
+requires the differential to notice each.
+"""
+
+from functools import partial
+
+import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterConfig, ClusterController
+from repro.cluster import controller as controller_module
+from repro.cluster.controller import _Rpc
+from repro.cluster.network import CONTROLLER
+from repro.errors import DeadlockError
+from repro.sim import Simulator
+from tests.oracles.generator_rpc import GeneratorRpc
+
+MACHINES = 3
+LATENCY_S = 0.003
+#: Body durations: instant, well inside either deadline, between the two,
+#: and beyond both (the last also outlives a retransmission or two).
+DURATIONS = [0.0, 0.013, 0.11, 0.31, 0.77, 1.9]
+TIMEOUTS = [0.2, 0.5]
+
+#: Scripted instants sit on an odd grid so none coincides with an arrival,
+#: a completion or a deadline (all sums of round numbers).
+instants = st.integers(min_value=0, max_value=400).map(
+    lambda k: 0.00041 + k * 0.0173)
+actions = st.one_of(
+    st.tuples(instants, st.sampled_from(["cut", "heal"]),
+              st.integers(0, MACHINES - 1),
+              st.sampled_from(["request", "reply", "both"])),
+    st.tuples(instants, st.sampled_from(["fail", "fence"]),
+              st.integers(0, MACHINES - 1), st.just("")),
+)
+branches = st.tuples(st.sampled_from(DURATIONS), st.booleans())
+scenarios = st.fixed_dictionaries({
+    "seed": st.integers(0, 50),
+    "lone": st.booleans(),
+    "drop_p": st.sampled_from([0.0, 0.0, 0.2, 0.5]),
+    "timeout": st.sampled_from(TIMEOUTS),
+    "retries": st.integers(0, 4),
+    "branches": st.lists(branches, min_size=1, max_size=MACHINES),
+    "script": st.lists(actions, max_size=5),
+})
+
+
+class _ConstantStream:
+    def random(self):
+        return 0.5
+
+
+def run_scenario(scenario, new, rpc_class=_Rpc):
+    """Run ``scenario`` on one implementation; returns what is compared."""
+    saved = controller_module._Rpc
+    controller_module._Rpc = rpc_class
+    try:
+        return _run_scenario(scenario, new)
+    finally:
+        controller_module._Rpc = saved
+
+
+def _run_scenario(scenario, new):
+    lone = scenario["lone"] or len(scenario["branches"]) == 1
+    sim = Simulator()
+    config = ClusterConfig()
+    net = config.network
+    net.enabled = True
+    net.latency_s = LATENCY_S
+    net.seed = scenario["seed"]
+    net.rpc_timeout_s = scenario["timeout"]
+    net.drop_probability = scenario["drop_p"] if lone else 0.0
+    controller = ClusterController(sim, config)
+    machines = controller.add_machines(MACHINES)
+    fabric = controller.fabric
+    if not lone:
+        fabric.rng = _ConstantStream()
+    reference = GeneratorRpc(controller)
+    executions = {}
+    settled = {}
+
+    def make_body(index, machine):
+        duration, raises = scenario["branches"][index]
+        executions[index] = executions.get(index, 0) + 1
+        if duration:
+            yield sim.timeout(duration)
+        if raises:
+            raise DeadlockError(f"branch {index}")
+        return f"value {index} from {machine.name}"
+
+    def script():
+        for at, kind, target, leg in sorted(scenario["script"]):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            machine = machines[target]
+            if kind in ("cut", "heal"):
+                change = getattr(fabric, kind)
+                if leg in ("request", "both"):
+                    change(CONTROLLER, machine.name, symmetric=False)
+                if leg in ("reply", "both"):
+                    change(machine.name, CONTROLLER, symmetric=False)
+            else:
+                getattr(machine, kind)()
+
+    scripted = sim.process(script())
+
+    def observe(index, event):
+        def on_settled(ev):
+            value = ev.value
+            settled[index] = (
+                sim.now, ev.ok,
+                value if ev.ok else (type(value).__name__, str(value)),
+                # Settle order, and the live schedule entries at that
+                # point besides the script's own sleep.
+                len(settled), sim.pending - scripted.is_alive)
+        event.defused = True
+        event.add_callback(on_settled)
+
+    count = 1 if lone else len(scenario["branches"])
+    for index in range(count):
+        machine = machines[index]
+        body = partial(make_body, index, machine)
+        call = dict(txn_id=100 + index, label=f"op{index}",
+                    retries=scenario["retries"])
+        if not new:
+            observe(index, sim.process(reference._rpc(machine, body, **call)))
+        elif lone:
+            observe(index, sim.process(controller._call(machine, body, **call)))
+        else:
+            observe(index, controller._issue_branch(
+                machine.name, partial(make_body, index), **call).proc)
+    sim.run()
+    assert all(n <= 1 for n in executions.values()), executions
+    network = controller.metrics.network
+    return {
+        "settled": settled,
+        "executions": executions,
+        "counters": (network.messages_sent, network.messages_dropped,
+                     network.messages_cut, network.rpc_timeouts,
+                     network.rpc_retries),
+        "links": {link: (s.sent, s.dropped, s.cut_dropped)
+                  for link, s in fabric.link_stats.items()},
+    }
+
+
+def assert_same(scenario, rpc_class=_Rpc):
+    expected = run_scenario(scenario, new=False)
+    actual = run_scenario(scenario, new=True, rpc_class=rpc_class)
+    assert len(actual["settled"]) == len(expected["settled"]) > 0
+    for index, theirs in expected["settled"].items():
+        ours = actual["settled"][index]
+        # Outcome and settle instant; the schedule is compared below.
+        assert ours[:3] == theirs[:3], (index, ours, theirs)
+    assert actual["executions"] == expected["executions"]
+    assert actual["counters"] == expected["counters"]
+    assert actual["links"] == expected["links"]
+    if not any(value[0] == "RPCTimeoutError"
+               for _, ok, value, _, _ in actual["settled"].values() if not ok):
+        # Every machine answered, so every machine process is done: when
+        # the last call settles, the schedule is back at its background
+        # level — no deadline was left on the heap.
+        last = max(actual["settled"].values(), key=lambda s: s[3])
+        assert last[4] == 0, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios)
+def test_matches_the_generator_rpc(scenario):
+    assert_same(scenario)
+
+
+def test_fan_out_through_the_controller_gathers_the_same_outcomes():
+    """``_fanout`` end to end: one branch answers, one is cut off and times
+    out, one raises — the gathered BranchOutcomes say so."""
+    sim = Simulator()
+    config = ClusterConfig()
+    config.network.enabled = True
+    config.network.rpc_timeout_s = 0.2
+    controller = ClusterController(sim, config)
+    names = [m.name for m in controller.add_machines(MACHINES)]
+    controller.fabric.cut(CONTROLLER, names[1])
+
+    def make_body(machine):
+        yield sim.timeout(0.01)
+        if machine.name == names[2]:
+            raise DeadlockError("refused")
+        return machine.name
+
+    proc = sim.process(controller._fanout(names, make_body, txn_id=1,
+                                          label="probe", retries=1))
+    sim.run()
+    outcomes = proc.value
+    assert [o.machine for o in outcomes] == names
+    assert outcomes[0].ok and outcomes[0].value == names[0]
+    assert type(outcomes[1].value).__name__ == "RPCTimeoutError"
+    assert "after 2 attempts" in str(outcomes[1].value)
+    assert isinstance(outcomes[2].value, DeadlockError)
+    assert outcomes[0].latency == pytest.approx(0.01 + 2 * 0.0001)
+    assert sim.pending == 0
+
+
+class _FirstAnswerWins(_Rpc):
+    """Mutant base: settling twice is ignored instead of tripping the
+    kernel, so each mutant below is caught by what the differential
+    compares, not by a ``SimulationError``."""
+
+    def succeed(self, value=None):
+        return self if self.triggered else super().succeed(value)
+
+    def fail(self, exception):
+        return self if self.triggered else super().fail(exception)
+
+
+class DeadlineLeftArmed(_FirstAnswerWins):
+    """Does not cancel the deadline when the machine answers in time."""
+
+    def _on_done(self, proc):
+        if self.deadline is not None:
+            self.deadline = None
+            self._reply()
+
+
+class LateCompletionAccepted(_FirstAnswerWins):
+    """Takes the completion of an attempt that already timed out."""
+
+    def _on_done(self, proc):
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+        self._reply()
+
+
+class FencedMachineReplies(_FirstAnswerWins):
+    """Lets a machine that was fenced while executing post its reply."""
+
+    def _reply(self):
+        self.ctl.fabric.post(self.machine.name, CONTROLLER, self._on_reply)
+
+
+def diverges(rpc_class, scenario):
+    try:
+        assert_same(scenario, rpc_class)
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("broken", [DeadlineLeftArmed, LateCompletionAccepted,
+                                    FencedMachineReplies])
+def test_mutants_are_caught(broken):
+    scenario = find(scenarios, lambda s: diverges(broken, s),
+                    settings=settings(max_examples=3000, deadline=None,
+                                      derandomize=True, database=None))
+    assert not diverges(_Rpc, scenario)

@@ -171,7 +171,13 @@ class TestControllerState:
             ("decision", {"txn": 7, "decision": "commit",
                           "machines": ["m0", "m2"]}),
             ("machine_repaired", {"machine": "m1"}),
-            ("decision_clear", {"txn": 7}),
+            # Clears are not commands of their own: 7 rides on the next
+            # decision, 8 and 9 on an idle leader's batch.
+            ("decision", {"txn": 8, "decision": "commit",
+                          "machines": ["m0"], "retire": [7]}),
+            ("decision", {"txn": 9, "decision": "commit",
+                          "machines": ["m2"], "retire": []}),
+            ("decision_clear", {"txns": [8, 9]}),
         ]
         states = [ControllerState(), ControllerState()]
         for state in states:
@@ -183,6 +189,23 @@ class TestControllerState:
             assert state.declared_dead == set() and state.fenced == set()
             assert state.placements == {"app": "m3"}
             assert state.decisions == {}
+
+    def test_retire_drops_earlier_decisions_after_inserting_the_new_one(self):
+        state = ControllerState()
+        state.apply("decision", {"txn": 1, "decision": "commit",
+                                 "machines": ["m0"]})
+        state.apply("decision", {"txn": 2, "decision": "commit",
+                                 "machines": ["m1"], "retire": [1]})
+        assert state.decisions == {2: ("commit", ["m1"])}
+        # Retiring twice, an unknown id, or the carrier itself (a restored
+        # list proposed again) are all just pops.
+        retire = [1, 2, 99]
+        state.apply("decision", {"txn": 3, "decision": "commit",
+                                 "machines": ["m0"], "retire": retire})
+        assert state.decisions == {3: ("commit", ["m0"])}
+        assert retire == [1, 2, 99]
+        state.apply("decision_clear", {"txns": [3, 3, 1]})
+        assert state.decisions == {}
 
     def test_machine_declared_fences_and_drops_replicas(self):
         state = ControllerState()

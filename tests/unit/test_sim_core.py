@@ -423,6 +423,50 @@ class TestDroppedTimers:
         sim.run()
         assert log == [("early", False), ("marker", True)]
 
+    def test_cancel_takes_a_callback_timer_off_the_schedule(self, sim):
+        fired = []
+        deadline = sim.timeout(10)
+        deadline.add_callback(fired.append)
+        sim.timeout(1)
+        assert sim.pending == 2
+        deadline.cancel()
+        deadline.cancel()               # idempotent
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [] and sim.now == 1.0 and sim.pending == 0
+
+    def test_cancel_of_a_due_now_or_processed_timer(self, sim):
+        fired = []
+        zero = sim.timeout(0)           # ready queue, not the heap
+        zero.add_callback(fired.append)
+        zero.cancel()
+        done = sim.timeout(1)
+        sim.run()
+        done.cancel()                   # already processed: nothing to do
+        assert fired == [] and sim.pending == 0
+
+    def test_cancelled_timer_comes_back_for_a_new_waiter(self, sim):
+        deadline = sim.timeout(10, "deadline")
+        deadline.add_callback(lambda e: None)
+        deadline.cancel()
+        fired = []
+        deadline.add_callback(lambda e: fired.append(sim.now))
+        sim.run()
+        assert fired == [10.0]
+
+    def test_interrupting_a_sleeper_on_a_cancelled_timer_drops_once(self, sim):
+        nap = sim.timeout(10)
+
+        def sleeper():
+            yield nap
+
+        proc = sim.process(sleeper())
+        sim.run(until=1)
+        nap.cancel()
+        proc.interrupt()
+        sim.run(until=2)
+        assert not proc.is_alive and sim.pending == 0
+
     def test_peek_skips_dropped_entries(self, sim):
         self._race(sim, deadline_s=5)
         sim.timeout(7)
