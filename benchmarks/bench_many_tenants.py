@@ -14,8 +14,8 @@ controller and measures, at each scale:
   small warm set driven through the simulator (admission, touch-check,
   classification, 2PC, engine execution per transaction);
 * **resident memory** — tracemalloc bytes after staging, for the lazy
-  fast path and (at the middle stage) the eager reference
-  configuration as the contrast;
+  fast path and (at the middle stage) the eager reference — the same
+  state allocated at creation by the bench itself — as the contrast;
 * **placement latency** — heat-indexed first-fit/best-fit over the same
   bin counts, with the linear reference timed at the smallest stage.
 
@@ -91,7 +91,6 @@ def _stage_controller(n_databases, lazy=True):
     config = ClusterConfig(
         replication_factor=REPLICAS,
         trace_capacity=4096,
-        lazy_tenant_state=lazy,
         lazy_engine_ddl=lazy,
         max_resident_tenant_logs=64 if lazy else 0,
         metrics_resident_tenants=64 if lazy else 0,
@@ -171,7 +170,7 @@ def run_latency_stage(n_databases, seed=3):
         "stmt_p50_us": round(percentile(stmt_means, 50) * 1e6, 3),
         "stmt_p99_us": round(percentile(stmt_means, 99) * 1e6, 3),
         "stmt_committed": committed_total,
-        "resident_db_logs": len(controller.db_logs),
+        "resident_db_logs": len(controller.replication.db_logs),
         "resident_histograms": len(controller.metrics.db_latencies),
     }
 
@@ -183,8 +182,14 @@ def run_memory_stage(n_databases, lazy=True):
         base, _ = tracemalloc.get_traced_memory()
         sim, controller = _stage_controller(n_databases, lazy=lazy)
         for i in range(n_databases):
-            controller.create_database(f"t{i:06d}", KV_DDL,
-                                       replicas=REPLICAS)
+            db = f"t{i:06d}"
+            controller.create_database(db, KV_DDL, replicas=REPLICAS)
+            if not lazy:
+                # The eager reference: per-tenant log and LSN map from
+                # creation (the controller itself only ever allocates
+                # them on first touch).
+                controller.replication.log(db)
+                controller.replication.lsns(db)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

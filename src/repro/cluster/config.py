@@ -104,15 +104,9 @@ class ClusterConfig:
     # and ``consensus_enabled``).
     admission_control: bool = False
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    # Tenant-scale fast path (Issue 10). ``lazy_tenant_state`` defers
-    # per-tenant controller state — the retained delta log, the
-    # replica-LSN map, and the admission bucket — to first touch, so a
-    # mostly-cold tenant population costs a replica list and nothing
-    # else. On by default: first-touch materialisation is constructed
-    # to produce bit-identical traces to the eager path (the eager
-    # fallback is kept as the differential reference for the
-    # replay-identity guard).
-    lazy_tenant_state: bool = True
+    # Tenant-scale fast path (Issue 10). Per-tenant controller state
+    # (delta log, replica-LSN map, admission bucket) always materialises
+    # on first touch; what follows are the fast path's opt-in parts.
     # Defer per-replica engine CREATE TABLE work to the first statement
     # (or bulk load) touching the database. This changes engine txn-id
     # interleaving relative to the seed, so it is opt-in for
@@ -129,3 +123,19 @@ class ClusterConfig:
     # (counts and percentile snapshot kept, raw samples dropped).
     # 0 = unbounded.
     metrics_resident_tenants: int = 0
+
+
+def production_profile(seed: int) -> ClusterConfig:
+    """The configuration we would run, and the one spelling of it: the
+    values of the end-to-end benchmark's ``PROD_PROFILE``, with ``seed``
+    feeding both random streams (fabric jitter, election jitter). Tests
+    and soaks that run a variant say what they vary with
+    :func:`dataclasses.replace`."""
+    return ClusterConfig(
+        replication_factor=3,
+        network=NetworkConfig(enabled=True, latency_s=0.0005,
+                              jitter_s=0.0001, drop_probability=0.0,
+                              seed=seed),
+        consensus_enabled=True,
+        consensus=ConsensusConfig(replicas=3, seed=seed),
+        admission_control=True)

@@ -816,7 +816,8 @@ def takeover_cleanup(controller, decisions: Dict[int, Tuple[str, List[str]]],
     # old controller, so _finish never ran for it; purge them from the
     # open-writer drain gauge or a later delta handoff on their
     # database would wait on them forever.
-    controller.resolve_stale_writers(set(decisions) | set(aborted))
+    controller.replication.resolve_stale_writers(
+        set(decisions) | set(aborted))
     return committed, aborted
 
 
@@ -907,6 +908,10 @@ class ConsensusControlPlane:
             raise ControllerFailedError(
                 f"controller {self.controller.name}: leader lease lapsed "
                 f"while replicating the decision for txn {txn_id}")
+
+    def decision_stamp(self) -> Dict[str, Any]:
+        """Who made a decision this plane holds, for its trace event."""
+        return {"actor": self.acting, "term": self.term}
 
     def clear_decision(self, db: str, txn_id: int) -> None:
         """Retire a decision: not a command of its own — it rides in the

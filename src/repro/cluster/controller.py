@@ -1,21 +1,30 @@
-"""The cluster controller (Sections 2, 3.1, 3.2).
+"""The cluster controller (Sections 2, 3.1, 3.2), as roles.
 
-The controller owns every client connection, the database→machine replica
-map, and the two-phase-commit coordinator. Data flow for one statement:
+The paper's controller owns every client connection, the
+database→machine replica map with the per-database commit stream that
+recovery replays, and the two-phase-commit coordinator. Here those are
+separate objects over shared cluster state (DESIGN §4p):
 
-* **read** — routed to one live replica according to the configured
-  :class:`ReadOption`; retried on another replica if the machine fails
-  mid-operation (connections survive machine failures).
-* **write** — gated by Algorithm 1 when the database is being re-replicated
-  (reject writes to the table currently being copied; include the copy
-  target for tables already copied), then fanned out to every live
-  replica. The configured :class:`WritePolicy` decides whether the client
-  resumes after the first replica acknowledges (*aggressive*) or after all
-  do (*conservative*).
-* **commit** — read-only transactions just release locks; transactions
-  with writes run 2PC across every machine that executed a write, with
-  the decision mirrored to the process-pair backup before COMMIT messages
-  go out.
+* :class:`TxnCoordinator` — the data path of one statement. A **read** is
+  routed to one live replica according to the configured
+  :class:`ReadOption` and retried on another replica if the machine fails
+  mid-operation (connections survive machine failures). A **write** is
+  gated by Algorithm 1 when the database is being re-replicated (reject
+  writes to the table currently being copied; include the copy target for
+  tables already copied), then fanned out to every live replica; the
+  configured :class:`WritePolicy` decides whether the client resumes after
+  the first replica acknowledges (*aggressive*) or after all do
+  (*conservative*). A **commit** of a read-only transaction just releases
+  locks; one with writes runs 2PC across every machine that executed a
+  write, with the decision made durable on the attached control plane
+  (process-pair backup or consensus group) before COMMIT messages go out.
+  Its messages leave through :class:`RpcLayer`, the one class that knows
+  whether the fabric is on.
+* :class:`~repro.cluster.replication_log.ReplicationLog` — the
+  LSN-addressed commit log per database, replica LSNs, delta hand-off and
+  rejoin catch-up (its own module; it knows nothing of this one).
+* :class:`ClusterController` — construction, membership and failure
+  reactions, database lifecycle, and the public surface.
 
 Failure handling: a failed machine is removed from the replica map, every
 in-flight operation on it errors, affected transactions continue on the
@@ -41,9 +50,9 @@ from repro.cluster.machine import Machine
 from repro.cluster.membership import HeartbeatDetector
 from repro.cluster.network import CONTROLLER, NetworkFabric
 from repro.cluster.replica_map import ReplicaMap
+from repro.cluster.replication_log import CopyState, ReplicationLog
 from repro.cluster.routing import ReadOption, ReadRouter, WritePolicy
 from repro.engine.schema import DatabaseSchema
-from repro.engine.wal import RetainedTail
 from repro.engine.sqlparse import nodes as n
 from repro.engine.sqlparse.parser import parse
 from repro.errors import (ControllerFailedError, DeadlockError,
@@ -90,16 +99,6 @@ class BranchOutcome:
 
 
 @dataclass
-class _Branch:
-    """One in-flight branch of a fan-out (issue-time bookkeeping)."""
-
-    machine: str
-    proc: Event                 # the machine's process, or the _Rpc to it
-    issued_at: float
-    settled_at: Optional[float] = None
-
-
-@dataclass
 class _TxnState:
     """Controller-side state of one open transaction."""
 
@@ -122,19 +121,6 @@ class _TxnState:
     writes_sent: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class CopyState:
-    """Algorithm 1 bookkeeping for one database being re-replicated."""
-
-    db: str
-    target: str
-    copying_table: Optional[str] = None
-    copied_tables: Set[str] = field(default_factory=set)
-    # Database-granularity copy: every table counts as "being copied".
-    copying_all: bool = False
-    # The machine being copied *from*; lets fail_machine abandon copies
-    # whose source died, not just copies whose target died.
-    source: Optional[str] = None
 
 
 class Connection:
@@ -147,35 +133,38 @@ class Connection:
 
     def __init__(self, controller: "ClusterController", db: str):
         self.controller = controller
+        self.txns = controller.txns
         self.db = db
         self.txn: Optional[_TxnState] = None
         self.closed = False
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Process:
         """Run one SQL statement inside the connection's transaction."""
-        return self.controller.sim.process(
-            self.controller._execute(self, sql, tuple(params)),
-            name=f"conn:{self.db}:exec")
+        txns = self.txns
+        return txns.sim.process(txns._execute(self, sql, tuple(params)),
+                                name=f"conn:{self.db}:exec")
 
     def commit(self) -> Process:
-        return self.controller.sim.process(
-            self.controller._commit(self), name=f"conn:{self.db}:commit")
+        txns = self.txns
+        return txns.sim.process(txns._commit(self),
+                                name=f"conn:{self.db}:commit")
 
     def rollback(self) -> Process:
-        return self.controller.sim.process(
-            self.controller._rollback(self), name=f"conn:{self.db}:rollback")
+        txns = self.txns
+        return txns.sim.process(txns._rollback(self),
+                                name=f"conn:{self.db}:rollback")
 
     def close(self) -> None:
         if self.txn is not None and not self.txn.finished:
             if self.controller.primary_alive:
-                self.controller._abort_everywhere(self, self.txn)
+                self.txns._abort_everywhere(self, self.txn)
             else:
                 # With a dead primary there is nobody to send the
                 # aborts; the backup's take-over presumed-aborts
                 # undecided branches. Coordinator-side bookkeeping
                 # (the read router's per-txn choice, the open-writer
                 # gauge) must still be released here, or it leaks.
-                self.controller._finish(self, self.txn)
+                self.txns._finish(self, self.txn)
         self.closed = True
 
 
@@ -195,7 +184,7 @@ class _Rpc(Event):
     __slots__ = ("ctl", "machine", "make_body", "txn_id", "label", "timeout",
                  "retries", "msg_id", "attempt", "expires", "deadline", "proc")
 
-    def __init__(self, ctl: "ClusterController", machine: Machine, make_body,
+    def __init__(self, ctl: "RpcLayer", machine: Machine, make_body,
                  txn_id: int, label: str, timeout: Optional[float] = None,
                  retries: Optional[int] = None):
         Event.__init__(self, ctl.sim)
@@ -282,500 +271,174 @@ class _Rpc(Event):
                 self.attempt)).add_callback(self._send)
 
 
-class ClusterController:
-    """Fault-tolerant coordinator of one machine cluster."""
+class RpcLayer:
+    """Controller→machine messages: one RPC, or a broadcast gathered.
 
-    def __init__(self, sim: Simulator, config: Optional[ClusterConfig] = None,
-                 name: str = "cluster"):
+    Knows nothing of transactions beyond the id a message carries. This
+    is the one class that knows whether the fabric is on: :meth:`send`
+    and :meth:`abort` are the two places the message paths part
+    (DESIGN §4p says why both stay).
+    """
+
+    def __init__(self, sim: Simulator, config: ClusterConfig,
+                 machines: Dict[str, Machine], fabric: NetworkFabric,
+                 metrics: MetricsCollector, trace: Tracer):
         self.sim = sim
-        self.config = config or ClusterConfig()
-        self.name = name
-        self.machines: Dict[str, Machine] = {}
-        self.replica_map = ReplicaMap()
-        self.router = ReadRouter(self.config.read_option)
-        self.metrics = MetricsCollector(
-            resident_tenants=self.config.metrics_resident_tenants)
-        self.fabric = NetworkFabric(
-            sim, self.config.network, metrics=self.metrics,
-            direct_latency_s=self.config.machine.network_latency_s)
-        self.trace = Tracer(capacity=self.config.trace_capacity,
-                            clock=lambda: self.sim.now)
-        self.fabric.trace = self.trace
-        self.trace.emit("trace_meta", cluster=name,
-                        write_policy=self.config.write_policy.value,
-                        read_option=self.config.read_option.value,
-                        replication_factor=self.config.replication_factor)
-        self.history: Optional[GlobalHistory] = (
-            GlobalHistory() if self.config.record_history else None)
-        self.copy_states: Dict[str, CopyState] = {}
-        self.recovery = None          # attached by RecoveryManager
-        self.backup = None            # attached by ProcessPair
-        self.consensus = None         # attached by ConsensusControlPlane
+        self.config = config
+        self.machines = machines
+        self.fabric = fabric
+        self.metrics = metrics
+        self.trace = trace
+        self._msg_ids = itertools.count(1)
+
+    def live_targets(self, names: Iterable[str]) -> List[str]:
+        """Filter to machines that exist, are alive, and are not fenced."""
+        targets = []
+        for name in names:
+            machine = self.machines.get(name)
+            if machine is not None and machine.alive and not machine.fenced:
+                targets.append(name)
+        return targets
+
+    def send(self, machine: Machine,
+             make_body: Callable[[Machine], Generator], txn_id: int,
+             label: str, timeout: Optional[float] = None,
+             retries: Optional[int] = None) -> Event:
+        """Start one logical RPC against ``machine``; the event settles
+        with its result or error.
+
+        Over the fabric it is one :class:`_Rpc`: a request and a
+        response message per attempt plus a deadline, timed-out attempts
+        retransmitted with exponential backoff. Without it, it is the
+        machine's own process — no message, no extra simulation event,
+        nothing that can be lost.
+        """
+        if self.fabric.enabled:
+            return _Rpc(self, machine, partial(make_body, machine), txn_id,
+                        label, timeout, retries)
+        return machine.submit(txn_id, make_body(machine), label=label)
+
+    def abort(self, names: Iterable[str], txn_id: int) -> None:
+        """Roll ``txn_id`` back on ``names``, waiting on none of them.
+
+        Over the fabric ABORT is fire-and-collect: all branches leave at
+        once, each retries in the background, idempotent, and lost to
+        dead or fenced machines (whose state dies with them anyway).
+        Without it the aborts are immediate and local — nothing can lose
+        them, so nothing needs to carry them.
+        """
+        if self.fabric.enabled:
+            targets = self.live_targets(sorted(names))
+            for name in targets:
+                self.issue_branch(name, lambda m: m.abort_body(txn_id),
+                                  txn_id=txn_id, label="abort")
+            if targets:
+                self.metrics.record_fanout("abort", len(targets))
+        else:
+            for name in names:
+                machine = self.machines.get(name)
+                if machine is not None:
+                    machine.abort_local(txn_id)
+
+    # -- scatter/gather fan-out (the commit-path broadcast primitive) ------------------
+
+    def issue_branch(self, name: str,
+                     make_body: Callable[[Machine], Generator], *,
+                     txn_id: int, label: str,
+                     retries: Optional[int] = None) -> Event:
+        """Start one branch RPC without waiting on it; returns the event
+        that settles with its result (the machine's process, or the
+        :class:`_Rpc` to it)."""
+        proc = self.send(self.machines[name], make_body, txn_id, label,
+                         retries=retries)
+        # The coordinator observes every branch outcome itself (gathered
+        # BranchOutcome, or the write wait policies); defuse so one early
+        # branch failure cannot crash the kernel before it gets there.
+        proc.defused = True
+        return proc
+
+    def settled(self, proc: Event) -> Event:
+        """An event that succeeds (never fails) when ``proc`` settles;
+        its value is the settle instant."""
+        settled = self.sim.event()
+        proc.add_callback(lambda _proc: settled.succeed(self.sim.now))
+        return settled
+
+    @staticmethod
+    def _outcome(name: str, proc: Event, latency: float) -> BranchOutcome:
+        value = proc.value
+        if not proc.ok and isinstance(value, Interrupt):
+            # The branch body died without translating its interrupt
+            # (e.g. torn down between ops): a machine failure.
+            cause = value.cause
+            value = (cause if isinstance(cause, BaseException)
+                     else MachineFailedError(name))
+        return BranchOutcome(machine=name, ok=proc.ok, value=value,
+                             latency=latency)
+
+    def fanout(self, names: Sequence[str],
+               make_body: Callable[[Machine], Generator], *,
+               txn_id: int, label: str,
+               retries: Optional[int] = None) -> Generator:
+        """Broadcast one RPC to ``names`` and gather every branch outcome.
+
+        All branches leave at once and the *complete* set of outcomes
+        is awaited: one round trip per phase whatever the replication
+        factor, and exactly what presumed-abort needs (a timed-out
+        branch aborts even when another answered first). Outcomes are
+        returned in issue order.
+        """
+        names = list(names)
+        self.metrics.record_fanout(label, len(names))
+        self.trace.emit("fanout_start", txn=txn_id, label=label,
+                        width=len(names), machines=list(names))
+        started = self.sim.now
+        procs = [self.issue_branch(name, make_body, txn_id=txn_id,
+                                   label=label, retries=retries)
+                 for name in names]
+        settled = [self.settled(proc) for proc in procs]
+        if settled:
+            yield self.sim.all_of(settled)
+        outcomes = [self._outcome(name, proc, at.value - started)
+                    for name, proc, at in zip(names, procs, settled)]
+        for outcome in outcomes:
+            self.metrics.record_fanout(label, 0,
+                                       branch_latency=outcome.latency)
+        self.trace.emit("fanout_done", txn=txn_id, label=label,
+                        width=len(outcomes), elapsed=self.sim.now - started)
+        return outcomes
+
+
+class TxnCoordinator:
+    """Statement routing, write fan-out and the 2PC coordinator.
+
+    One per :class:`ClusterController`; every :class:`Connection` drives
+    it. It owns what exists per *transaction* (ids, the
+    statement-classification cache) and its :class:`RpcLayer`, and
+    borrows the cluster's shared objects; what can be re-attached after
+    construction (control plane, primary flag, hooks) is read through
+    ``ctl``.
+    """
+
+    def __init__(self, ctl: "ClusterController"):
+        self.ctl = ctl
+        self.sim = ctl.sim
+        self.config = ctl.config
+        self.machines = ctl.machines
+        self.replica_map = ctl.replica_map
+        self.router = ctl.router
+        self.metrics = ctl.metrics
+        self.trace = ctl.trace
+        self.copy_states = ctl.copy_states
+        self.replication = ctl.replication
+        self.admission = ctl.admission
+        self.rpc = RpcLayer(ctl.sim, ctl.config, ctl.machines, ctl.fabric,
+                            ctl.metrics, ctl.trace)
         self._txn_ids = itertools.count(1)
         # Statement-classification cache, LRU-bounded by
         # config.stmt_cache_size (0 = unbounded).
         self._stmt_cache: "OrderedDict[str, Tuple[str, Optional[str]]]" = (
             OrderedDict())
-        self.schemas: Dict[str, DatabaseSchema] = {}
-        self.ddl: Dict[str, List[str]] = {}
-        # db -> declared SLA (None for databases created without one).
-        # Registered at create_database / set_sla; provisions the
-        # admission layer's token bucket and the runtime SLA monitor.
-        self.slas: Dict[str, Any] = {}
-        # Per-tenant token-bucket admission (repro.cluster.admission).
-        # None when admission_control is off: the statement path then
-        # tests one attribute and takes the pre-admission course.
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController(self.config.admission,
-                                clock=lambda: self.sim.now,
-                                sla_lookup=self.slas.get)
-            if self.config.admission_control else None)
-        # The log-structured replication stream: one LSN-addressed
-        # retained tail of committed write statements per database, fed
-        # at the 2PC decision point. Delta re-replication snapshots at a
-        # pinned LSN and replays this tail on the target.
-        self.db_logs: Dict[str, RetainedTail] = {}
-        # db -> machine -> last contiguously applied LSN. A replica that
-        # misses a commit (gap) is dropped from tracking — it can no
-        # longer rejoin by delta catch-up.
-        self.replica_lsns: Dict[str, Dict[str, int]] = {}
-        # Holdings of declared-dead machines: name -> {db: last LSN}
-        # captured at declaration, so a machine that comes back with its
-        # data intact can catch up from its last durable LSN.
-        self._stale_holdings: Dict[str, Dict[str, int]] = {}
-        # Databases created with deferred engine DDL (lazy_engine_ddl):
-        # no engine-side state exists until the first statement or bulk
-        # load touches them (see ensure_materialised).
-        self._cold_dbs: Set[str] = set()
-        # Recency order of tenants whose delta logs hold resident
-        # entries, for max_resident_tenant_logs paging (dict order =
-        # LRU; values unused).
-        self._log_lru: "OrderedDict[str, None]" = OrderedDict()
-        # db -> ids of open transactions that have written to it; the
-        # delta handoff drains until this empties. Tracked as a set (not
-        # a count) so a take-over can resolve transactions whose
-        # coordinator died with the old controller — a phantom count
-        # would pin the drain gauge forever.
-        self._open_writers: Dict[str, Set[int]] = {}
-        # Called with (db, txn_id, write_log) at the decision point of
-        # each writing transaction's 2PC (the commit is decided and
-        # mirrored; it can no longer abort). The platform layer uses
-        # this to ship writes asynchronously to the disaster-recovery
-        # colo. Firing at the decision — before any COMMIT reaches a
-        # machine — means a snapshot taken under the dump tool's S locks
-        # (which an applying commit's X locks exclude) observes a commit
-        # if and only if its hook has fired, so a log attached at the
-        # snapshot instant sequences exactly the post-snapshot suffix.
-        self.commit_hooks: List = []
-        # Called with (db,) after each successful statement; the platform
-        # layer uses this to measure RTO (first statement served by a
-        # promoted standby colo). Hooks may remove themselves.
-        self.statement_hooks: List = []
-        # Called with no arguments when recovery cannot find a target
-        # machine; should return a fresh Machine (from the colo free
-        # pool) or None.
-        self.free_machine_hook = None
-        # Called with (machine_name,) whenever a machine leaves service
-        # with its data (failed, declared dead) or rejoins blank; the
-        # colo releases its placement bin.
-        self.machine_reset_hook = None
-        # Called with (machine_name,) when a declared machine rejoins
-        # *with its data* after delta catch-up; the colo re-counts its
-        # hosted databases against its placement bin.
-        self.machine_rejoin_hook = None
-        self.declared_dead: Set[str] = set()
-        self.fenced: Set[str] = set()
-        # Heartbeats over CONTROLLER -> machine links; this class keeps
-        # only the reactions (declare_dead / _readmit).
-        self.detector = HeartbeatDetector(
-            sim, self.fabric, CONTROLLER, self.machines,
-            self.declared_dead, self.config,
-            name=f"{name}:detector", probe_prefix="hb",
-            on_suspect=self._on_suspect, on_unsuspect=self._on_unsuspect,
-            on_declare=self.declare_dead, on_return=self._readmit,
-            declare_allowed=self._declare_allowed,
-            active=lambda: self.primary_alive)
-        # False until the primary controller is "crashed" by a fault
-        # injector; the process-pair backup then takes over and this flag
-        # fences the old primary (no decision/COMMIT may leave it).
-        self.primary_alive = True
-        self._msg_ids = itertools.count(1)
-        if self.config.consensus_enabled:
-            # Imported lazily: consensus is optional and config already
-            # imports its ConsensusConfig.
-            from repro.cluster.consensus import ConsensusControlPlane
-            ConsensusControlPlane(self, self.config.consensus).start()
-
-    # -- cluster membership ----------------------------------------------------
-
-    def add_machine(self, name: Optional[str] = None) -> Machine:
-        name = name or f"{self.name}-m{len(self.machines) + 1}"
-        if name in self.machines:
-            raise ValueError(f"machine {name!r} already in cluster")
-        site_history = self.history.site(name) if self.history else None
-        machine = Machine(self.sim, name, self.config.machine,
-                          history=site_history)
-        self.machines[name] = machine
-        return machine
-
-    def add_machines(self, count: int) -> List[Machine]:
-        return [self.add_machine() for _ in range(count)]
-
-    def live_machines(self) -> List[Machine]:
-        return [m for m in self.machines.values()
-                if m.alive and not m.fenced]
-
-    def live_replicas(self, db: str) -> List[str]:
-        return [name for name in self.replica_map.replicas(db)
-                if name in self.machines and self.machines[name].alive
-                and not self.machines[name].fenced]
-
-    # -- database lifecycle -------------------------------------------------------
-
-    def create_database(self, db: str, ddl: Sequence[str],
-                        machines: Optional[Sequence[str]] = None,
-                        replicas: Optional[int] = None,
-                        sla=None) -> None:
-        """Create a database on ``replicas`` machines and run its DDL.
-
-        Setup-phase API: executes instantly (no simulated time), as does
-        :meth:`bulk_load`. Placement defaults to the least-loaded live
-        machines; the SLA-driven path in :mod:`repro.platform` chooses
-        machines explicitly. ``sla`` (a :class:`repro.sla.model.Sla`)
-        registers the tenant's contract with the controller: it
-        provisions the admission token bucket and anchors the runtime
-        SLA monitor. Databases without one get the generous default
-        admission rate.
-        """
-        if machines is None:
-            count = replicas or self.config.replication_factor
-            # Spread primaries (the first replica serves all Option-1
-            # reads) as well as total replica counts, so read load is
-            # balanced across the cluster under every read option. The
-            # replica map maintains both counts incrementally, so one
-            # creation costs O(live machines) — not a rescan of every
-            # hosted database (O(N) per create, O(N²) for N creates).
-            live = self.live_machines()
-            if len(live) < count:
-                raise NoReplicaError(
-                    f"need {count} machines, have {len(live)}")
-            rm = self.replica_map
-            primary = min(live, key=lambda m: (rm.primary_count(m.name),
-                                               rm.hosted_count(m.name)))
-            rest = sorted((m for m in live if m.name != primary.name),
-                          key=lambda m: (rm.hosted_count(m.name),
-                                         rm.primary_count(m.name)))
-            machines = [primary.name] + [m.name for m in rest[:count - 1]]
-        if self.config.lazy_engine_ddl:
-            # Engine-side creation (catalog + DDL on every replica) is
-            # deferred to the first touch; a cold tenant costs only its
-            # replica-map entry and DDL text.
-            self._cold_dbs.add(db)
-        else:
-            for name in machines:
-                self.machines[name].engine.create_database_from_ddl(db, ddl)
-            self.schemas[db] = (
-                self.machines[machines[0]].engine.database(db).schema)
-        self.replica_map.add_database(db, list(machines))
-        self.ddl[db] = list(ddl)
-        if not self.config.lazy_tenant_state:
-            # Eager reference path: per-tenant log and LSN tracking
-            # exist from creation. The lazy default materialises both
-            # on first touch in states constructed to be identical
-            # (see database_log / _replica_lsns_for).
-            self.db_logs[db] = RetainedTail(
-                retain=self.config.replication_log_retain)
-            self.replica_lsns[db] = {name: 0 for name in machines}
-        self.set_sla(db, sla)
-        self._propose_meta("db_create", db=db, machines=list(machines))
-
-    def set_sla(self, db: str, sla) -> None:
-        """Register (or replace) ``db``'s SLA and provision admission.
-
-        Callable after creation too — the platform tier profiles a
-        tenant before settling its SLA, and tests tighten buckets
-        mid-run. Tenants without an SLA hold no registry entry (every
-        reader treats a missing entry exactly like a stored ``None``,
-        and a 100k-tenant cluster of mostly SLA-less databases should
-        not pay a registry row each).
-        """
-        if sla is None:
-            self.slas.pop(db, None)
-        else:
-            self.slas[db] = sla
-        if self.admission is not None:
-            if self.config.lazy_tenant_state:
-                # Drop any resident bucket; the next transaction
-                # re-provisions from the registry via sla_lookup. A
-                # fresh bucket starts full, which is exactly the state
-                # an eager (re)provision would have left it in.
-                self.admission.invalidate(db)
-            else:
-                self.admission.provision(db, sla)
-
-    def bulk_load(self, db: str, table: str, rows: Sequence[Sequence[Any]]) -> None:
-        """Load identical rows into every replica (setup phase)."""
-        self.ensure_materialised(db)
-        for name in self.replica_map.replicas_view(db):
-            self.machines[name].engine.load_table_rows(db, table,
-                                                       [tuple(r) for r in rows])
-
-    def drop_database(self, db: str) -> None:
-        """Remove a database from the cluster entirely (deregistration).
-
-        Drops the data off every live replica, forgets the mapping and
-        schema, and discards in-flight copy state. A no-op for unknown
-        databases so teardown paths can call it unconditionally.
-        """
-        if not self.replica_map.has(db):
-            return
-        if db not in self._cold_dbs:
-            for name in self.replica_map.replicas(db):
-                machine = self.machines.get(name)
-                if (machine is not None and machine.alive
-                        and not machine.fenced and machine.engine.hosts(db)):
-                    machine.engine.drop_database(db)
-        self.replica_map.drop_database(db)
-        self._cold_dbs.discard(db)
-        self._log_lru.pop(db, None)
-        self.schemas.pop(db, None)
-        self.ddl.pop(db, None)
-        self.copy_states.pop(db, None)
-        self.db_logs.pop(db, None)
-        self.replica_lsns.pop(db, None)
-        self._open_writers.pop(db, None)
-        self.slas.pop(db, None)
-        if self.admission is not None:
-            self.admission.forget(db)
-        self._propose_meta("db_drop", db=db)
-
-    def reset_as_blank(self) -> None:
-        """Wipe the whole cluster back to blank spares (colo failback).
-
-        Every machine re-enters with a fresh empty engine, the replica
-        map and schema registry are emptied, detector state is cleared,
-        and the controller is un-crashed — the cluster rejoins service
-        hosting nothing, like a machine readmitted as a spare but at
-        colo scale.
-        """
-        for name, machine in self.machines.items():
-            machine.readmit_as_spare()
-            if self.machine_reset_hook is not None:
-                self.machine_reset_hook(name)
-        self.replica_map = ReplicaMap()
-        self.schemas.clear()
-        self.ddl.clear()
-        self.slas.clear()
-        if self.admission is not None:
-            self.admission.buckets.clear()
-            self.admission.rates.clear()
-        self.copy_states.clear()
-        self.db_logs.clear()
-        self.replica_lsns.clear()
-        self._cold_dbs.clear()
-        self._log_lru.clear()
-        self._stale_holdings.clear()
-        self._open_writers.clear()
-        self.detector.reset()
-        self.declared_dead.clear()
-        self.fenced.clear()
-        self.primary_alive = True
-        self.trace.emit("cluster_reset")
-
-    # -- the per-database replication log ------------------------------------------------
-
-    def database_log(self, db: str) -> RetainedTail:
-        """The LSN-addressed commit log of ``db``, materialised on first
-        touch (the lazy default defers it past creation; a fresh tail
-        is exactly the state an eagerly-created one would be in before
-        its first append)."""
-        log = self.db_logs.get(db)
-        if log is None:
-            log = RetainedTail(retain=self.config.replication_log_retain)
-            self.db_logs[db] = log
-        return log
-
-    def _replica_lsns_for(self, db: str) -> Dict[str, int]:
-        """``db``'s per-replica applied-LSN map, materialised on first
-        touch as every *current* replica at LSN 0 — identical to the
-        eagerly-created map, because LSN entries only ever change at
-        commits (which come through here first) and replica-set changes
-        (which delete or re-add entries on both paths alike)."""
-        lsns = self.replica_lsns.get(db)
-        if lsns is None:
-            lsns = self.replica_lsns[db] = {
-                name: 0 for name in self.replica_map.replicas_view(db)}
-        return lsns
-
-    def ensure_materialised(self, db: str) -> None:
-        """Run ``db``'s deferred engine-side creation (lazy_engine_ddl).
-
-        A cold database exists only in the replica map and the DDL
-        registry; the first statement, bulk load, or copy touching it
-        creates the catalog entry and runs the DDL on every replica.
-        """
-        if db not in self._cold_dbs:
-            return
-        self._cold_dbs.discard(db)
-        ddl = self.ddl.get(db, [])
-        replicas = self.replica_map.replicas_view(db)
-        for name in replicas:
-            machine = self.machines.get(name)
-            if machine is None or not machine.alive or machine.fenced:
-                continue
-            if not machine.engine.hosts(db):
-                machine.engine.create_database_from_ddl(db, ddl)
-        if replicas and db not in self.schemas:
-            first = self.machines.get(replicas[0])
-            if first is not None and first.engine.hosts(db):
-                self.schemas[db] = first.engine.database(db).schema
-        self.trace.emit("db_materialised", db=db)
-
-    def _page_cold_logs(self, db: str) -> None:
-        """LRU bookkeeping for resident tenant logs: ``db`` just
-        appended; past ``max_resident_tenant_logs`` the coldest
-        tenant's log is compacted in place (entries dropped, LSN
-        position kept — ``covers()`` then reports the truth, namely
-        that a delta catch-up must fall back to a full copy, exactly
-        as after ordinary retention truncation)."""
-        lru = self._log_lru
-        if db in lru:
-            lru.move_to_end(db)
-        else:
-            lru[db] = None
-        cap = self.config.max_resident_tenant_logs
-        while len(lru) > cap:
-            cold_db, _ = lru.popitem(last=False)
-            log = self.db_logs.get(cold_db)
-            if log is not None:
-                dropped = log.compact()
-                if dropped:
-                    self.trace.emit("log_paged_out", db=cold_db,
-                                    dropped=dropped)
-
-    def open_writers(self, db: str) -> int:
-        """Open transactions that have written to ``db`` (drain gauge)."""
-        return len(self._open_writers.get(db, ()))
-
-    def resolve_stale_writers(self, txn_ids: Iterable[int]) -> None:
-        """Drop take-over-resolved transactions from the drain gauge.
-
-        A coordinator that dies with the old controller never reaches
-        ``_finish``, so its transaction would count as an open writer
-        forever and wedge any later delta-handoff drain on that
-        database. The take-over settles every such transaction
-        (committing decided ones, presuming the rest aborted), after
-        which none of them can append new log entries — remove them
-        from the gauge.
-        """
-        drop = set(txn_ids)
-        for db in list(self._open_writers):
-            writers = self._open_writers[db]
-            writers.difference_update(drop)
-            if not writers:
-                del self._open_writers[db]
-
-    def _sequence_commit(self, txn: _TxnState) -> Optional[int]:
-        """Assign the decided commit its per-database LSN and fire the
-        commit hooks. Runs at the decision point: the commit is mirrored
-        and irrevocable, but no COMMIT message has left yet — so any
-        machine-side apply of this transaction happens after its LSN
-        exists, and a dump snapshot (which its X locks exclude until the
-        apply finishes) can never contain a commit the log missed."""
-        if not txn.write_log:
-            return None
-        # First write commit = the tenant's first touch: materialise
-        # its LSN tracking before the log grows, so the map captures
-        # the replica set exactly as an eager creation would have.
-        self._replica_lsns_for(txn.db)
-        lsn = self.database_log(txn.db).append(
-            (txn.txn_id, list(txn.write_log)))
-        if self.config.max_resident_tenant_logs > 0:
-            self._page_cold_logs(txn.db)
-        for hook in self.commit_hooks:
-            hook(txn.db, txn.txn_id, list(txn.write_log))
-        return lsn
-
-    def _advance_replica_lsn(self, db: str, machine: str, lsn: int) -> None:
-        """Record that ``machine`` applied the commit at ``lsn``.
-
-        Only contiguous progress counts: a gap means the replica missed
-        a commit (it died or timed out around it), so its durable prefix
-        can no longer be extended by replay — it is dropped from
-        tracking and a later rejoin falls back to the blank-spare path.
-        """
-        lsns = self.replica_lsns.get(db)
-        if lsns is None or machine not in lsns:
-            return
-        if lsn == lsns[machine] + 1:
-            lsns[machine] = lsn
-        elif lsn > lsns[machine] + 1:
-            del lsns[machine]
-
-    def note_replica_caught_up(self, db: str, machine: str,
-                               lsn: int) -> None:
-        """A recovery handoff left ``machine`` consistent through
-        ``lsn``; start tracking its contiguous progress from there."""
-        self._replica_lsns_for(db)[machine] = lsn
-        self._propose_meta("replica_add", db=db, machine=machine)
-
-    def delta_replay_and_handoff(self, db: str, target: Machine,
-                                 from_lsn: int, state: CopyState,
-                                 skip_txns: Optional[Set[int]] = None
-                                 ) -> Generator:
-        """Replay the retained log onto ``target``, then drain to handoff.
-
-        Live phase: batches of retained entries after ``from_lsn``
-        replay on the target while writes keep flowing to the serving
-        replicas (``state`` stays passive, so Algorithm 1 rejects
-        nothing). Once a replay pass finds the log head stable — or
-        after ``delta_max_replay_rounds`` passes under sustained load —
-        the drain begins: ``state.copying_all`` flips, new writes are
-        rejected, and the loop replays stragglers until the head stops
-        moving and no open transaction has unfinished writes to ``db``.
-        Returns ``(applied_lsn, reject_seconds, replayed_entries)``;
-        the caller adds the replica and clears the copy state (no sim
-        time passes after the drain completes).
-        """
-        log = self.database_log(db)
-        applied = from_lsn
-        replayed = 0
-        rounds = 0
-        drain_started = None
-        while True:
-            head = log.last_lsn
-            entries = log.since(applied)
-            todo = ([(l, p) for l, p in entries if p[0] not in skip_txns]
-                    if skip_txns else entries)
-            if todo:
-                yield target.run_copy(target.apply_log_body(db, todo),
-                                      label=f"delta-apply:{db}")
-                replayed += len(todo)
-            applied = head
-            if drain_started is None:
-                rounds += 1
-                if not entries or rounds >= self.config.delta_max_replay_rounds:
-                    drain_started = self.sim.now
-                    state.copying_all = True
-                    self.trace.emit("delta_drain_start", db=db,
-                                    machine=target.name, lsn=applied)
-                continue
-            if log.last_lsn == applied and self.open_writers(db) == 0:
-                break
-            # In-flight writers may still commit (rejection stops only
-            # *new* writes); let their 2PC land, then replay the stragglers.
-            yield self.sim.timeout(0.005)
-        reject_s = self.sim.now - drain_started
-        self.trace.emit("delta_handoff", db=db, machine=target.name,
-                        lsn=applied, reject_s=reject_s, replayed=replayed)
-        return applied, reject_s, replayed
-
-    def connect(self, db: str) -> Connection:
-        if self.consensus is not None:
-            # A non-leader controller replica redirects the client.
-            self.consensus.check_leader()
-        self.replica_map.replicas_view(db)  # raises if unknown; no copy
-        return Connection(self, db)
 
     # -- statement classification ----------------------------------------------------
 
@@ -808,11 +471,23 @@ class ClusterController:
 
     # -- transaction plumbing -----------------------------------------------------------
 
+    def _check_primary(self) -> None:
+        ctl = self.ctl
+        if not ctl.primary_alive:
+            raise ControllerFailedError(
+                f"controller {ctl.name} is no longer primary")
+        if ctl.consensus is not None and not ctl.consensus.lease_valid():
+            # The acting replica's leader lease lapsed (or it was never
+            # elected): the lease is the fence, so it must not act.
+            raise ControllerFailedError(
+                f"controller {ctl.name}: leader lease is not valid")
+
     def _ensure_txn(self, conn: Connection) -> _TxnState:
         if conn.txn is None or conn.txn.finished:
             conn.txn = _TxnState(next(self._txn_ids), conn.db, self.sim.now)
-            if self.consensus is not None:
-                conn.txn.term = self.consensus.term
+            consensus = self.ctl.consensus
+            if consensus is not None:
+                conn.txn.term = consensus.term
             self.trace.emit("txn_begin", db=conn.db, txn=conn.txn.txn_id)
         return conn.txn
 
@@ -821,72 +496,40 @@ class ClusterController:
             return
         txn.finished = True
         if txn.wrote:
-            writers = self._open_writers.get(txn.db)
-            if writers is not None:
-                writers.discard(txn.txn_id)
-                if not writers:
-                    self._open_writers.pop(txn.db, None)
+            self.replication.writer_finished(txn.db, txn.txn_id)
         self.router.forget(txn.txn_id)
         conn.txn = None
+
+    def _orphan_txn(self, conn: Connection) -> None:
+        """Finish a transaction that began under an earlier controller
+        term: the new leader's take-over already presumed-aborted (or
+        takeover-committed) it on the machines, so its connection-side
+        state is an orphan and must not drive further 2PC."""
+        txn = conn.txn
+        self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
+                        term=txn.term, current_term=self.ctl.consensus.term)
+        self.metrics.record_other_abort(txn.db)
+        self._finish(conn, txn)
+        raise TransactionAborted(
+            "controller leadership changed; the transaction was cleaned "
+            "up during take-over")
 
     def _abort_everywhere(self, conn: Connection, txn: _TxnState,
                           kind: str = "abort",
                           reason: str = "connection closed") -> None:
-        """Roll the transaction back on every touched machine.
-
-        Direct path: immediate local aborts (pre-fabric behaviour). With
-        the fabric enabled, ABORT is a fire-and-collect fan-out: all
-        branches leave at once, each retries in the background,
-        idempotent, and lost to dead or fenced machines (whose state
-        dies with them anyway).
-        """
-        if self.fabric.enabled:
-            self._fanout_fire(self._live_targets(sorted(txn.touched)),
-                              lambda m: m.abort_body(txn.txn_id),
-                              txn_id=txn.txn_id, label="abort")
-        else:
-            for name in txn.touched:
-                machine = self.machines.get(name)
-                if machine is not None:
-                    machine.abort_local(txn.txn_id)
+        """Roll the transaction back on every touched machine."""
+        self.rpc.abort(txn.touched, txn.txn_id)
         self.trace.emit(kind, db=txn.db, txn=txn.txn_id, reason=reason)
         self._finish(conn, txn)
 
-    def _spawn_redelivery(self, db: str, txn_id: int, name: str) -> Process:
-        """Background COMMIT redelivery to an unreachable participant."""
-        proc = self.sim.process(self._redeliver_commit(db, txn_id, name),
-                                name=f"redeliver:{txn_id}:{name}")
-        proc.defused = True
-        return proc
-
-    def _redeliver_commit(self, db: str, txn_id: int,
-                          name: str) -> Generator:
-        """Redrive a decided COMMIT until the participant acks, dies, is
-        fenced, or this controller stops being primary (the take-over
-        path redrives mirrored decisions itself)."""
-        net = self.config.network
-        for round_no in range(1, 33):
-            yield self.sim.timeout(min(net.rpc_backoff_max_s * round_no,
-                                       30.0))
-            machine = self.machines.get(name)
-            if (machine is None or not machine.alive or machine.fenced
-                    or not self.primary_alive):
-                return
-            try:
-                yield _Rpc(self, machine, partial(machine.commit_body, txn_id),
-                           txn_id, "commit-redeliver")
-            except RPCTimeoutError:
-                continue
-            except Exception:
-                return  # dead, fenced, or already resolved machine-side
-            if name in self.fenced or name in self.declared_dead:
-                return  # fenced mid-redelivery: its data is discarded
-            self.trace.emit("commit_sent", db=db, txn=txn_id, machine=name,
-                            redelivered=True)
-            # The mirrored decision is left in place: another participant
-            # of the same transaction may still owe an ack, and a stale
-            # "commit" decision is harmless to redrive (idempotent).
-            return
+    def _abort(self, conn: Connection, txn: _TxnState, exc: BaseException,
+               stage: str = "", message: Optional[str] = None) -> None:
+        """Roll back everywhere, count the failure, raise it to the client."""
+        reason = type(exc).__name__
+        self._abort_everywhere(conn, txn,
+                               reason=f"{stage}:{reason}" if stage else reason)
+        self._record_failure(txn, exc)
+        raise TransactionAborted(message or str(exc), cause=exc) from exc
 
     def _record_failure(self, txn: _TxnState, exc: BaseException) -> None:
         if isinstance(exc, (DeadlockError, LockTimeoutError)):
@@ -903,116 +546,62 @@ class ClusterController:
         else:
             self.metrics.record_other_abort(txn.db)
 
-    # -- RPC layer (messages over the network fabric) ----------------------------------
+    def _settle_commit(self, txn: _TxnState, outcomes: List[BranchOutcome],
+                       lsn: Optional[int] = None) -> bool:
+        """Resolve the gathered outcomes of a COMMIT (or read-only
+        release) broadcast; True while a participant still owes an ack.
 
-    def _call(self, machine: Machine, make_body, *, txn_id: int, label: str,
-              timeout: Optional[float] = None,
-              retries: Optional[int] = None) -> Generator:
-        """Run one logical RPC against ``machine``.
-
-        With the fabric disabled (default) this is exactly the pre-fabric
-        direct submit — no extra simulation events, identical
-        interleavings. With it enabled it is one :class:`_Rpc`: a request
-        and a response message per attempt plus a deadline, timed-out
-        attempts retransmitted with exponential backoff.
+        The decision is made and durable, so a dead replica is skipped
+        (its locks died with it) and an unreachable one — maybe alive,
+        holding locks — just keeps receiving COMMIT in the background
+        until it acks, dies, or is fenced (``commit_body`` is
+        idempotent). An acked write participant advances its replica LSN.
         """
-        if not self.fabric.enabled:
-            result = yield machine.submit(txn_id, make_body(), label=label)
-            return result
-        result = yield _Rpc(self, machine, make_body, txn_id, label,
-                            timeout, retries)
-        return result
-
-    # -- scatter/gather fan-out (the commit-path broadcast primitive) ------------------
-
-    def _issue_branch(self, name: str,
-                      make_body: Callable[[Machine], Generator], *,
-                      txn_id: int, label: str,
-                      retries: Optional[int] = None) -> _Branch:
-        """Start one branch RPC without waiting on it."""
-        machine = self.machines[name]
-        if self.fabric.enabled:
-            proc = _Rpc(self, machine, partial(make_body, machine), txn_id,
-                        label, retries=retries)
-        else:
-            proc = machine.submit(txn_id, make_body(machine), label=label)
-        # The coordinator observes every branch outcome itself (gathered
-        # BranchOutcome, or the write wait policies); defuse so one early
-        # branch failure cannot crash the kernel before it gets there.
-        proc.defused = True
-        return _Branch(name, proc, self.sim.now)
-
-    def _branch_outcome(self, branch: _Branch) -> BranchOutcome:
-        proc = branch.proc
-        value = proc.value
-        if not proc.ok and isinstance(value, Interrupt):
-            # The branch body died without translating its interrupt
-            # (e.g. torn down between ops): a machine failure.
-            cause = value.cause
-            value = (cause if isinstance(cause, BaseException)
-                     else MachineFailedError(branch.machine))
-        settled_at = (branch.settled_at if branch.settled_at is not None
-                      else self.sim.now)
-        return BranchOutcome(machine=branch.machine, ok=proc.ok, value=value,
-                             latency=settled_at - branch.issued_at)
-
-    def _await_branch(self, branch: _Branch) -> Event:
-        """An event that succeeds (never fails) when the branch settles."""
-        settled = self.sim.event()
-
-        def on_settled(proc, b=branch, e=settled):
-            b.settled_at = self.sim.now
-            e.succeed(proc)
-
-        branch.proc.add_callback(on_settled)
-        return settled
-
-    def _fanout(self, names: Sequence[str],
-                make_body: Callable[[Machine], Generator], *,
-                txn_id: int, label: str,
-                retries: Optional[int] = None) -> Generator:
-        """Broadcast one RPC to ``names`` and gather every branch outcome.
-
-        All branches leave at once and the *complete* set of outcomes
-        is awaited: one round trip per phase whatever the replication
-        factor, and exactly what presumed-abort needs (a timed-out
-        branch aborts even when another answered first). Outcomes are
-        returned in issue order.
-        """
-        names = list(names)
-        self.metrics.record_fanout(label, len(names))
-        self.trace.emit("fanout_start", txn=txn_id, label=label,
-                        width=len(names), machines=list(names))
-        started = self.sim.now
-        branches = [self._issue_branch(name, make_body, txn_id=txn_id,
-                                       label=label, retries=retries)
-                    for name in names]
-        settled = [self._await_branch(branch) for branch in branches]
-        if settled:
-            yield self.sim.all_of(settled)
-        outcomes = [self._branch_outcome(branch) for branch in branches]
+        redelivering = False
         for outcome in outcomes:
-            self.metrics.record_fanout(label, 0,
-                                       branch_latency=outcome.latency)
-        self.trace.emit("fanout_done", txn=txn_id, label=label,
-                        width=len(outcomes), elapsed=self.sim.now - started)
-        return outcomes
+            name = outcome.machine
+            if outcome.ok:
+                if lsn is not None and name in txn.write_participants:
+                    self.replication.advance(txn.db, name, lsn)
+            elif isinstance(outcome.value, RPCTimeoutError):
+                proc = self.sim.process(
+                    self._redeliver_commit(txn.db, txn.txn_id, name),
+                    name=f"redeliver:{txn.txn_id}:{name}")
+                proc.defused = True
+                redelivering = True
+            elif not isinstance(outcome.value, MachineFailedError):
+                raise outcome.value
+        return redelivering
 
-    def _fanout_fire(self, names: Sequence[str],
-                     make_body: Callable[[Machine], Generator], *,
-                     txn_id: int, label: str) -> List[_Branch]:
-        """Fire-and-collect: issue every branch at once, wait on none.
-
-        Used for messages whose outcome nobody needs synchronously
-        (aborts, background redelivery kicks); each branch retries and
-        settles on its own.
-        """
-        branches = [self._issue_branch(name, make_body, txn_id=txn_id,
-                                       label=label)
-                    for name in names]
-        if branches:
-            self.metrics.record_fanout(label, len(branches))
-        return branches
+    def _redeliver_commit(self, db: str, txn_id: int,
+                          name: str) -> Generator:
+        """Redrive a decided COMMIT until the participant acks, dies, is
+        fenced, or this controller stops being primary (the take-over
+        path redrives mirrored decisions itself)."""
+        ctl = self.ctl
+        net = self.config.network
+        for round_no in range(1, 33):
+            yield self.sim.timeout(min(net.rpc_backoff_max_s * round_no,
+                                       30.0))
+            machine = self.machines.get(name)
+            if (machine is None or not machine.alive or machine.fenced
+                    or not ctl.primary_alive):
+                return
+            try:
+                yield self.rpc.send(machine, lambda m: m.commit_body(txn_id),
+                                    txn_id, "commit-redeliver")
+            except RPCTimeoutError:
+                continue
+            except Exception:
+                return  # dead, fenced, or already resolved machine-side
+            if name in ctl.fenced or name in ctl.declared_dead:
+                return  # fenced mid-redelivery: its data is discarded
+            self.trace.emit("commit_sent", db=db, txn=txn_id, machine=name,
+                            redelivered=True)
+            # The mirrored decision is left in place: another participant
+            # of the same transaction may still owe an ack, and a stale
+            # "commit" decision is harmless to redrive (idempotent).
+            return
 
     def _still_replica(self, db: str, name: str) -> bool:
         """Is ``name`` still in ``db``'s replica set? False once the
@@ -1021,15 +610,6 @@ class ClusterController:
         return (self.replica_map.has(db)
                 and name in self.replica_map.replicas_view(db))
 
-    def _live_targets(self, names: Sequence[str]) -> List[str]:
-        """Filter to machines that exist, are alive, and are not fenced."""
-        targets = []
-        for name in names:
-            machine = self.machines.get(name)
-            if machine is not None and machine.alive and not machine.fenced:
-                targets.append(name)
-        return targets
-
     # -- statement execution -----------------------------------------------------------
 
     def _execute(self, conn: Connection, sql: str,
@@ -1037,9 +617,10 @@ class ClusterController:
         if conn.closed:
             raise TransactionError("connection is closed")
         self._check_primary()
-        if (self.consensus is not None and conn.txn is not None
+        ctl = self.ctl
+        if (ctl.consensus is not None and conn.txn is not None
                 and not conn.txn.finished
-                and conn.txn.term != self.consensus.term):
+                and conn.txn.term != ctl.consensus.term):
             self._orphan_txn(conn)
         starting = conn.txn is None or conn.txn.finished
         txn = self._ensure_txn(conn)
@@ -1050,26 +631,19 @@ class ClusterController:
             # locks) on a machine. Statements of an already-admitted
             # transaction pass free — one token buys the whole
             # transaction, matching the SLA's per-transaction metric.
-            exc = OverloadRejectedError(
-                f"transaction rejected: {conn.db!r} is over its "
-                "provisioned admission rate", database=conn.db)
             self.trace.emit("admission_reject", db=conn.db, txn=txn.txn_id,
                             rate=self.admission.provisioned_rate(conn.db))
-            self._abort_everywhere(conn, txn, reason="OverloadRejectedError")
-            self._record_failure(txn, exc)
-            raise TransactionAborted(str(exc), cause=exc) from exc
+            self._abort(conn, txn, OverloadRejectedError(
+                f"transaction rejected: {conn.db!r} is over its "
+                "provisioned admission rate", database=conn.db))
         if txn.poisoned is not None:
             exc = txn.poisoned
-            self._abort_everywhere(
-                conn, txn, reason=f"deferred:{type(exc).__name__}")
-            self._record_failure(txn, exc)
-            raise TransactionAborted(
-                f"transaction aborted: deferred write failure ({exc})",
-                cause=exc)
-        if self._cold_dbs:
+            self._abort(conn, txn, exc, "deferred",
+                        f"transaction aborted: deferred write failure ({exc})")
+        if ctl._cold_dbs:
             # Deferred engine DDL (lazy_engine_ddl): first admitted
             # statement pays the tenant's engine-side creation.
-            self.ensure_materialised(conn.db)
+            ctl.ensure_materialised(conn.db)
         kind, table = self._classify(sql)
         try:
             if kind == "read":
@@ -1079,10 +653,8 @@ class ClusterController:
                                                         params, table)
         except (DeadlockError, LockTimeoutError, ProactiveRejectionError,
                 NoReplicaError, MachineFailedError) as exc:
-            self._abort_everywhere(conn, txn, reason=type(exc).__name__)
-            self._record_failure(txn, exc)
-            raise TransactionAborted(str(exc), cause=exc) from exc
-        for hook in list(self.statement_hooks):
+            self._abort(conn, txn, exc)
+        for hook in list(ctl.statement_hooks):
             hook(conn.db)
         return result
 
@@ -1091,7 +663,7 @@ class ClusterController:
         attempts = 0
         excluded: Set[str] = set()  # replicas whose RPCs timed out
         while True:
-            replicas = self.live_replicas(conn.db)
+            replicas = self.ctl.live_replicas(conn.db)
             candidates = [r for r in replicas if r not in excluded]
             if not candidates:
                 if excluded:
@@ -1119,34 +691,27 @@ class ClusterController:
                                     load=loads[choice])
             else:
                 choice = self.router.choose(txn.txn_id, candidates)
-            machine = self.machines[choice]
             txn.touched.add(choice)
             try:
-                result = yield from self._call(
-                    machine,
-                    lambda m=machine: m.statement_body(
+                result = yield self.rpc.send(
+                    self.machines[choice],
+                    lambda m: m.statement_body(
                         txn.txn_id, conn.db, sql, params,
                         self.config.lock_wait_timeout_s),
-                    txn_id=txn.txn_id, label=f"r:{sql[:24]}")
+                    txn.txn_id, f"r:{sql[:24]}")
                 return result
-            except RPCTimeoutError:
-                # Unreachable (maybe alive): don't route this read there
-                # again, try another replica.
-                excluded.add(choice)
+            except MachineFailedError as exc:
+                # Retry the read on another live replica — and never
+                # again on one that timed out (unreachable, maybe alive).
+                if isinstance(exc, RPCTimeoutError):
+                    excluded.add(choice)
                 attempts += 1
                 if attempts > len(self.machines):
                     raise
-                continue
-            except MachineFailedError:
-                attempts += 1
-                if attempts > len(self.machines):
-                    raise
-                # Retry the read on another live replica.
-                continue
 
     def _write_targets(self, db: str, table: Optional[str]) -> List[str]:
         """Live targets for one write, applying Algorithm 1."""
-        replicas = self.live_replicas(db)
+        replicas = self.ctl.live_replicas(db)
         if not replicas:
             raise NoReplicaError(f"no live replica of {db!r}")
         state = self.copy_states.get(db)
@@ -1168,17 +733,14 @@ class ClusterController:
         targets = self._write_targets(conn.db, table)
         writes: List[Tuple[str, Process]] = []
         for name in targets:
-            # Over the fabric, executed writes are counted machine-side
-            # so PREPARE can detect a branch that silently missed a
-            # dropped write.
-            branch = self._issue_branch(
+            # write_body tallies executed writes machine-side, so PREPARE
+            # can detect a branch that silently missed one.
+            writes.append((name, self.rpc.issue_branch(
                 name,
-                lambda m: m.statement_body(
+                lambda m: m.write_body(
                     txn.txn_id, conn.db, sql, params,
-                    self.config.lock_wait_timeout_s,
-                    count_write=self.fabric.enabled),
-                txn_id=txn.txn_id, label=f"w:{sql[:24]}")
-            writes.append((name, branch.proc))
+                    self.config.lock_wait_timeout_s),
+                txn_id=txn.txn_id, label=f"w:{sql[:24]}")))
             txn.touched.add(name)
             txn.write_participants.add(name)
             txn.writes_sent[name] = txn.writes_sent.get(name, 0) + 1
@@ -1186,7 +748,7 @@ class ClusterController:
                             machine=name)
         if not txn.wrote:
             txn.wrote = True
-            self._open_writers.setdefault(txn.db, set()).add(txn.txn_id)
+            self.replication.writer_opened(txn.db, txn.txn_id)
         txn.write_log.append((sql, params))
         if self.config.write_policy is WritePolicy.CONSERVATIVE:
             result = yield from self._await_all_writes(txn, writes)
@@ -1250,11 +812,8 @@ class ClusterController:
         # (AnyOf over the raw processes would fail fast and lose the
         # distinction between a dead replica and a real error; fresh
         # callbacks on every wait round would pile up on long writes.)
-        pending: List[Tuple[str, Process, Event]] = []
-        for name, proc in writes:
-            settled = self.sim.event()
-            proc.add_callback(lambda p, e=settled: e.succeed(p))
-            pending.append((name, proc, settled))
+        pending: List[Tuple[str, Process, Event]] = [
+            (name, proc, self.rpc.settled(proc)) for name, proc in writes]
         result = None
         while pending and result is None:
             yield self.sim.any_of([settled for _, _, settled in pending])
@@ -1312,39 +871,25 @@ class ClusterController:
         if conn.txn is None or conn.txn.finished:
             return None  # nothing to do
         self._check_primary()
-        if (self.consensus is not None
-                and conn.txn.term != self.consensus.term):
+        ctl = self.ctl
+        if (ctl.consensus is not None
+                and conn.txn.term != ctl.consensus.term):
             self._orphan_txn(conn)
         txn = conn.txn
         if txn.poisoned is not None:
             exc = txn.poisoned
-            self._abort_everywhere(
-                conn, txn, reason=f"deferred:{type(exc).__name__}")
-            self._record_failure(txn, exc)
-            raise TransactionAborted(
-                f"commit refused: deferred write failure ({exc})", cause=exc)
+            self._abort(conn, txn, exc, "deferred",
+                        f"commit refused: deferred write failure ({exc})")
 
         if not txn.wrote:
             # Read-only: release locks everywhere, no 2PC (paper: the
             # controller invokes 2PC only when the transaction wrote).
             # One broadcast: every release leaves at once.
-            outcomes = yield from self._fanout(
-                self._live_targets(sorted(txn.touched)),
+            outcomes = yield from self.rpc.fanout(
+                self.rpc.live_targets(sorted(txn.touched)),
                 lambda m: m.commit_body(txn.txn_id),
                 txn_id=txn.txn_id, label="commit-ro")
-            for outcome in outcomes:
-                if outcome.ok:
-                    continue
-                if isinstance(outcome.value, RPCTimeoutError):
-                    # Unreachable but maybe alive, holding read locks:
-                    # keep redelivering the release in the background
-                    # (commit_body is idempotent).
-                    self._spawn_redelivery(txn.db, txn.txn_id,
-                                           outcome.machine)
-                elif isinstance(outcome.value, MachineFailedError):
-                    continue  # dead replica: its locks died with it
-                else:
-                    raise outcome.value
+            self._settle_commit(txn, outcomes)
             self.metrics.record_commit(txn.db, self.sim.now,
                                        self.sim.now - txn.started_at)
             self.metrics.record_phase_latency(
@@ -1361,13 +906,10 @@ class ClusterController:
         # even if every other branch prepared first. A branch on a
         # machine known dead is skipped; survivors carry the write.
         phase1_at = self.sim.now
-        participants = self._live_targets(sorted(txn.write_participants))
-        outcomes = yield from self._fanout(
+        participants = self.rpc.live_targets(sorted(txn.write_participants))
+        outcomes = yield from self.rpc.fanout(
             participants,
-            lambda m: m.prepare_body(
-                txn.txn_id,
-                expected_writes=(txn.writes_sent.get(m.name)
-                                 if self.fabric.enabled else None)),
+            lambda m: m.prepare_body(txn.txn_id, txn.writes_sent.get(m.name)),
             txn_id=txn.txn_id, label="prepare")
         prepared: List[str] = []
         failure: Optional[BaseException] = None
@@ -1397,23 +939,23 @@ class ClusterController:
         if failure is not None or not prepared:
             exc = failure or NoReplicaError(
                 f"no surviving write participant for {txn.db!r}")
-            self._abort_everywhere(
-                conn, txn, reason=f"prepare:{type(exc).__name__}")
-            self._record_failure(txn, exc)
-            raise TransactionAborted(f"2PC prepare failed: {exc}", cause=exc)
+            self._abort(conn, txn, exc, "prepare",
+                        f"2PC prepare failed: {exc}")
 
-        # Decision point: make the decision durable before any COMMIT
-        # message leaves the controller. Consensus mode replicates it
-        # through the Paxos log under the leader lease (no decision may
-        # leave a controller whose lease lapsed — replicate_decision
-        # re-checks the lease after the quorum round trip); otherwise it
-        # is mirrored to the process-pair backup.
+        # Decision point: make the decision durable on the attached
+        # control plane before any COMMIT message leaves the controller.
+        # The consensus group replicates it through the Paxos log under
+        # the leader lease (no decision may leave a controller whose
+        # lease lapsed — replicate_decision re-checks the lease after
+        # the quorum round trip); the process-pair backup mirrors it.
         self._check_primary()
-        decision_machines = sorted(set(prepared) | txn.touched)
-        if self.consensus is not None:
+        plane = ctl.consensus if ctl.consensus is not None else ctl.backup
+        stamp = {"actor": "primary"}
+        if plane is not None:
             try:
-                yield from self.consensus.replicate_decision(
-                    txn.db, txn.txn_id, "commit", decision_machines)
+                yield from plane.replicate_decision(
+                    txn.db, txn.txn_id, "commit",
+                    sorted(set(prepared) | txn.touched))
             except ControllerFailedError:
                 # The lease lapsed (or leadership moved) mid-decision:
                 # this controller must go silent. The machines keep
@@ -1421,68 +963,41 @@ class ClusterController:
                 # resolves them from the replicated decision table.
                 self._finish(conn, txn)
                 raise
-        elif self.backup is not None:
-            self.backup.log_decision(txn.txn_id, "commit",
-                                     decision_machines)
+            stamp = plane.decision_stamp()
         decision_at = self.sim.now
-        if self.consensus is not None:
-            self.trace.emit("decision_logged", db=txn.db, txn=txn.txn_id,
-                            decision="commit", mirrored=True,
-                            participants=prepared,
-                            actor=self.consensus.acting,
-                            term=self.consensus.term)
-        else:
-            self.trace.emit("decision_logged", db=txn.db, txn=txn.txn_id,
-                            decision="commit",
-                            mirrored=self.backup is not None,
-                            participants=prepared, actor="primary")
+        self.trace.emit("decision_logged", db=txn.db, txn=txn.txn_id,
+                        decision="commit", mirrored=plane is not None,
+                        participants=prepared, **stamp)
         self.metrics.record_phase_latency("prepare", decision_at - phase1_at)
         # Sequence the decided commit into the per-database replication
-        # log (and fire the DR shipping hooks) before any COMMIT leaves.
-        lsn = self._sequence_commit(txn)
+        # log, and fire the DR shipping hooks, before any COMMIT leaves.
+        lsn = None
+        if txn.write_log:
+            lsn = self.replication.append(txn.db, txn.txn_id, txn.write_log)
+            for hook in ctl.commit_hooks:
+                hook(txn.db, txn.txn_id, list(txn.write_log))
 
         # Phase 2: COMMIT on all touched machines (read locks too) — one
         # concurrent broadcast. The decision is made and mirrored, so
         # every COMMIT leaves the (still-primary) controller at the same
         # instant; per-branch failures are resolved from the gathered
         # outcomes.
-        commit_targets = self._live_targets(sorted(txn.touched))
+        commit_targets = self.rpc.live_targets(sorted(txn.touched))
         self._check_primary()
         for name in commit_targets:
             self.trace.emit("commit_sent", db=txn.db, txn=txn.txn_id,
                             machine=name)
-        outcomes = yield from self._fanout(
+        outcomes = yield from self.rpc.fanout(
             commit_targets,
             lambda m: m.commit_body(txn.txn_id),
             txn_id=txn.txn_id, label="commit",
             retries=self.config.network.commit_max_retries)
-        redelivering = False
-        for outcome in outcomes:
-            if outcome.ok:
-                if lsn is not None and outcome.machine in txn.write_participants:
-                    self._advance_replica_lsn(txn.db, outcome.machine, lsn)
-                continue
-            if isinstance(outcome.value, RPCTimeoutError):
-                # The decision is made and durable; an unreachable
-                # participant just keeps receiving COMMIT until it acks,
-                # dies, or is fenced (commit_body is idempotent).
-                self._spawn_redelivery(txn.db, txn.txn_id, outcome.machine)
-                redelivering = True
-            elif isinstance(outcome.value, MachineFailedError):
-                continue
-            else:
-                raise outcome.value
-        if not redelivering:
+        redelivering = self._settle_commit(txn, outcomes, lsn)
+        if plane is not None and not redelivering:
             # Keep the durable decision while any participant still owes
             # an ack — a take-over must redrive COMMIT, not presume abort.
-            if self.consensus is not None:
-                self.consensus.clear_decision(txn.db, txn.txn_id)
-                self.trace.emit("decision_cleared", db=txn.db,
-                                txn=txn.txn_id)
-            elif self.backup is not None:
-                self.backup.clear_decision(txn.txn_id)
-                self.trace.emit("decision_cleared", db=txn.db,
-                                txn=txn.txn_id)
+            plane.clear_decision(txn.db, txn.txn_id)
+            self.trace.emit("decision_cleared", db=txn.db, txn=txn.txn_id)
         self.metrics.record_commit(txn.db, self.sim.now,
                                    self.sim.now - txn.started_at)
         self.metrics.record_phase_latency("commit", self.sim.now - decision_at)
@@ -1503,6 +1018,305 @@ class ClusterController:
         return True
         yield  # pragma: no cover - generator marker
 
+
+class ClusterController:
+    """Fault-tolerant coordinator of one machine cluster."""
+
+    def __init__(self, sim: Simulator, config: Optional[ClusterConfig] = None,
+                 name: str = "cluster"):
+        self.sim = sim
+        self.config = config or ClusterConfig()
+        self.name = name
+        self.machines: Dict[str, Machine] = {}
+        self.replica_map = ReplicaMap()
+        self.router = ReadRouter(self.config.read_option)
+        self.metrics = MetricsCollector(
+            resident_tenants=self.config.metrics_resident_tenants)
+        self.fabric = NetworkFabric(
+            sim, self.config.network, metrics=self.metrics,
+            direct_latency_s=self.config.machine.network_latency_s)
+        self.trace = Tracer(capacity=self.config.trace_capacity,
+                            clock=lambda: self.sim.now)
+        self.fabric.trace = self.trace
+        self.trace.emit("trace_meta", cluster=name,
+                        write_policy=self.config.write_policy.value,
+                        read_option=self.config.read_option.value,
+                        replication_factor=self.config.replication_factor)
+        self.history: Optional[GlobalHistory] = (
+            GlobalHistory() if self.config.record_history else None)
+        self.copy_states: Dict[str, CopyState] = {}
+        self.recovery = None          # attached by RecoveryManager
+        self.backup = None            # attached by ProcessPair
+        self.consensus = None         # attached by ConsensusControlPlane
+        self.schemas: Dict[str, DatabaseSchema] = {}
+        self.ddl: Dict[str, List[str]] = {}
+        # db -> declared SLA (None for databases created without one).
+        # Registered at create_database / set_sla; provisions the
+        # admission layer's token bucket and the runtime SLA monitor.
+        self.slas: Dict[str, Any] = {}
+        # Per-tenant token-bucket admission (repro.cluster.admission).
+        # None when admission_control is off: the statement path then
+        # tests one attribute and takes the pre-admission course.
+        self.admission: Optional[AdmissionController] = (
+            AdmissionController(self.config.admission,
+                                clock=lambda: self.sim.now,
+                                sla_lookup=self.slas.get)
+            if self.config.admission_control else None)
+        # The roles (DESIGN §4p). The replication log is the
+        # per-database commit stream recovery replays; the coordinator
+        # is the statement and 2PC data path every Connection drives.
+        self.replication = ReplicationLog(sim, self.config, self.replica_map,
+                                          self.trace)
+        self.db_logs = self.replication.db_logs  # the same dict, by name
+        self.txns = TxnCoordinator(self)
+        # Databases created with deferred engine DDL (lazy_engine_ddl):
+        # no engine-side state exists until the first statement or bulk
+        # load touches them (see ensure_materialised).
+        self._cold_dbs: Set[str] = set()
+        # Called with (db, txn_id, write_log) at the decision point of
+        # each writing transaction's 2PC (the commit is decided and
+        # mirrored; it can no longer abort). The platform layer uses
+        # this to ship writes asynchronously to the disaster-recovery
+        # colo. Firing at the decision — before any COMMIT reaches a
+        # machine — means a snapshot taken under the dump tool's S locks
+        # (which an applying commit's X locks exclude) observes a commit
+        # if and only if its hook has fired, so a log attached at the
+        # snapshot instant sequences exactly the post-snapshot suffix.
+        self.commit_hooks: List = []
+        # Called with (db,) after each successful statement; the platform
+        # layer uses this to measure RTO (first statement served by a
+        # promoted standby colo). Hooks may remove themselves.
+        self.statement_hooks: List = []
+        # Called with no arguments when recovery cannot find a target
+        # machine; should return a fresh Machine (from the colo free
+        # pool) or None.
+        self.free_machine_hook = None
+        # Called with (machine_name,) whenever a machine leaves service
+        # with its data (failed, declared dead) or rejoins blank; the
+        # colo releases its placement bin.
+        self.machine_reset_hook = None
+        # Called with (machine_name,) when a declared machine rejoins
+        # *with its data* after delta catch-up; the colo re-counts its
+        # hosted databases against its placement bin.
+        self.machine_rejoin_hook = None
+        self.declared_dead: Set[str] = set()
+        self.fenced: Set[str] = set()
+        # Heartbeats over CONTROLLER -> machine links; this class keeps
+        # only the reactions (declare_dead / _readmit).
+        self.detector = HeartbeatDetector(
+            sim, self.fabric, CONTROLLER, self.machines,
+            self.declared_dead, self.config,
+            name=f"{name}:detector", probe_prefix="hb",
+            on_suspect=self._on_suspect, on_unsuspect=self._on_unsuspect,
+            on_declare=self.declare_dead, on_return=self._readmit,
+            declare_allowed=self._declare_allowed,
+            active=lambda: self.primary_alive)
+        # False until the primary controller is "crashed" by a fault
+        # injector; the process-pair backup then takes over and this flag
+        # fences the old primary (no decision/COMMIT may leave it).
+        self.primary_alive = True
+        if self.config.consensus_enabled:
+            # Imported lazily: consensus is optional and config already
+            # imports its ConsensusConfig.
+            from repro.cluster.consensus import ConsensusControlPlane
+            ConsensusControlPlane(self, self.config.consensus).start()
+
+    # -- cluster membership ----------------------------------------------------
+
+    def add_machine(self, name: Optional[str] = None) -> Machine:
+        name = name or f"{self.name}-m{len(self.machines) + 1}"
+        if name in self.machines:
+            raise ValueError(f"machine {name!r} already in cluster")
+        site_history = self.history.site(name) if self.history else None
+        machine = Machine(self.sim, name, self.config.machine,
+                          history=site_history)
+        self.machines[name] = machine
+        return machine
+
+    def add_machines(self, count: int) -> List[Machine]:
+        return [self.add_machine() for _ in range(count)]
+
+    def live_machines(self) -> List[Machine]:
+        return [m for m in self.machines.values()
+                if m.alive and not m.fenced]
+
+    def live_replicas(self, db: str) -> List[str]:
+        return [name for name in self.replica_map.replicas(db)
+                if name in self.machines and self.machines[name].alive
+                and not self.machines[name].fenced]
+
+    def _machine(self, name: str) -> Machine:
+        machine = self.machines.get(name)
+        if machine is None:
+            raise ValueError(f"unknown machine {name!r}")
+        return machine
+
+    # -- database lifecycle -------------------------------------------------------
+
+    def create_database(self, db: str, ddl: Sequence[str],
+                        machines: Optional[Sequence[str]] = None,
+                        replicas: Optional[int] = None,
+                        sla=None) -> None:
+        """Create a database on ``replicas`` machines and run its DDL.
+
+        Setup-phase API: executes instantly (no simulated time), as does
+        :meth:`bulk_load`. Placement defaults to the least-loaded live
+        machines; the SLA-driven path in :mod:`repro.platform` chooses
+        machines explicitly. ``sla`` (a :class:`repro.sla.model.Sla`)
+        registers the tenant's contract with the controller: it
+        provisions the admission token bucket and anchors the runtime
+        SLA monitor. Databases without one get the generous default
+        admission rate. Per-tenant replication and admission state is
+        materialised on first touch: a cold tenant costs its replica
+        list and DDL text.
+        """
+        if machines is None:
+            count = replicas or self.config.replication_factor
+            # Spread primaries (the first replica serves all Option-1
+            # reads) as well as total replica counts, so read load is
+            # balanced across the cluster under every read option. The
+            # replica map maintains both counts incrementally, so one
+            # creation costs O(live machines) — not a rescan of every
+            # hosted database (O(N) per create, O(N²) for N creates).
+            live = self.live_machines()
+            if len(live) < count:
+                raise NoReplicaError(
+                    f"need {count} machines, have {len(live)}")
+            rm = self.replica_map
+            primary = min(live, key=lambda m: (rm.primary_count(m.name),
+                                               rm.hosted_count(m.name)))
+            rest = sorted((m for m in live if m.name != primary.name),
+                          key=lambda m: (rm.hosted_count(m.name),
+                                         rm.primary_count(m.name)))
+            machines = [primary.name] + [m.name for m in rest[:count - 1]]
+        if self.config.lazy_engine_ddl:
+            # Engine-side creation (catalog + DDL on every replica) is
+            # deferred to the first touch; a cold tenant costs only its
+            # replica-map entry and DDL text.
+            self._cold_dbs.add(db)
+        else:
+            for name in machines:
+                self.machines[name].engine.create_database_from_ddl(db, ddl)
+            self.schemas[db] = (
+                self.machines[machines[0]].engine.database(db).schema)
+        self.replica_map.add_database(db, list(machines))
+        self.ddl[db] = list(ddl)
+        self.set_sla(db, sla)
+        self._propose_meta("db_create", db=db, machines=list(machines))
+
+    def set_sla(self, db: str, sla) -> None:
+        """Register (or replace) ``db``'s SLA and provision admission.
+
+        Callable after creation too — the platform tier profiles a
+        tenant before settling its SLA, and tests tighten buckets
+        mid-run. Tenants without an SLA hold no registry entry (every
+        reader treats a missing entry exactly like a stored ``None``,
+        and a 100k-tenant cluster of mostly SLA-less databases should
+        not pay a registry row each).
+        """
+        if sla is None:
+            self.slas.pop(db, None)
+        else:
+            self.slas[db] = sla
+        if self.admission is not None:
+            # Drop any resident bucket; the next transaction
+            # re-provisions from the registry via sla_lookup, and a
+            # fresh bucket starts full.
+            self.admission.invalidate(db)
+
+    def bulk_load(self, db: str, table: str, rows: Sequence[Sequence[Any]]) -> None:
+        """Load identical rows into every replica (setup phase)."""
+        self.ensure_materialised(db)
+        for name in self.replica_map.replicas_view(db):
+            self.machines[name].engine.load_table_rows(db, table,
+                                                       [tuple(r) for r in rows])
+
+    def drop_database(self, db: str) -> None:
+        """Remove a database from the cluster entirely (deregistration).
+
+        Drops the data off every live replica, forgets the mapping and
+        schema, and discards in-flight copy state. A no-op for unknown
+        databases so teardown paths can call it unconditionally.
+        """
+        if not self.replica_map.has(db):
+            return
+        if db not in self._cold_dbs:
+            for name in self.replica_map.replicas(db):
+                machine = self.machines.get(name)
+                if (machine is not None and machine.alive
+                        and not machine.fenced and machine.engine.hosts(db)):
+                    machine.engine.drop_database(db)
+        self.replica_map.drop_database(db)
+        self._cold_dbs.discard(db)
+        self.schemas.pop(db, None)
+        self.ddl.pop(db, None)
+        self.copy_states.pop(db, None)
+        self.replication.drop_database(db)
+        self.slas.pop(db, None)
+        if self.admission is not None:
+            self.admission.forget(db)
+        self._propose_meta("db_drop", db=db)
+
+    def reset_as_blank(self) -> None:
+        """Wipe the whole cluster back to blank spares (colo failback).
+
+        Every machine re-enters with a fresh empty engine, the replica
+        map and schema registry are emptied, detector state is cleared,
+        and the controller is un-crashed — the cluster rejoins service
+        hosting nothing, like a machine readmitted as a spare but at
+        colo scale.
+        """
+        for name, machine in self.machines.items():
+            machine.readmit_as_spare()
+            if self.machine_reset_hook is not None:
+                self.machine_reset_hook(name)
+        self.replica_map.clear()
+        self.schemas.clear()
+        self.ddl.clear()
+        self.slas.clear()
+        if self.admission is not None:
+            self.admission.buckets.clear()
+            self.admission.rates.clear()
+        self.copy_states.clear()
+        self.replication.clear()
+        self._cold_dbs.clear()
+        self.detector.reset()
+        self.declared_dead.clear()
+        self.fenced.clear()
+        self.primary_alive = True
+        self.trace.emit("cluster_reset")
+
+    def ensure_materialised(self, db: str) -> None:
+        """Run ``db``'s deferred engine-side creation (lazy_engine_ddl).
+
+        A cold database exists only in the replica map and the DDL
+        registry; the first statement, bulk load, or copy touching it
+        creates the catalog entry and runs the DDL on every replica.
+        """
+        if db not in self._cold_dbs:
+            return
+        self._cold_dbs.discard(db)
+        ddl = self.ddl.get(db, [])
+        replicas = self.replica_map.replicas_view(db)
+        for name in replicas:
+            machine = self.machines.get(name)
+            if machine is None or not machine.alive or machine.fenced:
+                continue
+            if not machine.engine.hosts(db):
+                machine.engine.create_database_from_ddl(db, ddl)
+        if replicas and db not in self.schemas:
+            first = self.machines.get(replicas[0])
+            if first is not None and first.engine.hosts(db):
+                self.schemas[db] = first.engine.database(db).schema
+        self.trace.emit("db_materialised", db=db)
+
+    def connect(self, db: str) -> Connection:
+        if self.consensus is not None:
+            # A non-leader controller replica redirects the client.
+            self.consensus.check_leader()
+        self.replica_map.replicas_view(db)  # raises if unknown; no copy
+        return Connection(self, db)
+
     # -- machine failure handling (Section 3.2) ------------------------------------------
 
     def fail_machine(self, name: str) -> List[str]:
@@ -1512,18 +1326,19 @@ class ClusterController:
         If a recovery manager is attached, re-replication of the affected
         databases starts in the background.
         """
-        machine = self.machines.get(name)
-        if machine is None:
-            raise ValueError(f"unknown machine {name!r}")
-        machine.fail()
+        self._machine(name).fail()
         affected = self.replica_map.remove_machine(name)
-        for db in affected:
-            self.replica_lsns.get(db, {}).pop(name, None)
-        self._stale_holdings.pop(name, None)
+        self.replication.machine_left(name, affected, keep_holdings=False)
         self.trace.emit("machine_failed", machine=name,
                         affected=sorted(affected))
-        self._propose_meta("machine_removed", machine=name,
-                           affected=sorted(affected))
+        return self._left_service(name, affected, "machine_removed")
+
+    def _left_service(self, name: str, affected: List[str],
+                      meta: str) -> List[str]:
+        """What follows a machine leaving the replica map with its data,
+        failed or declared: replicate the fact, abandon copies through
+        it, free its placement bin, re-replicate what it hosted."""
+        self._propose_meta(meta, machine=name, affected=sorted(affected))
         self._abandon_copies(name)
         if self.machine_reset_hook is not None:
             self.machine_reset_hook(name)
@@ -1552,10 +1367,7 @@ class ClusterController:
         recovery is scheduled here — only the heartbeat failure detector
         can notice the silence and drive the declare→fence→recover path.
         """
-        machine = self.machines.get(name)
-        if machine is None:
-            raise ValueError(f"unknown machine {name!r}")
-        machine.fail()
+        self._machine(name).fail()
         self.trace.emit("machine_crashed", machine=name)
 
     def repair_machine(self, name: str) -> None:
@@ -1563,9 +1375,7 @@ class ClusterController:
         spare: fresh empty engine, hosting nothing, eligible as a
         recovery target. Refuses if the replica map still routes to it.
         """
-        machine = self.machines.get(name)
-        if machine is None:
-            raise ValueError(f"unknown machine {name!r}")
+        machine = self._machine(name)
         hosted = self.replica_map.hosted_on(name)
         if hosted:
             raise ValueError(
@@ -1574,37 +1384,13 @@ class ClusterController:
         self.declared_dead.discard(name)
         self.fenced.discard(name)
         self.detector.forget(name)
-        self._stale_holdings.pop(name, None)
+        self.replication.machine_left(name, (), keep_holdings=False)
         if self.machine_reset_hook is not None:
             self.machine_reset_hook(name)
         self.trace.emit("machine_repaired", machine=name)
         self._propose_meta("machine_repaired", machine=name)
 
     # -- primary crash (process-pair, Section 2) -----------------------------------------
-
-    def _check_primary(self) -> None:
-        if not self.primary_alive:
-            raise ControllerFailedError(
-                f"controller {self.name} is no longer primary")
-        if self.consensus is not None and not self.consensus.lease_valid():
-            # The acting replica's leader lease lapsed (or it was never
-            # elected): the lease is the fence, so it must not act.
-            raise ControllerFailedError(
-                f"controller {self.name}: leader lease is not valid")
-
-    def _orphan_txn(self, conn: Connection) -> None:
-        """Finish a transaction that began under an earlier controller
-        term: the new leader's take-over already presumed-aborted (or
-        takeover-committed) it on the machines, so its connection-side
-        state is an orphan and must not drive further 2PC."""
-        txn = conn.txn
-        self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
-                        term=txn.term, current_term=self.consensus.term)
-        self.metrics.record_other_abort(txn.db)
-        self._finish(conn, txn)
-        raise TransactionAborted(
-            "controller leadership changed; the transaction was cleaned "
-            "up during take-over")
 
     def _propose_meta(self, kind: str, **payload) -> None:
         """Mirror one metadata mutation into the replicated controller
@@ -1630,11 +1416,11 @@ class ClusterController:
     # -- heartbeat failure detection -----------------------------------------------------
 
     def start_failure_detector(self) -> Process:
-        """Start heartbeating every machine over the fabric (needs
-        ``config.network.enabled``): *suspected* after
-        ``suspect_after_misses`` silent heartbeats, *declared* dead
-        (fenced, replicas removed, recovery scheduled) after
-        ``declare_after_misses``, readmitted if it ever answers again."""
+        """Start heartbeating every machine over the fabric (which must
+        be on): *suspected* after ``suspect_after_misses`` silent
+        heartbeats, *declared* dead (fenced, replicas removed, recovery
+        scheduled) after ``declare_after_misses``, readmitted if it ever
+        answers again."""
         return self.detector.start()
 
     def _on_suspect(self, name: str, misses: int) -> None:
@@ -1650,14 +1436,8 @@ class ClusterController:
         any database: fencing it would lose the data outright. It stays
         merely suspected (routed around where possible) until the
         partition heals or another replica exists elsewhere."""
-        for db in self.replica_map.hosted_on(name):
-            others = [r for r in self.replica_map.replicas(db)
-                      if r != name and r in self.machines
-                      and self.machines[r].alive
-                      and not self.machines[r].fenced]
-            if not others:
-                return False
-        return True
+        return all(any(r != name for r in self.live_replicas(db))
+                   for db in self.replica_map.hosted_on(name))
 
     def declare_dead(self, name: str, reason: str = "") -> List[str]:
         """Declare a silent machine dead: fence it, drop its replicas
@@ -1666,11 +1446,11 @@ class ClusterController:
         Fencing models the machine-side lease expiring at the same
         simulated moment the controller declares: even if the machine is
         alive on the far side of a partition, it stops serving and its
-        replicas are treated as lost (stale on readmission).
+        replicas are treated as lost (stale on readmission) — unless it
+        comes back with its data intact, a false declaration, and can
+        catch up from the LSNs the replication log keeps for it.
         """
-        machine = self.machines.get(name)
-        if machine is None:
-            raise ValueError(f"unknown machine {name!r}")
+        machine = self._machine(name)
         if name in self.declared_dead:
             return []
         self.detector.forget(name)
@@ -1678,36 +1458,12 @@ class ClusterController:
         self.fenced.add(name)
         was_alive = machine.alive
         machine.fence()
-        # Remember what the machine held and how far it had applied: if
-        # it comes back with its data intact (a false declaration), it
-        # can catch up from these LSNs instead of being wiped.
-        holdings: Dict[str, int] = {}
-        for db in self.replica_map.hosted_on(name):
-            lsns = self.replica_lsns.get(db)
-            if lsns is None:
-                # Lazily-deferred LSN map: the database never committed
-                # a write, so every mapped replica stands at LSN 0 —
-                # the state the eager path records at creation.
-                lsn = 0
-            else:
-                lsn = lsns.get(name)
-                lsns.pop(name, None)
-            if lsn is not None:
-                holdings[db] = lsn
-        if holdings:
-            self._stale_holdings[name] = holdings
         affected = self.replica_map.remove_machine(name)
+        self.replication.machine_left(name, affected, keep_holdings=True)
         self.trace.emit("machine_declared", machine=name, reason=reason,
                         was_alive=was_alive, affected=sorted(affected))
         self.trace.emit("machine_fenced", machine=name)
-        self._propose_meta("machine_declared", machine=name,
-                           affected=sorted(affected))
-        self._abandon_copies(name)
-        if self.machine_reset_hook is not None:
-            self.machine_reset_hook(name)
-        if self.recovery is not None:
-            self.recovery.schedule_databases(affected)
-        return affected
+        return self._left_service(name, affected, "machine_declared")
 
     def _readmit(self, name: str) -> None:
         """A declared-dead machine answered a heartbeat: a false
@@ -1720,23 +1476,8 @@ class ClusterController:
         self.declared_dead.discard(name)
         self.fenced.discard(name)
         self.detector.forget(name)
-        holdings = self._stale_holdings.pop(name, {})
-        eligible: Dict[str, int] = {}
-        if machine.alive:
-            for db, lsn in holdings.items():
-                if not self.replica_map.has(db):
-                    continue
-                # database_log (not db_logs.get): a lazily-deferred log
-                # must count as covering its whole (empty) history,
-                # exactly like the fresh tail the eager path created.
-                log = self.database_log(db)
-                if (log.covers(lsn)
-                        and machine.engine.hosts(db)
-                        and db not in self.copy_states
-                        and name not in self.replica_map.replicas_view(db)
-                        and (self.replica_map.replica_count(db)
-                             < self.config.replication_factor)):
-                    eligible[db] = lsn
+        holdings, eligible = self.replication.rejoin_eligibility(
+            name, machine, self.copy_states)
         self.metrics.record_false_suspicion()
         if not eligible:
             machine.readmit_as_spare()
@@ -1760,7 +1501,7 @@ class ClusterController:
         for db, lsn in eligible.items():
             state = CopyState(db, name, source=name)
             self.copy_states[db] = state
-            pins[db] = (state, self.database_log(db).pin(lsn))
+            pins[db] = (state, self.replication.log(db).pin(lsn))
         self.trace.emit("machine_readmitted", machine=name, mode="catchup",
                         dbs=sorted(eligible))
         self._propose_meta("machine_readmitted", machine=name,
@@ -1783,22 +1524,25 @@ class ClusterController:
         back to normal re-replication.
         """
         machine = self.machines[name]
+        replication = self.replication
         skip = machine.committed_txn_ids()
         for db, from_lsn in eligible.items():
             state, pin = pins[db]
-            log = self.database_log(db)
+            log = replication.log(db)
             self.trace.emit("machine_catchup_start", db=db, machine=name,
                             lsn=from_lsn)
             try:
                 try:
                     applied, reject_s, replayed = (
-                        yield from self.delta_replay_and_handoff(
+                        yield from replication.replay_and_handoff(
                             db, machine, from_lsn, state, skip_txns=skip))
                     if (self.replica_map.has(db)
                             and name not in
                             self.replica_map.replicas_view(db)):
                         self.replica_map.add_replica(db, name)
-                        self.note_replica_caught_up(db, name, applied)
+                        replication.note_caught_up(db, name, applied)
+                        self._propose_meta("replica_add", db=db,
+                                           machine=name)
                     self.trace.emit("machine_catchup_done", db=db,
                                     machine=name, lsn=applied,
                                     replayed=replayed, reject_s=reject_s)

@@ -280,8 +280,7 @@ class Machine:
 
     def statement_body(self, txn_id: int, db: str, sql: str,
                        params: Sequence[Any],
-                       lock_timeout: float,
-                       count_write: bool = False) -> Generator:
+                       lock_timeout: float) -> Generator:
         """Execute one statement; the generator is a sim process body.
 
         A deadlock or lock-wait timeout rolls back the transaction's
@@ -345,9 +344,16 @@ class Machine:
                 self.engine.abort(txn)
             raise
         self._check_alive()
-        if count_write:
-            # Executed-write tally for the PREPARE gap check.
-            self._write_counts[txn_id] = self._write_counts.get(txn_id, 0) + 1
+        return result
+
+    def write_body(self, txn_id: int, db: str, sql: str,
+                   params: Sequence[Any], lock_timeout: float) -> Generator:
+        """:meth:`statement_body` for a write the coordinator fanned out:
+        one that completes joins the executed-write tally PREPARE checks
+        against the coordinator's sent count."""
+        result = yield from self.statement_body(txn_id, db, sql, params,
+                                                lock_timeout)
+        self._write_counts[txn_id] = self._write_counts.get(txn_id, 0) + 1
         return result
 
     def _charge(self, result: ExecResult) -> Generator:
@@ -362,8 +368,7 @@ class Machine:
             disk_s = cost.cache_misses * cfg.page_miss_ms / 1e3
             yield from self.disk.use(disk_s)
 
-    def prepare_body(self, txn_id: int,
-                     expected_writes: Optional[int] = None) -> Generator:
+    def prepare_body(self, txn_id: int, expected_writes: int) -> Generator:
         self._check_alive()
         txn = self.engine.transactions.get(txn_id)
         if txn is None or txn.finished:
@@ -372,15 +377,15 @@ class Machine:
             raise TransactionError(
                 f"cannot prepare txn {txn_id} on {self.name}: "
                 f"branch is not active")
-        if expected_writes is not None:
-            executed = self._write_counts.get(txn_id, 0)
-            if executed != expected_writes:
-                # A write message to this replica was lost in the fabric
-                # and never retransmitted successfully: the branch is
-                # missing statements and must not be committed anywhere.
-                raise TransactionError(
-                    f"cannot prepare txn {txn_id} on {self.name}: "
-                    f"executed {executed} of {expected_writes} writes")
+        executed = self._write_counts.get(txn_id, 0)
+        if executed != expected_writes:
+            # A write sent to this replica never completed here (its
+            # message was lost in the fabric and never retransmitted
+            # successfully): the branch is missing statements and must
+            # not be committed anywhere.
+            raise TransactionError(
+                f"cannot prepare txn {txn_id} on {self.name}: "
+                f"executed {executed} of {expected_writes} writes")
         lsn = self.engine.log_prepare(txn)
         try:
             yield from self._force_log(lsn)
@@ -448,12 +453,7 @@ class Machine:
                 flush.done.succeed()
 
     def abort_body(self, txn_id: int) -> Generator:
-        if not self.alive:
-            return True
-        txn = self.engine.transactions.get(txn_id)
-        if txn is not None and not txn.finished:
-            self.engine.abort(txn)
-        self.forget_txn(txn_id)
+        self.abort_local(txn_id)
         return True
         yield  # pragma: no cover - generator marker
 

@@ -222,8 +222,11 @@ class NetworkFabric:
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with jitter for RPC retry ``attempt``."""
         cfg = self.config
+        # The exponent is clamped: a sender that retries for as long as
+        # its peer stays silent (WAN shipping to a dead standby) reaches
+        # attempt counts whose power of two no float can hold.
         base = min(cfg.rpc_backoff_max_s,
-                   cfg.rpc_backoff_base_s * (2 ** max(0, attempt - 1)))
+                   cfg.rpc_backoff_base_s * 2 ** min(max(0, attempt - 1), 64))
         # Full jitter: uniform in (0, base]; avoids retry synchronization.
         return base * (0.5 + 0.5 * self.rng.random())
 

@@ -127,7 +127,20 @@ class ProcessPairBackup:
                      machines: List[str]) -> None:
         self.decisions[txn_id] = _Decision(decision, list(machines))
 
-    def clear_decision(self, txn_id: int) -> None:
+    def replicate_decision(self, db: str, txn_id: int, decision: str,
+                           machines: List[str]) -> Generator:
+        """Mirror a 2PC decision (what the coordinator asks of whichever
+        control plane is attached; the pair's channel is rack-local, so
+        the generator finishes without waiting)."""
+        self.log_decision(txn_id, decision, machines)
+        return
+        yield  # pragma: no cover - generator marker
+
+    def decision_stamp(self) -> Dict[str, str]:
+        """Who made a decision this plane holds, for its trace event."""
+        return {"actor": "primary"}
+
+    def clear_decision(self, db: str, txn_id: int) -> None:
         self.decisions.pop(txn_id, None)
 
     # -- take-over -----------------------------------------------------------------

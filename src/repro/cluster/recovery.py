@@ -33,8 +33,9 @@ import enum
 from dataclasses import dataclass
 from typing import Generator, Iterable, List, Optional
 
-from repro.cluster.controller import ClusterController, CopyState
+from repro.cluster.controller import ClusterController
 from repro.cluster.network import CONTROLLER
+from repro.cluster.replication_log import CopyState
 from repro.errors import NoReplicaError
 from repro.sim import Process, Simulator, Store
 
@@ -215,7 +216,10 @@ class RecoveryManager:
             raise
         controller.replica_map.add_replica(db, target_name)
         if applied_lsn is not None:
-            controller.note_replica_caught_up(db, target_name, applied_lsn)
+            controller.replication.note_caught_up(db, target_name,
+                                                  applied_lsn)
+            controller._propose_meta("replica_add", db=db,
+                                     machine=target_name)
         controller.trace.emit(
             "rereplication_done", db=db, machine=target_name,
             replicas=controller.replica_map.replica_count(db),
@@ -354,7 +358,7 @@ def _copy_delta(controller: ClusterController, db: str, state: CopyState,
     missing. Replay then catches the target up live, and only the
     final drain handoff rejects writes.
     """
-    log = controller.database_log(db)
+    log = controller.replication.log(db)
     holder = {}
 
     def on_snapshot(_dumps):
@@ -369,7 +373,7 @@ def _copy_delta(controller: ClusterController, db: str, state: CopyState,
             label=f"dump:{db}")
         total = yield from _stream(controller, db, source, target, dumps)
         applied, _reject_s, _replayed = (
-            yield from controller.delta_replay_and_handoff(
+            yield from controller.replication.replay_and_handoff(
                 db, target, holder["pin"].lsn, state))
         return total, applied
     finally:

@@ -60,6 +60,13 @@ class ReplicaMap:
             self._bump(self._hosted_counts, name, -1)
         self._bump(self._primary_counts, replicas[0], -1)
 
+    def clear(self) -> None:
+        """Forget every placement, in place: the controller's roles
+        share this one map object."""
+        self._replicas.clear()
+        self._hosted_counts.clear()
+        self._primary_counts.clear()
+
     def replicas(self, db: str) -> List[str]:
         """Ordered replica list (may include failed machines)."""
         if db not in self._replicas:

@@ -434,9 +434,6 @@ class WanPartitionInjector(_RestartableInjector):
             raise ValueError("MTBF must be positive")
         if mean_heal_s <= 0:
             raise ValueError("mean heal time must be positive")
-        if not system.wan.enabled:
-            raise ValueError("WanPartitionInjector needs the WAN fabric "
-                             "(wan.enabled)")
         super().__init__(system)
         self.system = system
         self.mtbf_s = mtbf_s

@@ -783,6 +783,7 @@ def run_many_tenants(
     sim.run(until=duration_s)
 
     metrics = controller.metrics
+    replication = controller.replication
     committed = metrics.total_committed()
     aborted = sum(s.aborted for s in stats) + \
         sum(s.aborted for s in flash_stats)
@@ -798,10 +799,10 @@ def run_many_tenants(
         flash_first_commit_s=(flash_first_commit[0]
                               if flash_first_commit else None),
         flash_committed=sum(s.committed for s in flash_stats),
-        resident_db_logs=len(controller.db_logs),
+        resident_db_logs=len(replication.db_logs),
         resident_log_entries=sum(len(log)
-                                 for log in controller.db_logs.values()),
-        resident_replica_lsn_maps=len(controller.replica_lsns),
+                                 for log in replication.db_logs.values()),
+        resident_replica_lsn_maps=len(replication.replica_lsns),
         resident_admission_buckets=(len(controller.admission.buckets)
                                     if controller.admission is not None
                                     else 0),

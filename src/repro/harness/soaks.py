@@ -9,10 +9,11 @@ literal of the declaration, and a caller that needs a different size says
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.cluster import ClusterConfig, WritePolicy
+from repro.cluster.config import production_profile
 from repro.cluster.network import NetworkConfig
 from repro.cluster.process_pair import ProcessPairBackup
 from repro.harness.faults import (ControllerKillInjector, FailureInjector,
@@ -25,18 +26,24 @@ from repro.sla.monitor import OverloadMonitor
 HOT_DB = "kv0"
 
 
-def _config(copy_bytes_factor: float, **cluster) -> ClusterConfig:
-    """The soaks' cluster: two recovery threads and a lock-wait timeout
-    short enough that distributed deadlocks resolve within a soak."""
-    config = ClusterConfig(recovery_threads=2, lock_wait_timeout_s=2.0,
-                           **cluster)
+def _config(seed: int, copy_bytes_factor: float, **cluster) -> ClusterConfig:
+    """The soaks' cluster, a variant of the production profile: two
+    replicas, two recovery threads, a lock-wait timeout short enough
+    that distributed deadlocks resolve within a soak, and each plane
+    (fabric, consensus, admission) on only where ``cluster`` says so."""
+    planes = dict(network=NetworkConfig(), consensus_enabled=False,
+                  admission_control=False)
+    config = replace(production_profile(seed), replication_factor=2,
+                     recovery_threads=2, lock_wait_timeout_s=2.0,
+                     **{**planes, **cluster})
     config.machine.copy_bytes_factor = copy_bytes_factor
     return config
 
 
 def _lossy_fabric(seed: int, drop_probability: float) -> NetworkConfig:
-    return NetworkConfig(enabled=True, latency_s=0.002, jitter_s=0.001,
-                         drop_probability=drop_probability, seed=seed)
+    """The production fabric made slower, noisier and lossy."""
+    return replace(production_profile(seed).network, latency_s=0.002,
+                   jitter_s=0.001, drop_probability=drop_probability)
 
 
 def _crashes(seed: int, mtbf_s: float, repair_mtbf_s: Optional[float] = None,
@@ -77,7 +84,7 @@ def faults(duration_s: float = 45.0, drain_s: float = 30.0,
     """
     return Scenario(
         # Copies of a few seconds, so failures land mid-copy.
-        config=_config(1000.0), seed=seed,
+        config=_config(seed, 1000.0), seed=seed,
         duration_s=duration_s, drain_s=drain_s, copy=copy,
         injectors={"crashes": _crashes(seed, mtbf_s)})
 
@@ -95,7 +102,7 @@ def partitions(duration_s: float = 60.0, drain_s: float = 40.0,
     for the no-split-brain / fencing / suspicion invariants.
     """
     return Scenario(
-        config=_config(200.0, write_policy=write_policy,
+        config=_config(seed, 200.0, write_policy=write_policy,
                        network=_lossy_fabric(seed, 0.01)),
         seed=seed, duration_s=duration_s, drain_s=drain_s, copy=copy,
         services={"process_pair": _process_pair, "detector": _detector},
@@ -124,10 +131,9 @@ def controllers(consensus: bool, duration_s: float = 40.0,
     schedule runs under the process pair, whose one controller failure
     is the staged primary crash after the drain.
     """
-    config = _config(200.0, trace_capacity=262144,
+    config = _config(seed, 200.0, trace_capacity=262144,
                      consensus_enabled=consensus,
                      network=_lossy_fabric(seed, 0.005))
-    config.consensus.seed = seed
     services: Dict[str, Callable] = {"detector": _detector}
     injectors: Dict[str, Callable] = {}
     if consensus:
@@ -188,7 +194,7 @@ def stampede(admission: bool, duration_s: float = 40.0,
             run.spawn_client(0, 100 + client_id, think_time_s=0.02)
 
     return Scenario(
-        config=_config(200.0, trace_capacity=262144,
+        config=_config(seed, 200.0, trace_capacity=262144,
                        admission_control=admission),
         seed=seed, duration_s=duration_s, drain_s=drain_s,
         machines=4, databases=databases, keys_per_db=40,

@@ -15,21 +15,18 @@ replication (the paper's design): on colo failure the standby may miss
 a suffix of recent transactions, but is always a transaction-consistent
 prefix — the bounded data-loss window reported as RPO.
 
-Two shipping paths share the log:
+Entries ride :class:`~repro.cluster.network.NetworkFabric` WAN links
+with seeded latency/jitter/drop and cut/heal partitions (without a
+``wan`` config: lossless and jitter-free at ``wan_latency_s``). Shipping
+is resumable — an entry is retransmitted with backoff until the standby
+acks it — and apply is at-most-once keyed on ``(db, seq)``: a
+redelivered entry the standby already applied is acked without
+reapplying. An entry the standby cannot apply yet is *lag*, never a
+silent drop: it waits in the log until the standby answers or the link
+is torn down (only a bounded ``apply_retries`` turns an exhausted entry
+into a counted drop).
 
-* **legacy** (``wan.enabled`` False, the default): each entry crosses
-  the WAN after a fixed ``wan_latency_s`` and is applied best-effort —
-  a standby conflict is retried once on a fresh connection, then the
-  entry is dropped (counted in ``link.dropped``). Pre-fabric runs
-  replay identically.
-* **fabric** (``wan.enabled`` True): entries ride
-  :class:`~repro.cluster.network.NetworkFabric` WAN links with seeded
-  latency/jitter/drop and cut/heal partitions. Shipping is resumable —
-  an entry is retransmitted with backoff until the standby acks it —
-  and apply is at-most-once keyed on ``(db, seq)``: a redelivered entry
-  the standby already applied is acked without reapplying.
-
-Colo failover is detection-driven when the fabric is on: the system
+Colo failover is detection-driven: the system
 controller heartbeats every colo, *suspects* after K consecutive
 misses, *declares* after more, fences the colo under a monotonically
 increasing epoch (a fenced primary refuses new connections and stops
@@ -108,11 +105,12 @@ class SystemController:
                  trace_capacity: int = 65536):
         self.sim = sim
         self.wan_latency_s = wan_latency_s
-        self.wan_config = wan or NetworkConfig()
+        self.wan_config = wan or NetworkConfig(enabled=True,
+                                               latency_s=wan_latency_s)
         self.wan_mbps = wan_mbps
-        # Fabric-path apply conflicts retry until they succeed by
-        # default (None = unbounded), preserving the prefix guarantee;
-        # a bound turns exhausted entries into counted drops.
+        # Apply conflicts retry until they succeed by default (None =
+        # unbounded), preserving the prefix guarantee; a bound turns
+        # exhausted entries into counted drops.
         self.apply_retries = apply_retries
         self.reprotect_retry_s = reprotect_retry_s
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -122,10 +120,10 @@ class SystemController:
         self.trace = Tracer(capacity=trace_capacity,
                             clock=lambda: self.sim.now)
         self.wan = NetworkFabric(sim, self.wan_config, metrics=self.metrics,
-                                 trace=self.trace,
-                                 direct_latency_s=wan_latency_s)
-        self.trace.emit("trace_meta", tier="system",
-                        wan_enabled=self.wan.enabled)
+                                 trace=self.trace)
+        # wan_enabled: a constant now, kept because the dr soak's replay
+        # hash covers this event.
+        self.trace.emit("trace_meta", tier="system", wan_enabled=True)
         self.colos: Dict[str, ColoController] = {}
         # db -> (primary colo, standby colo or None)
         self.placements: Dict[str, Tuple[str, Optional[str]]] = {}
@@ -218,9 +216,8 @@ class SystemController:
         return link
 
     def _start_link(self, link: ReplicationLink) -> None:
-        loop = (self._ship_loop(link) if self.wan.enabled
-                else self._apply_loop(link))
-        applier = self.sim.process(loop, name=f"ship:{link.db}")
+        applier = self.sim.process(self._ship_loop(link),
+                                   name=f"ship:{link.db}")
         applier.defused = True  # runs until the link is torn
         link.applier = applier
 
@@ -289,44 +286,8 @@ class SystemController:
             return None
         return colo
 
-    def _apply_loop(self, link: ReplicationLink) -> Generator:
-        """Legacy path: fixed WAN latency, best-effort apply.
-
-        A standby conflict (e.g. local activity) is retried once on a
-        *fresh* connection — the aborted one is finished and cannot run
-        the retry — then the entry is dropped and counted, so
-        :meth:`replication_lag` converges instead of overreporting
-        forever.
-        """
-        try:
-            while not link.torn:
-                seq = yield link.queue.get()
-                yield self.sim.timeout(self.wan_latency_s)
-                writes = link.log.pop(seq, None)
-                if writes is None:
-                    continue
-                standby_colo = self._standby_colo(link)
-                if standby_colo is None:
-                    self._record_drop(link, seq, reason="no-standby")
-                    continue
-                try:
-                    yield from self._replay(standby_colo, link.db, writes)
-                except TransactionAborted:
-                    try:
-                        yield from self._replay(standby_colo, link.db,
-                                                writes)
-                    except (TransactionAborted, PlatformError):
-                        self._record_drop(link, seq, reason="apply-conflict")
-                        continue
-                except PlatformError:
-                    self._record_drop(link, seq, reason="standby-error")
-                    continue
-                self._record_apply(link, seq)
-        except Interrupt:
-            return
-
     def _ship_loop(self, link: ReplicationLink) -> Generator:
-        """Fabric path: sequenced, resumable, at-most-once shipping.
+        """Sequenced, resumable, at-most-once shipping.
 
         Each entry is sent over the WAN link until the standby acks it;
         a drop or cut in either direction just means a retransmission
@@ -428,7 +389,7 @@ class SystemController:
         silent heartbeats, *declared* dead (fenced under a new epoch,
         standbys promoted, re-protection scheduled) after
         ``declare_after_misses``, and rejoined as a blank standby target
-        if it ever answers again. Needs ``wan.enabled``.
+        if it ever answers again.
         """
         return self.detector.start()
 

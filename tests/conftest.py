@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Optional
+
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterController, ReadOption, WritePolicy
@@ -33,12 +36,17 @@ def make_cluster(sim: Simulator, machines: int = 3,
                  write_policy: WritePolicy = WritePolicy.CONSERVATIVE,
                  record_history: bool = False,
                  lock_wait_timeout_s: float = 2.0,
+                 profile: Optional[ClusterConfig] = None,
                  **config_kwargs) -> ClusterController:
-    config = ClusterConfig(read_option=read_option,
-                           write_policy=write_policy,
-                           record_history=record_history,
-                           lock_wait_timeout_s=lock_wait_timeout_s,
-                           **config_kwargs)
+    """A cluster on ``profile`` (default: the default configuration; the
+    one we would run is ``repro.cluster.config.production_profile``)
+    with what the test varies replaced."""
+    config = dataclasses.replace(profile or ClusterConfig(),
+                                 read_option=read_option,
+                                 write_policy=write_policy,
+                                 record_history=record_history,
+                                 lock_wait_timeout_s=lock_wait_timeout_s,
+                                 **config_kwargs)
     controller = ClusterController(sim, config)
     controller.add_machines(machines)
     return controller

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import ReadOption, WritePolicy
 from repro.cluster.controller import TransactionAborted
-from repro.errors import NoReplicaError
+from repro.cluster.network import NetworkConfig
+from repro.errors import ConstraintError, NoReplicaError
 from tests.conftest import make_kv_cluster, read_table
 
 
@@ -135,6 +136,37 @@ class TestReadsAndWrites:
             return result.scalar()
 
         assert run_client(sim, client()) == 5
+
+
+class TestWriteTally:
+    """Every replica tallies the writes it executed and PREPARE holds the
+    tally to the coordinator's sent count — on the direct submit path as
+    over the fabric (one rule, not a fabric-only check)."""
+
+    @pytest.mark.parametrize("fabric", [False, True])
+    def test_a_write_that_failed_on_its_replicas_cannot_commit(self, sim,
+                                                               fabric):
+        controller = make_kv_cluster(
+            sim, network=NetworkConfig(enabled=fabric, seed=1))
+        seen = {}
+
+        def client():
+            conn = controller.connect("kv")
+            yield conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
+            try:
+                yield conn.execute("INSERT INTO kv VALUES (1, 5)")
+            except ConstraintError as exc:
+                seen["statement"] = exc     # the transaction stays open
+            yield conn.commit()
+
+        with pytest.raises(TransactionAborted,
+                           match="executed 1 of 2 writes"):
+            run_client(sim, client())
+        sim.run()       # over the fabric the ABORTs are still in flight
+        assert "statement" in seen
+        for name in controller.replica_map.replicas("kv"):
+            assert read_table(controller, name, "kv",
+                              "SELECT v FROM kv WHERE k = 1") == [(0,)]
 
 
 class TestConcurrency:

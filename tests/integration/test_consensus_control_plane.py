@@ -6,19 +6,28 @@ the multi-Paxos group; these tests check the binding end to end — and
 that with the flag off (the default) nothing consensus-shaped runs.
 """
 
+import dataclasses
+
+from repro.cluster.config import production_profile
 from repro.cluster.consensus import takeover_cleanup
-from repro.cluster.network import NetworkConfig
 from repro.errors import NotLeaderError, PlatformError
 from repro.workloads.microbench import KeyValueWorkload, KvStats
 from tests.conftest import assert_no_violations, make_kv_cluster
 
 
 def make_consensus_cluster(sim, seed=2, **kwargs):
+    """The production profile as these tests were written on it: a
+    slower, noisier fabric, two replicas per database, no admission, and
+    the election stream unseeded (the timing assertions below were
+    tuned to it)."""
+    profile = production_profile(seed)
     return make_kv_cluster(
-        sim, machines=3, replicas=2, consensus_enabled=True,
-        trace_capacity=65536,
-        network=NetworkConfig(enabled=True, latency_s=0.002,
-                              jitter_s=0.001, seed=seed),
+        sim, machines=3, replicas=2,
+        profile=dataclasses.replace(
+            profile, replication_factor=2, admission_control=False,
+            network=dataclasses.replace(profile.network, latency_s=0.002,
+                                        jitter_s=0.001),
+            consensus=dataclasses.replace(profile.consensus, seed=0)),
         **kwargs)
 
 
@@ -146,11 +155,8 @@ class TestRetireList:
                 for name, node in plane.group.nodes.items() if node.alive}
 
     def test_table_is_empty_after_quiescence_plus_one_renew_interval(self, sim):
-        controller = make_kv_cluster(
-            sim, keys=64, machines=4, replicas=3, consensus_enabled=True,
-            admission_control=True,
-            network=NetworkConfig(enabled=True, latency_s=0.0005,
-                                  jitter_s=0.0001, seed=3))
+        controller = make_kv_cluster(sim, keys=64, machines=4, replicas=3,
+                                     profile=production_profile(3))
         controller.start_failure_detector()
         plane = controller.consensus
         commits = []
@@ -278,7 +284,7 @@ class TestTakeoverClearsDrainGauge:
 
         sim.process(orphan())
         sim.run(until=3.0)
-        assert controller.open_writers("kv") == 1
+        assert controller.replication.open_writers("kv") == 1
 
     def test_undecided_orphan_is_aborted_and_leaves_the_gauge(self, sim):
         controller = make_consensus_cluster(sim)
@@ -288,7 +294,7 @@ class TestTakeoverClearsDrainGauge:
         committed, aborted = takeover_cleanup(controller, {}, actor="test")
 
         assert holder["txn"] in aborted
-        assert controller.open_writers("kv") == 0
+        assert controller.replication.open_writers("kv") == 0
 
     def test_decided_orphan_on_dead_participant_leaves_the_gauge(self, sim):
         # The seed-9 wedge: the decision is replicated but the only
@@ -307,7 +313,7 @@ class TestTakeoverClearsDrainGauge:
                                                actor="test")
 
         assert txn_id in committed
-        assert controller.open_writers("kv") == 0
+        assert controller.replication.open_writers("kv") == 0
 
 
 class TestConsensusDisabled:

@@ -165,21 +165,37 @@ class TestWanShipping:
         link = platform.system.links["app"]
         assert link.shipped == 18 and link.applied == 18
 
-    def test_unappliable_entries_counted_dropped_not_lagging(self):
-        # Satellite: a dropped entry must count explicitly so lag
-        # converges instead of overreporting forever.
-        platform = make_platform()
+    def test_dead_standby_is_lag_until_declared(self):
+        # The default WAN (no config: lossless at wan_latency_s) ships
+        # like any other: an entry the standby cannot apply stays in the
+        # log and is retransmitted — lag, reported as lag.
+        platform = make_platform(heartbeat_interval_s=0.5,
+                                 suspect_after_misses=2,
+                                 declare_after_misses=5)
         platform.create_database(spec("app"))
         platform.bulk_load("app", "t", [(k, 0) for k in range(3)])
-        _, standby = platform.system.placements["app"]
-        # The standby colo silently dies: applies fail, entries drop.
-        platform.system.colos[standby].crash()
+        primary, standby = platform.system.placements["app"]
+        # The standby colo silently dies: nothing can be applied.
+        platform.system.crash_colo(standby)
         commit_n(platform, "app", 3)
-        platform.sim.run()
+        platform.sim.run(until=5.0)
         link = platform.system.links["app"]
-        assert link.dropped == 3
-        assert platform.system.replication_lag("app") == 0
-        assert platform.system.metrics.dr.dropped == 3
+        assert (link.shipped, link.applied, link.dropped) == (3, 0, 0)
+        assert platform.system.replication_lag("app") == 3
+        assert sorted(link.log) == [1, 2, 3]
+        assert platform.system.metrics.dr.dropped == 0
+        # Only the detector's verdict ends it: the colo is declared, the
+        # link torn down with its lag on record, and the database marked
+        # unprotected — still nothing counted as applied or dropped.
+        platform.system.start_failure_detector()
+        platform.sim.run(until=15.0)
+        assert standby in platform.system.declared_dead
+        assert "app" not in platform.system.links
+        assert not link.applier.is_alive
+        assert platform.system.placements["app"] == (primary, None)
+        torn = platform.system.trace.events(kind="dr_link_torn")
+        assert [e.extra["lag"] for e in torn] == [3]
+        assert (link.applied, link.dropped) == (0, 0)
 
 
 class TestDetectionDrivenFailover:

@@ -18,7 +18,8 @@ thing they ever queue for is a machine's log disk — which is where
 import pytest
 
 from repro.cluster.controller import TransactionAborted
-from repro.cluster.network import CONTROLLER, NetworkConfig
+from repro.cluster.config import production_profile
+from repro.cluster.network import CONTROLLER
 from repro.errors import MachineFailedError
 from repro.sim import Simulator
 from tests.conftest import (assert_no_violations, make_kv_cluster,
@@ -32,11 +33,8 @@ QUIET_S = 4.0           # covers every periodic background loop once
 
 def build_cluster():
     sim = Simulator()
-    controller = make_kv_cluster(
-        sim, keys=WRITERS, machines=4, replicas=3, replication_factor=3,
-        consensus_enabled=True, admission_control=True,
-        network=NetworkConfig(enabled=True, latency_s=0.0005,
-                              jitter_s=0.0001, seed=5))
+    controller = make_kv_cluster(sim, keys=WRITERS, machines=4, replicas=3,
+                                 profile=production_profile(5))
     controller.start_failure_detector()
     sim.run(until=SETTLE_S)
     return sim, controller

@@ -4,10 +4,11 @@ Three guarantees ride on this file:
 
 * the ``manytenants`` soak really does keep per-tenant resident state
   proportional to the touched set, with churn and a flash crowd live;
-* **replay identity** — ``lazy_tenant_state=True`` (the default) and
-  the eager reference configuration produce the *same* trace and the
-  same metrics for the same schedule, failures and DDL included (the
-  laziness is purely a representation change);
+* **replay identity** — per-tenant state materialised on first touch
+  (what the controller does) and the same state allocated eagerly at
+  creation (``_materialise`` below does it by hand) produce the *same*
+  trace and the same metrics for the same schedule, failures and DDL
+  included (the laziness is purely a representation change);
 * router hygiene — ``ReadRouter._txn_choice`` and the open-writer sets
   drain to empty after a soak with lock-timeout aborts and
   dead-primary connection closes (the OPTION_2 leak paths).
@@ -82,14 +83,23 @@ def _fingerprint(controller):
     }
 
 
+def _materialise(controller, db, sla):
+    """The eager reference: allocate ``db``'s commit log, replica-LSN
+    map and admission bucket now instead of on first touch."""
+    controller.replication.log(db)
+    controller.replication.lsns(db)
+    controller.admission.provision(db, sla)
+
+
 def _replay_scenario(lazy: bool):
     """One deterministic schedule: traffic, an SLA change, a drop, a
     machine failure with recovery, and a late tenant create."""
     sim = Simulator()
     config = ClusterConfig(replication_factor=2, lock_wait_timeout_s=1.0,
-                           trace_capacity=65536, admission_control=True,
-                           lazy_tenant_state=lazy)
+                           trace_capacity=65536, admission_control=True)
     controller = ClusterController(sim, config)
+    eager = (lambda db, sla=None: None) if lazy else (
+        lambda db, sla=None: _materialise(controller, db, sla))
     controller.add_machines(4)
     recovery = RecoveryManager(controller)
     recovery.start()
@@ -98,6 +108,7 @@ def _replay_scenario(lazy: bool):
         db = f"db{i}"
         controller.create_database(db, KV_DDL, replicas=2,
                                    sla=sla if i % 2 == 0 else None)
+        eager(db, sla if i % 2 == 0 else None)
         controller.bulk_load(db, "kv", [(k, 0) for k in range(6)])
 
     stats = [KvStats() for _ in range(3)]
@@ -120,12 +131,14 @@ def _replay_scenario(lazy: bool):
     def chaos():
         yield sim.timeout(1.0)
         controller.set_sla("db0", None)          # SLA change mid-run
+        eager("db0")
         yield sim.timeout(0.5)
         controller.drop_database("db3")          # drop a warm tenant
         yield sim.timeout(0.5)
         controller.fail_machine(victim)          # lose a replica
         yield sim.timeout(1.0)
         controller.create_database("late", KV_DDL, replicas=2)
+        eager("late")
 
     chaos_proc = sim.process(chaos(), name="chaos")
     chaos_proc.defused = True
@@ -166,7 +179,7 @@ class TestRouterHygiene:
         sim.run()
         assert sum(s.aborted for s in stats) > 0  # the soak did abort
         assert controller.router._txn_choice == {}
-        assert controller._open_writers == {}
+        assert controller.replication._open_writers == {}
 
     def test_close_with_dead_primary_releases_router_state(self, sim):
         """The dead-primary close path must still run ``_finish``."""
@@ -184,4 +197,4 @@ class TestRouterHygiene:
         sim.run()
         assert proc.ok
         assert controller.router._txn_choice == {}
-        assert controller._open_writers == {}
+        assert controller.replication._open_writers == {}

@@ -216,20 +216,19 @@ class TestReplicationAccounting:
         proc = platform.sim.process(client())
         proc.defused = True
         link = platform.system.links["app"]
+        primary, standby = platform.system.placements["app"]
+        standby_trace = platform.system.colos[standby].cluster_of("app").trace
         t = 0.0
         while link.shipped == 0:       # step until the commit ships
             t += 0.01
             platform.sim.run(until=t)
-        # Step until the applier has taken the entry off the log (the
-        # replay transaction is in flight on the standby) but has not
-        # applied yet. The log pop is the replay's first action, so this
-        # lands mid-transaction regardless of how fast the commit
-        # pipeline runs.
-        while link.log:
+        # Step until the replay transaction is in flight on the standby
+        # (it has begun there) but has not applied yet; the entry stays
+        # in the log, unacked, for the whole of it.
+        while not standby_trace.events(kind="txn_begin"):
             t += 0.0005
             platform.sim.run(until=t)
-        assert link.applied == 0
-        primary, standby = platform.system.placements["app"]
+        assert link.applied == 0 and list(link.log) == [1]
         platform.system.fail_colo(primary)
         platform.sim.run(until=t + 10.0)
         assert not link.applier.is_alive

@@ -8,8 +8,9 @@ for every kind of silence. Production's ``repro.cluster.controller._Rpc``
 is a callback state machine over ``fabric.post``;
 ``tests/property/test_rpc_property.py`` runs one scripted scenario on both.
 
-:class:`GeneratorRpc` borrows the controller's collaborators so the two
-methods below read exactly as they did inside ``ClusterController``.
+:class:`GeneratorRpc` borrows the collaborators of the controller's
+``RpcLayer`` so the two methods below read exactly as they did inside
+``ClusterController``.
 """
 
 from typing import Generator, Optional
@@ -25,12 +26,12 @@ _RPC_TIMED_OUT = object()
 
 
 class GeneratorRpc:
-    def __init__(self, controller):
-        self.sim = controller.sim
-        self.config = controller.config
-        self.fabric = controller.fabric
-        self.metrics = controller.metrics
-        self._msg_ids = controller._msg_ids
+    def __init__(self, rpc_layer):
+        self.sim = rpc_layer.sim
+        self.config = rpc_layer.config
+        self.fabric = rpc_layer.fabric
+        self.metrics = rpc_layer.metrics
+        self._msg_ids = rpc_layer._msg_ids
 
     def _rpc(self, machine: Machine, make_body, *, txn_id: int, label: str,
              timeout: Optional[float] = None,

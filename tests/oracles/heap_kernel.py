@@ -138,12 +138,21 @@ class Timeout(Event):
         self._value = value
         sim._schedule(self, delay=delay)
 
+    # Cancelled and not waited on since: dispatched to nobody, and not a
+    # firing a condition that still lists the timer may report.
+    _cancelled = False
+
     def cancel(self) -> None:
         # Not in the pre-PR-13 kernel: the reference meaning of the public
         # drop PR 20 added. Every waiter is detached; the entry stays in
         # the heap and is dispatched to nobody.
         if self.callbacks is not None:
             self.callbacks.clear()
+            self._cancelled = True
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        self._cancelled = False
+        super().add_callback(callback)
 
 
 class Process(Event):
@@ -268,6 +277,7 @@ class _Condition(Event):
             ev: ev._value
             for ev in self.events
             if ev.processed and ev._ok
+            and not getattr(ev, "_cancelled", False)
         }
 
 

@@ -126,7 +126,7 @@ def run_schedule(machine_cls, schedule):
         txn = engine.begin(txn_id)
         engine.execute_sync(txn, "db", "INSERT INTO kv VALUES (?, ?)",
                             (txn_id, 0))
-        yield machine.submit(txn_id, machine.prepare_body(txn_id), "prepare")
+        yield machine.submit(txn_id, machine.prepare_body(txn_id, 0), "prepare")
         yield sim.timeout(gap * TICK_S)
         yield machine.submit(txn_id, machine.commit_body(txn_id), "commit")
 

@@ -233,8 +233,19 @@ CANCELLED_DEADLINE = [
 ]
 
 
+#: A timer cancelled while a condition still lists it (found by an unseeded
+#: tier-1 run during PR 21): p0 cancels shared timer 0 (t=1) at t=0, p1's
+#: ``any`` wakes on shared timer 1 at t=2 and must not report timer 0 — it
+#: was dropped, it never fired for anybody.
+CANCELLED_WHILE_RACED = [
+    [("sleep", 0), ("cancel", 0)],
+    [("any", [("shared", 0), ("shared", 1)])],
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(program=programs, eager_compaction=st.booleans())
+@example(program=CANCELLED_WHILE_RACED, eager_compaction=False)
 @example(program=CANCELLED_DEADLINE, eager_compaction=False)
 @example(program=CANCELLED_DEADLINE, eager_compaction=True)
 @example(program=HEAP_BEFORE_READY, eager_compaction=False)

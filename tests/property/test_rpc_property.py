@@ -4,8 +4,9 @@
 ``fabric.post``; ``tests/oracles/generator_rpc.py`` is the generator RPC
 (one coordinator process, a ``settled`` relay, an ``AnyOf`` and a deadline
 per attempt) the controller ran before. Hypothesis scripts a scenario — a
-lone call through ``_call`` or a fan-out of one to three branches through
-``_issue_branch``, per-branch body durations on both sides of the deadline
+lone call through ``RpcLayer.send`` (what a read statement waits on) or a
+fan-out of one to three branches through ``RpcLayer.issue_branch`` (which
+starts each in the same ``send``), per-branch body durations on both sides of the deadline
 (some bodies raise), 0–4 retries, a drop probability, and cuts / heals /
 ``fail`` / ``fence`` at scripted instants — and runs it in two same-seed
 sims. Both must give every branch the same outcome (value, or exception
@@ -99,7 +100,7 @@ def _run_scenario(scenario, new):
     fabric = controller.fabric
     if not lone:
         fabric.rng = _ConstantStream()
-    reference = GeneratorRpc(controller)
+    reference = GeneratorRpc(controller.txns.rpc)
     executions = {}
     settled = {}
 
@@ -143,16 +144,19 @@ def _run_scenario(scenario, new):
     count = 1 if lone else len(scenario["branches"])
     for index in range(count):
         machine = machines[index]
-        body = partial(make_body, index, machine)
+        body = partial(make_body, index)
         call = dict(txn_id=100 + index, label=f"op{index}",
                     retries=scenario["retries"])
         if not new:
-            observe(index, sim.process(reference._rpc(machine, body, **call)))
+            observe(index, sim.process(reference._rpc(
+                machine, partial(body, machine), **call)))
         elif lone:
-            observe(index, sim.process(controller._call(machine, body, **call)))
+            observe(index, controller.txns.rpc.send(
+                machine, body, call["txn_id"], call["label"],
+                retries=call["retries"]))
         else:
-            observe(index, controller._issue_branch(
-                machine.name, partial(make_body, index), **call).proc)
+            observe(index, controller.txns.rpc.issue_branch(
+                machine.name, body, **call))
     sim.run()
     assert all(n <= 1 for n in executions.values()), executions
     network = controller.metrics.network
@@ -194,7 +198,7 @@ def test_matches_the_generator_rpc(scenario):
 
 
 def test_fan_out_through_the_controller_gathers_the_same_outcomes():
-    """``_fanout`` end to end: one branch answers, one is cut off and times
+    """``RpcLayer.fanout`` end to end: one branch answers, one is cut off and times
     out, one raises — the gathered BranchOutcomes say so."""
     sim = Simulator()
     config = ClusterConfig()
@@ -210,8 +214,8 @@ def test_fan_out_through_the_controller_gathers_the_same_outcomes():
             raise DeadlockError("refused")
         return machine.name
 
-    proc = sim.process(controller._fanout(names, make_body, txn_id=1,
-                                          label="probe", retries=1))
+    proc = sim.process(controller.txns.rpc.fanout(
+        names, make_body, txn_id=1, label="probe", retries=1))
     sim.run()
     outcomes = proc.value
     assert [o.machine for o in outcomes] == names

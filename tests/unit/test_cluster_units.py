@@ -172,32 +172,32 @@ class TestStmtCacheLru:
     def test_eviction_past_bound(self):
         controller = self.make(2)
         for k in range(3):
-            controller._classify(f"SELECT v FROM t WHERE k = {k}")
-        assert len(controller._stmt_cache) == 2
+            controller.txns._classify(f"SELECT v FROM t WHERE k = {k}")
+        assert len(controller.txns._stmt_cache) == 2
         assert controller.metrics.stmt_cache_evictions == 1
         # The oldest entry went; the two newest stayed.
-        assert "SELECT v FROM t WHERE k = 0" not in controller._stmt_cache
-        assert "SELECT v FROM t WHERE k = 2" in controller._stmt_cache
+        assert "SELECT v FROM t WHERE k = 0" not in controller.txns._stmt_cache
+        assert "SELECT v FROM t WHERE k = 2" in controller.txns._stmt_cache
 
     def test_hit_refreshes_recency(self):
         controller = self.make(2)
-        controller._classify("SELECT v FROM t WHERE k = 0")
-        controller._classify("SELECT v FROM t WHERE k = 1")
-        controller._classify("SELECT v FROM t WHERE k = 0")  # refresh
-        controller._classify("SELECT v FROM t WHERE k = 2")
-        assert "SELECT v FROM t WHERE k = 0" in controller._stmt_cache
-        assert "SELECT v FROM t WHERE k = 1" not in controller._stmt_cache
+        controller.txns._classify("SELECT v FROM t WHERE k = 0")
+        controller.txns._classify("SELECT v FROM t WHERE k = 1")
+        controller.txns._classify("SELECT v FROM t WHERE k = 0")  # refresh
+        controller.txns._classify("SELECT v FROM t WHERE k = 2")
+        assert "SELECT v FROM t WHERE k = 0" in controller.txns._stmt_cache
+        assert "SELECT v FROM t WHERE k = 1" not in controller.txns._stmt_cache
 
     def test_zero_means_unbounded(self):
         controller = self.make(0)
         for k in range(50):
-            controller._classify(f"SELECT v FROM t WHERE k = {k}")
-        assert len(controller._stmt_cache) == 50
+            controller.txns._classify(f"SELECT v FROM t WHERE k = {k}")
+        assert len(controller.txns._stmt_cache) == 50
         assert controller.metrics.stmt_cache_evictions == 0
 
     def test_classification_stable_across_eviction(self):
         controller = self.make(1)
         sql = "UPDATE t SET v = 1 WHERE k = 0"
-        first = controller._classify(sql)
-        controller._classify("SELECT v FROM t")       # evicts the update
-        assert controller._classify(sql) == first == ("write", "t")
+        first = controller.txns._classify(sql)
+        controller.txns._classify("SELECT v FROM t")       # evicts the update
+        assert controller.txns._classify(sql) == first == ("write", "t")

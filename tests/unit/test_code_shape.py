@@ -1,0 +1,143 @@
+"""The shape the controller split promised, as assertions on the source.
+
+ROADMAP needle 2 asks for one implementation per mechanism and no
+1.5k-line class; DESIGN §4p says where the one remaining message-path
+fork lives and why. A change that grows a class past the line, adds a
+third ``fabric.enabled`` site, a config field or a forwarding method
+fails here first and has to say why.
+"""
+
+import ast
+import dataclasses
+import pathlib
+
+from repro.cluster.config import ClusterConfig, production_profile
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
+CLUSTER = SRC / "cluster"
+
+
+def parse(path):
+    return ast.parse(path.read_text())
+
+
+def enabled_reads(path):
+    """Line numbers of ``<anything>.enabled`` attribute reads in code
+    (comments and docstrings do not parse to attributes)."""
+    return [node.lineno for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute) and node.attr == "enabled"]
+
+
+def test_no_cluster_class_over_700_lines():
+    sizes = {f"{path.name}:{node.name}": node.end_lineno - node.lineno + 1
+             for path in sorted(CLUSTER.glob("*.py"))
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.ClassDef)}
+    assert {name: n for name, n in sizes.items() if n > 700} == {}
+    assert sizes["controller.py:ClusterController"] <= 600
+
+
+def test_the_message_path_fork_is_two_sites_in_one_class():
+    controller = parse(CLUSTER / "controller.py")
+    rpc_layer = next(node for node in controller.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "RpcLayer")
+    sites = enabled_reads(CLUSTER / "controller.py")
+    assert len(sites) == 2
+    assert all(rpc_layer.lineno <= line <= rpc_layer.end_lineno
+               for line in sites)
+    assert enabled_reads(SRC / "platform" / "system_controller.py") == []
+
+
+def test_cluster_config_surface_is_pinned():
+    """Adding a cluster switch means deleting a line of this test (no
+    new on/off option: ROADMAP rules that carried over)."""
+    assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+        "read_option",
+        "write_policy",
+        "replication_factor",
+        "stmt_cache_size",
+        "lock_wait_timeout_s",
+        "recovery_threads",
+        "replication_log_retain",
+        "delta_max_replay_rounds",
+        "machine",
+        "record_history",
+        "trace_capacity",
+        "network",
+        "heartbeat_interval_s",
+        "suspect_after_misses",
+        "declare_after_misses",
+        "consensus_enabled",
+        "consensus",
+        "admission_control",
+        "admission",
+        "lazy_engine_ddl",
+        "max_resident_tenant_logs",
+        "metrics_resident_tenants",
+    ]
+
+
+def test_no_method_of_controller_py_only_forwards_to_a_role():
+    """``def f(self, ...): return self.<role>.f(...)`` is what the split
+    was not allowed to leave behind: callers reach the role that owns
+    the state."""
+    forwarding = []
+    for node in ast.walk(parse(CLUSTER / "controller.py")):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = [stmt for stmt in node.body
+                if not (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))]
+        if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+            continue
+        call = body[0].value
+        if isinstance(call, (ast.YieldFrom, ast.Yield)):
+            call = call.value
+        if (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == node.name
+                and isinstance(call.func.value, ast.Attribute)
+                and isinstance(call.func.value.value, ast.Name)
+                and call.func.value.value.id == "self"):
+            forwarding.append(node.name)
+    assert forwarding == []
+
+
+def test_replication_log_is_a_real_seam():
+    imported = set()
+    for node in ast.walk(parse(CLUSTER / "replication_log.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.cluster.controller" not in imported
+    # The controller names replication state once: the db_logs alias the
+    # benchmark reads.
+    state = ("db_logs", "replica_lsns", "_stale_holdings", "_log_lru")
+    lines = [line.strip()
+             for line in (CLUSTER / "controller.py").read_text().splitlines()
+             if any(name in line for name in state)]
+    assert len(lines) == 1
+    assert lines[0].startswith("self.db_logs = self.replication.db_logs")
+
+
+def test_production_profile_is_the_benchmarks_profile():
+    """``production_profile`` and the benchmark's set-if-present
+    ``PROD_PROFILE`` dict must describe one configuration."""
+    workloads = parse(REPO / "benchmarks" / "e2e" / "workloads.py")
+    profile = next(ast.literal_eval(node.value) for node in workloads.body
+                   if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "PROD_PROFILE")
+    assert profile.pop("lazy_tenant_state") is True     # deleted by PR 21
+    applied = ClusterConfig()
+    for path, value in dict(profile, **{"network.seed": 7,
+                                        "consensus.seed": 7}).items():
+        *parents, leaf = path.split(".")
+        target = applied
+        for part in parents:
+            target = getattr(target, part)
+        assert hasattr(target, leaf), path
+        setattr(target, leaf, value)
+    assert applied == production_profile(7)

@@ -300,7 +300,7 @@ class TestAggressiveWaitRegistration:
         for proc in (p_slow, p_fail1, p_fail2):
             proc.defused = True
 
-        waiter = sim.process(controller._await_first_write(
+        waiter = sim.process(controller.txns._await_first_write(
             txn, [("m0", p_slow), ("m1", p_fail1), ("m2", p_fail2)]))
         waiter.defused = True
         sim.run(until=0.3)

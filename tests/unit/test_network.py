@@ -140,6 +140,9 @@ class TestDeterminism:
         # The deterministic cap doubles until it hits the maximum.
         caps = [min(1.0, 0.05 * 2 ** (a - 1)) for a in range(1, 8)]
         assert all(d <= cap for d, cap in zip(delays, caps))
+        # A sender that never gives up stays at the maximum (2 ** 5000
+        # would not fit a float).
+        assert 0.5 <= fabric.backoff_delay(5000) <= 1.0
 
 
 class TestTransfer:
