@@ -28,6 +28,7 @@ _EXPORTS = {
     "TraceEvent": "trace",
     "Tracer": "trace",
     "Violation": "invariants",
+    "check_bounds": "invariants",
     "check_controller": "invariants",
     "check_one_copy_serializable": "serialization_graph",
     "check_trace": "invariants",

@@ -50,10 +50,10 @@ correctness properties the paper's controller design promises:
 * **standby-applies-a-prefix-of-commit-order** — per database, the
   standby resolves replication-log entries in exact sequence order with
   no gaps and no duplicates: the applied entries are always a prefix of
-  the primary's commit order (a counted drop consumes its slot).
+  the primary's commit order.
 * **lag-eventually-drains** — (with ``expect_lag_drained``) every
   replication link still attached at the end of the trace has applied
-  (or consciously dropped) everything the primary shipped; a torn
+  everything the primary shipped; a torn
   link's unapplied suffix is accounted as RPO instead.
 * **neighbour-sla-holds-under-stampede** — a tenant that stayed within
   its provisioned admission rate over an SLA-monitor window is never
@@ -65,6 +65,13 @@ correctness properties the paper's controller design promises:
   never exceeded its provisioned rate in any window of the trace), the
   tenant's *cumulative* admission-rejected fraction stays within its
   SLA bound.
+
+One rule reads the live cluster, not its trace (:func:`check_bounds`):
+
+* **state-bounded-after-quiescence** — every per-transaction table, the
+  decision table, the retained commit logs and the kernel's schedule are
+  under a stated bound that does not depend on how many commits ran
+  (DESIGN §4q); :data:`KNOWN_UNBOUNDED` lists what still grows.
 
 Usable three ways: :func:`check_controller` on a live controller (what
 the test suites call), :func:`check_trace` on a list of events, or as a
@@ -168,7 +175,7 @@ class InvariantChecker:
         last_epoch = 0
         # db -> next replication-log seq the standby must resolve.
         expected_rseq: Dict[str, int] = {}
-        # db -> outstanding (shipped - applied - dropped) on the live link.
+        # db -> outstanding (shipped - applied) on the live link.
         link_lag: Dict[str, int] = {}
         link_lag_seq: Dict[str, int] = {}   # seq of the last ship, for anchors
         # Overload / SLA enforcement (sla_window events from the
@@ -453,7 +460,7 @@ class InvariantChecker:
                 if e.db in link_lag:
                     link_lag[e.db] += 1
                     link_lag_seq[e.db] = e.seq
-            elif e.kind in ("dr_apply", "dr_drop"):
+            elif e.kind == "dr_apply":
                 if e.db in link_lag:
                     link_lag[e.db] -= 1
                 rseq = e.extra.get("rseq")
@@ -592,6 +599,72 @@ def check_controller(controller, expect_recovery_complete: bool = False,
         expect_recovery_complete=expect_recovery_complete,
         strict=strict, dropped=controller.trace.dropped)
     return checker.check(controller.trace.events())
+
+
+#: Open transactions a quiescent audit allows for. A machine's
+#: per-transaction tables hold the open ones plus those closed since it
+#: last heard the watermark: they follow the clients, not the commits.
+OPEN_TXNS_BOUND = 64
+
+#: Table -> bound; :func:`state_sizes` says what each one counts.
+STATE_BOUNDS = {
+    "open": OPEN_TXNS_BOUND, "background_holders": OPEN_TXNS_BOUND,
+    "decisions": OPEN_TXNS_BOUND, "retire": OPEN_TXNS_BOUND,
+    "transactions": 2 * OPEN_TXNS_BOUND, "dedup": 2 * OPEN_TXNS_BOUND,
+    "tails": 2 * OPEN_TXNS_BOUND, "write_counts": 2 * OPEN_TXNS_BOUND,
+    # Records: 16 each, twice (the checkpoint runs in chunks).
+    "wal": 2 * 16 * 2 * OPEN_TXNS_BOUND,
+    # Heartbeats, lease and election timers, thinking clients.
+    "sim_pending": 8 * OPEN_TXNS_BOUND,
+}
+
+#: What still grows with the number of commits, and who owns it.
+KNOWN_UNBOUNDED = {
+    "consensus chosen log, command_digest memo":
+        "ROADMAP item 2: the benchmark counts len(chosen); it must read "
+        "PaxosStats.commands_chosen before the log can be truncated",
+    "metrics phase_latencies / db_latencies samples": "ROADMAP item 4(b)",
+}
+
+
+def state_sizes(controller) -> Dict[str, int]:
+    """Size of every table that must not grow with the commit count;
+    per-machine tables (and the per-database commit logs) at their
+    largest."""
+    machines = controller.machines.values()
+    rpc, plane = controller.txns.rpc, controller.consensus
+    table = (plane.acting_node.state if plane is not None
+             else controller.backup)
+
+    def worst(size) -> int:
+        return max(map(size, machines), default=0)
+
+    return {
+        "open": len(rpc.open),
+        "background_holders": sum(rpc.open.values()) - len(rpc.open),
+        "transactions": worst(lambda m: len(m.engine.transactions)),
+        "dedup": worst(lambda m: len(m._rpc_cache)),
+        "tails": worst(lambda m: len(m._tails)),
+        "write_counts": worst(lambda m: len(m._write_counts)),
+        "wal": worst(lambda m: len(m.engine.wal)),
+        "decisions": len(table.decisions) if table is not None else 0,
+        "retire": len(plane._retire) if plane is not None else 0,
+        "retained_tail": max(map(len, controller.replication.db_logs.values()),
+                             default=0),
+        "sim_pending": controller.sim.pending,
+    }
+
+
+def check_bounds(controller) -> List[Violation]:
+    """Audit a quiescent cluster: one ``state-bounded-after-quiescence``
+    violation per table over its bound (retained commit logs are held to
+    ``replication_log_retain``; no copy pins them after quiescence)."""
+    bounds = dict(STATE_BOUNDS,
+                  retained_tail=controller.config.replication_log_retain)
+    sizes = state_sizes(controller)
+    return [Violation("state-bounded-after-quiescence",
+                      f"{table} holds {sizes[table]} entries, bound {bound}")
+            for table, bound in bounds.items() if sizes[table] > bound]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -77,8 +77,6 @@ dr_protect         a database was placed under cross-colo protection
 dr_ship            one committed transaction was sequenced into a database's
                    replication log (``rseq`` is the per-link sequence number)
 dr_apply           the standby colo applied log entry ``rseq``
-dr_drop            a log entry was dropped instead of applied (standby gone
-                   or the apply retry budget was exhausted)
 dr_link_torn       a replication link was torn down (colo failure or
                    database deregistration)
 colo_crashed       a colo went silent (only the detector can notice)
@@ -148,7 +146,7 @@ EVENT_KINDS = frozenset({
     "ctl_election_start", "ctl_leader_elected", "ctl_lease_renewed",
     "ctl_stepdown", "ctl_applied", "ctl_takeover", "ctl_crashed",
     "ctl_repaired", "txn_orphaned",
-    "dr_protect", "dr_ship", "dr_apply", "dr_drop", "dr_link_torn",
+    "dr_protect", "dr_ship", "dr_apply", "dr_link_torn",
     "colo_crashed", "colo_failed", "colo_suspected", "colo_unsuspected",
     "colo_declared", "colo_fenced", "colo_repaired",
     "dr_promote", "dr_rto", "dr_reprotect_start", "dr_reprotect_done",
@@ -157,7 +155,7 @@ EVENT_KINDS = frozenset({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One sim-time-stamped occurrence in the cluster.
 

@@ -187,6 +187,15 @@ class _Campaign:
     won: bool = False
 
 
+@dataclass
+class PaxosStats:
+    """Cumulative per-replica counters."""
+
+    #: Log indexes learned as chosen, each counted on first sight:
+    #: ``len(chosen)`` for as long as nothing truncates the log.
+    commands_chosen: int = 0
+
+
 class PaxosNode:
     """One controller replica: acceptor state plus (maybe) leader state."""
 
@@ -198,6 +207,7 @@ class PaxosNode:
         self.promised: Ballot = NO_BALLOT
         self.accepted: Dict[int, Tuple[Ballot, Command]] = {}
         self.chosen: Dict[int, Command] = {}
+        self.stats = PaxosStats()
         self.applied_to = 0
         self.state = ControllerState()
         self.lease_holder: Optional[str] = None
@@ -538,6 +548,7 @@ class PaxosGroup:
         for index, cmd in camp.chosen.items():
             if index not in node.chosen:
                 node.chosen[index] = cmd
+                node.stats.commands_chosen += 1
         max_index = max([0, camp.max_index, *node.chosen, *node.accepted])
         # Finish what the old leader started: re-propose the
         # highest-ballot accepted value per open slot, no-op the gaps.
@@ -643,6 +654,8 @@ class PaxosGroup:
 
     def _choose(self, node: PaxosNode, index: int) -> None:
         pend = node.pending.pop(index)
+        if index not in node.chosen:
+            node.stats.commands_chosen += 1
         node.chosen[index] = pend.cmd
         node.accepted.pop(index, None)
         if not pend.done.triggered:
@@ -655,6 +668,7 @@ class PaxosGroup:
         index = msg["index"]
         if index not in node.chosen:
             node.chosen[index] = msg["cmd"]
+            node.stats.commands_chosen += 1
             node.accepted.pop(index, None)
         self._apply_ready(node)
 
@@ -764,6 +778,7 @@ class PaxosGroup:
         for index, cmd in msg["entries"]:
             if index not in node.chosen:
                 node.chosen[index] = cmd
+                node.stats.commands_chosen += 1
                 node.accepted.pop(index, None)
         self._apply_ready(node)
 
@@ -797,6 +812,11 @@ def takeover_cleanup(controller, decisions: Dict[int, Tuple[str, List[str]]],
             txn = machine.engine.transactions.get(txn_id)
             if txn is not None and not txn.finished:
                 machine.engine.commit(txn)
+                if txn.wrote:
+                    # No ack advanced its LSN, and the COMMIT record a
+                    # rejoin would skip by may be checkpointed: untrack.
+                    for db in txn.databases:
+                        controller.replication.untrack(db, name)
             machine.forget_txn(txn_id)
         committed.append(txn_id)
         trace.emit("takeover_commit", txn=txn_id, actor=actor)
@@ -818,6 +838,7 @@ def takeover_cleanup(controller, decisions: Dict[int, Tuple[str, List[str]]],
     # database would wait on them forever.
     controller.replication.resolve_stale_writers(
         set(decisions) | set(aborted))
+    controller.txns.rpc.abandon_open()
     return committed, aborted
 
 
@@ -864,6 +885,12 @@ class ConsensusControlPlane:
     @property
     def acting_node(self) -> PaxosNode:
         return self.group.nodes[self.acting]
+
+    @property
+    def stats(self) -> PaxosStats:
+        """The acting replica's counters (``commands_chosen`` is what a
+        benchmark reads in place of ``len(acting_node.chosen)``)."""
+        return self.acting_node.stats
 
     def lease_valid(self) -> bool:
         """True iff the acting replica holds an unexpired leader lease.

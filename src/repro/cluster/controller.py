@@ -182,7 +182,8 @@ class _Rpc(Event):
     """
 
     __slots__ = ("ctl", "machine", "make_body", "txn_id", "label", "timeout",
-                 "retries", "msg_id", "attempt", "expires", "deadline", "proc")
+                 "retries", "msg_id", "attempt", "expires", "deadline", "proc",
+                 "low")
 
     def __init__(self, ctl: "RpcLayer", machine: Machine, make_body,
                  txn_id: int, label: str, timeout: Optional[float] = None,
@@ -204,12 +205,15 @@ class _Rpc(Event):
     def _send(self, _backoff=None) -> None:
         self.attempt += 1
         self.expires = self.sim.now + self.timeout
+        self.low = self.ctl.low  # the watermark, as the request leaves
         self.ctl.fabric.post(CONTROLLER, self.machine.name, self._on_request)
 
     def _on_request(self, delivered: bool) -> None:
         machine = self.machine
         if not delivered or not machine.alive or machine.fenced:
             return self._silence()
+        if self.low > machine.closed_below:
+            machine.close_below(self.low)
         proc = self.proc = machine.submit_rpc(
             self.msg_id, self.txn_id, self.make_body, label=self.label)
         proc.defused = True
@@ -290,6 +294,47 @@ class RpcLayer:
         self.metrics = metrics
         self.trace = trace
         self._msg_ids = itertools.count(1)
+        # Open transactions: id -> holders (the unfinished transaction,
+        # plus each background ABORT or COMMIT redelivery that outlives
+        # it). Ids are issued here in order, so ``low`` — the smallest
+        # open id, the next id when none is open — only rises; it rides
+        # every request as the watermark below which a machine may
+        # forget (``Machine.close_below``, DESIGN §4q).
+        self.open: Dict[int, int] = {}
+        self.next_txn_id = self.low = 1
+
+    def begin(self) -> int:
+        """Issue the next transaction id, open with one holder."""
+        txn_id = self.next_txn_id
+        self.next_txn_id = txn_id + 1
+        self.open[txn_id] = 1
+        return txn_id
+
+    def hold(self, txn_id: int) -> None:
+        """One more holder keeps ``txn_id`` open (one abandoned at a
+        take-over stays closed: hold and release both pass it by)."""
+        if txn_id in self.open:
+            self.open[txn_id] += 1
+
+    def release(self, txn_id: int, _settled=None) -> None:
+        """One holder less; the last one closes ``txn_id``."""
+        holders = self.open.get(txn_id)
+        if holders is None:
+            return
+        if holders > 1:
+            self.open[txn_id] = holders - 1
+            return
+        del self.open[txn_id]
+        low = self.low
+        while low < self.next_txn_id and low not in self.open:
+            low += 1
+        self.low = low
+
+    def abandon_open(self) -> None:
+        """A take-over settled every open transaction machine-side and
+        orphaned its connection: none of them is asked about again."""
+        self.open.clear()
+        self.low = self.next_txn_id
 
     def live_targets(self, names: Iterable[str]) -> List[str]:
         """Filter to machines that exist, are alive, and are not fenced."""
@@ -316,6 +361,8 @@ class RpcLayer:
         if self.fabric.enabled:
             return _Rpc(self, machine, partial(make_body, machine), txn_id,
                         label, timeout, retries)
+        if self.low > machine.closed_below:
+            machine.close_below(self.low)  # nothing in flight: exact
         return machine.submit(txn_id, make_body(machine), label=label)
 
     def abort(self, names: Iterable[str], txn_id: int) -> None:
@@ -323,21 +370,25 @@ class RpcLayer:
 
         Over the fabric ABORT is fire-and-collect: all branches leave at
         once, each retries in the background, idempotent, and lost to
-        dead or fenced machines (whose state dies with them anyway).
-        Without it the aborts are immediate and local — nothing can lose
-        them, so nothing needs to carry them.
+        dead or fenced machines (whose state dies with them anyway);
+        each holds the transaction open until it settles. Without it the
+        aborts are immediate and local — nothing can lose them, so
+        nothing needs to carry them.
         """
         if self.fabric.enabled:
             targets = self.live_targets(sorted(names))
             for name in targets:
-                self.issue_branch(name, lambda m: m.abort_body(txn_id),
-                                  txn_id=txn_id, label="abort")
+                self.hold(txn_id)
+                self.issue_branch(
+                    name, lambda m: m.abort_body(txn_id), txn_id=txn_id,
+                    label="abort").add_callback(partial(self.release, txn_id))
             if targets:
                 self.metrics.record_fanout("abort", len(targets))
         else:
             for name in names:
                 machine = self.machines.get(name)
                 if machine is not None:
+                    machine.close_below(self.low)
                     machine.abort_local(txn_id)
 
     # -- scatter/gather fan-out (the commit-path broadcast primitive) ------------------
@@ -434,7 +485,6 @@ class TxnCoordinator:
         self.admission = ctl.admission
         self.rpc = RpcLayer(ctl.sim, ctl.config, ctl.machines, ctl.fabric,
                             ctl.metrics, ctl.trace)
-        self._txn_ids = itertools.count(1)
         # Statement-classification cache, LRU-bounded by
         # config.stmt_cache_size (0 = unbounded).
         self._stmt_cache: "OrderedDict[str, Tuple[str, Optional[str]]]" = (
@@ -484,7 +534,7 @@ class TxnCoordinator:
 
     def _ensure_txn(self, conn: Connection) -> _TxnState:
         if conn.txn is None or conn.txn.finished:
-            conn.txn = _TxnState(next(self._txn_ids), conn.db, self.sim.now)
+            conn.txn = _TxnState(self.rpc.begin(), conn.db, self.sim.now)
             consensus = self.ctl.consensus
             if consensus is not None:
                 conn.txn.term = consensus.term
@@ -498,6 +548,7 @@ class TxnCoordinator:
         if txn.wrote:
             self.replication.writer_finished(txn.db, txn.txn_id)
         self.router.forget(txn.txn_id)
+        self.rpc.release(txn.txn_id)
         conn.txn = None
 
     def _orphan_txn(self, conn: Connection) -> None:
@@ -564,8 +615,11 @@ class TxnCoordinator:
                 if lsn is not None and name in txn.write_participants:
                     self.replication.advance(txn.db, name, lsn)
             elif isinstance(outcome.value, RPCTimeoutError):
+                self.rpc.hold(txn.txn_id)
                 proc = self.sim.process(
-                    self._redeliver_commit(txn.db, txn.txn_id, name),
+                    self._redeliver_commit(
+                        txn.db, txn.txn_id, name,
+                        lsn if name in txn.write_participants else None),
                     name=f"redeliver:{txn.txn_id}:{name}")
                 proc.defused = True
                 redelivering = True
@@ -573,11 +627,12 @@ class TxnCoordinator:
                 raise outcome.value
         return redelivering
 
-    def _redeliver_commit(self, db: str, txn_id: int,
-                          name: str) -> Generator:
+    def _redeliver_commit(self, db: str, txn_id: int, name: str,
+                          lsn: Optional[int]) -> Generator:
         """Redrive a decided COMMIT until the participant acks, dies, is
         fenced, or this controller stops being primary (the take-over
-        path redrives mirrored decisions itself)."""
+        path redrives mirrored decisions itself), holding the transaction
+        open meanwhile."""
         ctl = self.ctl
         net = self.config.network
         for round_no in range(1, 33):
@@ -586,22 +641,30 @@ class TxnCoordinator:
             machine = self.machines.get(name)
             if (machine is None or not machine.alive or machine.fenced
                     or not ctl.primary_alive):
-                return
+                break
             try:
                 yield self.rpc.send(machine, lambda m: m.commit_body(txn_id),
                                     txn_id, "commit-redeliver")
             except RPCTimeoutError:
                 continue
             except Exception:
-                return  # dead, fenced, or already resolved machine-side
+                break  # dead, fenced, or already resolved machine-side
             if name in ctl.fenced or name in ctl.declared_dead:
-                return  # fenced mid-redelivery: its data is discarded
+                break  # fenced mid-redelivery: its data is discarded
             self.trace.emit("commit_sent", db=db, txn=txn_id, machine=name,
                             redelivered=True)
+            if lsn is not None:
+                self.replication.advance(db, name, lsn)
             # The mirrored decision is left in place: another participant
             # of the same transaction may still owe an ack, and a stale
             # "commit" decision is harmless to redrive (idempotent).
-            return
+            break
+        else:
+            # Never answered, and it may have applied the commit: closing
+            # the transaction lets its COMMIT record go, so no delta
+            # rejoin may look for it.
+            self.replication.untrack(db, name)
+        self.rpc.release(txn_id)
 
     def _still_replica(self, db: str, name: str) -> bool:
         """Is ``name`` still in ``db``'s replica set? False once the
@@ -707,6 +770,13 @@ class TxnCoordinator:
                     excluded.add(choice)
                 attempts += 1
                 if attempts > len(self.machines):
+                    raise
+            except Exception:
+                # Declared dead (maybe wiped to a blank spare) with the
+                # read in flight: moot, as for a write; ask another.
+                attempts += 1
+                if (self._still_replica(conn.db, choice)
+                        or attempts > len(self.machines)):
                     raise
 
     def _write_targets(self, db: str, table: Optional[str]) -> List[str]:
@@ -1130,6 +1200,8 @@ class ClusterController:
         site_history = self.history.site(name) if self.history else None
         machine = Machine(self.sim, name, self.config.machine,
                           history=site_history)
+        # A blank machine has nothing below the watermark to forget.
+        machine.closed_below = self.txns.rpc.low
         self.machines[name] = machine
         return machine
 

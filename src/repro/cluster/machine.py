@@ -11,7 +11,6 @@ failure: ``fail()`` kills the engine and interrupts everything in flight.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
 from repro.cluster.config import MachineConfig
@@ -40,9 +39,6 @@ class _LogFlush:
 class Machine:
     """One commodity machine: engine + CPU + disk + failure state."""
 
-    #: Completed-RPC results remembered for retransmission dedup.
-    RPC_CACHE_LIMIT = 4096
-
     def __init__(self, sim: Simulator, name: str, config: MachineConfig,
                  history=None):
         self.sim = sim
@@ -61,16 +57,20 @@ class Machine:
         # Tail process of each transaction's FIFO op chain on this machine.
         self._tails: Dict[int, Process] = {}
         self._active: set = set()
-        # RPC dedup: message id -> the process executing (or having
-        # executed) that message, so a retransmitted request returns the
-        # original outcome instead of re-executing the statement.
-        self._rpc_cache: "OrderedDict[int, Process]" = OrderedDict()
+        # RPC dedup: transaction id -> message id -> the process
+        # executing (or having executed) that message, so a retransmitted
+        # request returns the original outcome instead of re-executing
+        # the statement. An entry dies with its transaction (close_below).
+        self._rpc_cache: Dict[int, Dict[int, Process]] = {}
         # Write statements executed per transaction; PREPARE compares
         # this against the coordinator's sent count to detect a branch
         # that missed a (dropped) write.
         self._write_counts: Dict[int, int] = {}
         # The log flush queued for or holding the disk, if any.
         self._flush: Optional[_LogFlush] = None
+        # The coordinator's watermark as last heard: every transaction
+        # id below it is closed (DESIGN §4q). Survives fencing and wiping.
+        self.closed_below = 0
 
     # -- load signals (overload detection) -------------------------------------
 
@@ -233,18 +233,49 @@ class Machine:
         retransmission (same id) returns the original process — running
         or completed — so a retried statement is never applied twice.
         """
-        proc = self._rpc_cache.get(msg_id)
-        if proc is not None:
-            return proc
-        proc = self.submit(txn_id, body_factory(), label=label)
-        self._rpc_cache[msg_id] = proc
-        while len(self._rpc_cache) > self.RPC_CACHE_LIMIT:
-            self._rpc_cache.popitem(last=False)
+        cache = self._rpc_cache.get(txn_id)
+        if cache is None:
+            cache = self._rpc_cache[txn_id] = {}
+        proc = cache.get(msg_id)
+        if proc is None:
+            proc = cache[msg_id] = self.submit(txn_id, body_factory(),
+                                               label=label)
         return proc
 
     def forget_txn(self, txn_id: int) -> None:
+        """The branch finished here: its op chain and write tally go; its
+        tombstone and dedup entries wait for :meth:`close_below`, unless
+        the watermark already passed (an orphan, a rejoin replay)."""
         self._tails.pop(txn_id, None)
         self._write_counts.pop(txn_id, None)
+        if txn_id < self.closed_below:
+            self.engine.transactions.pop(txn_id, None)
+            self._rpc_cache.pop(txn_id, None)
+
+    def close_below(self, low: int) -> None:
+        """Hear the coordinator's watermark: no request of a transaction
+        below ``low`` is in flight or will be sent (DESIGN §4q).
+
+        The one place a closed transaction's state dies: its finished
+        tombstone, its dedup entries, then the WAL prefix only such
+        transactions have records in. Each id is visited once — O(1)
+        per transaction. A branch still unfinished (its coordinator gave
+        up on a machine that kept executing) is left to
+        :meth:`forget_txn`. Monotone: an older ``low`` is a no-op.
+        """
+        transactions = self.engine.transactions
+        for txn_id in range(self.closed_below, low):
+            txn = transactions.get(txn_id)
+            if txn is not None:
+                if not txn.finished:
+                    continue
+                del transactions[txn_id]
+            self._rpc_cache.pop(txn_id, None)
+            self._tails.pop(txn_id, None)
+            self._write_counts.pop(txn_id, None)
+        if low > self.closed_below:
+            self.closed_below = low
+            self.engine.checkpoint()
 
     def run_copy(self, body: Generator, label: str = "") -> Process:
         """Run a copy-tool step (dump/load) bound to this machine.
@@ -269,11 +300,12 @@ class Machine:
         transaction, not just the statement). Any later operation for the
         same transaction must fail rather than silently open a fresh
         branch — that is what keeps a diverged replica from preparing.
+        So must one for an id below the watermark with no entry left.
         """
         txn = self.engine.transactions.get(txn_id)
-        if txn is None:
+        if txn is None and txn_id >= self.closed_below:
             return self.engine.begin(txn_id)
-        if txn.finished:
+        if txn is None or txn.finished:
             raise DeadlockError(
                 f"txn {txn_id} was already rolled back on {self.name}")
         return txn
@@ -557,6 +589,8 @@ class Machine:
                     if not txn.finished:
                         self.engine.abort(txn)
                     raise
+                finally:
+                    self.forget_txn(txn_id)
                 applied += 1
         except Interrupt as exc:
             raise MachineFailedError(self.name) from exc

@@ -154,6 +154,14 @@ class ReplicationLog:
         elif lsn > lsns[machine] + 1:
             del lsns[machine]
 
+    def untrack(self, db: str, machine: str) -> None:
+        """``machine`` may have applied a commit of ``db`` no ack
+        reported (a take-over finished it; redelivery gave up): as after
+        a gap, no delta rejoin."""
+        lsns = self.replica_lsns.get(db)
+        if lsns is not None:
+            lsns.pop(machine, None)
+
     def note_caught_up(self, db: str, machine: str, lsn: int) -> None:
         """A recovery handoff left ``machine`` consistent through
         ``lsn``; start tracking its contiguous progress from there."""

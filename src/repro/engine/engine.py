@@ -40,6 +40,10 @@ from repro.errors import (SchemaError, SqlError, TransactionError,
 ExecResult = ex.ExecResult
 # A statement's runner: ExecContext -> generator (the executor protocol).
 Runner = Callable[[ex.ExecContext], Generator]
+#: Engine-local transaction ids start here (copy tool, DDL, standalone
+#: use): no remote sender asks about one again, so it leaves
+#: ``Engine.transactions`` the moment it finishes.
+LOCAL_TXN_IDS = 1_000_000_000
 
 
 class Engine:
@@ -62,7 +66,9 @@ class Engine:
         # (and dropping it) forgets that database's entry.
         self._statements: Dict[str, Dict[str, Tuple[pl.Plan,
                                                     Optional[Runner]]]] = {}
-        self._local_txn_ids = itertools.count(1_000_000_000)
+        self._local_txn_ids = itertools.count(LOCAL_TXN_IDS)
+        # Unfinished transactions, plus finished *global* ones until the
+        # owning machine hears they are closed. In begin (= LSN) order.
         self.transactions: Dict[int, Transaction] = {}
         # Uncommitted row changes, for non-locking consistent reads:
         # (db, table, rid) -> (owner txn id, committed before-image).
@@ -118,12 +124,22 @@ class Engine:
     def begin(self, txn_id: Optional[int] = None) -> Transaction:
         if txn_id is None:
             txn_id = next(self._local_txn_ids)
-        if txn_id in self.transactions and not self.transactions[txn_id].finished:
-            raise TransactionError(f"txn {txn_id} already active on {self.name}")
-        txn = Transaction(txn_id)
-        self.transactions[txn_id] = txn
-        self.wal.append(txn_id, RecordType.BEGIN)
+        old = self.transactions.get(txn_id)
+        if old is not None:
+            if not old.finished:
+                raise TransactionError(
+                    f"txn {txn_id} already active on {self.name}")
+            del self.transactions[txn_id]  # re-insert: begin order
+        txn = self.transactions[txn_id] = Transaction(
+            txn_id, first_lsn=self.wal.append(txn_id, RecordType.BEGIN).lsn)
         return txn
+
+    def checkpoint(self) -> int:
+        """Drop the WAL prefix no transaction still here has a record in
+        (``WriteAheadLog.checkpoint`` decides when it is worth it)."""
+        for oldest in self.transactions.values():
+            return self.wal.checkpoint(oldest.first_lsn - 1)
+        return self.wal.checkpoint(self.wal.last_lsn)
 
     def prepare(self, txn: Transaction) -> None:
         """2PC phase one: log PREPARE and force the log."""
@@ -165,6 +181,8 @@ class Engine:
         self._clear_dirty(txn)
         self.locks.release_all(txn.txn_id)
         txn.state = TxnState.COMMITTED
+        if txn.txn_id >= LOCAL_TXN_IDS:
+            self.transactions.pop(txn.txn_id, None)
         if self.history is not None:
             self.history.record_commit(txn.txn_id)
         return lsn
@@ -188,6 +206,8 @@ class Engine:
         self._clear_dirty(txn)
         self.locks.release_all(txn.txn_id)
         txn.state = TxnState.ABORTED
+        if txn.txn_id >= LOCAL_TXN_IDS:
+            self.transactions.pop(txn.txn_id, None)
         if self.history is not None:
             self.history.record_abort(txn.txn_id)
 
@@ -200,8 +220,8 @@ class Engine:
         rescans, and aborted transactions (whose physical changes are
         rolled back) never touch the sketches. That replay is the undo
         log's last reader, so the row images are dropped with it: a
-        finished transaction stays in ``self.transactions``, its writes
-        must not.
+        finished global transaction stays in ``self.transactions`` for a
+        while, its writes must not.
         """
         for entry in txn.undo:
             database = self.databases.get(entry.db)

@@ -57,6 +57,9 @@ class Transaction:
     # Row keys this transaction has dirtied (engine dirty-map entries to
     # clear at commit/abort; supports non-locking consistent reads).
     dirty_keys: set = field(default_factory=set)
+    # LSN of its BEGIN record: the WAL is kept from here on while it
+    # stays in ``Engine.transactions`` (0, recovered in doubt: all of it).
+    first_lsn: int = 0
 
     def require(self, *states: TxnState) -> None:
         if self.state not in states:

@@ -226,8 +226,8 @@ class WriteAheadLog:
     ``start_lsn`` have been truncated (after a checkpoint made them
     redundant), and :meth:`pin_snapshot` holds truncation back so a
     snapshot taken at that LSN can always be caught up by replaying
-    :meth:`records_since`. By default nothing is ever truncated —
-    :meth:`truncate` is an explicit checkpoint operation.
+    :meth:`records_since`. :meth:`checkpoint` is the one truncation
+    entry point.
     """
 
     def __init__(self):
@@ -287,27 +287,32 @@ class WriteAheadLog:
     def min_pinned_lsn(self) -> Optional[int]:
         return min((p.lsn for p in self._pins), default=None)
 
-    def truncate(self, upto_lsn: int) -> int:
-        """Drop records with ``lsn <= upto_lsn`` (checkpoint).
+    def checkpoint(self, upto_lsn: int) -> int:
+        """Drop records with ``lsn <= upto_lsn``: the one way the log
+        shrinks. Returns the number of records dropped.
 
-        Truncation is clamped to the flush horizon (unflushed records
-        are not yet redundant) and to the lowest snapshot pin (a pinned
-        suffix must stay replayable). Returns the number of records
-        dropped.
+        Clamped to the lowest snapshot pin (a pinned suffix must stay
+        replayable) but not to the flush horizon: the caller
+        (``Engine.checkpoint``) vouches that every transaction in the
+        prefix is closed, and a closed transaction has nothing left to
+        make durable — a committed writer's COMMIT was forced before it
+        acked, an aborted or read-only branch has nothing to redo. The
+        horizon follows the start: ``flushed_lsn >= start_lsn - 1``.
+        Runs in amortised chunks: nothing goes until the droppable
+        prefix is longer than what would remain (a log shorter than that
+        is the degenerate case), so the work is O(1) per record logged.
         """
-        floor = min(upto_lsn, self.flushed_lsn)
-        pinned = self.min_pinned_lsn()
-        if pinned is not None:
-            floor = min(floor, pinned)
-        if floor < self._start_lsn:
+        floor = min(upto_lsn, self._next_lsn - 1)
+        if self._pins:
+            floor = min(floor, self.min_pinned_lsn())
+        drop = floor - self._start_lsn + 1   # LSNs are dense
+        if 2 * drop <= len(self._records):
             return 0
-        drop = 0
-        while drop < len(self._records) and self._records[drop].lsn <= floor:
-            drop += 1
-        if drop:
-            del self._records[:drop]
-            self._start_lsn = floor + 1
-            self.stats.truncated += drop
+        del self._records[:drop]
+        self._start_lsn = floor + 1
+        if self.flushed_lsn < floor:
+            self.flushed_lsn = floor
+        self.stats.truncated += drop
         return drop
 
     def append(self, txn_id: int, kind: RecordType, db: str = None,

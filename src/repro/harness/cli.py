@@ -28,7 +28,7 @@ import sys
 from functools import partial
 from typing import Callable, Dict, Tuple
 
-from repro.analysis.invariants import check_trace
+from repro.analysis.invariants import check_bounds, check_trace
 from repro.cluster import ReadOption, WritePolicy
 from repro.harness import soaks
 from repro.harness.reporting import format_table
@@ -67,8 +67,12 @@ def _export_trace(trace, args, label: str = "", **audit) -> int:
 
 def _export_cluster(controller, args, label: str = "",
                     expect_recovery_complete: bool = False) -> int:
-    """A cluster's trace, audited under the cluster's own policy."""
-    return _export_trace(
+    """A cluster's trace, audited under the cluster's own policy, and
+    its tables, held to their bounds."""
+    bounds = check_bounds(controller)
+    for violation in bounds:
+        print(f"  {violation}")
+    return len(bounds) + _export_trace(
         controller.trace, args, label,
         write_policy=controller.config.write_policy.value,
         replication_factor=controller.config.replication_factor,
@@ -317,8 +321,8 @@ def cmd_disaster(args) -> int:
           len(result.declared), result.promotions, result.failbacks]]))
     summary = result.dr
     print(format_table(
-        ["shipped", "applied", "dropped", "false suspicions"],
-        [[summary["shipped"], summary["applied"], summary["dropped"],
+        ["shipped", "applied", "false suspicions"],
+        [[summary["shipped"], summary["applied"],
           summary["false_suspicions"]]]))
     if summary["promotions"]:
         print(format_table(

@@ -22,9 +22,8 @@ is resumable — an entry is retransmitted with backoff until the standby
 acks it — and apply is at-most-once keyed on ``(db, seq)``: a
 redelivered entry the standby already applied is acked without
 reapplying. An entry the standby cannot apply yet is *lag*, never a
-silent drop: it waits in the log until the standby answers or the link
-is torn down (only a bounded ``apply_retries`` turns an exhausted entry
-into a counted drop).
+drop: it waits in the log until the standby answers or the link is torn
+down — the standby applies a prefix of the commit order, always.
 
 Colo failover is detection-driven: the system
 controller heartbeats every colo, *suspects* after K consecutive
@@ -60,8 +59,8 @@ class ReplicationLink:
     ``next_seq`` is the next number to assign. ``applied_seq`` is the
     standby's high-water mark (entries at or below it are duplicates on
     redelivery — the at-most-once key is ``(db, seq)``); ``acked_seq``
-    is the primary's view of it. ``shipped``/``applied``/``dropped``
-    count entries for the lag metric: lag = shipped - applied - dropped.
+    is the primary's view of it. ``shipped``/``applied`` count entries
+    for the lag metric: lag = shipped - applied.
     """
 
     db: str
@@ -71,7 +70,6 @@ class ReplicationLink:
     applier: Optional[Process] = None
     shipped: int = 0
     applied: int = 0
-    dropped: int = 0
     next_seq: int = 1
     applied_seq: int = 0
     acked_seq: int = 0
@@ -100,7 +98,6 @@ class SystemController:
                  suspect_after_misses: int = 2,
                  declare_after_misses: int = 5,
                  wan_mbps: float = 50.0,
-                 apply_retries: Optional[int] = None,
                  reprotect_retry_s: float = 5.0,
                  trace_capacity: int = 65536):
         self.sim = sim
@@ -108,10 +105,6 @@ class SystemController:
         self.wan_config = wan or NetworkConfig(enabled=True,
                                                latency_s=wan_latency_s)
         self.wan_mbps = wan_mbps
-        # Apply conflicts retry until they succeed by default (None =
-        # unbounded), preserving the prefix guarantee; a bound turns
-        # exhausted entries into counted drops.
-        self.apply_retries = apply_retries
         self.reprotect_retry_s = reprotect_retry_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.suspect_after_misses = suspect_after_misses
@@ -236,7 +229,7 @@ class SystemController:
                 pass
         self.trace.emit("dr_link_torn", db=db, primary=link.primary,
                         standby=link.standby,
-                        lag=link.shipped - link.applied - link.dropped)
+                        lag=link.shipped - link.applied)
 
     def _on_commit(self, link: ReplicationLink, db: str, writes) -> None:
         if db != link.db or not writes or link.torn:
@@ -270,13 +263,6 @@ class SystemController:
         self.metrics.record_dr_apply()
         self.trace.emit("dr_apply", db=link.db, rseq=seq,
                         machine=link.standby)
-
-    def _record_drop(self, link: ReplicationLink, seq: int,
-                     reason: str) -> None:
-        link.dropped += 1
-        link.applied_seq = seq
-        self.metrics.record_dr_drop()
-        self.trace.emit("dr_drop", db=link.db, rseq=seq, reason=reason)
 
     def _standby_colo(self, link: ReplicationLink
                       ) -> Optional[ColoController]:
@@ -338,11 +324,9 @@ class SystemController:
             try:
                 yield from self._replay(standby_colo, link.db, writes)
             except TransactionAborted:
+                # An apply conflict retries until it succeeds: a dropped
+                # entry would break the standby-prefix guarantee.
                 attempt += 1
-                if (self.apply_retries is not None
-                        and attempt > self.apply_retries):
-                    self._record_drop(link, seq, reason="apply-conflict")
-                    return True
                 yield self.sim.timeout(self.wan.backoff_delay(attempt))
                 continue
             except PlatformError:
@@ -696,15 +680,11 @@ class SystemController:
     # -- metrics ---------------------------------------------------------------------
 
     def replication_lag(self, db: str) -> int:
-        """Shipped-but-unresolved transaction count (staleness metric).
-
-        Dropped entries are resolved (they will never apply), so lag
-        converges to zero on an idle link instead of overreporting
-        forever."""
+        """Shipped-but-unapplied transaction count (staleness metric)."""
         link = self.links.get(db)
         if link is None:
             return 0
-        return link.shipped - link.applied - link.dropped
+        return link.shipped - link.applied
 
     def dr_summary(self) -> Dict[str, object]:
         return self.metrics.dr_summary()

@@ -231,6 +231,10 @@ class TestRetireList:
         assert clears == [{"txns": [done["txn"]]}] * 2
         assert all(table == {} for table in self._live_tables(plane).values())
         assert_no_violations(controller)
+        # The public counter follows the acting replica across the
+        # leader change: each index once, won campaign included.
+        assert plane.stats is new_leader.stats
+        assert plane.stats.commands_chosen == len(new_leader.chosen)
 
     def test_failed_proposal_puts_the_retire_list_back(self, sim):
         controller = make_consensus_cluster(sim)

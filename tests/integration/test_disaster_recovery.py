@@ -180,13 +180,13 @@ class TestWanShipping:
         commit_n(platform, "app", 3)
         platform.sim.run(until=5.0)
         link = platform.system.links["app"]
-        assert (link.shipped, link.applied, link.dropped) == (3, 0, 0)
+        assert (link.shipped, link.applied) == (3, 0)
         assert platform.system.replication_lag("app") == 3
         assert sorted(link.log) == [1, 2, 3]
-        assert platform.system.metrics.dr.dropped == 0
+        assert platform.system.metrics.dr.applied == 0
         # Only the detector's verdict ends it: the colo is declared, the
         # link torn down with its lag on record, and the database marked
-        # unprotected — still nothing counted as applied or dropped.
+        # unprotected — still nothing counted as applied.
         platform.system.start_failure_detector()
         platform.sim.run(until=15.0)
         assert standby in platform.system.declared_dead
@@ -195,7 +195,7 @@ class TestWanShipping:
         assert platform.system.placements["app"] == (primary, None)
         torn = platform.system.trace.events(kind="dr_link_torn")
         assert [e.extra["lag"] for e in torn] == [3]
-        assert (link.applied, link.dropped) == (0, 0)
+        assert link.applied == 0
 
 
 class TestDetectionDrivenFailover:

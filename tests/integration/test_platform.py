@@ -197,7 +197,7 @@ class TestReplicationAccounting:
         platform.sim.run()
         link = platform.system.links["app"]
         assert link.shipped == 20
-        assert link.applied + link.dropped == 20
+        assert link.applied == 20
         assert platform.system.replication_lag("app") == 0
 
     def test_failover_races_in_flight_apply(self):

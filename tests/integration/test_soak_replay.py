@@ -11,6 +11,9 @@ A PR that changes simulated behaviour on purpose updates the constants
 and says so in CHANGES.md; one that claims "no behaviour change" must
 leave them alone. To refresh: run this file, copy the ``got`` hashes out
 of the assertion messages.
+
+Each cluster soak also ends with every per-transaction table under its
+bound (``check_bounds``, DESIGN §4q).
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import io
 
 import pytest
 
+from repro.analysis.invariants import check_bounds
 from repro.harness import soaks
 from repro.harness.runner import run_dr_soak, run_many_tenants
 from repro.harness.scenario import run_scenario
@@ -30,7 +34,13 @@ def trace_md5(tracer) -> str:
 
 
 def cluster_trace(scenario):
-    return run_scenario(scenario).controller.trace
+    return bounded(run_scenario(scenario).controller)
+
+
+def bounded(controller):
+    violations = check_bounds(controller)
+    assert not violations, "\n".join(str(v) for v in violations)
+    return controller.trace
 
 
 # The arguments are what the ci.yml command lines resolve to.
@@ -74,8 +84,8 @@ SOAKS = {
         "4c2ab28ac42e9c4ea083e0c1ae1203d7"),
     # manytenants --tenants 2000 --duration 6
     "manytenants": (
-        lambda: run_many_tenants(n_databases=2000, duration_s=12.0,
-                                 flash_at_s=6.0, seed=3).controller.trace,
+        lambda: bounded(run_many_tenants(n_databases=2000, duration_s=12.0,
+                                         flash_at_s=6.0, seed=3).controller),
         "d64f211a5ad74f62a657d4c6ed748d60"),
 }
 

@@ -22,6 +22,12 @@ timeout`` in the same instant, the generator RPC resumed through an
 jitter in a different order. That is a tie-break, not behaviour; lone
 calls keep the seeded stream, random drops included.
 
+The state machine's requests also carry the closed-transaction watermark
+(DESIGN §4q), which the generator RPC never had: each call's transaction
+is open, as the coordinator holds it, until the call settles, and closes
+then — so the later requests of its siblings tell the machines to forget
+it. That must change nothing the differential compares.
+
 ``test_mutants_are_caught`` breaks the state machine three ways and
 requires the differential to notice each.
 """
@@ -100,7 +106,10 @@ def _run_scenario(scenario, new):
     fabric = controller.fabric
     if not lone:
         fabric.rng = _ConstantStream()
-    reference = GeneratorRpc(controller.txns.rpc)
+    rpc = controller.txns.rpc
+    reference = GeneratorRpc(rpc)
+    # Transactions 1-99 came and went; 100.. are the calls below.
+    rpc.low = rpc.next_txn_id = 100
     executions = {}
     settled = {}
 
@@ -138,6 +147,7 @@ def _run_scenario(scenario, new):
                 # Settle order, and the live schedule entries at that
                 # point besides the script's own sleep.
                 len(settled), sim.pending - scripted.is_alive)
+            rpc.release(100 + index)
         event.defused = True
         event.add_callback(on_settled)
 
@@ -145,7 +155,7 @@ def _run_scenario(scenario, new):
     for index in range(count):
         machine = machines[index]
         body = partial(make_body, index)
-        call = dict(txn_id=100 + index, label=f"op{index}",
+        call = dict(txn_id=rpc.begin(), label=f"op{index}",
                     retries=scenario["retries"])
         if not new:
             observe(index, sim.process(reference._rpc(
@@ -159,6 +169,11 @@ def _run_scenario(scenario, new):
                 machine.name, body, **call))
     sim.run()
     assert all(n <= 1 for n in executions.values()), executions
+    assert rpc.open == {} and rpc.low == 100 + count
+    for machine in machines:
+        # What a machine still remembers, it was never told to forget.
+        assert all(txn_id >= machine.closed_below
+                   for txn_id in machine._rpc_cache)
     network = controller.metrics.network
     return {
         "settled": settled,

@@ -3,7 +3,10 @@
 For any random interleaving of committed and aborted transactions, an
 engine rebuilt from the durable WAL must contain exactly the committed
 transactions' effects (and recovered secondary indexes must agree with
-the heap).
+the heap). With ``Engine.checkpoint`` run at random points — while a
+transaction under a global id straddles them — replaying the retained
+suffix over the state the dropped prefix recovers to must equal
+replaying the whole log.
 """
 
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Engine
 from repro.engine.engine import recover_engine
+from repro.engine.wal import RecordType, analyze
 
 ops = st.lists(
     st.tuples(
@@ -23,7 +27,21 @@ ops = st.lists(
 )
 
 
-def build_and_crash(txn_specs):
+#: What happens after a transaction: nothing, a checkpoint, or a
+#: straddler (a global-id transaction inserting one row of its own)
+#: beginning / committing / aborting. A finished straddler stays a
+#: tombstone — and holds the log — until ``close`` drops it, as
+#: ``Machine.close_below`` would.
+actions = st.lists(
+    st.sampled_from(["", "checkpoint", "checkpoint", "begin", "commit",
+                     "abort", "close"]),
+    min_size=25, max_size=25)
+
+
+def build_and_crash(txn_specs, after=(), logged=None, cuts=None):
+    """Run ``txn_specs`` (and the ``after`` action of each); ``logged``
+    collects every record ever logged by LSN, ``cuts`` the log's start
+    LSN after each checkpoint that dropped something."""
     engine = Engine()
     engine.create_database("db")
     setup = engine.begin()
@@ -33,7 +51,29 @@ def build_and_crash(txn_specs):
     engine.commit(setup)
 
     model = {}
-    for kind, key, value, commit in txn_specs:
+    straddlers = []
+    for step, (kind, key, value, commit) in enumerate(txn_specs):
+        action = after[step] if after else ""
+        if action == "checkpoint":
+            logged.update((r.lsn, r) for r in engine.wal.all_records())
+            if engine.checkpoint():
+                cuts.append(engine.wal.start_lsn)
+        elif action == "begin":
+            straddler = engine.begin(500 + step)
+            engine.execute_sync(straddler, "db", "INSERT INTO t VALUES (?, ?)",
+                                (500 + step, step))
+            straddlers.append(straddler)
+        elif action in ("commit", "abort") and straddlers \
+                and not straddlers[-1].finished:
+            if action == "commit":
+                engine.commit(straddlers[-1])
+                model[straddlers[-1].txn_id] = straddlers[-1].txn_id - 500
+            else:
+                engine.abort(straddlers[-1])
+        elif action == "close":
+            for straddler in straddlers:
+                if straddler.finished:
+                    engine.transactions.pop(straddler.txn_id, None)
         txn = engine.begin()
         shadow = dict(model)
         try:
@@ -63,6 +103,8 @@ def build_and_crash(txn_specs):
             model = shadow
         else:
             engine.abort(txn)
+    if logged is not None:
+        logged.update((r.lsn, r) for r in engine.wal.all_records())
     return engine, model
 
 
@@ -97,3 +139,50 @@ def test_double_recovery_is_idempotent(txn_specs):
                               [db.schema for db in once.databases.values()],
                               once.wal.durable_records())
     assert dict(twice.snapshot_table("db", "t")) == model
+
+
+def replay(rows, records):
+    """The recovery rule on a {rid: row} map: redo, in log order, the
+    changes of the transactions ``records`` shows committed."""
+    rows = dict(rows)
+    committed = set(analyze(records).committed)
+    for record in records:
+        if record.txn_id in committed:
+            if record.kind in (RecordType.INSERT, RecordType.UPDATE):
+                rows[record.rid] = record.after
+            elif record.kind is RecordType.DELETE:
+                del rows[record.rid]
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops, actions)
+def test_checkpoint_at_a_random_point_loses_nothing(txn_specs, after):
+    logged, cuts = {}, []
+    engine, model = build_and_crash(txn_specs, after, logged, cuts)
+    full = [logged[lsn] for lsn in sorted(logged)]
+    wal = engine.wal
+    assert wal.flushed_lsn >= wal.start_lsn - 1
+    assert [r.lsn for r in wal.all_records()] == list(
+        range(wal.start_lsn, wal.last_lsn + 1))
+    # Every transaction still in the table has its whole history in the
+    # retained log.
+    assert all(txn.first_lsn >= wal.start_lsn
+               for txn in engine.transactions.values())
+    whole = replay({}, full)
+    assert sorted(whole.values()) == sorted(model.items())
+    for cut in cuts:
+        prefix = [r for r in full if r.lsn < cut]
+        suffix = [r for r in full if r.lsn >= cut]
+        # No transaction has records on both sides of a cut, and the
+        # dropped side holds finished transactions only.
+        assert not ({r.txn_id for r in prefix} & {r.txn_id for r in suffix})
+        assert {r.txn_id for r in prefix} == {
+            r.txn_id for r in prefix
+            if r.kind in (RecordType.COMMIT, RecordType.ABORT)}
+        assert replay(replay({}, prefix), suffix) == whole
+    # The production recovery agrees with the rule used above.
+    schemas = [db.schema for db in engine.databases.values()]
+    recovered, _ = recover_engine("r", engine.config, schemas, full)
+    assert sorted(recovered.snapshot_table("db", "t")) == sorted(
+        whole.values())

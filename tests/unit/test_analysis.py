@@ -189,3 +189,48 @@ class TestMetricsCollector:
 
     def test_rejected_fraction_empty(self):
         assert MetricsCollector().db("x").rejected_fraction() == 0.0
+
+
+class TestLinkLatency:
+    """Per-link latency keeps no samples (DESIGN §4q)."""
+
+    def test_same_summary_keys_as_the_exact_histogram(self):
+        from repro.analysis.trace import LatencyHistogram
+        metrics = MetricsCollector()
+        for _ in range(5):
+            metrics.record_link_latency("a", "b", 0.0005)
+        link = metrics.network_summary()["links"]["a->b"]
+        assert set(link) == set(LatencyHistogram().summary())
+        # One bucket holds everything: the mean, which is exact.
+        assert link == {"count": 5.0, "mean": pytest.approx(0.0005),
+                        "p50": pytest.approx(0.0005),
+                        "p95": pytest.approx(0.0005),
+                        "p99": pytest.approx(0.0005)}
+
+    def test_percentiles_within_a_bucket_of_the_exact_ones(self):
+        import random
+        from repro.analysis.metrics import LinkLatency
+        from repro.analysis.trace import LatencyHistogram
+        rng = random.Random(7)
+        link, exact = LinkLatency(), LatencyHistogram()
+        for _ in range(20_000):
+            seconds = rng.expovariate(200.0)
+            link.observe(seconds)
+            exact.observe(seconds)
+        ours, theirs = link.summary(), exact.summary()
+        assert ours["count"] == theirs["count"]
+        assert ours["mean"] == pytest.approx(theirs["mean"])
+        for p in ("p50", "p95", "p99"):
+            assert ours[p] == pytest.approx(theirs[p], rel=0.05)
+
+    def test_size_does_not_depend_on_the_sample_count(self):
+        from repro.analysis.metrics import LinkLatency
+        link = LinkLatency()
+        size = len(link.buckets)
+        for seconds in (0.0, 1e-12, 0.003, 5.0, 1e6):   # both ends clamp
+            for _ in range(1000):
+                link.observe(seconds)
+        assert len(link.buckets) == size
+        assert link.summary()["count"] == 5000
+        assert not hasattr(link, "__dict__")
+        assert LinkLatency().summary()["p99"] == 0.0

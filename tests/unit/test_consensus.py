@@ -131,6 +131,9 @@ class TestReplication:
         for node in group.nodes.values():
             assert node.state.replicas == {f"db{i}": [f"m{i}"]
                                            for i in range(5)}
+            # The cumulative counter a benchmark can read once the log
+            # is truncated: every index counted once, on first sight.
+            assert node.stats.commands_chosen == len(node.chosen) > 5
 
     def test_crashed_replica_catches_up_after_repair(self, sim):
         group, _ = make_group(sim)
@@ -147,6 +150,7 @@ class TestReplication:
         lagger = group.nodes["ctl2"]
         assert lagger.applied_to == leader.applied_to
         assert lagger.chosen == leader.chosen
+        assert lagger.stats.commands_chosen == len(lagger.chosen)  # learned
         assert lagger.state.placements == leader.state.placements
 
     def test_deposed_leader_pending_proposals_fail(self, sim):

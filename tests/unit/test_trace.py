@@ -120,6 +120,14 @@ class TestJsonlRoundTrip:
         assert set(record) == {"seq", "t", "kind"}
         assert TraceEvent.from_dict(record) == sparse
 
+    def test_an_event_is_slots_only(self):
+        # 65,536 ring slots: no per-instance __dict__ (DESIGN §4q).
+        event = Tracer().emit("prepare", db="d", txn=3, note="x")
+        assert not hasattr(event, "__dict__")
+        assert event.extra == {"note": "x"}
+        with pytest.raises(AttributeError):
+            event.span = 1
+
 
 class TestLatencyHistogram:
     def test_empty_histogram_is_zero(self):

@@ -146,26 +146,43 @@ class TestWalRetainedTail:
             wal.append(1, RecordType.INSERT, db="d", table="t", rid=i)
         return wal
 
-    def test_truncate_clamped_to_flush_horizon(self):
+    def test_checkpoint_carries_the_flush_horizon(self):
+        # truncate() clamped to flushed_lsn; the checkpoint's caller
+        # vouches that the prefix is redundant, flushed or not (a branch
+        # that only read is never forced), and the horizon follows the
+        # log's start so flushed_lsn >= start_lsn - 1 keeps holding.
         wal = self._filled()
-        assert wal.truncate(4) == 0      # nothing flushed yet
-        wal.flush()
-        assert wal.truncate(3) == 3
-        assert wal.start_lsn == 4
+        assert wal.flushed_lsn == 0
+        assert wal.checkpoint(3) == 3
+        assert wal.start_lsn == 4 and wal.flushed_lsn == 3
         assert wal.stats.truncated == 3
         assert [r.lsn for r in wal.records_since(3)] == [4, 5]
+        assert [r.lsn for r in wal.durable_records()] == []
         with pytest.raises(ValueError):
             wal.records_since(2)
         assert wal.covers(3) and not wal.covers(2)
+        wal.flush()
+        assert wal.checkpoint(2) == 0    # below the start: nothing to do
+        assert wal.flushed_lsn == 5      # and the horizon never moves back
+        assert wal.checkpoint(99) == 2   # clamped to what was appended
+        assert wal.start_lsn == 6 and len(wal) == 0
+        assert wal.append(2, RecordType.BEGIN).lsn == 6
+
+    def test_checkpoint_waits_for_a_chunk_worth_dropping(self):
+        # Amortised: the prefix goes once it is longer than the rest.
+        wal = self._filled(10)
+        assert wal.checkpoint(5) == 0
+        assert wal.start_lsn == 1 and len(wal) == 10
+        assert wal.checkpoint(6) == 6
+        assert wal.start_lsn == 7 and len(wal) == 4
 
     def test_snapshot_pin_blocks_checkpoint(self):
         wal = self._filled()
-        wal.flush()
-        pin = wal.pin_snapshot(2)
-        assert wal.truncate(5) == 2      # clamped to the pin's LSN
-        assert wal.start_lsn == 3
+        pin = wal.pin_snapshot(3)
+        assert wal.checkpoint(5) == 3    # clamped to the pin's LSN
+        assert wal.start_lsn == 4
         wal.release_snapshot(pin)
-        assert wal.truncate(5) == 3
+        assert wal.checkpoint(5) == 2
         assert wal.start_lsn == 6
         assert len(wal) == 0
 
@@ -173,6 +190,7 @@ class TestWalRetainedTail:
         wal = self._filled()
         wal.flush()
         wal.append(2, RecordType.COMMIT)
-        wal.truncate(2)
+        wal.checkpoint(4)
         kinds = [r.kind for r in wal.durable_records()]
-        assert kinds == [RecordType.INSERT] * 3
+        assert kinds == [RecordType.INSERT]
+        assert [r.lsn for r in wal.all_records()] == [5, 6]
