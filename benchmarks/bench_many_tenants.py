@@ -93,7 +93,6 @@ def _stage_controller(n_databases, lazy=True):
         trace_capacity=4096,
         lazy_engine_ddl=lazy,
         max_resident_tenant_logs=64 if lazy else 0,
-        metrics_resident_tenants=64 if lazy else 0,
     )
     controller = ClusterController(sim, config)
     controller.add_machines(MACHINES)

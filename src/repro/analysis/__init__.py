@@ -19,8 +19,8 @@ from importlib import import_module
 # Public name -> submodule that defines it.
 _EXPORTS = {
     "GlobalHistory": "history",
+    "Histogram": "metrics",
     "InvariantChecker": "invariants",
-    "LatencyHistogram": "trace",
     "MetricsCollector": "metrics",
     "SerializationGraph": "serialization_graph",
     "SiteHistory": "history",

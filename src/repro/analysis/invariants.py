@@ -42,7 +42,11 @@ correctness properties the paper's controller design promises:
 * **suspicion-eventually-resolves** — every ``machine_suspected`` (and
   ``colo_suspected``) is eventually followed by an unsuspect (it
   answered again) or a declare (it was fenced); no suspicion dangles at
-  the end of a complete trace.
+  the end of a complete trace. With ``suspicion_horizon_s`` (the
+  detector's suspect-to-declare span, which a live audit takes from the
+  configuration) a machine suspicion younger than that when the primary
+  controller crashed, or when the trace ended, is excused: the detector
+  stops with its primary, so no probe was left to resolve it.
 * **no-dual-primary-colo** — a database's standby colo is only promoted
   after the old primary was fenced (or failed) under a monotonically
   increasing epoch, and never onto a fenced colo; fencing epochs
@@ -144,12 +148,14 @@ class InvariantChecker:
                  replication_factor: Optional[int] = None,
                  expect_recovery_complete: bool = False,
                  expect_lag_drained: bool = False,
-                 strict: bool = False, dropped: int = 0):
+                 strict: bool = False, dropped: int = 0,
+                 suspicion_horizon_s: float = 0.0):
         self.write_policy = write_policy
         self.replication_factor = replication_factor
         self.expect_recovery_complete = expect_recovery_complete
         self.expect_lag_drained = expect_lag_drained
         self.strict = strict
+        self.suspicion_horizon_s = suspicion_horizon_s
         # Events lost to ring-buffer overflow: cross-event rules that need
         # a complete view (conservative acks, recovery completion, strict
         # termination) are skipped on truncated traces.
@@ -167,7 +173,8 @@ class InvariantChecker:
         recovered: Dict[str, TraceEvent] = {}
         truncated = self.dropped > 0
         fenced: Set[str] = set()
-        suspected_at: Dict[str, int] = {}   # machine -> suspicion seq
+        suspected_at: Dict[str, TraceEvent] = {}   # machine -> suspicion
+        detector_stops: List[float] = []    # primary crashes, then the end
         takeover_seq: Optional[int] = None
         # Cross-colo DR state (system-tier traces).
         fenced_colos: Set[str] = set()
@@ -290,7 +297,9 @@ class InvariantChecker:
                 suspected_at.pop(e.machine, None)
                 failed_machines.discard(e.machine)
             elif e.kind == "machine_suspected":
-                suspected_at.setdefault(e.machine, e.seq)
+                suspected_at.setdefault(e.machine, e)
+            elif e.kind == "primary_crashed":
+                detector_stops.append(e.t)
             elif e.kind == "machine_unsuspected":
                 suspected_at.pop(e.machine, None)
             elif e.kind == "ctl_leader_elected":
@@ -474,7 +483,12 @@ class InvariantChecker:
                             db=e.db, seq=e.seq))
                     expected_rseq[e.db] = max(want, rseq) + 1
 
-        self._finish(txns, queued, recovered, truncated, suspected_at)
+        if events:
+            detector_stops.append(events[-1].t)
+        self._finish(txns, queued, recovered, truncated,
+                     [e for e in suspected_at.values()
+                      if next(t for t in detector_stops if t >= e.t) - e.t
+                      >= self.suspicion_horizon_s])
         for db, (finished, rejected, bound, over_windows, last_seq,
                  window_violations) in sorted(sla_stats.items()):
             # Steady state only: a tenant that ever overran its
@@ -543,13 +557,13 @@ class InvariantChecker:
 
     def _finish(self, txns: Dict[int, _TxnAudit], queued: Dict[str, int],
                 recovered: Dict[str, TraceEvent], truncated: bool,
-                suspected_at: Optional[Dict[str, int]] = None) -> None:
-        if suspected_at and not truncated:
-            for machine, seq in sorted(suspected_at.items()):
+                dangling: Sequence[TraceEvent]) -> None:
+        if not truncated:
+            for e in sorted(dangling, key=lambda e: e.machine):
                 self.violations.append(Violation(
                     "suspicion-eventually-resolves",
-                    f"machine {machine} still suspected at end of trace",
-                    seq=seq))
+                    f"machine {e.machine} still suspected at end of trace",
+                    seq=e.seq))
         for txn_id, state in txns.items():
             if not state.terminal_kinds:
                 if state.prepared or state.decision_seq is not None:
@@ -586,6 +600,14 @@ def check_trace(events: Sequence[TraceEvent], **kwargs: Any
     return InvariantChecker(**kwargs).check(events)
 
 
+def suspicion_horizon_s(config) -> float:
+    """How long the detector may take to resolve a suspicion: declare
+    comes ``declare_after_misses - suspect_after_misses`` heartbeats
+    after it, and one more covers the probe in flight."""
+    return ((config.declare_after_misses - config.suspect_after_misses + 1)
+            * config.heartbeat_interval_s)
+
+
 def check_controller(controller, expect_recovery_complete: bool = False,
                      strict: bool = False) -> List[Violation]:
     """Audit a live :class:`~repro.cluster.controller.ClusterController`.
@@ -597,7 +619,8 @@ def check_controller(controller, expect_recovery_complete: bool = False,
         write_policy=controller.config.write_policy.value,
         replication_factor=controller.config.replication_factor,
         expect_recovery_complete=expect_recovery_complete,
-        strict=strict, dropped=controller.trace.dropped)
+        strict=strict, dropped=controller.trace.dropped,
+        suspicion_horizon_s=suspicion_horizon_s(controller.config))
     return checker.check(controller.trace.events())
 
 
@@ -616,14 +639,19 @@ STATE_BOUNDS = {
     "wal": 2 * 16 * 2 * OPEN_TXNS_BOUND,
     # Heartbeats, lease and election timers, thinking clients.
     "sim_pending": 8 * OPEN_TXNS_BOUND,
+    # The largest latency histogram: 32 buckets per octave over 38.
+    "metrics_histogram_buckets": 32 * 38,
 }
+
+#: Latency phases the coordinator feeds: write, prepare, commit, txn and
+#: one ``branch:<label>`` per gathered broadcast (three labels).
+PHASES_BOUND = 8
 
 #: What still grows with the number of commits, and who owns it.
 KNOWN_UNBOUNDED = {
     "consensus chosen log, command_digest memo":
         "ROADMAP item 2: the benchmark counts len(chosen); it must read "
         "PaxosStats.commands_chosen before the log can be truncated",
-    "metrics phase_latencies / db_latencies samples": "ROADMAP item 4(b)",
 }
 
 
@@ -633,6 +661,10 @@ def state_sizes(controller) -> Dict[str, int]:
     largest."""
     machines = controller.machines.values()
     rpc, plane = controller.txns.rpc, controller.consensus
+    metrics = controller.metrics
+    histograms = [*metrics.phase_latencies.values(),
+                  *metrics.link_latencies.values(),
+                  *metrics.db_latencies.values()]
     table = (plane.acting_node.state if plane is not None
              else controller.backup)
 
@@ -652,15 +684,23 @@ def state_sizes(controller) -> Dict[str, int]:
         "retained_tail": max(map(len, controller.replication.db_logs.values()),
                              default=0),
         "sim_pending": controller.sim.pending,
+        "metrics_histograms": len(histograms),
+        "metrics_histogram_buckets": max(
+            (len(h.buckets) for h in histograms), default=0),
     }
 
 
 def check_bounds(controller) -> List[Violation]:
     """Audit a quiescent cluster: one ``state-bounded-after-quiescence``
     violation per table over its bound (retained commit logs are held to
-    ``replication_log_retain``; no copy pins them after quiescence)."""
+    ``replication_log_retain`` — no copy pins them after quiescence —
+    and the histograms to one per phase, per link that carried a message
+    and per tenant that finished a transaction)."""
     bounds = dict(STATE_BOUNDS,
-                  retained_tail=controller.config.replication_log_retain)
+                  retained_tail=controller.config.replication_log_retain,
+                  metrics_histograms=(PHASES_BOUND
+                                      + len(controller.fabric.link_stats)
+                                      + len(controller.metrics.per_db)))
     sizes = state_sizes(controller)
     return [Violation("state-bounded-after-quiescence",
                       f"{table} holds {sizes[table]} entries, bound {bound}")

@@ -9,11 +9,9 @@ transactions (Figure 8 and the availability SLA of Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Dict, List, Optional, Tuple
-
-from repro.analysis.trace import LatencyHistogram
 
 
 @dataclass
@@ -110,44 +108,79 @@ class DrPromotion:
     rto_s: Optional[float] = None
 
 
-class LinkLatency:
-    """Fixed-size one-way latency summary of one directed link: a link
-    carries tens of messages per commit for as long as the cluster runs,
-    so it keeps their sum and a count per log-spaced bucket (eight to
-    the power of two, a nanosecond to 256 s), no samples. A percentile
-    is the geometric middle of its bucket (within 4.5 %), or the mean
-    when one bucket holds everything — exact on a link without jitter.
-    :class:`LatencyHistogram` keeps exact percentiles for the phase and
-    per-database latencies; same ``summary()`` keys."""
+class Histogram:
+    """Bounded latency distribution: sparse log-spaced buckets, each
+    holding ``[count, sum]`` of its samples — what a phase, a tenant or
+    a link keeps however long the cluster runs: 32 buckets per octave
+    from 2**-30 s (under a nanosecond) to 256 s, 32 × 38 at most, and a
+    real one spans a few octaves.
 
-    __slots__ = ("total", "buckets")
+    A percentile is the *mean* of the bucket holding the nearest rank:
+    exact whenever that bucket's samples coincide (a jitter-free
+    simulated phase), otherwise between the bucket's smallest and
+    largest sample, so off by less than the bucket's width —
+    2**(1/32) - 1 = 2.2 % — and by about 1 % on smooth data. ``copy``
+    at a mark and ``minus`` later give the distribution of what was
+    observed in between.
+    """
+
+    __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        self.total = 0.0
-        self.buckets = [0] * (8 * 38)
+        self.buckets: Dict[int, List[float]] = {}
 
     def observe(self, seconds: float) -> None:
-        self.total += seconds
+        # The 2**-30 s keeps zero loggable and the index non-negative;
+        # the last bucket takes 256 s and everything longer.
+        index = int(32.0 * log2(seconds + 2.0 ** -30) + 960.0)
+        if index > 1215:
+            index = 1215
         try:
-            # 2**-30 s keeps zero loggable and the index non-negative.
-            self.buckets[int(8.0 * log2(seconds + 2.0 ** -30) + 240.0)] += 1
-        except IndexError:
-            self.buckets[-1] += 1
+            bucket = self.buckets[index]
+        except KeyError:
+            self.buckets[index] = [1, seconds]
+        else:
+            bucket[0] += 1
+            bucket[1] += seconds
+
+    @property
+    def count(self) -> int:
+        return sum(held for held, _ in self.buckets.values())
+
+    @property
+    def mean(self) -> float:
+        count = self.count
+        return (sum(total for _, total in self.buckets.values()) / count
+                if count else 0.0)
+
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile, ``p`` in [0, 100]; 0.0 when empty."""
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile out of range: {p}")
+        count = self.count
+        rank = min(count, max(1, int(round(p / 100.0 * count + 0.5))))
+        for _, (held, total) in sorted(self.buckets.items()):
+            rank -= held
+            if rank <= 0:
+                return total / held
+        return 0.0
 
     def summary(self) -> Dict[str, float]:
-        count = sum(self.buckets)
-        if not count:
-            return dict.fromkeys(("count", "mean", "p50", "p95", "p99"), 0.0)
-        out = {"count": float(count), "mean": self.total / count}
-        for name, p in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-            # Nearest rank, as LatencyHistogram.percentile.
-            rank = min(count, max(1, int(round(p / 100.0 * count + 0.5))))
-            for index, held in enumerate(self.buckets):
-                rank -= held
-                if rank <= 0:
-                    break
-            out[name] = (out["mean"] if held == count
-                         else 2.0 ** ((index - 239.5) / 8.0))
+        return {"count": float(self.count), "mean": self.mean,
+                "p50": self.percentile(50.0), "p95": self.percentile(95.0),
+                "p99": self.percentile(99.0)}
+
+    def copy(self) -> "Histogram":
+        return self.minus(Histogram())
+
+    def minus(self, earlier: "Histogram") -> "Histogram":
+        """What was observed since ``earlier``, a :meth:`copy` of this
+        histogram taken at some mark."""
+        out = Histogram()
+        for index, (held, total) in self.buckets.items():
+            was_held, was_total = earlier.buckets.get(index, (0, 0.0))
+            if held > was_held:
+                out.buckets[index] = [held - was_held, total - was_total]
         return out
 
 
@@ -183,19 +216,16 @@ class TimeSeries:
 
 
 class MetricsCollector:
-    """Cluster-wide metrics: per-database counters plus time series."""
+    """Cluster-wide metrics: per-database counters plus time series.
 
-    def __init__(self, window: float = 10.0, resident_tenants: int = 0):
-        # Cap on tenants with a fully-resident latency histogram (the
-        # one per-tenant structure that grows with traffic — it keeps
-        # every sample). Past the cap the least-recently-committing
-        # tenant's histogram is summarised (counts + percentile
-        # snapshot) and its samples dropped. 0 = unbounded, the
-        # replay-identical default. Counters stay exact and resident
-        # either way — they are a handful of ints per tenant.
-        self.resident_tenants = resident_tenants
-        self.db_latency_summaries: Dict[str, Dict[str, float]] = {}
-        self.db_latency_evictions = 0
+    The typed counter records (:class:`DbCounters` via :meth:`db`,
+    :attr:`network`, :attr:`dr`, :attr:`fanouts`) are written by the
+    site that owns the event; the ``record_*`` methods are the updates
+    that touch more than one of them. :meth:`snapshot` is the one
+    read-out.
+    """
+
+    def __init__(self, window: float = 10.0):
         self.per_db: Dict[str, DbCounters] = {}
         self.commits_over_time = TimeSeries(window)
         self.rejections_over_time = TimeSeries(window)
@@ -204,11 +234,11 @@ class MetricsCollector:
         # ("write" = replica write ack, "prepare" = 2PC phase 1,
         # "commit" = 2PC phase 2, "txn" = begin-to-commit; fan-out
         # branches land under "branch:<label>").
-        self.phase_latencies: Dict[str, LatencyHistogram] = {}
+        self.phase_latencies: Dict[str, Histogram] = {}
         # Per-database committed-transaction latency distributions, fed
         # by record_commit's response time — the tail-latency view of
-        # noisy-neighbour isolation (per_db_summary surfaces these).
-        self.db_latencies: Dict[str, LatencyHistogram] = {}
+        # noisy-neighbour isolation.
+        self.db_latencies: Dict[str, Histogram] = {}
         # Coordinator broadcast widths per label ("prepare", "commit",
         # "commit-ro", "abort").
         self.fanouts: Dict[str, FanoutStats] = {}
@@ -216,9 +246,11 @@ class MetricsCollector:
         self.stmt_cache_evictions: int = 0
         # Network-fabric accounting (only populated when the simulated
         # unreliable fabric is enabled): delivery counters plus observed
-        # one-way latency per directed link ("src->dst").
+        # one-way latency per directed link ("src->dst"; the fabric
+        # registers each link's histogram here when the link first
+        # carries a message).
         self.network = NetworkCounters()
-        self.link_latencies: Dict[str, LinkLatency] = {}
+        self.link_latencies: Dict[str, Histogram] = {}
         # Disaster-recovery accounting (only populated by the platform
         # tier's system controller): ship/apply counters plus one
         # :class:`DrPromotion` record per colo failover.
@@ -238,25 +270,8 @@ class MetricsCollector:
         self.commits_over_time.add(when)
         histogram = self.db_latencies.get(db)
         if histogram is None:
-            histogram = self.db_latencies[db] = LatencyHistogram()
-        elif self.resident_tenants > 0:
-            # Refresh recency (dict order doubles as the LRU order).
-            del self.db_latencies[db]
-            self.db_latencies[db] = histogram
+            histogram = self.db_latencies[db] = Histogram()
         histogram.observe(response_time)
-        if 0 < self.resident_tenants < len(self.db_latencies):
-            self._evict_cold_histogram()
-
-    def _evict_cold_histogram(self) -> None:
-        """Summarise and drop the least-recently-committing tenant's
-        latency histogram. The snapshot (count/mean/percentiles at
-        eviction time) stays addressable through
-        :meth:`per_db_summary`; if the tenant heats up again a fresh
-        histogram starts from its next commit."""
-        cold_db = next(iter(self.db_latencies))
-        histogram = self.db_latencies.pop(cold_db)
-        self.db_latency_summaries[cold_db] = histogram.summary()
-        self.db_latency_evictions += 1
 
     def record_deadlock(self, db: str, when: float) -> None:
         self.db(db).deadlocks += 1
@@ -271,151 +286,24 @@ class MetricsCollector:
         counts against the tenant's ``max_rejected_fraction``) that is
         also tallied separately, so overload throttling is
         distinguishable from failure- and copy-window rejections."""
-        counters = self.db(db)
-        counters.rejected += 1
-        counters.overload_rejected += 1
-        self.rejections_over_time.add(when)
-
-    def record_rollback(self, db: str) -> None:
-        """A voluntary client ROLLBACK (not a failure abort)."""
-        self.db(db).rollbacks += 1
-
-    def record_other_abort(self, db: str) -> None:
-        self.db(db).other_aborts += 1
+        self.db(db).overload_rejected += 1
+        self.record_rejection(db, when)
 
     def record_phase_latency(self, phase: str, seconds: float) -> None:
         histogram = self.phase_latencies.get(phase)
         if histogram is None:
-            histogram = self.phase_latencies[phase] = LatencyHistogram()
+            histogram = self.phase_latencies[phase] = Histogram()
         histogram.observe(seconds)
 
-    def latency_summary(self) -> Dict[str, Dict[str, float]]:
-        """{phase: {count, mean, p50, p95, p99}} for every observed phase."""
-        return {phase: histogram.summary()
-                for phase, histogram in sorted(self.phase_latencies.items())}
-
-    def per_db_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant outcome and latency breakdown, keyed by db name.
-
-        One row per database that finished any transaction: the outcome
-        counters, the SLA's rejected fraction (and the admission-only
-        subset), and the committed-transaction latency percentiles —
-        overload isolation made observable without trace parsing.
-        """
-        summary: Dict[str, Dict[str, object]] = {}
-        for db, counters in sorted(self.per_db.items()):
-            histogram = self.db_latencies.get(db)
-            summary[db] = {
-                "committed": counters.committed,
-                "deadlocks": counters.deadlocks,
-                "rejected": counters.rejected,
-                "overload_rejected": counters.overload_rejected,
-                "rollbacks": counters.rollbacks,
-                "other_aborts": counters.other_aborts,
-                "total_finished": counters.total_finished,
-                "rejected_fraction": counters.rejected_fraction(),
-                "overload_rejected_fraction":
-                    counters.overload_rejected_fraction(),
-                "latency": (histogram.summary() if histogram is not None
-                            else self.db_latency_summaries.get(db)),
-                "latency_summarised": (histogram is None
-                                       and db in self.db_latency_summaries),
-            }
-        return summary
-
-    def record_fanout(self, label: str, width: int,
-                      branch_latency: Optional[float] = None) -> None:
-        """One coordinator broadcast of ``width`` branches.
-
-        Per-branch latencies arrive separately (one call per settled
-        branch with ``width=0``) and feed the ``branch:<label>`` phase
-        histogram.
-        """
+    def record_fanout(self, label: str, width: int) -> None:
+        """One coordinator broadcast of ``width`` branches (their
+        latencies are the ``branch:<label>`` phase)."""
         stats = self.fanouts.get(label)
         if stats is None:
             stats = self.fanouts[label] = FanoutStats()
-        if width > 0:
-            stats.count += 1
-            stats.total_width += width
-            stats.max_width = max(stats.max_width, width)
-        if branch_latency is not None:
-            self.record_phase_latency(f"branch:{label}", branch_latency)
-
-    def fanout_summary(self) -> Dict[str, Dict[str, float]]:
-        """{label: {count, mean_width, max_width}} per broadcast label."""
-        return {label: {"count": stats.count,
-                        "mean_width": stats.mean_width,
-                        "max_width": stats.max_width}
-                for label, stats in sorted(self.fanouts.items())}
-
-    def record_stmt_cache_eviction(self) -> None:
-        self.stmt_cache_evictions += 1
-
-    # -- network fabric --------------------------------------------------------
-
-    def record_message_sent(self) -> None:
-        self.network.messages_sent += 1
-
-    def record_message_dropped(self, cut: bool = False) -> None:
-        if cut:
-            self.network.messages_cut += 1
-        else:
-            self.network.messages_dropped += 1
-
-    def record_rpc_timeout(self, retry: bool = False) -> None:
-        self.network.rpc_timeouts += 1
-        if retry:
-            self.network.rpc_retries += 1
-
-    def record_false_suspicion(self) -> None:
-        self.network.false_suspicions += 1
-
-    def record_election(self) -> None:
-        """A consensus controller replica started a leader campaign."""
-        self.network.elections += 1
-
-    def record_leader_change(self) -> None:
-        """An election was won by a node other than the previous leader."""
-        self.network.leader_changes += 1
-
-    def record_link_latency(self, src: str, dst: str,
-                            seconds: float) -> None:
-        key = f"{src}->{dst}"
-        histogram = self.link_latencies.get(key)
-        if histogram is None:
-            histogram = self.link_latencies[key] = LinkLatency()
-        histogram.observe(seconds)
-
-    def network_summary(self) -> Dict[str, object]:
-        """Fabric counters plus per-link one-way latency percentiles."""
-        return {
-            "messages_sent": self.network.messages_sent,
-            "messages_dropped": self.network.messages_dropped,
-            "messages_cut": self.network.messages_cut,
-            "delivered": self.network.delivered,
-            "rpc_timeouts": self.network.rpc_timeouts,
-            "rpc_retries": self.network.rpc_retries,
-            "false_suspicions": self.network.false_suspicions,
-            "elections": self.network.elections,
-            "leader_changes": self.network.leader_changes,
-            "links": {link: histogram.summary()
-                      for link, histogram in
-                      sorted(self.link_latencies.items())},
-        }
-
-    # -- disaster recovery -----------------------------------------------------
-
-    def record_dr_ship(self) -> None:
-        self.dr.shipped += 1
-
-    def record_dr_apply(self) -> None:
-        self.dr.applied += 1
-
-    def record_dr_failback(self) -> None:
-        self.dr.failbacks += 1
-
-    def record_dr_false_suspicion(self) -> None:
-        self.dr.false_suspicions += 1
+        stats.count += 1
+        stats.total_width += width
+        stats.max_width = max(stats.max_width, width)
 
     def record_dr_promotion(self, db: str, old_primary: str,
                             new_primary: str, epoch: int,
@@ -436,29 +324,48 @@ class MetricsCollector:
                 promotion.rto_s = seconds
                 return
 
-    def dr_summary(self) -> Dict[str, object]:
-        """RPO/RTO per failover plus ship/apply totals.
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Everything collected, as one JSON-serialisable dict.
 
-        RPO is measured in acked commits lost at promotion (the paper's
-        asynchronous cross-colo replication makes a bounded-loss window
-        explicit); RTO is declare-to-first-successful-statement seconds
-        on the new primary, ``None`` if no client reached it yet.
+        ``per_db``: one row per database that finished any transaction —
+        the outcome counters, the SLA's rejected fraction (and the
+        admission-only subset) and the committed-transaction latency
+        summary (``count, mean, p50, p95, p99``; all zero before the
+        first commit). ``phases`` / ``links``: the same summary per 2PC
+        phase and per directed fabric link. ``fanouts``: broadcast count
+        and widths per label. ``network``: the fabric and detector
+        counters. ``dr``: ship/apply totals plus, per failover, RPO
+        (acked commits lost at promotion — asynchronous cross-colo
+        replication makes a bounded-loss window explicit) and RTO
+        (declare to first successful statement on the new primary;
+        absent until a client lands one).
         """
+        no_commits = Histogram()
         return {
-            "shipped": self.dr.shipped,
-            "applied": self.dr.applied,
-            "promotions": [
-                {"db": p.db, "old_primary": p.old_primary,
-                 "new_primary": p.new_primary, "epoch": p.epoch,
-                 "rpo_commits": p.rpo_commits, "rto_s": p.rto_s}
-                for p in self.dr_promotions
-            ],
-            "rpo_commits": {p.db: p.rpo_commits
-                            for p in self.dr_promotions},
-            "rto_s": {p.db: p.rto_s for p in self.dr_promotions
-                      if p.rto_s is not None},
-            "failbacks": self.dr.failbacks,
-            "false_suspicions": self.dr.false_suspicions,
+            "per_db": {
+                db: {**vars(counters),
+                     "total_finished": counters.total_finished,
+                     "rejected_fraction": counters.rejected_fraction(),
+                     "overload_rejected_fraction":
+                         counters.overload_rejected_fraction(),
+                     "latency": self.db_latencies.get(
+                         db, no_commits).summary()}
+                for db, counters in sorted(self.per_db.items())},
+            "phases": _summaries(self.phase_latencies),
+            "fanouts": {label: {**vars(stats),
+                                "mean_width": stats.mean_width}
+                        for label, stats in sorted(self.fanouts.items())},
+            "network": {**vars(self.network),
+                        "delivered": self.network.delivered},
+            "links": _summaries(self.link_latencies),
+            # "promotions" is the per-failover list here; the counter
+            # of the same name is its length.
+            "dr": {**vars(self.dr),
+                   "promotions": [dict(vars(p)) for p in self.dr_promotions],
+                   "rpo_commits": {p.db: p.rpo_commits
+                                   for p in self.dr_promotions},
+                   "rto_s": {p.db: p.rto_s for p in self.dr_promotions
+                             if p.rto_s is not None}},
         }
 
     # -- aggregates -----------------------------------------------------------
@@ -478,3 +385,8 @@ class MetricsCollector:
 
     def deadlock_rate(self, elapsed: float) -> float:
         return self.total_deadlocks() / elapsed if elapsed > 0 else 0.0
+
+
+def _summaries(histograms: Dict[str, Histogram]) -> Dict[str, Dict[str, float]]:
+    return {name: histogram.summary()
+            for name, histogram in sorted(histograms.items())}

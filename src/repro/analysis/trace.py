@@ -105,12 +105,18 @@ sla_window         one SLA-monitor observation window for one database
 sla_breach         a window's admission-rejected fraction exceeded the
                    tenant's ``max_rejected_fraction`` (``fraction``,
                    ``bound``, ``within_rate``)
+cluster_reset      a repaired colo's cluster was wiped back to blank machines
+db_materialised    a cold database's deferred engine-side DDL ran on its
+                   replicas (first statement, bulk load or copy touching it)
+log_paged_out      a cold tenant's commit log was compacted to stay under
+                   ``max_resident_tenant_logs`` (``dropped`` entries)
 ================== ==========================================================
 
 Adding an event: call ``tracer.emit(kind, db=..., txn=..., machine=...,
-**extra)`` at the site; unknown kinds are accepted (the taxonomy above is
-the audited core set, listed in :data:`EVENT_KINDS`). If the checker
-should understand it, teach :mod:`repro.analysis.invariants` the kind.
+**extra)`` at the site and a row to the table above (``emit`` accepts any
+kind; ``tests/unit/test_code_shape.py`` holds the table to the emit
+sites). If the checker should understand it, teach
+:mod:`repro.analysis.invariants` the kind.
 """
 
 from __future__ import annotations
@@ -118,41 +124,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    TextIO, Union)
-
-#: The documented core event kinds (informational; ``emit`` accepts any).
-EVENT_KINDS = frozenset({
-    "trace_meta",
-    "txn_begin",
-    "write_issued", "write_acked", "write_failed", "poisoned",
-    "fanout_start", "fanout_done",
-    "prepare", "prepare_failed",
-    "decision_logged", "commit_sent", "committed", "decision_cleared",
-    "abort", "rollback",
-    "machine_failed", "copy_abandoned",
-    "rereplication_queued", "rereplication_start", "rereplication_done",
-    "rereplication_abandoned", "rereplication_skipped",
-    "delta_snapshot", "delta_drain_start", "delta_handoff",
-    "machine_catchup_start", "machine_catchup_done",
-    "machine_catchup_failed",
-    "migration_start", "migration_done", "migration_abandoned",
-    "takeover", "takeover_commit", "takeover_abort",
-    "machine_crashed", "machine_suspected", "machine_unsuspected",
-    "machine_declared", "machine_fenced", "machine_readmitted",
-    "machine_repaired",
-    "link_cut", "link_healed", "net_partition", "net_heal_all",
-    "primary_crashed",
-    "ctl_election_start", "ctl_leader_elected", "ctl_lease_renewed",
-    "ctl_stepdown", "ctl_applied", "ctl_takeover", "ctl_crashed",
-    "ctl_repaired", "txn_orphaned",
-    "dr_protect", "dr_ship", "dr_apply", "dr_link_torn",
-    "colo_crashed", "colo_failed", "colo_suspected", "colo_unsuspected",
-    "colo_declared", "colo_fenced", "colo_repaired",
-    "dr_promote", "dr_rto", "dr_reprotect_start", "dr_reprotect_done",
-    "dr_failback",
-    "admission_reject", "shed_read", "sla_window", "sla_breach",
-})
+from typing import (Any, Callable, Dict, Iterable, List, Optional, TextIO,
+                    Union)
 
 
 @dataclass(slots=True)
@@ -190,73 +163,6 @@ class TraceEvent:
                    db=record.get("db"), txn=record.get("txn"),
                    machine=record.get("machine"),
                    extra=dict(record.get("extra", {})))
-
-
-class LatencyHistogram:
-    """Exact-percentile latency accumulator for one phase.
-
-    Simulated runs produce at most a few hundred thousand samples, so we
-    keep them all and sort on demand (cached until the next observation).
-    """
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
-
-    def observe(self, seconds: float) -> None:
-        self._samples.append(seconds)
-        self._sorted = None
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        return (sum(self._samples) / len(self._samples)
-                if self._samples else 0.0)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not self._samples:
-            return 0.0
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile out of range: {p}")
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        rank = max(1, int(round(p / 100.0 * len(self._sorted) + 0.5)))
-        return self._sorted[min(rank, len(self._sorted)) - 1]
-
-    def window_percentile(self, p: float, start: int = 0,
-                          end: Optional[int] = None) -> float:
-        """Nearest-rank percentile over the samples observed between
-        positions ``start`` and ``end`` (in observation order) — lets a
-        caller snapshot :attr:`count` at a phase boundary and compare a
-        baseline window against a later stress window."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile out of range: {p}")
-        window = self._samples[start:end]
-        if not window:
-            return 0.0
-        window.sort()
-        rank = max(1, int(round(p / 100.0 * len(window) + 0.5)))
-        return window[min(rank, len(window)) - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": float(self.count), "mean": self.mean,
-                "p50": self.p50, "p95": self.p95, "p99": self.p99}
 
 
 class Tracer:
@@ -300,9 +206,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events())
-
     def events(self, kind: Optional[str] = None, db: Optional[str] = None,
                txn: Optional[int] = None,
                machine: Optional[str] = None) -> List[TraceEvent]:
@@ -314,35 +217,6 @@ class Tracer:
                 and (db is None or e.db == db)
                 and (txn is None or e.txn == txn)
                 and (machine is None or e.machine == machine)]
-
-    def phase_latencies(self) -> Dict[str, LatencyHistogram]:
-        """Per-phase latency histograms derived from the event stream.
-
-        Phases: ``write`` (write_issued -> acked, per machine),
-        ``prepare`` (first prepare/prepare_failed -> decision_logged) and
-        ``commit`` (decision_logged -> committed), per transaction.
-        """
-        write_issue: Dict[tuple, List[float]] = {}
-        first_prepare: Dict[int, float] = {}
-        decision_at: Dict[int, float] = {}
-        out = {"write": LatencyHistogram(), "prepare": LatencyHistogram(),
-               "commit": LatencyHistogram()}
-        for e in self.events():
-            if e.kind == "write_issued":
-                write_issue.setdefault((e.txn, e.machine), []).append(e.t)
-            elif e.kind == "write_acked":
-                queue = write_issue.get((e.txn, e.machine))
-                if queue:
-                    out["write"].observe(e.t - queue.pop(0))
-            elif e.kind in ("prepare", "prepare_failed"):
-                first_prepare.setdefault(e.txn, e.t)
-            elif e.kind == "decision_logged":
-                decision_at[e.txn] = e.t
-                if e.txn in first_prepare:
-                    out["prepare"].observe(e.t - first_prepare[e.txn])
-            elif e.kind == "committed" and e.txn in decision_at:
-                out["commit"].observe(e.t - decision_at[e.txn])
-        return out
 
     # -- JSONL export / import -------------------------------------------------
 

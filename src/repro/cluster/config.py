@@ -118,11 +118,6 @@ class ClusterConfig:
     # ``covers()`` stays truthful and delta catch-up falls back to a
     # full copy exactly as if the tail had truncated). 0 = unbounded.
     max_resident_tenant_logs: int = 0
-    # Cap on tenants with fully-resident latency histograms in the
-    # metrics collector; colder tenants are summarised on eviction
-    # (counts and percentile snapshot kept, raw samples dropped).
-    # 0 = unbounded.
-    metrics_resident_tenants: int = 0
 
 
 def production_profile(seed: int) -> ClusterConfig:

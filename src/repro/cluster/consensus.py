@@ -458,7 +458,7 @@ class PaxosGroup:
         node.next_campaign_at = (self.sim.now + cfg.election_timeout_s
                                  + self._jitter(node))
         if self.metrics is not None:
-            self.metrics.record_election()
+            self.metrics.network.elections += 1
         if self.trace is not None:
             self.trace.emit("ctl_election_start", machine=node.name,
                             term=ballot_term(ballot, len(self.names)))
@@ -567,7 +567,7 @@ class PaxosGroup:
                             term=node.leader_term,
                             lease_until=node.own_lease_until)
         if self.metrics is not None and self.last_leader != node.name:
-            self.metrics.record_leader_change()
+            self.metrics.network.leader_changes += 1
         self.last_leader = node.name
         # The new term reaches every replica through the log itself.
         self._propose_at(node, node.next_index,

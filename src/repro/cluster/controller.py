@@ -264,13 +264,13 @@ class _Rpc(Event):
         # executing, and goes on doing so.
         self.deadline = None
         ctl = self.ctl
+        ctl.metrics.network.rpc_timeouts += 1
         if self.attempt > self.retries:
-            ctl.metrics.record_rpc_timeout()
             self.fail(RPCTimeoutError(
                 f"{self.label} to {self.machine.name} timed out "
                 f"after {self.attempt} attempts"))
         else:
-            ctl.metrics.record_rpc_timeout(retry=True)
+            ctl.metrics.network.rpc_retries += 1
             self.sim.timeout(ctl.fabric.backoff_delay(
                 self.attempt)).add_callback(self._send)
 
@@ -440,7 +440,8 @@ class RpcLayer:
         returned in issue order.
         """
         names = list(names)
-        self.metrics.record_fanout(label, len(names))
+        if names:
+            self.metrics.record_fanout(label, len(names))
         self.trace.emit("fanout_start", txn=txn_id, label=label,
                         width=len(names), machines=list(names))
         started = self.sim.now
@@ -452,9 +453,9 @@ class RpcLayer:
             yield self.sim.all_of(settled)
         outcomes = [self._outcome(name, proc, at.value - started)
                     for name, proc, at in zip(names, procs, settled)]
+        phase = f"branch:{label}"
         for outcome in outcomes:
-            self.metrics.record_fanout(label, 0,
-                                       branch_latency=outcome.latency)
+            self.metrics.record_phase_latency(phase, outcome.latency)
         self.trace.emit("fanout_done", txn=txn_id, label=label,
                         width=len(outcomes), elapsed=self.sim.now - started)
         return outcomes
@@ -516,7 +517,7 @@ class TxnCoordinator:
         limit = self.config.stmt_cache_size
         while limit > 0 and len(self._stmt_cache) > limit:
             self._stmt_cache.popitem(last=False)
-            self.metrics.record_stmt_cache_eviction()
+            self.metrics.stmt_cache_evictions += 1
         return entry
 
     # -- transaction plumbing -----------------------------------------------------------
@@ -559,7 +560,7 @@ class TxnCoordinator:
         txn = conn.txn
         self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
                         term=txn.term, current_term=self.ctl.consensus.term)
-        self.metrics.record_other_abort(txn.db)
+        self.metrics.db(txn.db).other_aborts += 1
         self._finish(conn, txn)
         raise TransactionAborted(
             "controller leadership changed; the transaction was cleaned "
@@ -595,7 +596,7 @@ class TxnCoordinator:
                               NoReplicaError)):
             self.metrics.record_rejection(txn.db, self.sim.now)
         else:
-            self.metrics.record_other_abort(txn.db)
+            self.metrics.db(txn.db).other_aborts += 1
 
     def _settle_commit(self, txn: _TxnState, outcomes: List[BranchOutcome],
                        lsn: Optional[int] = None) -> bool:
@@ -1084,7 +1085,7 @@ class TxnCoordinator:
         # separately so abort metrics reflect platform behaviour only.
         self._abort_everywhere(conn, txn, kind="rollback",
                                reason="client rollback")
-        self.metrics.record_rollback(txn.db)
+        self.metrics.db(txn.db).rollbacks += 1
         return True
         yield  # pragma: no cover - generator marker
 
@@ -1100,8 +1101,7 @@ class ClusterController:
         self.machines: Dict[str, Machine] = {}
         self.replica_map = ReplicaMap()
         self.router = ReadRouter(self.config.read_option)
-        self.metrics = MetricsCollector(
-            resident_tenants=self.config.metrics_resident_tenants)
+        self.metrics = MetricsCollector()
         self.fabric = NetworkFabric(
             sim, self.config.network, metrics=self.metrics,
             direct_latency_s=self.config.machine.network_latency_s)
@@ -1499,7 +1499,7 @@ class ClusterController:
         self.trace.emit("machine_suspected", machine=name, misses=misses)
 
     def _on_unsuspect(self, name: str, suspected_for: float) -> None:
-        self.metrics.record_false_suspicion()
+        self.metrics.network.false_suspicions += 1
         self.trace.emit("machine_unsuspected", machine=name,
                         suspected_for=suspected_for)
 
@@ -1550,7 +1550,7 @@ class ClusterController:
         self.detector.forget(name)
         holdings, eligible = self.replication.rejoin_eligibility(
             name, machine, self.copy_states)
-        self.metrics.record_false_suspicion()
+        self.metrics.network.false_suspicions += 1
         if not eligible:
             machine.readmit_as_spare()
             if self.machine_reset_hook is not None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Generator, List, Optional, Sequence, Set,
                     Tuple)
 
+from repro.analysis.metrics import Histogram
 from repro.errors import PlatformError
 from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
@@ -72,11 +73,14 @@ class NetworkConfig:
 
 @dataclass
 class LinkStats:
-    """Per-directed-link delivery counters, and the link's FIFO clamp."""
+    """Per-directed-link delivery counters, one-way latency of what
+    arrived, and the link's FIFO clamp."""
 
     sent: int = 0
     dropped: int = 0       # random loss
     cut_dropped: int = 0   # lost to a partition
+    latency: Histogram = field(default_factory=Histogram, repr=False,
+                               compare=False)
     # Earliest time the next message on the link may arrive.
     last_arrival: float = field(default=0.0, init=False, repr=False,
                                 compare=False)
@@ -166,9 +170,11 @@ class NetworkFabric:
         link = self.link_stats.get((src, dst))
         if link is None:
             link = self.link_stats[(src, dst)] = LinkStats()
+            if self.metrics is not None:
+                self.metrics.link_latencies[f"{src}->{dst}"] = link.latency
         link.sent += 1
         if self.metrics is not None:
-            self.metrics.record_message_sent()
+            self.metrics.network.messages_sent += 1
         latency = self.sample_latency()
         dropped = (self.config.drop_probability > 0
                    and self.rng.random() < self.config.drop_probability)
@@ -184,15 +190,14 @@ class NetworkFabric:
         if (src, dst) in self._cuts:
             link.cut_dropped += 1
             if self.metrics is not None:
-                self.metrics.record_message_dropped(cut=True)
+                self.metrics.network.messages_cut += 1
             return False
         if dropped:
             link.dropped += 1
             if self.metrics is not None:
-                self.metrics.record_message_dropped(cut=False)
+                self.metrics.network.messages_dropped += 1
             return False
-        if self.metrics is not None:
-            self.metrics.record_link_latency(src, dst, delay)
+        link.latency.observe(delay)
         return True
 
     def deliver(self, src: str, dst: str) -> Generator:

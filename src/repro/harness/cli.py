@@ -181,7 +181,7 @@ def cmd_faults(args) -> int:
          "recoveries"],
         [[len(run.parts["crashes"].events), run.committed, run.aborted,
           run.rejections, run.throughput_tps, len(run.recoveries)]]))
-    latencies = run.metrics.latency_summary()
+    latencies = run.metrics.snapshot()["phases"]
     if latencies:
         print(format_table(
             ["phase", "count", "mean (s)", "p50 (s)", "p95 (s)", "p99 (s)"],
@@ -216,7 +216,7 @@ def cmd_stampede(args) -> int:
               report.neighbour_p99_ratio, len(run.events("shed_read")),
               len(run.parts["overload_monitor"].breaches),
               len(crashes.events) if crashes is not None else 0]]))
-        summary = run.metrics.per_db_summary()
+        summary = run.metrics.snapshot()["per_db"]
         print(format_table(
             ["db", "committed", "overload rejected", "rejected frac",
              "baseline p99 (s)", "stampede p99 (s)"],
@@ -231,7 +231,8 @@ def cmd_stampede(args) -> int:
 
 def _print_network(metrics) -> None:
     """Fabric delivery counters and per-link latency percentiles."""
-    summary = metrics.network_summary()
+    snapshot = metrics.snapshot()
+    summary, links = snapshot["network"], snapshot["links"]
     print(format_table(
         ["sent", "delivered", "dropped", "cut", "rpc timeouts",
          "rpc retries", "false suspicions", "elections", "leader changes"],
@@ -240,7 +241,6 @@ def _print_network(metrics) -> None:
           summary["rpc_timeouts"], summary["rpc_retries"],
           summary["false_suspicions"], summary["elections"],
           summary["leader_changes"]]]))
-    links = summary["links"]
     if links:
         # Busiest links only; a 6-machine soak has dozens of directions.
         busiest = sorted(links.items(), key=lambda kv: -kv[1]["count"])[:8]
@@ -376,12 +376,11 @@ def cmd_many_tenants(args) -> int:
           result.flash_committed]]))
     print(format_table(
         ["resident logs", "log entries", "lsn maps", "admission buckets",
-         "latency histograms", "summarised", "cold engines", "paged out"],
+         "latency histograms", "cold engines", "paged out"],
         [[result.resident_db_logs, result.resident_log_entries,
           result.resident_replica_lsn_maps,
           result.resident_admission_buckets,
-          result.resident_latency_histograms,
-          result.summarised_latency_tenants, result.cold_engine_tenants,
+          result.resident_latency_histograms, result.cold_engine_tenants,
           result.paged_out_logs]]))
     return _export_cluster(result.controller, args)
 

@@ -459,7 +459,7 @@ def run_dr_soak(
 
     trace = system.trace
     metrics = system.metrics
-    summary = system.dr_summary()
+    summary = metrics.snapshot()["dr"]
     return DrSoakResult(
         sim_seconds=duration_s + drain_s,
         committed=sum(s.committed for s in stats),
@@ -617,6 +617,7 @@ def run_commit_latency_bench(
     sim.run()
 
     metrics = controller.metrics
+    snapshot = metrics.snapshot()
     return CommitLatencyBenchResult(
         replicas=replicas,
         write_policy=write_policy,
@@ -624,8 +625,8 @@ def run_commit_latency_bench(
         committed=metrics.total_committed(),
         aborted=sum(s.aborted for s in stats),
         sim_seconds=sim.now,
-        latencies=metrics.latency_summary(),
-        fanouts=metrics.fanout_summary(),
+        latencies=snapshot["phases"],
+        fanouts=snapshot["fanouts"],
         metrics=metrics,
         controller=controller,
     )
@@ -656,7 +657,6 @@ class ManyTenantsResult:
     resident_replica_lsn_maps: int
     resident_admission_buckets: int
     resident_latency_histograms: int
-    summarised_latency_tenants: int
     cold_engine_tenants: int
     paged_out_logs: int
     metrics: MetricsCollector
@@ -693,7 +693,6 @@ def run_many_tenants(
         # Resident-state caps well above the hot set of the usual sizes
         # and far below the population: what the gauges are held to.
         max_resident_tenant_logs=64,
-        metrics_resident_tenants=64,
     )
     config.admission.max_resident_buckets = 256
     controller = ClusterController(sim, config)
@@ -807,7 +806,6 @@ def run_many_tenants(
                                     if controller.admission is not None
                                     else 0),
         resident_latency_histograms=len(metrics.db_latencies),
-        summarised_latency_tenants=len(metrics.db_latency_summaries),
         cold_engine_tenants=len(controller._cold_dbs),
         paged_out_logs=len(controller.trace.events(kind="log_paged_out")),
         metrics=metrics,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
+from repro.analysis.metrics import Histogram
 from repro.cluster import ClusterConfig, WritePolicy
 from repro.cluster.config import production_profile
 from repro.cluster.network import NetworkConfig
@@ -188,7 +189,7 @@ def stampede(admission: bool, duration_s: float = 40.0,
             db: (c.committed, c.overload_rejected, c.total_finished)
             for db, c in metrics.per_db.items()}
         run.marks["latencies"] = {
-            db: histogram.count
+            db: histogram.copy()
             for db, histogram in metrics.db_latencies.items()}
         for client_id in range(hot_clients):
             run.spawn_client(0, 100 + client_id, think_time_s=0.02)
@@ -255,11 +256,11 @@ def stampede_report(run: Run) -> StampedeReport:
     stampede_p99: Dict[str, float] = {}
     ratios = []
     for db, histogram in sorted(metrics.db_latencies.items()):
-        mark = latency_marks.get(db, 0)
-        baseline_p99[db] = histogram.window_percentile(99.0, 0, mark)
-        stampede_p99[db] = histogram.window_percentile(99.0, mark)
-        if (db != HOT_DB and mark > 0 and histogram.count > mark
-                and baseline_p99[db] > 0):
+        baseline = latency_marks.get(db, Histogram())
+        baseline_p99[db] = baseline.percentile(99.0)
+        stampede_p99[db] = histogram.minus(baseline).percentile(99.0)
+        if (db != HOT_DB and baseline_p99[db] > 0
+                and histogram.count > baseline.count):
             ratios.append(stampede_p99[db] / baseline_p99[db])
 
     hot_window = max(run.sim.now - run.marks["ramp_at_s"], 1e-9)

@@ -243,7 +243,7 @@ class SystemController:
         link.shipped += 1
         link.log[seq] = list(writes)
         link.queue.put(seq)
-        self.metrics.record_dr_ship()
+        self.metrics.dr.shipped += 1
         self.trace.emit("dr_ship", db=link.db, rseq=seq,
                         src=link.primary, dst=link.standby)
 
@@ -260,7 +260,7 @@ class SystemController:
     def _record_apply(self, link: ReplicationLink, seq: int) -> None:
         link.applied += 1
         link.applied_seq = seq
-        self.metrics.record_dr_apply()
+        self.metrics.dr.applied += 1
         self.trace.emit("dr_apply", db=link.db, rseq=seq,
                         machine=link.standby)
 
@@ -381,7 +381,7 @@ class SystemController:
         self.trace.emit("colo_suspected", machine=name, misses=misses)
 
     def _on_unsuspect(self, name: str, suspected_for: float) -> None:
-        self.metrics.record_dr_false_suspicion()
+        self.metrics.dr.false_suspicions += 1
         self.trace.emit("colo_unsuspected", machine=name,
                         suspected_for=suspected_for)
 
@@ -389,7 +389,7 @@ class SystemController:
         # False declaration: the colo was alive behind a partition. Its
         # state is stale (its databases were promoted away); it rejoins
         # blank through failback.
-        self.metrics.record_dr_false_suspicion()
+        self.metrics.dr.false_suspicions += 1
         self.repair_colo(name)
 
     def _declare_colo_allowed(self, name: str) -> bool:
@@ -666,7 +666,7 @@ class SystemController:
         self.trace.emit("dr_protect", db=db, primary=primary,
                         standby=target_name, base_seq=0)
         if failback:
-            self.metrics.record_dr_failback()
+            self.metrics.dr.failbacks += 1
             self.trace.emit("dr_failback", db=db, machine=target_name)
         return True
 
@@ -685,6 +685,3 @@ class SystemController:
         if link is None:
             return 0
         return link.shipped - link.applied
-
-    def dr_summary(self) -> Dict[str, object]:
-        return self.metrics.dr_summary()

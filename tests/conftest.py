@@ -6,10 +6,16 @@ import dataclasses
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterConfig, ClusterController, ReadOption, WritePolicy
 from repro.engine import Engine
 from repro.sim import Simulator
+
+# Tier-1 runs Hypothesis unseeded so it keeps exploring; a failure
+# prints the @reproduce_failure blob, which replays it from the log.
+settings.register_profile("tier1", print_blob=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

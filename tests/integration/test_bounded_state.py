@@ -8,7 +8,8 @@ entries and the WAL prefix below it. These tests run a
 every table to the *same* bound, then poke at the three ways the
 watermark could be unsafe: a late duplicate of a closed transaction, a
 fresh statement under a closed id, and a rejoin whose skip set lives in
-the part of a WAL its peers have long checkpointed.
+the part of a WAL its peers have long checkpointed. The same two runs
+hold the latency histograms to one size (DESIGN §4r).
 """
 
 import pytest
@@ -102,14 +103,27 @@ PROFILES = {"production": production_profile(5),
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_tables_hold_the_same_bound_after_n_and_3n_commits(sim, profile):
     controller = build(sim, PROFILES[profile])
-    logged = []
+    metrics = controller.metrics
+    logged, observed, histograms = [], [], []
     for commits in (300, 900):
         peak = run_clients(sim, controller, commits)
         assert max(peak.values()) <= BOUND, (commits, peak)
         logged.append(sum(m.engine.wal.stats.records
                           for m in controller.machines.values()))
+        observed.append(sum(h.count for group in (
+            metrics.phase_latencies, metrics.link_latencies,
+            metrics.db_latencies) for h in group.values()))
+        sizes = state_sizes(controller)
+        histograms.append((sizes["metrics_histograms"],
+                           sizes["metrics_histogram_buckets"]))
     # ... while the log itself kept growing: the bound is not vacuous.
     assert logged[1] > 3 * logged[0] > 30 * BOUND
+    # The measurement plane (DESIGN §4r): as many histograms after 3N
+    # commits as after N, the largest still the three octaves its phase
+    # spans (a few buckets of fresh tail), on three times the samples.
+    assert observed[1] > 3 * observed[0] > 10 * 300
+    assert histograms[1][0] == histograms[0][0]
+    assert histograms[0][1] <= histograms[1][1] <= histograms[0][1] + 16 <= 112
     assert check_bounds(controller) == []
     assert controller.txns.rpc.open == {}
 

@@ -238,7 +238,7 @@ class TestDetectionDrivenFailover:
         proc = commit_n(platform, "app", 1)
         platform.sim.run(until=70.0)
         assert proc.ok
-        summary = platform.system.dr_summary()
+        summary = platform.system.metrics.snapshot()["dr"]
         assert len(summary["promotions"]) == 1
         promo = summary["promotions"][0]
         assert promo["rpo_commits"] >= 0
@@ -259,7 +259,7 @@ class TestDetectionDrivenFailover:
         assert platform.system.replication_lag("app") == 0
         # Snapshot + catch-up: the fresh standby holds the full history
         # the new primary has (3 pre-failover commits minus RPO, plus 4).
-        rpo = platform.system.dr_summary()["promotions"][0]["rpo_commits"]
+        rpo = platform.system.metrics.snapshot()["dr"]["promotions"][0]["rpo_commits"]
         assert standby_value(platform, "app") == 3 - rpo + 4
 
 
@@ -278,7 +278,7 @@ class TestReprotectAndFailback:
         platform.system.repair_colo(primary)
         platform.sim.run(until=120.0)
         assert platform.system.placements["app"] == (standby, primary)
-        assert platform.system.dr_summary()["failbacks"] == 1
+        assert platform.system.metrics.snapshot()["dr"]["failbacks"] == 1
         kinds = [e.kind for e in platform.system.trace.events()]
         assert "dr_failback" in kinds
         # The repaired colo rejoined blank and re-learned the data via

@@ -64,7 +64,7 @@ class TestAdmissionEndToEnd:
         counters = controller.metrics.per_db["kv"]
         assert counters.overload_rejected == len(rejected)
         assert counters.rejected == len(rejected)
-        summary = controller.metrics.per_db_summary()["kv"]
+        summary = controller.metrics.snapshot()["per_db"]["kv"]
         assert summary["overload_rejected"] == len(rejected)
         assert summary["overload_rejected_fraction"] == pytest.approx(
             len(rejected) / len(outcomes))

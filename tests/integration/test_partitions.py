@@ -127,7 +127,7 @@ class TestPartitionSoak:
         assert result.committed > 0
         assert result.parts["partitions"].events, \
             "expected partition episodes"
-        summary = result.metrics.network_summary()
+        summary = result.metrics.snapshot()["network"]
         assert summary["messages_sent"] > 0
         assert summary["delivered"] <= summary["messages_sent"]
         # The drain healed everything; no suspicion dangles.

@@ -233,7 +233,7 @@ class TestReplicationAccounting:
         platform.sim.run(until=t + 10.0)
         assert not link.applier.is_alive
         assert platform.system.placements["app"] == (standby, None)
-        promo = platform.system.dr_summary()["promotions"][0]
+        promo = platform.system.metrics.snapshot()["dr"]["promotions"][0]
         assert promo["rpo_commits"] == 1
 
         def reader():

@@ -50,12 +50,12 @@ class GeneratorRpc:
                 if ok:
                     return value
                 raise value
+            self.metrics.network.rpc_timeouts += 1
             if attempt > retries:
-                self.metrics.record_rpc_timeout()
                 raise RPCTimeoutError(
                     f"{label} to {machine.name} timed out "
                     f"after {attempt} attempts")
-            self.metrics.record_rpc_timeout(retry=True)
+            self.metrics.network.rpc_retries += 1
             yield self.sim.timeout(self.fabric.backoff_delay(attempt))
 
     def _rpc_attempt(self, machine: Machine, make_body, msg_id: int,

@@ -20,7 +20,8 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.invariants import check_bounds, check_controller
+from repro.analysis.invariants import (check_bounds, check_controller,
+                                       suspicion_horizon_s)
 from repro.engine.wal import WriteAheadLog
 from repro.harness import soaks
 from repro.harness.scenario import run_scenario
@@ -46,6 +47,11 @@ def test_fault_soak_with_delta_audits_clean(seed):
 # PREPARE was in flight, and the controller counted the late vote from
 # the now-fenced replica (fenced-replica-never-serves).
 @example(seed=319)
+# Seed 715: the lossy fabric dropped two heartbeats of a live machine,
+# it was suspected at t = 44.50 and the finale crashed the primary at
+# 45.0 — the detector stops with its primary, so no probe was left to
+# clear the suspicion, and the audit called it dangling.
+@example(seed=715)
 def test_partition_soak_with_delta_audits_clean(seed):
     result = run_scenario(soaks.partitions(
         duration_s=15.0, drain_s=30.0, seed=seed, copy="delta"))
@@ -53,8 +59,12 @@ def test_partition_soak_with_delta_audits_clean(seed):
     violations = check_controller(result.controller,
                                   expect_recovery_complete=True)
     assert not violations, "\n".join(str(v) for v in violations)
-    # The drain healed every partition; no suspicion dangles.
-    assert not result.controller.detector.suspected
+    # The drain healed every partition: no suspicion dangles but one the
+    # detector had no time left to resolve before the finale stopped it.
+    stopped_at = result.marks["primary_crashed_at"]
+    horizon_s = suspicion_horizon_s(result.controller.config)
+    assert all(stopped_at - since < horizon_s
+               for since in result.controller.detector.suspected.values())
 
 
 def _checkpoint_everywhere(run):

@@ -4,13 +4,17 @@ ROADMAP needle 2 asks for one implementation per mechanism and no
 1.5k-line class; DESIGN §4p says where the one remaining message-path
 fork lives and why. A change that grows a class past the line, adds a
 third ``fabric.enabled`` site, a config field or a forwarding method
-fails here first and has to say why.
+fails here first and has to say why. DESIGN §4r adds the measurement
+plane's shape: one histogram class, one read-out, counters written
+where they live, and an event taxonomy that matches the emit sites.
 """
 
 import ast
 import dataclasses
 import pathlib
+import re
 
+from repro.analysis import trace
 from repro.cluster.config import ClusterConfig, production_profile
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -75,7 +79,6 @@ def test_cluster_config_surface_is_pinned():
         "admission",
         "lazy_engine_ddl",
         "max_resident_tenant_logs",
-        "metrics_resident_tenants",
     ]
 
 
@@ -141,3 +144,61 @@ def test_production_profile_is_the_benchmarks_profile():
         assert hasattr(target, leaf), path
         setattr(target, leaf, value)
     assert applied == production_profile(7)
+
+
+def methods(cls):
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_metrics_collector_is_counters_plus_one_snapshot():
+    """A one-line ``x += 1`` forward or a second hand-written view is
+    what PR 23 deleted: the site writes the typed counter it means and
+    ``snapshot()`` is the read-out."""
+    collector = next(node for node in parse(SRC / "analysis" / "metrics.py").body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "MetricsCollector")
+    names = [node.name for node in methods(collector)]
+    assert len([name for name in names if name.startswith("record_")]) <= 8
+    assert [name for name in names if name.endswith("_summary")] == []
+    assert [node.name for node in methods(collector)
+            if node.returns is not None
+            and ast.unparse(node.returns).startswith("Dict")] == ["snapshot"]
+
+
+def test_one_histogram_class():
+    """One class takes samples and answers with percentiles."""
+    percentile = re.compile(r"percentile|p\d+$|summary$")
+    found = [f"{path.relative_to(SRC)}:{node.name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.ClassDef)
+             and "observe" in {m.name for m in methods(node)}
+             and any(percentile.match(m.name) for m in methods(node))]
+    assert found == ["analysis/metrics.py:Histogram"]
+
+
+def test_every_emitted_kind_is_in_the_taxonomy_table():
+    """The table in ``repro.analysis.trace``'s docstring is the one list
+    of event kinds; a literal kind passed to ``.emit(`` anywhere under
+    ``src/`` has a row (``name_*`` / ``name*`` rows are prefixes,
+    ``link_cut/healed`` is two kinds)."""
+    exact, prefixes = set(), []
+    for row in re.findall(r"^([a-z_]+[*/a-z]*) ", trace.__doc__, re.M):
+        head, _, alternative = row.partition("/")
+        if head.endswith("*"):
+            prefixes.append(head[:-1])
+        else:
+            exact.add(head)
+        if alternative:
+            exact.add(f"{head.rsplit('_', 1)[0]}_{alternative}")
+    emitted = {node.args[0].value: f"{path.relative_to(SRC)}:{node.lineno}"
+               for path in sorted(SRC.rglob("*.py"))
+               for node in ast.walk(parse(path))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "emit" and node.args
+               and isinstance(node.args[0], ast.Constant)}
+    assert len(emitted) > 60 and {"committed", "link_healed"} <= set(emitted)
+    assert {kind: site for kind, site in emitted.items()
+            if kind not in exact
+            and not any(kind.startswith(p) for p in prefixes)} == {}

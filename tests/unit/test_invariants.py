@@ -404,6 +404,31 @@ class TestPartitionRules:
         ))
         assert rules(violations) == ["suspicion-eventually-resolves"]
 
+    def test_suspicion_the_detector_had_no_time_to_resolve_is_excused(self):
+        # Suspected 0.5 s before the primary (and its detector) stopped.
+        steps = (("machine_suspected", {"machine": "m0", "t": 44.5}),
+                 ("primary_crashed", {"t": 45.0}),
+                 ("takeover", {"t": 46.4}))
+        assert check_trace(ctrace(*steps), suspicion_horizon_s=2.0) == []
+        assert rules(check_trace(ctrace(*steps))) == [
+            "suspicion-eventually-resolves"]
+        # ... and the same at the end of a trace without a crash.
+        assert check_trace(ctrace(*steps[:1], ("net_heal_all", {"t": 46.0})),
+                           suspicion_horizon_s=2.0) == []
+
+    def test_suspicion_older_than_the_horizon_still_dangles(self):
+        violations = check_trace(ctrace(
+            ("machine_suspected", {"machine": "m0", "t": 42.5}),
+            ("primary_crashed", {"t": 45.0}),
+            ("machine_suspected", {"machine": "m1", "t": 45.5}),
+            ("takeover", {"t": 48.0}),
+        ), suspicion_horizon_s=2.0)
+        # m0 had 2.5 s of probes; m1's detector (the backup's, after the
+        # take-over) ran on to the end of the trace, 2.5 s later.
+        assert [(v.rule, v.seq) for v in violations] == [
+            ("suspicion-eventually-resolves", 0),
+            ("suspicion-eventually-resolves", 2)]
+
     def test_suspicion_resolved_by_answer(self):
         violations = check_trace(trace(
             ("machine_suspected", {"machine": "m0"}),

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.trace import (LatencyHistogram, TraceEvent, Tracer,
-                                  load_jsonl)
+from repro.analysis.trace import TraceEvent, Tracer, load_jsonl
 
 
 class TestRingBuffer:
@@ -127,41 +126,3 @@ class TestJsonlRoundTrip:
         assert event.extra == {"note": "x"}
         with pytest.raises(AttributeError):
             event.span = 1
-
-
-class TestLatencyHistogram:
-    def test_empty_histogram_is_zero(self):
-        hist = LatencyHistogram()
-        assert hist.count == 0
-        assert hist.mean == 0.0
-        assert hist.p50 == 0.0
-
-    def test_percentiles_nearest_rank(self):
-        hist = LatencyHistogram()
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-            hist.observe(v)
-        assert hist.count == 5
-        assert hist.mean == pytest.approx(3.0)
-        assert hist.p50 == 3.0
-        assert hist.p99 == 5.0
-        assert hist.percentile(0.0) == 1.0
-        assert hist.percentile(100.0) == 5.0
-        with pytest.raises(ValueError):
-            hist.percentile(101.0)
-
-    def test_phase_latencies_from_trace(self):
-        now = {"t": 0.0}
-        tracer = Tracer(clock=lambda: now["t"])
-        tracer.emit("write_issued", txn=1, machine="m0")
-        now["t"] = 0.2
-        tracer.emit("write_acked", txn=1, machine="m0")
-        tracer.emit("prepare", txn=1, machine="m0")
-        now["t"] = 0.5
-        tracer.emit("decision_logged", txn=1)
-        now["t"] = 0.6
-        tracer.emit("committed", txn=1)
-        phases = tracer.phase_latencies()
-        assert phases["write"].count == 1
-        assert phases["write"].p50 == pytest.approx(0.2)
-        assert phases["prepare"].p50 == pytest.approx(0.3)
-        assert phases["commit"].p50 == pytest.approx(0.1)
