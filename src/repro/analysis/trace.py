@@ -14,11 +14,16 @@ kind               emitted when
 trace_meta         tracer attached; carries policy/replication configuration
 txn_begin          a connection opens a new transaction
 write_issued       a write statement is fanned out to one replica
-write_acked        that replica finished the write
-write_failed       that replica's write errored (``error`` names the type)
+write_acked        that replica's ack reached the coordinator — stamped at
+                   that instant, whatever the other replicas are doing
+write_failed       that replica's write branch settled any other way,
+                   stamped likewise (``error`` names the exception type,
+                   or is "moot" for an answer from a machine declared
+                   dead meanwhile)
 poisoned           an aggressive-mode background write failure was recorded
 prepare            2PC phase 1 succeeded on one participant
-prepare_failed     2PC phase 1 errored on one participant
+prepare_failed     one participant's PREPARE branch settled any other way
+                   (``error`` as for ``write_failed``)
 fanout_start       a coordinator broadcast was issued (``label`` names the
                    phase, ``width`` the branch count)
 fanout_done        every gathered branch of that broadcast settled

@@ -71,34 +71,7 @@ class TransactionAborted(PlatformError):
         self.cause = cause
 
 
-@dataclass
-class BranchOutcome:
-    """The settled result of one branch of a coordinator fan-out."""
-
-    machine: str
-    ok: bool
-    value: Any                  # result when ok, exception otherwise
-    latency: float              # issue-to-settle, in sim seconds
-
-    @property
-    def fatal(self) -> bool:
-        """A failure the coordinator must abort on.
-
-        A *dead* replica (plain :class:`MachineFailedError`) is skipped —
-        survivors carry the write. Silence (:class:`RPCTimeoutError`,
-        which subclasses it) is fatal for PREPARE: the participant may be
-        alive with an un-prepared branch, so presumed-abort applies. Any
-        other error (un-prepared branch, write-count gap, divergence) is
-        fatal too.
-        """
-        if self.ok:
-            return False
-        if isinstance(self.value, RPCTimeoutError):
-            return True
-        return not isinstance(self.value, MachineFailedError)
-
-
-@dataclass
+@dataclass(slots=True)
 class _TxnState:
     """Controller-side state of one open transaction."""
 
@@ -110,17 +83,14 @@ class _TxnState:
     # must not continue under the new leader.
     term: int = 0
     touched: Set[str] = field(default_factory=set)       # machines with locks
-    write_participants: Set[str] = field(default_factory=set)
-    wrote: bool = False
     poisoned: Optional[BaseException] = None             # deferred failure
     finished: bool = False
     # Write statements in issue order, for async cross-colo shipping.
     write_log: List[Tuple[str, Tuple[Any, ...]]] = field(default_factory=list)
-    # Write statements *sent* per machine; PREPARE carries the count so a
-    # replica whose branch missed a dropped write refuses to prepare.
+    # Write statements *sent* per machine: its keys are the 2PC write
+    # participants, and PREPARE carries the count so a replica whose
+    # branch missed a dropped write refuses to prepare.
     writes_sent: Dict[str, int] = field(default_factory=dict)
-
-
 
 
 class Connection:
@@ -166,6 +136,18 @@ class Connection:
                 # gauge) must still be released here, or it leaks.
                 self.txns._finish(self, self.txn)
         self.closed = True
+
+
+def _failure(settled: Event, name: str) -> BaseException:
+    """What a failed machine process or RPC to ``name`` failed with. A
+    body torn down by an interrupt it did not translate (between ops,
+    say) died with its machine."""
+    exc = settled.value
+    if isinstance(exc, Interrupt):
+        cause = exc.cause
+        exc = (cause if isinstance(cause, BaseException)
+               else MachineFailedError(name))
+    return exc
 
 
 class _Rpc(Event):
@@ -245,12 +227,7 @@ class _Rpc(Event):
         proc = self.proc
         if proc.ok:
             return self.succeed(proc.value)
-        exc = proc.value
-        if isinstance(exc, Interrupt):
-            cause = exc.cause
-            exc = (cause if isinstance(cause, BaseException)
-                   else MachineFailedError(self.machine.name))
-        self.fail(exc)
+        self.fail(_failure(proc, self.machine.name))
 
     def _silence(self) -> None:
         remaining = self.expires - self.sim.now
@@ -276,7 +253,7 @@ class _Rpc(Event):
 
 
 class RpcLayer:
-    """Controller→machine messages: one RPC, or a broadcast gathered.
+    """Controller→machine messages, one RPC at a time.
 
     Knows nothing of transactions beyond the id a message carries. This
     is the one class that knows whether the fabric is on: :meth:`send`
@@ -379,9 +356,11 @@ class RpcLayer:
             targets = self.live_targets(sorted(names))
             for name in targets:
                 self.hold(txn_id)
-                self.issue_branch(
-                    name, lambda m: m.abort_body(txn_id), txn_id=txn_id,
-                    label="abort").add_callback(partial(self.release, txn_id))
+                branch = self.send(self.machines[name],
+                                   lambda m: m.abort_body(txn_id), txn_id,
+                                   "abort")
+                branch.defused = True  # nobody waits: a lost ABORT is moot
+                branch.add_callback(partial(self.release, txn_id))
             if targets:
                 self.metrics.record_fanout("abort", len(targets))
         else:
@@ -391,74 +370,119 @@ class RpcLayer:
                     machine.close_below(self.low)
                     machine.abort_local(txn_id)
 
-    # -- scatter/gather fan-out (the commit-path broadcast primitive) ------------------
 
-    def issue_branch(self, name: str,
-                     make_body: Callable[[Machine], Generator], *,
-                     txn_id: int, label: str,
-                     retries: Optional[int] = None) -> Event:
-        """Start one branch RPC without waiting on it; returns the event
-        that settles with its result (the machine's process, or the
-        :class:`_Rpc` to it)."""
-        proc = self.send(self.machines[name], make_body, txn_id, label,
-                         retries=retries)
-        # The coordinator observes every branch outcome itself (gathered
-        # BranchOutcome, or the write wait policies); defuse so one early
-        # branch failure cannot crash the kernel before it gets there.
-        proc.defused = True
-        return proc
+# What a settled branch of a broadcast means (DESIGN §4s): the machine
+# answered; visibly died; stayed silent past every retransmission (maybe
+# alive); is no longer a replica, so whatever came back is moot; or
+# answered with an error.
+OK, DEAD, SILENT, MOOT, REFUSED = "ok", "dead", "silent", "moot", "refused"
 
-    def settled(self, proc: Event) -> Event:
-        """An event that succeeds (never fails) when ``proc`` settles;
-        its value is the settle instant."""
-        settled = self.sim.event()
-        proc.add_callback(lambda _proc: settled.succeed(self.sim.now))
-        return settled
+#: What the branches of each broadcast leave behind, by label: the phase
+#: histogram their latency goes to, the trace kind of an ``ok`` branch and
+#: of any other (COMMIT's are traced as they leave, ``commit_sent``), and
+#: whether the broadcast counts as a 2PC fan-out (``metrics.fanouts``,
+#: bracketed by ``fanout_start`` / ``fanout_done``).
+_BROADCASTS = {
+    "write": ("write", "write_acked", "write_failed", False),
+    "prepare": ("branch:prepare", "prepare", "prepare_failed", True),
+    "commit": ("branch:commit", None, None, True),
+    "commit-ro": ("branch:commit-ro", None, None, True),
+}
 
-    @staticmethod
-    def _outcome(name: str, proc: Event, latency: float) -> BranchOutcome:
-        value = proc.value
-        if not proc.ok and isinstance(value, Interrupt):
-            # The branch body died without translating its interrupt
-            # (e.g. torn down between ops): a machine failure.
-            cause = value.cause
-            value = (cause if isinstance(cause, BaseException)
-                     else MachineFailedError(name))
-        return BranchOutcome(machine=name, ok=proc.ok, value=value,
-                             latency=latency)
 
-    def fanout(self, names: Sequence[str],
-               make_body: Callable[[Machine], Generator], *,
-               txn_id: int, label: str,
-               retries: Optional[int] = None) -> Generator:
-        """Broadcast one RPC to ``names`` and gather every branch outcome.
+class _Gather(Event):
+    """One broadcast to ``names``, and the event its coordinator waits on.
 
-        All branches leave at once and the *complete* set of outcomes
-        is awaited: one round trip per phase whatever the replication
-        factor, and exactly what presumed-abort needs (a timed-out
-        branch aborts even when another answered first). Outcomes are
-        returned in issue order.
-        """
-        names = list(names)
-        if names:
-            self.metrics.record_fanout(label, len(names))
-        self.trace.emit("fanout_start", txn=txn_id, label=label,
-                        width=len(names), machines=list(names))
-        started = self.sim.now
-        procs = [self.issue_branch(name, make_body, txn_id=txn_id,
-                                   label=label, retries=retries)
-                 for name in names]
-        settled = [self.settled(proc) for proc in procs]
-        if settled:
-            yield self.sim.all_of(settled)
-        outcomes = [self._outcome(name, proc, at.value - started)
-                    for name, proc, at in zip(names, procs, settled)]
-        phase = f"branch:{label}"
-        for outcome in outcomes:
-            self.metrics.record_phase_latency(phase, outcome.latency)
-        self.trace.emit("fanout_done", txn=txn_id, label=label,
-                        width=len(outcomes), elapsed=self.sim.now - started)
-        return outcomes
+    Every branch leaves at once through :meth:`RpcLayer.send` and
+    carries exactly one callback. It runs at the branch's own settle
+    instant: classify the branch (once, for every phase), record its
+    latency and trace event, count down. ``need="all"`` succeeds with
+    the ``(name, class, value)`` outcomes, in settle order, when the last
+    branch settles — one round trip per phase whatever the replication
+    factor, and the complete set presumed-abort needs. ``need="first"``
+    succeeds at the first branch that decides (``ok`` or ``refused``), or
+    when none is left; the callbacks of the others stay where they are and
+    hand each late outcome to ``on_late`` at its own instant.
+    """
+
+    __slots__ = ("txns", "txn", "label", "need", "on_late", "started",
+                 "left", "outcomes", "phase", "acked", "failed", "counted")
+
+    def __init__(self, txns: "TxnCoordinator", txn: _TxnState,
+                 names: Sequence[str],
+                 make_body: Callable[[Machine], Generator], label: str,
+                 need: str = "all", retries: Optional[int] = None,
+                 on_late: Optional[Callable] = None):
+        Event.__init__(self, txns.sim)
+        self.txns = txns
+        self.txn = txn
+        self.label = label
+        self.need = need
+        self.on_late = on_late
+        self.started = self.sim.now
+        self.left = len(names)
+        self.outcomes: List[Tuple[str, str, Any]] = []
+        self.phase, self.acked, self.failed, self.counted = _BROADCASTS[label]
+        if self.counted:
+            if names:
+                txns.metrics.record_fanout(label, len(names))
+            txns.trace.emit("fanout_start", txn=txn.txn_id, label=label,
+                            width=len(names), machines=list(names))
+        for name in names:
+            branch = txns.rpc.send(txns.machines[name], make_body,
+                                   txn.txn_id, label, retries=retries)
+            # Observed right here, whatever it settles with: one early
+            # failure must not crash the kernel first.
+            branch.defused = True
+            branch.add_callback(partial(self._settled, name))
+        if not names:
+            self._done()
+
+    def _classify(self, name: str, branch: Event) -> Tuple[str, Any]:
+        """``(class, result or error)`` of a branch that just settled."""
+        if branch.ok:
+            value = branch.value
+            outcome = OK
+        else:
+            value = _failure(branch, name)
+            if isinstance(value, RPCTimeoutError):
+                outcome = SILENT
+            elif isinstance(value, MachineFailedError):
+                outcome = DEAD
+            else:
+                outcome = REFUSED
+        if not self.txns._serves(self.txn.db, name):
+            outcome = MOOT
+        return outcome, value
+
+    def _settled(self, name: str, branch: Event) -> None:
+        txns, txn = self.txns, self.txn
+        outcome, value = self._classify(name, branch)
+        txns.metrics.record_phase_latency(self.phase,
+                                          self.sim.now - self.started)
+        if outcome is OK:
+            if self.acked:
+                txns.trace.emit(self.acked, db=txn.db, txn=txn.txn_id,
+                                machine=name)
+        elif self.failed:
+            # (A moot branch may have answered: there is no error to name.)
+            txns.trace.emit(self.failed, db=txn.db, txn=txn.txn_id,
+                            machine=name, error=outcome if branch.ok
+                            else type(value).__name__)
+        self.left -= 1
+        if self.triggered:
+            return self.on_late(txn, name, outcome, value)
+        self.outcomes.append((name, outcome, value))
+        if not self.left or (self.need == "first"
+                             and outcome in (OK, REFUSED)):
+            self._done()
+
+    def _done(self) -> None:
+        if self.counted:
+            self.txns.trace.emit("fanout_done", txn=self.txn.txn_id,
+                                 label=self.label, width=len(self.outcomes),
+                                 elapsed=self.sim.now - self.started)
+        self.succeed(self.outcomes)
 
 
 class TxnCoordinator:
@@ -546,7 +570,7 @@ class TxnCoordinator:
         if txn.finished:
             return
         txn.finished = True
-        if txn.wrote:
+        if txn.writes_sent:
             self.replication.writer_finished(txn.db, txn.txn_id)
         self.router.forget(txn.txn_id)
         self.rpc.release(txn.txn_id)
@@ -598,34 +622,33 @@ class TxnCoordinator:
         else:
             self.metrics.db(txn.db).other_aborts += 1
 
-    def _settle_commit(self, txn: _TxnState, outcomes: List[BranchOutcome],
+    def _settle_commit(self, txn: _TxnState,
+                       outcomes: List[Tuple[str, str, Any]],
                        lsn: Optional[int] = None) -> bool:
-        """Resolve the gathered outcomes of a COMMIT (or read-only
+        """Act on the gathered outcomes of a COMMIT (or read-only
         release) broadcast; True while a participant still owes an ack.
 
-        The decision is made and durable, so a dead replica is skipped
-        (its locks died with it) and an unreachable one — maybe alive,
+        The decision is made and durable, so a dead or moot replica is
+        skipped (its locks died with it) and a silent one — maybe alive,
         holding locks — just keeps receiving COMMIT in the background
         until it acks, dies, or is fenced (``commit_body`` is
         idempotent). An acked write participant advances its replica LSN.
         """
         redelivering = False
-        for outcome in outcomes:
-            name = outcome.machine
-            if outcome.ok:
-                if lsn is not None and name in txn.write_participants:
-                    self.replication.advance(txn.db, name, lsn)
-            elif isinstance(outcome.value, RPCTimeoutError):
+        for name, outcome, value in outcomes:
+            applied = lsn if name in txn.writes_sent else None
+            if outcome is OK:
+                if applied is not None:
+                    self.replication.advance(txn.db, name, applied)
+            elif outcome is SILENT:
                 self.rpc.hold(txn.txn_id)
                 proc = self.sim.process(
-                    self._redeliver_commit(
-                        txn.db, txn.txn_id, name,
-                        lsn if name in txn.write_participants else None),
+                    self._redeliver_commit(txn.db, txn.txn_id, name, applied),
                     name=f"redeliver:{txn.txn_id}:{name}")
                 proc.defused = True
                 redelivering = True
-            elif not isinstance(outcome.value, MachineFailedError):
-                raise outcome.value
+            elif outcome is REFUSED:
+                raise value
         return redelivering
 
     def _redeliver_commit(self, db: str, txn_id: int, name: str,
@@ -667,12 +690,17 @@ class TxnCoordinator:
             self.replication.untrack(db, name)
         self.rpc.release(txn_id)
 
-    def _still_replica(self, db: str, name: str) -> bool:
-        """Is ``name`` still in ``db``'s replica set? False once the
-        failure detector declared it dead mid-operation (its in-flight
-        branch outcomes are moot — survivors carry the transaction)."""
-        return (self.replica_map.has(db)
-                and name in self.replica_map.replicas_view(db))
+    def _serves(self, db: str, name: str) -> bool:
+        """Does ``name`` still carry ``db`` — in its replica set, or as
+        the target a running copy writes through to (Algorithm 1)? False
+        once the failure detector declared it dead mid-operation: its
+        in-flight branch outcomes are moot, survivors carry the
+        transaction."""
+        if (self.replica_map.has(db)
+                and name in self.replica_map.replicas_view(db)):
+            return True
+        copy = self.copy_states.get(db)
+        return copy is not None and copy.target == name
 
     # -- statement execution -----------------------------------------------------------
 
@@ -776,7 +804,7 @@ class TxnCoordinator:
                 # Declared dead (maybe wiped to a blank spare) with the
                 # read in flight: moot, as for a write; ask another.
                 attempts += 1
-                if (self._still_replica(conn.db, choice)
+                if (self._serves(conn.db, choice)
                         or attempts > len(self.machines)):
                     raise
 
@@ -802,139 +830,48 @@ class TxnCoordinator:
                        params: Tuple[Any, ...],
                        table: Optional[str]) -> Generator:
         targets = self._write_targets(conn.db, table)
-        writes: List[Tuple[str, Process]] = []
+        if not txn.writes_sent:
+            self.replication.writer_opened(txn.db, txn.txn_id)
         for name in targets:
-            # write_body tallies executed writes machine-side, so PREPARE
-            # can detect a branch that silently missed one.
-            writes.append((name, self.rpc.issue_branch(
-                name,
-                lambda m: m.write_body(
-                    txn.txn_id, conn.db, sql, params,
-                    self.config.lock_wait_timeout_s),
-                txn_id=txn.txn_id, label=f"w:{sql[:24]}")))
             txn.touched.add(name)
-            txn.write_participants.add(name)
             txn.writes_sent[name] = txn.writes_sent.get(name, 0) + 1
             self.trace.emit("write_issued", db=txn.db, txn=txn.txn_id,
                             machine=name)
-        if not txn.wrote:
-            txn.wrote = True
-            self.replication.writer_opened(txn.db, txn.txn_id)
         txn.write_log.append((sql, params))
-        if self.config.write_policy is WritePolicy.CONSERVATIVE:
-            result = yield from self._await_all_writes(txn, writes)
-        else:
-            result = yield from self._await_first_write(txn, writes)
-        return result
-
-    def _write_settled(self, txn: _TxnState, name: str, proc: Process,
-                       issued_at: float) -> None:
-        """Trace one replica write outcome and its latency."""
-        if not proc.triggered:
-            return  # generator torn down mid-wait; nothing settled
-        if proc.ok:
-            self.trace.emit("write_acked", db=txn.db, txn=txn.txn_id,
-                            machine=name)
-            self.metrics.record_phase_latency("write",
-                                              self.sim.now - issued_at)
-        else:
-            self.trace.emit("write_failed", db=txn.db, txn=txn.txn_id,
-                            machine=name, error=type(proc.value).__name__)
-
-    def _await_all_writes(self, txn: _TxnState,
-                          writes: List[Tuple[str, Process]]) -> Generator:
-        """Conservative policy: every replica must finish the write."""
-        issued_at = self.sim.now
-        result = None
-        failure: Optional[BaseException] = None
-        for name, proc in writes:
-            try:
-                result = yield proc
-            except MachineFailedError:
-                continue  # replica lost; survivors carry the write
-            except (DeadlockError, LockTimeoutError) as exc:
-                failure = exc
-            except Exception:
-                if not self._still_replica(txn.db, name):
-                    # The machine was declared dead — and possibly wiped
-                    # to a blank spare — while the write was in flight:
-                    # its branch is moot, survivors carry the write,
-                    # exactly as for a machine that visibly failed.
-                    continue
-                raise
-            finally:
-                self._write_settled(txn, name, proc, issued_at)
-        if failure is not None:
-            raise failure
-        if result is None:
+        # The paper's two write-ack policies: resume the client once every
+        # replica finished the write (conservative) or at the first ack
+        # (aggressive), a late refusal then poisoning the transaction.
+        # write_body tallies executed writes machine-side, so PREPARE can
+        # detect a branch that silently missed one.
+        outcomes = yield _Gather(
+            self, txn, targets,
+            lambda m: m.write_body(txn.txn_id, conn.db, sql, params,
+                                   self.config.lock_wait_timeout_s),
+            "write",
+            need=("all" if self.config.write_policy
+                  is WritePolicy.CONSERVATIVE else "first"),
+            on_late=self._late_write)
+        # A dead, silent or moot replica is skipped: survivors carry the
+        # write. A refusal (deadlock, lock timeout, SQL error) fails it.
+        acked = None
+        for _name, outcome, value in outcomes:
+            if outcome is REFUSED:
+                raise value
+            if outcome is OK:
+                acked = value
+        if acked is None:
             raise NoReplicaError(f"all replicas of {txn.db!r} failed mid-write")
-        return result
+        return acked
 
-    def _await_first_write(self, txn: _TxnState,
-                           writes: List[Tuple[str, Process]]) -> Generator:
-        """Aggressive policy: return on the first acknowledgement.
-
-        Remaining replicas are watched in the background; a failure there
-        poisons the transaction so its next operation aborts (the paper's
-        description of the aggressive controller).
-        """
-        issued_at = self.sim.now
-        # Register exactly one settlement event per process, up front.
-        # (AnyOf over the raw processes would fail fast and lose the
-        # distinction between a dead replica and a real error; fresh
-        # callbacks on every wait round would pile up on long writes.)
-        pending: List[Tuple[str, Process, Event]] = [
-            (name, proc, self.rpc.settled(proc)) for name, proc in writes]
-        result = None
-        while pending and result is None:
-            yield self.sim.any_of([settled for _, _, settled in pending])
-            still_pending = []
-            failure: Optional[BaseException] = None
-            for name, proc, settled in pending:
-                if not proc.processed:
-                    still_pending.append((name, proc, settled))
-                    continue
-                self._write_settled(txn, name, proc, issued_at)
-                if proc.ok:
-                    if result is None:
-                        result = proc.value
-                elif isinstance(proc.value, MachineFailedError):
-                    continue
-                elif not self._still_replica(txn.db, name):
-                    # Declared dead (possibly wiped to a spare) while
-                    # the write was in flight: the branch is moot.
-                    continue
-                else:
-                    failure = proc.value
-            if failure is not None and result is None:
-                raise failure
-            pending = still_pending
-        if result is None:
-            raise NoReplicaError(f"all replicas of {txn.db!r} failed mid-write")
-        if pending:
-            self.sim.process(
-                self._watch_writes(txn, [(name, proc)
-                                         for name, proc, _ in pending],
-                                   issued_at),
-                name=f"watch:{txn.txn_id}")
-        return result
-
-    def _watch_writes(self, txn: _TxnState,
-                      pending: List[Tuple[str, Process]],
-                      issued_at: float) -> Generator:
-        for name, proc in pending:
-            try:
-                yield proc
-            except MachineFailedError:
-                continue
-            except Exception as exc:  # deadlock, lock timeout, divergence
-                if not txn.finished and txn.poisoned is None:
-                    txn.poisoned = exc
-                    self.trace.emit("poisoned", db=txn.db, txn=txn.txn_id,
-                                    machine=name,
-                                    error=type(exc).__name__)
-            finally:
-                self._write_settled(txn, name, proc, issued_at)
+    def _late_write(self, txn: _TxnState, name: str, outcome: str,
+                    value: Any) -> None:
+        """A replica write that settled after the aggressive policy let
+        the client go on: a refusal poisons the transaction, so its next
+        operation aborts (the paper's aggressive controller)."""
+        if outcome is REFUSED and not txn.finished and txn.poisoned is None:
+            txn.poisoned = value
+            self.trace.emit("poisoned", db=txn.db, txn=txn.txn_id,
+                            machine=name, error=type(value).__name__)
 
     # -- commit / rollback (the 2PC coordinator) ------------------------------------------
 
@@ -952,14 +889,13 @@ class TxnCoordinator:
             self._abort(conn, txn, exc, "deferred",
                         f"commit refused: deferred write failure ({exc})")
 
-        if not txn.wrote:
+        if not txn.writes_sent:
             # Read-only: release locks everywhere, no 2PC (paper: the
             # controller invokes 2PC only when the transaction wrote).
             # One broadcast: every release leaves at once.
-            outcomes = yield from self.rpc.fanout(
-                self.rpc.live_targets(sorted(txn.touched)),
-                lambda m: m.commit_body(txn.txn_id),
-                txn_id=txn.txn_id, label="commit-ro")
+            outcomes = yield _Gather(
+                self, txn, self.rpc.live_targets(sorted(txn.touched)),
+                lambda m: m.commit_body(txn.txn_id), "commit-ro")
             self._settle_commit(txn, outcomes)
             self.metrics.record_commit(txn.db, self.sim.now,
                                        self.sim.now - txn.started_at)
@@ -972,41 +908,20 @@ class TxnCoordinator:
 
         # Phase 1: PREPARE on every write participant — one concurrent
         # broadcast. The commit/abort decision is taken from the
-        # *complete* set of branch outcomes: a branch that timed out
-        # (silence — maybe alive, un-prepared) aborts the transaction
-        # even if every other branch prepared first. A branch on a
-        # machine known dead is skipped; survivors carry the write.
+        # *complete* set of branch outcomes: presumed abort on silence
+        # (maybe alive, un-prepared) or a refusal (rolled back, missing a
+        # dropped write, diverged), even if every other branch prepared
+        # first. A dead or moot branch is skipped; survivors carry the
+        # write.
         phase1_at = self.sim.now
-        participants = self.rpc.live_targets(sorted(txn.write_participants))
-        outcomes = yield from self.rpc.fanout(
-            participants,
+        outcomes = yield _Gather(
+            self, txn, self.rpc.live_targets(sorted(txn.writes_sent)),
             lambda m: m.prepare_body(txn.txn_id, txn.writes_sent.get(m.name)),
-            txn_id=txn.txn_id, label="prepare")
-        prepared: List[str] = []
-        failure: Optional[BaseException] = None
-        for outcome in outcomes:
-            if not self._still_replica(txn.db, outcome.machine):
-                # The failure detector declared the machine dead (and
-                # fenced it) while its PREPARE was in flight: whatever
-                # came back — a vote or a refusal — is moot, exactly as
-                # for a branch on a machine that visibly died. Its
-                # replica is already off the map; survivors carry the
-                # write.
-                continue
-            if outcome.ok:
-                prepared.append(outcome.machine)
-                self.trace.emit("prepare", db=txn.db, txn=txn.txn_id,
-                                machine=outcome.machine)
-            elif outcome.fatal:
-                # Presumed abort: silence or a refused branch (rolled
-                # back, missing a dropped write, diverged). Keep the
-                # first fatal outcome; every branch was still collected.
-                self.trace.emit("prepare_failed", db=txn.db, txn=txn.txn_id,
-                                machine=outcome.machine,
-                                error=type(outcome.value).__name__)
-                if failure is None:
-                    failure = outcome.value
-            # else: replica died mid-prepare; survivors carry the write
+            "prepare")
+        prepared = sorted(name for name, outcome, _ in outcomes
+                          if outcome is OK)
+        failure = next((value for _, outcome, value in outcomes
+                        if outcome in (SILENT, REFUSED)), None)
         if failure is not None or not prepared:
             exc = failure or NoReplicaError(
                 f"no surviving write participant for {txn.db!r}")
@@ -1058,11 +973,9 @@ class TxnCoordinator:
         for name in commit_targets:
             self.trace.emit("commit_sent", db=txn.db, txn=txn.txn_id,
                             machine=name)
-        outcomes = yield from self.rpc.fanout(
-            commit_targets,
-            lambda m: m.commit_body(txn.txn_id),
-            txn_id=txn.txn_id, label="commit",
-            retries=self.config.network.commit_max_retries)
+        outcomes = yield _Gather(
+            self, txn, commit_targets, lambda m: m.commit_body(txn.txn_id),
+            "commit", retries=self.config.network.commit_max_retries)
         redelivering = self._settle_commit(txn, outcomes, lsn)
         if plane is not None and not redelivering:
             # Keep the durable decision while any participant still owes

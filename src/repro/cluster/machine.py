@@ -56,7 +56,10 @@ class Machine:
         self.fenced = False
         # Tail process of each transaction's FIFO op chain on this machine.
         self._tails: Dict[int, Process] = {}
-        self._active: set = set()
+        # Processes in flight, in submission order (a dict, not a set:
+        # ``fail`` / ``fence`` interrupt them in this order, and the order
+        # same-instant failures reach the coordinator in is traced).
+        self._active: Dict[Process, None] = {}
         # RPC dedup: transaction id -> message id -> the process
         # executing (or having executed) that message, so a retransmitted
         # request returns the original outcome instead of re-executing
@@ -211,8 +214,8 @@ class Machine:
             body = self._chained(prev, body)
         proc = self.sim.process(body, name=f"{self.name}:{label or txn_id}")
         self._tails[txn_id] = proc
-        self._active.add(proc)
-        proc.add_callback(lambda _e: self._active.discard(proc))
+        self._active[proc] = None
+        proc.add_callback(lambda _e: self._active.pop(proc, None))
         return proc
 
     def _chained(self, prev: Process, body: Generator) -> Generator:
@@ -285,8 +288,8 @@ class Machine:
         streaming data off a powered-down machine.
         """
         proc = self.sim.process(body, name=f"{self.name}:{label}")
-        self._active.add(proc)
-        proc.add_callback(lambda _e: self._active.discard(proc))
+        self._active[proc] = None
+        proc.add_callback(lambda _e: self._active.pop(proc, None))
         return proc
 
     # -- engine operations ----------------------------------------------------------

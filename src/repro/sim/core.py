@@ -9,8 +9,10 @@ The model follows the classic event-loop + generator-process design:
   event to wait on; when that event triggers, the process resumes (or the
   event's exception is thrown into the generator if it failed).
 * :class:`Timeout` is an event that triggers after a fixed delay.
-* :class:`AnyOf` / :class:`AllOf` compose events (used by the cluster
-  controller's aggressive / conservative write-ack policies).
+* :class:`AnyOf` / :class:`AllOf` compose events: a lock wait racing its
+  timeout, a Paxos proposal racing its retry timer. Nothing in the cluster
+  waits on an ``AllOf`` (the coordinator's broadcasts count down in
+  ``controller._Gather``); it is kernel API, held to the heap oracle.
 
 Determinism: events are dispatched in ``(time, scheduling order)`` order,
 so a run is exactly reproducible for a given seed and program.

@@ -15,8 +15,9 @@ pumped by a local ``step()`` loop.
   entries: 1 580 / 2 860 / 3 501 in the three runs below, now 13 / 22 / 13).
 * **Event budget.** Kernel steps per commit over a fixed window of
   transactions: an exact count that repeats per seed (223.19 before timers
-  were dropped, 212.6 while a message was a process). Run with ``-s`` to
-  see the measured values.
+  were dropped, 212.6 while a message was a process, 128.6 while a
+  broadcast was relay events under an ``AllOf``). Run with ``-s`` to see
+  the measured values.
 * **Message and command budgets.** Fabric messages and consensus commands
   per commit over the same window, counted where ``benchmarks/e2e`` counts
   them (``metrics.network.messages_sent``, the acting replica's ``chosen``).
@@ -40,11 +41,16 @@ WARM_COMMITS = 40
 WINDOW_COMMITS = 200
 SAMPLE_EVERY = 50
 
-#: Steps per commit measured at PR 20 (seed 7, the window above): 212.605
-#: at PR 15, less a coordinator process, a ``settled`` relay and an ``AnyOf``
-#: per RPC, a process and an inbox wake-up per Paxos message, and the whole
-#: ``decision_clear`` round of every commit.
-STEPS_PER_COMMIT = 128.635
+#: Steps per commit measured at PR 24 (seed 7, the window above): 212.605
+#: at PR 15; 128.635 at PR 20, less a coordinator process, a ``settled``
+#: relay and an ``AnyOf`` per RPC, a process and an inbox wake-up per Paxos
+#: message, and the whole ``decision_clear`` round of every commit; now
+#: less the relay event per PREPARE / COMMIT branch and their ``AllOf``
+#: (a broadcast is the one ``_Gather`` event: 4 -> 1 at RF 3, twice a
+#: commit), while a write statement's gather replaces the deferred
+#: callback its in-order walk cost whenever a later-issued replica had
+#: answered first (1.17 a statement at RF 3).
+STEPS_PER_COMMIT = 122.585
 #: 28 RPC legs (7 round trips x 2; 3 of them to three replicas) and one
 #: Paxos round of 6 (accept / accepted / decide to two followers), plus the
 #: window's share of heartbeats and lease renewals: 34.1 measured.

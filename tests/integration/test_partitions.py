@@ -117,6 +117,73 @@ class TestDetectionDrivenRecovery:
         assert_no_violations(controller)
 
 
+class TestWriteAcksAreStampedWhenTheySettle:
+    """A replica's ``write_acked`` (and its ``write`` latency sample)
+    belongs to the instant its branch settled. The coordinator used to
+    walk the branches in issue order, so an ack that arrived at 4 ms was
+    traced behind a slower, earlier-issued one — after its machine had
+    been fenced in between, which the audit reads as a fenced replica
+    serving."""
+
+    @pytest.mark.parametrize("policy", [WritePolicy.CONSERVATIVE,
+                                        WritePolicy.AGGRESSIVE])
+    def test_early_acks_trace_before_the_fence(self, sim, policy):
+        controller = make_fabric_cluster(sim, machines=3, replicas=3,
+                                         write_policy=policy)
+        first, second, third = controller.replica_map.replicas("kv")
+        # Engine-local transactions hold row 5: on the first replica
+        # until t = 0.5 and, under the aggressive policy (whose client
+        # resumes at the third replica's ack and whose late branches the
+        # old watcher walked in order), on the second until t = 0.2.
+        holders = {first: 0.5}
+        if policy is WritePolicy.AGGRESSIVE:
+            holders[second] = 0.2
+        blockers = {}
+        for name in holders:
+            engine = controller.machines[name].engine
+            blockers[name] = engine.begin()
+            engine.execute_sync(blockers[name], "kv",
+                                "UPDATE kv SET v = 1 WHERE k = 5")
+
+        def client():
+            conn = controller.connect("kv")
+            yield conn.execute("UPDATE kv SET v = 2 WHERE k = 5")
+            yield sim.timeout(1.0 - sim.now)
+            yield conn.commit()
+
+        def script():
+            for at, name in sorted((at, name)
+                                   for name, at in holders.items()):
+                if at > 0.3 > sim.now:
+                    yield sim.timeout(0.3 - sim.now)
+                    controller.declare_dead(second)
+                yield sim.timeout(at - sim.now)
+                controller.machines[name].engine.abort(blockers[name])
+
+        proc = sim.process(client())
+        sim.process(script())
+        sim.run(until=5.0)
+        assert proc.ok
+        assert_no_violations(controller)
+
+        acked = {e.machine: e.t
+                 for e in controller.trace.events(kind="write_acked")}
+        fenced, = controller.trace.events(kind="machine_fenced")
+        assert fenced.machine == second and fenced.t == 0.3
+        assert acked[third] < 0.01
+        assert acked[second] < fenced.t
+        assert 0.5 < acked[first] < 0.6
+        samples = controller.metrics.phase_latencies["write"]
+        assert samples.count == 3
+        assert samples.percentile(50) == pytest.approx(acked[second],
+                                                        rel=0.03)
+        assert samples.percentile(100) == pytest.approx(acked[first],
+                                                        rel=0.03)
+        for name in (first, third):
+            assert read_table(controller, name, "kv",
+                              "SELECT v FROM kv WHERE k = 5") == [(2,)]
+
+
 class TestPartitionSoak:
     def test_seeded_soak_has_zero_violations(self):
         result = run_scenario(soaks.partitions(

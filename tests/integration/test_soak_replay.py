@@ -1,11 +1,13 @@
 """Replay identity: same seed, same trace — byte for byte.
 
 Every CI soak at its CI size (the stampede at the tier-1 size) must dump
-exactly the trace recorded below. The hashes were recorded at the commit
-before the soaks became declarations (PR 19's parent) — the three
-fabric-on ones (``partitions``, both ``controllers``) again at PR 20,
-which made a message one kernel event — and each one repeats across
-processes and under any ``PYTHONHASHSEED``.
+exactly the trace recorded below. The seven cluster hashes were recorded
+at PR 24, which stamps ``write_acked`` / ``write_failed`` / ``prepare`` /
+``prepare_failed`` at the branch's own settle instant and reports
+outcomes in settle order (DESIGN §4s); ``disaster`` — the system tier's
+trace — at the commit before the soaks became declarations (PR 19's
+parent). Each one repeats across processes and under any
+``PYTHONHASHSEED``.
 
 A PR that changes simulated behaviour on purpose updates the constants
 and says so in CHANGES.md; one that claims "no behaviour change" must
@@ -49,34 +51,34 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "2ba57dee013cf3b050a557d05ac60df1"),
+        "e6300bb0c75a9bdeda68919a786c5ad2"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "ea5307135dc5cd5ca090f7fd316c903d"),
+        "672c850e472106987ed28f3e319e41f2"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             consensus=True, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "dbc6a93ca89902861ca2146883520c44"),
+        "5a662fea67411da881d9c75f07aaae74"),
     "controllers-pair": (
         lambda: cluster_trace(soaks.controllers(
             consensus=False, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "197fe9eacd4967db752197679dd88ce9"),
+        "d41af1884d05c8dbe417324e9482ff8b"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(
             admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "1faf9cfd2018fab48936f77cdbec0aef"),
+        "fe582cb57ff6394c4ac062977cfa8973"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "926b3e4506bd3802ce6148b155052c40"),
+        "af29ca3d1b0a7eb22e02086629ac0f9c"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,
@@ -86,7 +88,7 @@ SOAKS = {
     "manytenants": (
         lambda: bounded(run_many_tenants(n_databases=2000, duration_s=12.0,
                                          flash_at_s=6.0, seed=3).controller),
-        "d64f211a5ad74f62a657d4c6ed748d60"),
+        "e54611c80420baa0d169ee2dfc364a4d"),
 }
 
 

@@ -5,8 +5,8 @@
 (one coordinator process, a ``settled`` relay, an ``AnyOf`` and a deadline
 per attempt) the controller ran before. Hypothesis scripts a scenario — a
 lone call through ``RpcLayer.send`` (what a read statement waits on) or a
-fan-out of one to three branches through ``RpcLayer.issue_branch`` (which
-starts each in the same ``send``), per-branch body durations on both sides of the deadline
+fan-out of one to three branches, each started by the same ``send`` (as
+``_Gather`` starts them), per-branch body durations on both sides of the deadline
 (some bodies raise), 0–4 retries, a drop probability, and cuts / heals /
 ``fail`` / ``fence`` at scripted instants — and runs it in two same-seed
 sims. Both must give every branch the same outcome (value, or exception
@@ -40,10 +40,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterController
 from repro.cluster import controller as controller_module
-from repro.cluster.controller import _Rpc
+from repro.cluster.controller import (OK, REFUSED, SILENT, _Gather, _Rpc,
+                                      _TxnState)
 from repro.cluster.network import CONTROLLER
 from repro.errors import DeadlockError
 from repro.sim import Simulator
+from repro.workloads.microbench import KV_DDL
 from tests.oracles.generator_rpc import GeneratorRpc
 
 MACHINES = 3
@@ -160,13 +162,10 @@ def _run_scenario(scenario, new):
         if not new:
             observe(index, sim.process(reference._rpc(
                 machine, partial(body, machine), **call)))
-        elif lone:
+        else:
             observe(index, controller.txns.rpc.send(
                 machine, body, call["txn_id"], call["label"],
                 retries=call["retries"]))
-        else:
-            observe(index, controller.txns.rpc.issue_branch(
-                machine.name, body, **call))
     sim.run()
     assert all(n <= 1 for n in executions.values()), executions
     assert rpc.open == {} and rpc.low == 100 + count
@@ -213,14 +212,16 @@ def test_matches_the_generator_rpc(scenario):
 
 
 def test_fan_out_through_the_controller_gathers_the_same_outcomes():
-    """``RpcLayer.fanout`` end to end: one branch answers, one is cut off and times
-    out, one raises — the gathered BranchOutcomes say so."""
+    """``_Gather`` end to end over the fabric: one branch answers, one is
+    cut off and times out, one raises — the classified outcomes say so,
+    each stamped when it settled."""
     sim = Simulator()
-    config = ClusterConfig()
+    config = ClusterConfig(replication_factor=MACHINES)
     config.network.enabled = True
     config.network.rpc_timeout_s = 0.2
     controller = ClusterController(sim, config)
     names = [m.name for m in controller.add_machines(MACHINES)]
+    controller.create_database("kv", KV_DDL, machines=names)
     controller.fabric.cut(CONTROLLER, names[1])
 
     def make_body(machine):
@@ -229,16 +230,23 @@ def test_fan_out_through_the_controller_gathers_the_same_outcomes():
             raise DeadlockError("refused")
         return machine.name
 
-    proc = sim.process(controller.txns.rpc.fanout(
-        names, make_body, txn_id=1, label="probe", retries=1))
+    gather = _Gather(controller.txns, _TxnState(1, "kv", 0.0), names,
+                     make_body, "prepare", retries=1)
     sim.run()
-    outcomes = proc.value
-    assert [o.machine for o in outcomes] == names
-    assert outcomes[0].ok and outcomes[0].value == names[0]
-    assert type(outcomes[1].value).__name__ == "RPCTimeoutError"
-    assert "after 2 attempts" in str(outcomes[1].value)
-    assert isinstance(outcomes[2].value, DeadlockError)
-    assert outcomes[0].latency == pytest.approx(0.01 + 2 * 0.0001)
+    ok, refused, silent = gather.value      # in settle order
+    assert ok == (names[0], OK, names[0])
+    assert refused[:2] == (names[2], REFUSED)
+    assert isinstance(refused[2], DeadlockError)
+    assert silent[:2] == (names[1], SILENT)
+    assert "after 2 attempts" in str(silent[2])
+    answered = pytest.approx(0.01 + 2 * 0.0001)
+    traced = [(e.kind, e.machine, e.t) for e in controller.trace.events()
+              if e.kind.startswith("prepare")]
+    assert traced[:2] == [("prepare", names[0], answered),
+                          ("prepare_failed", names[2], answered)]
+    assert traced[2][:2] == ("prepare_failed", names[1]) and traced[2][2] > 0.4
+    assert controller.metrics.fanouts["prepare"].count == 1
+    assert controller.metrics.phase_latencies["branch:prepare"].count == 3
     assert sim.pending == 0
 
 

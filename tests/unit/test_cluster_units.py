@@ -144,6 +144,26 @@ class TestMachine:
         assert not proc.ok
         assert isinstance(proc.value, MachineFailedError)
 
+    def test_failure_reaches_the_processes_in_submission_order(self):
+        """Every waiter of a failed machine wakes in the same instant; the
+        order they wake in is traced (``write_failed``), so it must be a
+        function of the run, not of where the processes sit in memory."""
+        sim = Simulator()
+        machine = Machine(sim, "m1", MachineConfig())
+        died = []
+
+        def body():
+            yield sim.timeout(1.0)
+
+        for txn_id in range(64):
+            proc = machine.submit(txn_id, body())
+            proc.defused = True
+            proc.add_callback(lambda _proc, txn_id=txn_id: died.append(txn_id))
+        sim.run(until=0.5)
+        machine.fail()
+        sim.run()
+        assert died == list(range(64))
+
     def test_fail_is_idempotent(self):
         sim = Simulator()
         machine = Machine(sim, "m1", MachineConfig())

@@ -40,6 +40,7 @@ def test_no_cluster_class_over_700_lines():
              if isinstance(node, ast.ClassDef)}
     assert {name: n for name, n in sizes.items() if n > 700} == {}
     assert sizes["controller.py:ClusterController"] <= 600
+    assert sizes["controller.py:TxnCoordinator"] <= 560
 
 
 def test_the_message_path_fork_is_two_sites_in_one_class():
@@ -52,6 +53,51 @@ def test_the_message_path_fork_is_two_sites_in_one_class():
     assert all(rpc_layer.lineno <= line <= rpc_layer.end_lineno
                for line in sites)
     assert enabled_reads(SRC / "platform" / "system_controller.py") == []
+
+
+def callers(tree, name):
+    """``Class.method`` (or ``function``) of every def in ``tree`` whose
+    body calls something named ``name``."""
+    found = set()
+    for scope in tree.body:
+        for node in ([scope] if isinstance(scope, ast.FunctionDef)
+                     else methods(scope) if isinstance(scope, ast.ClassDef)
+                     else []):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name == getattr(
+                        call.func, "attr", getattr(call.func, "id", None)):
+                    found.add(node.name if node is scope
+                              else f"{scope.name}.{node.name}")
+    return found
+
+
+def test_one_class_gathers_every_broadcast():
+    """DESIGN §4s: the coordinator waits on a ``_Gather``, never on a
+    kernel condition, a relay event or a hand-written walk; one helper
+    reads an ``Interrupt`` as a machine failure and one asks whether a
+    machine still carries a database."""
+    controller = parse(CLUSTER / "controller.py")
+    for gone in ("all_of", "any_of", "settled"):
+        assert callers(controller, gone) == set(), gone
+    assert [node for node in ast.walk(controller)
+            if isinstance(node, ast.Name) and node.id == "BranchOutcome"] == []
+    translating = {scope.name for scope in ast.walk(controller)
+                   if isinstance(scope, ast.FunctionDef)
+                   for node in ast.walk(scope)
+                   if isinstance(node, ast.Name) and node.id == "Interrupt"}
+    assert translating == {"_failure"}
+    assert callers(controller, "_failure") == {"_Rpc._on_reply",
+                                               "_Gather._classify"}
+    assert callers(controller, "_serves") == {"TxnCoordinator._execute_read",
+                                              "_Gather._classify"}
+    assert callers(controller, "_Gather") == {"TxnCoordinator._execute_write",
+                                              "TxnCoordinator._commit"}
+    commit = next(node for node in ast.walk(controller)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_commit")
+    assert len([call for call in ast.walk(commit)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_Gather"]) == 3
 
 
 def test_cluster_config_surface_is_pinned():

@@ -8,7 +8,7 @@ from repro.analysis.invariants import (InvariantChecker, check_trace,
                                        check_controller)
 from repro.analysis.trace import TraceEvent
 from repro.cluster import WritePolicy
-from repro.cluster.controller import _TxnState
+from repro.cluster.controller import DEAD, _Gather, _TxnState
 from repro.errors import MachineFailedError
 from tests.conftest import make_kv_cluster
 
@@ -282,8 +282,9 @@ class TestAggressiveWaitRegistration:
 
     def test_no_callback_pileup_on_slow_write(self, sim):
         controller = make_kv_cluster(
-            sim, write_policy=WritePolicy.AGGRESSIVE)
-        txn = _TxnState(1, "kv", 0.0)
+            sim, machines=3, replicas=3, write_policy=WritePolicy.AGGRESSIVE)
+        txns = controller.txns
+        names = controller.replica_map.replicas("kv")
 
         never = sim.event()
 
@@ -294,23 +295,25 @@ class TestAggressiveWaitRegistration:
             yield sim.timeout(delay)
             raise MachineFailedError("replica died")
 
-        p_slow = sim.process(slow(), name="slow-write")
-        p_fail1 = sim.process(fail_after(0.1), name="fail1")
-        p_fail2 = sim.process(fail_after(0.2), name="fail2")
-        for proc in (p_slow, p_fail1, p_fail2):
-            proc.defused = True
+        writes = {names[0]: sim.process(slow(), name="slow-write"),
+                  names[1]: sim.process(fail_after(0.1), name="fail1"),
+                  names[2]: sim.process(fail_after(0.2), name="fail2")}
+        txns.rpc.send = lambda machine, *call, **options: writes[machine.name]
 
-        waiter = sim.process(controller.txns._await_first_write(
-            txn, [("m0", p_slow), ("m1", p_fail1), ("m2", p_fail2)]))
-        waiter.defused = True
+        gather = _Gather(txns, _TxnState(1, "kv", 0.0), names, None, "write",
+                         need="first")
         sim.run(until=0.3)
 
-        # Two wait rounds have fired (the two failures); the still-pending
-        # slow write must carry exactly the one settlement callback that
-        # was registered up front. The pre-fix code added a fresh callback
-        # every round, so this list grew with every settlement.
-        assert p_slow.callbacks is not None
-        assert len(p_slow.callbacks) == 1
+        # Both failures have settled (skipped: survivors carry the write)
+        # and the gather still waits for its first ack. The still-pending
+        # slow write carries exactly the one callback registered when it
+        # was issued; the pre-fix loop added a fresh one every wait round,
+        # the loop after it one relay event per write up front.
+        assert [outcome for _, outcome, _ in gather.outcomes] == [DEAD, DEAD]
+        assert not gather.triggered
+        assert len(writes[names[0]].callbacks) == 1
+        assert {e.machine for e in controller.trace.events(
+            kind="write_failed")} == set(names[1:])
 
 
 class TestPartitionRules:
