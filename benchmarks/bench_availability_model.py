@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.harness import format_table, soaks
+from repro.harness.faults import injected
 from repro.harness.scenario import run_scenario
 from repro.sla.model import rejected_fraction_bound
 from repro.sla.monitor import observed_availability_inputs
@@ -40,8 +41,7 @@ def run_soak():
     counters = run.metrics.db(DB)
     measured_fraction = counters.rejected_fraction()
     failures_hitting_db = sum(
-        1 for event in run.parts["crashes"].events
-        if DB in event.databases_affected)
+        1 for fault in injected(run.applied, "fail") if DB in fault.result)
     inputs = observed_availability_inputs(
         DB, run.recoveries, failures_observed=failures_hitting_db,
         window_s=DURATION_S, write_mix=1.0, period_s=DURATION_S)

@@ -115,6 +115,10 @@ db_materialised    a cold database's deferred engine-side DDL ran on its
                    replicas (first statement, bulk load or copy touching it)
 log_paged_out      a cold tenant's commit log was compacted to stay under
                    ``max_resident_tenant_logs`` (``dropped`` entries)
+fault              the fault applier reached one schedule entry (``at``,
+                   ``fault`` = its kind, ``target``, ``resolved``;
+                   ``skipped`` is the guard's reason, or null) — the
+                   exported trace carries the schedule that made it
 ================== ==========================================================
 
 Adding an event: call ``tracer.emit(kind, db=..., txn=..., machine=...,

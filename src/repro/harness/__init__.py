@@ -1,6 +1,6 @@
 """Experiment harness: the soak loop, shared drivers and reporting."""
 
-from repro.harness.faults import FailureInjector
+from repro.harness.faults import Fault, apply
 from repro.harness.reporting import format_series, format_table
 from repro.harness.runner import (RecoveryExperimentResult, TpcwRunResult,
                                   run_recovery_experiment, run_tpcw_cluster,
@@ -8,11 +8,12 @@ from repro.harness.runner import (RecoveryExperimentResult, TpcwRunResult,
 from repro.harness.scenario import Run, Scenario, run_scenario
 
 __all__ = [
-    "FailureInjector",
+    "Fault",
     "RecoveryExperimentResult",
     "Run",
     "Scenario",
     "TpcwRunResult",
+    "apply",
     "format_series",
     "format_table",
     "run_recovery_experiment",

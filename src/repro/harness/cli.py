@@ -31,6 +31,7 @@ from typing import Callable, Dict, Tuple
 from repro.analysis.invariants import check_bounds, check_trace
 from repro.cluster import ReadOption, WritePolicy
 from repro.harness import soaks
+from repro.harness.faults import injected
 from repro.harness.reporting import format_table
 from repro.harness.runner import (run_commit_latency_bench, run_dr_soak,
                                   run_many_tenants, run_recovery_experiment,
@@ -179,7 +180,7 @@ def cmd_faults(args) -> int:
     print(format_table(
         ["failures", "committed", "aborted", "rejected", "tps",
          "recoveries"],
-        [[len(run.parts["crashes"].events), run.committed, run.aborted,
+        [[len(injected(run.applied, "fail")), run.committed, run.aborted,
           run.rejections, run.throughput_tps, len(run.recoveries)]]))
     latencies = run.metrics.snapshot()["phases"]
     if latencies:
@@ -202,7 +203,6 @@ def cmd_stampede(args) -> int:
             drain_s=args.duration if args.stampede_mtbf else 0.0,
             seed=args.seed))
         report = soaks.stampede_report(run)
-        crashes = run.parts.get("crashes")
         print(f"-- {label} --")
         print(format_table(
             ["hot goodput (tps)", "provisioned (tps)", "admitted frac",
@@ -215,7 +215,7 @@ def cmd_stampede(args) -> int:
               report.neighbour_max_rejected_fraction,
               report.neighbour_p99_ratio, len(run.events("shed_read")),
               len(run.parts["overload_monitor"].breaches),
-              len(crashes.events) if crashes is not None else 0]]))
+              len(injected(run.applied, "fail"))]]))
         summary = run.metrics.snapshot()["per_db"]
         print(format_table(
             ["db", "committed", "overload rejected", "rejected frac",
@@ -255,12 +255,14 @@ def cmd_partitions(args) -> int:
     run = run_scenario(soaks.partitions(
         duration_s=args.duration * 2, drain_s=max(args.duration, 30.0),
         partition_mtbf_s=args.mtbf, seed=args.seed))
-    crashes, backup = run.parts["crashes"], run.parts["process_pair"]
+    backup = run.parts["process_pair"]
     print(format_table(
-        ["partitions", "crashes", "repairs", "committed", "aborted",
+        ["link cuts", "splits", "crashes", "repairs", "committed", "aborted",
          "rejected", "tps", "recoveries"],
-        [[len(run.parts["partitions"].events), len(crashes.events),
-          len(crashes.repairs), run.committed, run.aborted,
+        [[len(injected(run.applied, "cut")),
+          len(injected(run.applied, "split")),
+          len(injected(run.applied, "crash")),
+          len(injected(run.applied, "repair")), run.committed, run.aborted,
           run.rejections, run.throughput_tps, len(run.recoveries)]]))
     print(format_table(
         ["suspected", "declared", "readmitted", "takeover commits",
@@ -287,13 +289,13 @@ def cmd_controllers(args) -> int:
                 else "process pair (consensus_enabled=False)")
         print(f"-- {mode} --")
         # The pair's one controller failure is the staged primary crash.
-        kills = run.parts.get("ctl_kills")
-        crashes = kills.events if kills else run.events("primary_crashed")
+        kills = (injected(run.applied, "kill_ctl") if consensus
+                 else run.events("primary_crashed"))
         network = run.metrics.network
         print(format_table(
-            ["ctl kills", "ctl partitions", "elections", "leader changes",
+            ["ctl kills", "ctl link cuts", "elections", "leader changes",
              "takeovers", "orphaned txns"],
-            [[len(crashes), len(kills.partitions) if kills else 0,
+            [[len(kills), len(injected(run.applied, "cut")),
               network.elections, network.leader_changes,
               len(run.events("ctl_takeover" if consensus else "takeover")),
               len(run.events("txn_orphaned"))]]))
@@ -316,8 +318,8 @@ def cmd_disaster(args) -> int:
     print(format_table(
         ["wan partitions", "committed", "aborted", "colo killed",
          "suspected", "declared", "promotions", "failbacks"],
-        [[len(result.partitions), result.committed, result.aborted,
-          result.colo_killed, result.suspected_total,
+        [[len(injected(result.faults, "cut", "split")), result.committed,
+          result.aborted, result.colo_killed, result.suspected_total,
           len(result.declared), result.promotions, result.failbacks]]))
     summary = result.dr
     print(format_table(

@@ -1,484 +1,440 @@
-"""Fault injection: machine failures, repairs, and network partitions.
+"""Faults are data: a schedule drawn from the seed, applied by one process.
 
-The paper's availability model (Section 4.1) is parameterized by a
-machine failure rate; :class:`FailureInjector` produces exactly that —
-Poisson machine failures at a configurable mean time between failures —
-so experiments can measure rejected fractions under sustained failures
-rather than a single staged one. Two extensions for robustness soaks:
+A fault is an immutable :class:`Fault` ``(at, kind, target)`` and a
+schedule is a list of them sorted by ``at``. Each family is one pure
+draw function — :func:`crashes`, :func:`link_cuts`,
+:func:`controller_kills`, :func:`wan_cuts` — that takes the seed, the
+rates and the endpoint names the built world already knows and returns
+every entry up front, including the ``heal`` / ``repair`` closing each
+episode (clamped to ``until``). Nothing random happens while the run
+runs, so a schedule can be printed, replayed from JSON (:func:`load`)
+and shrunk.
 
-* ``repair_mtbf_s`` adds a Poisson *repair* stream that returns dead
-  machines to the cluster as blank spares, so long soaks no longer
-  monotonically drain the cluster to ``min_live_machines`` and stall;
-* ``oracle=False`` switches from :meth:`fail_machine` (the controller is
-  told instantly) to :meth:`crash_machine` (the machine just goes
-  silent; only the heartbeat failure detector can notice).
-
-:class:`PartitionInjector` drives the network fabric: it cuts random
-links or splits the cluster into disconnected groups, healing each
-episode after a random duration — the workload for the partition-soak
-experiment and its no-split-brain / fencing invariants.
-
-:class:`ControllerKillInjector` targets the consensus control plane
-(:mod:`repro.cluster.consensus`): it fail-stops controller replicas —
-preferring the current leader, never below the group's majority — and
-optionally cuts controller↔controller links, so soaks exercise
-elections, lease hand-off, and take-over cleanup under churn.
-
-:class:`WanPartitionInjector` is the cross-colo analogue: it cuts
-colo↔colo WAN links (stalling log shipping until catch-up) or isolates
-a whole colo from the system controller and its peers (starving the
-colo heartbeat detector), healing each episode after a random duration
-— the workload for the disaster-recovery soak and its dual-primary /
-prefix-order / lag-drain invariants.
+:func:`apply` spawns the one process that walks a schedule through the
+:data:`EFFECTS` table. A rank target is resolved when its entry fires,
+into the sorted candidates of that instant; an entry the guards refuse
+is skipped and the reason logged. DESIGN §4t has the kind table, the
+guards and why.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from collections import deque
+from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.cluster.controller import ClusterController
 from repro.cluster.network import CONTROLLER, SYSTEM
-from repro.sim import Interrupt, Process
 from repro.sim.rng import SeededRNG
 
+#: Machine faults never leave fewer live machines than this.
+MIN_LIVE_MACHINES = 3
+#: Chance that a fabric episode isolates a minority instead of cutting links.
+SPLIT_PROBABILITY = 0.25
+#: At most this many controller↔machine links per cut episode.
+MAX_CUT_LINKS = 2
+#: Chance that a cut severs one direction only: requests vanish but
+#: responses flow, or the reverse — the nastiest case for RPC dedup.
+ASYMMETRIC_PROBABILITY = 0.25
+#: Chance that a WAN episode isolates a whole colo.
+ISOLATE_PROBABILITY = 0.25
+#: Chance that a controller kill targets the lease holder.
+PREFER_LEADER = 0.8
 
-@dataclass
-class FailureEvent:
-    when: float
-    machine: str
-    databases_affected: List[str]
-
-
-@dataclass
-class RepairEvent:
-    when: float
-    machine: str
-
-
-@dataclass
-class PartitionEvent:
-    when: float
-    kind: str                                  # "cut" | "split"
-    links: List[Tuple[str, str]] = field(default_factory=list)
-    groups: List[List[str]] = field(default_factory=list)
-    healed_at: Optional[float] = None
+#: Opening kind -> the kind that closes its episode.
+CLOSES = {"cut": "heal", "split": "heal", "kill_ctl": "repair_ctl"}
 
 
-class _RestartableInjector:
-    """start()/stop() lifecycle shared by the injectors.
+class Fault(NamedTuple):
+    """One schedule entry: at sim time ``at``, apply ``kind`` to ``target``."""
 
-    ``stop()`` interrupts the loop processes and forgets them; a later
-    ``start()`` spawns fresh ones, so one injector instance can be
-    started and stopped repeatedly within a run. Loop processes are
-    always defused — both so background failures cannot crash the
-    kernel and so the stop interrupt itself never counts as unhandled
-    if it lands after the loop already finished.
-    """
-
-    def __init__(self, controller: ClusterController):
-        self.controller = controller
-        self._procs: List[Process] = []
-
-    def _loops(self) -> List[Tuple[str, Generator]]:
-        raise NotImplementedError
-
-    def start(self) -> None:
-        if any(p.is_alive for p in self._procs):
-            return
-        self._procs = []
-        for name, loop in self._loops():
-            proc = self.controller.sim.process(loop, name=name)
-            proc.defused = True
-            self._procs.append(proc)
-
-    def stop(self) -> None:
-        for proc in self._procs:
-            proc.defused = True
-            if proc.is_alive:
-                proc.interrupt("injector stopped")
-        self._procs = []
-
-    def _cut_episodes(self, fabric, mtbf_s: float, mean_heal_s: float,
-                      cut, log: List[PartitionEvent]) -> Generator:
-        """Sequential cut → wait → heal episodes drawn from ``self.rng``.
-
-        ``cut()`` severs some links and returns the :class:`PartitionEvent`
-        (or None when there is nothing to cut this round); the links an
-        episode cut are healed by the same episode, and a stop heals
-        whatever is still cut so a stopped soak can drain cleanly.
-        """
-        sim = self.controller.sim
-        try:
-            while True:
-                yield sim.timeout(self.rng.expovariate(1.0 / mtbf_s))
-                event = cut()
-                if event is None:
-                    continue
-                log.append(event)
-                yield sim.timeout(self.rng.expovariate(1.0 / mean_heal_s))
-                for a, b in event.links:
-                    fabric.heal(a, b)
-                event.healed_at = sim.now
-        except Interrupt:
-            for event in log:
-                if event.healed_at is None:
-                    for a, b in event.links:
-                        fabric.heal(a, b)
-                    event.healed_at = sim.now
+    at: float
+    kind: str
+    target: Any = None
 
 
-class FailureInjector(_RestartableInjector):
-    """Fails random live machines with exponential inter-arrival times."""
+class Applied(NamedTuple):
+    """One log line of the applier: ``resolved`` is None when skipped,
+    and ``result`` is then the reason (``fail``: the affected databases)."""
 
-    def __init__(self, controller: ClusterController, mtbf_s: float,
-                 seed: int = 0, min_live_machines: int = 1,
-                 spare_last_replicas: bool = True,
-                 repair_mtbf_s: Optional[float] = None,
-                 oracle: bool = True):
-        if mtbf_s <= 0:
-            raise ValueError("MTBF must be positive")
-        if repair_mtbf_s is not None and repair_mtbf_s <= 0:
-            raise ValueError("repair MTBF must be positive")
-        super().__init__(controller)
-        self.mtbf_s = mtbf_s
-        self.repair_mtbf_s = repair_mtbf_s
-        # oracle=True: fail_machine (controller learns instantly).
-        # oracle=False: crash_machine (silence; detection must notice).
-        self.oracle = oracle
-        self.rng = SeededRNG(seed).fork("failure-injector")
-        # Never fail below this many live machines (the cluster would
-        # just be gone; the paper assumes failures are sparse).
-        self.min_live_machines = min_live_machines
-        # Skip machines holding the only live replica of some database
-        # (simulates the paper's assumption that simultaneous loss of
-        # all replicas is a disaster-recovery event, not a cluster one).
-        self.spare_last_replicas = spare_last_replicas
-        self.events: List[FailureEvent] = []
-        self.repairs: List[RepairEvent] = []
+    at: float
+    kind: str
+    target: Any
+    resolved: Any
+    result: Any
 
-    def _loops(self) -> List[Tuple[str, Generator]]:
-        loops = [("failure-injector", self._loop())]
-        if self.repair_mtbf_s is not None:
-            loops.append(("repair-injector", self._repair_loop()))
-        return loops
 
-    def _candidates(self) -> List[str]:
-        live = [m.name for m in self.controller.live_machines()]
-        if len(live) <= self.min_live_machines:
-            return []
-        if not self.spare_last_replicas:
-            return live
+def _frozen(value: Any) -> Any:
+    return (tuple(_frozen(v) for v in value) if isinstance(value, list)
+            else value)
+
+
+def load(entries: Sequence[Sequence[Any]]) -> List[Fault]:
+    """A schedule back from its JSON form (lists become tuples)."""
+    return [Fault(at, kind, _frozen(target)) for at, kind, target in entries]
+
+
+def injected(log: Sequence[Applied], *kinds: str) -> List[Applied]:
+    """The entries of ``kinds`` that were applied, not skipped."""
+    return [a for a in log if a.kind in kinds and a.resolved is not None]
+
+
+# -- draws ------------------------------------------------------------------
+
+def _cuttable(network) -> None:
+    """The one fabric check: links exist only on an enabled fabric."""
+    if not network.enabled:
+        raise ValueError("link faults need the network fabric "
+                         "(config.network.enabled)")
+
+
+def _episodes(rng: SeededRNG, until: float, mtbf_s: float,
+              close_s: Optional[float],
+              opening: Callable[[], List[Tuple[str, Any]]]) -> List[Fault]:
+    """Poisson episodes before ``until``, one after another: each opens
+    the ``(kind, target)`` entries ``opening`` draws and, given
+    ``close_s``, closes them after an exponential ``close_s`` — or at
+    ``until``, whichever comes first."""
+    if mtbf_s <= 0 or (close_s is not None and close_s <= 0):
+        raise ValueError("MTBF and mean heal/repair time must be positive")
+    schedule, t = [], 0.0
+    while True:
+        t += rng.expovariate(1.0 / mtbf_s)
+        if t >= until:
+            return schedule
+        opened = opening()
+        schedule += [Fault(t, kind, target) for kind, target in opened]
+        if close_s is not None:
+            t = min(t + rng.expovariate(1.0 / close_s), until)
+            schedule += [Fault(t, CLOSES[kind], target)
+                         for kind, target in opened]
+
+
+def _one_link(rng: SeededRNG, a: str, b: str) -> Tuple[str, Any]:
+    if rng.random() < ASYMMETRIC_PROBABILITY:
+        return "cut", (a, b, False) if rng.random() < 0.5 else (b, a, False)
+    return "cut", (a, b, True)
+
+
+def crashes(seed: int, machines: Sequence[str], until: float, mtbf_s: float,
+            kind: str = "fail",
+            repair_mtbf_s: Optional[float] = None) -> List[Fault]:
+    """Poisson machine faults (``kind`` ``"fail"`` or ``"crash"``) at
+    ``mtbf_s``, each a rank into the candidates of its instant, and —
+    from a stream of its own — Poisson repairs at ``repair_mtbf_s``."""
+    rng = SeededRNG(seed).fork("failure-injector")
+    schedule = _episodes(rng, until, mtbf_s, None, lambda: [
+        (kind, rng.randint(0, len(machines) - 1))])
+    if repair_mtbf_s is not None:
+        repairs = SeededRNG(seed).fork("repair-injector")
+        schedule += _episodes(repairs, until, repair_mtbf_s, None, lambda: [
+            ("repair", repairs.randint(0, len(machines) - 1))])
+    return sorted(schedule, key=lambda f: f.at)
+
+
+def link_cuts(seed: int, machines: Sequence[str], until: float, mtbf_s: float,
+              mean_heal_s: float, network) -> List[Fault]:
+    """Fabric episodes: isolate a random minority of ``machines`` from
+    the controller and the rest, or cut one to :data:`MAX_CUT_LINKS`
+    controller↔machine links (each maybe one-way)."""
+    _cuttable(network)
+    rng = SeededRNG(seed).fork("partition-injector")
+    names = sorted(machines)
+
+    def opening():
+        if len(names) >= 2 and rng.random() < SPLIT_PROBABILITY:
+            isolated = sorted(rng.sample(names, rng.randint(
+                1, max(1, len(names) // 2))))
+            rest = sorted([CONTROLLER] + [m for m in names
+                                          if m not in isolated])
+            return [("split", (tuple(rest), tuple(isolated)))]
+        k = rng.randint(1, min(MAX_CUT_LINKS, len(names)))
+        return [_one_link(rng, CONTROLLER, name)
+                for name in sorted(rng.sample(names, k))]
+
+    return _episodes(rng, until, mtbf_s, mean_heal_s, opening) if names else []
+
+
+def controller_kills(seed: int, nodes: Sequence[str], until: float,
+                     kill_mtbf_s: float, mean_repair_s: float,
+                     partition_mtbf_s: Optional[float], mean_heal_s: float,
+                     network) -> List[Fault]:
+    """Consensus replica kills (the lease holder with probability
+    :data:`PREFER_LEADER`, else a rank) each repaired after
+    ``mean_repair_s``; and, from their own stream, symmetric
+    controller↔controller link cuts healed after ``mean_heal_s``."""
+    kills = SeededRNG(seed).fork("controller-kill-injector")
+    schedule = _episodes(kills, until, kill_mtbf_s, mean_repair_s, lambda: [
+        ("kill_ctl", "leader" if kills.random() < PREFER_LEADER
+         else kills.randint(0, len(nodes) - 1))])
+    if partition_mtbf_s is not None:
+        _cuttable(network)
+        cuts = SeededRNG(seed).fork("controller-partition-injector")
+        schedule += _episodes(cuts, until, partition_mtbf_s, mean_heal_s,
+                              lambda: [("cut", (*cuts.sample(sorted(nodes), 2),
+                                                True))])
+    return sorted(schedule, key=lambda f: f.at)
+
+
+def wan_cuts(seed: int, colos: Sequence[str], until: float, mtbf_s: float,
+             mean_heal_s: float, network) -> List[Fault]:
+    """WAN episodes: isolate one colo from the system controller and
+    every peer (:data:`ISOLATE_PROBABILITY`), or cut one colo↔colo link
+    (maybe one-way), stalling that direction's log shipping."""
+    _cuttable(network)
+    rng = SeededRNG(seed).fork("wan-partition-injector")
+    names = sorted(colos)
+
+    def opening():
+        if rng.random() < ISOLATE_PROBABILITY:
+            victim = rng.choice(names)
+            return [("split", (tuple(sorted([SYSTEM] + [c for c in names
+                                                        if c != victim])),
+                               (victim,)))]
+        return [_one_link(rng, *rng.sample(names, 2))] if len(names) >= 2 \
+            else []
+
+    return _episodes(rng, until, mtbf_s, mean_heal_s, opening) if names else []
+
+
+# -- the applier ------------------------------------------------------------
+
+class _Skip(Exception):
+    """The guards refused an entry; the message is the logged reason."""
+
+
+def _rank(candidates: Sequence[str], target: Any, empty: str) -> str:
+    """``target`` (a name or a rank) resolved among ``candidates``."""
+    if not candidates:
+        raise _Skip(empty)
+    if isinstance(target, str):
+        if target not in candidates:
+            raise _Skip(f"{target} is not a candidate")
+        return target
+    if isinstance(target, int):
+        return candidates[target % len(candidates)]
+    raise _Skip("bad target")
+
+
+def _links(target: Any) -> Tuple[str, List[Tuple[str, str]]]:
+    """``("cut", links)`` of an ``(a, b, symmetric)`` target, ``("split",
+    links)`` of a tuple of groups: the directed links it covers."""
+    if (isinstance(target, tuple) and len(target) == 3
+            and isinstance(target[0], str) and isinstance(target[1], str)
+            and isinstance(target[2], bool)):
+        a, b, symmetric = target
+        return "cut", [(a, b), (b, a)] if symmetric else [(a, b)]
+    if (isinstance(target, tuple) and len(target) >= 2
+            and all(isinstance(g, tuple) and all(isinstance(n, str) for n in g)
+                    for g in target)):
+        return "split", [link for i, group in enumerate(target)
+                         for other in target[i + 1:]
+                         for a in group for b in other
+                         for link in ((a, b), (b, a))]
+    raise _Skip("bad target")
+
+
+class _Applier:
+    """What one applier remembers: the episodes still open (to pair each
+    closing entry with its opening one) and how many open entries cover
+    each cut link."""
+
+    def __init__(self, world):
+        self.world = world
+        self.cluster = world if isinstance(world, ClusterController) else None
+        self.fabric = world.wan if self.cluster is None else world.fabric
+        self.open: Dict[Tuple[str, Any], Deque[Any]] = {}
+        self.cuts: Dict[Tuple[str, str], int] = {}
+        self.log: List[Applied] = []
+
+    def run(self, schedule: Sequence[Fault]):
+        sim = self.world.sim
+        for fault in schedule:
+            if fault.at > sim.now:
+                yield sim.timeout(fault.at - sim.now)
+            effect = EFFECTS.get(fault.kind)
+            try:
+                if effect is None:
+                    raise _Skip("unknown kind")
+                resolved, result = effect(self, fault.target)
+            except _Skip as skip:
+                resolved, result = None, str(skip)
+            self.log.append(Applied(sim.now, fault.kind, fault.target,
+                                    resolved, result))
+            self.world.trace.emit(
+                "fault", at=fault.at, fault=fault.kind, target=fault.target,
+                resolved=resolved,
+                skipped=result if resolved is None else None)
+
+    # -- guards --------------------------------------------------------------
+
+    def _machines(self) -> ClusterController:
+        if self.cluster is None:
+            raise _Skip("no cluster")
+        return self.cluster
+
+    def _group(self):
+        if self.cluster is None or self.cluster.consensus is None:
+            raise _Skip("no consensus group")
+        return self.cluster.consensus
+
+    def _colo(self, target: Any) -> str:
+        if self.cluster is not None:
+            raise _Skip("no colos")
+        if not isinstance(target, str) or target not in self.world.colos:
+            raise _Skip("bad target")
+        return target
+
+    def _victim(self, target: Any) -> str:
+        cluster = self._machines()
+        live = sorted(m.name for m in cluster.live_machines())
+        if len(live) <= MIN_LIVE_MACHINES:
+            raise _Skip("min live machines")
         spared = set()
-        for db in self.controller.replica_map.databases():
-            live_replicas = self.controller.live_replicas(db)
-            if len(live_replicas) == 1:
-                spared.add(live_replicas[0])
-        return [name for name in live if name not in spared]
+        for db in cluster.replica_map.databases():
+            replicas = cluster.live_replicas(db)
+            if len(replicas) == 1:
+                spared.update(replicas)
+        if isinstance(target, str) and target in spared:
+            raise _Skip("last live replica")
+        return _rank([n for n in live if n not in spared], target,
+                     "last live replica")
 
-    def _repair_candidates(self) -> List[str]:
-        """Dead machines the replica map no longer routes to.
-
-        A crashed (non-oracle) machine keeps its map entries until the
-        failure detector declares it, so repair naturally waits for
-        detection to run its course.
-        """
-        return sorted(
-            name for name, machine in self.controller.machines.items()
-            if not machine.alive
-            and not self.controller.replica_map.hosted_on(name))
-
-    def _loop(self) -> Generator:
-        sim = self.controller.sim
+    def _opened(self, kind: str, target: Any, resolve: Callable[[], Any]):
+        """Resolve an opening entry and file it — or its skip — for the
+        entry that will close it."""
+        episodes = self.open.setdefault((CLOSES[kind], target), deque())
         try:
-            while True:
-                yield sim.timeout(self.rng.expovariate(1.0 / self.mtbf_s))
-                candidates = self._candidates()
-                if not candidates:
-                    continue
-                victim = self.rng.choice(sorted(candidates))
-                if self.oracle:
-                    affected = self.controller.fail_machine(victim)
-                else:
-                    self.controller.crash_machine(victim)
-                    affected = []
-                self.events.append(FailureEvent(sim.now, victim, affected))
-        except Interrupt:
-            return
+            resolved = resolve()
+        except _Skip:
+            episodes.append(None)
+            raise
+        episodes.append(resolved)
+        return resolved
 
-    def _repair_loop(self) -> Generator:
-        sim = self.controller.sim
-        try:
-            while True:
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.repair_mtbf_s))
-                candidates = self._repair_candidates()
-                if not candidates:
-                    continue
-                machine = self.rng.choice(candidates)
-                self.controller.repair_machine(machine)
-                self.repairs.append(RepairEvent(sim.now, machine))
-        except Interrupt:
-            return
+    def _closed(self, kind: str, target: Any) -> Any:
+        """What the earliest open entry this one closes resolved to."""
+        episodes = self.open.get((kind, target))
+        if not episodes:
+            raise _Skip("nothing to heal" if kind == "heal"
+                        else "nothing to repair")
+        resolved = episodes.popleft()
+        if resolved is None:
+            raise _Skip("its opening entry was skipped")
+        return resolved
 
+    # -- effects -------------------------------------------------------------
 
-@dataclass
-class ControllerKillEvent:
-    when: float
-    node: str
-    was_leader: bool
-    repaired_at: Optional[float] = None
+    def fail(self, target):
+        name = self._victim(target)
+        return name, self.cluster.fail_machine(name)
 
+    def crash(self, target):
+        name = self._victim(target)
+        self.cluster.crash_machine(name)
+        return name, None
 
-class ControllerKillInjector(_RestartableInjector):
-    """Kills consensus controller replicas (preferring the leader), and
-    optionally partitions the control-plane links, then heals both.
+    def repair(self, target):
+        cluster = self._machines()
+        name = _rank(sorted(n for n, m in cluster.machines.items()
+                            if not m.alive
+                            and not cluster.replica_map.hosted_on(n)),
+                     target, "nothing to repair")
+        cluster.repair_machine(name)
+        return name, None
 
-    Episodes are sequential: crash one replica, wait an exponential
-    repair delay, repair it. The victim is the current lease holder with
-    probability ``prefer_leader`` (kills that force an election are the
-    interesting ones); the injector never reduces the group below its
-    majority, so the control plane always stays electable. A second loop
-    (when the fabric is enabled and ``partition_mtbf_s`` is set) cuts a
-    random controller↔controller link for an exponential duration —
-    renewals and accepts stall, leases lapse, and deposed leaders must
-    cut off their in-flight COMMITs.
-    """
+    def _cover(self, kind: str, target: Any) -> None:
+        shape, links = _links(target)
+        if shape != kind:
+            raise _Skip("bad target")
+        self._opened(kind, target, lambda: target)
+        for link in links:
+            self.cuts[link] = self.cuts.get(link, 0) + 1
 
-    def __init__(self, controller: ClusterController, kill_mtbf_s: float,
-                 seed: int = 0, mean_repair_s: float = 5.0,
-                 prefer_leader: float = 0.8,
-                 partition_mtbf_s: Optional[float] = None,
-                 mean_heal_s: float = 2.0):
-        if kill_mtbf_s <= 0:
-            raise ValueError("kill MTBF must be positive")
-        if mean_repair_s <= 0:
-            raise ValueError("mean repair time must be positive")
-        super().__init__(controller)
-        if controller.consensus is None:
-            raise ValueError("ControllerKillInjector needs the consensus "
-                             "control plane (config.consensus_enabled)")
-        self.consensus = controller.consensus
-        self.kill_mtbf_s = kill_mtbf_s
-        self.mean_repair_s = mean_repair_s
-        self.prefer_leader = prefer_leader
-        self.partition_mtbf_s = partition_mtbf_s
-        self.mean_heal_s = mean_heal_s
-        self.rng = SeededRNG(seed).fork("controller-kill-injector")
-        self.events: List[ControllerKillEvent] = []
-        self.partitions: List[PartitionEvent] = []
+    def cut(self, target):
+        self._cover("cut", target)
+        self.fabric.cut(*target[:2], symmetric=target[2])
+        return target, None
 
-    def _loops(self) -> List[Tuple[str, Generator]]:
-        loops = [("controller-kill-injector", self._kill_loop())]
-        if (self.partition_mtbf_s is not None
-                and self.controller.fabric.enabled):
-            loops.append(("controller-partition-injector",
-                          self._cut_episodes(
-                              self.controller.fabric, self.partition_mtbf_s,
-                              self.mean_heal_s, self._cut_controller_link,
-                              self.partitions)))
-        return loops
+    def split(self, target):
+        self._cover("split", target)
+        self.fabric.split(target)
+        return target, None
 
-    def _pick_victim(self) -> Optional[str]:
-        group = self.consensus.group
-        alive = sorted(n.name for n in group.nodes.values() if n.alive)
-        if len(alive) <= group.majority:
-            return None          # never make the group unelectable
-        leader = group.leader()
-        if (leader is not None and leader.name in alive
-                and self.rng.random() < self.prefer_leader):
-            return leader.name
-        return self.rng.choice(alive)
+    def heal(self, target):
+        _shape, links = _links(target)
+        self._closed("heal", target)
+        healed = []
+        for link in links:
+            self.cuts[link] -= 1
+            if not self.cuts[link]:
+                del self.cuts[link]
+                healed.append(link)
+        # One symmetric heal per link whose both directions reopened.
+        pending = set(healed)
+        for a, b in healed:
+            if (a, b) in pending:
+                pending.discard((a, b))
+                symmetric = (b, a) in pending
+                pending.discard((b, a))
+                self.fabric.heal(a, b, symmetric=symmetric)
+        return target, None
 
-    def _kill_loop(self) -> Generator:
-        sim = self.controller.sim
-        group = self.consensus.group
-        try:
-            while True:
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.kill_mtbf_s))
-                victim = self._pick_victim()
-                if victim is None:
-                    continue
-                was_leader = group.nodes[victim].is_leader
-                event = ControllerKillEvent(sim.now, victim, was_leader)
-                self.events.append(event)
-                self.consensus.crash_controller(victim)
-                yield sim.timeout(
-                    self.rng.expovariate(1.0 / self.mean_repair_s))
-                self.consensus.repair_controller(victim)
-                event.repaired_at = sim.now
-        except Interrupt:
-            # Repair whatever this injector still has down so a stopped
-            # soak can drain (and re-elect) cleanly.
-            for event in self.events:
-                if event.repaired_at is None:
-                    self.consensus.repair_controller(event.node)
-                    event.repaired_at = self.controller.sim.now
-            return
+    def kill_ctl(self, target):
+        consensus = self._group()
 
-    def _cut_controller_link(self) -> Optional[PartitionEvent]:
-        names = sorted(self.consensus.group.names)
-        if len(names) < 2:
-            return None
-        a, b = self.rng.sample(names, 2)
-        self.controller.fabric.cut(a, b)
-        return PartitionEvent(self.controller.sim.now, "cut", links=[(a, b)])
+        def victim():
+            group = consensus.group
+            alive = sorted(n.name for n in group.nodes.values() if n.alive)
+            if len(alive) <= group.majority:
+                raise _Skip("majority")
+            if target == "leader":
+                leader = group.leader()
+                if leader is None:
+                    raise _Skip("no leader")
+                return leader.name
+            return _rank(alive, target, "majority")
+
+        if not isinstance(target, (str, int)):
+            raise _Skip("bad target")
+        name = self._opened("kill_ctl", target, victim)
+        consensus.crash_controller(name)
+        return name, None
+
+    def repair_ctl(self, target):
+        consensus = self._group()
+        if not isinstance(target, (str, int)):
+            raise _Skip("bad target")
+        name = self._closed("repair_ctl", target)
+        consensus.repair_controller(name)
+        return name, None
+
+    def crash_colo(self, target):
+        name = self._colo(target)
+        self.world.crash_colo(name)
+        return name, None
+
+    def repair_colo(self, target):
+        if self._colo(target) not in self.world.declared_dead:
+            raise _Skip("nothing to repair")
+        self.world.repair_colo(target)
+        return target, None
 
 
-class PartitionInjector(_RestartableInjector):
-    """Cuts random fabric links (or splits the cluster), then heals.
-
-    Episodes arrive with exponential inter-arrival times (``mtbf_s``)
-    and last an exponential duration (``mean_heal_s``). With probability
-    ``split_probability`` an episode isolates a random group of machines
-    from the controller and everyone else; otherwise it cuts between one
-    and ``max_cut_links`` individual controller↔machine links.
-    Episodes are sequential (cut, wait, heal) so every link an episode
-    cut is healed by the same episode.
-    """
-
-    def __init__(self, controller: ClusterController, mtbf_s: float,
-                 seed: int = 0, mean_heal_s: float = 5.0,
-                 split_probability: float = 0.25, max_cut_links: int = 2,
-                 asymmetric_probability: float = 0.25):
-        if mtbf_s <= 0:
-            raise ValueError("MTBF must be positive")
-        if mean_heal_s <= 0:
-            raise ValueError("mean heal time must be positive")
-        super().__init__(controller)
-        if not controller.fabric.enabled:
-            raise ValueError("PartitionInjector needs the network fabric "
-                             "(config.network.enabled)")
-        self.mtbf_s = mtbf_s
-        self.mean_heal_s = mean_heal_s
-        self.split_probability = split_probability
-        self.max_cut_links = max_cut_links
-        # Chance that a cut episode severs only *one* direction of a
-        # link: requests vanish but responses flow, or the reverse —
-        # the nastiest case for RPC dedup and failure detection.
-        self.asymmetric_probability = asymmetric_probability
-        self.rng = SeededRNG(seed).fork("partition-injector")
-        self.events: List[PartitionEvent] = []
-
-    def _loops(self) -> List[Tuple[str, Generator]]:
-        return [("partition-injector", self._cut_episodes(
-            self.controller.fabric, self.mtbf_s, self.mean_heal_s,
-            self._cut, self.events))]
-
-    def _cut(self) -> Optional[PartitionEvent]:
-        machines = sorted(self.controller.machines)
-        if not machines:
-            return None
-        if len(machines) >= 2 and self.rng.random() < self.split_probability:
-            return self._split(machines)
-        return self._cut_links(machines)
-
-    def _split(self, machines: List[str]) -> PartitionEvent:
-        """Isolate a random minority of machines from everyone else."""
-        fabric = self.controller.fabric
-        k = self.rng.randint(1, max(1, len(machines) // 2))
-        isolated = sorted(self.rng.sample(machines, k))
-        rest = [CONTROLLER] + [m for m in machines if m not in isolated]
-        links = [(a, b) for a in rest for b in isolated]
-        for a, b in links:
-            fabric.cut(a, b)
-        self.controller.trace.emit(
-            "net_partition", groups=[sorted(rest), isolated])
-        return PartitionEvent(self.controller.sim.now, "split",
-                              links=links, groups=[sorted(rest), isolated])
-
-    def _cut_links(self, machines: List[str]) -> PartitionEvent:
-        """Cut a few individual controller↔machine links.
-
-        Each cut may be asymmetric: only one direction is severed, so
-        e.g. a machine keeps receiving statements whose acks never make
-        it back. Healing is always symmetric (a no-op on the direction
-        that was never cut).
-        """
-        fabric = self.controller.fabric
-        k = self.rng.randint(1, min(self.max_cut_links, len(machines)))
-        targets = sorted(self.rng.sample(machines, k))
-        links = []
-        for name in targets:
-            if self.rng.random() < self.asymmetric_probability:
-                link = (CONTROLLER, name) if self.rng.random() < 0.5 \
-                    else (name, CONTROLLER)
-                fabric.cut(*link, symmetric=False)
-            else:
-                link = (CONTROLLER, name)
-                fabric.cut(*link)
-            links.append(link)
-        return PartitionEvent(self.controller.sim.now, "cut", links=links)
+#: The ``kind -> effect`` table; an effect returns ``(resolved, result)``.
+EFFECTS = {kind: getattr(_Applier, kind) for kind in (
+    "fail", "crash", "repair", "cut", "split", "heal", "kill_ctl",
+    "repair_ctl", "crash_colo", "repair_colo")}
 
 
-class WanPartitionInjector(_RestartableInjector):
-    """Cuts colo↔colo WAN links or isolates a colo, then heals.
-
-    Episodes arrive with exponential inter-arrival times (``mtbf_s``)
-    and last an exponential duration (``mean_heal_s``). With probability
-    ``isolate_probability`` an episode isolates one colo from the system
-    controller *and* every peer colo — starving the colo heartbeat
-    detector (suspicion, and declaration if the outage outlives the
-    detector's patience); otherwise it cuts a single colo↔colo link,
-    stalling that direction's log shipping until the resumable catch-up
-    drains it after the heal. Episodes are sequential, so every link an
-    episode cut is healed by the same episode.
-    """
-
-    def __init__(self, system, mtbf_s: float, seed: int = 0,
-                 mean_heal_s: float = 2.0,
-                 isolate_probability: float = 0.25,
-                 asymmetric_probability: float = 0.25):
-        if mtbf_s <= 0:
-            raise ValueError("MTBF must be positive")
-        if mean_heal_s <= 0:
-            raise ValueError("mean heal time must be positive")
-        super().__init__(system)
-        self.system = system
-        self.mtbf_s = mtbf_s
-        self.mean_heal_s = mean_heal_s
-        self.isolate_probability = isolate_probability
-        self.asymmetric_probability = asymmetric_probability
-        self.rng = SeededRNG(seed).fork("wan-partition-injector")
-        self.events: List[PartitionEvent] = []
-
-    def _loops(self) -> List[Tuple[str, Generator]]:
-        return [("wan-partition-injector", self._cut_episodes(
-            self.system.wan, self.mtbf_s, self.mean_heal_s, self._cut,
-            self.events))]
-
-    def _cut(self) -> Optional[PartitionEvent]:
-        colos = sorted(self.system.colos)
-        if not colos:
-            return None
-        if self.rng.random() < self.isolate_probability:
-            return self._isolate(colos)
-        if len(colos) >= 2:
-            return self._cut_wan_link(colos)
-        return None
-
-    def _isolate(self, colos: List[str]) -> PartitionEvent:
-        """Cut one colo off from the system controller and every peer."""
-        fabric = self.system.wan
-        victim = self.rng.choice(colos)
-        rest = [SYSTEM] + [c for c in colos if c != victim]
-        links = [(a, victim) for a in rest]
-        for a, b in links:
-            fabric.cut(a, b)
-        self.system.trace.emit("net_partition",
-                               groups=[sorted(rest), [victim]])
-        return PartitionEvent(self.system.sim.now, "split", links=links,
-                              groups=[sorted(rest), [victim]])
-
-    def _cut_wan_link(self, colos: List[str]) -> PartitionEvent:
-        """Cut one colo↔colo WAN link (maybe only one direction)."""
-        fabric = self.system.wan
-        a, b = self.rng.sample(colos, 2)
-        if self.rng.random() < self.asymmetric_probability:
-            link = (a, b)
-            fabric.cut(*link, symmetric=False)
-        else:
-            link = (a, b)
-            fabric.cut(*link)
-        return PartitionEvent(self.system.sim.now, "cut", links=[link])
+def apply(world, schedule: Sequence[Fault]) -> List[Applied]:
+    """Spawn the one applier process over ``schedule`` (in ``at`` order)
+    on a :class:`ClusterController` or a system controller; returns its
+    log, which fills as entries fire. An empty schedule spawns nothing."""
+    applier = _Applier(world)
+    if schedule:
+        world.sim.process(applier.run(sorted(
+            (Fault(at, kind, _frozen(target))
+             for at, kind, target in schedule), key=lambda f: f.at)),
+            name="faults")
+    return applier.log

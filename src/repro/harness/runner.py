@@ -5,7 +5,9 @@ by the one soak loop (:mod:`repro.harness.scenario`). What is here does
 not have that shape — TPC-W clusters (Figures 2-9), a placement
 computation (Table 2), a commit-latency measurement that runs its
 clients dry, a platform-tier disaster soak over colos, 20 000 staged
-tenants — and forcing it through the loop would grow the loop.
+tenants — and forcing it through the loop would grow the loop. Their
+faults are still schedules on the soaks' one applier
+(:func:`repro.harness.faults.apply`).
 
 Every parameter has a caller (``tests/unit/test_harness.py`` walks the
 call sites); a value nobody varies is a constant next to the comment
@@ -24,7 +26,7 @@ from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import NetworkConfig
 from repro.cluster.recovery import RecoveryRecord
 from repro.errors import PlatformError
-from repro.harness.faults import PartitionEvent, WanPartitionInjector
+from repro.harness.faults import Applied, Fault, apply, wan_cuts
 from repro.harness.scenario import start_after
 from repro.platform import DataPlatform, DatabaseSpec
 from repro.sim import Simulator
@@ -195,12 +197,7 @@ def run_recovery_experiment(
 
     victim = max(controller.machines,
                  key=lambda m: controller.replica_map.hosted_count(m))
-
-    def failure_injector():
-        yield sim.timeout(failure_time_s)
-        controller.fail_machine(victim)
-
-    sim.process(failure_injector())
+    apply(controller, [Fault(failure_time_s, "fail", victim)])
     sim.run(until=duration_s)
 
     metrics = controller.metrics
@@ -296,12 +293,7 @@ def run_delta_recovery_bench(
         proc.defused = True
 
     victim = controller.replica_map.replicas("kv")[1]
-
-    def failure_injector():
-        yield sim.timeout(failure_time_s)
-        controller.fail_machine(victim)
-
-    sim.process(failure_injector())
+    apply(controller, [Fault(failure_time_s, "fail", victim)])
     sim.run(until=duration_s)
 
     record = next((r for r in recovery.records if r.succeeded), None)
@@ -337,8 +329,8 @@ class DrSoakResult:
     committed: int
     aborted: int
     colo_killed: str
-    repaired_at: Optional[float]
-    partitions: List[PartitionEvent]
+    #: The applier's log: WAN episodes, the colo kill and its repairs.
+    faults: List[Applied]
     suspected_total: int
     declared: List[str]
     promotions: int
@@ -396,9 +388,11 @@ def run_dr_soak(
     heartbeat detector must suspect it, declare and fence it under a new
     epoch, promote each standby, and re-protect the promoted databases
     on surviving colos. At 75 % the dead colo is repaired and rejoins
-    blank — the failback target. Failures stop at ``duration_s``; the
-    WAN heals and the run drains ``drain_s`` so catch-up finishes — the
-    state the lag-drain invariant is checked against.
+    blank — the failback target (at ``duration_s`` instead, if it was
+    not declared by then). Failures stop at ``duration_s``, where the
+    last WAN episode heals, and the run drains ``drain_s`` so catch-up
+    finishes — the state the lag-drain invariant is checked against.
+    All of it is one schedule on the fault applier.
     """
     sim = Simulator()
     n_databases, keys_per_db, clients_per_db, think_time_s = 2, 25, 2, 0.3
@@ -423,9 +417,18 @@ def run_dr_soak(
         platform.bulk_load(f"kv{i}", "kv",
                            [(k, 0) for k in range(keys_per_db)])
     system.start_failure_detector()
-    partitioner = WanPartitionInjector(system, mtbf_s=wan_partition_mtbf_s,
-                                       seed=seed, mean_heal_s=1.5)
-    partitioner.start()
+    # Kill the colo that primaries the most databases — the worst case.
+    primaried: Dict[str, int] = {}
+    for db, (primary, _standby) in system.placements.items():
+        primaried[primary] = primaried.get(primary, 0) + 1
+    victim = max(sorted(system.colos), key=lambda c: primaried.get(c, 0))
+    # The repair at the end of the window lands only if the one at 75 %
+    # found the colo not yet declared.
+    applied = apply(system, wan_cuts(
+        seed, system.colos, duration_s, wan_partition_mtbf_s, 1.5,
+        system.wan.config) + [Fault(duration_s * 0.4, "crash_colo", victim),
+                              Fault(duration_s * 0.75, "repair_colo", victim),
+                              Fault(duration_s, "repair_colo", victim)])
 
     stats = []
     for i in range(n_databases):
@@ -435,26 +438,6 @@ def run_dr_soak(
                 platform, f"kv{i}", cid, seed * 1000 + i * 100 + cid,
                 keys_per_db, duration_s, think_time_s, stats[-1]))
             proc.defused = True
-
-    # Kill the colo that primaries the most databases — the worst case.
-    primaried: Dict[str, int] = {}
-    for db, (primary, _standby) in system.placements.items():
-        primaried[primary] = primaried.get(primary, 0) + 1
-    victim = max(sorted(system.colos), key=lambda c: primaried.get(c, 0))
-
-    sim.run(until=duration_s * 0.4)
-    system.crash_colo(victim)
-    sim.run(until=duration_s * 0.75)
-    repaired_at = None
-    if victim in system.declared_dead:
-        system.repair_colo(victim)
-        repaired_at = sim.now
-    sim.run(until=duration_s)
-    partitioner.stop()
-    system.wan.heal_all()
-    if repaired_at is None and victim in system.declared_dead:
-        system.repair_colo(victim)
-        repaired_at = sim.now
     sim.run(until=duration_s + drain_s)
 
     trace = system.trace
@@ -465,8 +448,7 @@ def run_dr_soak(
         committed=sum(s.committed for s in stats),
         aborted=sum(s.aborted for s in stats),
         colo_killed=victim,
-        repaired_at=repaired_at,
-        partitions=list(partitioner.events),
+        faults=applied,
         suspected_total=len(trace.events(kind="colo_suspected")),
         declared=[e.machine for e in trace.events(kind="colo_declared")],
         promotions=len(summary["promotions"]),

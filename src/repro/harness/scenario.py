@@ -6,27 +6,31 @@
 2. start a :class:`RecoveryManager`, if the scenario names a ``copy``;
 3. start the **services** — parts that run to the end of the run
    (failure detector, process pair, overload monitor);
-4. build and ``start()`` the **injectors** — parts that break things;
+4. draw the **faults** — the scenario's schedule, a list of
+   :class:`~repro.harness.faults.Fault` drawn from the built world — into
+   ``run.schedule`` and spawn the one applier over it (its log is
+   ``run.applied``);
 5. spawn ``clients_per_db`` closed-loop clients per tenant;
 6. arm the **staged** ``(sim time, action(run))`` pairs;
-7. run to ``duration_s``, ``stop()`` every injector in start order, heal
+7. run to ``duration_s`` (every drawn episode is closed by then), heal
    the fabric if it is on, run ``drain_s`` more so suspicions resolve
    and re-replication finishes;
 8. optionally crash the primary controller and give the process pair
    ``takeover_wait_s`` to take over.
 
-The order is fixed because it is part of the trace: every ``start()``
-spawns sim processes, and within an instant processes run in spawn
-order. Services therefore start before injectors, both in the order the
+The order is fixed because it is part of the trace: within an instant
+processes run in spawn order. Services start in the order the
 declaration lists them (the partition soak starts its process pair
-before its detector, the controller soak the other way round), and
-``heal_all`` stays behind ``fabric.enabled`` (it emits ``net_heal_all``).
+before its detector, the controller soak the other way round), the
+applier after them, and ``heal_all`` stays behind ``fabric.enabled`` (it
+emits ``net_heal_all``).
 
-A service is any ``start(run) -> part``; an injector any ``build(run) ->
-part`` with ``start()`` / ``stop()``. Both land in ``run.parts`` under
-their declared name, so a report reads ``run.parts["partitions"].events``
-instead of a hand-copied result field. A caller varies a declaration
-with :func:`dataclasses.replace`, not with a new keyword.
+A service is any ``start(run) -> part`` and lands in ``run.parts`` under
+its declared name; the faults are data, so a report reads
+``injected(run.applied, "cut", "split")`` instead of an injector's
+fields. A caller varies a declaration with :func:`dataclasses.replace`,
+not with a new keyword; replaying a recorded schedule is
+``replace(scenario, faults=lambda run: recorded)``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.analysis.metrics import MetricsCollector
 from repro.analysis.trace import TraceEvent
 from repro.cluster import ClusterConfig, ClusterController, RecoveryManager
 from repro.cluster.recovery import RecoveryRecord
+from repro.harness.faults import Applied, Fault, apply
 from repro.sim import Simulator
 from repro.sla.model import Sla
 from repro.workloads.microbench import KV_DDL, KeyValueWorkload, KvStats
@@ -50,7 +55,7 @@ class Scenario:
 
     config: ClusterConfig
     seed: int
-    #: Injectors run until here; the cluster then drains ``drain_s`` more.
+    #: Faults are drawn up to here; the cluster then drains ``drain_s`` more.
     duration_s: float
     drain_s: float = 0.0
     machines: int = 6
@@ -71,7 +76,8 @@ class Scenario:
     #: (``"delta"`` / ``"table"`` / ``"database"``); None runs without one.
     copy: Optional[str] = None
     services: Dict[str, Callable[["Run"], Any]] = field(default_factory=dict)
-    injectors: Dict[str, Callable[["Run"], Any]] = field(default_factory=dict)
+    #: The schedule, drawn from the built world before the first client.
+    faults: Callable[["Run"], Sequence[Fault]] = lambda run: ()
     staged: Sequence[Tuple[float, Callable[["Run"], None]]] = ()
     #: The finale: after the drain, crash the primary controller and run
     #: this much longer (None: no finale).
@@ -88,8 +94,11 @@ class Run:
     workloads: List[KeyValueWorkload] = field(default_factory=list)
     #: One per client, in spawn order.
     stats: List[KvStats] = field(default_factory=list)
-    #: The recovery manager, services and injectors, by declared name.
+    #: The recovery manager and services, by declared name.
     parts: Dict[str, Any] = field(default_factory=dict)
+    #: What ``scenario.faults`` drew, and the applier's log of it.
+    schedule: List[Fault] = field(default_factory=list)
+    applied: List[Applied] = field(default_factory=list)
     #: Whatever staged actions (and the finale) wrote down.
     marks: Dict[str, Any] = field(default_factory=dict)
 
@@ -177,9 +186,8 @@ def run_scenario(scenario: Scenario) -> Run:
         run.parts["recovery"] = recovery
     for name, start in scenario.services.items():
         run.parts[name] = start(run)
-    for name, build in scenario.injectors.items():
-        run.parts[name] = build(run)
-        run.parts[name].start()
+    run.schedule = sorted(scenario.faults(run), key=lambda fault: fault.at)
+    run.applied = apply(controller, run.schedule)
 
     think = scenario.think_time_s
     delays = iter(scenario.start_delays_s)
@@ -194,8 +202,6 @@ def run_scenario(scenario: Scenario) -> Run:
         proc.defused = True
 
     sim.run(until=scenario.duration_s)
-    for name in scenario.injectors:
-        run.parts[name].stop()
     if controller.fabric.enabled:
         controller.fabric.heal_all()
     sim.run(until=scenario.duration_s + scenario.drain_s)

@@ -17,8 +17,7 @@ from repro.cluster import ClusterConfig, WritePolicy
 from repro.cluster.config import production_profile
 from repro.cluster.network import NetworkConfig
 from repro.cluster.process_pair import ProcessPairBackup
-from repro.harness.faults import (ControllerKillInjector, FailureInjector,
-                                  PartitionInjector)
+from repro.harness.faults import controller_kills, crashes, link_cuts
 from repro.harness.scenario import Run, Scenario
 from repro.sim.rng import SeededRNG, ZipfGenerator
 from repro.sla.model import Sla
@@ -47,14 +46,17 @@ def _lossy_fabric(seed: int, drop_probability: float) -> NetworkConfig:
                    jitter_s=0.001, drop_probability=drop_probability)
 
 
-def _crashes(seed: int, mtbf_s: float, repair_mtbf_s: Optional[float] = None,
-             oracle: bool = True) -> Callable[[Run], FailureInjector]:
-    """Poisson machine failures, never below three live machines.
-    ``oracle=False`` crashes silently (detection must notice) and
-    ``repair_mtbf_s`` returns dead machines as blank spares."""
-    return lambda run: FailureInjector(
-        run.controller, mtbf_s=mtbf_s, seed=seed, oracle=oracle,
-        repair_mtbf_s=repair_mtbf_s, min_live_machines=3)
+def _machines(run: Run):
+    return sorted(run.controller.machines)
+
+
+def _crashes(seed: int, mtbf_s: float, kind: str = "fail",
+             repair_mtbf_s: Optional[float] = None):
+    """Poisson machine faults over the injection window; ``"crash"``
+    goes silent (detection must notice) and ``repair_mtbf_s`` returns
+    dead machines as blank spares."""
+    return lambda run: crashes(seed, _machines(run), run.scenario.duration_s,
+                               mtbf_s, kind=kind, repair_mtbf_s=repair_mtbf_s)
 
 
 def _detector(run: Run):
@@ -87,7 +89,7 @@ def faults(duration_s: float = 45.0, drain_s: float = 30.0,
         # Copies of a few seconds, so failures land mid-copy.
         config=_config(seed, 1000.0), seed=seed,
         duration_s=duration_s, drain_s=drain_s, copy=copy,
-        injectors={"crashes": _crashes(seed, mtbf_s)})
+        faults=_crashes(seed, mtbf_s))
 
 
 def partitions(duration_s: float = 60.0, drain_s: float = 40.0,
@@ -107,12 +109,10 @@ def partitions(duration_s: float = 60.0, drain_s: float = 40.0,
                        network=_lossy_fabric(seed, 0.01)),
         seed=seed, duration_s=duration_s, drain_s=drain_s, copy=copy,
         services={"process_pair": _process_pair, "detector": _detector},
-        injectors={
-            "crashes": _crashes(seed, 30.0, repair_mtbf_s=15.0,
-                                oracle=False),
-            "partitions": lambda run: PartitionInjector(
-                run.controller, mtbf_s=partition_mtbf_s, seed=seed,
-                mean_heal_s=4.0)},
+        faults=lambda run: (
+            _crashes(seed, 30.0, "crash", repair_mtbf_s=15.0)(run)
+            + link_cuts(seed, _machines(run), run.scenario.duration_s,
+                        partition_mtbf_s, 4.0, run.controller.fabric.config)),
         takeover_wait_s=10.0)
 
 
@@ -124,8 +124,8 @@ def controllers(consensus: bool, duration_s: float = 40.0,
     With ``consensus`` the controller is a multi-Paxos group: replicas
     are killed at ``ctl_kill_mtbf_s`` (never below the majority) and
     repaired, controller↔controller links are cut and healed, machines
-    crash silently and are repaired. Stopping the injectors repairs and
-    heals whatever is still down, and the drain lets re-replication
+    crash silently and are repaired. Every kill and cut is closed by
+    ``duration_s`` (the draws clamp there), and the drain lets re-replication
     finish and a final leader settle — the input for the
     single-leader-per-term / log-prefix-agreement /
     decision-only-under-valid-lease invariants. Without it the same
@@ -136,19 +136,21 @@ def controllers(consensus: bool, duration_s: float = 40.0,
                      consensus_enabled=consensus,
                      network=_lossy_fabric(seed, 0.005))
     services: Dict[str, Callable] = {"detector": _detector}
-    injectors: Dict[str, Callable] = {}
-    if consensus:
-        injectors["ctl_kills"] = lambda run: ControllerKillInjector(
-            run.controller, kill_mtbf_s=ctl_kill_mtbf_s, seed=seed,
-            mean_repair_s=4.0, partition_mtbf_s=15.0, mean_heal_s=1.5)
-    else:
+    if not consensus:
         services["process_pair"] = _process_pair
-    injectors["crashes"] = _crashes(seed, 25.0, repair_mtbf_s=12.0,
-                                    oracle=False)
+
+    def faults(run: Run):
+        schedule = _crashes(seed, 25.0, "crash", repair_mtbf_s=12.0)(run)
+        if consensus:
+            schedule += controller_kills(
+                seed, run.controller.consensus.group.names,
+                run.scenario.duration_s, ctl_kill_mtbf_s, 4.0, 15.0, 1.5,
+                run.controller.fabric.config)
+        return schedule
+
     return Scenario(
         config=config, seed=seed, duration_s=duration_s, drain_s=drain_s,
-        copy="delta", reconnecting=True, services=services,
-        injectors=injectors,
+        copy="delta", reconnecting=True, services=services, faults=faults,
         takeover_wait_s=None if consensus else 10.0)
 
 
@@ -205,8 +207,7 @@ def stampede(admission: bool, duration_s: float = 40.0,
         think_time_s=think, start_delays_s=delays,
         copy=None if mtbf_s is None else "delta",
         services={"overload_monitor": _overload_monitor},
-        injectors=({} if mtbf_s is None
-                   else {"crashes": _crashes(seed, mtbf_s)}),
+        faults=(lambda run: ()) if mtbf_s is None else _crashes(seed, mtbf_s),
         staged=[(ramp_at_s, ramp)])
 
 

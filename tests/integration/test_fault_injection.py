@@ -7,7 +7,8 @@ working, replicas are re-created, replicas stay mutually consistent.
 import pytest
 
 from repro.cluster import RecoveryManager
-from repro.harness.faults import FailureInjector
+from repro.harness.faults import (MIN_LIVE_MACHINES, Fault, apply, crashes,
+                                  injected)
 from repro.workloads.microbench import KeyValueWorkload, KvStats
 from tests.conftest import assert_no_violations, make_cluster, read_table
 
@@ -21,9 +22,8 @@ class TestFaultInjection:
         workload.install(replicas=2)
         recovery = RecoveryManager(controller, threads=2, retry_delay_s=1.0)
         recovery.start()
-        injector = FailureInjector(controller, mtbf_s=8.0, seed=3,
-                                   min_live_machines=3)
-        injector.start()
+        log = apply(controller, crashes(3, sorted(controller.machines),
+                                        until=60.0, mtbf_s=8.0))
 
         stats = [KvStats() for _ in range(4)]
         for cid in range(4):
@@ -31,12 +31,11 @@ class TestFaultInjection:
                 cid, transactions=120, think_time_s=0.2,
                 stats=stats[cid]))
             proc.defused = True
-        sim.run(until=60.0)
-        injector.stop()
-        sim.run(until=90.0)  # let recovery drain
+        sim.run(until=90.0)  # failures stop at 60 s; let recovery drain
 
         # Failures actually happened and clients kept committing.
-        assert injector.events, "MTBF 8 s over 60 s must produce failures"
+        assert injected(log, "fail"), \
+            "MTBF 8 s over 60 s must produce failures"
         assert sum(s.committed for s in stats) > 100
 
         # The database is fully replicated again and replicas agree.
@@ -54,29 +53,30 @@ class TestFaultInjection:
         assert_no_violations(controller, expect_recovery_complete=True)
 
     def test_injector_spares_last_replicas(self, sim):
-        controller = make_cluster(sim, machines=3)
+        # Five machines over a floor of three: two may fail, so once one
+        # replica is gone the survivor is a candidate by count alone.
+        controller = make_cluster(sim, machines=5)
         workload = KeyValueWorkload(controller, db_name="app", keys=5)
         workload.install(replicas=2)
-        injector = FailureInjector(controller, mtbf_s=1.0, seed=5,
-                                   min_live_machines=1)
-        injector.start()
+        replicas = controller.replica_map.replicas("app")
+        apply(controller, [Fault(1.0, "fail", replicas[0]),
+                           Fault(2.0, "fail", replicas[1])]
+              + crashes(5, sorted(controller.machines), until=30.0,
+                        mtbf_s=1.0))
         sim.run(until=30.0)
-        injector.stop()
         # No recovery manager: after one replica dies, the survivor is
         # the last live replica and must never be chosen.
         assert controller.live_replicas("app"), "database wiped out"
 
     def test_min_live_floor(self, sim):
-        controller = make_cluster(sim, machines=4)
-        injector = FailureInjector(controller, mtbf_s=0.5, seed=7,
-                                   min_live_machines=2,
-                                   spare_last_replicas=False)
-        injector.start()
+        controller = make_cluster(sim, machines=6)
+        apply(controller, crashes(7, sorted(controller.machines),
+                                  until=60.0, mtbf_s=0.5))
         sim.run(until=60.0)
-        injector.stop()
         assert len(controller.live_machines()) >= 2
+        assert len(controller.live_machines()) == MIN_LIVE_MACHINES
 
     def test_bad_mtbf_rejected(self, sim):
         controller = make_cluster(sim, machines=2)
         with pytest.raises(ValueError):
-            FailureInjector(controller, mtbf_s=0)
+            crashes(1, sorted(controller.machines), until=10.0, mtbf_s=0)

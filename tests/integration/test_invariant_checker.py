@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import RecoveryManager, WritePolicy
 from repro.cluster.controller import TransactionAborted
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.harness.faults import FailureInjector
+from repro.harness.faults import apply, crashes, injected
 from repro.workloads.microbench import KeyValueWorkload, KvStats
 from tests.conftest import (assert_no_violations, make_cluster,
                             make_kv_cluster, read_table)
@@ -251,9 +251,8 @@ class TestCheckerOnFaultInjection:
         workload.install(replicas=2)
         recovery = RecoveryManager(controller, threads=2, retry_delay_s=1.0)
         recovery.start()
-        injector = FailureInjector(controller, mtbf_s=6.0, seed=7,
-                                   min_live_machines=3)
-        injector.start()
+        log = apply(controller, crashes(7, sorted(controller.machines),
+                                        until=30.0, mtbf_s=6.0))
 
         stats = [KvStats() for _ in range(3)]
         for cid in range(3):
@@ -261,11 +260,9 @@ class TestCheckerOnFaultInjection:
                 cid, transactions=100, think_time_s=0.2,
                 stats=stats[cid]))
             proc.defused = True
-        sim.run(until=30.0)
-        injector.stop()
-        sim.run(until=70.0)  # drain clients and recovery
+        sim.run(until=70.0)  # failures stop at 30 s; drain the rest
 
-        assert injector.events, "the soak must actually inject failures"
+        assert injected(log, "fail"), "the soak must actually inject failures"
         assert sum(s.committed for s in stats) > 50
         assert controller.trace.events(kind="rereplication_done")
         assert_no_violations(controller, expect_recovery_complete=True)

@@ -10,6 +10,7 @@ from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.errors import ControllerFailedError
 from repro.harness import soaks
+from repro.harness.faults import injected
 from repro.harness.scenario import run_scenario
 from tests.conftest import (assert_no_violations, make_kv_cluster,
                             read_table)
@@ -192,7 +193,7 @@ class TestPartitionSoak:
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)
         assert result.committed > 0
-        assert result.parts["partitions"].events, \
+        assert injected(result.applied, "cut", "split"), \
             "expected partition episodes"
         summary = result.metrics.snapshot()["network"]
         assert summary["messages_sent"] > 0

@@ -1,13 +1,15 @@
 """Replay identity: same seed, same trace — byte for byte.
 
 Every CI soak at its CI size (the stampede at the tier-1 size) must dump
-exactly the trace recorded below. The seven cluster hashes were recorded
-at PR 24, which stamps ``write_acked`` / ``write_failed`` / ``prepare`` /
-``prepare_failed`` at the branch's own settle instant and reports
-outcomes in settle order (DESIGN §4s); ``disaster`` — the system tier's
-trace — at the commit before the soaks became declarations (PR 19's
-parent). Each one repeats across processes and under any
-``PYTHONHASHSEED``.
+exactly the trace recorded below. The seven fault-injecting soaks were
+recorded when faults became a schedule drawn up front and applied by one
+process (DESIGN §4t): the draws moved, and every entry traces one
+``fault`` event. ``manytenants`` injects nothing and predates that.
+Each one repeats across processes and under any ``PYTHONHASHSEED``.
+
+A soak also replays from its schedule alone: feeding ``run.schedule``
+back as the scenario's ``faults`` gives the same trace — the replay
+command of a failing seed.
 
 A PR that changes simulated behaviour on purpose updates the constants
 and says so in CHANGES.md; one that claims "no behaviour change" must
@@ -18,13 +20,16 @@ Each cluster soak also ends with every per-transaction table under its
 bound (``check_bounds``, DESIGN §4q).
 """
 
+import dataclasses
 import hashlib
 import io
+import json
 
 import pytest
 
 from repro.analysis.invariants import check_bounds
 from repro.harness import soaks
+from repro.harness.faults import load
 from repro.harness.runner import run_dr_soak, run_many_tenants
 from repro.harness.scenario import run_scenario
 
@@ -51,39 +56,39 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "e6300bb0c75a9bdeda68919a786c5ad2"),
+        "cc389571b87f5fcb36f1bbfa0c1cc872"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "672c850e472106987ed28f3e319e41f2"),
+        "525e379b0c0360a5838d231cf6ab0360"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             consensus=True, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "5a662fea67411da881d9c75f07aaae74"),
+        "ec016db3b22f5572cc31ee1fcc87c71e"),
     "controllers-pair": (
         lambda: cluster_trace(soaks.controllers(
             consensus=False, duration_s=20.0, drain_s=15.0,
             ctl_kill_mtbf_s=8.0, seed=3)),
-        "d41af1884d05c8dbe417324e9482ff8b"),
+        "7a136ed4c7e455a103dcab717f0fa41e"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(
             admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "fe582cb57ff6394c4ac062977cfa8973"),
+        "802dbe9d770fb9ea5b556e201f6aabb7"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "af29ca3d1b0a7eb22e02086629ac0f9c"),
+        "f6fb205beb385e9504913893036f3b81"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,
                             wan_partition_mtbf_s=8.0, seed=3).system.trace,
-        "4c2ab28ac42e9c4ea083e0c1ae1203d7"),
+        "e35029f3757412e4f024b27cce9461da"),
     # manytenants --tenants 2000 --duration 6
     "manytenants": (
         lambda: bounded(run_many_tenants(n_databases=2000, duration_s=12.0,
@@ -105,3 +110,20 @@ def test_same_seed_same_trace_within_one_process():
     run().dump_jsonl(first)
     run().dump_jsonl(second)
     assert first.getvalue() == second.getvalue()
+
+
+@pytest.mark.parametrize("name", ["partitions", "controllers-consensus"])
+def test_a_soak_replays_from_its_schedule_alone(name):
+    scenario = {
+        "partitions": soaks.partitions(duration_s=20.0, drain_s=30.0,
+                                       partition_mtbf_s=8.0, seed=3),
+        "controllers-consensus": soaks.controllers(
+            consensus=True, duration_s=20.0, drain_s=15.0,
+            ctl_kill_mtbf_s=8.0, seed=3)}[name]
+    run = run_scenario(scenario)
+    # What a failing seed prints: the schedule as JSON.
+    recorded = load(json.loads(json.dumps(run.schedule)))
+    assert recorded == run.schedule
+    replay = run_scenario(dataclasses.replace(
+        scenario, faults=lambda run: recorded))
+    assert trace_md5(replay.controller.trace) == SOAKS[name][1]

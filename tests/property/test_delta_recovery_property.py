@@ -1,7 +1,7 @@
 """Property test: log-structured delta re-replication preserves every
 2PC / replication / recovery invariant under randomized soaks.
 
-Whatever failure schedule the injector draws, the delta pipeline —
+Whatever failure schedule the seed draws, the delta pipeline —
 snapshot at a pinned LSN, live log replay, drain-only rejection, rejoin
 catch-up of falsely-declared machines — must leave a trace that audits
 clean, including ``rereplication-restores-factor``. The partition soak

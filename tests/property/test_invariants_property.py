@@ -1,7 +1,7 @@
 """Property test: the 2PC invariant checker passes on randomized
 fault-injection runs.
 
-Whatever failure schedule the injector draws and whichever transactions
+Whatever failure schedule the seed draws and whichever transactions
 it cuts down mid-flight, the trace the cluster emits must satisfy every
 2PC/replication invariant — under both write policies."""
 

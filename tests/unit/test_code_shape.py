@@ -7,6 +7,7 @@ third ``fabric.enabled`` site, a config field or a forwarding method
 fails here first and has to say why. DESIGN §4r adds the measurement
 plane's shape: one histogram class, one read-out, counters written
 where they live, and an event taxonomy that matches the emit sites.
+DESIGN §4t adds the harness's: faults are data, applied in one place.
 """
 
 import ast
@@ -221,6 +222,38 @@ def test_one_histogram_class():
              and "observe" in {m.name for m in methods(node)}
              and any(percentile.match(m.name) for m in methods(node))]
     assert found == ["analysis/metrics.py:Histogram"]
+
+
+HARNESS = SRC / "harness"
+#: What breaks the world: only the fault applier calls these.
+FAULT_EFFECTS = ("fail_machine", "crash_machine", "repair_machine",
+                 "crash_controller", "repair_controller", "crash_colo",
+                 "repair_colo", "cut", "heal", "split", "heal_all",
+                 "crash_primary")
+
+
+def test_faults_are_data_applied_in_one_place():
+    """DESIGN §4t: the draws are the only RNG users of ``faults.py``, no
+    class there has a start/stop lifecycle, and every fault effect the
+    harness causes goes through the applier — but ``run_scenario``'s
+    closing ``heal_all`` and its ``crash_primary`` finale."""
+    faults = parse(HARNESS / "faults.py")
+    assert callers(faults, "SeededRNG") == {
+        "crashes", "link_cuts", "controller_kills", "wan_cuts"}
+    assert [f"{cls.name}.{node.name}" for cls in ast.walk(faults)
+            if isinstance(cls, ast.ClassDef) for node in methods(cls)
+            if node.name in ("start", "stop")] == []
+    sites = {}
+    for path in sorted(HARNESS.glob("*.py")):
+        for name in FAULT_EFFECTS:
+            for site in callers(parse(path), name):
+                sites.setdefault(f"{path.stem}:{site}", set()).add(name)
+    outside = {site: names for site, names in sites.items()
+               if not site.startswith("faults:_Applier.")}
+    assert outside == {"scenario:run_scenario": {"heal_all",
+                                                 "crash_primary"}}
+    assert sum(len(enabled_reads(path))
+               for path in HARNESS.glob("*.py")) <= 2
 
 
 def test_every_emitted_kind_is_in_the_taxonomy_table():

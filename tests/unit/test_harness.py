@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.harness import format_series, format_table, run_sla_placement
+from repro.harness.faults import Fault, crashes
 from repro.harness.runner import run_tpcw_cluster
 from repro.harness.scenario import Scenario, run_scenario
 from repro.workloads.tpcw import TpcwScale
@@ -78,17 +79,6 @@ class TestSlaPlacementRunner:
         assert a == b
 
 
-class _RecordingInjector:
-    def __init__(self, name, log, sim):
-        self.name, self.log, self.sim = name, log, sim
-
-    def start(self):
-        self.log.append(("start", self.name, self.sim.now))
-
-    def stop(self):
-        self.log.append(("stop", self.name, self.sim.now))
-
-
 def _tiny(**fields):
     return Scenario(config=ClusterConfig(), seed=1, duration_s=2.0,
                     machines=3, databases=1, keys_per_db=10,
@@ -97,25 +87,34 @@ def _tiny(**fields):
 
 class TestRunScenario:
     def test_services_then_injectors_in_declared_order(self):
+        """Services start in declared order; the faults are drawn after
+        them, from the built world, before the first client."""
         log = []
 
         def service(name):
             return lambda run: log.append(("service", name, run.sim.now))
 
-        def injector(name):
-            return lambda run: _RecordingInjector(name, log, run.sim)
+        def faults(run):
+            log.append(("faults", sorted(run.controller.machines),
+                        len(run.stats)))
+            return [Fault(1.5, "repair", 0), Fault(0.5, "fail", 0)]
 
         run = run_scenario(_tiny(
             services={"s2": service("s2"), "s1": service("s1")},
-            injectors={"i2": injector("i2"), "i1": injector("i1")}))
-        assert [entry[:2] for entry in log] == [
-            ("service", "s2"), ("service", "s1"),
-            ("start", "i2"), ("start", "i1"),
-            ("stop", "i2"), ("stop", "i1")]
-        assert list(run.parts) == ["s2", "s1", "i2", "i1"]
+            faults=faults))
+        assert log == [("service", "s2", 0.0), ("service", "s1", 0.0),
+                       ("faults", ["cluster-m1", "cluster-m2",
+                                   "cluster-m3"], 0)]
+        assert list(run.parts) == ["s2", "s1"]
+        assert run.schedule == [Fault(0.5, "fail", 0),
+                                Fault(1.5, "repair", 0)]
+        # Three machines sit on the floor: both entries are skipped.
+        assert [(a.at, a.kind, a.result) for a in run.applied] == [
+            (0.5, "fail", "min live machines"),
+            (1.5, "repair", "nothing to repair")]
 
     def test_injectors_stop_at_duration_services_outlive_the_drain(self):
-        log, ticks = [], []
+        ticks = []
 
         def ticker(run):
             def loop():
@@ -126,9 +125,11 @@ class TestRunScenario:
 
         run = run_scenario(_tiny(
             drain_s=3.0, services={"ticker": ticker},
-            injectors={"i": lambda run: _RecordingInjector(
-                "i", log, run.sim)}))
-        assert log == [("start", "i", 0.0), ("stop", "i", 2.0)]
+            faults=lambda run: crashes(1, sorted(run.controller.machines),
+                                       run.scenario.duration_s, 0.2,
+                                       repair_mtbf_s=0.2)))
+        assert run.schedule and len(run.applied) == len(run.schedule)
+        assert max(a.at for a in run.applied) < 2.0
         assert run.sim.now == 5.0
         assert run.parts["ticker"].is_alive
         assert max(ticks) > 4.0
