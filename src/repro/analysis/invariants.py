@@ -7,9 +7,9 @@ correctness properties the paper's controller design promises:
   decision: never two commit decisions, never commit *and* abort; in
   strict mode every prepared transaction must reach a terminal state.
 * **decision-before-commit** — no COMMIT message leaves the coordinator
-  before the commit decision is logged (mirrored to the process-pair
-  backup when one is attached). On a truncated trace only transactions
-  whose ``txn_begin`` is inside the trace are held to it.
+  before the commit decision is logged (replicated through the
+  controller's group). On a truncated trace only transactions whose
+  ``txn_begin`` is inside the trace are held to it.
 * **conservative-all-acked** — under the conservative write policy a
   commit decision is only taken once every issued replica write has been
   acknowledged (or its machine has failed).
@@ -21,20 +21,20 @@ correctness properties the paper's controller design promises:
 * **rereplication-restores-factor** — (with ``expect_recovery_complete``)
   every database queued for re-replication after a machine failure ends
   with a successful copy restoring the replication factor.
-* **no-split-brain** — after the process-pair backup's take-over, the
-  old primary never logs another decision or sends another COMMIT; and
-  at most one take-over happens per trace.
-* **single-leader-per-term** — consensus controller elections produce
-  strictly increasing terms, never the same term twice, and never a new
-  leader while another node's traced lease is still unexpired (lease
-  mutual exclusion).
-* **log-prefix-agreement** — every consensus replica applies log
-  entries in contiguous ascending index order, and any two replicas
-  that apply the same index apply the identical command (by digest):
-  all applied prefixes agree.
-* **decision-only-under-valid-lease** — a consensus-replicated commit
-  decision (``decision_logged`` carrying a ``term``) is only taken by a
-  node whose traced leader lease covers the decision instant.
+* **single-leader-per-term** — controller elections produce strictly
+  increasing terms, never the same term twice, and never a new leader
+  while another node's traced lease is still unexpired (lease mutual
+  exclusion) — the no-split-brain rule, for every controller (a group
+  of one re-elects itself on each restart).
+* **log-prefix-agreement** — every controller replica with peers
+  applies log entries in contiguous ascending index order, and any two
+  replicas that apply the same index apply the identical command (by
+  digest): all applied prefixes agree. (A group of one traces no
+  applies: it has nothing to agree with.)
+* **decision-only-under-valid-lease** — a commit decision
+  (``decision_logged``, stamped with its ``actor`` and ``term``) is only
+  taken by a node whose traced leader lease covers the decision
+  instant.
 * **fenced-replica-never-serves** — between ``machine_fenced`` and
   readmission/repair, no write, PREPARE, or COMMIT is issued to the
   machine and it is never a re-replication source or target (its state
@@ -44,9 +44,9 @@ correctness properties the paper's controller design promises:
   answered again) or a declare (it was fenced); no suspicion dangles at
   the end of a complete trace. With ``suspicion_horizon_s`` (the
   detector's suspect-to-declare span, which a live audit takes from the
-  configuration) a machine suspicion younger than that when the primary
-  controller crashed, or when the trace ended, is excused: the detector
-  stops with its primary, so no probe was left to resolve it.
+  configuration) a machine suspicion younger than that when the acting
+  controller replica crashed, or when the trace ended, is excused: the
+  detector stops with it, so no probe was left to resolve it.
 * **no-dual-primary-colo** — a database's standby colo is only promoted
   after the old primary was fenced (or failed) under a monotonically
   increasing epoch, and never onto a fenced colo; fencing epochs
@@ -174,8 +174,7 @@ class InvariantChecker:
         truncated = self.dropped > 0
         fenced: Set[str] = set()
         suspected_at: Dict[str, TraceEvent] = {}   # machine -> suspicion
-        detector_stops: List[float] = []    # primary crashes, then the end
-        takeover_seq: Optional[int] = None
+        detector_stops: List[float] = []   # acting-replica crashes, the end
         # Cross-colo DR state (system-tier traces).
         fenced_colos: Set[str] = set()
         colo_suspected_at: Dict[str, int] = {}
@@ -189,7 +188,7 @@ class InvariantChecker:
         # runtime monitor): per-db cumulative admission accounting.
         # db -> [finished, rejected, bound, over_rate_windows, last_seq]
         sla_stats: Dict[str, List] = {}
-        # Consensus control plane (ctl_* traces).
+        # The control plane (ctl_* traces).
         ctl_terms_seen: Set[int] = set()
         last_ctl_term = 0
         node_lease: Dict[str, float] = {}      # node -> traced lease_until
@@ -240,15 +239,9 @@ class InvariantChecker:
                 state.prepared = state.prepared or e.kind == "prepare"
             elif e.kind == "decision_logged":
                 self._on_decision(e, state, failed_machines, truncated)
-                if (takeover_seq is not None
-                        and e.extra.get("actor", "primary") == "primary"):
-                    self.violations.append(Violation(
-                        "no-split-brain",
-                        "old primary logged a decision after take-over",
-                        txn=e.txn, db=e.db, seq=e.seq))
                 if "term" in e.extra and not truncated:
-                    # Consensus path: the deciding node must hold a
-                    # traced leader lease covering the decision instant.
+                    # The deciding node must hold a traced leader lease
+                    # covering the decision instant.
                     actor = e.extra.get("actor")
                     lease = node_lease.get(actor)
                     if lease is None or lease < e.t:
@@ -269,11 +262,6 @@ class InvariantChecker:
                     self.violations.append(Violation(
                         "decision-before-commit",
                         "COMMIT sent before the decision was logged",
-                        txn=e.txn, db=e.db, seq=e.seq))
-                if takeover_seq is not None:
-                    self.violations.append(Violation(
-                        "no-split-brain",
-                        "old primary sent COMMIT after take-over",
                         txn=e.txn, db=e.db, seq=e.seq))
             elif e.kind in _TERMINAL_KINDS:
                 if e.kind in ("abort", "rollback", "takeover_abort") and \
@@ -298,7 +286,7 @@ class InvariantChecker:
                 failed_machines.discard(e.machine)
             elif e.kind == "machine_suspected":
                 suspected_at.setdefault(e.machine, e)
-            elif e.kind == "primary_crashed":
+            elif e.kind == "ctl_crashed" and e.extra.get("acting"):
                 detector_stops.append(e.t)
             elif e.kind == "machine_unsuspected":
                 suspected_at.pop(e.machine, None)
@@ -385,13 +373,6 @@ class InvariantChecker:
                             f"{rejected}/{finished} transactions rejected "
                             f"by admission (bound {bound})",
                             db=e.db, seq=e.seq))
-            elif e.kind == "takeover":
-                if takeover_seq is not None:
-                    self.violations.append(Violation(
-                        "no-split-brain",
-                        "second take-over in one trace", seq=e.seq))
-                else:
-                    takeover_seq = e.seq
             elif e.kind == "rereplication_start":
                 for role, name in (("target", e.machine),
                                    ("source", e.extra.get("source"))):
@@ -649,9 +630,10 @@ PHASES_BOUND = 8
 
 #: What still grows with the number of commits, and who owns it.
 KNOWN_UNBOUNDED = {
-    "consensus chosen log, command_digest memo":
-        "ROADMAP item 2: the benchmark counts len(chosen); it must read "
-        "PaxosStats.commands_chosen before the log can be truncated",
+    "chosen log of a group with peers":
+        "ROADMAP item 7: the benchmark counts len(chosen); it must read "
+        "PaxosStats.commands_chosen before the log can be truncated (a "
+        "group of one keeps none)",
 }
 
 
@@ -665,8 +647,6 @@ def state_sizes(controller) -> Dict[str, int]:
     histograms = [*metrics.phase_latencies.values(),
                   *metrics.link_latencies.values(),
                   *metrics.db_latencies.values()]
-    table = (plane.acting_node.state if plane is not None
-             else controller.backup)
 
     def worst(size) -> int:
         return max(map(size, machines), default=0)
@@ -679,8 +659,8 @@ def state_sizes(controller) -> Dict[str, int]:
         "tails": worst(lambda m: len(m._tails)),
         "write_counts": worst(lambda m: len(m._write_counts)),
         "wal": worst(lambda m: len(m.engine.wal)),
-        "decisions": len(table.decisions) if table is not None else 0,
-        "retire": len(plane._retire) if plane is not None else 0,
+        "decisions": len(plane.acting_node.state.decisions),
+        "retire": len(plane._retire),
         "retained_tail": max(map(len, controller.replication.db_logs.values()),
                              default=0),
         "sim_pending": controller.sim.pending,

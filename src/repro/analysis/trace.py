@@ -1,7 +1,7 @@
 """Structured cluster event tracing (the observability layer).
 
-The cluster controller, machines, recovery, migration, and the process
-pair all emit typed, sim-time-stamped :class:`TraceEvent` records into a
+The cluster controller, its control plane, machines, recovery and
+migration all emit typed, sim-time-stamped :class:`TraceEvent` records into a
 shared ring-buffered :class:`Tracer`. The trace is the ground truth the
 2PC invariant checker (:mod:`repro.analysis.invariants`) audits, and is
 exportable as JSONL (``python -m repro.harness <experiment> --trace``).
@@ -28,11 +28,10 @@ fanout_start       a coordinator broadcast was issued (``label`` names the
                    phase, ``width`` the branch count)
 fanout_done        every gathered branch of that broadcast settled
                    (``elapsed`` is the scatter-to-gather span)
-decision_logged    the coordinator decided commit (after mirroring to the
-                   process-pair backup when one is attached)
+decision_logged    the coordinator decided commit, once the control plane
+                   holds the decision (``actor`` replica, ``term``)
 commit_sent        a COMMIT message left the coordinator for one machine
 committed          the transaction finished committing
-decision_cleared   the backup's mirrored decision was retired
 abort              the transaction was rolled back by the platform
 rollback           the client voluntarily rolled back
 machine_failed     a machine died (``affected`` lists databases that lost
@@ -47,7 +46,9 @@ delta_handoff      the delta replay converged (``reject_s`` window)
 machine_catchup_*  start / done / failed, per database, of a declared
                    machine rejoining with data via delta catch-up
 migration_*        start / done / abandoned, from the migration manager
-takeover*          process-pair takeover and its per-transaction outcomes
+takeover_*         one transaction a controller take-over completed
+                   (``takeover_commit``) or presumed-aborted
+                   (``takeover_abort``), by its ``actor`` replica
 machine_crashed    a machine powered off silently (detector must notice)
 machine_suspected  K consecutive heartbeats went unanswered
 machine_unsuspected a suspected machine answered again (false suspicion)
@@ -60,20 +61,22 @@ machine_repaired   a failed machine was repaired into a blank spare
 link_cut/healed    one fabric link was cut / healed by fault injection
 net_partition      the fabric was split into disconnected groups
 net_heal_all       every cut fabric link was healed
-primary_crashed    the acting primary controller crashed (process pair)
-ctl_election_start a consensus controller replica started a leader campaign
+ctl_election_start a controller replica started a leader campaign
                    (``term`` it is campaigning for)
 ctl_leader_elected a campaign won its quorum (``term``, ``lease_until``)
 ctl_lease_renewed  a leader's lease was extended by a renewal quorum
                    (``term``, new ``lease_until``)
 ctl_stepdown       a leader stopped leading (``term``, ``reason``)
-ctl_applied        a replica applied log entry ``index`` (``command`` kind,
-                   ``digest`` of the command) to its state machine
-ctl_takeover       a newly elected leader finished take-over cleanup
+ctl_applied        a replica of a group with peers applied log entry
+                   ``index`` (``command`` kind, ``digest`` of the command)
+                   to its state machine
+ctl_takeover       a newly elected leader — or a restarted group of one —
+                   finished take-over cleanup
                    (``term``, ``previous`` leader, ``completed``/``aborted``
                    transaction counts)
-ctl_crashed        a consensus controller replica was fail-stopped
-ctl_repaired       a crashed consensus replica rejoined as a follower
+ctl_crashed        a controller replica was fail-stopped (``acting``: it
+                   was driving the data plane, whose detector stops)
+ctl_repaired       a crashed controller replica restarted
 txn_orphaned       an in-flight transaction straddled a controller
                    leadership change and was cleaned up by take-over
                    (``term`` it began in, ``current_term``)

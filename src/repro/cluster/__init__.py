@@ -14,7 +14,6 @@ from repro.cluster.controller import ClusterController, Connection
 from repro.cluster.deadlock_detector import DistributedDeadlockDetector
 from repro.cluster.machine import Machine
 from repro.cluster.migration import MigrationManager
-from repro.cluster.process_pair import ProcessPairBackup
 from repro.cluster.recovery import CopyGranularity, RecoveryManager
 from repro.cluster.replica_map import ReplicaMap
 from repro.cluster.routing import ReadOption, WritePolicy
@@ -31,7 +30,6 @@ __all__ = [
     "MachineConfig",
     "MigrationManager",
     "PaxosGroup",
-    "ProcessPairBackup",
     "ReadOption",
     "RecoveryManager",
     "ReplicaMap",

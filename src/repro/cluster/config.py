@@ -87,21 +87,18 @@ class ClusterConfig:
     heartbeat_interval_s: float = 0.5
     suspect_after_misses: int = 2
     declare_after_misses: int = 5
-    # Consensus-replicated control plane (repro.cluster.consensus): run
-    # the controller as a multi-Paxos group with leader leases instead
-    # of the process pair. Metadata mutations and 2PC commit decisions
-    # replicate through the group's log; leadership (and the data
-    # plane) fails over to whichever replica wins the next election.
-    # Off by default — the process pair stays the reference path and
-    # the default configuration replays identically.
-    consensus_enabled: bool = False
+    # The control plane (repro.cluster.consensus): the controller is a
+    # multi-Paxos group with leader leases, and 2PC commit decisions
+    # replicate through its log. One replica (the default) is a
+    # controller that restarts from its own decision table, the paper's
+    # process pair; three or more fail over to whichever replica wins
+    # the next election (DESIGN §4u).
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     # Overload protection (repro.cluster.admission): per-tenant
     # token-bucket admission at statement entry, provisioned from each
     # database's SLA, plus in-flight-watermark read shedding. Off by
     # default — the default configuration replays identically to the
-    # pre-admission behaviour (same precedent as ``network.enabled``
-    # and ``consensus_enabled``).
+    # pre-admission behaviour (same precedent as ``network.enabled``).
     admission_control: bool = False
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     # Tenant-scale fast path (Issue 10). Per-tenant controller state
@@ -131,6 +128,5 @@ def production_profile(seed: int) -> ClusterConfig:
         network=NetworkConfig(enabled=True, latency_s=0.0005,
                               jitter_s=0.0001, drop_probability=0.0,
                               seed=seed),
-        consensus_enabled=True,
         consensus=ConsensusConfig(replicas=3, seed=seed),
         admission_control=True)

@@ -1,13 +1,12 @@
-"""Consensus-replicated control plane: multi-Paxos with leader leases.
+"""The control plane: multi-Paxos with leader leases.
 
-The cluster controller's metadata — replica maps, database DDL events,
-machine liveness verdicts, recovery placements, and the 2PC
-commit-decision mirror — is a small, explicit state machine. This
-module replicates it across a group of controller replicas with
+What a controller must not lose when it fails — the 2PC commit
+decisions its take-over completes — is a small, explicit state machine.
+This module replicates it across a group of controller replicas with
 multi-Paxos in the style of ScalienDB's master-lease design: one
 replicated log of typed commands, applied deterministically on every
 replica, with leader election via Paxos prepare rounds and
-*time-bounded leader leases* in place of the process pair's fence flag.
+*time-bounded leader leases* as the fence.
 
 Lease rule (the safety core). An acceptor that PROMISEs a ballot to a
 candidate, or acks a lease RENEW, grants that node a lease of
@@ -23,25 +22,29 @@ A new leader needs a majority of promises, and any majority intersects
 the old leader's grant majority, so no candidate can be elected until
 at least one of the old grants — and therefore the old leader's own
 lease view — has expired. Leases never overlap: at most one node can
-believe it holds a valid lease at any instant, which is exactly the
-fencing property the process pair approximated with heartbeats. A
-deposed or partitioned leader stops acting not because someone told it
-to, but because its own clock ran out.
+believe it holds a valid lease at any instant. A deposed or partitioned
+leader stops acting not because someone told it to, but because its own
+clock ran out.
 
 All messages travel through the shared :class:`NetworkFabric`, so the
 seeded drop/latency/partition machinery applies to controller traffic
 exactly as it does to 2PC. A pluggable transport lets property tests
 substitute seeded message drop, duplication, and reordering.
 
-Everything here is gated behind ``ClusterConfig.consensus_enabled``;
-with the flag off (the default) the process pair remains the reference
-implementation and nothing in this module runs.
+Every cluster controller owns one group. ``ConsensusConfig.replicas``
+is 1 by default: the degenerate group, a single controller that
+restarts from its own decision table — the paper's process pair, with
+the take-over run on the restart. Its quorum is itself, so it has no
+peers to renew a lease with, retransmit to, campaign against or keep a
+log for; the sites keyed on :attr:`PaxosGroup.solo` are exactly those
+(DESIGN §4u). Three or more replicas tolerate a minority of failures.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -68,9 +71,11 @@ def command_digest(kind: str, payload: Dict[str, Any]) -> str:
 
 @dataclass
 class ConsensusConfig:
-    """Tuning for the replicated controller group."""
+    """Tuning for the controller group: ``replicas`` is 1 (a restarting
+    controller) or at least 3 (fault-tolerant); the timers below only
+    run with peers."""
 
-    replicas: int = 3
+    replicas: int = 1
     lease_duration_s: float = 2.0
     renew_interval_s: float = 0.5
     tick_s: float = 0.1
@@ -83,40 +88,26 @@ class ConsensusConfig:
 
 
 class ControllerState:
-    """The replicated controller metadata, rebuilt by replaying the log.
+    """What the log decides, rebuilt by replaying it.
 
     Command taxonomy (see DESIGN §4i):
 
     ``leader_takeover``    new leader announces its term through the log
-    ``db_create/db_drop``  database lifecycle with initial placement
-    ``replica_add``        a machine gained a caught-up replica
-    ``machine_removed``    hard failure: replicas dropped from the map
-    ``machine_declared``   heartbeat verdict: dead + fenced
-    ``machine_readmitted`` a suspect proved alive and rejoined
-    ``machine_repaired``   operator repair completed
-    ``placement``          recovery chose a re-replication target
-    ``decision``           2PC commit decision (the ProcessPairBackup
-                           mirror, now quorum-replicated); its ``retire``
-                           list names earlier decisions every participant
-                           has acked, dropped in the same step
+    ``decision``           2PC commit decision; its ``retire`` list names
+                           earlier decisions every participant has acked,
+                           dropped in the same step
     ``decision_clear``     an idle leader's batch of such retirements
-    ``reconcile``          new leader's authoritative metadata snapshot
     ``noop``               gap filler from leader change-over
+
+    Replica maps and machine verdicts are not replicated: every replica
+    drives the one :class:`ClusterController`, whose live maps a
+    take-over reads (DESIGN §4u).
     """
 
     def __init__(self) -> None:
         self.term = 0
         self.leader: Optional[str] = None
-        self.replicas: Dict[str, List[str]] = {}
-        self.declared_dead: Set[str] = set()
-        self.fenced: Set[str] = set()
-        self.placements: Dict[str, str] = {}
         self.decisions: Dict[int, Tuple[str, List[str]]] = {}
-
-    def _drop_machine(self, name: str) -> None:
-        for hosts in self.replicas.values():
-            if name in hosts:
-                hosts.remove(name)
 
     def apply(self, kind: str, payload: Dict[str, Any]) -> None:
         """Apply one command. Must be deterministic and non-mutating of
@@ -126,26 +117,6 @@ class ControllerState:
         elif kind == "leader_takeover":
             self.term = payload["term"]
             self.leader = payload["node"]
-        elif kind == "db_create":
-            self.replicas[payload["db"]] = list(payload["machines"])
-        elif kind == "db_drop":
-            self.replicas.pop(payload["db"], None)
-            self.placements.pop(payload["db"], None)
-        elif kind == "replica_add":
-            hosts = self.replicas.setdefault(payload["db"], [])
-            if payload["machine"] not in hosts:
-                hosts.append(payload["machine"])
-        elif kind == "machine_removed":
-            self._drop_machine(payload["machine"])
-        elif kind == "machine_declared":
-            self._drop_machine(payload["machine"])
-            self.declared_dead.add(payload["machine"])
-            self.fenced.add(payload["machine"])
-        elif kind in ("machine_readmitted", "machine_repaired"):
-            self.declared_dead.discard(payload["machine"])
-            self.fenced.discard(payload["machine"])
-        elif kind == "placement":
-            self.placements[payload["db"]] = payload["target"]
         elif kind == "decision":
             self.decisions[payload["txn"]] = (
                 payload["decision"], list(payload["machines"]))
@@ -154,11 +125,6 @@ class ControllerState:
         elif kind == "decision_clear":
             for txn in payload["txns"]:
                 self.decisions.pop(txn, None)
-        elif kind == "reconcile":
-            self.replicas = {db: list(hosts) for db, hosts
-                             in payload["replicas"].items()}
-            self.declared_dead = set(payload["declared_dead"])
-            self.fenced = set(payload["fenced"])
         else:
             raise ValueError(f"unknown controller command {kind!r}")
 
@@ -168,7 +134,10 @@ class _Pending:
     """A log slot this leader is driving toward a quorum."""
 
     cmd: Command
-    done: Any  # Event; succeeds with the index, fails on deposition
+    #: The event a waiting proposer blocks on, created only once one
+    #: waits: it succeeds with the index and fails on deposition. A slot
+    #: chosen inside the proposing call never schedules it.
+    done: Any = None
     acks: Set[str] = field(default_factory=set)
     last_sent: float = 0.0
 
@@ -258,11 +227,14 @@ class PaxosGroup:
         self.sim = sim
         self.config = config or ConsensusConfig()
         self.names = list(names)
-        if len(self.names) < 3:
-            raise ValueError("a consensus group needs at least 3 replicas")
+        if len(self.names) in (0, 2):
+            raise ValueError("a consensus group is one replica or at least "
+                             f"three, not {len(self.names)}")
         self.nodes = {name: PaxosNode(name, i)
                       for i, name in enumerate(self.names)}
         self.majority = len(self.names) // 2 + 1
+        #: No peers: the group of one (DESIGN §4u).
+        self.solo = len(self.names) == 1
         if transport is None:
             if fabric is None:
                 raise ValueError("need a fabric or an explicit transport")
@@ -294,6 +266,8 @@ class PaxosGroup:
             self._start_campaign(self.nodes[self.names[bootstrap]])
 
     def _spawn(self, node: PaxosNode) -> None:
+        if self.solo:
+            return  # rule 1: nothing to renew, retransmit or campaign for
         proc = self.sim.process(self._timer_loop(node),
                                 name=f"{node.name}:timer")
         proc.defused = True
@@ -311,21 +285,22 @@ class PaxosGroup:
         node.is_leader = False
         node.campaign = None
         node.renew_grants.clear()
-        for pend in node.pending.values():
-            if not pend.done.triggered:
-                pend.done.fail(NotLeaderError(f"{name} crashed"))
-        node.pending.clear()
+        self._fail_pending(node, f"{name} crashed")
         for proc in node.procs:
             if proc.is_alive:
                 proc.interrupt("controller crash")
         node.procs = []
 
     def repair(self, name: str) -> None:
-        """Restart a crashed replica as a follower."""
+        """Restart a crashed replica as a follower — or, alone, as the
+        leader it re-elects on the spot: nobody else can lead."""
         node = self.nodes[name]
         if node.alive:
             return
         node.alive = True
+        if self.solo:
+            self._start_campaign(node)
+            return
         node.next_campaign_at = self.sim.now + self._jitter(node)
         node.next_learn_at = 0.0
         self._spawn(node)
@@ -347,7 +322,8 @@ class PaxosGroup:
         ceases to be) the leader, or if the quorum cannot be reached
         before the deadline. On deadline the slot stays pending — the
         retransmit timer keeps driving it, so the log cannot develop a
-        permanent hole from an impatient proposer.
+        permanent hole from an impatient proposer. A group of one chooses
+        the command inside this call and returns without yielding.
         """
         if not node.alive:
             raise NotLeaderError(f"{node.name} is down",
@@ -358,6 +334,10 @@ class PaxosGroup:
         index = node.next_index
         node.next_index += 1
         pend = self._propose_at(node, index, cmd)
+        if index not in node.pending:
+            return index  # rule 3: chosen and applied already
+        pend.done = self.sim.event()
+        pend.done.defused = True  # failures settle here, not in the kernel
         deadline = self.sim.now + (timeout_s if timeout_s is not None
                                    else self.config.propose_timeout_s)
         while not pend.done.triggered:
@@ -440,7 +420,7 @@ class PaxosGroup:
                    include_self: bool = True) -> None:
         for name in self.names:
             if include_self or name != node.name:
-                self._send(node, name, dict(msg))
+                self._send(node, name, msg)  # _send copies it
 
     def _dispatch(self, node: PaxosNode, msg: Dict[str, Any]) -> None:
         if not node.alive:
@@ -542,14 +522,19 @@ class PaxosGroup:
         node.ballot = camp.ballot
         node.leader_term = ballot_term(camp.ballot, len(self.names))
         # Conservative: measured from the *send* time of the prepares,
-        # so this view expires no later than any acceptor's grant.
-        node.own_lease_until = camp.started_at + self.config.lease_duration_s
+        # so this view expires no later than any acceptor's grant. Alone
+        # there is no grant to outlive (rule 2).
+        node.own_lease_until = (math.inf if self.solo else
+                                camp.started_at + self.config.lease_duration_s)
         node.last_renew_at = camp.started_at
         for index, cmd in camp.chosen.items():
             if index not in node.chosen:
                 node.chosen[index] = cmd
                 node.stats.commands_chosen += 1
-        max_index = max([0, camp.max_index, *node.chosen, *node.accepted])
+        # (A group of one keeps no chosen entries: it counts from what it
+        # applied.)
+        max_index = max([node.applied_to, camp.max_index, *node.chosen,
+                         *node.accepted])
         # Finish what the old leader started: re-propose the
         # highest-ballot accepted value per open slot, no-op the gaps.
         for index in range(node.applied_to + 1, max_index + 1):
@@ -569,11 +554,13 @@ class PaxosGroup:
         if self.metrics is not None and self.last_leader != node.name:
             self.metrics.network.leader_changes += 1
         self.last_leader = node.name
-        # The new term reaches every replica through the log itself.
-        self._propose_at(node, node.next_index,
+        # The new term reaches every replica through the log itself (and
+        # a group of one applies it, take-over included, in this call).
+        index = node.next_index
+        node.next_index += 1
+        self._propose_at(node, index,
                          ("leader_takeover", {"node": node.name,
                                               "term": node.leader_term}))
-        node.next_index += 1
         self._apply_ready(node)
 
     def _step_down(self, node: PaxosNode, reason: str) -> None:
@@ -581,27 +568,34 @@ class PaxosGroup:
             return
         node.is_leader = False
         node.renew_grants.clear()
-        for pend in node.pending.values():
-            if not pend.done.triggered:
-                pend.done.fail(NotLeaderError(
-                    f"{node.name} deposed ({reason})"))
-        node.pending.clear()
+        self._fail_pending(node, f"{node.name} deposed ({reason})")
         node.next_campaign_at = self.sim.now + self._jitter(node)
         if self.trace is not None:
             self.trace.emit("ctl_stepdown", machine=node.name,
                             term=node.leader_term, reason=reason)
 
-    # -- replication -----------------------------------------------------------
+    def _fail_pending(self, node: PaxosNode, why: str) -> None:
+        for pend in node.pending.values():
+            if pend.done is not None and not pend.done.triggered:
+                pend.done.fail(NotLeaderError(why))
+        node.pending.clear()
 
-    def _new_done(self):
-        event = self.sim.event()
-        event.defused = True  # failures settle through propose(), not the kernel
-        return event
+    # -- replication -----------------------------------------------------------
 
     def _propose_at(self, node: PaxosNode, index: int,
                     cmd: Command) -> _Pending:
-        pend = _Pending(cmd=cmd, done=self._new_done())
+        pend = _Pending(cmd=cmd)
         node.pending[index] = pend
+        if node.ballot >= node.promised:
+            # The leader accepts its own proposal in place, with no
+            # message to itself (and refuses, as any acceptor would, once
+            # it promised a higher ballot). Its vote alone is a group of
+            # one's quorum.
+            node.accepted[index] = (node.ballot, cmd)
+            pend.acks.add(node.name)
+            if len(pend.acks) >= self.majority:
+                self._choose(node, index)
+                return pend
         self._broadcast_accept(node, index)
         return pend
 
@@ -612,7 +606,8 @@ class PaxosGroup:
         pend.last_sent = self.sim.now
         self._broadcast(node, {"type": "accept", "ballot": node.ballot,
                                "index": index, "cmd": pend.cmd,
-                               "chosen_upto": node.applied_to})
+                               "chosen_upto": node.applied_to},
+                        include_self=False)
 
     def _on_accept(self, node: PaxosNode, msg: Dict[str, Any]) -> None:
         ballot, frm, index = msg["ballot"], msg["frm"], msg["index"]
@@ -629,7 +624,7 @@ class PaxosGroup:
             self._send(node, frm, {"type": "accepted", "ballot": ballot,
                                    "index": index, "ok": False,
                                    "promised": node.promised})
-        if msg.get("chosen_upto", 0) > node.applied_to and frm != node.name:
+        if msg.get("chosen_upto", 0) > node.applied_to:
             self._request_learn(node, frm)
 
     def _on_accepted(self, node: PaxosNode, msg: Dict[str, Any]) -> None:
@@ -658,7 +653,7 @@ class PaxosGroup:
             node.stats.commands_chosen += 1
         node.chosen[index] = pend.cmd
         node.accepted.pop(index, None)
-        if not pend.done.triggered:
+        if pend.done is not None and not pend.done.triggered:
             pend.done.succeed(index)
         self._broadcast(node, {"type": "decide", "index": index,
                                "cmd": pend.cmd}, include_self=False)
@@ -676,11 +671,13 @@ class PaxosGroup:
         """Advance the applied prefix; contiguous chosen entries only."""
         while node.applied_to + 1 in node.chosen:
             index = node.applied_to + 1
-            cmd = node.chosen[index]
+            # Alone, nobody will ask to learn an applied entry (rule 4),
+            # nor compare digests with it (rule 5).
+            cmd = node.chosen.pop(index) if self.solo else node.chosen[index]
             kind, payload = cmd
             node.state.apply(kind, payload)
             node.applied_to = index
-            if self.trace is not None:
+            if self.trace is not None and not self.solo:
                 memo = self._digests.get(id(cmd))
                 if memo is None or memo[0] is not cmd:
                     if len(self._digests) >= 256:
@@ -787,16 +784,15 @@ def takeover_cleanup(controller, decisions: Dict[int, Tuple[str, List[str]]],
                      actor: str) -> Tuple[List[int], List[int]]:
     """Complete the data-plane side of a controller take-over.
 
-    Phase 1: every transaction with a replicated (or mirrored) commit
-    decision is driven to commit on its participants — the decision was
-    made before the old controller died, so it must stick. Phase 2:
-    every other in-flight transaction is presumed aborted on *all* alive
-    machines, fenced ones included — a fenced machine is unreachable for
-    new work but its engine still holds the old transaction's locks, and
-    nothing else will ever release them.
-
-    Shared by :class:`ProcessPairBackup` (mirror decisions) and the
-    consensus control plane (quorum-replicated decisions).
+    Phase 1: every transaction with a replicated commit decision is
+    driven to commit on its participants — the decision was made before
+    the old controller died, so it must stick. Phase 2: every other
+    in-flight transaction is presumed aborted on *all* alive machines,
+    fenced ones included — a fenced machine is unreachable for new work
+    but its engine still holds the old transaction's locks, and nothing
+    else will ever release them. This is the paper's process-pair
+    take-over (Section 2), run by whichever replica leads next — by the
+    restarted controller itself in a group of one.
     """
     trace = controller.trace
     committed: List[int] = []
@@ -846,35 +842,34 @@ class ConsensusControlPlane:
     """Binds a :class:`PaxosGroup` to one :class:`ClusterController`.
 
     Each replica notionally co-hosts a full controller; the *acting*
-    replica is the one currently driving the data plane. When
-    leadership moves, the new leader replica runs the data-plane
-    take-over from the quorum-replicated decision table, exactly as the
-    process-pair backup did from its mirror — then the data plane
-    resumes under the new term. A controller whose lease lapses fails
-    every primary-gated operation until re-elected.
+    replica is the one currently driving the data plane, and its
+    liveness is the controller's. When leadership moves — or a group of
+    one restarts — the new leader runs the data-plane take-over from the
+    replicated decision table, then the data plane resumes under the new
+    term. A controller whose lease lapses fails every gated operation
+    until re-elected.
     """
 
-    def __init__(self, controller, config: Optional[ConsensusConfig] = None):
+    def __init__(self, controller, config: ConsensusConfig):
+        if config.replicas < 1 or config.replicas == 2:
+            raise ValueError("ConsensusConfig.replicas must be 1 or at "
+                             f"least 3, not {config.replicas}")
         self.controller = controller
         self.sim: Simulator = controller.sim
-        self.config = config or getattr(controller.config, "consensus",
-                                        None) or ConsensusConfig()
-        names = [f"{controller.name}-ctl{i}"
-                 for i in range(self.config.replicas)]
+        self.config = config
+        names = [f"{controller.name}-ctl{i}" for i in range(config.replicas)]
         self.group = PaxosGroup(
-            controller.sim, names, config=self.config,
+            controller.sim, names, config=config,
             fabric=controller.fabric, trace=controller.trace,
             metrics=controller.metrics, on_leader=self._on_leader)
-        self.acting = names[0]
+        #: The replica driving the data plane.
+        self.acting_node: PaxosNode = self.group.nodes[names[0]]
         self.term = 0
         self._had_leader = False
         # Decisions every participant acked, waiting to ride the next
         # decision command out of the replicated table.
         self._retire: List[int] = []
         self._flush = None  # timer of the idle flush, while one is armed
-        self.kills: List[Tuple[float, str]] = []
-        self.repairs: List[Tuple[float, str]] = []
-        controller.consensus = self
 
     def start(self) -> "ConsensusControlPlane":
         self.group.start(bootstrap=0)
@@ -883,8 +878,13 @@ class ConsensusControlPlane:
     # -- leadership / lease queries --------------------------------------------
 
     @property
-    def acting_node(self) -> PaxosNode:
-        return self.group.nodes[self.acting]
+    def acting(self) -> str:
+        return self.acting_node.name
+
+    @property
+    def alive(self) -> bool:
+        """Is the acting replica up — what the paper calls the primary?"""
+        return self.acting_node.alive
 
     @property
     def stats(self) -> PaxosStats:
@@ -895,9 +895,8 @@ class ConsensusControlPlane:
     def lease_valid(self) -> bool:
         """True iff the acting replica holds an unexpired leader lease.
 
-        This is the consensus replacement for the process pair's fence
-        flag: it needs no message from anyone to turn False — the
-        lease's own clock does the fencing.
+        This is the controller's fence: it needs no message from anyone
+        to turn False — the lease's own clock does the fencing.
         """
         node = self.acting_node
         return (node.alive and node.is_leader
@@ -916,9 +915,10 @@ class ConsensusControlPlane:
     def replicate_decision(self, db: str, txn_id: int, decision: str,
                            machines: List[str]):
         """Quorum-replicate a 2PC decision; generator, yields until
-        chosen. No decision may leave a controller whose lease lapsed:
-        the lease is checked both before proposing and after the quorum
-        round-trip, so a deposed leader's in-flight COMMIT is cut off.
+        chosen (a group of one never yields). No decision may leave a
+        controller whose lease lapsed: the lease is checked both before
+        proposing and after the quorum round-trip, so a deposed leader's
+        in-flight COMMIT is cut off.
         """
         node = self.acting_node
         if not self.lease_valid():
@@ -931,7 +931,7 @@ class ConsensusControlPlane:
                  "machines": list(machines), "db": db})
         except NotLeaderError as exc:
             raise ControllerFailedError(str(exc)) from exc
-        if self.acting != node.name or not self.lease_valid():
+        if self.acting_node is not node or not self.lease_valid():
             raise ControllerFailedError(
                 f"controller {self.controller.name}: leader lease lapsed "
                 f"while replicating the decision for txn {txn_id}")
@@ -943,25 +943,32 @@ class ConsensusControlPlane:
     def clear_decision(self, db: str, txn_id: int) -> None:
         """Retire a decision: not a command of its own — it rides in the
         next ``decision``, or in the batched ``decision_clear`` an idle
-        leader proposes within one ``renew_interval_s``."""
+        leader proposes within one ``renew_interval_s`` (a group of one,
+        whose proposals cost no round trip, proposes it at once)."""
         self._retire_later([txn_id])
 
     def _retire_later(self, txn_ids: List[int]) -> None:
         self._retire.extend(txn_ids)
-        if self._flush is None:
+        if self.group.solo:
+            self._flush_retired()
+        elif self._flush is None:
             self._flush = self.sim.timeout(self.config.renew_interval_s)
             self._flush.add_callback(self._flush_retired)
 
-    def _flush_retired(self, _timer) -> None:
+    def _flush_retired(self, _timer=None) -> None:
         self._flush = None
         node = self.acting_node
         # Without a leader the list waits: _on_leader rebuilds it from
         # the table the new leader inherits.
         if self._retire and node.alive and node.is_leader:
-            proc = self.sim.process(
-                self._propose_retiring(node, "decision_clear", "txns", {}),
-                name="ctl-propose:decision_clear")
-            proc.defused = True
+            proposal = self._propose_retiring(node, "decision_clear",
+                                              "txns", {})
+            if self.group.solo:
+                next(proposal, None)  # chosen inside the call (rule 3)
+            else:
+                proc = self.sim.process(proposal,
+                                        name="ctl-propose:decision_clear")
+                proc.defused = True
 
     def _propose_retiring(self, node: PaxosNode, kind: str, key: str,
                           payload: Dict[str, Any]):
@@ -975,38 +982,16 @@ class ConsensusControlPlane:
             self._retire_later(payload[key])
             raise
 
-    def propose_async(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Fire-and-forget metadata replication. Retries across leader
-        changes; a command that never lands is folded in wholesale by
-        the next leader's ``reconcile`` snapshot, so metadata cannot be
-        lost — only briefly stale on followers."""
-        proc = self.sim.process(self._drive(kind, dict(payload)),
-                                name=f"ctl-propose:{kind}")
-        proc.defused = True
-
-    def _drive(self, kind: str, payload: Dict[str, Any]):
-        cmd: Command = (kind, payload)
-        for _ in range(12):
-            node = self.acting_node
-            if node.alive and node.is_leader:
-                try:
-                    yield from self.group.propose(node, cmd)
-                    return
-                except NotLeaderError:
-                    pass
-            yield self.sim.timeout(self.config.renew_interval_s)
-
     # -- leader change ---------------------------------------------------------
 
     def _on_leader(self, node: PaxosNode, term: int) -> None:
         controller = self.controller
         previous = self.acting
-        was_down = not controller.primary_alive
         first = not self._had_leader
         self._had_leader = True
         self.term = term
-        self.acting = node.name
-        if first and node.name == previous and not was_down:
+        self.acting_node = node
+        if first and node.name == previous:
             return  # bootstrap election: nothing to take over
         committed, aborted = takeover_cleanup(
             controller, dict(node.state.decisions), actor=node.name)
@@ -1014,44 +999,36 @@ class ConsensusControlPlane:
         # the old leader's unproposed retirements are among them.
         self._retire = []
         self._retire_later(committed)
-        controller.primary_alive = True
         controller.trace.emit("ctl_takeover", machine=node.name, term=term,
                               previous=previous, completed=committed,
                               aborted=aborted)
         if controller.detector.started:
             controller.start_failure_detector()
-        self.propose_async("reconcile", {
-            "replicas": {db: list(controller.replica_map.replicas(db))
-                         for db in controller.replica_map.databases()},
-            "declared_dead": sorted(controller.declared_dead),
-            "fenced": sorted(m.name for m in controller.machines.values()
-                             if m.fenced),
-        })
 
     # -- failure machinery -----------------------------------------------------
 
     def crash_controller(self, name: str) -> None:
         """Fail-stop one controller replica, exactly like a machine
-        crash: no goodbye message, queued work lost, durable log kept."""
+        crash: no goodbye message, queued work lost, durable log kept.
+        The acting replica takes the data plane down with it."""
         node = self.group.nodes[name]
         if not node.alive:
             return
         self.group.crash(name)
-        self.kills.append((self.sim.now, name))
         self.controller.trace.emit("ctl_crashed", machine=name,
-                                   term=self.term)
-        if name == self.acting:
-            # The acting replica took the data plane down with it.
-            self.controller.primary_alive = False
+                                   term=self.term,
+                                   acting=name == self.acting)
 
     def repair_controller(self, name: str) -> None:
+        """Restart a crashed replica; a group of one is re-elected and
+        has run its take-over when this returns."""
         node = self.group.nodes[name]
         if node.alive:
             return
-        self.group.repair(name)
-        self.repairs.append((self.sim.now, name))
         self.controller.trace.emit("ctl_repaired", machine=name)
+        self.group.repair(name)
 
-    def alive_replicas(self) -> List[str]:
-        return [name for name, node in self.group.nodes.items()
-                if node.alive]
+    def crash_all(self) -> None:
+        """Every replica at once: the site they run in went down."""
+        for name in self.group.names:
+            self.crash_controller(name)

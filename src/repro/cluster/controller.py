@@ -16,8 +16,8 @@ separate objects over shared cluster state (DESIGN §4p):
   the first replica acknowledges (*aggressive*) or after all do
   (*conservative*). A **commit** of a read-only transaction just releases
   locks; one with writes runs 2PC across every machine that executed a
-  write, with the decision made durable on the attached control plane
-  (process-pair backup or consensus group) before COMMIT messages go out.
+  write, with the decision made durable on the control plane (the
+  controller's Paxos group, DESIGN §4u) before COMMIT messages go out.
   Its messages leave through :class:`RpcLayer`, the one class that knows
   whether the fabric is on.
 * :class:`~repro.cluster.replication_log.ReplicationLog` — the
@@ -46,6 +46,7 @@ from repro.analysis.metrics import MetricsCollector
 from repro.analysis.trace import Tracer
 from repro.cluster.admission import AdmissionController
 from repro.cluster.config import ClusterConfig
+from repro.cluster.consensus import ConsensusControlPlane
 from repro.cluster.machine import Machine
 from repro.cluster.membership import HeartbeatDetector
 from repro.cluster.network import CONTROLLER, NetworkFabric
@@ -78,9 +79,9 @@ class _TxnState:
     txn_id: int
     db: str
     started_at: float
-    # Controller term (consensus mode) the transaction began under; a
-    # transaction from an earlier term was cleaned up at take-over and
-    # must not continue under the new leader.
+    # Controller term the transaction began under; a transaction from an
+    # earlier term was cleaned up at take-over and must not continue
+    # under the new leader.
     term: int = 0
     touched: Set[str] = field(default_factory=set)       # machines with locks
     poisoned: Optional[BaseException] = None             # deferred failure
@@ -126,11 +127,11 @@ class Connection:
 
     def close(self) -> None:
         if self.txn is not None and not self.txn.finished:
-            if self.controller.primary_alive:
+            if self.controller.consensus.alive:
                 self.txns._abort_everywhere(self, self.txn)
             else:
-                # With a dead primary there is nobody to send the
-                # aborts; the backup's take-over presumed-aborts
+                # With a dead controller there is nobody to send the
+                # aborts; the next leader's take-over presumed-aborts
                 # undecided branches. Coordinator-side bookkeeping
                 # (the read router's per-txn choice, the open-writer
                 # gauge) must still be released here, or it leaks.
@@ -492,8 +493,7 @@ class TxnCoordinator:
     it. It owns what exists per *transaction* (ids, the
     statement-classification cache) and its :class:`RpcLayer`, and
     borrows the cluster's shared objects; what can be re-attached after
-    construction (control plane, primary flag, hooks) is read through
-    ``ctl``.
+    construction (control plane, hooks) is read through ``ctl``.
     """
 
     def __init__(self, ctl: "ClusterController"):
@@ -546,23 +546,37 @@ class TxnCoordinator:
 
     # -- transaction plumbing -----------------------------------------------------------
 
-    def _check_primary(self) -> None:
+    def _check_acting(self, conn: Connection) -> None:
+        """May this controller act for ``conn`` now? Its acting replica
+        must hold a valid leader lease — the fence. And an open
+        transaction must have begun under the current term: the
+        take-over that began this term already presumed-aborted (or
+        takeover-committed) an older one on the machines, so its
+        connection-side state is an orphan and must not drive further
+        2PC — not even a decision its PREPARE round straddled."""
         ctl = self.ctl
-        if not ctl.primary_alive:
+        plane = ctl.consensus
+        if not plane.lease_valid():
+            # The acting replica crashed, or its leader lease lapsed (or
+            # it was never elected).
             raise ControllerFailedError(
-                f"controller {ctl.name} is no longer primary")
-        if ctl.consensus is not None and not ctl.consensus.lease_valid():
-            # The acting replica's leader lease lapsed (or it was never
-            # elected): the lease is the fence, so it must not act.
-            raise ControllerFailedError(
-                f"controller {ctl.name}: leader lease is not valid")
+                f"controller {ctl.name}: no acting replica holds a valid "
+                "leader lease")
+        txn = conn.txn
+        if txn is None or txn.finished or txn.term == plane.term:
+            return
+        self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
+                        term=txn.term, current_term=plane.term)
+        self.metrics.db(txn.db).other_aborts += 1
+        self._finish(conn, txn)
+        raise TransactionAborted(
+            "controller leadership changed; the transaction was cleaned "
+            "up during take-over")
 
     def _ensure_txn(self, conn: Connection) -> _TxnState:
         if conn.txn is None or conn.txn.finished:
-            conn.txn = _TxnState(self.rpc.begin(), conn.db, self.sim.now)
-            consensus = self.ctl.consensus
-            if consensus is not None:
-                conn.txn.term = consensus.term
+            conn.txn = _TxnState(self.rpc.begin(), conn.db, self.sim.now,
+                                 self.ctl.consensus.term)
             self.trace.emit("txn_begin", db=conn.db, txn=conn.txn.txn_id)
         return conn.txn
 
@@ -575,20 +589,6 @@ class TxnCoordinator:
         self.router.forget(txn.txn_id)
         self.rpc.release(txn.txn_id)
         conn.txn = None
-
-    def _orphan_txn(self, conn: Connection) -> None:
-        """Finish a transaction that began under an earlier controller
-        term: the new leader's take-over already presumed-aborted (or
-        takeover-committed) it on the machines, so its connection-side
-        state is an orphan and must not drive further 2PC."""
-        txn = conn.txn
-        self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
-                        term=txn.term, current_term=self.ctl.consensus.term)
-        self.metrics.db(txn.db).other_aborts += 1
-        self._finish(conn, txn)
-        raise TransactionAborted(
-            "controller leadership changed; the transaction was cleaned "
-            "up during take-over")
 
     def _abort_everywhere(self, conn: Connection, txn: _TxnState,
                           kind: str = "abort",
@@ -654,8 +654,8 @@ class TxnCoordinator:
     def _redeliver_commit(self, db: str, txn_id: int, name: str,
                           lsn: Optional[int]) -> Generator:
         """Redrive a decided COMMIT until the participant acks, dies, is
-        fenced, or this controller stops being primary (the take-over
-        path redrives mirrored decisions itself), holding the transaction
+        fenced, or this controller's acting replica dies (the take-over
+        redrives replicated decisions itself), holding the transaction
         open meanwhile."""
         ctl = self.ctl
         net = self.config.network
@@ -664,7 +664,7 @@ class TxnCoordinator:
                                        30.0))
             machine = self.machines.get(name)
             if (machine is None or not machine.alive or machine.fenced
-                    or not ctl.primary_alive):
+                    or not ctl.consensus.alive):
                 break
             try:
                 yield self.rpc.send(machine, lambda m: m.commit_body(txn_id),
@@ -679,7 +679,7 @@ class TxnCoordinator:
                             redelivered=True)
             if lsn is not None:
                 self.replication.advance(db, name, lsn)
-            # The mirrored decision is left in place: another participant
+            # The replicated decision is left in place: another participant
             # of the same transaction may still owe an ack, and a stale
             # "commit" decision is harmless to redrive (idempotent).
             break
@@ -708,12 +708,8 @@ class TxnCoordinator:
                  params: Tuple[Any, ...]) -> Generator:
         if conn.closed:
             raise TransactionError("connection is closed")
-        self._check_primary()
+        self._check_acting(conn)
         ctl = self.ctl
-        if (ctl.consensus is not None and conn.txn is not None
-                and not conn.txn.finished
-                and conn.txn.term != ctl.consensus.term):
-            self._orphan_txn(conn)
         starting = conn.txn is None or conn.txn.finished
         txn = self._ensure_txn(conn)
         if starting and self.admission is not None \
@@ -878,11 +874,8 @@ class TxnCoordinator:
     def _commit(self, conn: Connection) -> Generator:
         if conn.txn is None or conn.txn.finished:
             return None  # nothing to do
-        self._check_primary()
+        self._check_acting(conn)
         ctl = self.ctl
-        if (ctl.consensus is not None
-                and conn.txn.term != ctl.consensus.term):
-            self._orphan_txn(conn)
         txn = conn.txn
         if txn.poisoned is not None:
             exc = txn.poisoned
@@ -928,32 +921,29 @@ class TxnCoordinator:
             self._abort(conn, txn, exc, "prepare",
                         f"2PC prepare failed: {exc}")
 
-        # Decision point: make the decision durable on the attached
-        # control plane before any COMMIT message leaves the controller.
-        # The consensus group replicates it through the Paxos log under
-        # the leader lease (no decision may leave a controller whose
-        # lease lapsed — replicate_decision re-checks the lease after
-        # the quorum round trip); the process-pair backup mirrors it.
-        self._check_primary()
-        plane = ctl.consensus if ctl.consensus is not None else ctl.backup
-        stamp = {"actor": "primary"}
-        if plane is not None:
-            try:
-                yield from plane.replicate_decision(
-                    txn.db, txn.txn_id, "commit",
-                    sorted(set(prepared) | txn.touched))
-            except ControllerFailedError:
-                # The lease lapsed (or leadership moved) mid-decision:
-                # this controller must go silent. The machines keep
-                # their PREPAREd branches; the new leader's take-over
-                # resolves them from the replicated decision table.
-                self._finish(conn, txn)
-                raise
-            stamp = plane.decision_stamp()
+        # Decision point: make the decision durable on the control plane
+        # before any COMMIT message leaves the controller. The group
+        # replicates it through its log under the leader lease (no
+        # decision may leave a controller whose lease lapsed —
+        # replicate_decision re-checks the lease after the quorum round
+        # trip); a group of one applies it inside the call.
+        self._check_acting(conn)
+        plane = ctl.consensus
+        try:
+            yield from plane.replicate_decision(
+                txn.db, txn.txn_id, "commit",
+                sorted(set(prepared) | txn.touched))
+        except ControllerFailedError:
+            # The lease lapsed (or leadership moved) mid-decision: this
+            # controller must go silent. The machines keep their
+            # PREPAREd branches; the new leader's take-over resolves
+            # them from the replicated decision table.
+            self._finish(conn, txn)
+            raise
         decision_at = self.sim.now
         self.trace.emit("decision_logged", db=txn.db, txn=txn.txn_id,
-                        decision="commit", mirrored=plane is not None,
-                        participants=prepared, **stamp)
+                        decision="commit", participants=prepared,
+                        **plane.decision_stamp())
         self.metrics.record_phase_latency("prepare", decision_at - phase1_at)
         # Sequence the decided commit into the per-database replication
         # log, and fire the DR shipping hooks, before any COMMIT leaves.
@@ -964,24 +954,22 @@ class TxnCoordinator:
                 hook(txn.db, txn.txn_id, list(txn.write_log))
 
         # Phase 2: COMMIT on all touched machines (read locks too) — one
-        # concurrent broadcast. The decision is made and mirrored, so
-        # every COMMIT leaves the (still-primary) controller at the same
+        # concurrent broadcast. The decision is made and durable, so
+        # every COMMIT leaves the (still-leading) controller at the same
         # instant; per-branch failures are resolved from the gathered
         # outcomes.
         commit_targets = self.rpc.live_targets(sorted(txn.touched))
-        self._check_primary()
+        self._check_acting(conn)
         for name in commit_targets:
             self.trace.emit("commit_sent", db=txn.db, txn=txn.txn_id,
                             machine=name)
         outcomes = yield _Gather(
             self, txn, commit_targets, lambda m: m.commit_body(txn.txn_id),
             "commit", retries=self.config.network.commit_max_retries)
-        redelivering = self._settle_commit(txn, outcomes, lsn)
-        if plane is not None and not redelivering:
+        if not self._settle_commit(txn, outcomes, lsn):
             # Keep the durable decision while any participant still owes
             # an ack — a take-over must redrive COMMIT, not presume abort.
             plane.clear_decision(txn.db, txn.txn_id)
-            self.trace.emit("decision_cleared", db=txn.db, txn=txn.txn_id)
         self.metrics.record_commit(txn.db, self.sim.now,
                                    self.sim.now - txn.started_at)
         self.metrics.record_phase_latency("commit", self.sim.now - decision_at)
@@ -1029,8 +1017,6 @@ class ClusterController:
             GlobalHistory() if self.config.record_history else None)
         self.copy_states: Dict[str, CopyState] = {}
         self.recovery = None          # attached by RecoveryManager
-        self.backup = None            # attached by ProcessPair
-        self.consensus = None         # attached by ConsensusControlPlane
         self.schemas: Dict[str, DatabaseSchema] = {}
         self.ddl: Dict[str, List[str]] = {}
         # db -> declared SLA (None for databases created without one).
@@ -1058,7 +1044,7 @@ class ClusterController:
         self._cold_dbs: Set[str] = set()
         # Called with (db, txn_id, write_log) at the decision point of
         # each writing transaction's 2PC (the commit is decided and
-        # mirrored; it can no longer abort). The platform layer uses
+        # durable; it can no longer abort). The platform layer uses
         # this to ship writes asynchronously to the disaster-recovery
         # colo. Firing at the decision — before any COMMIT reaches a
         # machine — means a snapshot taken under the dump tool's S locks
@@ -1093,16 +1079,13 @@ class ClusterController:
             on_suspect=self._on_suspect, on_unsuspect=self._on_unsuspect,
             on_declare=self.declare_dead, on_return=self._readmit,
             declare_allowed=self._declare_allowed,
-            active=lambda: self.primary_alive)
-        # False until the primary controller is "crashed" by a fault
-        # injector; the process-pair backup then takes over and this flag
-        # fences the old primary (no decision/COMMIT may leave it).
-        self.primary_alive = True
-        if self.config.consensus_enabled:
-            # Imported lazily: consensus is optional and config already
-            # imports its ConsensusConfig.
-            from repro.cluster.consensus import ConsensusControlPlane
-            ConsensusControlPlane(self, self.config.consensus).start()
+            active=lambda: self.consensus.alive)
+        # The control plane: a Paxos group, one replica by default — a
+        # controller that restarts from its own decision table (the
+        # paper's process pair, DESIGN §4u). Its leader lease is the
+        # fence no decision or COMMIT may leave a dead controller past.
+        self.consensus = ConsensusControlPlane(
+            self, self.config.consensus).start()
 
     # -- cluster membership ----------------------------------------------------
 
@@ -1187,7 +1170,6 @@ class ClusterController:
         self.replica_map.add_database(db, list(machines))
         self.ddl[db] = list(ddl)
         self.set_sla(db, sla)
-        self._propose_meta("db_create", db=db, machines=list(machines))
 
     def set_sla(self, db: str, sla) -> None:
         """Register (or replace) ``db``'s SLA and provision admission.
@@ -1240,14 +1222,13 @@ class ClusterController:
         self.slas.pop(db, None)
         if self.admission is not None:
             self.admission.forget(db)
-        self._propose_meta("db_drop", db=db)
 
     def reset_as_blank(self) -> None:
         """Wipe the whole cluster back to blank spares (colo failback).
 
         Every machine re-enters with a fresh empty engine, the replica
         map and schema registry are emptied, detector state is cleared,
-        and the controller is un-crashed — the cluster rejoins service
+        and the controller replicas restart — the cluster rejoins service
         hosting nothing, like a machine readmitted as a spare but at
         colo scale.
         """
@@ -1268,7 +1249,8 @@ class ClusterController:
         self.detector.reset()
         self.declared_dead.clear()
         self.fenced.clear()
-        self.primary_alive = True
+        for name in self.consensus.group.names:
+            self.consensus.repair_controller(name)
         self.trace.emit("cluster_reset")
 
     def ensure_materialised(self, db: str) -> None:
@@ -1296,9 +1278,8 @@ class ClusterController:
         self.trace.emit("db_materialised", db=db)
 
     def connect(self, db: str) -> Connection:
-        if self.consensus is not None:
-            # A non-leader controller replica redirects the client.
-            self.consensus.check_leader()
+        # A non-leader controller replica redirects the client.
+        self.consensus.check_leader()
         self.replica_map.replicas_view(db)  # raises if unknown; no copy
         return Connection(self, db)
 
@@ -1316,14 +1297,12 @@ class ClusterController:
         self.replication.machine_left(name, affected, keep_holdings=False)
         self.trace.emit("machine_failed", machine=name,
                         affected=sorted(affected))
-        return self._left_service(name, affected, "machine_removed")
+        return self._left_service(name, affected)
 
-    def _left_service(self, name: str, affected: List[str],
-                      meta: str) -> List[str]:
+    def _left_service(self, name: str, affected: List[str]) -> List[str]:
         """What follows a machine leaving the replica map with its data,
-        failed or declared: replicate the fact, abandon copies through
-        it, free its placement bin, re-replicate what it hosted."""
-        self._propose_meta(meta, machine=name, affected=sorted(affected))
+        failed or declared: abandon copies through it, free its placement
+        bin, re-replicate what it hosted."""
         self._abandon_copies(name)
         if self.machine_reset_hook is not None:
             self.machine_reset_hook(name)
@@ -1373,30 +1352,6 @@ class ClusterController:
         if self.machine_reset_hook is not None:
             self.machine_reset_hook(name)
         self.trace.emit("machine_repaired", machine=name)
-        self._propose_meta("machine_repaired", machine=name)
-
-    # -- primary crash (process-pair, Section 2) -----------------------------------------
-
-    def _propose_meta(self, kind: str, **payload) -> None:
-        """Mirror one metadata mutation into the replicated controller
-        log (consensus mode). Fire-and-forget: the data plane does not
-        wait, and a command lost to a leader change is folded in by the
-        next leader's reconcile snapshot."""
-        if self.consensus is not None:
-            self.consensus.propose_async(kind, payload)
-
-    def crash_primary(self) -> None:
-        """Crash the acting primary controller (fault injection).
-
-        Client operations raise :class:`ControllerFailedError`; machines
-        keep whatever was already delivered to them in flight. The
-        process-pair backup's monitor notices the silence and runs
-        take-over itself.
-        """
-        if not self.primary_alive:
-            return
-        self.primary_alive = False
-        self.trace.emit("primary_crashed", actor="primary")
 
     # -- heartbeat failure detection -----------------------------------------------------
 
@@ -1448,7 +1403,7 @@ class ClusterController:
         self.trace.emit("machine_declared", machine=name, reason=reason,
                         was_alive=was_alive, affected=sorted(affected))
         self.trace.emit("machine_fenced", machine=name)
-        return self._left_service(name, affected, "machine_declared")
+        return self._left_service(name, affected)
 
     def _readmit(self, name: str) -> None:
         """A declared-dead machine answered a heartbeat: a false
@@ -1469,8 +1424,6 @@ class ClusterController:
             if self.machine_reset_hook is not None:
                 self.machine_reset_hook(name)
             self.trace.emit("machine_readmitted", machine=name, mode="spare")
-            self._propose_meta("machine_readmitted", machine=name,
-                               mode="spare")
             return
         machine.rejoin_with_data()
         # Databases whose suffix was truncated away (or that recovery
@@ -1489,8 +1442,6 @@ class ClusterController:
             pins[db] = (state, self.replication.log(db).pin(lsn))
         self.trace.emit("machine_readmitted", machine=name, mode="catchup",
                         dbs=sorted(eligible))
-        self._propose_meta("machine_readmitted", machine=name,
-                           mode="catchup")
         proc = self.sim.process(self._catch_up_machine(name, eligible, pins),
                                 name=f"catchup:{name}")
         proc.defused = True
@@ -1526,8 +1477,6 @@ class ClusterController:
                             self.replica_map.replicas_view(db)):
                         self.replica_map.add_replica(db, name)
                         replication.note_caught_up(db, name, applied)
-                        self._propose_meta("replica_add", db=db,
-                                           machine=name)
                     self.trace.emit("machine_catchup_done", db=db,
                                     machine=name, lsn=applied,
                                     replayed=replayed, reject_s=reject_s)

@@ -35,7 +35,6 @@ from repro.sim.rng import SeededRNG
 
 #: Well-known fabric endpoints that are not machines.
 CONTROLLER = "controller"
-BACKUP = "backup"
 #: The system controller's endpoint on the cross-colo WAN fabric; colo
 #: endpoints are the colo names themselves.
 SYSTEM = "system"

@@ -199,10 +199,6 @@ class RecoveryManager:
         # before it can be dumped from the source.
         controller.ensure_materialised(db)
         target_name = self._choose_target(db)
-        # Replicate the placement decision through the controller log
-        # (consensus mode) so every replica knows where the new copy of
-        # this database is headed.
-        controller._propose_meta("placement", db=db, target=target_name)
         mode = self.copy
         started = self.sim.now
         try:
@@ -218,8 +214,6 @@ class RecoveryManager:
         if applied_lsn is not None:
             controller.replication.note_caught_up(db, target_name,
                                                   applied_lsn)
-            controller._propose_meta("replica_add", db=db,
-                                     machine=target_name)
         controller.trace.emit(
             "rereplication_done", db=db, machine=target_name,
             replicas=controller.replica_map.replica_count(db),

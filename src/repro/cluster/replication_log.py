@@ -102,7 +102,7 @@ class ReplicationLog:
     def append(self, db: str, txn_id: int,
                write_log: Sequence[Tuple[str, Tuple[Any, ...]]]) -> int:
         """Assign a decided commit its LSN. Runs at the decision point:
-        the commit is mirrored and irrevocable, but no COMMIT message
+        the commit is durable and irrevocable, but no COMMIT message
         has left yet — so any machine-side apply of this transaction
         happens after its LSN exists, and a dump snapshot (which its X
         locks exclude until the apply finishes) can never contain a

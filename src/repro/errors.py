@@ -110,15 +110,17 @@ class ControllerFailedError(PlatformError):
     """The acting cluster controller crashed; clients must reconnect.
 
     Raised to clients whose connection state lived on the failed
-    primary. The process-pair backup completes or presumed-aborts their
-    in-flight transactions during take-over (Section 2)."""
+    controller (or on one whose leader lease lapsed). The next leader —
+    the restarted controller itself, in a group of one — completes or
+    presumed-aborts their in-flight transactions during take-over
+    (Section 2)."""
 
 
 class NotLeaderError(PlatformError):
     """The contacted controller replica does not hold the leader lease.
 
-    With the consensus control plane enabled a client may reach a
-    follower (or a deposed leader whose lease lapsed); the error carries
+    A client may reach a follower of the controller group (or a deposed
+    or crashed leader); the error carries
     the best-known leader so the client can redirect, mirroring a Paxos
     group's NOT_MASTER response.
     """

@@ -255,7 +255,6 @@ def cmd_partitions(args) -> int:
     run = run_scenario(soaks.partitions(
         duration_s=args.duration * 2, drain_s=max(args.duration, 30.0),
         partition_mtbf_s=args.mtbf, seed=args.seed))
-    backup = run.parts["process_pair"]
     print(format_table(
         ["link cuts", "splits", "crashes", "repairs", "committed", "aborted",
          "rejected", "tps", "recoveries"],
@@ -270,43 +269,33 @@ def cmd_partitions(args) -> int:
         [[len(run.events("machine_suspected")),
           len(run.events("machine_declared")),
           len(run.events("machine_readmitted")),
-          len(backup.completed_on_takeover),
-          len(backup.aborted_on_takeover)]]))
+          len(run.events("takeover_commit")),
+          len(run.events("takeover_abort"))]]))
     _print_network(run.metrics)
     return _export_cluster(run.controller, args,
                            expect_recovery_complete=True)
 
 
 def cmd_controllers(args) -> int:
-    """Controller-churn soak: consensus group vs process-pair reference."""
-    violations = 0
-    for label, consensus in (("consensus", True), ("pair", False)):
-        run = run_scenario(soaks.controllers(
-            consensus=consensus, duration_s=args.duration * 2,
-            drain_s=max(args.duration, 15.0), ctl_kill_mtbf_s=args.mtbf,
-            seed=args.seed))
-        mode = ("multi-Paxos group (consensus_enabled=True)" if consensus
-                else "process pair (consensus_enabled=False)")
-        print(f"-- {mode} --")
-        # The pair's one controller failure is the staged primary crash.
-        kills = (injected(run.applied, "kill_ctl") if consensus
-                 else run.events("primary_crashed"))
-        network = run.metrics.network
-        print(format_table(
-            ["ctl kills", "ctl link cuts", "elections", "leader changes",
-             "takeovers", "orphaned txns"],
-            [[len(kills), len(injected(run.applied, "cut")),
-              network.elections, network.leader_changes,
-              len(run.events("ctl_takeover" if consensus else "takeover")),
-              len(run.events("txn_orphaned"))]]))
-        print(format_table(
-            ["committed", "aborted", "reconnects", "recoveries"],
-            [[run.committed, run.aborted,
-              sum(s.reconnects for s in run.stats), len(run.recoveries)]]))
-        _print_network(run.metrics)
-        violations += _export_cluster(run.controller, args, label=label,
-                                      expect_recovery_complete=True)
-    return violations
+    """Controller-churn soak on the production controller group."""
+    run = run_scenario(soaks.controllers(
+        duration_s=args.duration * 2, drain_s=max(args.duration, 15.0),
+        ctl_kill_mtbf_s=args.mtbf, seed=args.seed))
+    network = run.metrics.network
+    print(format_table(
+        ["ctl kills", "ctl link cuts", "elections", "leader changes",
+         "takeovers", "orphaned txns"],
+        [[len(injected(run.applied, "kill_ctl")),
+          len(injected(run.applied, "cut")), network.elections,
+          network.leader_changes, len(run.events("ctl_takeover")),
+          len(run.events("txn_orphaned"))]]))
+    print(format_table(
+        ["committed", "aborted", "reconnects", "recoveries"],
+        [[run.committed, run.aborted,
+          sum(s.reconnects for s in run.stats), len(run.recoveries)]]))
+    _print_network(run.metrics)
+    return _export_cluster(run.controller, args,
+                           expect_recovery_complete=True)
 
 
 def cmd_disaster(args) -> int:
@@ -424,11 +413,11 @@ COMMANDS: Dict[str, Tuple[str, str, Callable[[argparse.Namespace], int]]] = {
                  "\n== Stampede soak: admission control vs noisy "
                  "neighbour ==", cmd_stampede),
     "partitions": ("unreliable-fabric soak: partitions, heartbeat "
-                   "detection, fencing, process-pair takeover",
+                   "detection, fencing, leader-kill takeover",
                    "\n== Partition soak: unreliable fabric, detection, "
                    "takeover ==", cmd_partitions),
     "controllers": ("controller-kill soak: multi-Paxos elections, leader "
-                    "leases, take-over cleanup vs the process pair",
+                    "leases, take-over cleanup",
                     "\n== Controller soak: Paxos elections, leases, "
                     "take-over ==", cmd_controllers),
     "disaster": ("cross-colo DR soak: lossy WAN log shipping, colo kill, "

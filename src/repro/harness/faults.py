@@ -273,11 +273,6 @@ class _Applier:
             raise _Skip("no cluster")
         return self.cluster
 
-    def _group(self):
-        if self.cluster is None or self.cluster.consensus is None:
-            raise _Skip("no consensus group")
-        return self.cluster.consensus
-
     def _colo(self, target: Any) -> str:
         if self.cluster is not None:
             raise _Skip("no colos")
@@ -381,7 +376,7 @@ class _Applier:
         return target, None
 
     def kill_ctl(self, target):
-        consensus = self._group()
+        consensus = self._machines().consensus
 
         def victim():
             group = consensus.group
@@ -402,7 +397,7 @@ class _Applier:
         return name, None
 
     def repair_ctl(self, target):
-        consensus = self._group()
+        consensus = self._machines().consensus
         if not isinstance(target, (str, int)):
             raise _Skip("bad target")
         name = self._closed("repair_ctl", target)

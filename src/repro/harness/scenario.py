@@ -5,7 +5,7 @@
    a :class:`KeyValueWorkload` seeded ``seed + i`` per database;
 2. start a :class:`RecoveryManager`, if the scenario names a ``copy``;
 3. start the **services** — parts that run to the end of the run
-   (failure detector, process pair, overload monitor);
+   (failure detector, overload monitor);
 4. draw the **faults** — the scenario's schedule, a list of
    :class:`~repro.harness.faults.Fault` drawn from the built world — into
    ``run.schedule`` and spawn the one applier over it (its log is
@@ -14,16 +14,14 @@
 6. arm the **staged** ``(sim time, action(run))`` pairs;
 7. run to ``duration_s`` (every drawn episode is closed by then), heal
    the fabric if it is on, run ``drain_s`` more so suspicions resolve
-   and re-replication finishes;
-8. optionally crash the primary controller and give the process pair
-   ``takeover_wait_s`` to take over.
+   and re-replication finishes. A schedule may hold entries past
+   ``duration_s`` — the partition soak's finale, a leader kill — and
+   they fire during the drain.
 
 The order is fixed because it is part of the trace: within an instant
 processes run in spawn order. Services start in the order the
-declaration lists them (the partition soak starts its process pair
-before its detector, the controller soak the other way round), the
-applier after them, and ``heal_all`` stays behind ``fabric.enabled`` (it
-emits ``net_heal_all``).
+declaration lists them, the applier after them, and ``heal_all`` stays
+behind ``fabric.enabled`` (it emits ``net_heal_all``).
 
 A service is any ``start(run) -> part`` and lands in ``run.parts`` under
 its declared name; the faults are data, so a report reads
@@ -79,9 +77,6 @@ class Scenario:
     #: The schedule, drawn from the built world before the first client.
     faults: Callable[["Run"], Sequence[Fault]] = lambda run: ()
     staged: Sequence[Tuple[float, Callable[["Run"], None]]] = ()
-    #: The finale: after the drain, crash the primary controller and run
-    #: this much longer (None: no finale).
-    takeover_wait_s: Optional[float] = None
 
 
 @dataclass
@@ -99,7 +94,7 @@ class Run:
     #: What ``scenario.faults`` drew, and the applier's log of it.
     schedule: List[Fault] = field(default_factory=list)
     applied: List[Applied] = field(default_factory=list)
-    #: Whatever staged actions (and the finale) wrote down.
+    #: Whatever staged actions wrote down.
     marks: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -205,8 +200,4 @@ def run_scenario(scenario: Scenario) -> Run:
     if controller.fabric.enabled:
         controller.fabric.heal_all()
     sim.run(until=scenario.duration_s + scenario.drain_s)
-    if scenario.takeover_wait_s is not None:
-        run.marks["primary_crashed_at"] = sim.now
-        controller.crash_primary()
-        sim.run(until=sim.now + scenario.takeover_wait_s)
     return run

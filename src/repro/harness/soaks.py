@@ -10,28 +10,30 @@ literal of the declaration, and a caller that needs a different size says
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.analysis.metrics import Histogram
-from repro.cluster import ClusterConfig, WritePolicy
+from repro.cluster import ClusterConfig, ConsensusConfig, WritePolicy
 from repro.cluster.config import production_profile
 from repro.cluster.network import NetworkConfig
-from repro.cluster.process_pair import ProcessPairBackup
-from repro.harness.faults import controller_kills, crashes, link_cuts
+from repro.harness.faults import Fault, controller_kills, crashes, link_cuts
 from repro.harness.scenario import Run, Scenario
 from repro.sim.rng import SeededRNG, ZipfGenerator
 from repro.sla.model import Sla
 from repro.sla.monitor import OverloadMonitor
 
 HOT_DB = "kv0"
+#: How long the partition soak runs on after its finale kills the leader.
+TAKEOVER_S = 10.0
 
 
 def _config(seed: int, copy_bytes_factor: float, **cluster) -> ClusterConfig:
     """The soaks' cluster, a variant of the production profile: two
     replicas, two recovery threads, a lock-wait timeout short enough
     that distributed deadlocks resolve within a soak, and each plane
-    (fabric, consensus, admission) on only where ``cluster`` says so."""
-    planes = dict(network=NetworkConfig(), consensus_enabled=False,
+    (fabric, a controller group with peers, admission) on only where
+    ``cluster`` says so — the controller is otherwise a group of one."""
+    planes = dict(network=NetworkConfig(), consensus=ConsensusConfig(),
                   admission_control=False)
     config = replace(production_profile(seed), replication_factor=2,
                      recovery_threads=2, lock_wait_timeout_s=2.0,
@@ -64,12 +66,6 @@ def _detector(run: Run):
     return run.controller.detector
 
 
-def _process_pair(run: Run) -> ProcessPairBackup:
-    backup = ProcessPairBackup(run.controller)
-    backup.start_monitor()
-    return backup
-
-
 def _overload_monitor(run: Run) -> OverloadMonitor:
     monitor = OverloadMonitor(run.controller)
     monitor.start()
@@ -99,59 +95,52 @@ def partitions(duration_s: float = 60.0, drain_s: float = 40.0,
     """Everything bad the fabric can do, at once.
 
     Links are cut and healed, messages dropped, machines crash silently
-    and are repaired into the free pool, all under a key-value workload.
-    After the drain the primary controller crashes and the process-pair
-    backup must detect the silence and take over. The trace is the input
-    for the no-split-brain / fencing / suspicion invariants.
+    and are repaired into the free pool, all under a key-value workload,
+    on the production controller group. The finale, after the drain,
+    kills the leader and runs :data:`TAKEOVER_S` more: another replica
+    must take over. The trace is the input for the lease / fencing /
+    suspicion invariants.
     """
     return Scenario(
         config=_config(seed, 200.0, write_policy=write_policy,
-                       network=_lossy_fabric(seed, 0.01)),
-        seed=seed, duration_s=duration_s, drain_s=drain_s, copy=copy,
-        services={"process_pair": _process_pair, "detector": _detector},
+                       network=_lossy_fabric(seed, 0.01),
+                       consensus=production_profile(seed).consensus),
+        seed=seed, duration_s=duration_s, drain_s=drain_s + TAKEOVER_S,
+        copy=copy, services={"detector": _detector},
         faults=lambda run: (
             _crashes(seed, 30.0, "crash", repair_mtbf_s=15.0)(run)
             + link_cuts(seed, _machines(run), run.scenario.duration_s,
-                        partition_mtbf_s, 4.0, run.controller.fabric.config)),
-        takeover_wait_s=10.0)
+                        partition_mtbf_s, 4.0, run.controller.fabric.config)
+            + [Fault(duration_s + drain_s, "kill_ctl", "leader")]))
 
 
-def controllers(consensus: bool, duration_s: float = 40.0,
-                drain_s: float = 20.0, ctl_kill_mtbf_s: float = 8.0,
-                seed: int = 3) -> Scenario:
+def controllers(duration_s: float = 40.0, drain_s: float = 20.0,
+                ctl_kill_mtbf_s: float = 8.0, seed: int = 3) -> Scenario:
     """Control-plane churn under reconnecting clients.
 
-    With ``consensus`` the controller is a multi-Paxos group: replicas
-    are killed at ``ctl_kill_mtbf_s`` (never below the majority) and
-    repaired, controller↔controller links are cut and healed, machines
-    crash silently and are repaired. Every kill and cut is closed by
-    ``duration_s`` (the draws clamp there), and the drain lets re-replication
-    finish and a final leader settle — the input for the
+    The controller is the production group: replicas are killed at
+    ``ctl_kill_mtbf_s`` (never below the majority) and repaired,
+    controller↔controller links are cut and healed, machines crash
+    silently and are repaired. Every kill and cut is closed by
+    ``duration_s`` (the draws clamp there), and the drain lets
+    re-replication finish and a final leader settle — the input for the
     single-leader-per-term / log-prefix-agreement /
-    decision-only-under-valid-lease invariants. Without it the same
-    schedule runs under the process pair, whose one controller failure
-    is the staged primary crash after the drain.
+    decision-only-under-valid-lease invariants.
     """
-    config = _config(seed, 200.0, trace_capacity=262144,
-                     consensus_enabled=consensus,
-                     network=_lossy_fabric(seed, 0.005))
-    services: Dict[str, Callable] = {"detector": _detector}
-    if not consensus:
-        services["process_pair"] = _process_pair
 
     def faults(run: Run):
-        schedule = _crashes(seed, 25.0, "crash", repair_mtbf_s=12.0)(run)
-        if consensus:
-            schedule += controller_kills(
-                seed, run.controller.consensus.group.names,
-                run.scenario.duration_s, ctl_kill_mtbf_s, 4.0, 15.0, 1.5,
-                run.controller.fabric.config)
-        return schedule
+        return (_crashes(seed, 25.0, "crash", repair_mtbf_s=12.0)(run)
+                + controller_kills(
+                    seed, run.controller.consensus.group.names,
+                    run.scenario.duration_s, ctl_kill_mtbf_s, 4.0, 15.0, 1.5,
+                    run.controller.fabric.config))
 
     return Scenario(
-        config=config, seed=seed, duration_s=duration_s, drain_s=drain_s,
-        copy="delta", reconnecting=True, services=services, faults=faults,
-        takeover_wait_s=None if consensus else 10.0)
+        config=_config(seed, 200.0, trace_capacity=262144,
+                       consensus=production_profile(seed).consensus,
+                       network=_lossy_fabric(seed, 0.005)),
+        seed=seed, duration_s=duration_s, drain_s=drain_s, copy="delta",
+        reconnecting=True, services={"detector": _detector}, faults=faults)
 
 
 def stampede(admission: bool, duration_s: float = 40.0,

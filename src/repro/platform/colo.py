@@ -135,22 +135,23 @@ class ColoController:
 
     def crash(self) -> None:
         """Power the colo off silently (detection-only, like
-        :meth:`ClusterController.crash_machine` one tier up). Cluster
-        primaries crash so in-flight client work errors out; machines
-        keep their state for a potential (stale, unused) restart."""
+        :meth:`ClusterController.crash_machine` one tier up). Every
+        cluster's controller replicas crash so in-flight client work
+        errors out; machines keep their state for a potential (stale,
+        unused) restart."""
         if not self.alive:
             return
         self.alive = False
         self.was_failed = True
         for cluster in self.clusters.values():
-            cluster.crash_primary()
+            cluster.consensus.crash_all()
 
     def fence(self) -> None:
         """Fence the colo after the system controller declares it.
 
         Models the colo-side lease expiring with the declaration: even
         if the colo is alive behind a partition, it refuses new
-        connections (:class:`ColoFencedError`), its cluster primaries
+        connections (:class:`ColoFencedError`), its cluster controllers
         stop committing, and its shipper loops observe the flag and
         stop. Reversible only through :meth:`repair` (a blank rejoin).
         """
@@ -159,7 +160,7 @@ class ColoController:
         self.fenced = True
         self.was_failed = True
         for cluster in self.clusters.values():
-            cluster.crash_primary()
+            cluster.consensus.crash_all()
 
     def repair(self) -> None:
         """Wipe the colo back to blank clusters and rejoin service.

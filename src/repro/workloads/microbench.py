@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.cluster.controller import ClusterController, TransactionAborted
-from repro.errors import ControllerFailedError, PlatformError
+from repro.errors import ControllerFailedError, NotLeaderError, PlatformError
 from repro.sim.rng import SeededRNG
 
 KV_DDL = ["CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)"]
@@ -50,7 +50,14 @@ class KeyValueWorkload:
         """Sim process: run ``transactions`` read/update transactions."""
         rng = SeededRNG(self.seed).fork(f"kv-client-{client_id}")
         sim = self.controller.sim
-        conn = self.controller.connect(self.db_name)
+        conn = None
+        while conn is None:
+            try:
+                conn = self.controller.connect(self.db_name)
+            except NotLeaderError:
+                # A controller group with peers is still electing its
+                # first leader.
+                yield sim.timeout(0.05)
         stats = stats if stats is not None else KvStats()
         for _ in range(transactions):
             try:
@@ -66,7 +73,7 @@ class KeyValueWorkload:
             except TransactionAborted:
                 stats.aborted += 1
             except ControllerFailedError:
-                # The primary crashed and this connection's state died
+                # The controller crashed and this connection's state died
                 # with it; a real client would reconnect — this one stops.
                 stats.aborted += 1
                 break

@@ -294,23 +294,22 @@ def test_a_takeover_abandons_what_the_old_coordinator_had_open(sim):
     """A client that dies with its connection never finishes its
     transaction; the take-over that settles it machine-side also takes
     it out of the open set, or the watermark would stop for good."""
-    from repro.cluster.process_pair import ProcessPairBackup
-
     controller = make_kv_cluster(
         sim, network=NetworkConfig(enabled=True, latency_s=0.001, seed=1))
-    backup = ProcessPairBackup(controller)
+    plane = controller.consensus
     conn = controller.connect("kv")
     wait(sim, conn.execute(UPDATE, (3,)))
     stuck = conn.txn.txn_id
     rpc = controller.txns.rpc
     assert rpc.low == stuck and stuck in rpc.open
-    controller.crash_primary()
-    _committed, aborted = backup.take_over()
-    assert aborted == [stuck]
+    # The controller restarts: its take-over runs inside the repair.
+    plane.crash_controller(plane.acting)
+    plane.repair_controller(plane.acting)
+    takeover, = controller.trace.events(kind="ctl_takeover")
+    assert takeover.extra["aborted"] == [stuck]
     assert rpc.open == {} and rpc.low == rpc.next_txn_id
     # The orphan's own clean-up (its ABORTs, its release) passes the
     # abandoned id by.
-    backup.reform()
     conn.close()
     sim.run(until=sim.now + 1.0)
     assert rpc.open == {}

@@ -1,9 +1,9 @@
-"""Integration tests: the consensus control plane driving the cluster.
+"""Integration tests: the control plane driving the cluster.
 
-With ``ClusterConfig.consensus_enabled`` the controller's 2PC commit
-decisions, metadata mutations, and take-over processing all flow through
-the multi-Paxos group; these tests check the binding end to end — and
-that with the flag off (the default) nothing consensus-shaped runs.
+Every controller's 2PC commit decisions and take-over processing flow
+through its multi-Paxos group; these tests check the binding end to end
+on the production group of three — and that the default group of one
+runs nothing a group with peers needs (DESIGN §4u).
 """
 
 import dataclasses
@@ -62,9 +62,11 @@ class TestConsensusCommitPath:
         decided_on = {e.machine for e in applies
                       if e.extra["command"] == "decision"}
         assert decided_on == set(group.names)
-        # The data-plane decision event carries the consensus term.
+        # The data-plane decision event carries the deciding replica and
+        # its term.
         logged = controller.trace.events(kind="decision_logged")
-        assert logged and all(e.extra.get("mirrored") for e in logged)
+        assert logged and all(e.extra["actor"] == group.last_leader
+                              for e in logged)
         assert all(e.extra["term"] >= 1 for e in logged)
         assert_no_violations(controller)
 
@@ -84,17 +86,19 @@ class TestConsensusCommitPath:
         sim.process(killer())
         sim.run(until=30.0)
 
-        assert plane.kills and plane.kills[0][1] == f"{controller.name}-ctl0"
+        kill, = controller.trace.events(kind="ctl_crashed")
+        assert kill.machine == f"{controller.name}-ctl0"
+        assert kill.extra["acting"]
         new_leader = plane.group.leader()
         assert new_leader is not None
-        assert new_leader.name != plane.kills[0][1]
+        assert new_leader.name != kill.machine
         assert plane.acting == new_leader.name
         takeovers = controller.trace.events(kind="ctl_takeover")
         assert takeovers and takeovers[0].machine == new_leader.name
         # Clients rode through the failover and kept committing.
         assert stats.reconnects >= 1
         committed_after = [e for e in controller.trace.events(kind="committed")
-                          if e.t > plane.kills[0][0]]
+                          if e.t > kill.t]
         assert committed_after, "no commits after the leader kill"
         assert stats.committed > 0
         assert_no_violations(controller)
@@ -322,23 +326,36 @@ class TestTakeoverClearsDrainGauge:
 
 class TestConsensusDisabled:
     def test_default_config_runs_no_consensus(self, sim):
+        """The default group of one runs no consensus traffic: it won
+        its one election inside the constructor, and each decision and
+        its clear are chosen inside the proposing call — no kernel
+        event, no per-command trace event, no log kept."""
         controller = make_kv_cluster(sim)
-        assert controller.consensus is None
+        plane = controller.consensus
+        assert plane.group.solo and plane.lease_valid()
         done = {}
 
         def client():
             conn = controller.connect("kv")
-            yield conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
-            yield conn.commit()
+            for key in (1, 2):
+                yield conn.execute("UPDATE kv SET v = 1 WHERE k = ?", (key,))
+                yield conn.commit()
             done["ok"] = True
 
         sim.process(client())
         sim.run()
         assert done.get("ok")
-        assert [e for e in controller.trace.events()
-                if e.kind.startswith("ctl_")] == []
+        # The bootstrap election is all the plane ever traced.
+        assert [e.kind for e in controller.trace.events()
+                if e.kind.startswith("ctl_")] == ["ctl_election_start",
+                                                  "ctl_leader_elected"]
+        node = plane.acting_node
+        assert node.chosen == {} and node.state.decisions == {}
+        # leader_takeover, then a decision and a clear per commit.
+        assert node.applied_to == node.stats.commands_chosen == 5
+        assert controller.metrics.network.messages_sent == 0
         logged = controller.trace.events(kind="decision_logged")
-        assert logged and "term" not in logged[0].extra
+        assert [e.extra["term"] for e in logged] == [1, 1]
         assert_no_violations(controller, strict=True)
 
 
@@ -350,9 +367,8 @@ class TestControllerSoakSmoke:
         from repro.harness.scenario import run_scenario
 
         result = run_scenario(soaks.controllers(
-            consensus=True, duration_s=15.0, drain_s=10.0,
-            ctl_kill_mtbf_s=5.0, seed=11))
-        assert result.controller.consensus is not None
+            duration_s=15.0, drain_s=10.0, ctl_kill_mtbf_s=5.0, seed=11))
+        assert len(result.controller.consensus.group.names) == 3
         assert result.committed > 0
         assert injected(result.applied, "kill_ctl"), \
             "soak never killed a controller replica"
@@ -362,15 +378,23 @@ class TestControllerSoakSmoke:
         assert not violations, "\n".join(str(v) for v in violations)
 
     def test_pair_soak_stages_one_takeover(self):
+        """The pair soak's one staged primary crash is the partition
+        soak's finale now: a ``kill_ctl`` of the leader after the drain,
+        followed by exactly one take-over by another replica."""
         from repro.analysis.invariants import check_controller
         from repro.harness import soaks
+        from repro.harness.faults import injected
         from repro.harness.scenario import run_scenario
 
-        result = run_scenario(soaks.controllers(
-            consensus=False, duration_s=12.0, drain_s=8.0, seed=11))
-        assert result.controller.consensus is None
+        result = run_scenario(soaks.partitions(
+            duration_s=12.0, drain_s=8.0, seed=11))
         assert result.committed > 0
-        assert len(result.events("takeover")) == 1
+        finale, = injected(result.applied, "kill_ctl")
+        assert finale.at == 20.0
+        takeovers = [e for e in result.events("ctl_takeover")
+                     if e.t > finale.at]
+        assert len(takeovers) == 1
+        assert takeovers[0].machine != finale.resolved
         violations = check_controller(result.controller,
                                       expect_recovery_complete=True)
         assert not violations, "\n".join(str(v) for v in violations)

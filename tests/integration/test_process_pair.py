@@ -1,14 +1,52 @@
-"""Integration tests for cluster-controller process-pair failover."""
+"""Controller take-over, the paper's process pair (Section 2), on the
+group of one every default controller runs.
 
-from repro.cluster.process_pair import ProcessPairBackup
+The paper pairs the controller with a backup that mirrors commit
+decisions and, when the primary dies, completes decided transactions
+and presumed-aborts the rest. Here the controller is a Paxos group, and
+a group of one is a single controller that restarts from its own
+decision table (DESIGN §4u): ``crash_controller`` stops it,
+``repair_controller`` re-elects it on the spot and runs the same
+take-over. These are the pair's take-over cases on that restart.
+"""
+
 from repro.engine.transactions import TxnState
 from tests.conftest import make_kv_cluster, read_table
+
+
+def decide(controller, txn_id, machines):
+    """Log a commit decision on the group of one: it is chosen inside
+    the call, so the proposal never yields."""
+    next(controller.consensus.replicate_decision(
+        "kv", txn_id, "commit", list(machines)), None)
+
+
+def take_over(controller):
+    """Crash the controller and restart it; returns what its take-over
+    completed and aborted."""
+    plane = controller.consensus
+    plane.crash_controller(plane.acting)
+    plane.repair_controller(plane.acting)
+    takeover = controller.trace.events(kind="ctl_takeover")[-1]
+    return takeover.extra["completed"], takeover.extra["aborted"]
+
+
+def prepare_everywhere(controller, txn_id, sql, prepare=True):
+    """Drive ``txn_id`` on every replica by hand, as a coordinator that
+    died right after this would have left it."""
+    replicas = controller.replica_map.replicas("kv")
+    for name in replicas:
+        machine = controller.machines[name]
+        txn = machine.engine.begin(txn_id)
+        machine.engine.execute_sync(txn, "kv", sql)
+        if prepare:
+            machine.engine.prepare(txn)
+    return replicas
 
 
 class TestProcessPair:
     def test_clean_commits_leave_no_decisions(self, sim):
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
 
         def client():
             conn = controller.connect("kv")
@@ -18,45 +56,36 @@ class TestProcessPair:
         proc = sim.process(client())
         sim.run()
         assert proc.ok
-        assert backup.decisions == {}
+        plane = controller.consensus
+        assert plane.acting_node.state.decisions == {}
+        assert plane._retire == []
 
     def test_takeover_completes_decided_commit(self, sim):
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
-
-        # Drive a transaction manually up to the decision point: all
-        # participants PREPARED and the decision mirrored, but no COMMIT
-        # messages sent (the primary dies exactly there).
+        # All participants PREPARED and the decision logged, but no
+        # COMMIT sent: the controller dies exactly there.
         txn_id = 4242
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 99 WHERE k = 5")
-            machine.engine.prepare(txn)
-        backup.log_decision(txn_id, "commit", list(replicas))
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 99 WHERE k = 5")
+        decide(controller, txn_id, replicas)
 
-        committed, aborted = backup.take_over()
+        committed, aborted = take_over(controller)
         assert committed == [txn_id]
         assert txn_id not in aborted
         for name in replicas:
             assert read_table(controller, name, "kv",
                               "SELECT v FROM kv WHERE k = 5") == [(99,)]
+        # Completed, then retired from the table it restarted from.
+        assert controller.consensus.acting_node.state.decisions == {}
 
     def test_takeover_aborts_undecided_transactions(self, sim):
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
-
         txn_id = 777
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 5 WHERE k = 3")
-        # No prepare, no decision: in transit when the primary dies.
-        committed, aborted = backup.take_over()
+        # No prepare, no decision: in transit when the controller dies.
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 5 WHERE k = 3",
+                                      prepare=False)
+        committed, aborted = take_over(controller)
         assert committed == []
         assert txn_id in aborted
         for name in replicas:
@@ -66,19 +95,12 @@ class TestProcessPair:
             assert engine_txn.state is TxnState.ABORTED
 
     def test_takeover_aborts_prepared_but_undecided(self, sim):
-        # Prepared everywhere but the decision never reached the backup:
-        # presumed abort.
+        # Prepared everywhere but no decision was logged: presumed abort.
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
         txn_id = 888
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 8 WHERE k = 8")
-            machine.engine.prepare(txn)
-        committed, aborted = backup.take_over()
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 8 WHERE k = 8")
+        committed, aborted = take_over(controller)
         assert txn_id in aborted
         for name in replicas:
             assert read_table(controller, name, "kv",
@@ -86,99 +108,36 @@ class TestProcessPair:
 
     def test_takeover_skips_dead_machines(self, sim):
         controller = make_kv_cluster(sim, machines=3)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
         txn_id = 999
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 9 WHERE k = 9")
-            machine.engine.prepare(txn)
-        backup.log_decision(txn_id, "commit", list(replicas))
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 9 WHERE k = 9")
+        decide(controller, txn_id, replicas)
         controller.fail_machine(replicas[1])
-        committed, _ = backup.take_over()
+        committed, _ = take_over(controller)
         assert committed == [txn_id]
         assert read_table(controller, replicas[0], "kv",
                           "SELECT v FROM kv WHERE k = 9") == [(9,)]
 
 
-class TestMonitorRestart:
-    def test_monitor_rearms_after_reform_and_handles_second_crash(self, sim):
-        """Satellite 1: ``start_monitor`` must be restartable.
-
-        After a detection-driven take-over the pair re-forms; arming the
-        monitor again must yield a *fresh* detection loop (not the
-        spent handle), and that loop must drive a second take-over when
-        the primary crashes again.
-        """
-        from repro.cluster.network import NetworkConfig
-
-        controller = make_kv_cluster(
-            sim, machines=3,
-            network=NetworkConfig(enabled=True, latency_s=0.01, seed=3))
-        backup = ProcessPairBackup(controller)
-        first = backup.start_monitor(interval_s=0.1, misses=2)
-        # Re-arming while the pair is healthy returns the same loop.
-        assert backup.start_monitor(interval_s=0.1, misses=2) is first
-
-        controller.crash_primary()
-        sim.run(until=2.0)
-        assert backup.took_over
-        assert not first.is_alive
-
-        backup.reform()
-        assert controller.primary_alive
-        assert not backup.took_over
-        second = backup.start_monitor(interval_s=0.1, misses=2)
-        assert second is not first
-        assert second.is_alive
-
-        controller.crash_primary()
-        sim.run(until=4.0)
-        assert backup.took_over, "re-armed monitor missed the second crash"
-
-    def test_start_monitor_replaces_zombie_loop_after_oracle_takeover(self, sim):
-        """An oracle-invoked take-over leaves the old loop a zombie; a
-        subsequent ``start_monitor`` must replace it, not return it."""
-        controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        first = backup.start_monitor(interval_s=0.1, misses=2)
-        backup.take_over(reason="oracle")
-        # The loop has not woken up yet, so it is alive but spent.
-        replacement = backup.start_monitor(interval_s=0.1, misses=2)
-        assert replacement is not first
-        sim.run(until=1.0)
-        assert not first.is_alive
-
-
 class TestTakeoverSweepsFencedMachines:
     def test_undecided_txn_on_fenced_participant_is_aborted(self, sim):
-        """Satellite 2: take-over Phase 2 must reach alive-but-fenced
-        machines.
+        """Take-over Phase 2 must reach alive-but-fenced machines.
 
         A participant fenced mid-PREPARE still holds the transaction's
         write locks in its engine; nothing else will ever release them,
         so the presumed-abort sweep must cover it.
         """
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
-
         txn_id = 555
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 55 WHERE k = 4")
-            machine.engine.prepare(txn)
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 55 WHERE k = 4")
         # The detector fences one participant between its PREPARE and
         # any decision: alive, engine intact, locks held.
         fenced = controller.machines[replicas[1]]
         fenced.fence()
         assert fenced.alive and fenced.fenced
 
-        committed, aborted = backup.take_over()
+        committed, aborted = take_over(controller)
         assert committed == []
         assert aborted == [txn_id]
         for name in replicas:
@@ -195,19 +154,13 @@ class TestTakeoverSweepsFencedMachines:
         stale by definition and will be wiped on readmission) while
         still completing the decision on the healthy participants."""
         controller = make_kv_cluster(sim)
-        backup = ProcessPairBackup(controller)
-        replicas = controller.replica_map.replicas("kv")
         txn_id = 556
-        for name in replicas:
-            machine = controller.machines[name]
-            txn = machine.engine.begin(txn_id)
-            machine.engine.execute_sync(
-                txn, "kv", "UPDATE kv SET v = 56 WHERE k = 6")
-            machine.engine.prepare(txn)
-        backup.log_decision(txn_id, "commit", list(replicas))
+        replicas = prepare_everywhere(controller, txn_id,
+                                      "UPDATE kv SET v = 56 WHERE k = 6")
+        decide(controller, txn_id, replicas)
         controller.machines[replicas[1]].fence()
 
-        committed, aborted = backup.take_over()
+        committed, aborted = take_over(controller)
         assert committed == [txn_id]
         assert aborted == []
         assert read_table(controller, replicas[0], "kv",
@@ -216,13 +169,14 @@ class TestTakeoverSweepsFencedMachines:
 
 class TestTakeoverRacesInflightPrepares:
     def test_mid_phase1_txn_presumed_aborted_everywhere(self, sim):
-        """The primary dies while PREPAREs are on the wire.
+        """The controller dies while PREPAREs are on the wire.
 
-        The participants keep PREPARE-ing (they cannot know the primary
-        died), but no decision was mirrored, so the backup's detection-
-        driven take-over must presumed-abort the transaction on every
-        participant — and the trace must satisfy the no-split-brain and
-        decision invariants.
+        The participants keep PREPARE-ing (they cannot know the
+        controller died), but no decision was logged, so the restarted
+        controller's take-over must presumed-abort the transaction on
+        every participant. The coordinator that survives the restart in
+        memory wakes up after it, under the new term: it must not log
+        the decision its PREPARE round straddled.
         """
         from repro.analysis.invariants import check_controller
         from repro.cluster.controller import TransactionAborted
@@ -230,12 +184,11 @@ class TestTakeoverRacesInflightPrepares:
         from repro.errors import ControllerFailedError
 
         # One-way latency of 0.2 s makes the 2PC phases slow enough to
-        # crash the primary deterministically in the middle of phase 1.
+        # crash the controller deterministically in the middle of phase 1.
         controller = make_kv_cluster(
             sim, machines=3,
             network=NetworkConfig(enabled=True, latency_s=0.2, seed=1))
-        backup = ProcessPairBackup(controller)
-        backup.start_monitor(interval_s=0.1, misses=2)
+        plane = controller.consensus
         replicas = controller.replica_map.replicas("kv")
         outcome = {}
 
@@ -250,30 +203,39 @@ class TestTakeoverRacesInflightPrepares:
                 outcome["committed"] = True
 
         def crasher():
-            # Writes are acked ~0.4 s in; the first PREPARE is on the
-            # wire until ~0.8 s. Crash squarely inside phase 1.
-            yield sim.timeout(0.5)
-            controller.crash_primary()
+            # Writes are acked ~0.4 s in; the PREPAREs land ~0.6 s and
+            # their votes are on the wire until ~0.8 s. Crash squarely
+            # inside phase 1, after the branches prepared, and restart
+            # before the votes are back.
+            yield sim.timeout(0.65)
+            plane.crash_controller(plane.acting)
+            yield sim.timeout(0.05)
+            plane.repair_controller(plane.acting)
 
         sim.process(client())
         crash = sim.process(crasher())
         sim.run(until=10.0)
 
         assert crash.ok
-        assert backup.took_over
+        takeover, = controller.trace.events(kind="ctl_takeover")
         assert "committed" not in outcome
         assert isinstance(outcome["error"],
                           (TransactionAborted, ControllerFailedError))
         # Presumed abort landed on every participant: no replica kept
         # the write, no replica still holds the transaction open.
-        assert backup.aborted_on_takeover
-        txn_id = backup.aborted_on_takeover[0]
+        assert takeover.extra["aborted"]
+        txn_id = takeover.extra["aborted"][0]
         for name in replicas:
             engine = controller.machines[name].engine
             txn = engine.transactions.get(txn_id)
             assert txn is None or txn.state is not TxnState.COMMITTED
             assert read_table(controller, name, "kv",
                               "SELECT v FROM kv WHERE k = 2") == [(0,)]
-        assert backup.completed_on_takeover == []
+        assert takeover.extra["completed"] == []
+        # Every branch voted yes, to a coordinator of the old term.
+        assert len(controller.trace.events(kind="prepare")) == 2
+        orphaned, = controller.trace.events(kind="txn_orphaned")
+        assert orphaned.txn == txn_id
+        assert controller.trace.events(kind="decision_logged") == []
         violations = check_controller(controller)
         assert not violations, "\n".join(str(v) for v in violations)

@@ -1,11 +1,13 @@
 """Replay identity: same seed, same trace — byte for byte.
 
 Every CI soak at its CI size (the stampede at the tier-1 size) must dump
-exactly the trace recorded below. The seven fault-injecting soaks were
-recorded when faults became a schedule drawn up front and applied by one
-process (DESIGN §4t): the draws moved, and every entry traces one
-``fault`` event. ``manytenants`` injects nothing and predates that.
-Each one repeats across processes and under any ``PYTHONHASHSEED``.
+exactly the trace recorded below. The six cluster soaks were recorded
+when every controller became one Paxos group (DESIGN §4u): each trace
+opens with the controller's election, decisions carry their replica and
+term, and ``partitions`` / ``controllers`` run on the production group
+of three. ``disaster`` is the system tier's trace and was recorded when
+faults became a schedule drawn up front (DESIGN §4t). Each one repeats
+across processes and under any ``PYTHONHASHSEED``.
 
 A soak also replays from its schedule alone: feeding ``run.schedule``
 back as the scenario's ``faults`` gives the same trace — the replay
@@ -56,34 +58,28 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "cc389571b87f5fcb36f1bbfa0c1cc872"),
+        "5ed3233b97542245daf4713251d50995"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "525e379b0c0360a5838d231cf6ab0360"),
+        "d407c42839011c3d8e4a3376eb7af6f1"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
-            consensus=True, duration_s=20.0, drain_s=15.0,
-            ctl_kill_mtbf_s=8.0, seed=3)),
-        "ec016db3b22f5572cc31ee1fcc87c71e"),
-    "controllers-pair": (
-        lambda: cluster_trace(soaks.controllers(
-            consensus=False, duration_s=20.0, drain_s=15.0,
-            ctl_kill_mtbf_s=8.0, seed=3)),
-        "7a136ed4c7e455a103dcab717f0fa41e"),
+            duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0, seed=3)),
+        "09349cd04c1e8d92950d8f8d693697de"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(
             admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "802dbe9d770fb9ea5b556e201f6aabb7"),
+        "e021a51694c3b2b5f8d7090ab1ebf919"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "f6fb205beb385e9504913893036f3b81"),
+        "f60e2083ea76d09d96810ae03730c2f2"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,
@@ -93,7 +89,7 @@ SOAKS = {
     "manytenants": (
         lambda: bounded(run_many_tenants(n_databases=2000, duration_s=12.0,
                                          flash_at_s=6.0, seed=3).controller),
-        "e54611c80420baa0d169ee2dfc364a4d"),
+        "30d75b2f132291990b2c5740c21f6d7c"),
 }
 
 
@@ -118,8 +114,8 @@ def test_a_soak_replays_from_its_schedule_alone(name):
         "partitions": soaks.partitions(duration_s=20.0, drain_s=30.0,
                                        partition_mtbf_s=8.0, seed=3),
         "controllers-consensus": soaks.controllers(
-            consensus=True, duration_s=20.0, drain_s=15.0,
-            ctl_kill_mtbf_s=8.0, seed=3)}[name]
+            duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0,
+            seed=3)}[name]
     run = run_scenario(scenario)
     # What a failing seed prints: the schedule as JSON.
     recorded = load(json.loads(json.dumps(run.schedule)))

@@ -24,6 +24,7 @@ from repro.analysis.invariants import (check_bounds, check_controller,
                                        suspicion_horizon_s)
 from repro.engine.wal import WriteAheadLog
 from repro.harness import soaks
+from repro.harness.faults import injected
 from repro.harness.scenario import run_scenario
 
 
@@ -48,9 +49,9 @@ def test_fault_soak_with_delta_audits_clean(seed):
 # the now-fenced replica (fenced-replica-never-serves).
 @example(seed=319)
 # Seed 715: the lossy fabric dropped two heartbeats of a live machine,
-# it was suspected at t = 44.50 and the finale crashed the primary at
-# 45.0 — the detector stops with its primary, so no probe was left to
-# clear the suspicion, and the audit called it dangling.
+# it was suspected at t = 44.50 and the finale crashed the acting
+# controller at 45.0 — the detector stops with it, so no probe was left
+# to clear the suspicion, and the audit called it dangling.
 @example(seed=715)
 def test_partition_soak_with_delta_audits_clean(seed):
     result = run_scenario(soaks.partitions(
@@ -61,7 +62,8 @@ def test_partition_soak_with_delta_audits_clean(seed):
     assert not violations, "\n".join(str(v) for v in violations)
     # The drain healed every partition: no suspicion dangles but one the
     # detector had no time left to resolve before the finale stopped it.
-    stopped_at = result.marks["primary_crashed_at"]
+    finale, = injected(result.applied, "kill_ctl")
+    stopped_at = finale.at
     horizon_s = suspicion_horizon_s(result.controller.config)
     assert all(stopped_at - since < horizon_s
                for since in result.controller.detector.suspected.values())

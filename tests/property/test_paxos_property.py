@@ -72,7 +72,8 @@ def run_chaos(seed, drop_p, n_nodes, commands=10, crash_leader=True):
             if leader is None:
                 yield sim.timeout(0.2)
                 continue
-            cmd = ("placement", {"db": f"db{i}", "target": f"m{i}"})
+            cmd = ("decision", {"txn": i, "decision": "commit",
+                                "machines": [f"m{i}"]})
             try:
                 yield from group.propose(leader, cmd, timeout_s=2.0)
             except NotLeaderError:
@@ -114,14 +115,14 @@ def run_chaos(seed, drop_p, n_nodes, commands=10, crash_leader=True):
     sim.run(until=45.0)
     applied = {node.name: node.applied_to for node in group.nodes.values()}
     assert len(set(applied.values())) == 1, f"seed={seed}: {applied}"
-    states = [node.state.placements for node in group.nodes.values()]
+    states = [node.state.decisions for node in group.nodes.values()]
     assert all(s == states[0] for s in states), f"seed={seed}: {states}"
     chosen_logs = [node.chosen for node in group.nodes.values()]
     assert all(log == chosen_logs[0] for log in chosen_logs)
     # Every driver-confirmed command is in the converged log.
-    landed = {cmd[1]["db"] for cmd in chosen_logs[0].values()
-              if cmd[0] == "placement"}
-    assert {f"db{i}" for i in proposed} <= landed
+    landed = {cmd[1]["txn"] for cmd in chosen_logs[0].values()
+              if cmd[0] == "decision"}
+    assert set(proposed) <= landed
 
     fingerprint = tuple(
         (index, command_digest(*chosen_logs[0][index]))

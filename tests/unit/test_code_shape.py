@@ -8,6 +8,8 @@ fails here first and has to say why. DESIGN §4r adds the measurement
 plane's shape: one histogram class, one read-out, counters written
 where they live, and an event taxonomy that matches the emit sites.
 DESIGN §4t adds the harness's: faults are data, applied in one place.
+DESIGN §4u adds the control plane's: one Paxos group per controller,
+and no second take-over path beside it.
 """
 
 import ast
@@ -120,7 +122,6 @@ def test_cluster_config_surface_is_pinned():
         "heartbeat_interval_s",
         "suspect_after_misses",
         "declare_after_misses",
-        "consensus_enabled",
         "consensus",
         "admission_control",
         "admission",
@@ -181,6 +182,7 @@ def test_production_profile_is_the_benchmarks_profile():
                    if isinstance(node, ast.Assign)
                    and node.targets[0].id == "PROD_PROFILE")
     assert profile.pop("lazy_tenant_state") is True     # deleted by PR 21
+    assert profile.pop("consensus_enabled") is True     # the group is all
     applied = ClusterConfig()
     for path, value in dict(profile, **{"network.seed": 7,
                                         "consensus.seed": 7}).items():
@@ -229,14 +231,14 @@ HARNESS = SRC / "harness"
 FAULT_EFFECTS = ("fail_machine", "crash_machine", "repair_machine",
                  "crash_controller", "repair_controller", "crash_colo",
                  "repair_colo", "cut", "heal", "split", "heal_all",
-                 "crash_primary")
+                 "crash_all")
 
 
 def test_faults_are_data_applied_in_one_place():
     """DESIGN §4t: the draws are the only RNG users of ``faults.py``, no
     class there has a start/stop lifecycle, and every fault effect the
     harness causes goes through the applier — but ``run_scenario``'s
-    closing ``heal_all`` and its ``crash_primary`` finale."""
+    closing ``heal_all`` (a finale is a schedule entry too)."""
     faults = parse(HARNESS / "faults.py")
     assert callers(faults, "SeededRNG") == {
         "crashes", "link_cuts", "controller_kills", "wan_cuts"}
@@ -250,8 +252,7 @@ def test_faults_are_data_applied_in_one_place():
                 sites.setdefault(f"{path.stem}:{site}", set()).add(name)
     outside = {site: names for site, names in sites.items()
                if not site.startswith("faults:_Applier.")}
-    assert outside == {"scenario:run_scenario": {"heal_all",
-                                                 "crash_primary"}}
+    assert outside == {"scenario:run_scenario": {"heal_all"}}
     assert sum(len(enabled_reads(path))
                for path in HARNESS.glob("*.py")) <= 2
 
@@ -281,3 +282,31 @@ def test_every_emitted_kind_is_in_the_taxonomy_table():
     assert {kind: site for kind, site in emitted.items()
             if kind not in exact
             and not any(kind.startswith(p) for p in prefixes)} == {}
+
+
+def test_one_control_plane():
+    """DESIGN §4u: every controller owns one Paxos group — a group of
+    one by default — so no second take-over path, switch or attachment
+    survives beside it, no site asks whether a plane is attached, and
+    the log decides what a take-over reads and nothing else."""
+    gone = re.compile(r"primary_alive|ProcessPairBackup|consensus_enabled"
+                      r"|crash_primary|\.backup\b")
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
+    assert [f"{path.name}:{number}"
+            for path in sorted(CLUSTER.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"consensus is (not )?None", line)] == []
+    assert not (CLUSTER / "process_pair.py").exists()
+    state = next(node for node in parse(CLUSTER / "consensus.py").body
+                 if isinstance(node, ast.ClassDef)
+                 and node.name == "ControllerState")
+    apply = next(node for node in methods(state) if node.name == "apply")
+    kinds = {constant.value for node in ast.walk(apply)
+             if isinstance(node, ast.Compare)
+             and getattr(node.left, "id", None) == "kind"
+             for constant in node.comparators
+             if isinstance(constant, ast.Constant)}
+    assert kinds == {"noop", "leader_takeover", "decision", "decision_clear"}

@@ -2,11 +2,15 @@
 
 These exercise :class:`PaxosGroup` directly over a standalone network
 fabric — no cluster controller attached — plus the deterministic
-:class:`ControllerState` replay machine the replicated log drives.
+:class:`ControllerState` replay machine the replicated log drives, and
+the group of one every default controller runs (DESIGN §4u).
 """
+
+import dataclasses
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterController
 from repro.cluster.consensus import (ConsensusConfig, ControllerState,
                                      PaxosGroup, ballot_term, command_digest)
 from repro.cluster.network import NetworkConfig, NetworkFabric
@@ -23,6 +27,11 @@ def make_group(sim, n=3, seed=0, **config_kwargs):
                        fabric=fabric)
     group.start()
     return group, fabric
+
+
+def decision(txn, machines=("m0",), retire=()):
+    return ("decision", {"txn": txn, "decision": "commit",
+                         "machines": list(machines), "retire": list(retire)})
 
 
 def propose_via(sim, group, node, cmd, out):
@@ -118,9 +127,7 @@ class TestReplication:
         for i in range(5):
             out = {}
             outs.append(out)
-            propose_via(sim, group, leader,
-                        ("db_create", {"db": f"db{i}",
-                                       "machines": [f"m{i}"]}), out)
+            propose_via(sim, group, leader, decision(i, [f"m{i}"]), out)
         sim.run(until=5.0)
         assert sorted(o["index"] for o in outs) == list(
             range(outs[0]["index"], outs[0]["index"] + 5))
@@ -129,8 +136,8 @@ class TestReplication:
         logs = [node.chosen for node in group.nodes.values()]
         assert logs[0] == logs[1] == logs[2]
         for node in group.nodes.values():
-            assert node.state.replicas == {f"db{i}": [f"m{i}"]
-                                           for i in range(5)}
+            assert node.state.decisions == {i: ("commit", [f"m{i}"])
+                                            for i in range(5)}
             # The cumulative counter a benchmark can read once the log
             # is truncated: every index counted once, on first sight.
             assert node.stats.commands_chosen == len(node.chosen) > 5
@@ -141,8 +148,7 @@ class TestReplication:
         group.crash("ctl2")
         leader = group.leader()
         for i in range(4):
-            propose_via(sim, group, leader,
-                        ("placement", {"db": f"db{i}", "target": "m9"}), {})
+            propose_via(sim, group, leader, decision(i, ["m9"]), {})
         sim.run(until=4.0)
         assert group.nodes["ctl2"].applied_to < leader.applied_to
         group.repair("ctl2")
@@ -151,7 +157,7 @@ class TestReplication:
         assert lagger.applied_to == leader.applied_to
         assert lagger.chosen == leader.chosen
         assert lagger.stats.commands_chosen == len(lagger.chosen)  # learned
-        assert lagger.state.placements == leader.state.placements
+        assert lagger.state.decisions == leader.state.decisions
 
     def test_deposed_leader_pending_proposals_fail(self, sim):
         group, _ = make_group(sim)
@@ -168,31 +174,25 @@ class TestControllerState:
     def test_apply_is_deterministic_across_replicas(self):
         script = [
             ("leader_takeover", {"node": "ctl0", "term": 1}),
-            ("db_create", {"db": "app", "machines": ["m0", "m1"]}),
-            ("replica_add", {"db": "app", "machine": "m2"}),
-            ("machine_declared", {"machine": "m1"}),
-            ("placement", {"db": "app", "target": "m3"}),
             ("decision", {"txn": 7, "decision": "commit",
                           "machines": ["m0", "m2"]}),
-            ("machine_repaired", {"machine": "m1"}),
+            ("noop", {}),
             # Clears are not commands of their own: 7 rides on the next
             # decision, 8 and 9 on an idle leader's batch.
             ("decision", {"txn": 8, "decision": "commit",
                           "machines": ["m0"], "retire": [7]}),
             ("decision", {"txn": 9, "decision": "commit",
                           "machines": ["m2"], "retire": []}),
-            ("decision_clear", {"txns": [8, 9]}),
+            ("leader_takeover", {"node": "ctl1", "term": 5}),
+            ("decision_clear", {"txns": [8]}),
         ]
         states = [ControllerState(), ControllerState()]
         for state in states:
             for kind, payload in script:
                 state.apply(kind, payload)
         for state in states:
-            assert state.term == 1 and state.leader == "ctl0"
-            assert state.replicas == {"app": ["m0", "m2"]}
-            assert state.declared_dead == set() and state.fenced == set()
-            assert state.placements == {"app": "m3"}
-            assert state.decisions == {}
+            assert state.term == 5 and state.leader == "ctl1"
+            assert state.decisions == {9: ("commit", ["m2"])}
 
     def test_retire_drops_earlier_decisions_after_inserting_the_new_one(self):
         state = ControllerState()
@@ -211,33 +211,69 @@ class TestControllerState:
         state.apply("decision_clear", {"txns": [3, 3, 1]})
         assert state.decisions == {}
 
-    def test_machine_declared_fences_and_drops_replicas(self):
-        state = ControllerState()
-        state.apply("db_create", {"db": "a", "machines": ["m0", "m1"]})
-        state.apply("machine_declared", {"machine": "m1"})
-        assert state.replicas == {"a": ["m0"]}
-        assert state.declared_dead == {"m1"} and state.fenced == {"m1"}
-        state.apply("machine_readmitted", {"machine": "m1"})
-        assert state.declared_dead == set() and state.fenced == set()
-
-    def test_reconcile_replaces_metadata_wholesale(self):
-        state = ControllerState()
-        state.apply("db_create", {"db": "stale", "machines": ["m9"]})
-        state.apply("machine_declared", {"machine": "m9"})
-        state.apply("reconcile", {"replicas": {"fresh": ["m0"]},
-                                  "declared_dead": ["m7"],
-                                  "fenced": ["m7", "m8"]})
-        assert state.replicas == {"fresh": ["m0"]}
-        assert state.declared_dead == {"m7"}
-        assert state.fenced == {"m7", "m8"}
-
     def test_apply_does_not_alias_payload_lists(self):
-        payload = {"db": "a", "machines": ["m0"]}
+        _kind, payload = decision(1, ["m0"])
         state = ControllerState()
-        state.apply("db_create", payload)
-        state.apply("replica_add", {"db": "a", "machine": "m1"})
+        state.apply("decision", payload)
+        state.decisions[1][1].append("m1")
         assert payload["machines"] == ["m0"]
 
     def test_unknown_command_raises(self):
         with pytest.raises(ValueError):
             ControllerState().apply("frobnicate", {})
+        # The metadata commands went with their last reader (DESIGN §4u).
+        with pytest.raises(ValueError):
+            ControllerState().apply("db_create", {"db": "a",
+                                                  "machines": ["m0"]})
+
+
+def solo_controller(sim, replicas=1):
+    config = ClusterConfig()
+    config.consensus = dataclasses.replace(config.consensus,
+                                           replicas=replicas)
+    return ClusterController(sim, config)
+
+
+class TestGroupOfOne:
+    """``replicas=1``: the controller that restarts from its own table."""
+
+    def test_replicas_is_one_or_at_least_three(self, sim):
+        assert ConsensusConfig().replicas == 1
+        for bad in (0, 2, -1):
+            with pytest.raises(ValueError, match=f"not {bad}$"):
+                solo_controller(sim, replicas=bad)
+        for good in (1, 3, 5):
+            plane = solo_controller(Simulator(), replicas=good).consensus
+            assert len(plane.group.names) == good
+        with pytest.raises(ValueError):
+            PaxosGroup(sim, [], transport=object())
+
+    def test_it_leads_at_construction_and_schedules_nothing(self, sim):
+        plane = solo_controller(sim).consensus
+        assert plane.group.solo and plane.lease_valid()
+        assert sim.pending == 0 and plane.acting_node.procs == []
+        assert plane.acting_node.own_lease_until == float("inf")
+        node = plane.acting_node
+        for i in range(3):
+            proposal = plane.group.propose(node, decision(i))
+            with pytest.raises(StopIteration) as chosen:
+                next(proposal)   # chosen inside the call: never yields
+            assert chosen.value.value == node.applied_to
+        # Applied, and no log kept past it; nothing left to run.
+        assert node.chosen == {} and node.accepted == {}
+        assert set(node.state.decisions) == {0, 1, 2}
+        assert node.stats.commands_chosen == 4   # with the take-over
+        assert sim.pending == 0
+        assert not plane.controller.trace.events(kind="ctl_applied")
+
+    def test_repair_re_elects_inline_under_a_higher_term(self, sim):
+        controller = solo_controller(sim)
+        plane = controller.consensus
+        term = plane.term
+        plane.crash_controller(plane.acting)
+        assert not plane.alive and not plane.lease_valid()
+        plane.repair_controller(plane.acting)
+        assert plane.alive and plane.lease_valid() and plane.term > term
+        takeover, = controller.trace.events(kind="ctl_takeover")
+        assert takeover.extra["term"] == plane.term
+        assert sim.pending == 0

@@ -1,11 +1,12 @@
 """Unit tests for the experiment harness and reporting."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, ConsensusConfig
 from repro.harness import format_series, format_table, run_sla_placement
 from repro.harness.faults import Fault, crashes
 from repro.harness.runner import run_tpcw_cluster
@@ -153,10 +154,21 @@ class TestRunScenario:
         assert run.recoveries == [] and "recovery" not in run.parts
 
     def test_finale_records_the_primary_crash(self):
-        run = run_scenario(_tiny(drain_s=1.0, takeover_wait_s=2.0))
-        assert run.marks["primary_crashed_at"] == 3.0
+        """A finale is a schedule entry past ``duration_s`` — here the
+        leader kill of a group of three — applied during the drain."""
+        scenario = dataclasses.replace(
+            _tiny(drain_s=3.0,
+                  faults=lambda run: [Fault(3.0, "kill_ctl", "leader")]),
+            config=dataclasses.replace(
+                ClusterConfig(), consensus=ConsensusConfig(replicas=3)))
+        run = run_scenario(scenario)
         assert run.sim.now == 5.0
-        assert [e.t for e in run.events("primary_crashed")] == [3.0]
+        finale, = run.applied
+        assert (finale.at, finale.kind, finale.resolved) == (
+            3.0, "kill_ctl", "cluster-ctl0")
+        crashed, = run.events("ctl_crashed")
+        assert crashed.t == 3.0 and crashed.extra["acting"]
+        assert run.committed > 0
 
 
 def test_every_harness_parameter_has_a_caller():

@@ -360,46 +360,48 @@ class TestPartitionRules:
         ))
         assert rules(violations) == ["fenced-replica-never-serves"]
 
-    def test_primary_decision_after_takeover_is_split_brain(self):
-        violations = check_trace(trace(
-            ("prepare", {"db": "kv", "txn": 1, "machine": "m0"}),
-            ("takeover", {"reason": "test"}),
-            ("decision_logged", {"db": "kv", "txn": 1,
-                                 "decision": "commit",
-                                 "actor": "primary"}),
-            ("committed", {"db": "kv", "txn": 1}),
-        ))
-        assert "no-split-brain" in rules(violations)
+    # The split-brain rules are the lease rules: the old controller's
+    # lease has run out by the time another one is elected, and a
+    # decision it takes after that is flagged.
 
-    def test_primary_commit_after_takeover_is_split_brain(self):
-        violations = check_trace(trace(
-            ("prepare", {"db": "kv", "txn": 1, "machine": "m0"}),
+    def test_primary_decision_after_takeover_is_split_brain(self):
+        violations = check_trace(ctrace(
+            ("ctl_leader_elected", {"machine": "ctl0", "term": 1,
+                                    "lease_until": 3.0, "t": 1.0}),
+            ("prepare", {"db": "kv", "txn": 1, "machine": "m0", "t": 2.0}),
+            ("ctl_leader_elected", {"machine": "ctl1", "term": 2,
+                                    "lease_until": 7.0, "t": 4.0}),
             ("decision_logged", {"db": "kv", "txn": 1,
-                                 "decision": "commit",
-                                 "actor": "primary"}),
-            ("takeover", {"reason": "test"}),
-            ("commit_sent", {"db": "kv", "txn": 1, "machine": "m0"}),
-            ("committed", {"db": "kv", "txn": 1}),
+                                 "decision": "commit", "actor": "ctl0",
+                                 "term": 1, "t": 5.0}),
+            ("committed", {"db": "kv", "txn": 1, "t": 5.0}),
         ))
-        assert "no-split-brain" in rules(violations)
+        assert rules(violations) == ["decision-only-under-valid-lease"]
 
     def test_backup_takeover_commit_is_clean(self):
-        violations = check_trace(trace(
-            ("prepare", {"db": "kv", "txn": 1, "machine": "m0"}),
+        violations = check_trace(ctrace(
+            ("ctl_leader_elected", {"machine": "ctl0", "term": 1,
+                                    "lease_until": 3.0, "t": 1.0}),
+            ("prepare", {"db": "kv", "txn": 1, "machine": "m0", "t": 2.0}),
             ("decision_logged", {"db": "kv", "txn": 1,
-                                 "decision": "commit",
-                                 "actor": "primary"}),
-            ("takeover", {"reason": "test"}),
-            ("takeover_commit", {"txn": 1, "actor": "backup"}),
+                                 "decision": "commit", "actor": "ctl0",
+                                 "term": 1, "t": 2.0}),
+            ("ctl_crashed", {"machine": "ctl0", "acting": True, "t": 2.5}),
+            ("ctl_leader_elected", {"machine": "ctl1", "term": 2,
+                                    "lease_until": 7.0, "t": 4.0}),
+            ("takeover_commit", {"txn": 1, "actor": "ctl1", "t": 4.0}),
         ))
-        assert "no-split-brain" not in rules(violations)
+        assert violations == []
 
     def test_second_takeover_is_flagged(self):
-        violations = check_trace(trace(
-            ("takeover", {"reason": "one"}),
-            ("takeover", {"reason": "two"}),
+        # Two take-overs of one term: two leaders at once.
+        violations = check_trace(ctrace(
+            ("ctl_leader_elected", {"machine": "ctl0", "term": 2,
+                                    "lease_until": 3.0, "t": 1.0}),
+            ("ctl_leader_elected", {"machine": "ctl1", "term": 2,
+                                    "lease_until": 7.0, "t": 4.0}),
         ))
-        assert rules(violations) == ["no-split-brain"]
+        assert rules(violations) == ["single-leader-per-term"]
 
     def test_dangling_suspicion_is_flagged(self):
         violations = check_trace(trace(
@@ -408,10 +410,12 @@ class TestPartitionRules:
         assert rules(violations) == ["suspicion-eventually-resolves"]
 
     def test_suspicion_the_detector_had_no_time_to_resolve_is_excused(self):
-        # Suspected 0.5 s before the primary (and its detector) stopped.
+        # Suspected 0.5 s before the acting controller replica (and its
+        # detector) stopped.
         steps = (("machine_suspected", {"machine": "m0", "t": 44.5}),
-                 ("primary_crashed", {"t": 45.0}),
-                 ("takeover", {"t": 46.4}))
+                 ("ctl_crashed", {"machine": "ctl0", "acting": True,
+                                  "t": 45.0}),
+                 ("ctl_takeover", {"machine": "ctl1", "t": 46.4}))
         assert check_trace(ctrace(*steps), suspicion_horizon_s=2.0) == []
         assert rules(check_trace(ctrace(*steps))) == [
             "suspicion-eventually-resolves"]
@@ -422,12 +426,12 @@ class TestPartitionRules:
     def test_suspicion_older_than_the_horizon_still_dangles(self):
         violations = check_trace(ctrace(
             ("machine_suspected", {"machine": "m0", "t": 42.5}),
-            ("primary_crashed", {"t": 45.0}),
+            ("ctl_crashed", {"machine": "ctl0", "acting": True, "t": 45.0}),
             ("machine_suspected", {"machine": "m1", "t": 45.5}),
-            ("takeover", {"t": 48.0}),
+            ("ctl_takeover", {"machine": "ctl1", "t": 48.0}),
         ), suspicion_horizon_s=2.0)
-        # m0 had 2.5 s of probes; m1's detector (the backup's, after the
-        # take-over) ran on to the end of the trace, 2.5 s later.
+        # m0 had 2.5 s of probes; m1's detector (the new leader's, after
+        # the take-over) ran on to the end of the trace, 2.5 s later.
         assert [(v.rule, v.seq) for v in violations] == [
             ("suspicion-eventually-resolves", 0),
             ("suspicion-eventually-resolves", 2)]
@@ -473,8 +477,7 @@ def consensus_commit(txn=1, actor="ctl0", term=1, t=2.0, machines=("m0",)):
                                "t": t})]
     steps.append(("decision_logged", {"db": "kv", "txn": txn,
                                       "decision": "commit", "t": t,
-                                      "mirrored": True, "actor": actor,
-                                      "term": term}))
+                                      "actor": actor, "term": term}))
     for m in machines:
         steps.append(("commit_sent", {"db": "kv", "txn": txn,
                                       "machine": m, "t": t}))

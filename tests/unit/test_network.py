@@ -7,7 +7,7 @@ bulk-transfer stream used by recovery copies.
 
 import pytest
 
-from repro.cluster.network import (BACKUP, CONTROLLER, NetworkConfig,
+from repro.cluster.network import (CONTROLLER, NetworkConfig,
                                    NetworkFabric, NetworkPartitionedError)
 from repro.sim import Simulator
 
@@ -111,7 +111,7 @@ class TestPartitions:
         sim = Simulator()
         fabric = make_fabric(sim)
         fabric.split([[CONTROLLER], ["m1", "m2"]])
-        fabric.cut(BACKUP, CONTROLLER)
+        fabric.cut("m3", CONTROLLER)
         assert fabric.cut_links()
         fabric.heal_all()
         assert fabric.cut_links() == []
