@@ -86,14 +86,9 @@ def _batched(op, count, batch):
     return means
 
 
-def _stage_controller(n_databases, lazy=True):
+def _stage_controller():
     sim = Simulator()
-    config = ClusterConfig(
-        replication_factor=REPLICAS,
-        trace_capacity=4096,
-        lazy_engine_ddl=lazy,
-        max_resident_tenant_logs=64 if lazy else 0,
-    )
+    config = ClusterConfig(replication_factor=REPLICAS, trace_capacity=4096)
     controller = ClusterController(sim, config)
     controller.add_machines(MACHINES)
     return sim, controller
@@ -101,7 +96,7 @@ def _stage_controller(n_databases, lazy=True):
 
 def run_latency_stage(n_databases, seed=3):
     """Create/route/statement-entry wall-clock at one tenant count."""
-    sim, controller = _stage_controller(n_databases)
+    sim, controller = _stage_controller()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -179,14 +174,15 @@ def run_memory_stage(n_databases, lazy=True):
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        sim, controller = _stage_controller(n_databases, lazy=lazy)
+        sim, controller = _stage_controller()
         for i in range(n_databases):
             db = f"t{i:06d}"
             controller.create_database(db, KV_DDL, replicas=REPLICAS)
             if not lazy:
-                # The eager reference: per-tenant log and LSN map from
-                # creation (the controller itself only ever allocates
-                # them on first touch).
+                # The eager reference: engine DDL, per-tenant log and LSN
+                # map from creation (the controller itself only ever
+                # runs or allocates them on first touch).
+                controller.ensure_materialised(db)
                 controller.replication.log(db)
                 controller.replication.lsns(db)
         current, _ = tracemalloc.get_traced_memory()

@@ -117,7 +117,7 @@ cluster_reset      a repaired colo's cluster was wiped back to blank machines
 db_materialised    a cold database's deferred engine-side DDL ran on its
                    replicas (first statement, bulk load or copy touching it)
 log_paged_out      a cold tenant's commit log was compacted to stay under
-                   ``max_resident_tenant_logs`` (``dropped`` entries)
+                   ``RESIDENT_TENANT_LOGS`` (``dropped`` entries)
 fault              the fault applier reached one schedule entry (``at``,
                    ``fault`` = its kind, ``target``, ``resolved``;
                    ``skipped`` is the guard's reason, or null) — the

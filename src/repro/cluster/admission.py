@@ -27,33 +27,32 @@ if TYPE_CHECKING:  # repro.sla pulls in the profiler, which imports back
     from repro.sla.model import Sla  # into repro.cluster — break the cycle.
 
 
+#: Refill-rate multiplier over the SLA's minimum throughput: the floor is
+#: what the tenant *bought*; the headroom keeps admission from clipping a
+#: tenant that merely runs at its floor with Poisson arrival jitter.
+HEADROOM = 1.5
+#: Bucket capacity in seconds of refill: how long a burst above the
+#: provisioned rate is absorbed before rejections start.
+BURST_S = 2.0
+#: Refill rate for databases created without an SLA (tests, ad-hoc
+#: experiments): generous, so admission only bites where an SLA says it
+#: should.
+DEFAULT_RATE_TPS = 1000.0
+#: Cap on resident token buckets. Past it, the least-recently-admitted
+#: tenant whose bucket has refilled to full is paged out (a paged-out
+#: bucket re-materialises full on next touch — exactly the state it was
+#: dropped in, so eviction never changes an admit decision).
+RESIDENT_BUCKETS = 256
+
+
 @dataclass
 class AdmissionConfig:
     """Knobs of the overload-protection layer (``ClusterConfig.admission``)."""
 
-    # Refill-rate multiplier over the SLA's minimum throughput: the
-    # floor is what the tenant *bought*; the headroom keeps admission
-    # from clipping a tenant that merely runs at its floor with Poisson
-    # arrival jitter.
-    headroom: float = 1.5
-    # Bucket capacity in seconds of refill: how long a burst above the
-    # provisioned rate is absorbed before rejections start.
-    burst_s: float = 2.0
-    # Refill rate for databases created without an SLA (tests, ad-hoc
-    # experiments): generous, so admission only bites where an SLA says
-    # it should.
-    default_rate_tps: float = 1000.0
     # Read shedding: an option-1 read whose designated replica has this
     # many sim processes in flight spills to the least-loaded live
     # replica instead (0 disables the watermark check entirely).
     shed_inflight_watermark: int = 8
-    shed_reads: bool = True
-    # Cap on resident token buckets. Past it, the least-recently-admitted
-    # tenant whose bucket has refilled to full is paged out (a paged-out
-    # bucket re-materialises full on next touch — exactly the state it
-    # was dropped in, so eviction never changes an admit decision).
-    # 0 = unbounded.
-    max_resident_buckets: int = 0
 
 
 class TokenBucket:
@@ -108,9 +107,8 @@ class AdmissionController:
     bucket after an SLA change so the next touch re-provisions.
     """
 
-    def __init__(self, config: AdmissionConfig, clock: Callable[[], float],
+    def __init__(self, clock: Callable[[], float],
                  sla_lookup: Optional[Callable[[str], Optional["Sla"]]] = None):
-        self.config = config
         self.clock = clock
         self.sla_lookup = sla_lookup
         self.buckets: Dict[str, TokenBucket] = {}
@@ -119,21 +117,20 @@ class AdmissionController:
 
     def _rate_for(self, sla: Optional["Sla"]) -> float:
         if sla is not None and sla.min_throughput_tps > 0:
-            return sla.min_throughput_tps * self.config.headroom
-        return self.config.default_rate_tps
+            return sla.min_throughput_tps * HEADROOM
+        return DEFAULT_RATE_TPS
 
     def provision(self, db: str, sla: Optional["Sla"]) -> None:
         """(Re)create ``db``'s bucket from its SLA.
 
         Without an SLA the tenant gets the generous default rate; with
         one, the refill is the bought throughput floor times the
-        headroom factor and the capacity is ``burst_s`` seconds of it
+        headroom factor and the capacity is ``BURST_S`` seconds of it
         (at least one whole token, so tiny floors still admit work).
         """
-        rate = self._rate_for(sla)
-        capacity = max(1.0, rate * self.config.burst_s)
-        self.rates[db] = rate
-        self.buckets[db] = TokenBucket(rate, capacity, now=self.clock())
+        rate = self.rates[db] = self._rate_for(sla)
+        self.buckets[db] = TokenBucket(rate, max(1.0, rate * BURST_S),
+                                       now=self.clock())
 
     def forget(self, db: str) -> None:
         self.buckets.pop(db, None)
@@ -161,28 +158,18 @@ class AdmissionController:
 
         A database with no resident bucket — never touched, paged out,
         created before admission was enabled, or mid-takeover — is
-        provisioned on first sight from its current SLA (default rate
-        when there is none) rather than rejected.
+        provisioned on first sight, full, at :meth:`provisioned_rate`
+        rather than rejected.
         """
-        bucket = self.buckets.get(db)
+        bucket = self.buckets.pop(db, None)
         if bucket is None:
-            rate = self.rates.get(db)
-            if rate is None:
-                sla = (self.sla_lookup(db)
-                       if self.sla_lookup is not None else None)
-                self.provision(db, sla)
-            else:
-                # Paged-out bucket: rebuild full at the remembered rate.
-                capacity = max(1.0, rate * self.config.burst_s)
-                self.buckets[db] = TokenBucket(rate, capacity,
-                                               now=self.clock())
-            bucket = self.buckets[db]
-        elif self.config.max_resident_buckets > 0:
-            # Move to the back of the eviction order (dict order = LRU).
-            del self.buckets[db]
-            self.buckets[db] = bucket
+            rate = self.rates[db] = self.provisioned_rate(db)
+            bucket = TokenBucket(rate, max(1.0, rate * BURST_S),
+                                 now=self.clock())
+        # Re-inserted at the back of the eviction order (dict order = LRU).
+        self.buckets[db] = bucket
         decision = bucket.try_acquire(self.clock())
-        if 0 < self.config.max_resident_buckets < len(self.buckets):
+        if len(self.buckets) > RESIDENT_BUCKETS:
             self._evict_cold()
         return decision
 

@@ -42,7 +42,9 @@ class MachineConfig:
 
 @dataclass
 class ClusterConfig:
-    """Policy knobs of one cluster controller."""
+    """Policy knobs of one cluster controller: only what some caller
+    sets to another value; the rest are constants beside their readers
+    (DESIGN §4v)."""
 
     read_option: ReadOption = ReadOption.OPTION_1
     write_policy: WritePolicy = WritePolicy.CONSERVATIVE
@@ -62,11 +64,6 @@ class ClusterConfig:
     # flight). A rejoining machine whose last durable LSN fell behind
     # the retained tail is wiped to a blank spare instead.
     replication_log_retain: int = 512
-    # Bounded live-replay rounds before the delta handoff: if sustained
-    # write load keeps the target behind after this many catch-up
-    # passes, the drain (reject) window starts anyway and convergence is
-    # forced by rejection.
-    delta_max_replay_rounds: int = 10
     machine: MachineConfig = field(default_factory=MachineConfig)
     # Record operation histories for serializability checking (adds
     # overhead; enable in correctness experiments).
@@ -101,20 +98,6 @@ class ClusterConfig:
     # pre-admission behaviour (same precedent as ``network.enabled``).
     admission_control: bool = False
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    # Tenant-scale fast path (Issue 10). Per-tenant controller state
-    # (delta log, replica-LSN map, admission bucket) always materialises
-    # on first touch; what follows are the fast path's opt-in parts.
-    # Defer per-replica engine CREATE TABLE work to the first statement
-    # (or bulk load) touching the database. This changes engine txn-id
-    # interleaving relative to the seed, so it is opt-in for
-    # tenant-scale experiments; default off preserves replay identity.
-    lazy_engine_ddl: bool = False
-    # Cap on tenants whose delta logs keep their retained entries
-    # resident. Past the cap, the least-recently-committed tenant's log
-    # is compacted in place (entries dropped, LSN position kept, so
-    # ``covers()`` stays truthful and delta catch-up falls back to a
-    # full copy exactly as if the tail had truncated). 0 = unbounded.
-    max_resident_tenant_logs: int = 0
 
 
 def production_profile(seed: int) -> ClusterConfig:

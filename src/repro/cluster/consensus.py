@@ -10,7 +10,7 @@ replica, with leader election via Paxos prepare rounds and
 
 Lease rule (the safety core). An acceptor that PROMISEs a ballot to a
 candidate, or acks a lease RENEW, grants that node a lease of
-``lease_duration_s`` measured on its *own* clock, and refuses to
+``LEASE_DURATION_S`` measured on its *own* clock, and refuses to
 promise any other node while the grant is unexpired. The leader derives
 its own lease conservatively from the *send* time of the request, so
 its view always expires no later than any grant it received:
@@ -69,21 +69,25 @@ def command_digest(kind: str, payload: Dict[str, Any]) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:12]
 
 
+#: The group's timers. They only run with peers (a group of one has no
+#: lease to renew, nothing to retransmit and nobody to campaign against).
+LEASE_DURATION_S = 2.0
+RENEW_INTERVAL_S = 0.5
+TICK_S = 0.1
+ELECTION_JITTER_S = 0.5
+ELECTION_TIMEOUT_S = 1.5
+ACCEPT_RETRY_S = 0.3
+PROPOSE_TIMEOUT_S = 6.0
+#: Chosen entries per catch-up (``learn``) message.
+LEARN_BATCH = 64
+
+
 @dataclass
 class ConsensusConfig:
-    """Tuning for the controller group: ``replicas`` is 1 (a restarting
-    controller) or at least 3 (fault-tolerant); the timers below only
-    run with peers."""
+    """The controller group: ``replicas`` is 1 (a restarting controller)
+    or at least 3 (fault-tolerant); ``seed`` feeds election jitter."""
 
     replicas: int = 1
-    lease_duration_s: float = 2.0
-    renew_interval_s: float = 0.5
-    tick_s: float = 0.1
-    election_jitter_s: float = 0.5
-    election_timeout_s: float = 1.5
-    accept_retry_s: float = 0.3
-    propose_timeout_s: float = 6.0
-    learn_batch: int = 64
     seed: int = 0
 
 
@@ -339,7 +343,7 @@ class PaxosGroup:
         pend.done = self.sim.event()
         pend.done.defused = True  # failures settle here, not in the kernel
         deadline = self.sim.now + (timeout_s if timeout_s is not None
-                                   else self.config.propose_timeout_s)
+                                   else PROPOSE_TIMEOUT_S)
         while not pend.done.triggered:
             remaining = deadline - self.sim.now
             if remaining <= 0:
@@ -347,7 +351,7 @@ class PaxosGroup:
                     f"{node.name}: proposal {cmd[0]!r} timed out")
             yield self.sim.any_of([
                 pend.done,
-                self.sim.timeout(min(remaining, self.config.accept_retry_s)),
+                self.sim.timeout(min(remaining, ACCEPT_RETRY_S)),
             ])
         if pend.done.ok:
             return pend.done.value
@@ -360,24 +364,23 @@ class PaxosGroup:
     # -- loops -----------------------------------------------------------------
 
     def _timer_loop(self, node: PaxosNode):
-        cfg = self.config
         try:
             while node.alive:
-                yield self.sim.timeout(cfg.tick_s)
+                yield self.sim.timeout(TICK_S)
                 now = self.sim.now
                 if node.is_leader:
-                    if now >= node.own_lease_until + cfg.lease_duration_s:
+                    if now >= node.own_lease_until + LEASE_DURATION_S:
                         # A full grace lease has passed without a renewal
                         # quorum: the majority has moved on (or is gone).
                         # Abdicate instead of lingering as a zombie —
                         # lease_valid() already went False long ago.
                         self._step_down(node, "lease expired unrenewed")
                         continue
-                    if now - node.last_renew_at >= cfg.renew_interval_s:
+                    if now - node.last_renew_at >= RENEW_INTERVAL_S:
                         self._send_renewals(node)
                     self._retransmit(node)
                 elif node.campaign is not None:
-                    if now - node.campaign.started_at >= cfg.election_timeout_s:
+                    if now - node.campaign.started_at >= ELECTION_TIMEOUT_S:
                         node.campaign = None
                         # Back off past our own self-granted lease with
                         # FRESH jitter. The self-grant expires a fixed
@@ -399,12 +402,11 @@ class PaxosGroup:
     def _retransmit(self, node: PaxosNode) -> None:
         now = self.sim.now
         for index in sorted(node.pending):
-            if now - node.pending[index].last_sent >= self.config.accept_retry_s:
+            if now - node.pending[index].last_sent >= ACCEPT_RETRY_S:
                 self._broadcast_accept(node, index)
 
     def _jitter(self, node: PaxosNode) -> float:
-        return self._rngs[node.name].uniform(self.config.tick_s,
-                                             self.config.election_jitter_s)
+        return self._rngs[node.name].uniform(TICK_S, ELECTION_JITTER_S)
 
     # -- messaging -------------------------------------------------------------
 
@@ -430,12 +432,11 @@ class PaxosGroup:
     # -- election --------------------------------------------------------------
 
     def _start_campaign(self, node: PaxosNode) -> None:
-        cfg = self.config
         rnd = max(node.round_hint, node.promised[0], node.ballot[0]) + 1
         ballot = (rnd, node.node_id)
         node.round_hint = rnd
         node.campaign = _Campaign(ballot=ballot, started_at=self.sim.now)
-        node.next_campaign_at = (self.sim.now + cfg.election_timeout_s
+        node.next_campaign_at = (self.sim.now + ELECTION_TIMEOUT_S
                                  + self._jitter(node))
         if self.metrics is not None:
             self.metrics.network.elections += 1
@@ -464,7 +465,7 @@ class PaxosGroup:
             return
         node.promised = ballot
         node.lease_holder = frm
-        node.lease_until = now + self.config.lease_duration_s
+        node.lease_until = now + LEASE_DURATION_S
         if frm != node.name:
             # Stagger our own candidacy past the grant so that replicas
             # whose leader dies do not all campaign on the same tick.
@@ -525,7 +526,7 @@ class PaxosGroup:
         # so this view expires no later than any acceptor's grant. Alone
         # there is no grant to outlive (rule 2).
         node.own_lease_until = (math.inf if self.solo else
-                                camp.started_at + self.config.lease_duration_s)
+                                camp.started_at + LEASE_DURATION_S)
         node.last_renew_at = camp.started_at
         for index, cmd in camp.chosen.items():
             if index not in node.chosen:
@@ -713,7 +714,7 @@ class PaxosGroup:
                                         or now >= node.lease_until):
             node.promised = max(node.promised, ballot)
             node.lease_holder = frm
-            node.lease_until = now + self.config.lease_duration_s
+            node.lease_until = now + LEASE_DURATION_S
             if frm != node.name:
                 node.next_campaign_at = max(
                     node.next_campaign_at,
@@ -744,7 +745,7 @@ class PaxosGroup:
         sent_at, grants = entry
         grants.add(msg["frm"])
         if len(grants) == self.majority:
-            new_until = sent_at + self.config.lease_duration_s
+            new_until = sent_at + LEASE_DURATION_S
             if new_until > node.own_lease_until:
                 node.own_lease_until = new_until
                 if self.trace is not None:
@@ -758,14 +759,14 @@ class PaxosGroup:
         now = self.sim.now
         if now < node.next_learn_at:
             return
-        node.next_learn_at = now + self.config.tick_s
+        node.next_learn_at = now + TICK_S
         self._send(node, frm, {"type": "learn_req",
                                "from_index": node.applied_to})
 
     def _on_learn_req(self, node: PaxosNode, msg: Dict[str, Any]) -> None:
         start = msg["from_index"]
         entries = [(i, node.chosen[i])
-                   for i in range(start + 1, start + 1 + self.config.learn_batch)
+                   for i in range(start + 1, start + 1 + LEARN_BATCH)
                    if i in node.chosen]
         if entries:
             self._send(node, msg["frm"], {"type": "learn",
@@ -943,7 +944,7 @@ class ConsensusControlPlane:
     def clear_decision(self, db: str, txn_id: int) -> None:
         """Retire a decision: not a command of its own — it rides in the
         next ``decision``, or in the batched ``decision_clear`` an idle
-        leader proposes within one ``renew_interval_s`` (a group of one,
+        leader proposes within one ``RENEW_INTERVAL_S`` (a group of one,
         whose proposals cost no round trip, proposes it at once)."""
         self._retire_later([txn_id])
 
@@ -952,7 +953,7 @@ class ConsensusControlPlane:
         if self.group.solo:
             self._flush_retired()
         elif self._flush is None:
-            self._flush = self.sim.timeout(self.config.renew_interval_s)
+            self._flush = self.sim.timeout(RENEW_INTERVAL_S)
             self._flush.add_callback(self._flush_retired)
 
     def _flush_retired(self, _timer=None) -> None:

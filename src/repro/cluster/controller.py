@@ -49,11 +49,11 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.consensus import ConsensusControlPlane
 from repro.cluster.machine import Machine
 from repro.cluster.membership import HeartbeatDetector
-from repro.cluster.network import CONTROLLER, NetworkFabric
+from repro.cluster.network import (CONTROLLER, RPC_BACKOFF_MAX_S,
+                                   NetworkFabric)
 from repro.cluster.replica_map import ReplicaMap
 from repro.cluster.replication_log import CopyState, ReplicationLog
 from repro.cluster.routing import ReadOption, ReadRouter, WritePolicy
-from repro.engine.schema import DatabaseSchema
 from repro.engine.sqlparse import nodes as n
 from repro.engine.sqlparse.parser import parse
 from repro.errors import (ControllerFailedError, DeadlockError,
@@ -151,6 +151,13 @@ def _failure(settled: Event, name: str) -> BaseException:
     return exc
 
 
+#: Retransmissions an RPC gets before it fails with RPCTimeoutError.
+RPC_MAX_RETRIES = 4
+#: Phase-2 COMMIT messages are idempotent and must eventually land on
+#: every surviving participant; they retry harder than ordinary RPCs.
+COMMIT_MAX_RETRIES = 8
+
+
 class _Rpc(Event):
     """One logical RPC over the fabric, and the event its caller waits on.
 
@@ -179,7 +186,7 @@ class _Rpc(Event):
         self.txn_id = txn_id
         self.label = label
         self.timeout = net.rpc_timeout_s if timeout is None else timeout
-        self.retries = net.rpc_max_retries if retries is None else retries
+        self.retries = RPC_MAX_RETRIES if retries is None else retries
         self.msg_id = next(ctl._msg_ids)  # stable across retransmissions
         self.attempt = 0
         self.deadline: Optional[Timeout] = None  # set while executing
@@ -658,10 +665,8 @@ class TxnCoordinator:
         redrives replicated decisions itself), holding the transaction
         open meanwhile."""
         ctl = self.ctl
-        net = self.config.network
         for round_no in range(1, 33):
-            yield self.sim.timeout(min(net.rpc_backoff_max_s * round_no,
-                                       30.0))
+            yield self.sim.timeout(min(RPC_BACKOFF_MAX_S * round_no, 30.0))
             machine = self.machines.get(name)
             if (machine is None or not machine.alive or machine.fenced
                     or not ctl.consensus.alive):
@@ -728,9 +733,9 @@ class TxnCoordinator:
             exc = txn.poisoned
             self._abort(conn, txn, exc, "deferred",
                         f"transaction aborted: deferred write failure ({exc})")
-        if ctl._cold_dbs:
-            # Deferred engine DDL (lazy_engine_ddl): first admitted
-            # statement pays the tenant's engine-side creation.
+        if conn.db in ctl._cold_dbs:
+            # The first admitted statement pays the tenant's engine-side
+            # creation.
             ctl.ensure_materialised(conn.db)
         kind, table = self._classify(sql)
         try:
@@ -759,7 +764,6 @@ class TxnCoordinator:
                         f"no reachable replica of {conn.db!r}")
                 raise NoReplicaError(f"no live replica of {conn.db!r}")
             if (self.admission is not None
-                    and self.config.admission.shed_reads
                     and self.config.write_policy
                     is WritePolicy.CONSERVATIVE):
                 # Hot-replica read shedding: spill past-watermark reads
@@ -965,7 +969,7 @@ class TxnCoordinator:
                             machine=name)
         outcomes = yield _Gather(
             self, txn, commit_targets, lambda m: m.commit_body(txn.txn_id),
-            "commit", retries=self.config.network.commit_max_retries)
+            "commit", retries=COMMIT_MAX_RETRIES)
         if not self._settle_commit(txn, outcomes, lsn):
             # Keep the durable decision while any participant still owes
             # an ack — a take-over must redrive COMMIT, not presume abort.
@@ -1017,7 +1021,6 @@ class ClusterController:
             GlobalHistory() if self.config.record_history else None)
         self.copy_states: Dict[str, CopyState] = {}
         self.recovery = None          # attached by RecoveryManager
-        self.schemas: Dict[str, DatabaseSchema] = {}
         self.ddl: Dict[str, List[str]] = {}
         # db -> declared SLA (None for databases created without one).
         # Registered at create_database / set_sla; provisions the
@@ -1027,8 +1030,7 @@ class ClusterController:
         # None when admission_control is off: the statement path then
         # tests one attribute and takes the pre-admission course.
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(self.config.admission,
-                                clock=lambda: self.sim.now,
+            AdmissionController(clock=lambda: self.sim.now,
                                 sla_lookup=self.slas.get)
             if self.config.admission_control else None)
         # The roles (DESIGN §4p). The replication log is the
@@ -1038,9 +1040,8 @@ class ClusterController:
                                           self.trace)
         self.db_logs = self.replication.db_logs  # the same dict, by name
         self.txns = TxnCoordinator(self)
-        # Databases created with deferred engine DDL (lazy_engine_ddl):
-        # no engine-side state exists until the first statement or bulk
-        # load touches them (see ensure_materialised).
+        # Databases no statement, bulk load or copy has touched yet: no
+        # engine-side state exists for them (see ensure_materialised).
         self._cold_dbs: Set[str] = set()
         # Called with (db, txn_id, write_log) at the decision point of
         # each writing transaction's 2PC (the commit is decided and
@@ -1125,7 +1126,7 @@ class ClusterController:
                         machines: Optional[Sequence[str]] = None,
                         replicas: Optional[int] = None,
                         sla=None) -> None:
-        """Create a database on ``replicas`` machines and run its DDL.
+        """Place a database on ``replicas`` machines and register its DDL.
 
         Setup-phase API: executes instantly (no simulated time), as does
         :meth:`bulk_load`. Placement defaults to the least-loaded live
@@ -1134,9 +1135,10 @@ class ClusterController:
         registers the tenant's contract with the controller: it
         provisions the admission token bucket and anchors the runtime
         SLA monitor. Databases without one get the generous default
-        admission rate. Per-tenant replication and admission state is
-        materialised on first touch: a cold tenant costs its replica
-        list and DDL text.
+        admission rate. The database is created cold: its engine DDL,
+        replication and admission state materialise on first touch
+        (:meth:`ensure_materialised`), so an untouched tenant costs its
+        replica list and DDL text.
         """
         if machines is None:
             count = replicas or self.config.replication_factor
@@ -1157,16 +1159,7 @@ class ClusterController:
                           key=lambda m: (rm.hosted_count(m.name),
                                          rm.primary_count(m.name)))
             machines = [primary.name] + [m.name for m in rest[:count - 1]]
-        if self.config.lazy_engine_ddl:
-            # Engine-side creation (catalog + DDL on every replica) is
-            # deferred to the first touch; a cold tenant costs only its
-            # replica-map entry and DDL text.
-            self._cold_dbs.add(db)
-        else:
-            for name in machines:
-                self.machines[name].engine.create_database_from_ddl(db, ddl)
-            self.schemas[db] = (
-                self.machines[machines[0]].engine.database(db).schema)
+        self._cold_dbs.add(db)
         self.replica_map.add_database(db, list(machines))
         self.ddl[db] = list(ddl)
         self.set_sla(db, sla)
@@ -1202,20 +1195,18 @@ class ClusterController:
         """Remove a database from the cluster entirely (deregistration).
 
         Drops the data off every live replica, forgets the mapping and
-        schema, and discards in-flight copy state. A no-op for unknown
+        DDL, and discards in-flight copy state. A no-op for unknown
         databases so teardown paths can call it unconditionally.
         """
         if not self.replica_map.has(db):
             return
-        if db not in self._cold_dbs:
-            for name in self.replica_map.replicas(db):
-                machine = self.machines.get(name)
-                if (machine is not None and machine.alive
-                        and not machine.fenced and machine.engine.hosts(db)):
-                    machine.engine.drop_database(db)
+        for name in self.replica_map.replicas_view(db):
+            machine = self.machines.get(name)
+            if (machine is not None and machine.alive
+                    and not machine.fenced and machine.engine.hosts(db)):
+                machine.engine.drop_database(db)
         self.replica_map.drop_database(db)
         self._cold_dbs.discard(db)
-        self.schemas.pop(db, None)
         self.ddl.pop(db, None)
         self.copy_states.pop(db, None)
         self.replication.drop_database(db)
@@ -1227,7 +1218,7 @@ class ClusterController:
         """Wipe the whole cluster back to blank spares (colo failback).
 
         Every machine re-enters with a fresh empty engine, the replica
-        map and schema registry are emptied, detector state is cleared,
+        map and DDL registry are emptied, detector state is cleared,
         and the controller replicas restart — the cluster rejoins service
         hosting nothing, like a machine readmitted as a spare but at
         colo scale.
@@ -1237,7 +1228,6 @@ class ClusterController:
             if self.machine_reset_hook is not None:
                 self.machine_reset_hook(name)
         self.replica_map.clear()
-        self.schemas.clear()
         self.ddl.clear()
         self.slas.clear()
         if self.admission is not None:
@@ -1254,27 +1244,23 @@ class ClusterController:
         self.trace.emit("cluster_reset")
 
     def ensure_materialised(self, db: str) -> None:
-        """Run ``db``'s deferred engine-side creation (lazy_engine_ddl).
+        """Run ``db``'s engine-side creation, the one place engine DDL runs.
 
         A cold database exists only in the replica map and the DDL
         registry; the first statement, bulk load, or copy touching it
-        creates the catalog entry and runs the DDL on every replica.
+        creates the catalog entry and runs the DDL on every live
+        replica. A replica that left before that touch holds nothing of
+        ``db``, so it can only come back by a full copy.
         """
         if db not in self._cold_dbs:
             return
         self._cold_dbs.discard(db)
         ddl = self.ddl.get(db, [])
-        replicas = self.replica_map.replicas_view(db)
-        for name in replicas:
+        for name in self.replica_map.replicas_view(db):
             machine = self.machines.get(name)
-            if machine is None or not machine.alive or machine.fenced:
-                continue
-            if not machine.engine.hosts(db):
+            if (machine is not None and machine.alive and not machine.fenced
+                    and not machine.engine.hosts(db)):
                 machine.engine.create_database_from_ddl(db, ddl)
-        if replicas and db not in self.schemas:
-            first = self.machines.get(replicas[0])
-            if first is not None and first.engine.hosts(db):
-                self.schemas[db] = first.engine.database(db).schema
         self.trace.emit("db_materialised", db=db)
 
     def connect(self, db: str) -> Connection:

@@ -51,8 +51,8 @@ class NetworkConfig:
     ``latency_s`` is the *mean one-way* message latency (the historical
     ``MachineConfig.network_latency_s`` round trip moved here); jitter is
     uniform in ``[-jitter_s, +jitter_s]``. ``drop_probability`` applies
-    independently to every message on every link. RPC knobs govern the
-    controller's per-message timeout and exponential-backoff retries.
+    independently to every message on every link. ``rpc_timeout_s`` is
+    the controller's per-message timeout.
     """
 
     enabled: bool = False
@@ -60,14 +60,13 @@ class NetworkConfig:
     jitter_s: float = 0.0              # uniform +/- jitter on latency
     drop_probability: float = 0.0      # per-message loss rate
     seed: int = 0
-    # Per-message RPC timeout and retry policy (controller side).
     rpc_timeout_s: float = 0.5
-    rpc_max_retries: int = 4
-    rpc_backoff_base_s: float = 0.05   # doubles each retry, plus jitter
-    rpc_backoff_max_s: float = 1.0
-    # Phase-2 COMMIT messages are idempotent and must eventually land on
-    # every surviving participant; they retry harder than ordinary RPCs.
-    commit_max_retries: int = 8
+
+
+#: Exponential backoff between RPC retries: doubles each retry up to the
+#: cap, plus jitter.
+RPC_BACKOFF_BASE_S = 0.05
+RPC_BACKOFF_MAX_S = 1.0
 
 
 @dataclass
@@ -225,12 +224,11 @@ class NetworkFabric:
 
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with jitter for RPC retry ``attempt``."""
-        cfg = self.config
         # The exponent is clamped: a sender that retries for as long as
         # its peer stays silent (WAN shipping to a dead standby) reaches
         # attempt counts whose power of two no float can hold.
-        base = min(cfg.rpc_backoff_max_s,
-                   cfg.rpc_backoff_base_s * 2 ** min(max(0, attempt - 1), 64))
+        base = min(RPC_BACKOFF_MAX_S,
+                   RPC_BACKOFF_BASE_S * 2 ** min(max(0, attempt - 1), 64))
         # Full jitter: uniform in (0, base]; avoids retry synchronization.
         return base * (0.5 + 0.5 * self.rng.random())
 

@@ -29,6 +29,19 @@ from repro.cluster.replica_map import ReplicaMap
 from repro.engine.wal import RetainedTail
 from repro.sim import Simulator
 
+#: Cap on tenants whose delta logs keep their retained entries resident.
+#: Past it, the least-recently-committed tenant's log is compacted in
+#: place (entries dropped, LSN position kept, so ``covers()`` stays
+#: truthful and delta catch-up falls back to a full copy exactly as if
+#: the tail had truncated). With this many writing tenants or fewer it
+#: never binds.
+RESIDENT_TENANT_LOGS = 64
+#: Bounded live-replay rounds before the delta handoff: if sustained
+#: write load keeps the target behind after this many catch-up passes,
+#: the drain (reject) window starts anyway and convergence is forced by
+#: rejection.
+DELTA_MAX_REPLAY_ROUNDS = 10
+
 
 @dataclass
 class CopyState:
@@ -64,8 +77,7 @@ class ReplicationLog:
         # data intact can catch up from its last durable LSN.
         self._stale_holdings: Dict[str, Dict[str, int]] = {}
         # Recency order of tenants whose logs hold resident entries, for
-        # max_resident_tenant_logs paging (dict order = LRU; values
-        # unused).
+        # RESIDENT_TENANT_LOGS paging (dict order = LRU; values unused).
         self._log_lru: "OrderedDict[str, None]" = OrderedDict()
         # db -> ids of open transactions that have written to it; the
         # delta handoff drains until this empties. Tracked as a set (not
@@ -112,24 +124,22 @@ class ReplicationLog:
         # replica set as of LSN 0.
         self.lsns(db)
         lsn = self.log(db).append((txn_id, list(write_log)))
-        if self.config.max_resident_tenant_logs > 0:
-            self._page_cold_logs(db)
+        self._page_cold_logs(db)
         return lsn
 
     def _page_cold_logs(self, db: str) -> None:
         """LRU bookkeeping for resident tenant logs: ``db`` just
-        appended; past ``max_resident_tenant_logs`` the coldest
-        tenant's log is compacted in place (entries dropped, LSN
-        position kept — ``covers()`` then reports the truth, namely
-        that a delta catch-up must fall back to a full copy, exactly
-        as after ordinary retention truncation)."""
+        appended; past ``RESIDENT_TENANT_LOGS`` the coldest tenant's log
+        is compacted in place (entries dropped, LSN position kept —
+        ``covers()`` then reports the truth, namely that a delta
+        catch-up must fall back to a full copy, exactly as after
+        ordinary retention truncation)."""
         lru = self._log_lru
         if db in lru:
             lru.move_to_end(db)
         else:
             lru[db] = None
-        cap = self.config.max_resident_tenant_logs
-        while len(lru) > cap:
+        while len(lru) > RESIDENT_TENANT_LOGS:
             cold_db, _ = lru.popitem(last=False)
             log = self.db_logs.get(cold_db)
             if log is not None:
@@ -213,7 +223,7 @@ class ReplicationLog:
         replay on the target while writes keep flowing to the serving
         replicas (``state`` stays passive, so Algorithm 1 rejects
         nothing). Once a replay pass finds the log head stable — or
-        after ``delta_max_replay_rounds`` passes under sustained load —
+        after ``DELTA_MAX_REPLAY_ROUNDS`` passes under sustained load —
         the drain begins: ``state.copying_all`` flips, new writes are
         rejected, and the loop replays stragglers until the head stops
         moving and no open transaction has unfinished writes to ``db``.
@@ -238,7 +248,7 @@ class ReplicationLog:
             applied = head
             if drain_started is None:
                 rounds += 1
-                if not entries or rounds >= self.config.delta_max_replay_rounds:
+                if not entries or rounds >= DELTA_MAX_REPLAY_ROUNDS:
                     drain_started = self.sim.now
                     state.copying_all = True
                     self.trace.emit("delta_drain_start", db=db,

@@ -653,9 +653,9 @@ def run_many_tenants(
 ) -> ManyTenantsResult:
     """The tenant-scale soak: many small, mostly-cold applications.
 
-    Stages ``n_databases`` tenants (engine DDL deferred — a cold tenant
-    is a replica-map entry and a DDL string), drives Zipf-skewed
-    traffic over the hottest 1 %, churns tenants (one drop + one create
+    Stages ``n_databases`` tenants (a cold tenant is a replica-map entry
+    and a DDL string), drives Zipf-skewed traffic over the hottest 1 %,
+    churns tenants (one drop + one create
     every half second), and at ``flash_at_s`` throws a flash crowd at
     one tenant that has never been touched. The interesting outputs are
     the resident-state gauges: with 1% of tenants hot, per-tenant
@@ -667,16 +667,11 @@ def run_many_tenants(
     sim = Simulator()
     hot_fraction, keys_per_db, think_time_s = 0.01, 8, 0.2
     churn_period_s, flash_clients, flash_think_time_s = 0.5, 8, 0.02
-    config = ClusterConfig(
-        lock_wait_timeout_s=2.0,
-        trace_capacity=262144,
-        admission_control=True,
-        lazy_engine_ddl=True,
-        # Resident-state caps well above the hot set of the usual sizes
-        # and far below the population: what the gauges are held to.
-        max_resident_tenant_logs=64,
-    )
-    config.admission.max_resident_buckets = 256
+    # The resident-state caps (64 logs, 256 buckets) sit well above the
+    # hot set of the usual sizes and far below the population: what the
+    # gauges are held to.
+    config = ClusterConfig(lock_wait_timeout_s=2.0, trace_capacity=262144,
+                           admission_control=True)
     controller = ClusterController(sim, config)
     controller.add_machines(12)
     sla = Sla(min_throughput_tps=4.0, max_rejected_fraction=0.05)

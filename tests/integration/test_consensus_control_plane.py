@@ -9,7 +9,8 @@ runs nothing a group with peers needs (DESIGN §4u).
 import dataclasses
 
 from repro.cluster.config import production_profile
-from repro.cluster.consensus import takeover_cleanup
+from repro.cluster.consensus import (LEASE_DURATION_S, RENEW_INTERVAL_S,
+                                     takeover_cleanup)
 from repro.errors import NotLeaderError, PlatformError
 from repro.workloads.microbench import KeyValueWorkload, KvStats
 from tests.conftest import assert_no_violations, make_kv_cluster
@@ -129,9 +130,9 @@ class TestConsensusCommitPath:
         assert plane.lease_valid()
         for name in others:
             controller.fabric.cut(old, name)
-        # Strictly longer than lease_duration_s: the isolated leader's
+        # Strictly longer than LEASE_DURATION_S: the isolated leader's
         # own lease view expires on its own clock, no message required.
-        sim.run(until=1.0 + plane.config.lease_duration_s + 0.5)
+        sim.run(until=1.0 + LEASE_DURATION_S + 0.5)
         assert sim.now >= old_node.own_lease_until
         sim.run(until=15.0)
         # A new leader rose among the connected majority and the acting
@@ -190,7 +191,7 @@ class TestRetireList:
         assert len(retired) >= 90 and len(set(retired)) == len(retired)
         # One renew interval (plus a quorum round trip) after the last
         # commit the idle leader has flushed the rest, on every replica.
-        sim.run(until=max(commits) + plane.config.renew_interval_s + 0.01)
+        sim.run(until=max(commits) + RENEW_INTERVAL_S + 0.01)
         assert plane._retire == []
         assert all(table == {} for table in self._live_tables(plane).values())
         assert_no_violations(controller)

@@ -178,9 +178,6 @@ class TestRecoveryAlgorithm1:
             engine.execute_sync(txn, "kv", eng_ddl)
             engine.commit(txn)
         controller.ddl["kv"].append(eng_ddl)
-        controller.schemas["kv"] = controller.machines[
-            controller.replica_map.replicas("kv")[0]
-        ].engine.database("kv").schema
         controller.bulk_load("kv", "other", [(k, 0) for k in range(10)])
         controller.config.machine.copy_bytes_factor = 100_000.0
         recovery = RecoveryManager(controller, copy="table")

@@ -1,6 +1,6 @@
 """Integration tests for the tenant-scale fast path.
 
-Three guarantees ride on this file:
+Four guarantees ride on this file:
 
 * the ``manytenants`` soak really does keep per-tenant resident state
   proportional to the touched set, with churn and a flash crowd live;
@@ -8,7 +8,10 @@ Three guarantees ride on this file:
   (what the controller does) and the same state allocated eagerly at
   creation (``_materialise`` below does it by hand) produce the *same*
   trace and the same metrics for the same schedule, failures and DDL
-  included (the laziness is purely a representation change);
+  included (the laziness is purely a representation change; only the
+  ``db_materialised`` events say when each tenant's DDL ran);
+* the one corner where deferred DDL is observable — a replica declared
+  dead before its tenant's first touch comes back by full copy;
 * router hygiene — ``ReadRouter._txn_choice`` and the open-writer sets
   drain to empty after a soak with lock-timeout aborts and
   dead-primary connection closes (the OPTION_2 leak paths).
@@ -19,11 +22,13 @@ import pytest
 from repro.analysis.invariants import check_controller
 from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
                            RecoveryManager)
+from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.harness.runner import run_many_tenants
 from repro.sim import Simulator
 from repro.sla import Sla
 from repro.workloads.microbench import KV_DDL, KeyValueWorkload, KvStats
-from tests.conftest import make_kv_cluster
+from tests.conftest import (assert_no_violations, make_cluster,
+                            make_kv_cluster, read_table)
 
 
 class TestManyTenantsSoak:
@@ -47,8 +52,7 @@ class TestManyTenantsSoak:
         assert not violations, "\n".join(str(v) for v in violations)
 
     def test_lazy_engine_ddl_materialises_on_first_touch(self, sim):
-        config = ClusterConfig(replication_factor=2, lazy_engine_ddl=True)
-        controller = ClusterController(sim, config)
+        controller = ClusterController(sim, ClusterConfig())
         controller.add_machines(3)
         controller.create_database("cold", KV_DDL, replicas=2)
         # Staging cost: no engine has run the DDL yet.
@@ -70,11 +74,72 @@ class TestManyTenantsSoak:
         assert controller.trace.events(kind="db_materialised")
 
 
+class TestDeferredDdlCorner:
+    """The one place deferral shows: a replica that leaves before its
+    tenant's first touch never ran the DDL, so it holds nothing to catch
+    up from and comes back by a full copy. One that leaves after the
+    first touch catches up by delta, as before."""
+
+    @staticmethod
+    def _declare_and_return(sim, touch_first):
+        controller = make_cluster(
+            sim, machines=2, heartbeat_interval_s=0.2,
+            network=NetworkConfig(enabled=True, latency_s=0.001, seed=1))
+        controller.start_failure_detector()
+        RecoveryManager(controller, copy="database").start()
+        controller.create_database("t", KV_DDL, replicas=2)
+        victim = controller.replica_map.replicas("t")[1]
+
+        def scenario():
+            conn = controller.connect("t")
+            if touch_first:
+                yield conn.execute("INSERT INTO kv VALUES (0, 0)")
+                yield conn.commit()
+            controller.fabric.cut(CONTROLLER, victim)
+            while victim not in controller.declared_dead:
+                yield sim.timeout(0.1)
+            yield conn.execute("INSERT INTO kv VALUES (1, 1)")
+            yield conn.commit()
+            controller.fabric.heal(CONTROLLER, victim)
+
+        proc = sim.process(scenario())
+        sim.run(until=20.0)
+        assert proc.ok
+        assert controller.replica_map.replicas("t")[-1] == victim
+        rows = {name: read_table(controller, name, "t",
+                                 "SELECT k, v FROM kv ORDER BY k")
+                for name in controller.replica_map.replicas("t")}
+        assert len(set(map(tuple, rows.values()))) == 1
+        assert_no_violations(controller)
+        readmitted, = controller.trace.events(kind="machine_readmitted")
+        return controller, victim, readmitted.extra["mode"]
+
+    def test_declared_before_first_touch_rejoins_by_full_copy(self, sim):
+        controller, victim, mode = self._declare_and_return(
+            sim, touch_first=False)
+        assert mode == "spare"
+        copied, = controller.trace.events(kind="rereplication_done")
+        assert copied.machine == victim and copied.extra["mode"] == "database"
+        assert not controller.trace.events(kind="machine_catchup_done")
+
+    def test_declared_after_first_touch_catches_up_by_delta(self, sim):
+        controller, victim, mode = self._declare_and_return(
+            sim, touch_first=True)
+        assert mode == "catchup"
+        caught_up, = controller.trace.events(kind="machine_catchup_done")
+        assert caught_up.machine == victim and caught_up.extra["replayed"] == 1
+        assert not controller.trace.events(kind="rereplication_done")
+
+
 def _fingerprint(controller):
-    """Everything externally observable about one finished run."""
+    """Everything externally observable about one finished run. When a
+    tenant's engine DDL ran is not: ``db_materialised`` events are left
+    out, and with them the tracer's sequence numbers."""
     metrics = controller.metrics
     return {
-        "trace": [e.to_dict() for e in controller.trace.events()],
+        "trace": [(e.t, e.kind, e.db, e.txn, e.machine, e.extra)
+                  for e in controller.trace.events()
+                  if e.kind != "db_materialised"],
         "committed": {db: c.committed
                       for db, c in metrics.per_db.items()},
         "rejected": {db: c.rejected for db, c in metrics.per_db.items()},
@@ -84,8 +149,10 @@ def _fingerprint(controller):
 
 
 def _materialise(controller, db, sla):
-    """The eager reference: allocate ``db``'s commit log, replica-LSN
-    map and admission bucket now instead of on first touch."""
+    """The eager reference: run ``db``'s engine DDL and allocate its
+    commit log, replica-LSN map and admission bucket now instead of on
+    first touch."""
+    controller.ensure_materialised(db)
     controller.replication.log(db)
     controller.replication.lsns(db)
     controller.admission.provision(db, sla)

@@ -5,7 +5,10 @@ exactly the trace recorded below. The six cluster soaks were recorded
 when every controller became one Paxos group (DESIGN §4u): each trace
 opens with the controller's election, decisions carry their replica and
 term, and ``partitions`` / ``controllers`` run on the production group
-of three. ``disaster`` is the system tier's trace and was recorded when
+of three. Five of them were refreshed when every database became cold
+at creation (DESIGN §4v): each now carries one ``db_materialised`` event
+per database at its first touch, and is otherwise the same trace.
+``disaster`` is the system tier's trace and was recorded when
 faults became a schedule drawn up front (DESIGN §4t). Each one repeats
 across processes and under any ``PYTHONHASHSEED``.
 
@@ -58,28 +61,28 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "5ed3233b97542245daf4713251d50995"),
+        "9abeb14e75adbe964c57585eed8d68c3"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "d407c42839011c3d8e4a3376eb7af6f1"),
+        "0c2f2c6c601e433b8712b0169a36cdc8"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0, seed=3)),
-        "09349cd04c1e8d92950d8f8d693697de"),
+        "89d6389cf8a2fd5738f40c769203521b"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(
             admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "e021a51694c3b2b5f8d7090ab1ebf919"),
+        "50c874105ea8b3f93f88799192ee0245"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "f60e2083ea76d09d96810ae03730c2f2"),
+        "c27d38b147535bc3c2fca8ff6d75f697"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,

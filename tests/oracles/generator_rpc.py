@@ -15,6 +15,7 @@ is a callback state machine over ``fabric.post``;
 
 from typing import Generator, Optional
 
+from repro.cluster.controller import RPC_MAX_RETRIES
 from repro.cluster.machine import Machine
 from repro.cluster.network import CONTROLLER
 from repro.errors import MachineFailedError, RPCTimeoutError
@@ -38,7 +39,7 @@ class GeneratorRpc:
              retries: Optional[int] = None) -> Generator:
         net = self.config.network
         timeout = net.rpc_timeout_s if timeout is None else timeout
-        retries = net.rpc_max_retries if retries is None else retries
+        retries = RPC_MAX_RETRIES if retries is None else retries
         msg_id = next(self._msg_ids)  # stable across retransmissions
         attempt = 0
         while True:

@@ -3,8 +3,9 @@ admission provisioning, load-aware shedding, and the error contract."""
 
 import pytest
 
-from repro.cluster.admission import (AdmissionConfig, AdmissionController,
-                                     TokenBucket, least_loaded, shed_choice)
+from repro.cluster.admission import (DEFAULT_RATE_TPS, AdmissionConfig,
+                                     AdmissionController, TokenBucket,
+                                     least_loaded, shed_choice)
 from repro.cluster.config import ClusterConfig
 from repro.cluster.machine import Machine
 from repro.errors import OverloadRejectedError, ProactiveRejectionError
@@ -71,8 +72,7 @@ class TestTokenBucket:
 class TestAdmissionController:
     def make(self, now=None):
         clock_now = now if now is not None else [0.0]
-        return AdmissionController(AdmissionConfig(),
-                                   clock=lambda: clock_now[0]), clock_now
+        return AdmissionController(clock=lambda: clock_now[0]), clock_now
 
     def test_provisions_from_sla_with_headroom(self):
         admission, _ = self.make()
@@ -84,8 +84,7 @@ class TestAdmissionController:
     def test_no_sla_gets_default_rate(self):
         admission, _ = self.make()
         admission.provision("db", None)
-        assert admission.provisioned_rate("db") == \
-            AdmissionConfig().default_rate_tps
+        assert admission.provisioned_rate("db") == DEFAULT_RATE_TPS
 
     def test_unknown_db_auto_provisioned_not_rejected(self):
         admission, _ = self.make()
@@ -105,8 +104,7 @@ class TestAdmissionController:
         admission.provision("db", Sla(4.0, 0.05))
         admission.forget("db")
         assert "db" not in admission.buckets
-        assert admission.provisioned_rate("db") == \
-            AdmissionConfig().default_rate_tps
+        assert admission.provisioned_rate("db") == DEFAULT_RATE_TPS
 
 
 # -- read shedding -----------------------------------------------------------

@@ -9,7 +9,9 @@ plane's shape: one histogram class, one read-out, counters written
 where they live, and an event taxonomy that matches the emit sites.
 DESIGN §4t adds the harness's: faults are data, applied in one place.
 DESIGN §4u adds the control plane's: one Paxos group per controller,
-and no second take-over path beside it.
+and no second take-over path beside it. DESIGN §4v adds the policy
+surface's: 22 settable values across the four configs, and one
+tenant-scale path with no switch.
 """
 
 import ast
@@ -18,7 +20,10 @@ import pathlib
 import re
 
 from repro.analysis import trace
+from repro.cluster.admission import AdmissionConfig
 from repro.cluster.config import ClusterConfig, production_profile
+from repro.cluster.consensus import ConsensusConfig
+from repro.cluster.network import NetworkConfig
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -105,8 +110,13 @@ def test_one_class_gathers_every_broadcast():
 
 def test_cluster_config_surface_is_pinned():
     """Adding a cluster switch means deleting a line of this test (no
-    new on/off option: ROADMAP rules that carried over)."""
-    assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+    new on/off option: ROADMAP rules that carried over). DESIGN §4v: a
+    policy field stays only while some caller sets it to another value;
+    the rest are module constants beside their readers."""
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert fields(ClusterConfig) == [
         "read_option",
         "write_policy",
         "replication_factor",
@@ -114,7 +124,6 @@ def test_cluster_config_surface_is_pinned():
         "lock_wait_timeout_s",
         "recovery_threads",
         "replication_log_retain",
-        "delta_max_replay_rounds",
         "machine",
         "record_history",
         "trace_capacity",
@@ -125,9 +134,31 @@ def test_cluster_config_surface_is_pinned():
         "consensus",
         "admission_control",
         "admission",
-        "lazy_engine_ddl",
-        "max_resident_tenant_logs",
     ]
+    assert fields(AdmissionConfig) == ["shed_inflight_watermark"]
+    assert fields(ConsensusConfig) == ["replicas", "seed"]
+    assert fields(NetworkConfig) == ["enabled", "latency_s", "jitter_s",
+                                     "drop_probability", "seed",
+                                     "rpc_timeout_s"]
+
+
+def test_every_cluster_runs_the_tenant_scale_path():
+    """DESIGN §4v: deferred DDL and the residency caps are the one path.
+    No switch for them survives under ``src/``, and a database is born
+    cold: ``create_database`` touches no engine."""
+    gone = re.compile(r"lazy_engine_ddl|max_resident_|shed_reads"
+                      r"|delta_max_replay_rounds")
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
+    controller = next(node for node in parse(CLUSTER / "controller.py").body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "ClusterController")
+    create = next(node for node in methods(controller)
+                  if node.name == "create_database")
+    assert [node.lineno for node in ast.walk(create)
+            if isinstance(node, ast.Attribute) and node.attr == "engine"] == []
 
 
 def test_no_method_of_controller_py_only_forwards_to_a_role():

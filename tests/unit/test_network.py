@@ -7,7 +7,8 @@ bulk-transfer stream used by recovery copies.
 
 import pytest
 
-from repro.cluster.network import (CONTROLLER, NetworkConfig,
+from repro.cluster.network import (CONTROLLER, RPC_BACKOFF_BASE_S,
+                                   RPC_BACKOFF_MAX_S, NetworkConfig,
                                    NetworkFabric, NetworkPartitionedError)
 from repro.sim import Simulator
 
@@ -133,16 +134,18 @@ class TestDeterminism:
 
     def test_backoff_within_bounds_and_grows(self):
         sim = Simulator()
-        fabric = make_fabric(sim, rpc_backoff_base_s=0.05,
-                             rpc_backoff_max_s=1.0, seed=5)
+        fabric = make_fabric(sim, seed=5)
+        top = RPC_BACKOFF_MAX_S
         delays = [fabric.backoff_delay(attempt) for attempt in range(1, 8)]
-        assert all(0 < d <= 1.0 for d in delays)
+        assert all(0 < d <= top for d in delays)
         # The deterministic cap doubles until it hits the maximum.
-        caps = [min(1.0, 0.05 * 2 ** (a - 1)) for a in range(1, 8)]
+        caps = [min(top, RPC_BACKOFF_BASE_S * 2 ** (a - 1))
+                for a in range(1, 8)]
+        assert caps[-1] == top
         assert all(d <= cap for d, cap in zip(delays, caps))
         # A sender that never gives up stays at the maximum (2 ** 5000
         # would not fit a float).
-        assert 0.5 <= fabric.backoff_delay(5000) <= 1.0
+        assert 0.5 * top <= fabric.backoff_delay(5000) <= top
 
 
 class TestTransfer:

@@ -8,6 +8,7 @@ features land on — so its rules are stated against exactly that.
 import pytest
 
 from repro.analysis.trace import Tracer
+from repro.cluster import replication_log
 from repro.cluster.config import ClusterConfig, MachineConfig
 from repro.cluster.machine import Machine
 from repro.cluster.replica_map import ReplicaMap
@@ -160,8 +161,9 @@ class TestRejoinEligibility:
 
 
 class TestPaging:
-    def test_paged_out_log_keeps_its_position_and_says_so(self):
-        log = make_log(max_resident_tenant_logs=2)
+    def test_paged_out_log_keeps_its_position_and_says_so(self, monkeypatch):
+        monkeypatch.setattr(replication_log, "RESIDENT_TENANT_LOGS", 2)
+        log = make_log()
         for db in ("a", "b", "c"):
             log.replica_map.add_database(db, ["m1"])
         log.append("a", 1, WRITE)
@@ -176,7 +178,7 @@ class TestPaging:
             ("b", 1), ("a", 2)]
 
     def test_drop_and_clear_forget_everything_about_a_database(self):
-        log = make_log(max_resident_tenant_logs=4)
+        log = make_log()
         log.append("db", 7, WRITE)
         log.writer_opened("db", 8)
         log.machine_left("m1", ["db"], keep_holdings=True)

@@ -8,7 +8,9 @@ admission-bucket eviction)."""
 import pytest
 
 from repro.analysis.metrics import MetricsCollector
-from repro.cluster.admission import AdmissionConfig, AdmissionController
+from repro.cluster import admission
+from repro.cluster.admission import (DEFAULT_RATE_TPS, HEADROOM,
+                                     AdmissionController)
 from repro.cluster.replica_map import ReplicaMap
 from repro.engine.wal import RetainedTail
 from repro.errors import NoReplicaError
@@ -181,29 +183,25 @@ def test_admission_provisions_lazily_from_sla_lookup():
     now = [0.0]
     slas = {"gold": Sla(min_throughput_tps=10.0,
                         max_rejected_fraction=0.05)}
-    controller = AdmissionController(AdmissionConfig(), _clock_at(now),
-                                     sla_lookup=slas.get)
+    controller = AdmissionController(_clock_at(now), sla_lookup=slas.get)
     assert not controller.buckets  # nothing until first touch
     assert controller.admit("gold")
-    assert controller.rates["gold"] == pytest.approx(
-        10.0 * controller.config.headroom)
+    assert controller.rates["gold"] == pytest.approx(10.0 * HEADROOM)
     # No SLA: the default rate, also provisioned at first sight.
     assert controller.admit("free")
-    assert controller.rates["free"] == controller.config.default_rate_tps
+    assert controller.rates["free"] == DEFAULT_RATE_TPS
     # provisioned_rate answers for never-touched tenants without
     # allocating a bucket.
     assert "never" not in controller.buckets
-    assert controller.provisioned_rate("never") == \
-        controller.config.default_rate_tps
+    assert controller.provisioned_rate("never") == DEFAULT_RATE_TPS
     assert "never" not in controller.buckets
 
 
-def test_admission_eviction_never_flips_a_decision():
+def test_admission_eviction_never_flips_a_decision(monkeypatch):
+    monkeypatch.setattr(admission, "RESIDENT_BUCKETS", 2)
     now = [0.0]
-    config = AdmissionConfig(max_resident_buckets=2)
     slas = {}
-    controller = AdmissionController(config, _clock_at(now),
-                                     sla_lookup=slas.get)
+    controller = AdmissionController(_clock_at(now), sla_lookup=slas.get)
     for db in ("a", "b", "c", "d"):
         assert controller.admit(db)
         now[0] += 1000.0  # everyone refills to capacity between touches
@@ -215,11 +213,11 @@ def test_admission_eviction_never_flips_a_decision():
     assert controller.admit("a")
 
 
-def test_admission_eviction_skips_hot_buckets():
+def test_admission_eviction_skips_hot_buckets(monkeypatch):
     """A bucket below capacity is in-use state and must stay resident."""
+    monkeypatch.setattr(admission, "RESIDENT_BUCKETS", 1)
     now = [0.0]
-    config = AdmissionConfig(max_resident_buckets=1)
-    controller = AdmissionController(config, _clock_at(now))
+    controller = AdmissionController(_clock_at(now))
     # Drain "a" well below capacity, then touch others: "a" is over the
     # cap but never evictable until it refills.
     for _ in range(3):
