@@ -675,8 +675,18 @@ def check_bounds(controller) -> List[Violation]:
     violation per table over its bound (retained commit logs are held to
     ``replication_log_retain`` — no copy pins them after quiescence —
     and the histograms to one per phase, per link that carried a message
-    and per tenant that finished a transaction)."""
+    and per tenant that finished a transaction).
+
+    Tombstones are held to the transactions the watermark has not
+    passed: the watermark waits for the slowest open transaction
+    (DESIGN §4q), so while one sits in a lock wait every transaction
+    issued since it began is still remembered — ids the coordinator
+    knows, ``next_txn_id - low``. Clients that keep running through the
+    drain (the stampede's) leave such a transaction open at the audit."""
+    rpc = controller.txns.rpc
     bounds = dict(STATE_BOUNDS,
+                  transactions=max(STATE_BOUNDS["transactions"],
+                                   rpc.next_txn_id - rpc.low),
                   retained_tail=controller.config.replication_log_retain,
                   metrics_histograms=(PHASES_BOUND
                                       + len(controller.fabric.link_stats)

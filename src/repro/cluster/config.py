@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.config import EngineConfig
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.consensus import ConsensusConfig
 from repro.cluster.network import NetworkConfig
 from repro.cluster.routing import ReadOption, WritePolicy
@@ -91,13 +90,12 @@ class ClusterConfig:
     # process pair; three or more fail over to whichever replica wins
     # the next election (DESIGN §4u).
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
-    # Overload protection (repro.cluster.admission): per-tenant
-    # token-bucket admission at statement entry, provisioned from each
-    # database's SLA, plus in-flight-watermark read shedding. Off by
-    # default — the default configuration replays identically to the
-    # pre-admission behaviour (same precedent as ``network.enabled``).
-    admission_control: bool = False
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
+    # Read shedding: under the conservative write policy, a read whose
+    # chosen replica has this many sim processes in flight spills to the
+    # least-loaded live replica (0 = never shed). Per-tenant admission
+    # (repro.cluster.admission) needs no field: a tenant's SLA is its
+    # configuration, and one without an SLA is never throttled.
+    shed_inflight_watermark: int = 8
 
 
 def production_profile(seed: int) -> ClusterConfig:
@@ -111,5 +109,4 @@ def production_profile(seed: int) -> ClusterConfig:
         network=NetworkConfig(enabled=True, latency_s=0.0005,
                               jitter_s=0.0001, drop_probability=0.0,
                               seed=seed),
-        consensus=ConsensusConfig(replicas=3, seed=seed),
-        admission_control=True)
+        consensus=ConsensusConfig(replicas=3, seed=seed))

@@ -717,8 +717,7 @@ class TxnCoordinator:
         ctl = self.ctl
         starting = conn.txn is None or conn.txn.finished
         txn = self._ensure_txn(conn)
-        if starting and self.admission is not None \
-                and not self.admission.admit(conn.db):
+        if starting and not self.admission.admit(conn.db):
             # The tenant's bucket is dry: turn the transaction away at
             # the door, before any statement can queue work (or hold
             # locks) on a machine. Statements of an already-admitted
@@ -763,26 +762,24 @@ class TxnCoordinator:
                     raise NoReplicaError(
                         f"no reachable replica of {conn.db!r}")
                 raise NoReplicaError(f"no live replica of {conn.db!r}")
-            if (self.admission is not None
-                    and self.config.write_policy
-                    is WritePolicy.CONSERVATIVE):
-                # Hot-replica read shedding: spill past-watermark reads
-                # to the least-loaded replica. Gated to the conservative
-                # write policy, under which every read option is
-                # serializable (Theorem 2) — an aggressive controller
-                # relies on option-1's fixed replica for Theorem 1, so
-                # its reads are never spilled.
-                loads = {name: self.machines[name].inflight
-                         for name in candidates}
-                choice, shed = self.router.choose_under_load(
-                    txn.txn_id, candidates, loads,
-                    self.config.admission.shed_inflight_watermark)
-                if shed:
+            choice = self.router.choose(txn.txn_id, candidates)
+            if (self.machines[choice].overloaded(
+                    self.config.shed_inflight_watermark)
+                    and self.config.write_policy is WritePolicy.CONSERVATIVE):
+                # Hot-replica read shedding: the read spills to the
+                # least-loaded replica (the first on ties; the chosen one
+                # itself when every replica is as hot — shedding degrades
+                # placement, never availability). Conservative writes
+                # only, under which every read option is serializable
+                # (Theorem 2); an aggressive controller relies on
+                # option-1's fixed replica for Theorem 1.
+                least = min(candidates,
+                            key=lambda name: self.machines[name].inflight)
+                if least != choice:
+                    choice = least
                     self.trace.emit("shed_read", db=conn.db,
                                     txn=txn.txn_id, machine=choice,
-                                    load=loads[choice])
-            else:
-                choice = self.router.choose(txn.txn_id, candidates)
+                                    load=self.machines[choice].inflight)
             txn.touched.add(choice)
             try:
                 result = yield self.rpc.send(
@@ -1022,17 +1019,14 @@ class ClusterController:
         self.copy_states: Dict[str, CopyState] = {}
         self.recovery = None          # attached by RecoveryManager
         self.ddl: Dict[str, List[str]] = {}
-        # db -> declared SLA (None for databases created without one).
-        # Registered at create_database / set_sla; provisions the
+        # db -> declared SLA; a database created without one has no
+        # entry. Registered at create_database / set_sla; provisions the
         # admission layer's token bucket and the runtime SLA monitor.
         self.slas: Dict[str, Any] = {}
-        # Per-tenant token-bucket admission (repro.cluster.admission).
-        # None when admission_control is off: the statement path then
-        # tests one attribute and takes the pre-admission course.
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController(clock=lambda: self.sim.now,
-                                sla_lookup=self.slas.get)
-            if self.config.admission_control else None)
+        # Per-tenant token-bucket admission (repro.cluster.admission): a
+        # bucket per tenant with an SLA, none for the rest.
+        self.admission = AdmissionController(lambda: self.sim.now,
+                                             self.slas.get)
         # The roles (DESIGN §4p). The replication log is the
         # per-database commit stream recovery replays; the coordinator
         # is the statement and 2PC data path every Connection drives.
@@ -1134,8 +1128,8 @@ class ClusterController:
         machines explicitly. ``sla`` (a :class:`repro.sla.model.Sla`)
         registers the tenant's contract with the controller: it
         provisions the admission token bucket and anchors the runtime
-        SLA monitor. Databases without one get the generous default
-        admission rate. The database is created cold: its engine DDL,
+        SLA monitor. A database without one is never throttled. The
+        database is created cold: its engine DDL,
         replication and admission state materialise on first touch
         (:meth:`ensure_materialised`), so an untouched tenant costs its
         replica list and DDL text.
@@ -1178,11 +1172,9 @@ class ClusterController:
             self.slas.pop(db, None)
         else:
             self.slas[db] = sla
-        if self.admission is not None:
-            # Drop any resident bucket; the next transaction
-            # re-provisions from the registry via sla_lookup, and a
-            # fresh bucket starts full.
-            self.admission.invalidate(db)
+        # Drop any resident bucket; the next transaction re-provisions
+        # from the registry (a fresh bucket starts full), or holds none.
+        self.admission.forget(db)
 
     def bulk_load(self, db: str, table: str, rows: Sequence[Sequence[Any]]) -> None:
         """Load identical rows into every replica (setup phase)."""
@@ -1211,8 +1203,7 @@ class ClusterController:
         self.copy_states.pop(db, None)
         self.replication.drop_database(db)
         self.slas.pop(db, None)
-        if self.admission is not None:
-            self.admission.forget(db)
+        self.admission.forget(db)
 
     def reset_as_blank(self) -> None:
         """Wipe the whole cluster back to blank spares (colo failback).
@@ -1230,9 +1221,7 @@ class ClusterController:
         self.replica_map.clear()
         self.ddl.clear()
         self.slas.clear()
-        if self.admission is not None:
-            self.admission.buckets.clear()
-            self.admission.rates.clear()
+        self.admission.buckets.clear()
         self.copy_states.clear()
         self.replication.clear()
         self._cold_dbs.clear()

@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 
 class ReadOption(enum.Enum):
@@ -79,20 +79,3 @@ class ReadRouter:
         choice = replicas[self._rr % len(replicas)]
         self._rr += 1
         return choice
-
-    def choose_under_load(self, txn_id: int, replicas: Sequence[str],
-                          loads: Dict[str, int],
-                          watermark: int) -> Tuple[str, bool]:
-        """Like :meth:`choose`, but spill a hot replica's reads.
-
-        The option's pick stands while its replica is under the
-        in-flight ``watermark``; past it, the read goes to the
-        least-loaded live replica instead (option-1 cache locality is
-        worth less than queueing behind a stampede). When *every*
-        replica is over the watermark the least-loaded one still
-        serves — shedding degrades placement, never availability.
-        Returns ``(choice, shed)``.
-        """
-        from repro.cluster.admission import shed_choice
-        preferred = self.choose(txn_id, replicas)
-        return shed_choice(preferred, replicas, loads, watermark)

@@ -194,11 +194,12 @@ def cmd_faults(args) -> int:
 
 
 def cmd_stampede(args) -> int:
-    """Noisy-neighbour stampede: admission control on vs off."""
+    """Noisy-neighbour stampede: the hot tenant with its SLA (throttled)
+    and without one (unthrottled)."""
     violations = 0
-    for label, admission in (("admission-on", True), ("admission-off", False)):
+    for label, hot_sla in (("hot-sla", True), ("hot-no-sla", False)):
         run = run_scenario(soaks.stampede(
-            admission=admission, duration_s=args.duration * 3,
+            hot_sla=hot_sla, duration_s=args.duration * 3,
             ramp_at_s=args.duration, mtbf_s=args.stampede_mtbf,
             drain_s=args.duration if args.stampede_mtbf else 0.0,
             seed=args.seed))
@@ -410,8 +411,8 @@ COMMANDS: Dict[str, Tuple[str, str, Callable[[argparse.Namespace], int]]] = {
                "\n== Fault soak: MTBF failures with recovery ==", cmd_faults),
     "stampede": ("noisy-neighbour stampede soak: per-tenant admission "
                  "control, read shedding, SLA-bound rejections",
-                 "\n== Stampede soak: admission control vs noisy "
-                 "neighbour ==", cmd_stampede),
+                 "\n== Stampede soak: the hot tenant with and without "
+                 "its SLA ==", cmd_stampede),
     "partitions": ("unreliable-fabric soak: partitions, heartbeat "
                    "detection, fencing, leader-kill takeover",
                    "\n== Partition soak: unreliable fabric, detection, "

@@ -99,10 +99,13 @@ def run_tpcw_cluster(
     sim = Simulator()
     seed = 7
     scale = scale or TpcwScale(items=500, emulated_browsers=clients_per_db)
+    # The read option is the variable under study (Figures 2-7): read
+    # shedding would move reads off the replica the option picked.
     config = ClusterConfig(read_option=read_option,
                            write_policy=write_policy,
                            replication_factor=replicas,
-                           lock_wait_timeout_s=lock_wait_timeout_s)
+                           lock_wait_timeout_s=lock_wait_timeout_s,
+                           shed_inflight_watermark=0)
     if buffer_pool_pages is not None:
         config.machine.engine.buffer_pool_pages = buffer_pool_pages
     config.machine.engine.nonlocking_reads = nonlocking_reads
@@ -670,8 +673,7 @@ def run_many_tenants(
     # The resident-state caps (64 logs, 256 buckets) sit well above the
     # hot set of the usual sizes and far below the population: what the
     # gauges are held to.
-    config = ClusterConfig(lock_wait_timeout_s=2.0, trace_capacity=262144,
-                           admission_control=True)
+    config = ClusterConfig(lock_wait_timeout_s=2.0, trace_capacity=262144)
     controller = ClusterController(sim, config)
     controller.add_machines(12)
     sla = Sla(min_throughput_tps=4.0, max_rejected_fraction=0.05)
@@ -680,7 +682,7 @@ def run_many_tenants(
         return f"t{i:06d}"
 
     for i in range(n_databases):
-        # Every 4th tenant buys an SLA; the rest ride the default rate.
+        # Every 4th tenant buys an SLA; the rest hold none (no bucket).
         controller.create_database(db_name(i), KV_DDL,
                                    sla=sla if i % 4 == 0 else None)
 
@@ -779,9 +781,7 @@ def run_many_tenants(
         resident_log_entries=sum(len(log)
                                  for log in replication.db_logs.values()),
         resident_replica_lsn_maps=len(replication.replica_lsns),
-        resident_admission_buckets=(len(controller.admission.buckets)
-                                    if controller.admission is not None
-                                    else 0),
+        resident_admission_buckets=len(controller.admission.buckets),
         resident_latency_histograms=len(metrics.db_latencies),
         cold_engine_tenants=len(controller._cold_dbs),
         paged_out_logs=len(controller.trace.events(kind="log_paged_out")),

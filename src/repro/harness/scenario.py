@@ -60,8 +60,9 @@ class Scenario:
     databases: int = 3
     keys_per_db: int = 30
     clients_per_db: int = 2
-    #: The contract every tenant is created with (None: no SLA).
-    sla: Optional[Sla] = None
+    #: The contract each tenant is created with, in tenant order; a
+    #: tenant past the end (or given None) declares no SLA.
+    slas: Sequence[Optional[Sla]] = ()
     #: One think time for every client, or one per tenant.
     think_time_s: Union[float, Sequence[float]] = 0.2
     #: Per-client start offsets in spawn order (tenant-major); empty
@@ -166,9 +167,10 @@ def run_scenario(scenario: Scenario) -> Run:
     controller = ClusterController(sim, scenario.config)
     controller.add_machines(scenario.machines)
     run = Run(scenario, sim, controller)
+    slas = iter(scenario.slas)
     for i in range(scenario.databases):
         db = f"kv{i}"
-        controller.create_database(db, KV_DDL, sla=scenario.sla)
+        controller.create_database(db, KV_DDL, sla=next(slas, None))
         controller.bulk_load(db, "kv",
                              [(k, 0) for k in range(scenario.keys_per_db)])
         run.workloads.append(KeyValueWorkload(

@@ -31,10 +31,9 @@ def _config(seed: int, copy_bytes_factor: float, **cluster) -> ClusterConfig:
     """The soaks' cluster, a variant of the production profile: two
     replicas, two recovery threads, a lock-wait timeout short enough
     that distributed deadlocks resolve within a soak, and each plane
-    (fabric, a controller group with peers, admission) on only where
-    ``cluster`` says so — the controller is otherwise a group of one."""
-    planes = dict(network=NetworkConfig(), consensus=ConsensusConfig(),
-                  admission_control=False)
+    (fabric, a controller group with peers) on only where ``cluster``
+    says so — the controller is otherwise a group of one."""
+    planes = dict(network=NetworkConfig(), consensus=ConsensusConfig())
     config = replace(production_profile(seed), replication_factor=2,
                      recovery_threads=2, lock_wait_timeout_s=2.0,
                      **{**planes, **cluster})
@@ -143,23 +142,23 @@ def controllers(duration_s: float = 40.0, drain_s: float = 20.0,
         reconnecting=True, services={"detector": _detector}, faults=faults)
 
 
-def stampede(admission: bool, duration_s: float = 40.0,
+def stampede(hot_sla: bool = True, duration_s: float = 40.0,
              ramp_at_s: float = 15.0, drain_s: float = 0.0,
              hot_clients: int = 60, sla_tps: float = 4.0,
              max_rejected_fraction: float = 0.05,
              mtbf_s: Optional[float] = None, seed: int = 3) -> Scenario:
     """One tenant stampedes, neighbours keep their SLAs.
 
-    Every tenant declares the same :class:`Sla`. Neighbours offer
+    Every neighbour declares the same :class:`Sla`, and so does the hot
+    tenant (``kv0``) unless ``hot_sla`` is False. Neighbours offer
     zipf-skewed steady load below their floors; at ``ramp_at_s`` the hot
-    tenant (``kv0``) adds ``hot_clients`` low-think-time clients. With
-    ``admission`` the per-tenant token buckets must throttle the hot
-    tenant to its provisioned rate while neighbours stay inside their
-    rejection bounds and their tail latency holds; without it the same
-    schedule records the noisy-neighbour damage. The overload monitor
-    emits the ``sla_window`` / ``sla_breach`` events the two overload
-    invariant rules audit. ``mtbf_s`` layers machine failures with
-    background recovery on top.
+    tenant adds ``hot_clients`` low-think-time clients. With its SLA the
+    hot tenant's token bucket must throttle it to its provisioned rate
+    while neighbours stay inside their rejection bounds; without one it
+    holds no bucket, and the same schedule runs it unthrottled — the
+    contrast. The overload monitor emits the ``sla_window`` /
+    ``sla_breach`` events the two overload invariant rules audit.
+    ``mtbf_s`` layers machine failures with background recovery on top.
     """
     databases, clients_per_db, think_time_s = 6, 2, 0.5
     # Every neighbour offers less than the hot tenant's baseline, some
@@ -185,14 +184,14 @@ def stampede(admission: bool, duration_s: float = 40.0,
         for client_id in range(hot_clients):
             run.spawn_client(0, 100 + client_id, think_time_s=0.02)
 
+    sla = Sla(min_throughput_tps=sla_tps,
+              max_rejected_fraction=max_rejected_fraction)
     return Scenario(
-        config=_config(seed, 200.0, trace_capacity=262144,
-                       admission_control=admission),
+        config=_config(seed, 200.0, trace_capacity=262144),
         seed=seed, duration_s=duration_s, drain_s=drain_s,
         machines=4, databases=databases, keys_per_db=40,
         clients_per_db=clients_per_db,
-        sla=Sla(min_throughput_tps=sla_tps,
-                max_rejected_fraction=max_rejected_fraction),
+        slas=[sla if hot_sla else None] + [sla] * (databases - 1),
         think_time_s=think, start_delays_s=delays,
         copy=None if mtbf_s is None else "delta",
         services={"overload_monitor": _overload_monitor},
@@ -204,8 +203,8 @@ def stampede(admission: bool, duration_s: float = 40.0,
 class StampedeReport:
     """Post-ramp accounting of one :func:`stampede` run."""
 
-    #: Hot tenant's provisioned admission rate (tps); None with
-    #: admission off.
+    #: Hot tenant's provisioned admission rate (tps); None when it
+    #: declared no SLA.
     hot_provisioned_tps: Optional[float]
     #: Hot tenant's committed rate over the post-ramp window.
     hot_goodput_tps: float
@@ -255,10 +254,8 @@ def stampede_report(run: Run) -> StampedeReport:
 
     hot_window = max(run.sim.now - run.marks["ramp_at_s"], 1e-9)
     hot = post_ramp[HOT_DB]
-    admission = run.controller.admission
     return StampedeReport(
-        hot_provisioned_tps=(admission.provisioned_rate(HOT_DB)
-                             if admission is not None else None),
+        hot_provisioned_tps=run.controller.admission.provisioned_rate(HOT_DB),
         hot_goodput_tps=hot["committed"] / hot_window,
         hot_admitted_fraction=1.0 - hot["overload_rejected_fraction"],
         post_ramp=post_ramp,

@@ -91,17 +91,21 @@ class DataPlatform:
                                spec.replicas, sla=spec.sla)
         standby_name = None
         if spec.disaster_recovery and len(colos) > 1:
+            # Placed for the same load, but without the SLA: the standby
+            # replays shipped commits (platform traffic, not the
+            # tenant's), and takes the SLA only when promoted.
             standby = colos[1]
             standby.place_database(spec.name, spec.ddl, requirement,
-                                   max(1, spec.replicas - 1), sla=spec.sla)
+                                   max(1, spec.replicas - 1))
             standby_name = standby.name
         # The DDL and requirement ride along so the system controller
         # can re-protect the database (fresh standby from snapshot +
-        # catch-up) after a colo failover.
+        # catch-up) after a colo failover; the SLA so the promoted copy
+        # enforces it.
         self.system.register_database(
             spec.name, primary.name, standby_name,
             ddl=spec.ddl, requirement=requirement,
-            standby_replicas=max(1, spec.replicas - 1))
+            standby_replicas=max(1, spec.replicas - 1), sla=spec.sla)
         self.specs[spec.name] = spec
 
     def drop_database(self, db: str) -> None:

@@ -48,7 +48,7 @@ from repro.cluster.network import SYSTEM, NetworkConfig, NetworkFabric
 from repro.errors import NoReplicaError, PlatformError
 from repro.platform.colo import ColoController
 from repro.sim import Interrupt, Process, Simulator, Store
-from repro.sla.model import ResourceVector
+from repro.sla.model import ResourceVector, Sla
 
 
 @dataclass
@@ -81,12 +81,14 @@ class ReplicationLink:
 
 @dataclass
 class DbRecord:
-    """What the system controller needs to re-protect a database."""
+    """What the system controller needs to re-protect a database, and the
+    SLA its serving copy enforces (a standby copy enforces none)."""
 
     db: str
     ddl: Optional[List[str]] = None
     requirement: Optional[ResourceVector] = None
     standby_replicas: int = 1
+    sla: Optional[Sla] = None
 
 
 class SystemController:
@@ -152,12 +154,15 @@ class SystemController:
                           standby: Optional[str] = None,
                           ddl: Optional[List[str]] = None,
                           requirement: Optional[ResourceVector] = None,
-                          standby_replicas: int = 1) -> None:
+                          standby_replicas: int = 1,
+                          sla: Optional[Sla] = None) -> None:
         """Record a database's colo placement and start async shipping.
 
         ``ddl``/``requirement`` (when provided) let the controller
         re-protect the database after a failover: a fresh standby can be
-        placed and created from scratch on a surviving colo.
+        placed and created from scratch on a surviving colo. ``sla`` is
+        enforced by whichever copy serves: the primary now, a standby
+        once it is promoted.
         """
         if primary not in self.colos:
             raise NoReplicaError(f"unknown colo {primary!r}")
@@ -166,7 +171,8 @@ class SystemController:
         self.placements[db] = (primary, standby)
         self.records[db] = DbRecord(db, ddl=list(ddl) if ddl else None,
                                     requirement=requirement,
-                                    standby_replicas=standby_replicas)
+                                    standby_replicas=standby_replicas,
+                                    sla=sla)
         self.trace.emit("dr_protect", db=db, primary=primary,
                         standby=standby, base_seq=0)
         if standby is None:
@@ -499,6 +505,11 @@ class SystemController:
                if link is not None else 0)
         self._teardown_link(db)
         self.placements[db] = (new_primary, None)
+        # The SLA follows the serving copy. Replaying the shipped log is
+        # platform traffic and spent none of the tenant's tokens; from
+        # now on its clients do.
+        self.colos[new_primary].cluster_of(db).set_sla(db,
+                                                       self.records[db].sla)
         self.metrics.record_dr_promotion(db, old_primary, new_primary,
                                          epoch, declared_at, rpo)
         self.trace.emit("dr_promote", db=db, old=old_primary,

@@ -1,91 +1,22 @@
-"""Runtime SLA compliance monitoring.
+"""Runtime SLA monitoring.
 
 Section 4.1 defines the two SLA requirements; placement enforces them
-*a priori*. This monitor closes the loop at runtime: given a cluster's
-measured metrics over a window, it reports which databases are meeting
-their throughput floor and rejected-transaction ceiling, and estimates
-the availability-constraint inputs (failure rate, recovery time) from
-what actually happened — the "observation and appropriate reaction" the
-paper's related-work section contrasts against OS-level enforcement.
+*a priori* and admission control (:mod:`repro.cluster.admission`) at
+every transaction's entry. This module closes the loop: an audit of
+admission rejections against each tenant's bound, window by window, and
+the availability-constraint inputs (failure rate, recovery time)
+estimated from what actually happened — the "observation and
+appropriate reaction" the paper's related-work section contrasts
+against OS-level enforcement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Generator, List, Tuple
 
-from repro.analysis.metrics import MetricsCollector
 from repro.cluster.recovery import RecoveryRecord
-from repro.sla.model import AvailabilityInputs, Sla, rejected_fraction_bound
-
-
-@dataclass
-class ComplianceReport:
-    """One database's SLA compliance over an observation window."""
-
-    db: str
-    window_s: float
-    measured_tps: float
-    required_tps: float
-    rejected_fraction: float
-    max_rejected_fraction: float
-
-    @property
-    def throughput_ok(self) -> bool:
-        return self.measured_tps >= self.required_tps
-
-    @property
-    def availability_ok(self) -> bool:
-        return self.rejected_fraction <= self.max_rejected_fraction
-
-    @property
-    def compliant(self) -> bool:
-        return self.throughput_ok and self.availability_ok
-
-    def summary(self) -> str:
-        verdict = "OK" if self.compliant else "VIOLATION"
-        return (f"{self.db}: {verdict} "
-                f"(tps {self.measured_tps:.2f}/{self.required_tps:.2f}, "
-                f"rejected {self.rejected_fraction:.4f}"
-                f"/{self.max_rejected_fraction:.4f})")
-
-
-class SlaMonitor:
-    """Checks measured metrics against declared SLAs."""
-
-    def __init__(self, slas: Dict[str, Sla]):
-        self.slas = dict(slas)
-
-    def check(self, metrics: MetricsCollector,
-              window_s: float) -> List[ComplianceReport]:
-        """Compliance of every SLA-bearing database over ``window_s``.
-
-        Note the throughput requirement is a *floor the platform must be
-        able to sustain*, so a database whose offered load was below its
-        floor is not a violation unless it also saw rejections; callers
-        that know offered load can interpret ``throughput_ok`` strictly.
-        """
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        reports = []
-        for db, sla in sorted(self.slas.items()):
-            counters = metrics.per_db.get(db)
-            committed = counters.committed if counters else 0
-            rejected_fraction = (counters.rejected_fraction()
-                                 if counters else 0.0)
-            reports.append(ComplianceReport(
-                db=db,
-                window_s=window_s,
-                measured_tps=committed / window_s,
-                required_tps=sla.min_throughput_tps,
-                rejected_fraction=rejected_fraction,
-                max_rejected_fraction=sla.max_rejected_fraction,
-            ))
-        return reports
-
-    def violations(self, metrics: MetricsCollector,
-                   window_s: float) -> List[ComplianceReport]:
-        return [r for r in self.check(metrics, window_s) if not r.compliant]
+from repro.sla.model import AvailabilityInputs
 
 
 @dataclass
@@ -103,8 +34,8 @@ class OverloadMonitor:
     """Runtime enforcement audit of admission rejections vs SLA bounds.
 
     A sim process sampling the controller's per-database counters every
-    ``window_s`` simulated seconds. For each SLA-bearing database it
-    emits one ``sla_window`` trace event per active window — offered
+    ``window_s`` simulated seconds. For each database with a provisioned
+    admission rate (an SLA with a non-zero floor) it emits one ``sla_window`` trace event per active window — offered
     rate, admission-rejected fraction, the tenant's bound, and whether
     the tenant stayed inside its provisioned admission rate — and an
     ``sla_breach`` event (plus a :class:`SlaBreach` record) when the
@@ -144,13 +75,6 @@ class OverloadMonitor:
             self._proc.interrupt("monitor stopped")
         self._proc = None
 
-    def _provisioned_rate(self, db: str, sla: Sla) -> float:
-        admission = self.controller.admission
-        if admission is not None:
-            return admission.provisioned_rate(db)
-        # Admission off: audit against the SLA floor itself.
-        return sla.min_throughput_tps
-
     def _loop(self) -> Generator:
         sim = self.controller.sim
         try:
@@ -162,12 +86,12 @@ class OverloadMonitor:
 
     def _sample(self, now: float) -> None:
         metrics = self.controller.metrics
+        admission = self.controller.admission
         for db, sla in sorted(self.controller.slas.items()):
-            if sla is None:
-                continue
+            rate = admission.provisioned_rate(db)
             counters = metrics.per_db.get(db)
-            if counters is None:
-                continue
+            if rate is None or counters is None:
+                continue  # never throttled, or no traffic yet
             finished, rejected = (counters.total_finished,
                                   counters.overload_rejected)
             last_finished, last_rejected = self._last.get(db, (0, 0))
@@ -177,7 +101,6 @@ class OverloadMonitor:
             if window_finished <= 0:
                 continue  # idle tenant, nothing to audit
             offered_tps = window_finished / self.window_s
-            rate = self._provisioned_rate(db, sla)
             within_rate = offered_tps <= rate * 1.001
             fraction = window_rejected / window_finished
             bound = sla.max_rejected_fraction
@@ -222,8 +145,3 @@ def observed_availability_inputs(
         write_mix=write_mix,
     )
 
-
-def predicted_rejected_fraction(inputs: AvailabilityInputs,
-                                period_s: float) -> float:
-    """Convenience re-export of the paper's bound for monitor callers."""
-    return rejected_fraction_bound(inputs, period_s)

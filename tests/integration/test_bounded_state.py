@@ -20,7 +20,10 @@ from repro.cluster.controller import TransactionAborted
 from repro.cluster.config import production_profile
 from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.engine.wal import RecordType
+from repro.cluster.machine import Machine
 from repro.errors import DeadlockError
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 from repro.sla.model import Sla
 from repro.workloads.microbench import KV_DDL
 from tests.conftest import (assert_no_violations, make_cluster,
@@ -323,3 +326,50 @@ def test_a_takeover_abandons_what_the_old_coordinator_had_open(sim):
         assert stuck not in machine.engine.transactions
         assert read_table(controller, name, "kv",
                           "SELECT v FROM kv WHERE k = 3") == [(1,)]
+
+
+def test_the_watermark_waits_for_the_slowest_open_transaction(
+        sim, monkeypatch):
+    """The audit's tombstone bound is what the coordinator knows: every
+    id issued since the oldest open transaction began (DESIGN §4q "What
+    waits"). One transaction left open while 200 others commit keeps
+    200 finished tombstones on each replica — the shape the stampede's
+    drain leaves at its audit — and that is within bounds; a machine
+    that stops hearing the watermark is not."""
+    controller = make_kv_cluster(sim)
+    slow = controller.connect("kv")
+    wait(sim, slow.execute(SELECT, (0,)))  # open, then the client thinks
+    fast = controller.connect("kv")
+    for i in range(200):
+        wait(sim, fast.execute(UPDATE, (1 + i % 19,)))
+        wait(sim, fast.commit())
+    rpc = controller.txns.rpc
+    assert rpc.low == slow.txn.txn_id
+    assert state_sizes(controller)["transactions"] > 2 * 64
+    assert check_bounds(controller) == []
+    # The slow one closes; the next request carries the new watermark.
+    wait(sim, slow.commit())
+    wait(sim, fast.execute(UPDATE, (1,)))
+    wait(sim, fast.commit())
+    assert state_sizes(controller)["transactions"] <= 2
+    # Not vacuous: tombstones a deaf machine keeps are caught.
+    monkeypatch.setattr(Machine, "close_below", lambda self, low: None)
+    for i in range(200):
+        wait(sim, fast.execute(UPDATE, (1 + i % 19,)))
+        wait(sim, fast.commit())
+    assert [v.rule for v in check_bounds(controller)] == [
+        "state-bounded-after-quiescence"]
+
+
+def test_the_stampede_ci_audit_holds_its_bounds():
+    """``stampede --duration 10 --seed 3 --stampede-mtbf 16``'s contrast
+    arm: its 60 hot clients never stop, so the audit after the drain
+    meets ~60 open transactions, the oldest in a lock wait, and each
+    replica remembers every transaction issued since that one began —
+    more than the 128 a constant allowed."""
+    run = run_scenario(soaks.stampede(
+        hot_sla=False, duration_s=30.0, ramp_at_s=10.0, drain_s=10.0,
+        mtbf_s=16.0, seed=3))
+    controller = run.controller
+    assert state_sizes(controller)["transactions"] > 2 * 64
+    assert check_bounds(controller) == []

@@ -18,14 +18,14 @@ from tests.conftest import assert_no_violations, make_kv_cluster
 
 def make_consensus_cluster(sim, seed=2, **kwargs):
     """The production profile as these tests were written on it: a
-    slower, noisier fabric, two replicas per database, no admission, and
-    the election stream unseeded (the timing assertions below were
+    slower, noisier fabric, two replicas per database (declaring no SLA,
+    so admission throttles nothing), and the election stream unseeded (the timing assertions below were
     tuned to it)."""
     profile = production_profile(seed)
     return make_kv_cluster(
         sim, machines=3, replicas=2,
         profile=dataclasses.replace(
-            profile, replication_factor=2, admission_control=False,
+            profile, replication_factor=2,
             network=dataclasses.replace(profile.network, latency_s=0.002,
                                         jitter_s=0.001),
             consensus=dataclasses.replace(profile.consensus, seed=0)),

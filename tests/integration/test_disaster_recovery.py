@@ -29,7 +29,9 @@ def make_platform(colos=2, machines=8, wan=None, **system_kwargs):
 
 
 def spec(name, dr=True):
-    return DatabaseSpec(name=name, ddl=list(DDL), sla=Sla(1.0, 0.001),
+    # A floor above what any test here offers: admission throttles none
+    # of their back-to-back commits.
+    return DatabaseSpec(name=name, ddl=list(DDL), sla=Sla(100.0, 0.001),
                         expected_size_mb=5.0, replicas=2,
                         disaster_recovery=dr)
 
@@ -141,6 +143,47 @@ class TestWanShipping:
         # At-most-once: each commit applied exactly once despite the
         # retransmissions the cut forced.
         assert standby_value(platform, "app") == 5
+
+    def test_standby_replay_spends_no_tokens(self):
+        """The SLA follows the serving copy: replaying the shipped log
+        on the standby is platform traffic, so a tenant that commits
+        inside its rate through a WAN outage drains the backlog as soon
+        as the link heals. Charged to the tenant's bucket, the backlog
+        would drain at the 0.5 tps the tenant leaves unused."""
+        platform = make_platform(wan=wan_config())
+        tight = Sla(1.0, 0.001)  # admitted at 1.5 tps, 3 tokens of burst
+        platform.create_database(DatabaseSpec(
+            name="app", ddl=list(DDL), sla=tight, expected_size_mb=5.0,
+            replicas=2))
+        platform.bulk_load("app", "t", [(k, 0) for k in range(3)])
+        primary, standby = platform.system.placements["app"]
+        standby_cluster = platform.system.colos[standby].cluster_of("app")
+        assert "app" not in standby_cluster.slas
+        platform.system.wan.cut(primary, standby)
+
+        def paced():
+            for _ in range(30):  # one commit a second, inside the rate
+                conn = platform.connect("app")
+                yield conn.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+                yield conn.commit()
+                conn.close()
+                yield platform.sim.timeout(1.0)
+
+        proc = platform.sim.process(paced())
+        proc.defused = True
+        platform.sim.run(until=19.5)
+        assert platform.system.replication_lag("app") == 20
+        platform.system.wan.heal(primary, standby)
+        platform.sim.run(until=22.5)
+        assert platform.system.replication_lag("app") == 0
+        assert standby_value(platform, "app") == 23
+        assert standby_cluster.metrics.per_db["app"].overload_rejected == 0
+        assert "app" not in standby_cluster.admission.buckets
+        # Promoted, the copy serves the tenant and enforces its SLA.
+        platform.system.fail_colo(primary)
+        assert standby_cluster.slas["app"] == tight
+        assert standby_cluster.admission.provisioned_rate("app") == \
+            pytest.approx(1.5)
 
     def test_lossy_wan_applies_each_entry_once(self):
         platform = make_platform(wan=wan_config(drop=0.3, jitter=0.002))

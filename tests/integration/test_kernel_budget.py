@@ -70,8 +70,7 @@ def run_cluster(think_s=0.01, rpc_timeout_s=None):
     """Returns (background pending, peak pending, steps/commit, controller,
     messages/commit, commands/commit)."""
     sim = Simulator()
-    config = ClusterConfig(replication_factor=REPLICAS,
-                           admission_control=True)
+    config = ClusterConfig(replication_factor=REPLICAS)
     config.network.enabled = True
     config.network.latency_s = 0.0005
     config.network.jitter_s = 0.0001

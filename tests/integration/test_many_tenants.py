@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.invariants import check_controller
 from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
                            RecoveryManager)
+from repro.cluster.admission import BURST_S, TokenBucket
 from repro.cluster.network import CONTROLLER, NetworkConfig
 from repro.harness.runner import run_many_tenants
 from repro.sim import Simulator
@@ -148,14 +149,17 @@ def _fingerprint(controller):
     }
 
 
-def _materialise(controller, db, sla):
+def _materialise(controller, db):
     """The eager reference: run ``db``'s engine DDL and allocate its
-    commit log, replica-LSN map and admission bucket now instead of on
-    first touch."""
+    commit log, replica-LSN map and (given an SLA) admission bucket now
+    instead of on first touch."""
     controller.ensure_materialised(db)
     controller.replication.log(db)
     controller.replication.lsns(db)
-    controller.admission.provision(db, sla)
+    rate = controller.admission.provisioned_rate(db)
+    if rate is not None:
+        controller.admission.buckets[db] = TokenBucket(
+            rate, max(1.0, rate * BURST_S), now=controller.sim.now)
 
 
 def _replay_scenario(lazy: bool):
@@ -163,10 +167,10 @@ def _replay_scenario(lazy: bool):
     machine failure with recovery, and a late tenant create."""
     sim = Simulator()
     config = ClusterConfig(replication_factor=2, lock_wait_timeout_s=1.0,
-                           trace_capacity=65536, admission_control=True)
+                           trace_capacity=65536)
     controller = ClusterController(sim, config)
-    eager = (lambda db, sla=None: None) if lazy else (
-        lambda db, sla=None: _materialise(controller, db, sla))
+    eager = (lambda db: None) if lazy else (
+        lambda db: _materialise(controller, db))
     controller.add_machines(4)
     recovery = RecoveryManager(controller)
     recovery.start()
@@ -175,7 +179,7 @@ def _replay_scenario(lazy: bool):
         db = f"db{i}"
         controller.create_database(db, KV_DDL, replicas=2,
                                    sla=sla if i % 2 == 0 else None)
-        eager(db, sla if i % 2 == 0 else None)
+        eager(db)
         controller.bulk_load(db, "kv", [(k, 0) for k in range(6)])
 
     stats = [KvStats() for _ in range(3)]

@@ -21,8 +21,7 @@ KEYS = 20
 
 def make_admitted_cluster(sim, sla=None, machines=3, replicas=2,
                           **config_kwargs) -> ClusterController:
-    controller = make_cluster(sim, machines=machines, admission_control=True,
-                              **config_kwargs)
+    controller = make_cluster(sim, machines=machines, **config_kwargs)
     controller.create_database("kv", KV_DDL, replicas=replicas, sla=sla)
     controller.bulk_load("kv", "kv", [(k, 0) for k in range(KEYS)])
     return controller
@@ -109,6 +108,20 @@ class TestAdmissionEndToEnd:
         assert "kv" not in controller.admission.buckets
         assert "kv" not in controller.slas
 
+    def test_clearing_the_sla_frees_the_bucket(self, sim):
+        controller = make_admitted_cluster(sim, sla=Sla(1.0, 0.05))
+        first = sim.process(burst(controller, 8))
+        sim.run()
+        assert any(isinstance(c, OverloadRejectedError) for c in first.value)
+        assert "kv" in controller.admission.buckets
+        controller.set_sla("kv", None)
+        assert "kv" not in controller.admission.buckets
+        assert controller.admission.provisioned_rate("kv") is None
+        second = sim.process(burst(controller, 20))
+        sim.run()
+        assert all(c is None for c in second.value)
+        assert "kv" not in controller.admission.buckets
+
 
 class TestReadShedding:
     def _run_readers(self, sim, controller, clients=4, reads=25):
@@ -134,7 +147,7 @@ class TestReadShedding:
     def test_overloaded_replica_sheds_reads(self, sim):
         config_kwargs = {"write_policy": WritePolicy.CONSERVATIVE}
         controller = make_admitted_cluster(sim, **config_kwargs)
-        controller.config.admission.shed_inflight_watermark = 1
+        controller.config.shed_inflight_watermark = 1
         committed = self._run_readers(sim, controller)
         assert sum(committed) > 0
         sheds = controller.trace.events(kind="shed_read", db="kv")
@@ -148,7 +161,7 @@ class TestReadShedding:
         # the watermark must still serve every read (least-loaded
         # fallback), not starve the tenant.
         controller = make_admitted_cluster(sim, replicas=1, machines=1)
-        controller.config.admission.shed_inflight_watermark = 1
+        controller.config.shed_inflight_watermark = 1
         committed = self._run_readers(sim, controller, clients=3, reads=10)
         assert all(c == 10 for c in committed), \
             "shedding must never become unavailability"
@@ -159,7 +172,7 @@ class TestReadShedding:
         # the designated replica under the aggressive policy.
         controller = make_admitted_cluster(
             sim, write_policy=WritePolicy.AGGRESSIVE)
-        controller.config.admission.shed_inflight_watermark = 1
+        controller.config.shed_inflight_watermark = 1
         self._run_readers(sim, controller)
         assert controller.trace.events(kind="shed_read") == []
 
@@ -203,7 +216,7 @@ class TestOverloadInvariantRules:
 class TestStampedeSoak:
     def test_admission_on_throttles_and_isolates(self):
         result = run_scenario(soaks.stampede(
-            admission=True, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
+            hot_sla=True, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
             seed=5))
         report = soaks.stampede_report(result)
         monitor = result.parts["overload_monitor"]
@@ -217,23 +230,26 @@ class TestStampedeSoak:
         assert_no_violations(result.controller)
 
     def test_admission_off_replays_unthrottled(self):
+        """The contrast arm: the hot tenant declares no SLA, holds no
+        bucket and is never rejected; its neighbours still hold theirs."""
         result = run_scenario(soaks.stampede(
-            admission=False, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
+            hot_sla=False, duration_s=16.0, ramp_at_s=6.0, hot_clients=30,
             seed=5))
         assert soaks.stampede_report(result).hot_provisioned_tps is None
-        assert result.controller.admission is None
+        assert soaks.HOT_DB not in result.controller.admission.buckets
+        assert set(result.controller.admission.buckets) == {
+            f"kv{i}" for i in range(1, 6)}
         assert result.metrics.per_db["kv0"].overload_rejected == 0
-        assert result.events("shed_read") == []
         assert_no_violations(result.controller)
 
 
 class TestReplayIdentity:
-    """``admission_control=False`` (the default) must change nothing:
-    same seed, same schedule, bit-identical trace and metrics."""
+    """Admission is lazy sim-time arithmetic: same seed, same schedule,
+    bit-identical trace and metrics."""
 
-    def _run(self, **config_kwargs):
+    def _run(self):
         sim = Simulator()
-        config = ClusterConfig(lock_wait_timeout_s=2.0, **config_kwargs)
+        config = ClusterConfig(lock_wait_timeout_s=2.0)
         controller = ClusterController(sim, config)
         controller.add_machines(3)
         controller.create_database("kv", KV_DDL, replicas=2,
@@ -254,9 +270,5 @@ class TestReplayIdentity:
                     for db, c in controller.metrics.per_db.items()}
         return events, counters, [s.committed for s in stats]
 
-    def test_default_matches_explicit_off(self):
-        assert self._run() == self._run(admission_control=False)
-
     def test_run_is_deterministic(self):
-        baseline = self._run(admission_control=True)
-        assert baseline == self._run(admission_control=True)
+        assert self._run() == self._run()

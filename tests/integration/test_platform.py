@@ -180,7 +180,8 @@ class TestRouting:
 class TestReplicationAccounting:
     def test_lag_drains_under_sustained_load(self):
         platform = make_platform()
-        platform.create_database(spec("app"))
+        # Twenty back-to-back commits: a floor admission never throttles.
+        platform.create_database(spec("app", tps=100.0))
         platform.bulk_load("app", "t", [(k, 0) for k in range(10)])
 
         def client(key, n):

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import RecoveryManager
 from repro.cluster.controller import TransactionAborted
 from repro.sla.model import Sla, availability_ok
-from repro.sla.monitor import SlaMonitor, observed_availability_inputs
+from repro.sla.monitor import observed_availability_inputs
 from repro.workloads.microbench import KeyValueWorkload
 from tests.conftest import make_kv_cluster
 
@@ -20,10 +20,10 @@ class TestSlaRuntime:
                                                think_time_s=0.05))
             proc.defused = True
         sim.run()
-        monitor = SlaMonitor({"app": Sla(min_throughput_tps=1.0,
-                                         max_rejected_fraction=0.01)})
-        reports = monitor.check(controller.metrics, window_s=sim.now)
-        assert all(r.compliant for r in reports)
+        sla = Sla(min_throughput_tps=1.0, max_rejected_fraction=0.01)
+        counters = controller.metrics.per_db["app"]
+        assert counters.committed / sim.now >= sla.min_throughput_tps
+        assert counters.rejected_fraction() <= sla.max_rejected_fraction
 
     def test_recovery_rejections_feed_availability_estimate(self, sim):
         # Pins the database-level full copy: the whole-copy reject
@@ -68,7 +68,7 @@ class TestSlaRuntime:
         assert availability_ok(Sla(1.0, 0.5), inputs)
         assert not availability_ok(Sla(1.0, 1e-12), inputs)
 
-        # Measured rejected fraction is visible to the monitor.
-        monitor = SlaMonitor({"kv2": Sla(0.1, 1e-6)})
-        (report,) = monitor.check(controller.metrics, window_s=sim.now)
-        assert not report.availability_ok
+        # The measured rejected fraction breaks a 1e-6 ceiling.
+        sla = Sla(0.1, 1e-6)
+        fraction = controller.metrics.per_db["kv2"].rejected_fraction()
+        assert fraction > sla.max_rejected_fraction

@@ -9,7 +9,9 @@ of three. Five of them were refreshed when every database became cold
 at creation (DESIGN §4v): each now carries one ``db_materialised`` event
 per database at its first touch, and is otherwise the same trace.
 ``disaster`` is the system tier's trace and was recorded when
-faults became a schedule drawn up front (DESIGN §4t). Each one repeats
+faults became a schedule drawn up front (DESIGN §4t). The stampede's
+contrast arm was refreshed when admission became one path (DESIGN §4w):
+its hot tenant declares no SLA, and reads shed there as everywhere. Each one repeats
 across processes and under any ``PYTHONHASHSEED``.
 
 A soak also replays from its schedule alone: feeding ``run.schedule``
@@ -72,17 +74,19 @@ SOAKS = {
         lambda: cluster_trace(soaks.controllers(
             duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0, seed=3)),
         "89d6389cf8a2fd5738f40c769203521b"),
-    # stampede --duration 4 --seed 3 --stampede-mtbf 16
+    # stampede --duration 4 --seed 3 --stampede-mtbf 16: the hot tenant
+    # with its SLA (throttled), then without one (admission never
+    # throttles it: the contrast arm)
     "stampede-admission-on": (
         lambda: cluster_trace(soaks.stampede(
-            admission=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
+            hot_sla=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
         "50c874105ea8b3f93f88799192ee0245"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
-            admission=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
+            hot_sla=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "c27d38b147535bc3c2fca8ff6d75f697"),
+        "328e1e1f20a951de794138dfa3e871a8"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,

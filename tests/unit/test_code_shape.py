@@ -10,8 +10,9 @@ where they live, and an event taxonomy that matches the emit sites.
 DESIGN §4t adds the harness's: faults are data, applied in one place.
 DESIGN §4u adds the control plane's: one Paxos group per controller,
 and no second take-over path beside it. DESIGN §4v adds the policy
-surface's: 22 settable values across the four configs, and one
-tenant-scale path with no switch.
+surface's: one tenant-scale path with no switch; DESIGN §4w brings it
+to 21 settable values across three configs, with admission one path
+whose degenerate case is a tenant without an SLA.
 """
 
 import ast
@@ -20,7 +21,6 @@ import pathlib
 import re
 
 from repro.analysis import trace
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.config import ClusterConfig, production_profile
 from repro.cluster.consensus import ConsensusConfig
 from repro.cluster.network import NetworkConfig
@@ -132,14 +132,26 @@ def test_cluster_config_surface_is_pinned():
         "suspect_after_misses",
         "declare_after_misses",
         "consensus",
-        "admission_control",
-        "admission",
+        "shed_inflight_watermark",
     ]
-    assert fields(AdmissionConfig) == ["shed_inflight_watermark"]
     assert fields(ConsensusConfig) == ["replicas", "seed"]
     assert fields(NetworkConfig) == ["enabled", "latency_s", "jitter_s",
                                      "drop_probability", "seed",
                                      "rpc_timeout_s"]
+
+
+def test_every_cluster_runs_admission():
+    """DESIGN §4w: every controller builds its admission controller and a
+    tenant without an SLA is the degenerate case (no bucket, always
+    admitted), so no site asks whether admission is on, and no default
+    rate or admission config survives under ``src/``."""
+    gone = re.compile(r"AdmissionConfig|DEFAULT_RATE_TPS|admission_control"
+                      r"|admission is (not )?None|shed_choice"
+                      r"|choose_under_load|SlaMonitor|ComplianceReport")
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
 
 
 def test_every_cluster_runs_the_tenant_scale_path():
@@ -214,6 +226,7 @@ def test_production_profile_is_the_benchmarks_profile():
                    and node.targets[0].id == "PROD_PROFILE")
     assert profile.pop("lazy_tenant_state") is True     # deleted by PR 21
     assert profile.pop("consensus_enabled") is True     # the group is all
+    assert profile.pop("admission_control") is True     # the one path
     applied = ClusterConfig()
     for path, value in dict(profile, **{"network.seed": 7,
                                         "consensus.seed": 7}).items():

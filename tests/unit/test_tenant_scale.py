@@ -9,8 +9,7 @@ import pytest
 
 from repro.analysis.metrics import MetricsCollector
 from repro.cluster import admission
-from repro.cluster.admission import (DEFAULT_RATE_TPS, HEADROOM,
-                                     AdmissionController)
+from repro.cluster.admission import HEADROOM, AdmissionController
 from repro.cluster.replica_map import ReplicaMap
 from repro.engine.wal import RetainedTail
 from repro.errors import NoReplicaError
@@ -183,41 +182,45 @@ def test_admission_provisions_lazily_from_sla_lookup():
     now = [0.0]
     slas = {"gold": Sla(min_throughput_tps=10.0,
                         max_rejected_fraction=0.05)}
-    controller = AdmissionController(_clock_at(now), sla_lookup=slas.get)
+    controller = AdmissionController(_clock_at(now), slas.get)
     assert not controller.buckets  # nothing until first touch
     assert controller.admit("gold")
-    assert controller.rates["gold"] == pytest.approx(10.0 * HEADROOM)
-    # No SLA: the default rate, also provisioned at first sight.
+    assert controller.buckets["gold"].rate == pytest.approx(10.0 * HEADROOM)
+    # No SLA: no rate, and no bucket at first sight either.
     assert controller.admit("free")
-    assert controller.rates["free"] == DEFAULT_RATE_TPS
+    assert "free" not in controller.buckets
     # provisioned_rate answers for never-touched tenants without
     # allocating a bucket.
-    assert "never" not in controller.buckets
-    assert controller.provisioned_rate("never") == DEFAULT_RATE_TPS
+    slas["never"] = slas["gold"]
+    assert controller.provisioned_rate("never") == pytest.approx(15.0)
     assert "never" not in controller.buckets
 
 
 def test_admission_eviction_never_flips_a_decision(monkeypatch):
     monkeypatch.setattr(admission, "RESIDENT_BUCKETS", 2)
     now = [0.0]
-    slas = {}
-    controller = AdmissionController(_clock_at(now), sla_lookup=slas.get)
+    slas = dict.fromkeys("abcd", Sla(min_throughput_tps=1.0,
+                                     max_rejected_fraction=0.05))
+    controller = AdmissionController(_clock_at(now), slas.get)
     for db in ("a", "b", "c", "d"):
         assert controller.admit(db)
         now[0] += 1000.0  # everyone refills to capacity between touches
     assert len(controller.buckets) <= 2
     assert controller.evicted_buckets >= 2
-    # Rates are remembered for evicted tenants; a rebuilt bucket starts
+    # An evicted tenant's bucket is rebuilt from its SLA and starts
     # full, exactly as it would have been after the long idle.
-    assert set(controller.rates) == {"a", "b", "c", "d"}
+    assert "a" not in controller.buckets
     assert controller.admit("a")
+    assert controller.buckets["a"].rate == pytest.approx(1.0 * HEADROOM)
 
 
 def test_admission_eviction_skips_hot_buckets(monkeypatch):
     """A bucket below capacity is in-use state and must stay resident."""
     monkeypatch.setattr(admission, "RESIDENT_BUCKETS", 1)
     now = [0.0]
-    controller = AdmissionController(_clock_at(now))
+    slas = dict.fromkeys("ab", Sla(min_throughput_tps=1.0,
+                                   max_rejected_fraction=0.05))
+    controller = AdmissionController(_clock_at(now), slas.get)
     # Drain "a" well below capacity, then touch others: "a" is over the
     # cap but never evictable until it refills.
     for _ in range(3):
