@@ -17,7 +17,7 @@ controller and measures, at each scale:
   fast path and (at the middle stage) the eager reference — the same
   state allocated at creation by the bench itself — as the contrast;
 * **placement latency** — heat-indexed first-fit/best-fit over the same
-  bin counts, with the linear reference timed at the smallest stage.
+  bin counts.
 
 Two modes:
 
@@ -197,26 +197,21 @@ def run_memory_stage(n_databases, lazy=True):
     }
 
 
-def run_placement_stage(n_bins, queries=100, linear_reference=False,
-                        seed=3):
+def run_placement_stage(n_bins, queries=100, seed=3):
     """Indexed placement latency at one bin count."""
     capacity = ResourceVector(cpu=8.0, memory_mb=16000.0,
                               disk_io_mbps=400.0, disk_mb=400000.0)
     requirement = ResourceVector(cpu=0.02, memory_mb=40.0,
                                  disk_io_mbps=1.0, disk_mb=500.0)
 
-    def build_bins():
-        bins = [MachineBin(f"m{i:06d}", capacity) for i in range(n_bins)]
-        # Pre-load every bin unevenly so the index has real structure.
-        for i, machine_bin in enumerate(bins):
-            machine_bin.place(DatabaseLoad(
-                f"seed{i}", ResourceVector(
-                    cpu=0.01 * (i % 7), memory_mb=20.0 * (i % 11),
-                    disk_io_mbps=0.5 * (i % 5), disk_mb=250.0 * (i % 13)),
-                replicas=1))
-        return bins
-
-    bins = build_bins()
+    bins = [MachineBin(f"m{i:06d}", capacity) for i in range(n_bins)]
+    # Pre-load every bin unevenly so the index has real structure.
+    for i, machine_bin in enumerate(bins):
+        machine_bin.place(DatabaseLoad(
+            f"seed{i}", ResourceVector(
+                cpu=0.01 * (i % 7), memory_mb=20.0 * (i % 11),
+                disk_io_mbps=0.5 * (i % 5), disk_mb=250.0 * (i % 13)),
+            replicas=1))
     t0 = time.perf_counter()
     index = PlacementIndex(bins)
     build_s = time.perf_counter() - t0
@@ -228,7 +223,7 @@ def run_placement_stage(n_bins, queries=100, linear_reference=False,
         first_fit([load], index=index)
         place_means.append(time.perf_counter() - t0)
 
-    row = {
+    return {
         "bins": n_bins,
         "index_build_ms": round(build_s * 1e3, 3),
         "indexed_place_p50_us":
@@ -238,17 +233,6 @@ def run_placement_stage(n_bins, queries=100, linear_reference=False,
         "indexed_place_mean_us":
             round(sum(place_means) / len(place_means) * 1e6, 3),
     }
-    if linear_reference:
-        bins = build_bins()
-        linear_means = []
-        for q in range(min(queries, 20)):
-            load = DatabaseLoad(f"q{q}", requirement, replicas=3)
-            t0 = time.perf_counter()
-            first_fit([load], bins=bins, use_index=False)
-            linear_means.append(time.perf_counter() - t0)
-        row["linear_place_mean_us"] = round(
-            sum(linear_means) / len(linear_means) * 1e6, 3)
-    return row
 
 
 def run_soak_point(n_databases, duration_s, seed=11):
@@ -358,14 +342,12 @@ def format_rows(stages, memory, placement):
                      f"{row['staged_bytes'] / 1e6:>9.2f}  "
                      f"{row['bytes_per_tenant']:>8.1f}")
     lines.append(f"{'bins':>8}  {'build ms':>8}  {'place p50':>9}  "
-                 f"{'place p99':>9}  {'linear mean':>11}")
+                 f"{'place p99':>9}")
     for row in placement:
-        linear = row.get("linear_place_mean_us")
         lines.append(
             f"{row['bins']:>8}  {row['index_build_ms']:>8.1f}  "
             f"{row['indexed_place_p50_us']:>8.1f}u  "
-            f"{row['indexed_place_p99_us']:>8.1f}u  "
-            f"{'-' if linear is None else f'{linear:.1f}u':>11}")
+            f"{row['indexed_place_p99_us']:>8.1f}u")
     return "\n".join(lines)
 
 
@@ -413,8 +395,7 @@ def main(argv=None) -> int:
     for n in stage_counts:
         memory.append(run_memory_stage(n, lazy=True))
     memory.append(run_memory_stage(stage_counts[1], lazy=False))
-    placement = [run_placement_stage(n, linear_reference=(i == 0))
-                 for i, n in enumerate(stage_counts)]
+    placement = [run_placement_stage(n) for n in stage_counts]
     soak = run_soak_point(stage_counts[1],
                           duration_s=8.0 if args.smoke else 20.0)
     check_shape(stages, memory, placement, soak)

@@ -92,6 +92,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.trace import TraceEvent, load_jsonl
+from repro.cluster import replication_log
 
 #: Write-failure error types that mean "deadlock class" (the InnoDB rule:
 #: these roll the whole local branch back, so commit must be impossible).
@@ -673,7 +674,7 @@ def state_sizes(controller) -> Dict[str, int]:
 def check_bounds(controller) -> List[Violation]:
     """Audit a quiescent cluster: one ``state-bounded-after-quiescence``
     violation per table over its bound (retained commit logs are held to
-    ``replication_log_retain`` — no copy pins them after quiescence —
+    ``REPLICATION_LOG_RETAIN`` — no copy pins them after quiescence —
     and the histograms to one per phase, per link that carried a message
     and per tenant that finished a transaction).
 
@@ -687,7 +688,7 @@ def check_bounds(controller) -> List[Violation]:
     bounds = dict(STATE_BOUNDS,
                   transactions=max(STATE_BOUNDS["transactions"],
                                    rpc.next_txn_id - rpc.low),
-                  retained_tail=controller.config.replication_log_retain,
+                  retained_tail=replication_log.REPLICATION_LOG_RETAIN,
                   metrics_histograms=(PHASES_BOUND
                                       + len(controller.fabric.link_stats)
                                       + len(controller.metrics.per_db)))

@@ -48,21 +48,11 @@ class ClusterConfig:
     read_option: ReadOption = ReadOption.OPTION_1
     write_policy: WritePolicy = WritePolicy.CONSERVATIVE
     replication_factor: int = 2
-    # Bound on the statement-classification cache (parsed kind/table per
-    # distinct SQL string). Least-recently-used entries are evicted past
-    # this size; 0 means unbounded. Evictions are counted in
-    # ``MetricsCollector.stmt_cache_evictions``.
-    stmt_cache_size: int = 1024
     # Lock waits longer than this abort the transaction; resolves
     # distributed deadlocks that no single machine can see locally.
     lock_wait_timeout_s: float = 5.0
     # Recovery: number of concurrent database copy processes.
     recovery_threads: int = 1
-    # Entries of the per-database commit log retained for delta catch-up
-    # (snapshot pins hold truncation back further while a copy is in
-    # flight). A rejoining machine whose last durable LSN fell behind
-    # the retained tail is wiped to a blank spare instead.
-    replication_log_retain: int = 512
     machine: MachineConfig = field(default_factory=MachineConfig)
     # Record operation histories for serializability checking (adds
     # overhead; enable in correctness experiments).

@@ -151,11 +151,17 @@ def _failure(settled: Event, name: str) -> BaseException:
     return exc
 
 
+#: Per-message timeout of a controller RPC, in sim seconds.
+RPC_TIMEOUT_S = 0.5
 #: Retransmissions an RPC gets before it fails with RPCTimeoutError.
 RPC_MAX_RETRIES = 4
 #: Phase-2 COMMIT messages are idempotent and must eventually land on
 #: every surviving participant; they retry harder than ordinary RPCs.
 COMMIT_MAX_RETRIES = 8
+#: Distinct SQL strings whose classification (kind, target table) the
+#: coordinator caches; least-recently-used entries are evicted past it,
+#: counted in ``MetricsCollector.stmt_cache_evictions``.
+STMT_CACHE_SIZE = 1024
 
 
 class _Rpc(Event):
@@ -179,13 +185,12 @@ class _Rpc(Event):
                  txn_id: int, label: str, timeout: Optional[float] = None,
                  retries: Optional[int] = None):
         Event.__init__(self, ctl.sim)
-        net = ctl.config.network
         self.ctl = ctl
         self.machine = machine
         self.make_body = make_body
         self.txn_id = txn_id
         self.label = label
-        self.timeout = net.rpc_timeout_s if timeout is None else timeout
+        self.timeout = RPC_TIMEOUT_S if timeout is None else timeout
         self.retries = RPC_MAX_RETRIES if retries is None else retries
         self.msg_id = next(ctl._msg_ids)  # stable across retransmissions
         self.attempt = 0
@@ -517,8 +522,7 @@ class TxnCoordinator:
         self.admission = ctl.admission
         self.rpc = RpcLayer(ctl.sim, ctl.config, ctl.machines, ctl.fabric,
                             ctl.metrics, ctl.trace)
-        # Statement-classification cache, LRU-bounded by
-        # config.stmt_cache_size (0 = unbounded).
+        # Statement-classification cache, LRU-bounded by STMT_CACHE_SIZE.
         self._stmt_cache: "OrderedDict[str, Tuple[str, Optional[str]]]" = (
             OrderedDict())
 
@@ -545,8 +549,7 @@ class TxnCoordinator:
         else:
             entry = ("write", None)  # DDL: treat as write
         self._stmt_cache[sql] = entry
-        limit = self.config.stmt_cache_size
-        while limit > 0 and len(self._stmt_cache) > limit:
+        while len(self._stmt_cache) > STMT_CACHE_SIZE:
             self._stmt_cache.popitem(last=False)
             self.metrics.stmt_cache_evictions += 1
         return entry

@@ -51,8 +51,7 @@ class NetworkConfig:
     ``latency_s`` is the *mean one-way* message latency (the historical
     ``MachineConfig.network_latency_s`` round trip moved here); jitter is
     uniform in ``[-jitter_s, +jitter_s]``. ``drop_probability`` applies
-    independently to every message on every link. ``rpc_timeout_s`` is
-    the controller's per-message timeout.
+    independently to every message on every link.
     """
 
     enabled: bool = False
@@ -60,7 +59,6 @@ class NetworkConfig:
     jitter_s: float = 0.0              # uniform +/- jitter on latency
     drop_probability: float = 0.0      # per-message loss rate
     seed: int = 0
-    rpc_timeout_s: float = 0.5
 
 
 #: Exponential backoff between RPC retries: doubles each retry up to the

@@ -41,6 +41,11 @@ RESIDENT_TENANT_LOGS = 64
 #: the drain (reject) window starts anyway and convergence is forced by
 #: rejection.
 DELTA_MAX_REPLAY_ROUNDS = 10
+#: Entries of each database's commit log retained for delta catch-up
+#: (snapshot pins hold truncation back further while a copy is in
+#: flight). A rejoining machine whose last durable LSN fell behind the
+#: retained tail is wiped to a blank spare instead.
+REPLICATION_LOG_RETAIN = 512
 
 
 @dataclass
@@ -93,7 +98,7 @@ class ReplicationLog:
         touch (a fresh tail covers its whole, empty, history)."""
         log = self.db_logs.get(db)
         if log is None:
-            log = RetainedTail(retain=self.config.replication_log_retain)
+            log = RetainedTail(retain=REPLICATION_LOG_RETAIN)
             self.db_logs[db] = log
         return log
 

@@ -16,12 +16,15 @@ plan-node or expression types:
   applied last-key-first) instead of a comparator that re-evaluates both
   sort expressions on every comparison.
 
-Two node families exist, and which one a subtree gets is decided from
-the plan's shape alone (:func:`_batch_source`): a
-``Filter*(SeqScan | IndexRangeScan)`` chain at slot offset zero moves
-:class:`Batch` blocks; everything else — DML sources (which need rids),
-join inners (non-zero offsets), the child of an unfused ``Limit`` (which
-must stop scanning where the limit is reached) — moves one row at a time.
+Every operator has one implementation, over rows. Only scans come in
+two kinds, chosen from the plan's shape alone (:func:`_batch_source`): a
+``SeqScan`` or ``IndexRangeScan`` at slot offset zero reads
+:class:`Batch` blocks, which a slot-keyed ``GROUP BY`` of simple
+aggregates (TPC-W's BestSellers) loops over directly and every other
+consumer takes one row at a time (:func:`_flatten_batches`). DML sources
+(which need rids), join inners (non-zero offsets) and the child of an
+unfused ``Limit`` (which must stop scanning where the limit is reached)
+scan one row at a time.
 
 What a runner must do — rows, lock acquisition order, buffer-pool page
 touches, :class:`CostReport` counters, history records, errors — is
@@ -38,10 +41,9 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 from repro.engine import planner as p
 from repro.engine.executor import ExecContext, ExecResult
 from repro.engine.locks import LockMode, LockRequest
-from repro.engine.schema import TableSchema
 from repro.engine.sqlparse import nodes as n
 from repro.engine.transactions import UndoEntry
-from repro.engine.types import SqlType, like_match, sql_compare, sql_eq
+from repro.engine.types import like_match, sql_compare, sql_eq
 from repro.engine.wal import RecordType
 from repro.errors import SqlError
 
@@ -59,31 +61,15 @@ BATCH_SIZE = 256
 
 
 class Batch:
-    """A block of rows flowing between batch-aware operators.
+    """A block of scanned rows, never mutated once emitted."""
 
-    Rows are primary; per-column value lists are materialized lazily and
-    cached, since a filter or aggregate typically touches one or two
-    columns of a wide row. A batch is never mutated once emitted —
-    filters build new, narrower batches.
-    """
-
-    __slots__ = ("rows", "_columns")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: List[Tuple[Any, ...]]):
         self.rows = rows
-        self._columns = None
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def column(self, index: int) -> List[Any]:
-        cols = self._columns
-        if cols is None:
-            cols = self._columns = {}
-        col = cols.get(index)
-        if col is None:
-            col = cols[index] = [row[index] for row in self.rows]
-        return col
 
 
 # -- expression compilation ---------------------------------------------------
@@ -680,9 +666,9 @@ def _compile_agg(item: p.AggItem):
 
 def _compile_aggregate(plan: p.Aggregate, batch: bool) -> NodeFn:
     if batch:
-        source = _batch_source(plan.child)
-        if source is not None:
-            return _compile_aggregate_batches(plan, source[0])
+        grouped = _compile_grouped_batches(plan)
+        if grouped is not None:
+            return grouped
     child = _compile_node(plan.child, False, batch)
     group_fns = [compile_expr(g) for g in plan.group_exprs]
     specs = [_compile_agg(a) for a in plan.aggs]
@@ -839,7 +825,7 @@ def _compile_node(plan: p.Plan, with_rids: bool,
     if batch and not with_rids:
         source = _batch_source(plan)
         if source is not None:
-            return _flatten_batches(source[0])
+            return _flatten_batches(source)
     if isinstance(plan, p.SeqScan):
         return _compile_seq_scan(plan, with_rids)
     if isinstance(plan, p.IndexEqScan):
@@ -869,59 +855,48 @@ def _compile_node(plan: p.Plan, with_rids: bool,
     raise SqlError(f"cannot compile plan node {type(plan).__name__}")
 
 
-# -- batch (columnar) execution ----------------------------------------------
-# The hot read path — Filter*(SeqScan | IndexRangeScan) at slot offset
-# zero — compiles to operators that move Batch blocks instead of single
-# rows. Everything observable (lock acquisition order, buffer-pool
-# touches, cost counters, history records) is kept identical to the
-# row-at-a-time code; only the shape of the Python loops changes.
+# -- batched scans ------------------------------------------------------------
+# A SeqScan or IndexRangeScan at slot offset zero, read for a row consumer
+# or a grouped aggregate, moves Batch blocks instead of single rows: one
+# generator resume per block. Everything observable (lock acquisition
+# order, buffer-pool touches, cost counters, history records) is kept
+# identical to the row-at-a-time scans.
 
 
 def _compile_seq_scan_batches(plan: p.SeqScan) -> NodeFn:
     table_name = plan.binding.table
     lock_exclusive = plan.lock_exclusive
     table_res = ("tbl", plan.db, table_name)
-    pk_positions = plan.binding.schema.pk_positions()
     table_mode = LockMode.X if lock_exclusive else LockMode.S
-    db_name = plan.db
+    row_scan = _compile_seq_scan(plan, with_rids=False)
 
     def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()) -> Generator:
-        table = ctx.database.table(table_name)
-        cost = ctx.cost
-        nonlocking = ctx.nonlocking_reads and not lock_exclusive
-        if not nonlocking:
-            if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res,
-                                         table_mode):
-                yield from ctx.lock(table_res, table_mode)
-        ctx.touch(table.heap_pages())
-        history = ctx.history
-        if history is None and not nonlocking:
-            # Rowless fast path: the table lock covers every row, nothing
-            # is recorded per row, so the heap can be sliced wholesale.
-            rows = table.scan_rows()
-            cost.rows_scanned += len(rows)
-            for start in range(0, len(rows), BATCH_SIZE):
-                yield Batch(rows[start:start + BATCH_SIZE])
-            return
-        committed_view = ctx.committed_view
-        txn_id = ctx.txn.txn_id
-        buf: List[Tuple[Any, ...]] = []
-        for rid, row in list(table.scan()):
-            if nonlocking:
-                row = committed_view(table_name, rid, row)
-                if row is None:
+        if ctx.history is not None or (ctx.nonlocking_reads
+                                       and not lock_exclusive):
+            # Per-row work (history records, committed views): the row
+            # scan's loop, its rows gathered into batches.
+            buf: List[Tuple[Any, ...]] = []
+            for item in row_scan(ctx, outer_row):
+                if isinstance(item, LockRequest):
+                    yield item
                     continue
-            cost.rows_scanned += 1
-            if history is not None:
-                key = (tuple(row[i] for i in pk_positions)
-                       if pk_positions else (rid,))
-                history.record_read(txn_id, (db_name, table_name, key))
-            buf.append(row)
-            if len(buf) >= BATCH_SIZE:
+                buf.append(item)
+                if len(buf) >= BATCH_SIZE:
+                    yield Batch(buf)
+                    buf = []
+            if buf:
                 yield Batch(buf)
-                buf = []
-        if buf:
-            yield Batch(buf)
+            return
+        table = ctx.database.table(table_name)
+        if not ctx.locks.try_acquire(ctx.txn.txn_id, table_res, table_mode):
+            yield from ctx.lock(table_res, table_mode)
+        ctx.touch(table.heap_pages())
+        # The table lock covers every row and nothing is recorded per
+        # row, so the heap is sliced wholesale.
+        rows = table.scan_rows()
+        ctx.cost.rows_scanned += len(rows)
+        for start in range(0, len(rows), BATCH_SIZE):
+            yield Batch(rows[start:start + BATCH_SIZE])
 
     return run
 
@@ -990,218 +965,14 @@ def _compile_fetch_batches(plan):
     return fetch
 
 
-# Columnar predicate compilation. A conjunct compiles to a closure
-# (batch, sel, params) -> sel' that narrows a selection vector (a list of
-# row indices into the batch). Comparisons against values whose type
-# matches the column's storage class use native Python operators (the
-# storage layer guarantees homogeneous column types); everything else
-# falls back to sql_compare / the compiled row predicate, preserving the
-# interpreter's exact verdicts and error behavior.
-
-_CMP_TESTS = {
-    "<": lambda cmp: cmp < 0,
-    "<=": lambda cmp: cmp <= 0,
-    ">": lambda cmp: cmp > 0,
-    ">=": lambda cmp: cmp >= 0,
-}
-_FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=",
-            "<>": "<>"}
-
-
-def _column_is_numeric(schema: TableSchema, index: int) -> Optional[bool]:
-    if index >= len(schema.columns):
-        return None
-    return schema.columns[index].sql_type in (SqlType.INTEGER, SqlType.FLOAT)
-
-
-def _value_matches(numeric_column: bool, value: Any) -> bool:
-    if numeric_column:
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool))
-    return isinstance(value, str)
-
-
-def _slot_vs_value(expr: n.Expr):
-    """Normalize ``slot OP value`` / ``value OP slot`` comparisons."""
-    if not (isinstance(expr, n.BinaryOp) and expr.op in _FLIP_OP):
-        return None
-    left, right = expr.left, expr.right
-    if type(left) is p.Slot and isinstance(right, (n.Literal, n.Param)):
-        return left.index, expr.op, right
-    if type(right) is p.Slot and isinstance(left, (n.Literal, n.Param)):
-        return right.index, _FLIP_OP[expr.op], left
-    return None
-
-
-def _and_conjuncts(expr: n.Expr) -> List[n.Expr]:
-    if isinstance(expr, n.BinaryOp) and expr.op == "AND":
-        return _and_conjuncts(expr.left) + _and_conjuncts(expr.right)
-    return [expr]
-
-
-def _compile_columnar_pred(conjunct: n.Expr, schema: TableSchema):
-    """Compile one conjunct to a selection-vector transform."""
-    match = _slot_vs_value(conjunct)
-    if match is not None:
-        index, op, value_expr = match
-        value_fn = compile_expr(value_expr)
-        if op == "=":
-            # Native == matches sql_eq for every non-NULL pair: a type
-            # mismatch yields False either way.
-            def eq_pred(batch, sel, params):
-                rv = value_fn((), params)
-                if rv is None:
-                    return []
-                col = batch.column(index)
-                return [i for i in sel
-                        if col[i] is not None and col[i] == rv]
-            return eq_pred
-        if op == "<>":
-            def ne_pred(batch, sel, params):
-                rv = value_fn((), params)
-                if rv is None:
-                    return []
-                col = batch.column(index)
-                return [i for i in sel
-                        if col[i] is not None and col[i] != rv]
-            return ne_pred
-        numeric = _column_is_numeric(schema, index)
-        if numeric is not None:
-            test = _CMP_TESTS[op]
-            if op == "<":
-                def native(col, sel, rv):
-                    return [i for i in sel
-                            if col[i] is not None and col[i] < rv]
-            elif op == "<=":
-                def native(col, sel, rv):
-                    return [i for i in sel
-                            if col[i] is not None and col[i] <= rv]
-            elif op == ">":
-                def native(col, sel, rv):
-                    return [i for i in sel
-                            if col[i] is not None and col[i] > rv]
-            else:
-                def native(col, sel, rv):
-                    return [i for i in sel
-                            if col[i] is not None and col[i] >= rv]
-
-            def cmp_pred(batch, sel, params):
-                rv = value_fn((), params)
-                if rv is None:
-                    return []
-                col = batch.column(index)
-                if _value_matches(numeric, rv):
-                    return native(col, sel, rv)
-                out = []
-                for i in sel:
-                    cmp = sql_compare(col[i], rv)
-                    if cmp is not None and test(cmp):
-                        out.append(i)
-                return out
-            return cmp_pred
-    if isinstance(conjunct, n.IsNull) and type(conjunct.expr) is p.Slot:
-        index = conjunct.expr.index
-        if conjunct.negated:
-            def notnull_pred(batch, sel, params):
-                col = batch.column(index)
-                return [i for i in sel if col[i] is not None]
-            return notnull_pred
-
-        def isnull_pred(batch, sel, params):
-            col = batch.column(index)
-            return [i for i in sel if col[i] is None]
-        return isnull_pred
-    if (isinstance(conjunct, n.Between)
-            and type(conjunct.expr) is p.Slot
-            and isinstance(conjunct.low, (n.Literal, n.Param))
-            and isinstance(conjunct.high, (n.Literal, n.Param))):
-        index = conjunct.expr.index
-        low_fn = compile_expr(conjunct.low)
-        high_fn = compile_expr(conjunct.high)
-        negated = conjunct.negated
-        numeric = _column_is_numeric(schema, index)
-
-        def between_pred(batch, sel, params):
-            lo = low_fn((), params)
-            hi = high_fn((), params)
-            if lo is None or hi is None:
-                return []
-            col = batch.column(index)
-            if (numeric is not None and _value_matches(numeric, lo)
-                    and _value_matches(numeric, hi)):
-                if negated:
-                    return [i for i in sel if col[i] is not None
-                            and not lo <= col[i] <= hi]
-                return [i for i in sel if col[i] is not None
-                        and lo <= col[i] <= hi]
-            out = []
-            for i in sel:
-                lo_cmp = sql_compare(col[i], lo)
-                hi_cmp = sql_compare(col[i], hi)
-                if lo_cmp is None or hi_cmp is None:
-                    continue
-                if (lo_cmp >= 0 and hi_cmp <= 0) != negated:
-                    out.append(i)
-            return out
-        return between_pred
-
-    row_pred = compile_expr(conjunct)
-
-    def fallback_pred(batch, sel, params):
-        rows = batch.rows
-        return [i for i in sel if _truthy(row_pred(rows[i], params))]
-    return fallback_pred
-
-
-def _compile_filter_batches(plan: p.Filter, child: NodeFn,
-                            schema: TableSchema) -> NodeFn:
-    preds = [_compile_columnar_pred(c, schema)
-             for c in _and_conjuncts(plan.predicate)]
-
-    def run(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
-        params = ctx.params
-        for item in child(ctx, outer_row):
-            if isinstance(item, LockRequest):
-                yield item
-                continue
-            rows = item.rows
-            sel = range(len(rows))
-            for pred in preds:
-                sel = pred(item, sel, params)
-                if not sel:
-                    break
-            if sel:
-                if len(sel) == len(rows):
-                    yield item
-                else:
-                    yield Batch([rows[i] for i in sel])
-
-    return run
-
-
-def _batch_source(plan: p.Plan):
-    """Batch-compile a ``Filter*(SeqScan | IndexRangeScan)`` chain.
-
-    Returns ``(node_fn, table_schema)`` — the node yields Batches — or
-    None when the subtree is not batchable. Only chains rooted at slot
-    offset zero qualify: their slot indexes coincide with column
-    positions, which the columnar predicate compiler relies on.
-    """
-    if isinstance(plan, p.SeqScan):
-        if plan.binding.offset != 0:
-            return None
-        return _compile_seq_scan_batches(plan), plan.binding.schema
-    if isinstance(plan, p.IndexRangeScan):
-        if plan.binding.offset != 0:
-            return None
-        return (_compile_index_range_scan(plan, False, batched=True),
-                plan.binding.schema)
-    if isinstance(plan, p.Filter):
-        source = _batch_source(plan.child)
-        if source is None:
-            return None
-        child_fn, schema = source
-        return _compile_filter_batches(plan, child_fn, schema), schema
+def _batch_source(plan: p.Plan) -> Optional[NodeFn]:
+    """The batched scan of a ``SeqScan`` or ``IndexRangeScan`` at slot
+    offset zero (whose slot indexes are its column positions), or None
+    for any other node."""
+    if isinstance(plan, p.SeqScan) and plan.binding.offset == 0:
+        return _compile_seq_scan_batches(plan)
+    if isinstance(plan, p.IndexRangeScan) and plan.binding.offset == 0:
+        return _compile_index_range_scan(plan, False, batched=True)
     return None
 
 
@@ -1218,13 +989,8 @@ def _flatten_batches(child: NodeFn) -> NodeFn:
     return run
 
 
-# Batched aggregation: simple aggregates (COUNT(*), and COUNT / SUM /
-# AVG / MIN / MAX over a bare column) get flat state lists and tight
-# loops over batch rows; a global aggregate goes fully columnar with
-# the sum/min/max builtins. Anything else — DISTINCT aggregates,
-# expression arguments, expression group keys — runs the generic
-# closure machinery over batch rows, still skipping the per-row
-# generator relay.
+# Simple aggregates — COUNT(*), and COUNT / SUM / AVG / MIN / MAX over a
+# bare column — as (kind, column) pairs with flat state lists.
 
 _AGG_STAR, _AGG_COUNT, _AGG_SUM, _AGG_AVG, _AGG_MIN, _AGG_MAX = range(6)
 
@@ -1261,166 +1027,70 @@ def _simple_agg_result(kind: int, state: List[Any]) -> Any:
     return state[0]
 
 
-def _compile_aggregate_batches(plan: p.Aggregate, child: NodeFn) -> NodeFn:
+def _compile_grouped_batches(plan: p.Aggregate) -> Optional[NodeFn]:
+    """A slot-keyed ``GROUP BY`` of simple aggregates over a batched scan
+    (TPC-W's BestSellers): flat state lists updated in one loop over the
+    batch rows. None for every other aggregate, which runs the row
+    aggregate."""
     specs = [_simple_agg_spec(a) for a in plan.aggs]
-    simple_aggs = all(s is not None for s in specs)
-    simple_groups = all(type(g) is p.Slot for g in plan.group_exprs)
-    global_agg = not plan.group_exprs
+    if (not plan.group_exprs or any(s is None for s in specs)
+            or any(type(g) is not p.Slot for g in plan.group_exprs)):
+        return None
+    child = _batch_source(plan.child)
+    if child is None:
+        return None
+    group_idx = [g.index for g in plan.group_exprs]
+    single = len(group_idx) == 1
+    gi0 = group_idx[0] if single else None
+    nspecs = len(specs)
+    templates = [[0] if k in (_AGG_STAR, _AGG_COUNT)
+                 else [0, 0] if k in (_AGG_SUM, _AGG_AVG)
+                 else [None]
+                 for k, _ in specs]
 
-    if simple_aggs and global_agg:
-        templates = [[0] if k in (_AGG_STAR, _AGG_COUNT)
-                     else [0, 0] if k in (_AGG_SUM, _AGG_AVG)
-                     else [None]
-                     for k, _ in specs]
-        nspecs = len(specs)
-
-        def run_global(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
-            states = [list(t) for t in templates]
-            for item in child(ctx):
-                if isinstance(item, LockRequest):
-                    yield item
-                    continue
-                nrows = len(item.rows)
-                for si in range(nspecs):
-                    kind, index = specs[si]
-                    state = states[si]
-                    if kind == _AGG_STAR:
-                        state[0] += nrows
-                        continue
-                    col = item.column(index)
-                    if kind == _AGG_COUNT:
-                        state[0] += sum(1 for v in col if v is not None)
-                        continue
-                    vals = [v for v in col if v is not None]
-                    if not vals:
-                        continue
-                    if kind in (_AGG_SUM, _AGG_AVG):
-                        state[0] += len(vals)
-                        state[1] += sum(vals)
-                    elif kind == _AGG_MIN:
-                        best = min(vals)
-                        if state[0] is None or best < state[0]:
-                            state[0] = best
-                    else:
-                        best = max(vals)
-                        if state[0] is None or best > state[0]:
-                            state[0] = best
-            yield tuple(_simple_agg_result(specs[si][0], states[si])
-                        for si in range(nspecs))
-
-        return run_global
-
-    if simple_aggs and simple_groups:
-        group_idx = [g.index for g in plan.group_exprs]
-        single = len(group_idx) == 1
-        gi0 = group_idx[0] if single else None
-        nspecs = len(specs)
-
-        if single and nspecs == 1 and specs[0][0] == _AGG_STAR:
-            # GROUP BY col + COUNT(*): plain value -> int dict.
-            def run_counts(ctx: ExecContext,
-                           outer_row: Tuple[Any, ...] = ()):
-                counts = {}
-                order = []
-                get = counts.get
-                for item in child(ctx):
-                    if isinstance(item, LockRequest):
-                        yield item
-                        continue
-                    for row in item.rows:
-                        key = row[gi0]
-                        count = get(key)
-                        if count is None:
-                            counts[key] = 1
-                            order.append(key)
-                        else:
-                            counts[key] = count + 1
-                for key in order:
-                    yield (key, counts[key])
-
-            return run_counts
-
-        templates = [[0] if k in (_AGG_STAR, _AGG_COUNT)
-                     else [0, 0] if k in (_AGG_SUM, _AGG_AVG)
-                     else [None]
-                     for k, _ in specs]
-
-        def run_grouped(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
-            groups = {}
-            order = []
-            get = groups.get
-            for item in child(ctx):
-                if isinstance(item, LockRequest):
-                    yield item
-                    continue
-                for row in item.rows:
-                    key = (row[gi0] if single
-                           else tuple(row[i] for i in group_idx))
-                    states = get(key)
-                    if states is None:
-                        states = groups[key] = [list(t) for t in templates]
-                        order.append(key)
-                    for si in range(nspecs):
-                        kind, index = specs[si]
-                        state = states[si]
-                        if kind == _AGG_STAR:
-                            state[0] += 1
-                            continue
-                        value = row[index]
-                        if value is None:
-                            continue
-                        if kind == _AGG_COUNT:
-                            state[0] += 1
-                        elif kind in (_AGG_SUM, _AGG_AVG):
-                            state[0] += 1
-                            state[1] += value
-                        elif kind == _AGG_MIN:
-                            if state[0] is None or value < state[0]:
-                                state[0] = value
-                        else:
-                            if state[0] is None or value > state[0]:
-                                state[0] = value
-            for key in order:
-                states = groups[key]
-                prefix = (key,) if single else key
-                yield prefix + tuple(
-                    _simple_agg_result(specs[si][0], states[si])
-                    for si in range(nspecs))
-
-        return run_grouped
-
-    # Generic fallback: closure-based updates, batch rows as the feed.
-    group_fns = [compile_expr(g) for g in plan.group_exprs]
-    gen = [_compile_agg(a) for a in plan.aggs]
-    makes = [g[0] for g in gen]
-    updates = [g[1] for g in gen]
-    results = [g[2] for g in gen]
-
-    def run_generic(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
-        params = ctx.params
+    def run_grouped(ctx: ExecContext, outer_row: Tuple[Any, ...] = ()):
         groups = {}
         order = []
+        get = groups.get
         for item in child(ctx):
             if isinstance(item, LockRequest):
                 yield item
                 continue
             for row in item.rows:
-                key = tuple(fn(row, params) for fn in group_fns)
-                states = groups.get(key)
+                key = (row[gi0] if single
+                       else tuple(row[i] for i in group_idx))
+                states = get(key)
                 if states is None:
-                    states = groups[key] = [make() for make in makes]
+                    states = groups[key] = [list(t) for t in templates]
                     order.append(key)
-                for update, state in zip(updates, states):
-                    update(state, row, params)
-        if not groups and global_agg:
-            groups[()] = [make() for make in makes]
-            order.append(())
+                for si in range(nspecs):
+                    kind, index = specs[si]
+                    state = states[si]
+                    if kind == _AGG_STAR:
+                        state[0] += 1
+                        continue
+                    value = row[index]
+                    if value is None:
+                        continue
+                    if kind == _AGG_COUNT:
+                        state[0] += 1
+                    elif kind in (_AGG_SUM, _AGG_AVG):
+                        state[0] += 1
+                        state[1] += value
+                    elif kind == _AGG_MIN:
+                        if state[0] is None or value < state[0]:
+                            state[0] = value
+                    else:
+                        if state[0] is None or value > state[0]:
+                            state[0] = value
         for key in order:
             states = groups[key]
-            yield key + tuple(result(state)
-                              for result, state in zip(results, states))
+            prefix = (key,) if single else key
+            yield prefix + tuple(
+                _simple_agg_result(specs[si][0], states[si])
+                for si in range(nspecs))
 
-    return run_generic
+    return run_grouped
 
 
 # -- top-level statements -----------------------------------------------------
@@ -1430,29 +1100,9 @@ def _compile_select(plan: p.SelectPlan) -> Callable[[ExecContext],
                                                     Generator]:
     column_names = plan.column_names
     if isinstance(plan.root, p.Project):
-        # A Project root fuses its projector into the collection loop
-        # (per batch, or row by row in plan order) — one generator layer
-        # fewer on every SELECT.
+        # A Project root fuses its projector into the collection loop —
+        # one generator layer fewer on every SELECT.
         project = _compile_projector(plan.root.exprs)
-        source = _batch_source(plan.root.child)
-        if source is not None:
-            child = source[0]
-
-            def run_batched_project(ctx: ExecContext) -> Generator:
-                params = ctx.params
-                rows = []
-                extend = rows.extend
-                for item in child(ctx):
-                    if isinstance(item, LockRequest):
-                        yield item
-                    else:
-                        extend([project(row, params) for row in item.rows])
-                ctx.cost.rows_returned = len(rows)
-                return ExecResult(columns=column_names, rows=rows,
-                                  rowcount=len(rows), cost=ctx.cost)
-
-            return run_batched_project
-
         child = _compile_node(plan.root.child, with_rids=False, batch=True)
 
         def run_project(ctx: ExecContext) -> Generator:
@@ -1469,24 +1119,6 @@ def _compile_select(plan: p.SelectPlan) -> Callable[[ExecContext],
                               rowcount=len(rows), cost=ctx.cost)
 
         return run_project
-
-    source = _batch_source(plan.root)
-    if source is not None:
-        child = source[0]
-
-        def run_batched(ctx: ExecContext) -> Generator:
-            rows = []
-            extend = rows.extend
-            for item in child(ctx):
-                if isinstance(item, LockRequest):
-                    yield item
-                else:
-                    extend(item.rows)
-            ctx.cost.rows_returned = len(rows)
-            return ExecResult(columns=column_names, rows=rows,
-                              rowcount=len(rows), cost=ctx.cost)
-
-        return run_batched
 
     root = _compile_node(plan.root, with_rids=False, batch=True)
 

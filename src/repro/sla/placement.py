@@ -8,17 +8,14 @@ bin packing (NP-hard); the paper uses First-Fit (Algorithm 2). Best-Fit
 and Worst-Fit are provided as ablations, and :func:`repack` implements
 the paper's future-work idea of reallocating everything from scratch.
 
-Two candidate-selection paths exist:
-
-* the **linear reference** scans every bin per replica — O(bins) per
-  placement, the differential oracle;
-* the **headroom index** (:class:`PlacementIndex`, the default) answers
-  the same queries sub-linearly at 100k bins: first-fit descends a
-  segment tree over per-dimension maximum headrooms to the leftmost
-  fitting bin, best/worst-fit scan a list sorted by dominant-headroom
-  fraction with an early-termination bound. Both paths produce
-  *identical* assignments (same bins, same tie-breaks); the property
-  suite pins that equivalence.
+Candidates come from a headroom index (:class:`PlacementIndex`) that
+answers each query sub-linearly at 100k bins: first-fit descends a
+segment tree over per-dimension maximum headrooms to the leftmost
+fitting bin, best/worst-fit scan a list sorted by dominant-headroom
+fraction with an early-termination bound. Its choices (same bins, same
+tie-breaks) are those of a scan over every bin; the property suite pins
+that equivalence against the linear reference in
+``tests/oracles/linear_placement.py``.
 """
 
 from __future__ import annotations
@@ -365,42 +362,16 @@ class PlacementIndex:
         return best_pos
 
 
-def _place_replicas(db: DatabaseLoad, bins: List[MachineBin],
-                    choose: Callable[[DatabaseLoad, List[MachineBin]],
-                                     Optional[MachineBin]],
-                    new_bin: Optional[Callable[[], MachineBin]],
-                    placement: Placement) -> None:
-    """Algorithm 2 (linear reference): each replica on a distinct machine.
-
-    Falls back to a fresh machine from the free pool for every replica
-    that fits nowhere (lines 12-14 of the paper's listing).
-    """
-    chosen: List[MachineBin] = []
-    for _ in range(db.replicas):
-        candidates = [b for b in bins
-                      if b not in chosen and b.can_fit(db.requirement)]
-        machine = choose(db, candidates)
-        if machine is None:
-            if new_bin is None:
-                raise SlaViolationError(
-                    f"no machine fits a replica of {db.name} and the free "
-                    f"pool is exhausted")
-            machine = new_bin()
-            if not machine.can_fit(db.requirement):
-                raise SlaViolationError(
-                    f"replica of {db.name} exceeds a whole machine")
-            bins.append(machine)
-            placement.machines_added += 1
-        machine.place(db)
-        chosen.append(machine)
-    placement.assignments[db.name] = [b.name for b in chosen]
-
-
 def _place_replicas_indexed(db: DatabaseLoad, index: PlacementIndex,
                             query: str,
                             new_bin: Optional[Callable[[], MachineBin]],
                             placement: Placement) -> None:
-    """Algorithm 2 over the headroom index: same choices, sub-linear."""
+    """Algorithm 2: each replica on a distinct machine, the one the
+    index's ``query`` picks.
+
+    Falls back to a fresh machine from the free pool for every replica
+    that fits nowhere (lines 12-14 of the paper's listing).
+    """
     bins = index.bins
     select = getattr(index, query)
     chosen: Set[int] = set()
@@ -427,71 +398,44 @@ def _place_replicas_indexed(db: DatabaseLoad, index: PlacementIndex,
     placement.assignments[db.name] = names
 
 
-def _pack(databases: Sequence[DatabaseLoad], bins: List[MachineBin],
-          choose: Callable, new_bin: Optional[Callable[[], MachineBin]],
-          query: Optional[str] = None,
-          index: Optional[PlacementIndex] = None) -> Placement:
-    placement = Placement(bins=bins)
-    if query is not None:
-        if index is None:
-            index = PlacementIndex(bins)
-        for db in databases:
-            _place_replicas_indexed(db, index, query, new_bin, placement)
-    else:
-        for db in databases:
-            _place_replicas(db, bins, choose, new_bin, placement)
+def _pack(databases: Sequence[DatabaseLoad],
+          bins: Optional[List[MachineBin]],
+          new_bin: Optional[Callable[[], MachineBin]], query: str,
+          index: Optional[PlacementIndex]) -> Placement:
+    if index is None:
+        index = PlacementIndex(list(bins or []))
+    placement = Placement(bins=index.bins)
+    for db in databases:
+        _place_replicas_indexed(db, index, query, new_bin, placement)
     return placement
 
 
 def first_fit(databases: Sequence[DatabaseLoad],
               bins: Optional[List[MachineBin]] = None,
               new_bin: Optional[Callable[[], MachineBin]] = None,
-              use_index: bool = True,
               index: Optional[PlacementIndex] = None) -> Placement:
     """The paper's Algorithm 2: first machine (in order) that fits.
 
-    ``use_index=False`` selects the linear reference scan (the
-    differential oracle); an existing :class:`PlacementIndex` over
-    ``bins`` can be passed to amortize index construction across calls.
+    An existing :class:`PlacementIndex` over ``bins`` can be passed to
+    amortize index construction across calls.
     """
-    def choose(db, candidates):
-        return candidates[0] if candidates else None
-    return _pack(databases, index.bins if index is not None
-                 else list(bins or []), choose, new_bin,
-                 query="first_fit" if use_index else None, index=index)
+    return _pack(databases, bins, new_bin, "first_fit", index)
 
 
 def best_fit(databases: Sequence[DatabaseLoad],
              bins: Optional[List[MachineBin]] = None,
              new_bin: Optional[Callable[[], MachineBin]] = None,
-             use_index: bool = True,
              index: Optional[PlacementIndex] = None) -> Placement:
     """Tightest-fit ablation: machine with least headroom that still fits."""
-    def choose(db, candidates):
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda b: (b.headroom() - db.requirement)
-                   .dominant_fraction(b.capacity))
-    return _pack(databases, index.bins if index is not None
-                 else list(bins or []), choose, new_bin,
-                 query="best_fit" if use_index else None, index=index)
+    return _pack(databases, bins, new_bin, "best_fit", index)
 
 
 def worst_fit(databases: Sequence[DatabaseLoad],
               bins: Optional[List[MachineBin]] = None,
               new_bin: Optional[Callable[[], MachineBin]] = None,
-              use_index: bool = True,
               index: Optional[PlacementIndex] = None) -> Placement:
     """Loosest-fit ablation (load-levelling)."""
-    def choose(db, candidates):
-        if not candidates:
-            return None
-        return max(candidates,
-                   key=lambda b: b.headroom().dominant_fraction(b.capacity))
-    return _pack(databases, index.bins if index is not None
-                 else list(bins or []), choose, new_bin,
-                 query="worst_fit" if use_index else None, index=index)
+    return _pack(databases, bins, new_bin, "worst_fit", index)
 
 
 def repack(databases: Sequence[DatabaseLoad],

@@ -15,7 +15,7 @@ hold the latency histograms to one size (DESIGN §4r).
 import pytest
 
 from repro.analysis.invariants import check_bounds, state_sizes
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, replication_log
 from repro.cluster.controller import TransactionAborted
 from repro.cluster.config import production_profile
 from repro.cluster.network import CONTROLLER, NetworkConfig
@@ -219,16 +219,18 @@ def test_an_orphan_that_finishes_below_the_watermark_is_dropped_then(sim):
     assert machine.closed_below == 100
 
 
-def test_rejoin_after_peers_checkpointed_past_it_applies_nothing_twice(sim):
+def test_rejoin_after_peers_checkpointed_past_it_applies_nothing_twice(
+        sim, monkeypatch):
     """PR 15's scenario with the checkpoint running: the victim is
     fenced while a COMMIT it already applied waits behind a log force;
     its peers go on, close that transaction and checkpoint far past it;
     the victim keeps every record since it last heard the watermark, so
     its skip set still names the commit."""
     writers = 8
+    monkeypatch.setattr(replication_log, "REPLICATION_LOG_RETAIN", 100_000)
     controller = make_kv_cluster(
         sim, machines=4, keys=writers, heartbeat_interval_s=0.2,
-        record_history=True, replication_log_retain=100_000,
+        record_history=True,
         network=NetworkConfig(enabled=True, latency_s=0.001, seed=1))
     controller.start_failure_detector()
     survivor, victim = controller.replica_map.replicas("kv")

@@ -27,6 +27,7 @@ import pytest
 
 from repro.analysis.invariants import check_controller
 from repro.cluster import ClusterConfig, ClusterController
+from repro.cluster import controller as controller_module
 from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
 from repro.sla.model import Sla
@@ -66,7 +67,7 @@ COMMANDS_PER_COMMIT = 1.05
 ENTRIES_PER_RPC = 2
 
 
-def run_cluster(think_s=0.01, rpc_timeout_s=None):
+def run_cluster(think_s=0.01):
     """Returns (background pending, peak pending, steps/commit, controller,
     messages/commit, commands/commit)."""
     sim = Simulator()
@@ -76,8 +77,6 @@ def run_cluster(think_s=0.01, rpc_timeout_s=None):
     config.network.jitter_s = 0.0001
     config.network.seed = config.consensus.seed = SEED
     config.consensus.replicas = 3
-    if rpc_timeout_s is not None:
-        config.network.rpc_timeout_s = rpc_timeout_s
     controller = ClusterController(sim, config)
     controller.add_machines(4)
     controller.create_database(
@@ -132,12 +131,13 @@ def baseline():
     return run_cluster()
 
 
-def test_schedule_is_bounded_by_work_in_flight(baseline):
+def test_schedule_is_bounded_by_work_in_flight(baseline, monkeypatch):
     runs = {
         "baseline": baseline,
         "think time / 10": run_cluster(think_s=0.001),
-        "rpc_timeout_s x 10": run_cluster(rpc_timeout_s=5.0),
     }
+    monkeypatch.setattr(controller_module, "RPC_TIMEOUT_S", 5.0)
+    runs["RPC_TIMEOUT_S x 10"] = run_cluster()
     for label, (background, peak, *_) in runs.items():
         bound = background + CLIENTS * REPLICAS * ENTRIES_PER_RPC
         print(f"\n{label}: peak sim.pending {peak} "

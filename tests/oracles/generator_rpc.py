@@ -15,6 +15,7 @@ is a callback state machine over ``fabric.post``;
 
 from typing import Generator, Optional
 
+from repro.cluster import controller
 from repro.cluster.controller import RPC_MAX_RETRIES
 from repro.cluster.machine import Machine
 from repro.cluster.network import CONTROLLER
@@ -37,8 +38,8 @@ class GeneratorRpc:
     def _rpc(self, machine: Machine, make_body, *, txn_id: int, label: str,
              timeout: Optional[float] = None,
              retries: Optional[int] = None) -> Generator:
-        net = self.config.network
-        timeout = net.rpc_timeout_s if timeout is None else timeout
+        timeout = (controller.RPC_TIMEOUT_S if timeout is None
+                   else timeout)
         retries = RPC_MAX_RETRIES if retries is None else retries
         msg_id = next(self._msg_ids)  # stable across retransmissions
         attempt = 0

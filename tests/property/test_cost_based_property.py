@@ -55,6 +55,9 @@ dim_rows_strategy = st.lists(
     unique_by=lambda r: r[0],
 )
 
+#: A slot-keyed GROUP BY of simple aggregates over a range scan.
+BEST_SELLERS = ("SELECT w, SUM(v), MIN(k) FROM t WHERE k >= ? GROUP BY w "
+                "ORDER BY w LIMIT 5", 1)
 QUERIES = [
     ("SELECT k, v FROM t WHERE k = ?", 1),
     ("SELECT k FROM t WHERE w = ?", 1),
@@ -68,6 +71,8 @@ QUERIES = [
     ("SELECT t.k FROM t, d WHERE t.w = d.id AND d.grp = ?", 1),
     ("SELECT COUNT(*) FROM t, d WHERE t.w = d.id AND d.grp = ? "
      "AND t.v IS NOT NULL", 1),
+    # TPC-W's BestSellers: the one aggregate that loops over batches.
+    BEST_SELLERS,
 ]
 # An unfused LIMIT stops its scan where the cap is reached, so its child
 # must not run batched (rows_scanned would run ahead). Which rows come
@@ -116,6 +121,11 @@ def run_one(engine, sql, params):
 @given(rows_strategy, dim_rows_strategy,
        st.sampled_from(QUERIES + UNFUSED_LIMIT_QUERIES),
        st.lists(values, min_size=2, max_size=2))
+# Enough rows that BestSellers plans an IndexRangeScan, so the grouped
+# aggregate runs over batches.
+@example(rows=[(k, None if k % 7 == 0 else k % 5 - 2, k % 4, "alpha")
+               for k in range(30)],
+         dim_rows=[], query=BEST_SELLERS, raw_params=[10, 0])
 def test_compiled_batch_full_parity(rows, dim_rows, query, raw_params):
     """Compiled (batches, fused top-N) vs the interpreter over the same
     priced plans: everything observable must be identical."""

@@ -1,12 +1,12 @@
 """The heat-indexed placement must be indistinguishable from the linear scan.
 
 ``PlacementIndex`` exists purely for speed: ``first_fit``/``best_fit``/
-``worst_fit`` with ``use_index=True`` must produce byte-identical
-``Placement.assignments`` (and identical bin mutations) to the linear
-reference (``use_index=False``) for every input — including the
+``worst_fit`` must produce byte-identical ``Placement.assignments`` (and
+identical bin mutations) to the linear reference in
+``tests/oracles/linear_placement.py`` for every input — including the
 new-machine fallback and both :class:`SlaViolationError` cases. These
-properties are the license to keep the linear scan as a rarely-run
-oracle while the index serves production placements.
+properties are the license to keep the linear scan as a test oracle
+while the index serves production placements.
 """
 
 import pytest
@@ -17,10 +17,15 @@ from repro.errors import SlaViolationError
 from repro.sla import (DatabaseLoad, MachineBin, ResourceVector, best_fit,
                        first_fit, worst_fit)
 
+from tests.oracles import linear_placement as linear
+
 CAP = ResourceVector(cpu=4.0, memory_mb=1000.0, disk_io_mbps=100.0,
                      disk_mb=10000.0)
 
 STRATEGIES = [first_fit, best_fit, worst_fit]
+#: production strategy -> its linear reference
+REFERENCE = {first_fit: linear.first_fit, best_fit: linear.best_fit,
+             worst_fit: linear.worst_fit}
 
 requirement = st.builds(
     ResourceVector,
@@ -63,12 +68,12 @@ def new_bin_factory():
     return new_bin
 
 
-def run_one(strategy, loads, prefill, with_pool, use_index):
+def run_one(strategy, loads, prefill, with_pool):
     """One strategy run; returns (assignments, bin state) or the error."""
     bins = build_bins(prefill)
     try:
         placement = strategy(
-            loads, bins=bins, use_index=use_index,
+            loads, bins=bins,
             new_bin=new_bin_factory() if with_pool else None)
     except SlaViolationError as exc:
         return ("error", str(exc))
@@ -82,9 +87,9 @@ def run_one(strategy, loads, prefill, with_pool, use_index):
 @given(loads_strategy, prefill_strategy, st.booleans())
 def test_index_matches_linear_reference(loads, prefill, with_pool):
     for strategy in STRATEGIES:
-        indexed = run_one(strategy, loads, prefill, with_pool, True)
-        linear = run_one(strategy, loads, prefill, with_pool, False)
-        assert indexed == linear, \
+        indexed = run_one(strategy, loads, prefill, with_pool)
+        reference = run_one(REFERENCE[strategy], loads, prefill, with_pool)
+        assert indexed == reference, \
             f"{strategy.__name__} diverged from the linear reference"
 
 
@@ -113,11 +118,10 @@ def test_exhausted_pool_raises_identically():
     loads = [DatabaseLoad("hog", big, replicas=2)]
     for strategy in STRATEGIES:
         messages = []
-        for use_index in (True, False):
+        for place in (strategy, REFERENCE[strategy]):
             bins = [MachineBin("only", CAP)]
             with pytest.raises(SlaViolationError) as err:
-                strategy(loads, bins=bins, new_bin=None,
-                         use_index=use_index)
+                place(loads, bins=bins, new_bin=None)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -129,9 +133,8 @@ def test_oversized_replica_raises_identically():
     loads = [DatabaseLoad("monster", monster, replicas=1)]
     for strategy in STRATEGIES:
         messages = []
-        for use_index in (True, False):
+        for place in (strategy, REFERENCE[strategy]):
             with pytest.raises(SlaViolationError) as err:
-                strategy(loads, bins=[], new_bin=new_bin_factory(),
-                         use_index=use_index)
+                place(loads, bins=[], new_bin=new_bin_factory())
             messages.append(str(err.value))
         assert messages[0] == messages[1]

@@ -85,12 +85,13 @@ class _ConstantStream:
 
 def run_scenario(scenario, new, rpc_class=_Rpc):
     """Run ``scenario`` on one implementation; returns what is compared."""
-    saved = controller_module._Rpc
+    saved = controller_module._Rpc, controller_module.RPC_TIMEOUT_S
     controller_module._Rpc = rpc_class
+    controller_module.RPC_TIMEOUT_S = scenario["timeout"]
     try:
         return _run_scenario(scenario, new)
     finally:
-        controller_module._Rpc = saved
+        controller_module._Rpc, controller_module.RPC_TIMEOUT_S = saved
 
 
 def _run_scenario(scenario, new):
@@ -101,7 +102,6 @@ def _run_scenario(scenario, new):
     net.enabled = True
     net.latency_s = LATENCY_S
     net.seed = scenario["seed"]
-    net.rpc_timeout_s = scenario["timeout"]
     net.drop_probability = scenario["drop_p"] if lone else 0.0
     controller = ClusterController(sim, config)
     machines = controller.add_machines(MACHINES)
@@ -211,14 +211,15 @@ def test_matches_the_generator_rpc(scenario):
     assert_same(scenario)
 
 
-def test_fan_out_through_the_controller_gathers_the_same_outcomes():
+def test_fan_out_through_the_controller_gathers_the_same_outcomes(
+        monkeypatch):
     """``_Gather`` end to end over the fabric: one branch answers, one is
     cut off and times out, one raises — the classified outcomes say so,
     each stamped when it settled."""
     sim = Simulator()
     config = ClusterConfig(replication_factor=MACHINES)
     config.network.enabled = True
-    config.network.rpc_timeout_s = 0.2
+    monkeypatch.setattr(controller_module, "RPC_TIMEOUT_S", 0.2)
     controller = ClusterController(sim, config)
     names = [m.name for m in controller.add_machines(MACHINES)]
     controller.create_database("kv", KV_DDL, machines=names)

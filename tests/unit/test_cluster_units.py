@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import MachineConfig, Machine, ReadOption, ReplicaMap
+from repro.cluster import controller as controller_module
 from repro.cluster.routing import ReadRouter
 from repro.errors import MachineFailedError, NoReplicaError
 from repro.sim import Simulator
@@ -184,13 +185,17 @@ class TestMachine:
 class TestStmtCacheLru:
     """The statement-classification cache is LRU-bounded."""
 
-    def make(self, size):
+    @pytest.fixture
+    def make(self, monkeypatch):
         from tests.conftest import make_cluster
-        sim = Simulator()
-        return make_cluster(sim, machines=1, stmt_cache_size=size)
 
-    def test_eviction_past_bound(self):
-        controller = self.make(2)
+        def make(size):
+            monkeypatch.setattr(controller_module, "STMT_CACHE_SIZE", size)
+            return make_cluster(Simulator(), machines=1)
+        return make
+
+    def test_eviction_past_bound(self, make):
+        controller = make(2)
         for k in range(3):
             controller.txns._classify(f"SELECT v FROM t WHERE k = {k}")
         assert len(controller.txns._stmt_cache) == 2
@@ -199,8 +204,8 @@ class TestStmtCacheLru:
         assert "SELECT v FROM t WHERE k = 0" not in controller.txns._stmt_cache
         assert "SELECT v FROM t WHERE k = 2" in controller.txns._stmt_cache
 
-    def test_hit_refreshes_recency(self):
-        controller = self.make(2)
+    def test_hit_refreshes_recency(self, make):
+        controller = make(2)
         controller.txns._classify("SELECT v FROM t WHERE k = 0")
         controller.txns._classify("SELECT v FROM t WHERE k = 1")
         controller.txns._classify("SELECT v FROM t WHERE k = 0")  # refresh
@@ -208,15 +213,8 @@ class TestStmtCacheLru:
         assert "SELECT v FROM t WHERE k = 0" in controller.txns._stmt_cache
         assert "SELECT v FROM t WHERE k = 1" not in controller.txns._stmt_cache
 
-    def test_zero_means_unbounded(self):
-        controller = self.make(0)
-        for k in range(50):
-            controller.txns._classify(f"SELECT v FROM t WHERE k = {k}")
-        assert len(controller.txns._stmt_cache) == 50
-        assert controller.metrics.stmt_cache_evictions == 0
-
-    def test_classification_stable_across_eviction(self):
-        controller = self.make(1)
+    def test_classification_stable_across_eviction(self, make):
+        controller = make(1)
         sql = "UPDATE t SET v = 1 WHERE k = 0"
         first = controller.txns._classify(sql)
         controller.txns._classify("SELECT v FROM t")       # evicts the update

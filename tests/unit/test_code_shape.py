@@ -12,7 +12,8 @@ DESIGN §4u adds the control plane's: one Paxos group per controller,
 and no second take-over path beside it. DESIGN §4v adds the policy
 surface's: one tenant-scale path with no switch; DESIGN §4w brings it
 to 21 settable values across three configs, with admission one path
-whose degenerate case is a tenant without an SLA.
+whose degenerate case is a tenant without an SLA. DESIGN §4b keeps
+one implementation per engine operator, batching only the scans.
 """
 
 import ast
@@ -24,6 +25,7 @@ from repro.analysis import trace
 from repro.cluster.config import ClusterConfig, production_profile
 from repro.cluster.consensus import ConsensusConfig
 from repro.cluster.network import NetworkConfig
+from repro.engine import compile as compile_module
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -120,10 +122,8 @@ def test_cluster_config_surface_is_pinned():
         "read_option",
         "write_policy",
         "replication_factor",
-        "stmt_cache_size",
         "lock_wait_timeout_s",
         "recovery_threads",
-        "replication_log_retain",
         "machine",
         "record_history",
         "trace_capacity",
@@ -136,8 +136,7 @@ def test_cluster_config_surface_is_pinned():
     ]
     assert fields(ConsensusConfig) == ["replicas", "seed"]
     assert fields(NetworkConfig) == ["enabled", "latency_s", "jitter_s",
-                                     "drop_probability", "seed",
-                                     "rpc_timeout_s"]
+                                     "drop_probability", "seed"]
 
 
 def test_every_cluster_runs_admission():
@@ -152,6 +151,23 @@ def test_every_cluster_runs_admission():
             for path in sorted(SRC.rglob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if gone.search(line)] == []
+
+
+def test_one_implementation_per_engine_operator():
+    """DESIGN §4b: the columnar predicates, the batched filter, the
+    global / counting / generic batched aggregates, the batched SELECT
+    loops and the linear placement path left ``src/``; only the batched
+    scans and the grouped aggregate over them stay."""
+    gone = re.compile(r"_compile_columnar_pred|_compile_filter_batches"
+                      r"|_CMP_TESTS|_FLIP_OP|_and_conjuncts|_slot_vs_value"
+                      r"|_value_matches|_column_is_numeric"
+                      r"|_compile_aggregate_batches|run_global|run_counts"
+                      r"|run_generic|run_batched|use_index")
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
+    assert not hasattr(compile_module.Batch, "column")
 
 
 def test_every_cluster_runs_the_tenant_scale_path():

@@ -122,9 +122,10 @@ class TestRejoinEligibility:
     @pytest.mark.parametrize("later_commits, covered", [(2, True),
                                                         (3, False)])
     def test_eligible_while_the_retained_tail_covers_the_suffix(
-            self, later_commits, covered):
+            self, later_commits, covered, monkeypatch):
+        monkeypatch.setattr(replication_log, "REPLICATION_LOG_RETAIN", 2)
         sim = Simulator()
-        log = make_log(sim, replication_log_retain=2)
+        log = make_log(sim)
         machine = make_machine(sim, "m1")
         log.append("db", 7, WRITE)
         log.advance("db", "m1", 1)
