@@ -16,7 +16,7 @@ hypothesis suite):
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 Key = Tuple[Any, ...]
 
@@ -137,6 +137,49 @@ class BPlusTree:
                 idx += 1
             node = node.next_leaf
             idx = 0
+
+    def rids(
+        self,
+        lo: Optional[Key] = None,
+        lo_inclusive: bool = True,
+        past: Optional[Callable[[Key], bool]] = None,
+    ) -> List[Any]:
+        """Row ids of every key from ``lo`` on, in key order, each key's
+        rids sorted — the rids :meth:`range_scan` would yield, flattened.
+
+        ``past`` is the upper bound: a predicate on a key that is False up
+        to the range's last key and True after it (None: no bound). It is
+        asked about the first key in range of each leaf before anything
+        else, then about the leaf's last key; only the leaf where the
+        range ends is searched key by key. A leaf wholly inside the range
+        costs one slice.
+        """
+        if lo is None:
+            node: Optional[_Node] = self._leftmost_leaf()
+            idx = 0
+        else:
+            node = self._find_leaf(lo)
+            idx = self._key_index(node, lo)
+            if (not lo_inclusive and idx < len(node.keys)
+                    and node.keys[idx] == lo):
+                idx += 1
+        out: List[Any] = []
+        extend = out.extend
+        while node is not None:
+            keys = node.keys
+            end = len(keys)
+            if idx < end and past is not None and (
+                    past(keys[idx]) or past(keys[-1])):
+                end = idx
+                while end < len(keys) and not past(keys[end]):
+                    end += 1
+            for vals in node.values[idx:end]:
+                extend(sorted(vals) if len(vals) > 1 else vals)
+            if end < len(keys):
+                break
+            node = node.next_leaf
+            idx = 0
+        return out
 
     def items(self) -> Iterator[Tuple[Key, List[Any]]]:
         """All (key, row-ids) in key order."""

@@ -74,6 +74,17 @@ class BufferPool:
             self.stats.evictions += 1
         return False
 
+    def access_run(self, page: PageId, count: int) -> int:
+        """Touch one page ``count`` times in a row; returns the hits.
+
+        One LRU operation: only the first touch can miss (and evict),
+        every later one finds the page it just made most recent — so the
+        counters end where ``count`` calls to :meth:`access` leave them.
+        """
+        hits = count if self.access(page) else count - 1
+        self.stats.hits += count - 1
+        return hits
+
     def access_many(self, pages) -> AccessReport:
         """Touch a sequence of pages, returning the batch hit/miss split."""
         report = AccessReport()

@@ -9,6 +9,7 @@ ids a traversal would touch.
 from __future__ import annotations
 
 import zlib
+from itertools import groupby
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.btree import BPlusTree
@@ -79,6 +80,10 @@ class HeapTable:
     def get(self, rid: int) -> Optional[Row]:
         return self._rows.get(rid)
 
+    def get_many(self, rids: Sequence[int]) -> List[Optional[Row]]:
+        """``get`` of each rid, in order (None where there is no row)."""
+        return list(map(self._rows.get, rids))
+
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """All (rid, row) pairs in rid order."""
         for rid in sorted(self._rows):
@@ -99,6 +104,15 @@ class HeapTable:
 
     def heap_page(self, rid: int) -> PageId:
         return self._heap_prefix + (rid // self._rows_per_page,)
+
+    def heap_page_runs(self, rids: Sequence[int]) -> List[Tuple[PageId, int]]:
+        """``(page, count)`` for each run of consecutive ``rids`` that sit
+        on one heap page, in order: the pages ``heap_page`` gives for the
+        rids one by one, with repeats folded into a count."""
+        prefix = self._heap_prefix
+        return [(prefix + (page_no,), len(list(run)))
+                for page_no, run in groupby(
+                    map(self._rows_per_page.__rfloordiv__, rids))]
 
     def heap_pages(self) -> Iterator[PageId]:
         """All heap pages, in order (a full table scan touches these)."""

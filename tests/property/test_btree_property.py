@@ -43,6 +43,86 @@ def test_range_scan_matches_model(pairs, data):
     assert got == want
 
 
+def model_rids(model, lo, lo_inclusive, past):
+    """The flat walk's model: ``sorted(rids)`` of each key in range, in
+    key order."""
+    out = []
+    for key in sorted(model):
+        if lo is not None and (key < lo or (key == lo and not lo_inclusive)):
+            continue
+        if past is not None and past(key):
+            break
+        out.extend(sorted(model[key]))
+    return out
+
+
+bounds = st.one_of(st.none(), keys)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(keys, rids)), bounds, st.booleans(), bounds,
+       st.booleans())
+def test_flat_walk_matches_model(pairs, lo, lo_inclusive, hi, hi_inclusive):
+    """Every bound and inclusivity, duplicate keys (one key, many rids),
+    ranges over many order-4 leaves."""
+    tree = BPlusTree(order=4)
+    model = defaultdict(list)
+    for key, rid in pairs:
+        tree.insert((key,), rid)
+        model[(key,)].append(rid)
+    lo_key = None if lo is None else (lo,)
+    if hi is None:
+        past = None
+    elif hi_inclusive:
+        past = lambda key: key > (hi,)
+    else:
+        past = lambda key: key >= (hi,)
+    assert tree.rids(lo_key, lo_inclusive, past) == \
+        model_rids(model, lo_key, lo_inclusive, past)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9), rids)),
+       bounds, st.integers(0, 12), st.booleans())
+def test_flat_walk_composite_first_column_bound(triples, lo, hi,
+                                                hi_inclusive):
+    """A composite key under a bound on its first column: a one-column
+    lower bound sorts before every key sharing that column, and the walk
+    stops at the first key whose first column passes ``hi``."""
+    tree = BPlusTree(order=4)
+    model = defaultdict(list)
+    for a, b, rid in triples:
+        tree.insert((a, b), rid)
+        model[(a, b)].append(rid)
+    lo_key = None if lo is None else (lo,)
+    past = ((lambda key: key[0] > hi) if hi_inclusive
+            else (lambda key: key[0] >= hi))
+    got = tree.rids(lo_key, True, past)
+    assert got == model_rids(model, lo_key, True, past)
+    # The same rids range_scan yields, flattened.
+    scanned = []
+    for key, key_rids in tree.range_scan(lo_key, None):
+        if past(key):
+            break
+        scanned.extend(sorted(key_rids))
+    assert got == scanned
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 30), rids)),
+       st.integers(0, 6))
+def test_flat_walk_prefix_match(triples, a):
+    """A key prefix as both bounds: every key that starts with it."""
+    tree = BPlusTree(order=4)
+    model = defaultdict(list)
+    for first, second, rid in triples:
+        tree.insert((first, second), rid)
+        model[(first, second)].append(rid)
+    got = tree.rids((a,), True, lambda key: key[:1] != (a,))
+    assert got == [rid for key in sorted(model) if key[0] == a
+                   for rid in sorted(model[key])]
+
+
 class BTreeMachine(RuleBasedStateMachine):
     """Stateful test: arbitrary interleavings of insert/delete."""
 

@@ -1,12 +1,13 @@
 """Property-based tests for the lock manager.
 
 Two kinds: safety invariants checked on the manager's own state after
-every step, and a differential against the pre-PR 18 manager kept in
+every step, and a differential against the manager kept in
 ``tests/oracles/lock_table.py`` — one action list drives both, and every
-observable (grant / wait / deadlock outcome, late grants in order, what
-each transaction holds, the waits-for graph, the counters) must agree
-after every step. ``test_mutants_are_caught`` breaks the production
-manager three ways and requires the differential to notice each.
+observable (grant / wait / deadlock outcome, how many of a run were
+granted before a wait, late grants in order, what each transaction
+holds, the waits-for graph, the counters) must agree after every step.
+``test_mutants_are_caught`` breaks the production manager four ways and
+requires the differential to notice each.
 """
 
 import pytest
@@ -25,6 +26,8 @@ modes = st.sampled_from(list(LockMode))
 
 actions = st.one_of(
     st.tuples(st.just("acquire"), txn_ids, resources, modes),
+    st.tuples(st.just("acquire_run"), txn_ids,
+              st.lists(resources, min_size=1, max_size=4), modes),
     st.tuples(st.just("release"), txn_ids),
     st.tuples(st.just("release_shared"), txn_ids),
 )
@@ -69,11 +72,35 @@ def drive(manager, sequence, after_step=lambda: None, mode_cls=LockMode):
     A transaction with a pending request may not issue another acquire,
     and a deadlock victim aborts (releases everything). On a manager with
     ``try_acquire`` the acquire is issued the way a statement runner
-    does: ``try_acquire``, else ``acquire``.
+    does: ``try_acquire``, else ``acquire``. An ``acquire_run`` is a range
+    read's row locks: on production one ``try_acquire_run``, then
+    ``acquire`` of the resource it stopped at; on the reference
+    ``acquire`` of each resource in order until the first that waits.
+    Both log how many were granted before that.
     """
     log = []
     late = []
     try_acquire = getattr(manager, "try_acquire", None)
+    try_acquire_run = getattr(manager, "try_acquire_run", None)
+
+    def acquire(txn, resource, mode):
+        """``acquire``'s outcome: granted, wait (callbacks logged to
+        ``late``) or deadlock (the victim releases everything)."""
+        try:
+            request = manager.acquire(txn, resource, mode)
+        except DeadlockError as exc:
+            manager.release_all(txn)
+            return f"deadlock: {exc}"
+        if request.granted:
+            return "granted"
+        request.on_grant.append(
+            lambda r: late.append(
+                ("grant", r.txn_id, r.resource, int(r.mode))))
+        request.on_fail.append(
+            lambda r: late.append(
+                ("fail", r.txn_id, r.resource, str(r.error))))
+        return "wait"
+
     for action in sequence:
         outcome = None
         if action[0] == "acquire":
@@ -84,23 +111,26 @@ def drive(manager, sequence, after_step=lambda: None, mode_cls=LockMode):
             elif try_acquire is not None and try_acquire(txn, resource, mode):
                 outcome = "granted"
             else:
-                try:
-                    request = manager.acquire(txn, resource, mode)
-                except DeadlockError as exc:
-                    outcome = f"deadlock: {exc}"
-                    manager.release_all(txn)
-                else:
-                    if request.granted:
-                        assert try_acquire is None
-                        outcome = "granted"
-                    else:
-                        outcome = "wait"
-                        request.on_grant.append(
-                            lambda r: late.append(
-                                ("grant", r.txn_id, r.resource, int(r.mode))))
-                        request.on_fail.append(
-                            lambda r: late.append(
-                                ("fail", r.txn_id, r.resource, str(r.error))))
+                outcome = acquire(txn, resource, mode)
+                assert try_acquire is None or outcome != "granted"
+        elif action[0] == "acquire_run":
+            _, txn, run, mode = action
+            mode = mode_cls(mode)
+            if manager.waiting_request(txn) is not None:
+                outcome = "skipped"
+            elif try_acquire_run is not None:
+                granted = try_acquire_run(txn, iter(run), mode)
+                outcome = (granted, "granted" if granted == len(run)
+                           else acquire(txn, run[granted], mode))
+                assert outcome[1] != "granted" or granted == len(run)
+            else:
+                granted = 0
+                for resource in run:
+                    step = acquire(txn, resource, mode)
+                    if step != "granted":
+                        break
+                    granted += 1
+                outcome = (granted, step)
         elif action[0] == "release":
             manager.release_all(action[1])
         elif manager.waiting_request(action[1]) is None:
@@ -195,6 +225,17 @@ class BlindUpgrade(LockManager):
         return True
 
 
+class GrantsPastAWait(LockManager):
+    """A run grant that skips the resource that would wait and goes on."""
+
+    def try_acquire_run(self, txn_id, resources, mode):
+        granted = 0
+        for resource in resources:
+            if super().try_acquire_run(txn_id, (resource,), mode):
+                granted += 1
+        return granted
+
+
 class NoRegrant(LockManager):
     """``release_all`` forgets to wake the waiters."""
 
@@ -206,7 +247,8 @@ class NoRegrant(LockManager):
             del self._regrant
 
 
-@pytest.mark.parametrize("broken", [Barging, BlindUpgrade, NoRegrant])
+@pytest.mark.parametrize("broken", [Barging, BlindUpgrade, GrantsPastAWait,
+                                    NoRegrant])
 def test_mutants_are_caught(broken):
     sequence = find(sequences, lambda s: diverges(broken, s),
                     settings=settings(max_examples=5000, deadline=None,
