@@ -73,6 +73,10 @@ QUERIES = [
      "AND t.v IS NOT NULL", 1),
     # TPC-W's BestSellers: the one aggregate that loops over batches.
     BEST_SELLERS,
+    # Multi-column GROUP BY with no aggregates, over a range and a heap.
+    ("SELECT w, s FROM t WHERE k >= ? GROUP BY w, s", 1),
+    ("SELECT w, s FROM t WHERE k >= ? GROUP BY w, s ORDER BY s DESC, w", 1),
+    ("SELECT w, s FROM t GROUP BY w, s", 0),
 ]
 # An unfused LIMIT stops its scan where the cap is reached, so its child
 # must not run batched (rows_scanned would run ahead). Which rows come
