@@ -42,6 +42,8 @@ from repro.analysis.invariants import check_controller
 from repro.cluster import WritePolicy
 from repro.harness.runner import run_commit_latency_bench
 
+from common import bench_main
+
 POLICIES = (WritePolicy.AGGRESSIVE, WritePolicy.CONSERVATIVE)
 #: Fixed one-way fabric latency for every run; well under the RPC
 #: timeout so no run pays a retransmission.
@@ -161,20 +163,7 @@ def test_bench_commit_path(benchmark):
 # -- plain mode ---------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    import argparse
-    import json
-    import os
-
-    parser = argparse.ArgumentParser(
-        description="Cluster 2PC fan-out benchmark (plain mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="replication factor 3 only, fewer "
-                             "transactions (CI)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: repo root)")
-    args = parser.parse_args(argv)
-
+def plain_mode(args):
     factors = (3,) if args.smoke else (2, 3, 5)
     per_client = 20 if args.smoke else 50
     table = sweep(replication_factors=factors,
@@ -210,16 +199,14 @@ def main(argv=None) -> int:
             "clients": {str(n): row for n, row in rows.items()},
         },
     }
-    out = args.out or os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_cluster_txn.json"))
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_sweep(table))
-    print(format_concurrency(rows))
-    print(f"wrote {out}")
-    return 0
+    return payload, format_sweep(table) + "\n" + format_concurrency(rows)
+
+
+def main(argv=None) -> int:
+    return bench_main("cluster_txn",
+                      "Cluster 2PC fan-out benchmark (plain mode)",
+                      "replication factor 3 only, fewer transactions (CI)",
+                      plain_mode, argv)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ import pytest
 
 from repro.engine import Engine
 
+from common import bench_main
+
 
 def make_engine(rows: int = 2000):
     engine = Engine("micro")
@@ -294,21 +296,8 @@ def run_plain(repeats: int = 5, smoke: bool = False):
     return rates
 
 
-def main(argv=None) -> int:
-    import argparse
-    import json
-    import os
+def plain_mode(args):
     import platform
-
-    parser = argparse.ArgumentParser(
-        description="MiniSQL engine microbenchmark (plain mode)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repeats per group (best is kept)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny tables and loops (CI functional pass)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: repo root)")
-    args = parser.parse_args(argv)
 
     if args.smoke:
         rates = run_plain(repeats=1, smoke=True)
@@ -320,18 +309,21 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "groups": rates,
     }
-    out = args.out or os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_engine_micro.json"))
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     width = max(len(name) for name in rates)
-    print(f"{'group':<{width}}  {'statements/s':>12}")
+    lines = [f"{'group':<{width}}  {'statements/s':>12}"]
     for name, group in rates.items():
-        print(f"{name:<{width}}  {group['statements_per_s']:>12.1f}")
-    print(f"wrote {out}")
-    return 0
+        lines.append(f"{name:<{width}}  {group['statements_per_s']:>12.1f}")
+    return payload, "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    def options(parser):
+        parser.add_argument("--repeats", type=int, default=5,
+                            help="timing repeats per group (best is kept)")
+    return bench_main("engine_micro",
+                      "MiniSQL engine microbenchmark (plain mode)",
+                      "tiny tables and loops (CI functional pass)",
+                      plain_mode, argv, options)
 
 
 if __name__ == "__main__":

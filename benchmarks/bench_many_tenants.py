@@ -49,6 +49,8 @@ from repro.sla import (DatabaseLoad, MachineBin, PlacementIndex,
                        ResourceVector, first_fit)
 from repro.workloads.microbench import KV_DDL, KeyValueWorkload, KvStats
 
+from common import bench_main
+
 FULL_STAGES = [1000, 10000, 100000]
 SMOKE_STAGES = [500, 2000, 8000]
 
@@ -371,19 +373,7 @@ def test_bench_placement_index(benchmark):
 # -- plain mode ---------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    import argparse
-    import json
-    import os
-
-    parser = argparse.ArgumentParser(
-        description="Tenant-scale fast-path benchmark (plain mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller stages (CI)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: repo root)")
-    args = parser.parse_args(argv)
-
+def plain_mode(args):
     stage_counts = SMOKE_STAGES if args.smoke else FULL_STAGES
     stages = []
     for n in stage_counts:
@@ -410,15 +400,13 @@ def main(argv=None) -> int:
         "placement": placement,
         "soak": soak,
     }
-    out = args.out or os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_many_tenants.json"))
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_rows(stages, memory, placement))
-    print(f"wrote {out}")
-    return 0
+    return payload, format_rows(stages, memory, placement)
+
+
+def main(argv=None) -> int:
+    return bench_main("many_tenants",
+                      "Tenant-scale fast-path benchmark (plain mode)",
+                      "smaller stages (CI)", plain_mode, argv)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ from repro.analysis.invariants import check_controller
 from repro.harness import soaks
 from repro.harness.scenario import run_scenario
 
+from common import bench_main
+
 #: The per-tenant SLA every database in the soak declares.
 SLA_TPS = 4.0
 MAX_REJECTED_FRACTION = 0.05
@@ -136,19 +138,7 @@ def test_bench_stampede(benchmark, hot_sla):
 # -- plain mode ---------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    import argparse
-    import json
-    import os
-
-    parser = argparse.ArgumentParser(
-        description="Overload-protection stampede benchmark (plain mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shorter runs (CI)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: repo root)")
-    args = parser.parse_args(argv)
-
+def plain_mode(args):
     points = SMOKE if args.smoke else FULL
     sla = run_point(True, **points)
     no_sla = run_point(False, **points)
@@ -162,15 +152,13 @@ def main(argv=None) -> int:
         "hot_sla": sla,
         "hot_no_sla": no_sla,
     }
-    out = args.out or os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_overload.json"))
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_rows(sla, no_sla))
-    print(f"wrote {out}")
-    return 0
+    return payload, format_rows(sla, no_sla)
+
+
+def main(argv=None) -> int:
+    return bench_main("overload",
+                      "Overload-protection stampede benchmark (plain mode)",
+                      "shorter runs (CI)", plain_mode, argv)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ sys.path.insert(0, "src")
 from repro.analysis.invariants import check_controller
 from repro.harness.runner import run_delta_recovery_bench
 
+from common import bench_main
+
 #: Database-size scale points (bytes multiplier on the generated rows);
 #: the largest lands the full copy in the paper's ~2-minutes-for-200MB
 #: class.
@@ -113,19 +115,7 @@ def test_bench_recovery_pipeline(benchmark, delta):
 # -- plain mode ---------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    import argparse
-    import json
-    import os
-
-    parser = argparse.ArgumentParser(
-        description="Delta vs full-copy recovery benchmark (plain mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="two smaller size points, shorter runs (CI)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: repo root)")
-    args = parser.parse_args(argv)
-
+def plain_mode(args):
     factors = SMOKE_FACTORS if args.smoke else FACTORS
     duration_s = 30.0 if args.smoke else 60.0
     table = sweep(factors, duration_s=duration_s)
@@ -137,15 +127,14 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "pipelines": table,
     }
-    out = args.out or os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_recovery_delta.json"))
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_sweep(table))
-    print(f"wrote {out}")
-    return 0
+    return payload, format_sweep(table)
+
+
+def main(argv=None) -> int:
+    return bench_main("recovery_delta",
+                      "Delta vs full-copy recovery benchmark (plain mode)",
+                      "two smaller size points, shorter runs (CI)",
+                      plain_mode, argv)
 
 
 if __name__ == "__main__":

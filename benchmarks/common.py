@@ -12,10 +12,14 @@ numbers survive pytest's output capture.
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
-from typing import Iterable
+from typing import Callable, Iterable, Optional, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(
+    os.path.abspath(__file__)), ".."))
 
 
 def report(name: str, text: str, capsys=None) -> None:
@@ -34,3 +38,32 @@ def report(name: str, text: str, capsys=None) -> None:
 
 def within(value: float, lo: float, hi: float) -> bool:
     return lo <= value <= hi
+
+
+def bench_main(name: str, description: str, smoke_help: str,
+               body: Callable[[argparse.Namespace], Tuple[dict, str]],
+               argv=None,
+               options: Optional[Callable[[argparse.ArgumentParser],
+                                          None]] = None) -> int:
+    """Plain mode of a benchmark that writes ``BENCH_<name>.json``.
+
+    Parses ``--smoke`` and ``--out`` (plus whatever ``options`` adds),
+    runs ``body(args)`` for its JSON payload and printed table, writes
+    the payload to ``--out`` or the repository root, then prints the
+    table and the path written.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    if options is not None:
+        options(parser)
+    parser.add_argument("--smoke", action="store_true", help=smoke_help)
+    parser.add_argument("--out", default=None,
+                        help="output JSON path (default: repo root)")
+    args = parser.parse_args(argv)
+    payload, text = body(args)
+    out = args.out or os.path.join(REPO_ROOT, f"BENCH_{name}.json")
+    with open(out, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(text)
+    print(f"wrote {out}")
+    return 0

@@ -1058,14 +1058,6 @@ class ClusterController:
         # machine; should return a fresh Machine (from the colo free
         # pool) or None.
         self.free_machine_hook = None
-        # Called with (machine_name,) whenever a machine leaves service
-        # with its data (failed, declared dead) or rejoins blank; the
-        # colo releases its placement bin.
-        self.machine_reset_hook = None
-        # Called with (machine_name,) when a declared machine rejoins
-        # *with its data* after delta catch-up; the colo re-counts its
-        # hosted databases against its placement bin.
-        self.machine_rejoin_hook = None
         self.declared_dead: Set[str] = set()
         self.fenced: Set[str] = set()
         # Heartbeats over CONTROLLER -> machine links; this class keeps
@@ -1217,10 +1209,8 @@ class ClusterController:
         hosting nothing, like a machine readmitted as a spare but at
         colo scale.
         """
-        for name, machine in self.machines.items():
+        for machine in self.machines.values():
             machine.readmit_as_spare()
-            if self.machine_reset_hook is not None:
-                self.machine_reset_hook(name)
         self.replica_map.clear()
         self.ddl.clear()
         self.slas.clear()
@@ -1279,11 +1269,9 @@ class ClusterController:
 
     def _left_service(self, name: str, affected: List[str]) -> List[str]:
         """What follows a machine leaving the replica map with its data,
-        failed or declared: abandon copies through it, free its placement
-        bin, re-replicate what it hosted."""
+        failed or declared: abandon copies through it, re-replicate what
+        it hosted."""
         self._abandon_copies(name)
-        if self.machine_reset_hook is not None:
-            self.machine_reset_hook(name)
         if self.recovery is not None:
             self.recovery.schedule_databases(affected)
         return affected
@@ -1327,8 +1315,6 @@ class ClusterController:
         self.fenced.discard(name)
         self.detector.forget(name)
         self.replication.machine_left(name, (), keep_holdings=False)
-        if self.machine_reset_hook is not None:
-            self.machine_reset_hook(name)
         self.trace.emit("machine_repaired", machine=name)
 
     # -- heartbeat failure detection -----------------------------------------------------
@@ -1399,8 +1385,6 @@ class ClusterController:
         self.metrics.network.false_suspicions += 1
         if not eligible:
             machine.readmit_as_spare()
-            if self.machine_reset_hook is not None:
-                self.machine_reset_hook(name)
             self.trace.emit("machine_readmitted", machine=name, mode="spare")
             return
         machine.rejoin_with_data()
@@ -1471,5 +1455,3 @@ class ClusterController:
                     machine.engine.drop_database(db)
                 if self.recovery is not None:
                     self.recovery.schedule_databases([db])
-        if self.machine_rejoin_hook is not None:
-            self.machine_rejoin_hook(name)

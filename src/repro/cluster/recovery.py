@@ -141,11 +141,13 @@ class RecoveryManager:
                 # still short (e.g. the copy's *source* also died
                 # mid-flight, and its failure's schedule call was
                 # suppressed because this copy was in progress), go
-                # again until the factor is met.
+                # again until the factor is met — unless no live
+                # replica is left to copy from: requeueing that would
+                # spin at this instant forever.
                 want = self.controller.config.replication_factor
                 if (self.controller.replica_map.has(db)
                         and self.controller.replica_map.replica_count(db)
-                        < want):
+                        < want and self.controller.live_replicas(db)):
                     self.schedule_databases([db])
 
     # -- placement of the new replica ----------------------------------------------

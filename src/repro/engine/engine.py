@@ -94,13 +94,6 @@ class Engine:
         self.commit(setup)
         return database
 
-    def attach_database(self, database: StoredDatabase) -> None:
-        """Host an existing database object (replica copy landing)."""
-        if database.name in self.databases:
-            raise SchemaError(f"database {database.name!r} already on {self.name}")
-        self.databases[database.name] = database
-        self._planners[database.name] = self._planner_for(database)
-
     def _planner_for(self, database: StoredDatabase) -> pl.Planner:
         """The planner of a database this engine hosts."""
         return pl.Planner(database.schema, database)

@@ -81,12 +81,6 @@ class Scope:
         binding = matches[0]
         return binding.offset + binding.schema.column_position(ref.name)
 
-    def column_name(self, slot: int) -> str:
-        for binding in self.bindings:
-            if binding.offset <= slot < binding.offset + binding.width:
-                return binding.schema.columns[slot - binding.offset].name
-        raise SqlError(f"slot {slot} out of range")
-
 
 # -- bound expressions ---------------------------------------------------------
 # The planner rewrites parser expressions into "bound" forms where column

@@ -11,6 +11,13 @@ For disaster recovery the colo itself is a failure domain: it can
 notices), be *fenced* (declared dead under a new epoch; new connections
 are refused and log shipping from it stops), and be *repaired* (wiped
 back to blank clusters, rejoining as a re-protection target).
+
+The colo keeps no placement ledger of its own. Its clusters' replica
+maps are the one record of which tenant sits on which machine, and
+:meth:`ColoController.place_database` derives each machine's load from
+them (plus each tenant's stored requirement) before it runs the
+paper's First-Fit, :func:`repro.sla.placement.first_fit`. Recovery and
+migration move replicas in the map, so the next placement sees them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from repro.cluster.machine import Machine
 from repro.errors import ColoFencedError, NoReplicaError, SlaViolationError
 from repro.sim import Simulator
 from repro.sla.model import ResourceVector
-from repro.sla.placement import DatabaseLoad, MachineBin
+from repro.sla.placement import DatabaseLoad, MachineBin, first_fit
 
 
 class ColoController:
@@ -47,13 +54,8 @@ class ColoController:
         # True once the colo has ever been crashed/failed; a later
         # re-protection onto it is a failback.
         self.was_failed = False
-        # db -> cluster name
-        self._db_cluster: Dict[str, str] = {}
-        # Placement bookkeeping: machine name -> bin (capacity/used),
-        # plus each database's machines and per-replica requirement so
-        # bins can be released when the database or machine goes away.
-        self._bins: Dict[str, MachineBin] = {}
-        self._db_machines: Dict[str, List[str]] = {}
+        # Each tenant's per-replica requirement. Where its replicas sit
+        # is read off the clusters' replica maps when placing.
         self._db_requirements: Dict[str, ResourceVector] = {}
 
     # -- cluster management -------------------------------------------------------
@@ -67,69 +69,44 @@ class ColoController:
                 f"requested {machines}")
         cluster = ClusterController(self.sim, self.cluster_config, name=name)
         for _ in range(machines):
-            self._provision(cluster)
+            self.provision_machine(cluster)
         cluster.free_machine_hook = lambda c=cluster: self.provision_machine(c)
-        cluster.machine_reset_hook = self._release_machine_bin
-        cluster.machine_rejoin_hook = (
-            lambda m, c=cluster: self._rebind_machine_bin(c, m))
         self.clusters[name] = cluster
         return cluster
-
-    def _provision(self, cluster: ClusterController) -> Machine:
-        if self.free_pool <= 0:
-            raise SlaViolationError(f"colo {self.name}: free pool exhausted")
-        self.free_pool -= 1
-        machine = cluster.add_machine()
-        self._bins[machine.name] = MachineBin(machine.name,
-                                              machine.capacity_vector())
-        return machine
 
     def provision_machine(self, cluster: ClusterController) -> Optional[Machine]:
         """Move one machine from the free pool into ``cluster``."""
         if self.free_pool <= 0:
             return None
-        return self._provision(cluster)
-
-    def _release_machine_bin(self, machine_name: str) -> None:
-        """A machine left service with its data (failed/declared) or
-        rejoined as a blank spare: whatever was packed on it is gone, so
-        its bin must stop counting that load against colo capacity."""
-        machine_bin = self._bins.get(machine_name)
-        if machine_bin is None:
-            return
-        for db in list(machine_bin.hosted):
-            machines = self._db_machines.get(db)
-            if machines and machine_name in machines:
-                machines.remove(machine_name)
-        machine_bin.reset()
-
-    def _rebind_machine_bin(self, cluster: ClusterController,
-                            machine_name: str) -> None:
-        """A declared machine rejoined *with its data* (delta catch-up):
-        re-account the databases it now serves against its bin, which
-        :meth:`_release_machine_bin` emptied at the declaration."""
-        machine_bin = self._bins.get(machine_name)
-        if machine_bin is None:
-            return
-        for db in cluster.replica_map.hosted_on(machine_name):
-            machines = self._db_machines.get(db)
-            requirement = self._db_requirements.get(db)
-            if machines is None or requirement is None:
-                continue  # not placed through this colo's bins
-            if machine_name in machines:
-                continue  # bin never released (already accounted)
-            if not machine_bin.can_fit(requirement):
-                continue  # packed over meanwhile; leave under-accounted
-            machine_bin.place(DatabaseLoad(db, requirement, replicas=1))
-            machines.append(machine_name)
+        self.free_pool -= 1
+        return cluster.add_machine()
 
     def cluster_of(self, db: str) -> ClusterController:
-        if db not in self._db_cluster:
-            raise NoReplicaError(f"colo {self.name} does not host {db!r}")
-        return self.clusters[self._db_cluster[db]]
+        for cluster in self.clusters.values():
+            if db in cluster.replica_map:
+                return cluster
+        raise NoReplicaError(f"colo {self.name} does not host {db!r}")
 
     def hosts(self, db: str) -> bool:
-        return db in self._db_cluster
+        return any(db in cluster.replica_map
+                   for cluster in self.clusters.values())
+
+    def bins(self, cluster: ClusterController) -> List[MachineBin]:
+        """The load First-Fit sees: one bin per live machine of
+        ``cluster``, in its machine order, holding the requirement of
+        every tenant the replica map puts there."""
+        replica_map = cluster.replica_map
+        bins = []
+        for name, machine in cluster.machines.items():
+            if not machine.alive:
+                continue
+            machine_bin = MachineBin(name, machine.capacity_vector())
+            for db in replica_map.hosted_on(name):
+                requirement = self._db_requirements.get(db)
+                if requirement is not None:
+                    machine_bin.used = machine_bin.used + requirement
+            bins.append(machine_bin)
+        return bins
 
     # -- colo-level failure / repair ------------------------------------------------
 
@@ -172,23 +149,17 @@ class ColoController:
         """
         for cluster in self.clusters.values():
             cluster.reset_as_blank()
-        self._db_cluster.clear()
-        self._db_machines.clear()
         self._db_requirements.clear()
         self.alive = True
         self.fenced = False
 
     def drop_database(self, db: str) -> None:
-        """Deregister ``db`` from this colo: drop the data off its
-        cluster and give the placement load back to the bins."""
-        requirement = self._db_requirements.pop(db, None)
-        for machine_name in self._db_machines.pop(db, []):
-            machine_bin = self._bins.get(machine_name)
-            if machine_bin is not None and requirement is not None:
-                machine_bin.release(db, requirement)
-        cluster_name = self._db_cluster.pop(db, None)
-        if cluster_name is not None:
-            self.clusters[cluster_name].drop_database(db)
+        """Deregister ``db`` from this colo and drop its data off its
+        cluster (which frees the load it placed)."""
+        self._db_requirements.pop(db, None)
+        for cluster in self.clusters.values():
+            if db in cluster.replica_map:
+                cluster.drop_database(db)
 
     # -- SLA-driven database placement ----------------------------------------------
 
@@ -197,54 +168,34 @@ class ColoController:
                        replicas: int, sla=None) -> ClusterController:
         """Choose machines with First-Fit (Algorithm 2) and create the db.
 
-        Tries each cluster in order; extends a cluster from the free pool
-        when the new database's replicas do not fit on its current
-        machines (Algorithm 2 lines 12-14).
+        Tries each cluster in order over :meth:`bins`; extends a cluster
+        from the free pool when the new database's replicas do not fit
+        on its current machines (Algorithm 2 lines 12-14). The database
+        is created only once every replica has a machine with room.
         """
         if not self.clusters:
             self.add_cluster(machines=min(4, self.free_pool))
+        load = DatabaseLoad(db, requirement, replicas)
         last_error: Optional[Exception] = None
         for cluster in self.clusters.values():
-            try:
-                machines = self._fit_in_cluster(cluster, db, requirement,
-                                                replicas)
-            except SlaViolationError as exc:
-                last_error = exc
-                continue
-            cluster.create_database(db, ddl, machines=machines, sla=sla)
-            for machine_name in machines:
-                self._bins[machine_name].place(
-                    DatabaseLoad(db, requirement, replicas=1))
-            self._db_cluster[db] = cluster.name
-            self._db_machines[db] = list(machines)
-            self._db_requirements[db] = requirement
-            return cluster
-        raise last_error or SlaViolationError(
-            f"colo {self.name}: no cluster can host {db!r}")
-
-    def _fit_in_cluster(self, cluster: ClusterController, db: str,
-                        requirement: ResourceVector,
-                        replicas: int) -> List[str]:
-        ordered_bins = [self._bins[name] for name in cluster.machines
-                        if cluster.machines[name].alive]
-        chosen: List[str] = []
-        for _ in range(replicas):
-            placed = False
-            for machine_bin in ordered_bins:
-                if machine_bin.name in chosen:
-                    continue
-                if machine_bin.can_fit(requirement):
-                    chosen.append(machine_bin.name)
-                    placed = True
-                    break
-            if not placed:
+            def new_bin(cluster=cluster) -> MachineBin:
                 machine = self.provision_machine(cluster)
                 if machine is None:
                     raise SlaViolationError(
                         f"colo {self.name}: cannot fit replica of {db!r}")
-                chosen.append(machine.name)
-                ordered_bins.append(self._bins[machine.name])
-        return chosen
+                return MachineBin(machine.name, machine.capacity_vector())
+            try:
+                placement = first_fit([load], self.bins(cluster),
+                                      new_bin=new_bin)
+            except SlaViolationError as exc:
+                last_error = exc
+                continue
+            cluster.create_database(
+                db, ddl, machines=placement.assignments[db], sla=sla)
+            self._db_requirements[db] = requirement
+            return cluster
+        raise last_error or SlaViolationError(
+            f"colo {self.name}: no cluster can host {db!r}")
 
     # -- connection routing -----------------------------------------------------------
 

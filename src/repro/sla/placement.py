@@ -78,28 +78,6 @@ class MachineBin:
         self.used = self.used + db.requirement
         self.hosted_counts[db.name] = self.hosted_counts.get(db.name, 0) + 1
 
-    def release(self, name: str, requirement: ResourceVector) -> bool:
-        """Give back one hosted replica's load; returns whether it was held.
-
-        Safe to call for a database the bin no longer hosts (e.g. the
-        bin was already reset when its machine was readmitted blank).
-        O(1) — the hosted set is a count-dict, not a scanned list.
-        """
-        count = self.hosted_counts.get(name)
-        if count is None:
-            return False
-        if count > 1:
-            self.hosted_counts[name] = count - 1
-        else:
-            del self.hosted_counts[name]
-        self.used = self.used - requirement
-        return True
-
-    def reset(self) -> None:
-        """Forget every placement (the machine rejoined as a blank spare)."""
-        self.used = ResourceVector()
-        self.hosted_counts = {}
-
     def headroom(self) -> ResourceVector:
         return self.capacity - self.used
 

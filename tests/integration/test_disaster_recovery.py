@@ -397,31 +397,38 @@ class TestReprotectAndFailback:
 
 
 class TestBinAccounting:
-    def test_drop_database_releases_bins(self):
-        # Satellite: placement load must be released on database drop.
-        platform = make_platform(colos=1)
-        platform.create_database(spec("app", dr=False))
-        colo = platform.system.colos["colo0"]
-        used_before = {name: b.used for name, b in colo._bins.items()
-                       if b.hosted}
-        assert used_before
-        platform.drop_database("app")
-        for name, machine_bin in colo._bins.items():
-            assert not machine_bin.hosted
-            assert machine_bin.used == type(machine_bin.used)()
+    """The colo's placement view is derived from its clusters' replica
+    maps: whatever leaves the map leaves the load First-Fit sees."""
 
-    def test_machine_declaration_releases_bin(self):
-        # Satellite: a declared machine's bin stops counting its load.
+    def test_drop_database_releases_bins(self):
+        # A dropped database's load is given back to every machine.
         platform = make_platform(colos=1)
         platform.create_database(spec("app", dr=False))
         colo = platform.system.colos["colo0"]
         cluster = colo.cluster_of("app")
-        hosting = [name for name, b in colo._bins.items() if b.hosted]
-        victim = hosting[0]
-        cluster.fail_machine(victim)
+        assert [b for b in colo.bins(cluster) if b.used.cpu > 0]
+        platform.drop_database("app")
+        assert not colo.hosts("app")
+        for machine_bin in colo.bins(cluster):
+            assert machine_bin.used == type(machine_bin.used)()
+
+    def test_machine_declaration_releases_bin(self):
+        # A declared machine's load leaves with it.
+        platform = make_platform(colos=1)
+        platform.create_database(spec("app", dr=False))
+        colo = platform.system.colos["colo0"]
+        cluster = colo.cluster_of("app")
+        loaded = {b.name: b.used for b in colo.bins(cluster)}
+        victim = cluster.replica_map.replicas("app")[0]
+        assert loaded[victim].cpu > 0
+        cluster.declare_dead(victim)
         platform.sim.run(until=5.0)
-        assert not colo._bins[victim].hosted
-        assert victim not in colo._db_machines.get("app", [victim])
+        after = {b.name: b.used for b in colo.bins(cluster)}
+        assert after[victim] == type(after[victim])()
+        survivors = cluster.replica_map.replicas("app")
+        assert victim not in survivors
+        for name in survivors:
+            assert after[name] == loaded[name]
 
 
 class TestDrInvariantRules:

@@ -245,3 +245,17 @@ class TestRecoveryAlgorithm1:
         sim.run()
         for db in affected:
             assert controller.replica_map.replica_count(db) == 2
+
+    def test_lost_database_is_not_requeued_at_the_same_instant(self, sim):
+        # Every replica gone: recovery skips the database once
+        # ("no-source") and leaves it, instead of requeueing it at the
+        # same simulated instant forever.
+        controller = make_kv_cluster(sim, machines=3, replicas=1)
+        recovery = RecoveryManager(controller)
+        recovery.start()
+        controller.fail_machine(controller.replica_map.replicas("kv")[0])
+        sim.run(until=60.0)
+        assert sim.now == 60.0
+        skipped = controller.trace.events(kind="rereplication_skipped")
+        assert [e.extra["reason"] for e in skipped] == ["no-source"]
+        assert not recovery.in_progress

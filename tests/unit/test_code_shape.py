@@ -14,7 +14,9 @@ surface's: one tenant-scale path with no switch; DESIGN §4w brings it
 to 21 settable values across three configs, with admission one path
 whose degenerate case is a tenant without an SLA. DESIGN §4b keeps
 one implementation per engine operator, batching only the scans, and
-DESIGN §4x makes a range read one pass with one grant rule.
+DESIGN §4x makes a range read one pass with one grant rule. DESIGN §4y
+keeps one First-Fit: the colo places over its clusters' replica maps,
+with no placement ledger of its own to keep in sync.
 """
 
 import ast
@@ -408,3 +410,16 @@ def test_one_control_plane():
              for constant in node.comparators
              if isinstance(constant, ast.Constant)}
     assert kinds == {"noop", "leader_takeover", "decision", "decision_clear"}
+
+
+def test_the_colo_keeps_no_placement_ledger():
+    """DESIGN §4y: the colo derives First-Fit's view from its clusters'
+    replica maps, so its own First-Fit, its shadow bins and the two
+    hooks that kept them in sync left ``src/``."""
+    gone = re.compile(r"machine_reset_hook|machine_rejoin_hook"
+                      r"|_fit_in_cluster|_release_machine_bin"
+                      r"|_rebind_machine_bin")
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []

@@ -94,29 +94,18 @@ def test_machine_bin_hosted_preserves_first_placement_order():
     for name in ("a", "b", "c"):
         machine_bin.place(DatabaseLoad(name, REQ, replicas=1))
     assert machine_bin.hosted == ["a", "b", "c"]
-    assert machine_bin.hosts("b")
-
-    machine_bin.release("b", REQ)
-    assert machine_bin.hosted == ["a", "c"]
-    assert not machine_bin.hosts("b")
-    # Re-placing a released database appends at the end, like a list.
-    machine_bin.place(DatabaseLoad("b", REQ, replicas=1))
-    assert machine_bin.hosted == ["a", "c", "b"]
+    assert machine_bin.hosts("b") and not machine_bin.hosts("d")
 
 
-def test_machine_bin_release_is_counted():
-    """Placing the same name twice needs two releases, like the old
-    list's duplicate entries did."""
+def test_machine_bin_counts_repeat_placements():
+    """Placing the same name twice keeps one entry with a count of two
+    and charges the load twice."""
     machine_bin = MachineBin("m", CAP)
     machine_bin.place(DatabaseLoad("a", REQ, replicas=1))
     machine_bin.place(DatabaseLoad("a", REQ, replicas=1))
     assert machine_bin.hosted == ["a"]
     assert machine_bin.hosted_counts["a"] == 2
-    machine_bin.release("a", REQ)
-    assert machine_bin.hosts("a")
-    machine_bin.release("a", REQ)
-    assert not machine_bin.hosts("a")
-    assert machine_bin.used.cpu == pytest.approx(0.0)
+    assert machine_bin.used.cpu == pytest.approx(2 * REQ.cpu)
 
 
 # -- RetainedTail.compact ----------------------------------------------------
