@@ -48,9 +48,8 @@ correctness properties the paper's controller design promises:
   controller replica crashed, or when the trace ended, is excused: the
   detector stops with it, so no probe was left to resolve it.
 * **no-dual-primary-colo** — a database's standby colo is only promoted
-  after the old primary was fenced (or failed) under a monotonically
-  increasing epoch, and never onto a fenced colo; fencing epochs
-  strictly increase.
+  after the old primary was fenced under a monotonically increasing
+  epoch, and never onto a fenced colo; fencing epochs strictly increase.
 * **standby-applies-a-prefix-of-commit-order** — per database, the
   standby resolves replication-log entries in exact sequence order with
   no gaps and no duplicates: the applied entries are always a prefix of
@@ -272,8 +271,6 @@ class InvariantChecker:
                         f"{e.kind} after a logged commit decision",
                         txn=e.txn, db=e.db, seq=e.seq))
                 state.terminal_kinds.append(e.kind)
-            elif e.kind == "machine_failed":
-                failed_machines.add(e.machine)
             elif e.kind == "machine_crashed":
                 failed_machines.add(e.machine)
             elif e.kind == "machine_declared":
@@ -396,7 +393,7 @@ class InvariantChecker:
                 colo_suspected_at.pop(e.machine, None)
             elif e.kind == "colo_declared":
                 colo_suspected_at.pop(e.machine, None)
-            elif e.kind in ("colo_fenced", "colo_failed"):
+            elif e.kind == "colo_fenced":
                 colo_suspected_at.pop(e.machine, None)
                 fenced_colos.add(e.machine)
                 epoch = e.extra.get("epoch")

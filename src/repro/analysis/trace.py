@@ -34,8 +34,6 @@ commit_sent        a COMMIT message left the coordinator for one machine
 committed          the transaction finished committing
 abort              the transaction was rolled back by the platform
 rollback           the client voluntarily rolled back
-machine_failed     a machine died (``affected`` lists databases that lost
-                   a replica)
 copy_abandoned     a live copy lost its source or target to a failure
 rereplication_*    queued / start / done / abandoned / skipped, from the
                    recovery manager
@@ -49,10 +47,14 @@ migration_*        start / done / abandoned, from the migration manager
 takeover_*         one transaction a controller take-over completed
                    (``takeover_commit``) or presumed-aborted
                    (``takeover_abort``), by its ``actor`` replica
-machine_crashed    a machine powered off silently (detector must notice)
+machine_crashed    a machine powered off (only a declare takes it out of
+                   the replica map: the detector's, or ``fail_machine``'s
+                   at once)
 machine_suspected  K consecutive heartbeats went unanswered
 machine_unsuspected a suspected machine answered again (false suspicion)
-machine_declared   the detector declared a silent machine dead
+machine_declared   a silent machine was declared dead (``reason``
+                   "failed" when ``fail_machine`` declared it at its
+                   crash; ``affected`` lists databases that lost a replica)
 machine_fenced     a declared machine was fenced (serves nothing stale)
 machine_readmitted a falsely declared machine rejoined (``mode`` is
                    "spare" for a blank wipe, "catchup" for a delta
@@ -87,11 +89,12 @@ dr_ship            one committed transaction was sequenced into a database's
 dr_apply           the standby colo applied log entry ``rseq``
 dr_link_torn       a replication link was torn down (colo failure or
                    database deregistration)
-colo_crashed       a colo went silent (only the detector can notice)
-colo_failed        a colo was failed through the oracle path
+colo_crashed       a colo went silent (only a declare promotes: the
+                   detector's, or ``fail_colo``'s at once)
 colo_suspected     K consecutive colo heartbeats went unanswered
 colo_unsuspected   a suspected colo answered again (false suspicion)
 colo_declared      the system controller declared a silent colo dead
+                   (``reason`` "failed" when ``fail_colo`` declared it)
 colo_fenced        a declared colo was fenced under a new ``epoch``
 colo_repaired      a colo was wiped and rejoined as a blank standby target
 dr_promote         a standby colo was promoted to primary for a database

@@ -681,7 +681,7 @@ class TxnCoordinator:
                 continue
             except Exception:
                 break  # dead, fenced, or already resolved machine-side
-            if name in ctl.fenced or name in ctl.declared_dead:
+            if name in ctl.declared_dead:
                 break  # fenced mid-redelivery: its data is discarded
             self.trace.emit("commit_sent", db=db, txn=txn_id, machine=name,
                             redelivered=True)
@@ -1059,7 +1059,6 @@ class ClusterController:
         # pool) or None.
         self.free_machine_hook = None
         self.declared_dead: Set[str] = set()
-        self.fenced: Set[str] = set()
         # Heartbeats over CONTROLLER -> machine links; this class keeps
         # only the reactions (declare_dead / _readmit).
         self.detector = HeartbeatDetector(
@@ -1220,7 +1219,6 @@ class ClusterController:
         self._cold_dbs.clear()
         self.detector.reset()
         self.declared_dead.clear()
-        self.fenced.clear()
         for name in self.consensus.group.names:
             self.consensus.repair_controller(name)
         self.trace.emit("cluster_reset")
@@ -1254,27 +1252,10 @@ class ClusterController:
     # -- machine failure handling (Section 3.2) ------------------------------------------
 
     def fail_machine(self, name: str) -> List[str]:
-        """Fail a machine; returns the databases that lost a replica.
-
-        In-flight operations error out; client connections stay usable.
-        If a recovery manager is attached, re-replication of the affected
-        databases starts in the background.
-        """
-        self._machine(name).fail()
-        affected = self.replica_map.remove_machine(name)
-        self.replication.machine_left(name, affected, keep_holdings=False)
-        self.trace.emit("machine_failed", machine=name,
-                        affected=sorted(affected))
-        return self._left_service(name, affected)
-
-    def _left_service(self, name: str, affected: List[str]) -> List[str]:
-        """What follows a machine leaving the replica map with its data,
-        failed or declared: abandon copies through it, re-replicate what
-        it hosted."""
-        self._abandon_copies(name)
-        if self.recovery is not None:
-            self.recovery.schedule_databases(affected)
-        return affected
+        """Fail a machine: a crash the controller declares at once.
+        Returns the databases that lost a replica."""
+        self.crash_machine(name)
+        return self.declare_dead(name, reason="failed")
 
     def _abandon_copies(self, name: str) -> None:
         """Abandon in-flight copies that lost either endpoint: a dead
@@ -1292,10 +1273,10 @@ class ClusterController:
     def crash_machine(self, name: str) -> None:
         """Power a machine off *without* telling the controller.
 
-        Unlike :meth:`fail_machine` (the oracle path used by older
-        experiments) nothing is removed from the replica map and no
-        recovery is scheduled here — only the heartbeat failure detector
-        can notice the silence and drive the declare→fence→recover path.
+        Nothing is removed from the replica map and no recovery is
+        scheduled here — only the heartbeat failure detector (or
+        :meth:`fail_machine`, which declares at once) drives the
+        declare→fence→recover path.
         """
         self._machine(name).fail()
         self.trace.emit("machine_crashed", machine=name)
@@ -1310,11 +1291,10 @@ class ClusterController:
         if hosted:
             raise ValueError(
                 f"cannot repair {name!r}: still mapped for {sorted(hosted)}")
-        machine.repair()
+        machine.readmit_as_spare()
         self.declared_dead.discard(name)
-        self.fenced.discard(name)
         self.detector.forget(name)
-        self.replication.machine_left(name, (), keep_holdings=False)
+        self.replication.machine_left(name, ())
         self.trace.emit("machine_repaired", machine=name)
 
     # -- heartbeat failure detection -----------------------------------------------------
@@ -1359,15 +1339,17 @@ class ClusterController:
             return []
         self.detector.forget(name)
         self.declared_dead.add(name)
-        self.fenced.add(name)
         was_alive = machine.alive
         machine.fence()
         affected = self.replica_map.remove_machine(name)
-        self.replication.machine_left(name, affected, keep_holdings=True)
+        self.replication.machine_left(name, affected)
         self.trace.emit("machine_declared", machine=name, reason=reason,
                         was_alive=was_alive, affected=sorted(affected))
         self.trace.emit("machine_fenced", machine=name)
-        return self._left_service(name, affected)
+        self._abandon_copies(name)
+        if self.recovery is not None:
+            self.recovery.schedule_databases(affected)
+        return affected
 
     def _readmit(self, name: str) -> None:
         """A declared-dead machine answered a heartbeat: a false
@@ -1378,7 +1360,6 @@ class ClusterController:
         empty engine), eligible as a copy target."""
         machine = self.machines[name]
         self.declared_dead.discard(name)
-        self.fenced.discard(name)
         self.detector.forget(name)
         holdings, eligible = self.replication.rejoin_eligibility(
             name, machine, self.copy_states)

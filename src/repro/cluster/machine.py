@@ -116,12 +116,7 @@ class Machine:
             return
         self.alive = False
         self.failed_at = self.sim.now
-        for proc in list(self._active):
-            proc.interrupt(MachineFailedError(self.name))
-        self._active.clear()
-        self._tails.clear()
-        self._rpc_cache.clear()
-        self._write_counts.clear()
+        self._drop_inflight(self.name)
 
     def fence(self) -> None:
         """Fence off a machine the detector declared dead.
@@ -130,20 +125,17 @@ class Machine:
         controller's declaration: everything in flight dies, new work is
         refused, and the (stale) replicas it hosts serve nothing. The
         engine state is kept — fencing is reversible only through
-        :meth:`readmit_as_spare`, which wipes it.
+        :meth:`readmit_as_spare`, which wipes it, or
+        :meth:`rejoin_with_data`.
         """
         if self.fenced:
             return
         self.fenced = True
-        for proc in list(self._active):
-            proc.interrupt(MachineFailedError(f"{self.name} (fenced)"))
-        self._active.clear()
-        self._tails.clear()
-        self._rpc_cache.clear()
-        self._write_counts.clear()
+        self._drop_inflight(f"{self.name} (fenced)")
 
     def readmit_as_spare(self) -> None:
-        """Re-enter the cluster as a blank spare after a false declaration.
+        """Re-enter the cluster as a blank spare: after a repair, or
+        after a false declaration.
 
         Per the paper's treatment of recovered machines, a machine that
         reappears after being declared dead does not resume serving its
@@ -155,14 +147,7 @@ class Machine:
         self.fenced = False
         self.alive = True
         self.failed_at = None
-        self._tails.clear()
-        self._active.clear()
-        self._rpc_cache.clear()
-        self._write_counts.clear()
-
-    def repair(self) -> None:
-        """Return a failed machine to service as a blank spare."""
-        self.readmit_as_spare()
+        self._drop_inflight()
 
     def rejoin_with_data(self) -> None:
         """Re-enter the cluster keeping the engine's data (delta rejoin).
@@ -180,8 +165,17 @@ class Machine:
         self.fenced = False
         self.alive = True
         self.failed_at = None
-        self._tails.clear()
+        self._drop_inflight()
+
+    def _drop_inflight(self, failure: Optional[str] = None) -> None:
+        """Forget every in-flight table; with ``failure``, first
+        interrupt what is running, in submission order, with a
+        :class:`MachineFailedError` saying so."""
+        if failure is not None:
+            for proc in list(self._active):
+                proc.interrupt(MachineFailedError(failure))
         self._active.clear()
+        self._tails.clear()
         self._rpc_cache.clear()
         self._write_counts.clear()
 

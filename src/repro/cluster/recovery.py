@@ -245,7 +245,7 @@ def copy_replica(controller: ClusterController, db: str, source_name: str,
     target = controller.machines[target_name]
     # Register the copy state *before* touching the target: every
     # set-up step from here on runs under the abandonment protocol
-    # (fail_machine finds the state, the except arm below drops the
+    # (declare_dead finds the state, the except arm below drops the
     # partial replica), so a failure mid-set-up cannot strand an
     # orphaned half-created database on the target.
     state = CopyState(db, target_name, source=source_name)
@@ -259,7 +259,7 @@ def copy_replica(controller: ClusterController, db: str, source_name: str,
     except Exception as exc:
         # Clean the partial replica off a surviving target here, with
         # the target still in hand: when the *source* died,
-        # fail_machine has already dropped the CopyState, so a
+        # declare_dead has already dropped the CopyState, so a
         # state-based cleanup could not find the target.
         partial_dropped = False
         if target.alive and target.engine.hosts(db):

@@ -58,7 +58,7 @@ class CopyState:
     copied_tables: Set[str] = field(default_factory=set)
     # Database-granularity copy: every table counts as "being copied".
     copying_all: bool = False
-    # The machine being copied *from*; lets fail_machine abandon copies
+    # The machine being copied *from*; lets declare_dead abandon copies
     # whose source died, not just copies whose target died.
     source: Optional[str] = None
 
@@ -271,13 +271,13 @@ class ReplicationLog:
 
     # -- machines leaving and rejoining ----------------------------------------------------
 
-    def machine_left(self, name: str, affected: Iterable[str],
-                     keep_holdings: bool) -> None:
+    def machine_left(self, name: str, affected: Iterable[str]) -> None:
         """``name`` just left the replica sets of ``affected``: stop
-        tracking its LSNs. ``keep_holdings`` (a *declared* machine, which
-        may be alive behind a partition) remembers how far it had
-        applied each database: if it comes back with its data intact it
-        can catch up from there instead of being wiped."""
+        tracking its LSNs, and remember how far it had applied each
+        database — a declared machine may be alive behind a partition,
+        and if it comes back with its data intact it can catch up from
+        there instead of being wiped. An empty ``affected`` (a repaired,
+        blank machine) forgets what it held."""
         holdings: Dict[str, int] = {}
         for db in affected:
             lsns = self.replica_lsns.get(db)
@@ -286,7 +286,7 @@ class ReplicationLog:
             lsn = 0 if lsns is None else lsns.pop(name, None)
             if lsn is not None:
                 holdings[db] = lsn
-        if keep_holdings and holdings:
+        if holdings:
             self._stale_holdings[name] = holdings
         else:
             self._stale_holdings.pop(name, None)

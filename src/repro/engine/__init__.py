@@ -12,7 +12,8 @@ provides:
   locality drives the paper's Figures 2-4);
 * strict two-phase locking with multi-granularity (table/row) locks and
   waits-for deadlock detection;
-* a write-ahead log and crash recovery;
+* a write-ahead log whose flush horizon makes PREPARE and COMMIT
+  durable (no restart replays it: a crashed machine rejoins blank);
 * an XA-style PREPARE / COMMIT / ABORT participant API, including the
   release-read-locks-at-PREPARE optimization that makes the paper's
   Table 1 anomaly possible;

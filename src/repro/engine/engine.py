@@ -26,14 +26,14 @@ from repro.engine import executor as ex
 from repro.engine import planner as pl
 from repro.engine.config import EngineConfig
 from repro.engine.bufferpool import BufferPool
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager
 from repro.engine.schema import Column, DatabaseSchema, IndexDef, TableSchema
 from repro.engine.sqlparse import nodes as n
 from repro.engine.sqlparse.parser import parse
 from repro.engine.storage import StoredDatabase
 from repro.engine.transactions import Transaction, TxnState
 from repro.engine.types import SqlType
-from repro.engine.wal import (LogRecord, RecordType, WriteAheadLog, analyze)
+from repro.engine.wal import RecordType, WriteAheadLog
 from repro.errors import (SchemaError, SqlError, TransactionError,
                           WouldBlockError)
 
@@ -360,114 +360,3 @@ class Engine:
             if stats is not None:
                 stats.add_row(table.get(rid))
 
-
-# -- restart recovery -------------------------------------------------------------
-
-
-def recover_engine(name: str, config: EngineConfig,
-                   db_schemas: List[DatabaseSchema],
-                   records: List[LogRecord],
-                   history=None) -> Tuple[Engine, List[Transaction]]:
-    """Rebuild an engine from durable WAL records after a crash.
-
-    Storage is reconstructed by replaying, in LSN order, the row changes
-    of every transaction that reached COMMIT or PREPARE in the durable
-    log. In-doubt (PREPARED) transactions are returned with their
-    exclusive row locks re-taken so the 2PC coordinator can still decide
-    them; all other transactions are presumed aborted and their changes
-    discarded.
-    """
-    engine = Engine(name, config, history=history)
-    for schema in db_schemas:
-        engine.create_database(schema.name)
-        for tschema in schema.tables.values():
-            engine.databases[schema.name].add_table(
-                TableSchema(tschema.name, list(tschema.columns),
-                            tschema.primary_key)
-            )
-            for index in tschema.indexes.values():
-                if index.name != "__pk__":
-                    engine.databases[schema.name].schema.table(
-                        tschema.name
-                    ).add_index(IndexDef(index.name, index.columns,
-                                         index.unique))
-                    from repro.engine.btree import BPlusTree
-                    engine.databases[schema.name].table(tschema.name).indexes[
-                        index.name
-                    ] = BPlusTree(order=config.btree_order)
-
-    state = analyze(records)
-    keep = set(state.committed) | set(state.in_doubt)
-    replayed_committed = set()
-    in_doubt_changes: Dict[int, List[LogRecord]] = {
-        txn_id: [] for txn_id in state.in_doubt
-    }
-    for record in records:
-        if record.txn_id not in keep:
-            continue
-        if record.kind in (RecordType.INSERT, RecordType.UPDATE,
-                           RecordType.DELETE):
-            if record.db not in engine.databases:
-                continue
-            table = engine.database(record.db).table(record.table)
-            if record.kind is RecordType.INSERT:
-                table.insert_at(record.rid, record.after)
-            elif record.kind is RecordType.UPDATE:
-                table.update(record.rid, record.after)
-            else:
-                table.delete(record.rid)
-            if record.txn_id in in_doubt_changes:
-                in_doubt_changes[record.txn_id].append(record)
-            else:
-                replayed_committed.add(record.txn_id)
-            # Recovered engine's WAL must reflect the surviving state.
-            engine.wal.append(record.txn_id, record.kind, db=record.db,
-                              table=record.table, rid=record.rid,
-                              before=record.before, after=record.after)
-
-    # Close out the replayed committed transactions in the new log, so a
-    # second crash-recovery keeps them (recovery is idempotent).
-    for txn_id in sorted(replayed_committed):
-        engine.wal.append(txn_id, RecordType.COMMIT)
-
-    in_doubt_txns: List[Transaction] = []
-    for txn_id in state.in_doubt:
-        txn = Transaction(txn_id, state=TxnState.PREPARED)
-        txn.wrote = bool(in_doubt_changes[txn_id])
-        engine.transactions[txn_id] = txn
-        for record in in_doubt_changes[txn_id]:
-            # Rebuild the undo information and re-take row X locks.
-            from repro.engine.transactions import UndoEntry
-            kind = {RecordType.INSERT: "insert", RecordType.UPDATE: "update",
-                    RecordType.DELETE: "delete"}[record.kind]
-            txn.undo.append(UndoEntry(record.db, record.table, kind,
-                                      record.rid, record.before,
-                                      record.after))
-            request = engine.locks.acquire(
-                txn_id, ("row", record.db, record.table, record.rid),
-                LockMode.X)
-            assert request.granted, "lock conflict during recovery"
-        engine.wal.append(txn_id, RecordType.PREPARE)
-        in_doubt_txns.append(txn)
-    engine.wal.flush()
-
-    # Catalogue statistics: rebuild from the replayed storage state,
-    # then back out the in-doubt transactions' deltas so the sketches
-    # reflect committed state only. When an in-doubt transaction is
-    # later decided, commit() re-applies its deltas and abort() rolls
-    # back its rows — either way the stats stay exact.
-    from repro.engine.stats import TableStats
-    for database in engine.databases.values():
-        for tname, table in database.tables.items():
-            database.stats[tname] = TableStats.rebuild(
-                len(table.schema.columns),
-                (row for _, row in table.scan()))
-    for txn in in_doubt_txns:
-        for entry in txn.undo:
-            database = engine.databases.get(entry.db)
-            if database is None:
-                continue
-            stats = database.stats.get(entry.table)
-            if stats is not None:
-                stats.revert_delta(entry.kind, entry.before, entry.after)
-    return engine, in_doubt_txns

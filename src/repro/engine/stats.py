@@ -15,10 +15,7 @@ Maintenance is incremental and commit-driven, never a rescan:
   delete removes the before-image, update does both), so aborted
   transactions never touch the sketches and uncommitted changes are
   invisible to the planner;
-* bulk loads (replica copy landing) add rows as they stream in;
-* crash recovery rebuilds from the replayed storage state, then backs
-  out in-doubt transactions' deltas so the sketches reflect committed
-  state only.
+* bulk loads (replica copy landing) add rows as they stream in.
 
 Min/max shrink correctly on delete: bounds are invalidated when the
 boundary value's count reaches zero and lazily recomputed over the
@@ -209,21 +206,12 @@ class TableStats:
         else:
             self.update_row(before, after)
 
-    def revert_delta(self, kind: str, before, after) -> None:
-        """Back out one undo-log entry (recovery of in-doubt txns)."""
-        if kind == "insert":
-            self.remove_row(after)
-        elif kind == "delete":
-            self.add_row(before)
-        else:
-            self.update_row(after, before)
-
     # -- construction -------------------------------------------------------
 
     @classmethod
     def rebuild(cls, n_columns: int,
                 rows: Iterable[Sequence[Any]]) -> "TableStats":
-        """From-scratch recount (recovery, and the test oracle)."""
+        """From-scratch recount (the test oracle)."""
         stats = cls(n_columns)
         for row in rows:
             stats.add_row(row)

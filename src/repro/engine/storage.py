@@ -306,7 +306,7 @@ class StoredDatabase:
         }
         # Catalogue statistics live with the storage so they travel with
         # the database on attach/failover. Maintained incrementally by
-        # Engine.commit / bulk load; rebuilt on crash recovery.
+        # Engine.commit / bulk load.
         self.stats: Dict[str, TableStats] = {
             name: TableStats(len(tschema.columns))
             for name, tschema in schema.tables.items()

@@ -1,34 +1,32 @@
-"""Write-ahead logging, restart recovery, and the retained log tail.
+"""Write-ahead logging, and the retained log tail.
 
-The WAL is the engine's durability story: every row change is logged
-before it is applied, COMMIT and PREPARE force the log, and
-:func:`recover` rebuilds storage state from a log after a crash-restart.
-Logging and forcing are separate steps: :meth:`WriteAheadLog.append`
-hands out the LSN, :meth:`WriteAheadLog.flush` moves the flush horizon
-over everything appended so far — so one flush can serve every committer
-whose record it covers (``Machine._force_log``).
+The WAL is the engine's durability horizon: every row change is logged
+before it is applied, and PREPARE and COMMIT answer only once a flush
+covers their record. Logging and forcing are separate steps:
+:meth:`WriteAheadLog.append` hands out the LSN,
+:meth:`WriteAheadLog.flush` moves the flush horizon over everything
+appended so far — so one flush can serve every committer whose record it
+covers (``Machine._force_log``). A machine rejoining with its data reads
+its COMMIT records to skip the commits it already applied
+(``Machine.committed_txn_ids``). No restart replays the log: a crashed
+machine comes back as a blank spare (the paper's §3.2), and
+:meth:`WriteAheadLog.checkpoint` drops closed transactions' prefix
+without keeping an image of it.
 
-The recovery contract matters for 2PC: transactions that logged PREPARE
-but no outcome are restored *in doubt* — their effects applied and their
-exclusive locks re-taken — so the cluster controller (the 2PC coordinator)
-can still decide them. Everything uncommitted and unprepared is discarded
-(presumed abort).
-
-The log is also the *replication stream*: :class:`RetainedTail` is the
-LSN-addressed retained suffix machinery shared by the engine WAL and the
-cluster's per-database commit logs. Entries get dense, monotonically
-increasing LSNs; a bounded tail of recent entries is retained for delta
-catch-up, and :class:`SnapshotPin`\\ s mark LSNs that an in-flight
-snapshot copy still needs — truncation never advances past the lowest
-pinned LSN, so a replica built from a snapshot taken at a pinned LSN can
-always replay forward from it.
+:class:`RetainedTail` is the LSN-addressed retained suffix behind the
+cluster's per-database commit logs (the *replication stream*). Entries
+get dense, monotonically increasing LSNs; a bounded tail of recent
+entries is retained for delta catch-up, and :class:`SnapshotPin`\\ s
+mark LSNs that an in-flight snapshot copy still needs — truncation never
+advances past the lowest pinned LSN, so a replica built from a snapshot
+taken at a pinned LSN can always replay forward from it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 
 class RecordType(enum.Enum):
@@ -74,9 +72,8 @@ class LogRecord:
 class SnapshotPin:
     """A claim on the retained tail: "keep everything after ``lsn``".
 
-    Handed out by :meth:`RetainedTail.pin` (and the WAL's
-    :meth:`WriteAheadLog.pin_snapshot`) at the instant a snapshot copy is
-    taken. While the pin is held, truncation keeps every entry with an
+    Handed out by :meth:`RetainedTail.pin` at the instant a snapshot
+    copy is taken. While the pin is held, truncation keeps every entry with an
     LSN greater than ``lsn`` so the snapshot's consumer can replay the
     suffix. Release exactly once via the owning tail.
     """
@@ -224,10 +221,8 @@ class WriteAheadLog:
 
     The log keeps an LSN-addressed retained tail: records below
     ``start_lsn`` have been truncated (after a checkpoint made them
-    redundant), and :meth:`pin_snapshot` holds truncation back so a
-    snapshot taken at that LSN can always be caught up by replaying
-    :meth:`records_since`. :meth:`checkpoint` is the one truncation
-    entry point.
+    redundant); :meth:`covers` and :meth:`records_since` read the
+    suffix. :meth:`checkpoint` is the one truncation entry point.
     """
 
     def __init__(self):
@@ -235,7 +230,6 @@ class WriteAheadLog:
         self._start_lsn = 1           # LSN of _records[0]
         self._next_lsn = 1
         self.flushed_lsn = 0
-        self._pins: List[SnapshotPin] = []
         self.stats = WalStats()
 
     def __len__(self) -> int:
@@ -266,33 +260,11 @@ class WriteAheadLog:
         offset = max(from_lsn + 1, self._start_lsn) - self._start_lsn
         return self._records[offset:]
 
-    def pin_snapshot(self, lsn: Optional[int] = None) -> SnapshotPin:
-        """Pin the tail at ``lsn`` (default: the log head) so records
-        after it survive truncation until :meth:`release_snapshot`."""
-        if lsn is None:
-            lsn = self.last_lsn
-        if not self.covers(lsn):
-            raise ValueError(
-                f"cannot pin at {lsn}: tail starts at {self._start_lsn}")
-        pin = SnapshotPin(lsn)
-        self._pins.append(pin)
-        return pin
-
-    def release_snapshot(self, pin: SnapshotPin) -> None:
-        if pin.released:
-            return
-        pin.released = True
-        self._pins.remove(pin)
-
-    def min_pinned_lsn(self) -> Optional[int]:
-        return min((p.lsn for p in self._pins), default=None)
-
     def checkpoint(self, upto_lsn: int) -> int:
         """Drop records with ``lsn <= upto_lsn``: the one way the log
         shrinks. Returns the number of records dropped.
 
-        Clamped to the lowest snapshot pin (a pinned suffix must stay
-        replayable) but not to the flush horizon: the caller
+        Not clamped to the flush horizon: the caller
         (``Engine.checkpoint``) vouches that every transaction in the
         prefix is closed, and a closed transaction has nothing left to
         make durable — a committed writer's COMMIT was forced before it
@@ -303,8 +275,6 @@ class WriteAheadLog:
         is the degenerate case), so the work is O(1) per record logged.
         """
         floor = min(upto_lsn, self._next_lsn - 1)
-        if self._pins:
-            floor = min(floor, self.min_pinned_lsn())
         drop = floor - self._start_lsn + 1   # LSNs are dense
         if 2 * drop <= len(self._records):
             return 0
@@ -362,36 +332,3 @@ class WriteAheadLog:
     def all_records(self) -> List[LogRecord]:
         return list(self._records)
 
-
-@dataclass
-class RecoveredState:
-    """Outcome of log analysis during restart recovery."""
-
-    committed: List[int] = field(default_factory=list)
-    in_doubt: List[int] = field(default_factory=list)
-    discarded: List[int] = field(default_factory=list)
-
-
-def analyze(records: List[LogRecord]) -> RecoveredState:
-    """Classify every transaction in a durable log."""
-    outcome: Dict[int, str] = {}
-    for record in records:
-        if record.kind is RecordType.BEGIN:
-            outcome.setdefault(record.txn_id, "active")
-        elif record.kind is RecordType.PREPARE:
-            outcome[record.txn_id] = "prepared"
-        elif record.kind is RecordType.COMMIT:
-            outcome[record.txn_id] = "committed"
-        elif record.kind is RecordType.ABORT:
-            outcome[record.txn_id] = "aborted"
-        else:
-            outcome.setdefault(record.txn_id, "active")
-    state = RecoveredState()
-    for txn_id, status in outcome.items():
-        if status == "committed":
-            state.committed.append(txn_id)
-        elif status == "prepared":
-            state.in_doubt.append(txn_id)
-        else:
-            state.discarded.append(txn_id)
-    return state

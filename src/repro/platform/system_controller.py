@@ -450,18 +450,10 @@ class SystemController:
         self.trace.emit("colo_crashed", machine=name)
 
     def fail_colo(self, name: str) -> List[str]:
-        """Lose a whole colo through the oracle path; promote standbys
-        instantly. Returns the databases whose primary was lost."""
-        colo = self.colos.get(name)
-        if colo is None:
-            raise ValueError(f"unknown colo {name!r}")
-        colo.crash()
-        colo.fence()
-        self.declared_dead.add(name)
-        self.detector.forget(name)
-        self.epoch += 1
-        self.trace.emit("colo_failed", machine=name, epoch=self.epoch)
-        return self._handle_colo_loss(name, self.epoch, self.sim.now)
+        """Lose a whole colo: a crash the system controller declares at
+        once. Returns the databases whose primary was lost."""
+        self.crash_colo(name)
+        return self.declare_colo_dead(name, reason="failed")
 
     def repair_colo(self, name: str) -> None:
         """Wipe a failed/fenced colo and rejoin it as a blank standby

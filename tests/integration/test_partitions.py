@@ -36,7 +36,7 @@ class TestFalseSuspicion:
         controller.fabric.cut(CONTROLLER, victim)
         sim.run(until=5.0)
         assert victim in controller.declared_dead
-        assert victim in controller.fenced
+        assert controller.machines[victim].fenced
         assert controller.machines[victim].alive
         assert victim not in controller.replica_map.replicas("kv")
 
@@ -46,7 +46,7 @@ class TestFalseSuspicion:
         controller.fabric.heal(CONTROLLER, victim)
         sim.run(until=12.0)
         assert victim not in controller.declared_dead
-        assert victim not in controller.fenced
+        assert not controller.machines[victim].fenced
         assert not controller.replica_map.hosted_on(victim)
         assert controller.metrics.network.false_suspicions >= 1
 

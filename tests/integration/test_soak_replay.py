@@ -11,7 +11,11 @@ per database at its first touch, and is otherwise the same trace.
 ``disaster`` is the system tier's trace and was recorded when
 faults became a schedule drawn up front (DESIGN §4t). The stampede's
 contrast arm was refreshed when admission became one path (DESIGN §4w):
-its hot tenant declares no SLA, and reads shed there as everywhere. Each one repeats
+its hot tenant declares no SLA, and reads shed there as everywhere.
+``faults`` and both stampede arms were refreshed when ``fail`` became a
+crash declared at once (DESIGN §4z): each ``machine_failed`` event is
+now ``machine_crashed``, ``machine_declared`` and ``machine_fenced`` at
+the same instant, and every other event is the same. Each one repeats
 across processes and under any ``PYTHONHASHSEED``.
 
 A soak also replays from its schedule alone: feeding ``run.schedule``
@@ -63,7 +67,7 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "9abeb14e75adbe964c57585eed8d68c3"),
+        "3200c13372e7305beeea264f1135075a"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
@@ -81,12 +85,12 @@ SOAKS = {
         lambda: cluster_trace(soaks.stampede(
             hot_sla=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "50c874105ea8b3f93f88799192ee0245"),
+        "d0489d45eeb39692f7179df5e0a43237"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             hot_sla=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "328e1e1f20a951de794138dfa3e871a8"),
+        "cc382b7672435ed209836d67a8482261"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,

@@ -16,7 +16,9 @@ whose degenerate case is a tenant without an SLA. DESIGN §4b keeps
 one implementation per engine operator, batching only the scans, and
 DESIGN §4x makes a range read one pass with one grant rule. DESIGN §4y
 keeps one First-Fit: the colo places over its clusters' replica maps,
-with no placement ledger of its own to keep in sync.
+with no placement ledger of its own to keep in sync. DESIGN §4z sends
+a machine or a colo out of service one way, and keeps no restart from
+the log in ``src/``.
 """
 
 import ast
@@ -37,6 +39,15 @@ CLUSTER = SRC / "cluster"
 
 def parse(path):
     return ast.parse(path.read_text())
+
+
+def lines_matching(pattern):
+    """``path:line`` of every source line under ``src/`` ``pattern``
+    matches."""
+    return [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
 
 
 def enabled_reads(path):
@@ -419,7 +430,29 @@ def test_the_colo_keeps_no_placement_ledger():
     gone = re.compile(r"machine_reset_hook|machine_rejoin_hook"
                       r"|_fit_in_cluster|_release_machine_bin"
                       r"|_rebind_machine_bin")
-    assert [f"{path.relative_to(SRC)}:{number}"
-            for path in sorted(SRC.rglob("*.py"))
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if gone.search(line)] == []
+    assert lines_matching(gone) == []
+
+
+def test_a_machine_leaves_service_one_way():
+    """DESIGN §4z: ``fail`` is a crash the controller declares at once,
+    for a machine and for a colo; no second bookkeeping, trace kind or
+    restart-from-log path is left in ``src/``."""
+    gone = re.compile(r"recover_engine|RecoveredState|revert_delta"
+                      r"|pin_snapshot|release_snapshot|keep_holdings"
+                      r'|"machine_failed"|"colo_failed"')
+    assert lines_matching(gone) == []
+    for path, cls, name, crash, declare in (
+            (CLUSTER / "controller.py", "ClusterController",
+             "fail_machine", "crash_machine", "declare_dead"),
+            (SRC / "platform" / "system_controller.py", "SystemController",
+             "fail_colo", "crash_colo", "declare_colo_dead")):
+        owner = next(node for node in ast.walk(parse(path))
+                     if isinstance(node, ast.ClassDef) and node.name == cls)
+        body = next(node for node in methods(owner)
+                    if node.name == name).body
+        if isinstance(body[0], ast.Expr) and isinstance(
+                body[0].value, ast.Constant):
+            body = body[1:]                      # the docstring
+        assert [ast.unparse(statement) for statement in body] == [
+            f"self.{crash}(name)",
+            f"return self.{declare}(name, reason='failed')"]

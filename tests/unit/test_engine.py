@@ -253,23 +253,6 @@ class TestCommitReleasesUndo:
         a_id = stats.columns[3]
         assert a_id.eq_fraction(9, stats.row_count) == 1 / 38
 
-    def test_recovered_in_doubt_commit_applies_deltas_once(self, shop):
-        from repro.engine.engine import recover_engine
-        txn = shop.begin()
-        shop.execute_sync(txn, "shop", "DELETE FROM item WHERE i_id >= 30")
-        shop.prepare(txn)
-        recovered, in_doubt = recover_engine(
-            "recovered", shop.config,
-            [db.schema for db in shop.databases.values()],
-            shop.wal.durable_records())
-        stats = recovered.table_stats("shop", "item")
-        assert stats.row_count == 40  # the in-doubt deletes are backed out
-        assert len(in_doubt[0].undo) == 10
-        recovered.commit(in_doubt[0])
-        assert in_doubt[0].undo == []
-        assert stats.row_count == 30
-        assert q(recovered, "SELECT COUNT(*) FROM item").scalar() == 30
-
 
 class TestEngineConfigSurface:
     def test_option_count_is_pinned(self):

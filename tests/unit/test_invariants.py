@@ -98,7 +98,7 @@ class TestCheckerRules:
             ("write_issued", {"db": "kv", "txn": 1, "machine": "m0"}),
             ("write_issued", {"db": "kv", "txn": 1, "machine": "m1"}),
             ("write_acked", {"db": "kv", "txn": 1, "machine": "m0"}),
-            ("machine_failed", {"machine": "m1", "affected": ["kv"]}),
+            ("machine_declared", {"machine": "m1", "affected": ["kv"]}),
             ("prepare", {"db": "kv", "txn": 1, "machine": "m0"}),
             ("decision_logged", {"db": "kv", "txn": 1}),
             ("committed", {"db": "kv", "txn": 1}),
@@ -176,14 +176,14 @@ class TestCheckerRules:
 class TestRecoveryRule:
     def test_unrecovered_database_flagged(self):
         violations = check_trace(trace(
-            ("machine_failed", {"machine": "m1", "affected": ["kv"]}),
+            ("machine_declared", {"machine": "m1", "affected": ["kv"]}),
             ("rereplication_queued", {"db": "kv"}),
         ), expect_recovery_complete=True)
         assert rules(violations) == ["rereplication-restores-factor"]
 
     def test_completed_recovery_passes(self):
         violations = check_trace(trace(
-            ("machine_failed", {"machine": "m1", "affected": ["kv"]}),
+            ("machine_declared", {"machine": "m1", "affected": ["kv"]}),
             ("rereplication_queued", {"db": "kv"}),
             ("rereplication_done", {"db": "kv", "machine": "m2",
                                     "replicas": 2}),

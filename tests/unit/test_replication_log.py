@@ -84,18 +84,21 @@ class TestCommitStream:
 
 
 class TestHoldings:
-    def test_declared_machine_keeps_its_lsns_a_failed_one_does_not(self):
+    def test_declared_machine_keeps_its_lsns_a_repaired_one_does_not(self):
         log = make_log()
         log.append("db", 7, WRITE)
         log.advance("db", "m1", 1)
-        log.machine_left("m1", ["db"], keep_holdings=True)
-        log.machine_left("m2", ["db"], keep_holdings=False)
-        assert log._stale_holdings == {"m1": {"db": 1}}
+        log.advance("db", "m2", 1)
+        log.machine_left("m1", ["db"])
+        log.machine_left("m2", ["db"])
+        assert log._stale_holdings == {"m1": {"db": 1}, "m2": {"db": 1}}
         assert log.replica_lsns["db"] == {}
+        log.machine_left("m2", ())          # repaired: a blank spare
+        assert log._stale_holdings == {"m1": {"db": 1}}
 
     def test_a_database_that_never_committed_is_held_at_lsn_zero(self):
         log = make_log()
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         assert log._stale_holdings == {"m1": {"db": 0}}
         assert log.replica_lsns == {}       # still nothing materialised
 
@@ -104,7 +107,7 @@ class TestHoldings:
         log.append("db", 7, WRITE)
         log.append("db", 8, WRITE)
         log.advance("db", "m1", 2)          # gap: dropped from tracking
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         assert "m1" not in log._stale_holdings
 
 
@@ -113,7 +116,7 @@ class TestRejoinEligibility:
         sim = Simulator()
         log = make_log(sim)
         log.replica_map.remove_machine("m1")
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         holdings, eligible = log.rejoin_eligibility(
             "m1", make_machine(sim, "m1"), {})
         assert holdings == eligible == {"db": 0}
@@ -130,7 +133,7 @@ class TestRejoinEligibility:
         log.append("db", 7, WRITE)
         log.advance("db", "m1", 1)
         log.replica_map.remove_machine("m1")
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         for txn_id in range(later_commits):
             log.append("db", 8 + txn_id, WRITE)   # retention keeps two
         holdings, eligible = log.rejoin_eligibility("m1", machine, {})
@@ -151,7 +154,7 @@ class TestRejoinEligibility:
         elif why == "copying":
             copying = ("db",)
         log.replica_map.remove_machine("m1")
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         if why == "dropped":
             log.replica_map.drop_database("db")
         elif why == "replicated":
@@ -182,7 +185,7 @@ class TestPaging:
         log = make_log()
         log.append("db", 7, WRITE)
         log.writer_opened("db", 8)
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         log.drop_database("db")
         assert (log.db_logs, log.replica_lsns, log._open_writers,
                 dict(log._log_lru)) == ({}, {}, {}, {})
@@ -230,7 +233,7 @@ class TestDeltaHandoff:
         sim.process(machine.apply_log_body("db", [(2, (8, WRITE))]))
         sim.run()
         log.replica_map.remove_machine("m1")
-        log.machine_left("m1", ["db"], keep_holdings=True)
+        log.machine_left("m1", ["db"])
         _, eligible = log.rejoin_eligibility("m1", machine, {})
         proc = sim.process(log.replay_and_handoff(
             "db", machine, eligible["db"], CopyState("db", "m1"),

@@ -60,11 +60,10 @@ class TestColumnStats:
 
 
 class TestTableStats:
-    def test_apply_and_revert_delta_round_trip(self):
+    def test_apply_delta_matches_rebuild(self):
         stats = TableStats(2)
         stats.add_row((1, "a"))
         stats.add_row((2, "b"))
-        snap = stats.snapshot()
         deltas = [
             ("insert", None, (3, "c")),
             ("update", (1, "a"), (1, "z")),
@@ -74,9 +73,8 @@ class TestTableStats:
             stats.apply_delta(kind, before, after)
         assert stats.row_count == 2
         assert stats.columns[1].counts == {"z": 1, "c": 1}
-        for kind, before, after in reversed(deltas):
-            stats.revert_delta(kind, before, after)
-        assert stats.snapshot() == snap
+        assert stats.snapshot() == TableStats.rebuild(
+            2, [(1, "z"), (3, "c")]).snapshot()
 
     def test_rebuild_matches_incremental(self):
         stats = TableStats(2)
@@ -131,21 +129,3 @@ class TestEngineMaintenance:
         assert stats.row_count == 3
         assert stats.columns[1].counts == {1: 1, 2: 1, 9: 1}
         assert stats.columns[0].max == 2
-
-    def test_recovery_rebuilds_committed_only(self):
-        from repro.engine.engine import recover_engine
-
-        engine = self._engine()
-        txn = engine.begin()
-        engine.execute_sync(txn, "db", "INSERT INTO t VALUES (1, 10)")
-        engine.commit(txn)
-        loose = engine.begin()
-        engine.execute_sync(loose, "db", "INSERT INTO t VALUES (2, 20)")
-        # Crash with txn 2 unresolved (never prepared → discarded).
-        recovered, in_doubt = recover_engine(
-            "r", engine.config, [engine.database("db").schema],
-            engine.wal.durable_records())
-        assert in_doubt == []
-        stats = recovered.table_stats("db", "t")
-        assert stats.row_count == 1
-        assert stats.columns[1].counts == {10: 1}

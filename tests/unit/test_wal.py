@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.engine.wal import (RecordType, RetainedTail, WriteAheadLog,
-                              analyze)
+from repro.engine.wal import RecordType, RetainedTail, WriteAheadLog
 
 
 class TestWal:
@@ -36,51 +35,6 @@ class TestWal:
         wal.flush()
         assert wal.stats.records == 1
         assert wal.stats.flushes == 2
-
-
-class TestAnalyze:
-    def _records(self, *specs):
-        wal = WriteAheadLog()
-        for txn, kind in specs:
-            wal.append(txn, kind)
-        wal.flush()
-        return wal.durable_records()
-
-    def test_committed(self):
-        state = analyze(self._records((1, RecordType.BEGIN),
-                                      (1, RecordType.COMMIT)))
-        assert state.committed == [1]
-        assert state.in_doubt == []
-
-    def test_prepared_is_in_doubt(self):
-        state = analyze(self._records((1, RecordType.BEGIN),
-                                      (1, RecordType.PREPARE)))
-        assert state.in_doubt == [1]
-
-    def test_prepared_then_committed(self):
-        state = analyze(self._records((1, RecordType.BEGIN),
-                                      (1, RecordType.PREPARE),
-                                      (1, RecordType.COMMIT)))
-        assert state.committed == [1]
-        assert state.in_doubt == []
-
-    def test_active_discarded(self):
-        state = analyze(self._records((1, RecordType.BEGIN)))
-        assert state.discarded == [1]
-
-    def test_aborted_discarded(self):
-        state = analyze(self._records((1, RecordType.BEGIN),
-                                      (1, RecordType.ABORT)))
-        assert state.discarded == [1]
-
-    def test_mixed_transactions(self):
-        state = analyze(self._records(
-            (1, RecordType.BEGIN), (2, RecordType.BEGIN),
-            (3, RecordType.BEGIN), (1, RecordType.COMMIT),
-            (2, RecordType.PREPARE)))
-        assert state.committed == [1]
-        assert state.in_doubt == [2]
-        assert state.discarded == [3]
 
 
 class TestRetainedTail:
@@ -175,16 +129,6 @@ class TestWalRetainedTail:
         assert wal.start_lsn == 1 and len(wal) == 10
         assert wal.checkpoint(6) == 6
         assert wal.start_lsn == 7 and len(wal) == 4
-
-    def test_snapshot_pin_blocks_checkpoint(self):
-        wal = self._filled()
-        pin = wal.pin_snapshot(3)
-        assert wal.checkpoint(5) == 3    # clamped to the pin's LSN
-        assert wal.start_lsn == 4
-        wal.release_snapshot(pin)
-        assert wal.checkpoint(5) == 2
-        assert wal.start_lsn == 6
-        assert len(wal) == 0
 
     def test_durable_records_survive_truncation_boundary(self):
         wal = self._filled()
