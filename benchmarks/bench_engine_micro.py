@@ -201,15 +201,45 @@ def test_range_group_topn(benchmark, engine):
     assert result.cost.rows_scanned == 400
 
 
+# A tenant's initial load, as ``ClusterController.bulk_load`` lands it on
+# each replica: 8,000 KV rows in key order into a fresh table, plus as
+# many rows into a table whose secondary index receives its keys out of
+# order. One op is both loads into a new database.
+BULK_DDL = ["CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)",
+            "CREATE TABLE u (k INTEGER PRIMARY KEY, s VARCHAR(20))",
+            "CREATE INDEX u_s ON u (s)"]
+
+
+def bulk_rows(n: int = 8000):
+    return ([(k, 0) for k in range(n)],
+            [(k, f"s{k * 7919 % n:06d}") for k in range(n)])
+
+
+def bulk_load(engine, rows):
+    kv, unsorted = rows
+    engine.create_database_from_ddl("bulk", BULK_DDL)
+    engine.load_table_rows("bulk", "kv", kv)
+    engine.load_table_rows("bulk", "u", unsorted)
+    engine.drop_database("bulk")
+
+
+@pytest.mark.benchmark(group="engine-micro")
+def test_bulk_load(benchmark):
+    engine, rows = Engine("micro"), bulk_rows()
+    benchmark(bulk_load, engine, rows)
+    assert not engine.hosts("bulk")
+
+
 # -- plain mode ---------------------------------------------------------------
 
 
-def _plain_groups():
+def _plain_groups(smoke: bool = False):
     """(name, inner-loop size, statement runner factory) per group.
 
     Each factory takes an engine and returns a zero-argument op running
     one statement; read-only groups share one long-lived transaction the
-    way the pytest variants do.
+    way the pytest variants do. A ``bulk_load`` op is one load of two
+    tables into a database of its own (``smoke``: 300 rows each).
     """
 
     def query(engine, sql, params=()):
@@ -240,6 +270,10 @@ def _plain_groups():
 
         return op
 
+    def bulk(engine):
+        rows = bulk_rows(300 if smoke else 8000)
+        return lambda: bulk_load(engine, rows)
+
     return [
         ("point_select", 3000,
          lambda e: query(e, "SELECT v FROM t WHERE k = ?", (777,))),
@@ -266,6 +300,7 @@ def _plain_groups():
          lambda e: query(e, "SELECT COUNT(*), SUM(v), MIN(k), MAX(k) "
                             "FROM t WHERE v < ?", (25,))),
         ("range_group_topn", 100, range_group_topn),
+        ("bulk_load", 5, bulk),
     ]
 
 
@@ -279,7 +314,7 @@ def run_plain(repeats: int = 5, smoke: bool = False):
     import time
 
     rates = {}
-    for name, inner, factory in _plain_groups():
+    for name, inner, factory in _plain_groups(smoke):
         rows = 500 if name == "update_commit_cycle" else 2000
         if smoke:
             rows = min(rows, 300)

@@ -394,6 +394,7 @@ class PaxosGroup:
                             node.next_campaign_at,
                             node.lease_until + self._jitter(node),
                             now + self._jitter(node))
+                        self._drop_self_grant(node)
                 elif now >= node.lease_until and now >= node.next_campaign_at:
                     self._start_campaign(node)
         except Interrupt:
@@ -482,6 +483,19 @@ class PaxosGroup:
             "accepted": accepted, "chosen": chosen,
             "max_index": max([0, *node.accepted, *node.chosen])})
 
+    @staticmethod
+    def _drop_self_grant(node: PaxosNode) -> None:
+        """A lost campaign gives up the lease its prepare granted itself.
+
+        No leader stands behind that grant, yet while it lasts this
+        replica nacks every rival's prepare; with several losers each
+        blocking the others no candidate reaches a majority. The
+        promise stays (``promised`` is Paxos state) and ``lease_until``
+        still delays this replica's own retry.
+        """
+        if node.lease_holder == node.name:
+            node.lease_holder = None
+
     def _on_promise(self, node: PaxosNode, msg: Dict[str, Any]) -> None:
         camp = node.campaign
         if camp is None or msg["ballot"] != camp.ballot:
@@ -503,6 +517,7 @@ class PaxosGroup:
                 node.next_campaign_at = max(
                     node.next_campaign_at,
                     node.lease_until + self._jitter(node))
+                self._drop_self_grant(node)
             return
         if msg["frm"] in camp.grants:
             return

@@ -1171,11 +1171,16 @@ class ClusterController:
         self.admission.forget(db)
 
     def bulk_load(self, db: str, table: str, rows: Sequence[Sequence[Any]]) -> None:
-        """Load identical rows into every replica (setup phase)."""
+        """Load identical rows into every replica (setup phase).
+
+        The rows become tuples once and every replica loads that one
+        list: a row its engine stores unchanged is one object shared by
+        all of them (rows are immutable).
+        """
         self.ensure_materialised(db)
+        rows = list(map(tuple, rows))
         for name in self.replica_map.replicas_view(db):
-            self.machines[name].engine.load_table_rows(db, table,
-                                                       [tuple(r) for r in rows])
+            self.machines[name].engine.load_table_rows(db, table, rows)
 
     def drop_database(self, db: str) -> None:
         """Remove a database from the cluster entirely (deregistration).

@@ -6,6 +6,13 @@ Leaves are chained for range scans. The tree tracks how many *nodes* a
 lookup traverses so the executor can charge buffer-pool page accesses that
 scale realistically (log of table size).
 
+``extend`` is ``insert`` of many pairs in one pass: a key at or above the
+rightmost leaf's last key is appended along a kept rightmost spine, any
+other key descends as ``insert`` does. The tree is node for node the one
+the inserts grow, whatever the key order — keys are never sorted into a
+fresh tree, whose fill and ``height`` (and so the index pages the
+simulation charges) would differ.
+
 Invariants (checked by ``check_invariants`` and exercised by the
 hypothesis suite):
 
@@ -16,7 +23,7 @@ hypothesis suite):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 Key = Tuple[Any, ...]
 
@@ -197,12 +204,77 @@ class BPlusTree:
         """Add ``rid`` under ``key`` (appends for duplicate keys)."""
         split = self._insert(self._root, key, rid)
         if split is not None:
-            sep, right = split
-            new_root = _Node(leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
+            self._grow_root(*split)
+
+    def _grow_root(self, sep: Key, right: _Node) -> _Node:
+        """A new root over the split old root and its right half."""
+        root = _Node(leaf=False)
+        root.keys = [sep]
+        root.children = [self._root, right]
+        self._root = root
+        self._height += 1
+        return root
+
+    def extend(self, pairs: Iterable[Tuple[Key, Any]]) -> None:
+        """``insert(key, rid)`` for each pair in turn, in one pass.
+
+        The tree it leaves is node for node the one the inserts leave,
+        for any key order. A key at or above the rightmost leaf's last
+        key is where ``insert``'s descent would take it: every separator
+        on the rightmost spine is at most that leaf's first key. Such a
+        key is appended there, and a split runs up the kept spine
+        through ``_split_leaf`` / ``_split_internal`` exactly as the
+        recursive path would, the new right halves becoming the spine.
+        Any other key (or one that does not compare with the last key)
+        takes ``insert`` itself, and the spine is re-read after it.
+        """
+        spine = self._spine()
+        leaf = spine[-1]
+        for key, rid in pairs:
+            keys = leaf.keys
+            try:
+                tail = not keys or keys[-1] < key
+                same = not tail and keys[-1] == key
+            except TypeError:
+                tail = same = False
+            if same:
+                leaf.values[-1].append(rid)
+                continue
+            if not tail:
+                self.insert(key, rid)
+                spine = self._spine()
+                leaf = spine[-1]
+                continue
+            keys.append(key)
+            leaf.values.append([rid])
+            self._size += 1
+            if len(keys) < self.order:
+                continue
+            sep, right = self._split_leaf(leaf)
+            leaf = right
+            level = len(spine) - 1
+            spine[level] = right
+            while True:
+                if level == 0:
+                    spine.insert(0, self._grow_root(sep, right))
+                    break
+                level -= 1
+                parent = spine[level]
+                parent.keys.append(sep)
+                parent.children.append(right)
+                if len(parent.children) <= self.order:
+                    break
+                sep, right = self._split_internal(parent)
+                spine[level] = right
+
+    def _spine(self) -> List[_Node]:
+        """The nodes from the root down to the rightmost leaf."""
+        node = self._root
+        spine = [node]
+        while not node.leaf:
+            node = node.children[-1]
+            spine.append(node)
+        return spine
 
     def _insert(
         self, node: _Node, key: Key, rid: Any

@@ -25,6 +25,7 @@ from repro.engine import compile as comp
 from repro.engine import executor as ex
 from repro.engine import planner as pl
 from repro.engine.config import EngineConfig
+from repro.engine.btree import BPlusTree
 from repro.engine.bufferpool import BufferPool
 from repro.engine.locks import LockManager
 from repro.engine.schema import Column, DatabaseSchema, IndexDef, TableSchema
@@ -333,11 +334,10 @@ class Engine:
             schema.add_index(IndexDef(stmt.name, tuple(stmt.columns),
                                       stmt.unique))
             table = database.table(stmt.table)
-            from repro.engine.btree import BPlusTree
             tree = BPlusTree(order=self.config.btree_order)
             index = schema.indexes[stmt.name]
-            for rid, row in table.scan():
-                tree.insert(table.index_key(index, row), rid)
+            tree.extend((table.index_key(index, row), rid)
+                        for rid, row in table.scan())
             table.indexes[stmt.name] = tree
         self._statements.pop(db_name, None)
         return ExecResult(rowcount=0)
@@ -351,12 +351,16 @@ class Engine:
 
     def load_table_rows(self, db_name: str, table_name: str,
                         rows: List[Tuple]) -> None:
-        """Bulk-load snapshot rows into an (empty) table on this engine."""
+        """Bulk-load snapshot rows into an (empty) table on this engine:
+        ``insert_many``, then the stored rows into the table's statistics
+        (those before a rejected row too, as a row-at-a-time load)."""
         database = self.database(db_name)
         table = database.table(table_name)
         stats = database.stats.get(table_name)
-        for row in rows:
-            rid = table.insert(row)
+        first = table.next_rid
+        try:
+            table.insert_many(rows)
+        finally:
             if stats is not None:
-                stats.add_row(table.get(rid))
+                stats.add_rows(table.get_many(range(first, table.next_rid)))
 

@@ -15,7 +15,8 @@ Maintenance is incremental and commit-driven, never a rescan:
   delete removes the before-image, update does both), so aborted
   transactions never touch the sketches and uncommitted changes are
   invisible to the planner;
-* bulk loads (replica copy landing) add rows as they stream in.
+* a bulk load (a tenant's initial load, a replica copy landing) adds
+  its rows one column at a time, :meth:`TableStats.add_rows`.
 
 Min/max shrink correctly on delete: bounds are invalidated when the
 boundary value's count reaches zero and lazily recomputed over the
@@ -26,6 +27,8 @@ statement soaks.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -78,6 +81,29 @@ class ColumnStats:
                         self._max = value
         else:
             self.counts[value] = count + 1
+
+    def add_many(self, values: Iterable[Any]) -> None:
+        """``add`` of each value in turn: the same counts in first-seen
+        order, nulls and bounds."""
+        batch = Counter(values)
+        self.nulls += batch.pop(None, 0)
+        if not batch:
+            return
+        counts = self.counts
+        new = ([value for value in batch if value not in counts] if counts
+               else list(batch))
+        if not self._stale and new:
+            if self.non_null:
+                self._min = min(self._min, *new)
+                self._max = max(self._max, *new)
+            else:
+                self._min, self._max = min(new), max(new)
+        self.non_null += sum(batch.values())
+        if counts:
+            for value, n in batch.items():
+                counts[value] = counts.get(value, 0) + n
+        else:
+            counts.update(batch)
 
     def remove(self, value: Any) -> None:
         if value is None:
@@ -185,6 +211,12 @@ class TableStats:
         self.row_count += 1
         for column, value in zip(self.columns, row):
             column.add(value)
+
+    def add_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """``add_row`` of each row, one column at a time."""
+        self.row_count += len(rows)
+        for pos, column in enumerate(self.columns):
+            column.add_many(map(itemgetter(pos), rows))
 
     def remove_row(self, row: Sequence[Any]) -> None:
         self.row_count -= 1

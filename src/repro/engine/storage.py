@@ -4,19 +4,29 @@ Each table is a heap of rows keyed by monotonically increasing row ids.
 Row ids map to heap *pages* (``rows_per_page`` rows each) so the executor
 can charge buffer-pool accesses; B+Tree indexes likewise expose the page
 ids a traversal would touch.
+
+``insert`` stores one row (an INSERT statement, undo); ``insert_many``
+is the one bulk path — a tenant's load, a copy landing — and equals a
+loop of ``insert``: it checks and coerces the rows column by column,
+indexes them with ``BPlusTree.extend``, stores a row that coerces to
+itself as the tuple it was given, and stops at the row the loop would
+have rejected, with the loop's error.
 """
 
 from __future__ import annotations
 
 import zlib
-from itertools import groupby
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, count, groupby, repeat
+from operator import contains, is_not, itemgetter
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.engine.btree import BPlusTree
 from repro.engine.config import EngineConfig
-from repro.engine.schema import DatabaseSchema, IndexDef, TableSchema
+from repro.engine.schema import (Column, DatabaseSchema, IndexDef,
+                                 TableSchema)
 from repro.engine.stats import TableStats
-from repro.engine.types import coerce
+from repro.engine.types import SqlType, coerce
 from repro.errors import ConstraintError, SchemaError
 
 Row = Tuple[Any, ...]
@@ -39,6 +49,37 @@ def _placement_hash(key: Tuple[Any, ...]) -> int:
                 else zlib.crc32(v.encode()) if isinstance(v, str) else v
                 for v in key))
     return hash(key)
+
+
+NoneType = type(None)
+#: The type ``coerce`` returns for each column type: a value already of
+#: it is stored unchanged.
+_NATIVE = {SqlType.INTEGER: int, SqlType.FLOAT: float,
+           SqlType.VARCHAR: str, SqlType.DATE: str}
+
+
+def _coerce_column(table: str, column: Column, values: Iterable[Any]
+                   ) -> Tuple[List[Any], Optional[Tuple[int, ConstraintError]]]:
+    """``coerce`` each of a column's values, as ``insert`` would.
+
+    Returns the stored values up to the first one ``insert`` rejects,
+    and that value's position with its error (None: none rejected).
+    """
+    sql_type, native = column.sql_type, _NATIVE[column.sql_type]
+    out: List[Any] = []
+    for i, value in enumerate(values):
+        if type(value) is not native:
+            try:
+                value = coerce(value, sql_type)
+            except ValueError as exc:
+                error = ConstraintError(str(exc))
+                error.__cause__ = exc
+                return out, (i, error)
+            if value is None and not column.nullable:
+                return out, (i, ConstraintError(
+                    f"{table}.{column.name} is NOT NULL"))
+        out.append(value)
+    return out, None
 
 
 class HeapTable:
@@ -76,6 +117,11 @@ class HeapTable:
         """Heap pages the table occupies (at least 1)."""
         return max(1, (self._next_rid + self.config.rows_per_page - 1)
                    // self.config.rows_per_page)
+
+    @property
+    def next_rid(self) -> int:
+        """The rid the next inserted row gets."""
+        return self._next_rid
 
     def get(self, rid: int) -> Optional[Row]:
         return self._rows.get(rid)
@@ -183,6 +229,97 @@ class HeapTable:
         for name, index in self.schema.indexes.items():
             self.indexes[name].insert(self.index_key(index, row), rid)
         return rid
+
+    def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[int]:
+        """``[self.insert(r) for r in rows]``, one pass per column and
+        per index.
+
+        Values are coerced column by column: one of the column's native
+        type passes through, any other goes through ``coerce``. The
+        first row ``insert`` would reject is found before anything is
+        stored — wrong arity, then each column's coercion or NOT NULL,
+        then a NULL in the primary key, then a primary key already in
+        the table or earlier in the batch. The rows before it are stored
+        and indexed (``BPlusTree.extend``, one index at a time) and then
+        that row's ``ConstraintError`` is raised. A row whose values all
+        coerce to themselves is stored as the tuple passed in, so
+        replicas loaded from one list share their rows.
+        """
+        schema = self.schema
+        width = len(schema.columns)
+        error = None
+        if set(map(len, rows)) - {width}:
+            at = next(i for i, row in enumerate(rows) if len(row) != width)
+            error = ConstraintError(f"{schema.name}: expected {width} "
+                                    f"values, got {len(rows[at])}")
+            rows = rows[:at]
+        stored = list(rows)
+        if set(map(type, stored)) - {tuple}:
+            stored = list(map(tuple, stored))
+        coerced: Dict[int, List[Any]] = {}
+        for pos, column in enumerate(schema.columns):
+            native = _NATIVE[column.sql_type]
+            kinds = set(map(type, map(itemgetter(pos), stored)))
+            if kinds <= ({native, NoneType} if column.nullable else {native}):
+                continue
+            coerced[pos], bad = _coerce_column(
+                schema.name, column, map(itemgetter(pos), stored))
+            if bad is not None:
+                at, error = bad
+                del stored[at:]
+        if coerced:
+            moved = set()
+            for pos, values in coerced.items():
+                moved.update(compress(count(), map(
+                    is_not, values, map(itemgetter(pos), stored))))
+            for i in moved:
+                row = list(stored[i])
+                for pos, values in coerced.items():
+                    row[pos] = values[i]
+                stored[i] = tuple(row)
+            del coerced, moved
+        keys = None
+        if schema.primary_key:
+            keys = list(zip(*[map(itemgetter(p), stored)
+                              for p in schema.pk_positions()]))
+            null = next(compress(count(), map(contains, keys, repeat(None))),
+                        None)
+            if null is not None:
+                error = ConstraintError(
+                    f"{schema.name}: NULL in primary key {keys[null]}")
+                del keys[null:], stored[null:]
+            dup = self._first_duplicate(keys)
+            if dup is not None:
+                error = ConstraintError(
+                    f"{schema.name}: duplicate primary key {keys[dup]}")
+                del keys[dup:], stored[dup:]
+        start = self._next_rid
+        rids = list(range(start, start + len(stored)))
+        self._rows.update(zip(rids, stored))
+        self._next_rid = start + len(stored)
+        for name, index in schema.indexes.items():
+            if name == "__pk__":
+                index_keys, keys = keys, None
+            else:
+                index_keys = zip(*[map(itemgetter(p), stored)
+                                   for p in schema.index_positions(index)])
+            self.indexes[name].extend(zip(index_keys, rids))
+        if error is not None:
+            raise error
+        return rids
+
+    def _first_duplicate(self, keys: List[Tuple[Any, ...]]) -> Optional[int]:
+        """Position of the first key already in the primary-key index or
+        earlier in ``keys`` (None: no such key)."""
+        tree = self.indexes["__pk__"]
+        if not len(tree) and len(set(keys)) == len(keys):
+            return None
+        seen = set()
+        for i, key in enumerate(keys):
+            if key in seen or tree.contains(key):
+                return i
+            seen.add(key)
+        return None
 
     def insert_at(self, rid: int, values: Sequence[Any]) -> None:
         """Re-insert a row at a specific rid (transaction undo path)."""

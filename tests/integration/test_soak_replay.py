@@ -77,7 +77,7 @@ SOAKS = {
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0, seed=3)),
-        "89d6389cf8a2fd5738f40c769203521b"),
+        "d435e806bec7fbd41eabc6f9ea03b1fd"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16: the hot tenant
     # with its SLA (throttled), then without one (admission never
     # throttles it: the contrast arm)

@@ -18,7 +18,7 @@ DESIGN §4x makes a range read one pass with one grant rule. DESIGN §4y
 keeps one First-Fit: the colo places over its clusters' replica maps,
 with no placement ledger of its own to keep in sync. DESIGN §4z sends
 a machine or a colo out of service one way, and keeps no restart from
-the log in ``src/``.
+the log in ``src/``. DESIGN §4aa makes a bulk load one pass.
 """
 
 import ast
@@ -456,3 +456,42 @@ def test_a_machine_leaves_service_one_way():
         assert [ast.unparse(statement) for statement in body] == [
             f"self.{crash}(name)",
             f"return self.{declare}(name, reason='failed')"]
+
+
+def test_a_bulk_load_is_one_pass():
+    """DESIGN §4aa: a tenant's load and a copy's destination go through
+    ``HeapTable.insert_many`` and one column-wise statistics add, with
+    no loop over rows of their own; ``CREATE INDEX`` grows its tree with
+    ``BPlusTree.extend``, imported once at module level."""
+
+    def row_loops(method):
+        """Loops of ``method`` over its ``rows`` (a loop over replicas
+        is not one)."""
+        return [node.lineno for node in ast.walk(method)
+                if isinstance(node, ast.While) or (
+                    isinstance(node, (ast.For, ast.comprehension))
+                    and "rows" in {name.id for name in ast.walk(node.iter)
+                                   if isinstance(name, ast.Name)})]
+
+    engine = parse(SRC / "engine" / "engine.py")
+    engine_cls = next(node for node in engine.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "Engine")
+    controller = next(node for node in parse(CLUSTER / "controller.py").body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "ClusterController")
+    load = next(node for node in methods(engine_cls)
+                if node.name == "load_table_rows")
+    bulk = next(node for node in methods(controller)
+                if node.name == "bulk_load")
+    assert row_loops(load) == [] and row_loops(bulk) == []
+    assert "insert_many" in {node.attr for node in ast.walk(load)
+                             if isinstance(node, ast.Attribute)}
+    ddl = next(node for node in methods(engine_cls)
+               if node.name == "_execute_ddl")
+    called = {node.func.attr for node in ast.walk(ddl)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert "extend" in called and "insert" not in called
+    assert [node.lineno for node in ast.walk(engine_cls)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
