@@ -11,7 +11,7 @@ waits), consistent reads trade that for read-committed semantics.
 import pytest
 
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import format_table, run_tpcw_cluster
+from repro.harness import experiments, format_table, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 from common import report
@@ -21,12 +21,12 @@ def run_ablation():
     results = {}
     for label, nonlocking in (("locking reads (strict 2PL)", False),
                               ("consistent reads (read committed)", True)):
-        results[label] = run_tpcw_cluster(
-            mix_name="ordering",
+        results[label] = experiments.tpcw_report(run_scenario(experiments.tpcw(
+            mix="ordering",
             read_option=ReadOption.OPTION_1,
             write_policy=WritePolicy.CONSERVATIVE,
             machines=4,
-            n_databases=2,
+            databases=2,
             replicas=2,
             clients_per_db=12,
             duration_s=12.0,
@@ -35,7 +35,7 @@ def run_ablation():
             buffer_pool_pages=1024,
             lock_wait_timeout_s=1.0,
             nonlocking_reads=nonlocking,
-        )
+        )))
     rows = [[label, result.throughput_tps, result.deadlocks]
             for label, result in results.items()]
     text = format_table(

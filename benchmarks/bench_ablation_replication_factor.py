@@ -8,7 +8,7 @@ trading throughput for failure tolerance.
 import pytest
 
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import format_table, run_tpcw_cluster
+from repro.harness import experiments, format_table, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 from common import report
@@ -17,19 +17,19 @@ from common import report
 def run_ablation():
     results = {}
     for replicas in (1, 2, 3):
-        results[replicas] = run_tpcw_cluster(
-            mix_name="shopping",
+        results[replicas] = experiments.tpcw_report(run_scenario(experiments.tpcw(
+            mix="shopping",
             read_option=ReadOption.OPTION_1,
             write_policy=WritePolicy.CONSERVATIVE,
             machines=6,
-            n_databases=4,
+            databases=4,
             replicas=replicas,
             clients_per_db=4,
             duration_s=12.0,
             scale=TpcwScale(items=800, emulated_browsers=4),
             think_time_s=0.02,
             buffer_pool_pages=384,
-        )
+        )))
     rows = [[replicas, result.throughput_tps, result.buffer_hit_rate]
             for replicas, result in results.items()]
     text = format_table(

@@ -10,7 +10,7 @@ the paper bothers with the aggressive mode at all.
 import pytest
 
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import format_table, run_tpcw_cluster
+from repro.harness import experiments, format_table, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 from common import report
@@ -19,23 +19,24 @@ from common import report
 def run_ablation():
     results = {}
     for policy in (WritePolicy.CONSERVATIVE, WritePolicy.AGGRESSIVE):
-        results[policy] = run_tpcw_cluster(
-            mix_name="ordering",
+        results[policy] = run_scenario(experiments.tpcw(
+            mix="ordering",
             read_option=ReadOption.OPTION_1,
             write_policy=policy,
             machines=4,
-            n_databases=4,
+            databases=4,
             replicas=2,
             clients_per_db=4,
             duration_s=12.0,
             scale=TpcwScale(items=800, emulated_browsers=4),
             think_time_s=0.02,
             buffer_pool_pages=512,
-        )
+        ))
     rows = []
-    for policy, result in results.items():
+    for policy, run in results.items():
+        result = experiments.tpcw_report(run)
         mean_rt = (sum(c.response_time_total
-                       for c in result.metrics.per_db.values())
+                       for c in run.metrics.per_db.values())
                    / max(1, result.committed))
         rows.append([policy.value, result.throughput_tps,
                      mean_rt * 1000.0, result.deadlocks])

@@ -17,7 +17,7 @@ import pytest
 
 from repro.harness import format_table, soaks
 from repro.harness.faults import injected
-from repro.harness.scenario import run_scenario
+from repro.harness.scenario import Kv, run_scenario
 from repro.sla.model import rejected_fraction_bound
 from repro.sla.monitor import observed_availability_inputs
 
@@ -33,7 +33,8 @@ def run_soak():
     scenario = dataclasses.replace(
         soaks.faults(copy="database", duration_s=DURATION_S, drain_s=0.0,
                      mtbf_s=MTBF_S, seed=9),
-        databases=1, keys_per_db=40, clients_per_db=4, think_time_s=0.25)
+        databases=1, tenant=Kv(keys=40), clients_per_db=4,
+        think_time_s=0.25)
     scenario.config.machine.copy_bytes_factor = 20_000.0  # ~0.8 s copies
     run = run_scenario(scenario)
     assert all(r.mode == "database" for r in run.recoveries)

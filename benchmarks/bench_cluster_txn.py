@@ -40,7 +40,8 @@ sys.path.insert(0, "src")
 
 from repro.analysis.invariants import check_controller
 from repro.cluster import WritePolicy
-from repro.harness.runner import run_commit_latency_bench
+from repro.harness import experiments
+from repro.harness.scenario import run_scenario
 
 from common import bench_main
 
@@ -62,11 +63,12 @@ def sweep(replication_factors=(2, 3, 5), transactions_per_client=50):
     for replicas in replication_factors:
         per_policy = {}
         for policy in POLICIES:
-            result = run_commit_latency_bench(
+            run = run_scenario(experiments.commit_latency(
                 replicas=replicas, write_policy=policy, latency_s=LATENCY_S,
-                transactions_per_client=transactions_per_client)
-            assert not check_controller(result.controller), \
+                transactions_per_client=transactions_per_client))
+            assert not check_controller(run.controller), \
                 "invariant violation in bench run"
+            result = experiments.commit_latency_report(run)
             assert result.committed > 0
             row = {"committed": result.committed,
                    "round_trip_s": result.round_trip_s,
@@ -98,20 +100,21 @@ def concurrency(clients=(1, 4, 16, 64), transactions_per_client=60):
     WAL flushes per commit as the number of concurrent clients grows."""
     rows = {}
     for n in clients:
-        result = run_commit_latency_bench(
+        run = run_scenario(experiments.commit_latency(
             replicas=3, write_policy=WritePolicy.CONSERVATIVE, clients=n,
             keys=CONCURRENCY_KEYS, latency_s=CONCURRENCY_LATENCY_S,
-            transactions_per_client=transactions_per_client)
-        assert not check_controller(result.controller), \
+            transactions_per_client=transactions_per_client))
+        assert not check_controller(run.controller), \
             "invariant violation in bench run"
-        machines = result.controller.machines.values()
+        result = experiments.commit_latency_report(run)
+        machines = run.controller.machines.values()
         flushes = sum(m.engine.wal.stats.flushes for m in machines)
         row = {"committed": result.committed, "aborted": result.aborted,
                "tps": result.committed / result.sim_seconds,
                "wal_flushes_per_commit": flushes / result.committed,
                "round_trip_s": result.round_trip_s,
                "log_flush_s":
-                   result.controller.config.machine.engine.log_flush_ms / 1e3}
+                   run.controller.config.machine.engine.log_flush_ms / 1e3}
         for phase in ("prepare", "commit"):
             row[f"{phase}_p50"] = result.latencies[phase]["p50"]
             row[f"{phase}_p95"] = result.latencies[phase]["p95"]
@@ -155,9 +158,9 @@ def format_concurrency(rows):
 
 @pytest.mark.benchmark(group="cluster-txn")
 def test_bench_commit_path(benchmark):
-    result = benchmark(run_commit_latency_bench, replicas=3,
-                       transactions_per_client=20)
-    assert result.committed > 0
+    run = benchmark(run_scenario, experiments.commit_latency(
+        replicas=3, transactions_per_client=20))
+    assert run.committed > 0
 
 
 # -- plain mode ---------------------------------------------------------------

@@ -12,7 +12,7 @@ copy (shared disk/network), increasing rejections.
 
 import pytest
 
-from repro.harness import format_table, run_recovery_experiment
+from repro.harness import experiments, format_table, run_scenario
 
 from common import report
 
@@ -26,13 +26,14 @@ def run_fig8():
     # next to nothing and would make both curves zero).
     for copy in ("table", "database"):
         for threads in THREAD_SWEEP:
-            outcome = run_recovery_experiment(
-                copy=copy,
-                recovery_threads=threads,
-                duration_s=120.0,
-                failure_time_s=20.0,
-                copy_bytes_factor=2000.0,
-            )
+            outcome = experiments.recovery_report(run_scenario(
+                experiments.recovery(
+                    copy=copy,
+                    recovery_threads=threads,
+                    duration_s=120.0,
+                    failure_time_s=20.0,
+                    copy_bytes_factor=2000.0,
+                )))
             results[(copy, threads)] = outcome
     headers = ["recovery threads", "table-level rej/db", "db-level rej/db"]
     rows = [

@@ -8,7 +8,8 @@ and throughput returns to normal afterwards.
 
 import pytest
 
-from repro.harness import format_series, format_table, run_recovery_experiment
+from repro.harness import (experiments, format_series, format_table,
+                           run_scenario)
 
 from common import report
 
@@ -16,13 +17,14 @@ from common import report
 def run_fig9():
     results = {}
     for copy in ("table", "database"):
-        results[copy] = run_recovery_experiment(
-            copy=copy,
-            recovery_threads=2,
-            duration_s=120.0,
-            failure_time_s=20.0,
-            copy_bytes_factor=2000.0,
-        )
+        results[copy] = experiments.recovery_report(run_scenario(
+            experiments.recovery(
+                copy=copy,
+                recovery_threads=2,
+                duration_s=120.0,
+                failure_time_s=20.0,
+                copy_bytes_factor=2000.0,
+            )))
     table = results["table"]
     database = results["database"]
     headers = ["phase", "table-level tps", "db-level tps"]

@@ -43,7 +43,8 @@ import pytest
 sys.path.insert(0, "src")
 
 from repro.cluster import ClusterConfig, ClusterController
-from repro.harness.runner import run_many_tenants
+from repro.harness import soaks
+from repro.harness.scenario import run_scenario
 from repro.sim import Simulator
 from repro.sla import (DatabaseLoad, MachineBin, PlacementIndex,
                        ResourceVector, first_fit)
@@ -239,9 +240,9 @@ def run_placement_stage(n_bins, queries=100, seed=3):
 
 def run_soak_point(n_databases, duration_s, seed=11):
     """One end-to-end soak: churn, flash crowd, resident-state gauges."""
-    result = run_many_tenants(n_databases=n_databases,
-                              duration_s=duration_s,
-                              flash_at_s=duration_s / 2.0, seed=seed)
+    result = soaks.many_tenants_report(run_scenario(soaks.many_tenants(
+        n_databases=n_databases, duration_s=duration_s,
+        flash_at_s=duration_s / 2.0, seed=seed)))
     return {
         "tenants": result.n_databases,
         "hot_tenants": result.hot_tenants,
@@ -358,8 +359,9 @@ def format_rows(stages, memory, placement):
 
 @pytest.mark.benchmark(group="many_tenants")
 def test_bench_many_tenants_soak(benchmark):
-    result = benchmark(run_many_tenants, n_databases=1000, duration_s=8.0,
-                       flash_at_s=4.0)
+    result = soaks.many_tenants_report(benchmark(
+        run_scenario, soaks.many_tenants(n_databases=1000, duration_s=8.0,
+                                         flash_at_s=4.0)))
     assert result.committed > 0
     assert result.resident_db_logs <= result.hot_tenants + 65
 

@@ -27,7 +27,8 @@ import pytest
 sys.path.insert(0, "src")
 
 from repro.analysis.invariants import check_controller
-from repro.harness.runner import run_delta_recovery_bench
+from repro.harness import experiments
+from repro.harness.scenario import run_scenario
 
 from common import bench_main
 
@@ -38,16 +39,17 @@ FACTORS = (5_000.0, 20_000.0, 80_000.0)
 SMOKE_FACTORS = (2_000.0, 10_000.0)
 
 
-def run_point(delta, factor, duration_s=60.0):
-    result = run_delta_recovery_bench(delta, copy_bytes_factor=factor,
-                                      duration_s=duration_s)
-    violations = check_controller(result.controller,
+def run_point(copy, factor, duration_s=60.0):
+    run = run_scenario(experiments.delta_recovery(
+        copy, copy_bytes_factor=factor, duration_s=duration_s))
+    result = experiments.delta_recovery_report(run)
+    violations = check_controller(run.controller,
                                   expect_recovery_complete=True)
     assert not violations, \
         "invariant violation in bench run:\n" + \
         "\n".join(str(v) for v in violations)
     assert result.recovery_duration_s is not None, \
-        f"recovery did not finish (delta={delta}, factor={factor})"
+        f"recovery did not finish (copy={copy}, factor={factor})"
     return {
         "copy_bytes_factor": factor,
         "committed": result.committed,
@@ -61,9 +63,9 @@ def run_point(delta, factor, duration_s=60.0):
 def sweep(factors, duration_s=60.0):
     """{pipeline: [row per size]} for both pipelines."""
     return {
-        label: [run_point(delta, factor, duration_s=duration_s)
+        label: [run_point(copy, factor, duration_s=duration_s)
                 for factor in factors]
-        for label, delta in (("full", False), ("delta", True))
+        for label, copy in (("full", "database"), ("delta", "delta"))
     }
 
 
@@ -105,11 +107,12 @@ def check_shape(table):
 
 
 @pytest.mark.benchmark(group="recovery-delta")
-@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
-def test_bench_recovery_pipeline(benchmark, delta):
-    result = benchmark(run_delta_recovery_bench, delta,
-                       copy_bytes_factor=5_000.0, duration_s=30.0)
-    assert result.committed > 0
+@pytest.mark.parametrize("copy", ["delta", "database"],
+                         ids=["delta", "full"])
+def test_bench_recovery_pipeline(benchmark, copy):
+    run = benchmark(run_scenario, experiments.delta_recovery(
+        copy, copy_bytes_factor=5_000.0, duration_s=30.0))
+    assert run.committed > 0
 
 
 # -- plain mode ---------------------------------------------------------------

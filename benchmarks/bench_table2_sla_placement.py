@@ -12,8 +12,9 @@ machine of the exhaustively computed optimum.
 
 import pytest
 
-from repro.harness import format_table, run_sla_placement
+from repro.harness import format_table
 from repro.sla.model import ResourceVector
+from repro.sla.optimal import first_fit_vs_optimal
 
 from common import report
 
@@ -29,7 +30,7 @@ def run_table2():
     rows = []
     results = []
     for skew in SKEWS:
-        result = run_sla_placement(
+        result = first_fit_vs_optimal(
             skew, n_databases=20, seed=3,
             machine_capacity=CAPACITY,
             working_set_fraction=0.55)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import format_table, run_tpcw_cluster
+from repro.harness import experiments, format_table, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 SIZES = (100, 250, 600)        # items per database (size sweep)
@@ -46,12 +46,12 @@ def run_deadlock_figure(mix_name: str) -> Tuple[str, Dict]:
     counts: Dict[ReadOption, Dict[int, int]] = {opt: {} for opt in OPTIONS}
     for option in OPTIONS:
         for items in SIZES:
-            result = run_tpcw_cluster(
-                mix_name=mix_name,
+            result = experiments.tpcw_report(run_scenario(experiments.tpcw(
+                mix=mix_name,
                 read_option=option,
                 write_policy=WritePolicy.CONSERVATIVE,
                 machines=4,
-                n_databases=2,
+                databases=2,
                 replicas=2,
                 clients_per_db=CLIENTS,
                 duration_s=DURATION_S,
@@ -59,7 +59,7 @@ def run_deadlock_figure(mix_name: str) -> Tuple[str, Dict]:
                 think_time_s=0.005,
                 buffer_pool_pages=1024,
                 lock_wait_timeout_s=1.0,
-            )
+            )))
             rates[option][items] = result.deadlock_rate_per_s
             counts[option][items] = result.deadlocks
     headers = ["db size (items)"] + [opt.name.lower() for opt in OPTIONS]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import format_table, run_tpcw_cluster
+from repro.harness import experiments, format_table, run_scenario
 from repro.workloads.tpcw import TpcwScale
 
 CONFIGS: List[Tuple[str, int, ReadOption]] = [
@@ -38,19 +38,19 @@ def run_throughput_figure(mix_name: str) -> Tuple[str, Dict]:
     for label, replicas, option in CONFIGS:
         series[label] = {}
         for clients in CLIENT_SWEEP:
-            result = run_tpcw_cluster(
-                mix_name=mix_name,
+            result = experiments.tpcw_report(run_scenario(experiments.tpcw(
+                mix=mix_name,
                 read_option=option,
                 write_policy=WritePolicy.CONSERVATIVE,
                 machines=4,
-                n_databases=4,
+                databases=4,
                 replicas=replicas,
                 clients_per_db=clients,
                 duration_s=DURATION_S,
                 scale=TpcwScale(items=ITEMS, emulated_browsers=clients),
                 think_time_s=THINK_S,
                 buffer_pool_pages=POOL_PAGES,
-            )
+            )))
             series[label][clients] = result.throughput_tps
             hits[label] = result.buffer_hit_rate
     headers = ["configuration"] + [f"tps @{c} EB/db" for c in CLIENT_SWEEP] \

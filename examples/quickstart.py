@@ -68,7 +68,8 @@ def main():
     for row in result.rows:
         print("  ", row)
 
-    cluster = platform.primary_cluster("guestbook")
+    primary, _standby = platform.system.placements["guestbook"]
+    cluster = platform.system.colos[primary].cluster_of("guestbook")
     print(f"\nreplicas: {cluster.replica_map.replicas('guestbook')}")
     print(f"committed transactions: {cluster.metrics.total_committed()}")
     print(f"standby colo replication lag: "

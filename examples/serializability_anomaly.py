@@ -16,16 +16,16 @@ from repro.analysis.history import format_history
 from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
                            WritePolicy)
 from repro.cluster.controller import TransactionAborted
+from repro.engine import engine as engine_module
 from repro.harness import format_table
 from repro.sim import Simulator
 
 
-def run_pair(option, policy, release_at_prepare=True):
+def run_pair(option, policy):
     """T1: r(x) w(y); T2: r(y) w(x), started simultaneously."""
     sim = Simulator()
     config = ClusterConfig(read_option=option, write_policy=policy,
                            record_history=True, lock_wait_timeout_s=1.0)
-    config.machine.engine.release_read_locks_at_prepare = release_at_prepare
     controller = ClusterController(sim, config)
     controller.add_machines(2)
     controller.create_database(
@@ -81,9 +81,12 @@ def main():
 
     print("\nDisable the release-read-locks-at-PREPARE optimization and")
     print("the same configuration becomes serializable again:")
-    ok, cycle, outcomes, _history = run_pair(ReadOption.OPTION_2,
-                                             WritePolicy.AGGRESSIVE,
-                                             release_at_prepare=False)
+    engine_module.RELEASE_READ_LOCKS_AT_PREPARE = False
+    try:
+        ok, cycle, outcomes, _history = run_pair(ReadOption.OPTION_2,
+                                                 WritePolicy.AGGRESSIVE)
+    finally:
+        engine_module.RELEASE_READ_LOCKS_AT_PREPARE = True
     print(f"  serializable={ok}, outcomes={outcomes}")
 
 

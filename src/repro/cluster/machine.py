@@ -88,11 +88,6 @@ class Machine:
         """
         return len(self._active)
 
-    @property
-    def queue_depth(self) -> int:
-        """Transactions with an unfinished FIFO op chain on this machine."""
-        return len(self._tails)
-
     def overloaded(self, watermark: int) -> bool:
         """Is this machine past the in-flight watermark? (0 = never)."""
         return watermark > 0 and self.inflight >= watermark

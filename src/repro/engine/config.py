@@ -26,10 +26,6 @@ class EngineConfig:
             by every database the machine hosts (the paper configured a
             2 GB InnoDB buffer pool on 4 GB machines).
         btree_order: fan-out of B+Tree index nodes.
-        release_read_locks_at_prepare: apply the common 2PC optimization of
-            dropping shared locks once a transaction is PREPARED. The
-            paper's Table 1 anomaly requires this to be True (the default,
-            as in real systems).
         cpu_cost_per_row_us: simulated CPU microseconds charged per row
             examined by the executor.
         cpu_cost_per_statement_us: fixed per-statement overhead (parse,
@@ -43,7 +39,6 @@ class EngineConfig:
     rows_per_page: int = 32
     buffer_pool_pages: int = 2048
     btree_order: int = 32
-    release_read_locks_at_prepare: bool = True
     # InnoDB-style non-locking consistent reads: plain SELECTs take no
     # locks and see the last committed image of rows another transaction
     # is currently changing (read-committed via before-images). Writes,

@@ -45,6 +45,10 @@ Runner = Callable[[ex.ExecContext], Generator]
 #: use): no remote sender asks about one again, so it leaves
 #: ``Engine.transactions`` the moment it finishes.
 LOCAL_TXN_IDS = 1_000_000_000
+#: The common 2PC optimisation: a PREPARED transaction drops its shared
+#: locks. The paper's Table 1 anomaly needs it, as do real systems; tests
+#: that show the anomaly going away monkeypatch it off.
+RELEASE_READ_LOCKS_AT_PREPARE = True
 
 
 class Engine:
@@ -154,7 +158,7 @@ class Engine:
         """
         txn.require(TxnState.ACTIVE)
         lsn = self.wal.append(txn.txn_id, RecordType.PREPARE).lsn
-        if self.config.release_read_locks_at_prepare:
+        if RELEASE_READ_LOCKS_AT_PREPARE:
             self.locks.release_shared(txn.txn_id)
         txn.state = TxnState.PREPARED
         if self.history is not None:

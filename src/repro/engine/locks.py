@@ -40,7 +40,7 @@ are resolved by the cluster layer's lock-wait timeout.
 
 The 2PC read-lock optimization: :meth:`LockManager.release_shared` drops a
 transaction's S/IS locks (and weakens SIX to IX) — called at PREPARE when
-:attr:`EngineConfig.release_read_locks_at_prepare` is on. This is the
+:data:`repro.engine.engine.RELEASE_READ_LOCKS_AT_PREPARE` is on. This is the
 ingredient that makes the paper's Table 1 anomaly reachable.
 """
 

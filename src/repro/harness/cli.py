@@ -30,14 +30,12 @@ from typing import Callable, Dict, Tuple
 
 from repro.analysis.invariants import check_bounds, check_trace
 from repro.cluster import ReadOption, WritePolicy
-from repro.harness import soaks
+from repro.harness import experiments, soaks
 from repro.harness.faults import injected
 from repro.harness.reporting import format_table
-from repro.harness.runner import (run_commit_latency_bench, run_dr_soak,
-                                  run_many_tenants, run_recovery_experiment,
-                                  run_sla_placement, run_tpcw_cluster)
 from repro.harness.scenario import run_scenario
 from repro.sla.model import ResourceVector
+from repro.sla.optimal import first_fit_vs_optimal
 from repro.workloads.tpcw import TpcwScale
 
 
@@ -85,10 +83,10 @@ def cmd_table2(args) -> int:
                               disk_mb=20000.0)
     rows = []
     for skew in (0.4, 0.8, 1.2, 1.6, 2.0):
-        result = run_sla_placement(skew, n_databases=args.databases,
-                                   seed=args.seed,
-                                   machine_capacity=capacity,
-                                   working_set_fraction=0.55)
+        result = first_fit_vs_optimal(skew, n_databases=args.databases,
+                                      seed=args.seed,
+                                      machine_capacity=capacity,
+                                      working_set_fraction=0.55)
         rows.append([result.skew, result.avg_size_mb,
                      result.avg_throughput_tps, result.machines_first_fit,
                      result.machines_optimal])
@@ -106,16 +104,17 @@ def cmd_throughput(mix: str, args) -> int:
                ("option-2", 2, ReadOption.OPTION_2),
                ("option-3", 2, ReadOption.OPTION_3)]
     for label, replicas, option in configs:
-        result = run_tpcw_cluster(
-            mix_name=mix, read_option=option,
+        run = run_scenario(experiments.tpcw(
+            mix=mix, read_option=option,
             write_policy=WritePolicy.CONSERVATIVE,
-            machines=4, n_databases=4, replicas=replicas,
+            machines=4, databases=4, replicas=replicas,
             clients_per_db=args.clients, duration_s=args.duration,
             scale=TpcwScale(items=1200, emulated_browsers=args.clients),
-            think_time_s=0.02, buffer_pool_pages=256)
-        rows.append([label, result.throughput_tps, result.buffer_hit_rate,
-                     result.deadlocks])
-        violations += _export_cluster(result.controller, args,
+            think_time_s=0.02, buffer_pool_pages=256))
+        report = experiments.tpcw_report(run)
+        rows.append([label, report.throughput_tps, report.buffer_hit_rate,
+                     report.deadlocks])
+        violations += _export_cluster(run.controller, args,
                                       label=f"{mix}-{label}")
     print(format_table(["configuration", "throughput (tps)",
                         "buffer hit rate", "deadlocks"], rows))
@@ -129,16 +128,17 @@ def cmd_recovery(args) -> int:
         for threads in (1, 2, 4):
             # Figures 8-9 measure Algorithm 1's full copies: the reject
             # window *is* the quantity under study.
-            result = run_recovery_experiment(
+            run = run_scenario(experiments.recovery(
                 copy=copy, recovery_threads=threads,
                 duration_s=args.duration, failure_time_s=20.0,
-                copy_bytes_factor=2000.0)
+                copy_bytes_factor=2000.0))
+            report = experiments.recovery_report(run)
             rows.append([copy, threads,
-                         result.mean_rejections_per_db,
-                         result.throughput_before_tps,
-                         result.throughput_during_tps,
-                         result.throughput_after_tps])
-            violations += _export_cluster(result.controller, args,
+                         report.mean_rejections_per_db,
+                         report.throughput_before_tps,
+                         report.throughput_during_tps,
+                         report.throughput_after_tps])
+            violations += _export_cluster(run.controller, args,
                                           label=f"{copy}-{threads}")
     print(format_table(
         ["copy granularity", "recovery threads", "rejections/db",
@@ -156,15 +156,14 @@ def cmd_delta(args) -> int:
         # enough that concurrent copies (which contend for disk I/O on
         # shared targets) all drain to full re-protection within the
         # run — the trace is audited with expect_recovery_complete.
-        result = run_recovery_experiment(
+        run = run_scenario(experiments.recovery(
             copy=copy, recovery_threads=4, duration_s=args.duration * 2,
-            failure_time_s=5.0, copy_bytes_factor=800.0)
-        rows.append([label, result.rejections_total,
-                     result.throughput_during_tps,
-                     result.recovery_complete_time,
-                     sum(1 for r in result.recovery_records
-                         if r.succeeded)])
-        violations += _export_cluster(result.controller, args, label=label,
+            failure_time_s=5.0, copy_bytes_factor=800.0))
+        report = experiments.recovery_report(run)
+        rows.append([label, report.rejections_total,
+                     report.throughput_during_tps,
+                     report.recovery_complete_time, len(run.recoveries)])
+        violations += _export_cluster(run.controller, args, label=label,
                                       expect_recovery_complete=True)
     print(format_table(
         ["pipeline", "rejections", "tps during", "recovered at (s)",
@@ -301,15 +300,15 @@ def cmd_controllers(args) -> int:
 
 def cmd_disaster(args) -> int:
     """Cross-colo DR soak: lossy WAN, colo kill, fenced failover."""
-    result = run_dr_soak(duration_s=args.duration * 2,
-                         drain_s=max(args.duration, 20.0),
-                         wan_partition_mtbf_s=args.mtbf,
-                         seed=args.seed)
+    run = run_scenario(soaks.disaster(
+        duration_s=args.duration * 2, drain_s=max(args.duration, 20.0),
+        wan_partition_mtbf_s=args.mtbf, seed=args.seed))
+    result = soaks.disaster_report(run)
     print(format_table(
         ["wan partitions", "committed", "aborted", "colo killed",
          "suspected", "declared", "promotions", "failbacks"],
-        [[len(injected(result.faults, "cut", "split")), result.committed,
-          result.aborted, result.colo_killed, result.suspected_total,
+        [[len(injected(run.applied, "cut", "split")), run.committed,
+          run.aborted, result.colo_killed, result.suspected_total,
           len(result.declared), result.promotions, result.failbacks]]))
     summary = result.dr
     print(format_table(
@@ -327,10 +326,10 @@ def cmd_disaster(args) -> int:
     print(format_table(
         ["db", "replication lag"],
         [[db, lag] for db, lag in sorted(result.replication_lag.items())]))
-    _print_network(result.metrics)
+    _print_network(run.metrics)
     # The system tier has its own tracer; audit with the DR rules armed
     # (a drained soak must end with every live link caught up).
-    return _export_trace(result.system.trace, args, expect_lag_drained=True)
+    return _export_trace(run.controller.trace, args, expect_lag_drained=True)
 
 
 def cmd_clustertxn(args) -> int:
@@ -338,8 +337,10 @@ def cmd_clustertxn(args) -> int:
     rows = []
     for replicas in (2, 3, 5):
         for policy in (WritePolicy.AGGRESSIVE, WritePolicy.CONSERVATIVE):
-            result = run_commit_latency_bench(
-                replicas=replicas, write_policy=policy, seed=args.seed)
+            result = experiments.commit_latency_report(run_scenario(
+                experiments.commit_latency(replicas=replicas,
+                                           write_policy=policy,
+                                           seed=args.seed)))
             rows.append([replicas, policy.value,
                          result.p50("prepare"), result.p50("commit"),
                          result.round_trip_s, result.serial_phase_s,
@@ -353,10 +354,11 @@ def cmd_clustertxn(args) -> int:
 
 def cmd_many_tenants(args) -> int:
     """Tenant-scale soak: mostly-cold tenants on the lazy fast path."""
-    result = run_many_tenants(n_databases=args.tenants,
-                              duration_s=args.duration * 2,
-                              flash_at_s=args.duration,
-                              seed=args.seed)
+    run = run_scenario(soaks.many_tenants(n_databases=args.tenants,
+                                          duration_s=args.duration * 2,
+                                          flash_at_s=args.duration,
+                                          seed=args.seed))
+    result = soaks.many_tenants_report(run)
     print(format_table(
         ["tenants", "hot", "committed", "tps", "churn +/-",
          "flash 1st commit (s)", "flash committed"],
@@ -374,7 +376,7 @@ def cmd_many_tenants(args) -> int:
           result.resident_admission_buckets,
           result.resident_latency_histograms, result.cold_engine_tenants,
           result.paged_out_logs]]))
-    return _export_cluster(result.controller, args)
+    return _export_cluster(run.controller, args)
 
 
 def cmd_table1(args) -> int:

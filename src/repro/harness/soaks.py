@@ -1,4 +1,4 @@
-"""The cluster-tier soaks, as declarations for :func:`run_scenario`.
+"""The soaks, as declarations for :func:`run_scenario`.
 
 Each function returns a :class:`Scenario`; its parameters are only the
 values some caller sets (the CLI, a test, a benchmark). Everything else —
@@ -10,17 +10,20 @@ literal of the declaration, and a caller that needs a different size says
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from itertools import count
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.metrics import Histogram
 from repro.cluster import ClusterConfig, ConsensusConfig, WritePolicy
 from repro.cluster.config import production_profile
 from repro.cluster.network import NetworkConfig
-from repro.harness.faults import Fault, controller_kills, crashes, link_cuts
-from repro.harness.scenario import Run, Scenario
+from repro.harness.faults import (Fault, controller_kills, crashes, link_cuts,
+                                  wan_cuts)
+from repro.harness.scenario import Kv, Run, Scenario
 from repro.sim.rng import SeededRNG, ZipfGenerator
 from repro.sla.model import Sla
 from repro.sla.monitor import OverloadMonitor
+from repro.workloads.microbench import KV_DDL, KeyValueWorkload
 
 HOT_DB = "kv0"
 #: How long the partition soak runs on after its finale kills the leader.
@@ -189,7 +192,7 @@ def stampede(hot_sla: bool = True, duration_s: float = 40.0,
     return Scenario(
         config=_config(seed, 200.0, trace_capacity=262144),
         seed=seed, duration_s=duration_s, drain_s=drain_s,
-        machines=4, databases=databases, keys_per_db=40,
+        machines=4, databases=databases, tenant=Kv(keys=40),
         clients_per_db=clients_per_db,
         slas=[sla if hot_sla else None] + [sla] * (databases - 1),
         think_time_s=think, start_delays_s=delays,
@@ -267,3 +270,201 @@ def stampede_report(run: Run) -> StampedeReport:
              for db, row in post_ramp.items() if db != HOT_DB),
             default=0.0),
     )
+
+
+def disaster(duration_s: float = 40.0, drain_s: float = 30.0,
+             wan_partition_mtbf_s: float = 10.0, seed: int = 3) -> Scenario:
+    """The disaster soak: a colo dies mid-run and detection must save it.
+
+    Two databases span three colos with async WAN log shipping over a
+    lossy, partitionable fabric. At 40 % of ``duration_s`` the colo
+    primarying the most databases is killed *silently*: the colo
+    heartbeat detector must suspect it, declare and fence it under a new
+    epoch, promote each standby, and re-protect the promoted databases
+    on surviving colos; clients reconnect through the system controller
+    to the new primary. At 75 % the dead colo is repaired and rejoins
+    blank — the failback target (at ``duration_s`` instead, if it was
+    not declared by then). Failures stop at ``duration_s``, where the
+    last WAN episode heals, and the run drains ``drain_s`` so catch-up
+    finishes — the state the lag-drain invariant is checked against.
+    """
+
+    def faults(run: Run) -> List[Fault]:
+        system = run.controller
+        primaried: Dict[str, int] = {}
+        for primary, _standby in system.placements.values():
+            primaried[primary] = primaried.get(primary, 0) + 1
+        # Kill the colo that primaries the most databases — the worst
+        # case. The repair at the end of the window lands only if the
+        # one at 75 % found the colo not yet declared.
+        victim = max(sorted(system.colos), key=lambda c: primaried.get(c, 0))
+        return wan_cuts(seed, system.colos, duration_s, wan_partition_mtbf_s,
+                        1.5, system.wan.config) + [
+            Fault(duration_s * 0.4, "crash_colo", victim),
+            Fault(duration_s * 0.75, "repair_colo", victim),
+            Fault(duration_s, "repair_colo", victim)]
+
+    return Scenario(
+        config=ClusterConfig(), seed=seed, duration_s=duration_s,
+        drain_s=drain_s, databases=2, tenant=Kv(keys=25, reads=1),
+        think_time_s=0.3, slas=[Sla(5.0, 0.01)] * 2, reconnecting=True,
+        # A 10 ms WAN that loses one message in twenty.
+        wan=NetworkConfig(enabled=True, latency_s=0.01, jitter_s=0.005,
+                          drop_probability=0.05, seed=seed),
+        services={"detector": _detector}, faults=faults)
+
+
+@dataclass
+class DisasterReport:
+    """What the system tier did about the colo kill."""
+
+    colo_killed: str
+    suspected_total: int
+    declared: List[str]
+    promotions: int
+    failbacks: int
+    dr: Dict[str, Any]
+    replication_lag: Dict[str, int]
+
+
+def disaster_report(run: Run) -> DisasterReport:
+    system = run.controller
+    summary = run.metrics.snapshot()["dr"]
+    return DisasterReport(
+        colo_killed=next(f.target for f in run.schedule
+                         if f.kind == "crash_colo"),
+        suspected_total=len(run.events("colo_suspected")),
+        declared=[e.machine for e in run.events("colo_declared")],
+        promotions=len(summary["promotions"]),
+        failbacks=summary["failbacks"],
+        dr=summary,
+        replication_lag={db: system.replication_lag(db)
+                         for db in sorted(system.placements)})
+
+
+def many_tenants(n_databases: int = 2000, duration_s: float = 20.0,
+                 flash_at_s: float = 10.0, seed: int = 11) -> Scenario:
+    """The tenant-scale soak: many small, mostly-cold applications.
+
+    The hottest 1 % of ``n_databases`` tenants are loaded and driven by
+    one Zipf-paced client each; the rest are staged cold (a replica-map
+    entry and a DDL string), every 4th with an SLA. The tenant service
+    churns them — one drop and one create every half second — and at
+    ``flash_at_s`` a flash crowd hits one tenant nobody has touched. The
+    interesting outputs are the resident-state gauges: per-tenant
+    controller state (delta logs, LSN maps, admission buckets, latency
+    histograms) must track the touched set, not the population.
+    """
+    if n_databases < 10:
+        raise ValueError("need at least 10 tenants for a meaningful soak")
+    hot, keys, think_time_s = max(1, int(n_databases * 0.01)), 8, 0.2
+    sla = Sla(min_throughput_tps=4.0, max_rejected_fraction=0.05)
+    slas = [sla if i % 4 == 0 else None for i in range(n_databases)]
+    # Tenant 0 thinks least; starts are spread over one think time.
+    rng = SeededRNG(seed).fork("manytenants")
+    zipf = ZipfGenerator(64, 1.1, rng.fork("skew"))
+    think = [zipf.sample_in_range(think_time_s, 4.0 * think_time_s)
+             for _ in range(hot)]
+    delays = [rng.uniform(0.0, think_time_s) for _ in range(hot)]
+    # The flash-crowd target sits far outside the hot set.
+    flash_db = f"kv{n_databases // 2}"
+
+    def tenants(run: Run) -> Dict[str, int]:
+        churn = {"creates": 0, "drops": 0}
+        for i in range(hot, n_databases):
+            run.create_database(f"kv{i}", KV_DDL, i)
+        churn_rng = rng.fork("churn")
+
+        def churner():
+            # The O(1) create/drop paths under live traffic. Only staged
+            # cold tenants are dropped: hot ones carry clients whose
+            # connections must stay valid.
+            controller = run.controller
+            for fresh in count(n_databases):
+                yield run.sim.timeout(0.5)
+                victim = f"kv{churn_rng.randint(hot, n_databases - 1)}"
+                if victim != flash_db and controller.replica_map.has(victim):
+                    controller.drop_database(victim)
+                    churn["drops"] += 1
+                controller.create_database(f"kv{fresh}", KV_DDL)
+                churn["creates"] += 1
+
+        run.sim.process(churner(), name="tenant-churn").defused = True
+        return churn
+
+    def flash(run: Run) -> None:
+        # Materialisation, bucket provisioning and log creation all
+        # happen under the burst.
+        metrics = run.metrics
+        before = getattr(metrics.per_db.get(flash_db), "committed", 0)
+        run.workloads.append(KeyValueWorkload(
+            run.host, db_name=flash_db, keys=keys, seed=seed + 7777))
+        run.marks["flash"] = [run.spawn_client(len(run.workloads) - 1, cid,
+                                               0.02) for cid in range(8)]
+
+        def first_commit():
+            while getattr(metrics.per_db.get(flash_db), "committed",
+                          0) <= before:
+                yield run.sim.timeout(0.001)
+            run.marks["flash_first_commit_s"] = run.sim.now - flash_at_s
+
+        run.sim.process(first_commit(), name="flash-crowd").defused = True
+
+    return Scenario(
+        # The resident-state caps (64 logs, 256 buckets) sit well above
+        # the hot set of the usual sizes and far below the population:
+        # what the gauges are held to.
+        config=ClusterConfig(lock_wait_timeout_s=2.0, trace_capacity=262144),
+        seed=seed, duration_s=duration_s, machines=12, databases=hot,
+        tenant=Kv(keys=keys), clients_per_db=1, slas=slas,
+        think_time_s=think, start_delays_s=delays,
+        services={"tenants": tenants}, staged=[(flash_at_s, flash)])
+
+
+@dataclass
+class ManyTenantsReport:
+    """Outcome of one tenant-scale soak."""
+
+    n_databases: int
+    hot_tenants: int
+    committed: int
+    throughput_tps: float
+    #: Tenant churn while traffic ran.
+    churn_creates: int
+    churn_drops: int
+    #: Sim seconds from the flash crowd's arrival to its first commit —
+    #: the cold-start cost of a fully-lazy tenant.
+    flash_first_commit_s: Optional[float]
+    flash_committed: int
+    #: Resident per-tenant state at the end of the run, against the
+    #: tenant population: the lazy fast path keeps each of these at
+    #: O(touched tenants), not O(all tenants).
+    resident_db_logs: int
+    resident_log_entries: int
+    resident_replica_lsn_maps: int
+    resident_admission_buckets: int
+    resident_latency_histograms: int
+    cold_engine_tenants: int
+    paged_out_logs: int
+
+
+def many_tenants_report(run: Run) -> ManyTenantsReport:
+    controller, churn = run.controller, run.parts["tenants"]
+    replication = controller.replication
+    return ManyTenantsReport(
+        n_databases=controller.replica_map.database_count(),
+        hot_tenants=run.scenario.databases,
+        committed=run.committed,
+        throughput_tps=run.throughput_tps,
+        churn_creates=churn["creates"],
+        churn_drops=churn["drops"],
+        flash_first_commit_s=run.marks.get("flash_first_commit_s"),
+        flash_committed=sum(s.committed for s in run.marks.get("flash", [])),
+        resident_db_logs=len(replication.db_logs),
+        resident_log_entries=sum(len(log)
+                                 for log in replication.db_logs.values()),
+        resident_replica_lsn_maps=len(replication.replica_lsns),
+        resident_admission_buckets=len(controller.admission.buckets),
+        resident_latency_histograms=len(run.metrics.db_latencies),
+        cold_engine_tenants=len(controller._cold_dbs),
+        paged_out_logs=len(run.events("log_paged_out")))

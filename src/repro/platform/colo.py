@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 from repro.cluster.config import ClusterConfig
 from repro.cluster.controller import ClusterController, Connection
 from repro.cluster.machine import Machine
+from repro.cluster.recovery import RecoveryManager
 from repro.errors import ColoFencedError, NoReplicaError, SlaViolationError
 from repro.sim import Simulator
 from repro.sla.model import ResourceVector
@@ -71,6 +72,9 @@ class ColoController:
         for _ in range(machines):
             self.provision_machine(cluster)
         cluster.free_machine_hook = lambda c=cluster: self.provision_machine(c)
+        # Re-replicates what a failed machine held, onto a survivor or a
+        # machine from the free pool.
+        RecoveryManager(cluster).start()
         self.clusters[name] = cluster
         return cluster
 

@@ -129,7 +129,3 @@ class DataPlatform:
                 continue
             colo = self.system.colos[colo_name]
             colo.cluster_of(db).bulk_load(db, table, rows)
-
-    def primary_cluster(self, db: str):
-        primary, _ = self.system.placements[db]
-        return self.system.colos[primary].cluster_of(db)

@@ -24,7 +24,8 @@ from repro.workloads.tpcw.transactions import TpcwSession
 
 @dataclass
 class ClientStats:
-    """Outcome counters for one emulated browser."""
+    """Outcome counters for one emulated browser; ``committed`` and
+    ``aborted`` read them as a key-value client's counters are read."""
 
     completed: int = 0
     deadlocks: int = 0
@@ -32,6 +33,14 @@ class ClientStats:
     other_aborts: int = 0
     backoffs: int = 0          # retryable rejections waited out with jitter
     by_interaction: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def committed(self) -> int:
+        return self.completed
+
+    @property
+    def aborted(self) -> int:
+        return self.deadlocks + self.rejections + self.other_aborts
 
 
 class TpcwClient:

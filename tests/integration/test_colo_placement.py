@@ -9,7 +9,6 @@ half-created tenant behind.
 
 import pytest
 
-from repro.cluster import RecoveryManager
 from repro.cluster.migration import MigrationManager
 from repro.errors import SlaViolationError
 from repro.platform import ColoController
@@ -46,7 +45,6 @@ class TestPlacementSeesMovedReplicas:
         cluster = colo.add_cluster(machines=2)
         colo.place_database("a", list(DDL), HALF_AND_MORE, replicas=2)
         cluster.bulk_load("a", "t", [(k, 0) for k in range(10)])
-        RecoveryManager(cluster).start()
         cluster.fail_machine(cluster.replica_map.replicas("a")[1])
         sim.run()
         # The replica was re-created on the machine pulled from the pool.

@@ -13,7 +13,7 @@ from repro.analysis.invariants import InvariantChecker, check_trace
 from repro.analysis.trace import TraceEvent
 from repro.cluster.network import NetworkConfig
 from repro.errors import ColoFencedError, NoReplicaError
-from repro.harness.runner import run_dr_soak
+from repro.harness import run_scenario, soaks
 from repro.platform import DataPlatform, DatabaseSpec
 from repro.sla import Sla
 
@@ -413,22 +413,27 @@ class TestBinAccounting:
             assert machine_bin.used == type(machine_bin.used)()
 
     def test_machine_declaration_releases_bin(self):
-        # A declared machine's load leaves with it.
+        # A declared machine's load leaves with it, and arrives on the
+        # machine the colo's recovery re-replicates the lost copy to.
         platform = make_platform(colos=1)
         platform.create_database(spec("app", dr=False))
         colo = platform.system.colos["colo0"]
         cluster = colo.cluster_of("app")
         loaded = {b.name: b.used for b in colo.bins(cluster)}
-        victim = cluster.replica_map.replicas("app")[0]
+        before = cluster.replica_map.replicas("app")
+        victim = before[0]
         assert loaded[victim].cpu > 0
         cluster.declare_dead(victim)
         platform.sim.run(until=5.0)
         after = {b.name: b.used for b in colo.bins(cluster)}
         assert after[victim] == type(after[victim])()
-        survivors = cluster.replica_map.replicas("app")
-        assert victim not in survivors
-        for name in survivors:
-            assert after[name] == loaded[name]
+        replicas = cluster.replica_map.replicas("app")
+        fresh, = set(replicas) - set(before)
+        assert after[fresh] == loaded.get(fresh, type(after[fresh])()) \
+            + loaded[victim]
+        for name in replicas:
+            if name != fresh:
+                assert after[name] == loaded[name]
 
 
 class TestDrInvariantRules:
@@ -512,8 +517,9 @@ class TestDrInvariantRules:
 
 class TestSeededDrSoak:
     def test_soak_zero_violations_finite_rpo_rto(self):
-        result = run_dr_soak(duration_s=24.0, drain_s=20.0, seed=3)
-        system = result.system
+        run = run_scenario(soaks.disaster(duration_s=24.0, drain_s=20.0,
+                                          seed=3))
+        result, system = soaks.disaster_report(run), run.controller
         assert result.declared == [result.colo_killed]
         assert result.promotions >= 1
         for promo in result.dr["promotions"]:

@@ -24,7 +24,7 @@ from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
                            RecoveryManager)
 from repro.cluster.admission import BURST_S, TokenBucket
 from repro.cluster.network import CONTROLLER, NetworkConfig
-from repro.harness.runner import run_many_tenants
+from repro.harness import run_scenario, soaks
 from repro.sim import Simulator
 from repro.sla import Sla
 from repro.workloads.microbench import KV_DDL, KeyValueWorkload, KvStats
@@ -34,8 +34,10 @@ from tests.conftest import (assert_no_violations, make_cluster,
 
 class TestManyTenantsSoak:
     def test_resident_state_tracks_touched_set(self):
-        result = run_many_tenants(n_databases=300, duration_s=6.0,
-                                  flash_at_s=3.0, seed=5)
+        run = run_scenario(soaks.many_tenants(n_databases=300,
+                                              duration_s=6.0,
+                                              flash_at_s=3.0, seed=5))
+        result = soaks.many_tenants_report(run)
         assert result.committed > 0
         # ~1% hot + the flash target: resident per-tenant state must be
         # a sliver of the 300-tenant population.
@@ -49,7 +51,7 @@ class TestManyTenantsSoak:
         assert result.flash_committed > 0
         assert result.flash_first_commit_s is not None
         assert result.flash_first_commit_s < 1.0
-        violations = check_controller(result.controller)
+        violations = check_controller(run.controller)
         assert not violations, "\n".join(str(v) for v in violations)
 
     def test_lazy_engine_ddl_materialises_on_first_touch(self, sim):

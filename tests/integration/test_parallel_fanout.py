@@ -19,7 +19,7 @@ from repro.cluster import (ClusterConfig, ClusterController, ReadOption,
                            WritePolicy)
 from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import CONTROLLER, NetworkConfig
-from repro.harness.runner import run_commit_latency_bench
+from repro.harness import experiments, run_scenario
 from repro.sim import Simulator
 from tests.conftest import assert_no_violations, read_table
 from tests.integration.test_serializability_matrix import (
@@ -125,9 +125,10 @@ class TestPhaseLatencyShape:
     @pytest.mark.parametrize("policy", [WritePolicy.AGGRESSIVE,
                                         WritePolicy.CONSERVATIVE])
     def test_phase_is_one_round_trip(self, policy):
-        result = run_commit_latency_bench(
+        run = run_scenario(experiments.commit_latency(
             replicas=3, write_policy=policy,
-            latency_s=self.LATENCY, transactions_per_client=10)
+            latency_s=self.LATENCY, transactions_per_client=10))
+        result = experiments.commit_latency_report(run)
         assert result.committed > 0
         assert result.round_trip_s == 2 * self.LATENCY
         assert result.serial_phase_s == 3 * result.round_trip_s
@@ -137,4 +138,4 @@ class TestPhaseLatencyShape:
             assert (result.round_trip_s <= result.p50(phase)
                     < 3 * self.LATENCY), (
                 f"{phase} p50 {result.p50(phase)} not ~one round trip")
-        assert_no_violations(result.controller)
+        assert_no_violations(run.controller)

@@ -11,16 +11,16 @@ import pytest
 from repro.analysis import check_one_copy_serializable
 from repro.cluster import ClusterConfig, ClusterController, ReadOption, WritePolicy
 from repro.cluster.controller import TransactionAborted
+from repro.engine import engine as engine_module
 from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
 from tests.conftest import assert_no_violations
 
 
-def build(option, policy, release_at_prepare=True, machines=2, keys=2):
+def build(option, policy, machines=2, keys=2):
     sim = Simulator()
     config = ClusterConfig(read_option=option, write_policy=policy,
                            record_history=True, lock_wait_timeout_s=1.0)
-    config.machine.engine.release_read_locks_at_prepare = release_at_prepare
     controller = ClusterController(sim, config)
     controller.add_machines(machines)
     controller.create_database(
@@ -101,9 +101,11 @@ class TestAdversarialPair:
         assert cycle is not None
 
     @pytest.mark.parametrize("option,policy", ANOMALOUS_COMBOS)
-    def test_disabling_prepare_optimization_restores_safety(self, option,
-                                                            policy):
-        sim, controller = build(option, policy, release_at_prepare=False)
+    def test_disabling_prepare_optimization_restores_safety(
+            self, option, policy, monkeypatch):
+        monkeypatch.setattr(engine_module, "RELEASE_READ_LOCKS_AT_PREPARE",
+                            False)
+        sim, controller = build(option, policy)
         adversarial_pair(sim, controller)
         ok, _ = check_one_copy_serializable(controller.history)
         assert ok

@@ -15,8 +15,13 @@ its hot tenant declares no SLA, and reads shed there as everywhere.
 ``faults`` and both stampede arms were refreshed when ``fail`` became a
 crash declared at once (DESIGN §4z): each ``machine_failed`` event is
 now ``machine_crashed``, ``machine_declared`` and ``machine_fenced`` at
-the same instant, and every other event is the same. Each one repeats
-across processes and under any ``PYTHONHASHSEED``.
+the same instant, and every other event is the same. ``disaster`` and
+``manytenants`` were refreshed when they became declarations over the
+one loop (DESIGN §4n): the DR clients are the loop's
+reconnecting key-value clients, and the tenant-scale soak's tenants are
+``kv<i>``, its hot ones created and loaded before the cold ones are
+staged. Each one repeats across processes and under any
+``PYTHONHASHSEED``.
 
 A soak also replays from its schedule alone: feeding ``run.schedule``
 back as the scenario's ``faults`` gives the same trace — the replay
@@ -41,7 +46,6 @@ import pytest
 from repro.analysis.invariants import check_bounds
 from repro.harness import soaks
 from repro.harness.faults import load
-from repro.harness.runner import run_dr_soak, run_many_tenants
 from repro.harness.scenario import run_scenario
 
 
@@ -93,14 +97,15 @@ SOAKS = {
         "cc382b7672435ed209836d67a8482261"),
     # disaster --duration 15 --seed 3
     "disaster": (
-        lambda: run_dr_soak(duration_s=30.0, drain_s=20.0,
-                            wan_partition_mtbf_s=8.0, seed=3).system.trace,
-        "e35029f3757412e4f024b27cce9461da"),
+        lambda: run_scenario(soaks.disaster(
+            duration_s=30.0, drain_s=20.0, wan_partition_mtbf_s=8.0,
+            seed=3)).controller.trace,
+        "e2c42b2657c9a657158c199566bf4d86"),
     # manytenants --tenants 2000 --duration 6
     "manytenants": (
-        lambda: bounded(run_many_tenants(n_databases=2000, duration_s=12.0,
-                                         flash_at_s=6.0, seed=3).controller),
-        "30d75b2f132291990b2c5740c21f6d7c"),
+        lambda: cluster_trace(soaks.many_tenants(
+            n_databases=2000, duration_s=12.0, flash_at_s=6.0, seed=3)),
+        "b8eede3941712f5aebc9e41e72ac019c"),
 }
 
 

@@ -13,7 +13,6 @@ a placement that raises leaves no tenant behind.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import RecoveryManager
 from repro.cluster.migration import MigrationError, MigrationManager
 from repro.errors import SlaViolationError
 from repro.platform import ColoController
@@ -47,8 +46,6 @@ class World:
         self.colo = ColoController(self.sim, "colo", free_machines=7)
         self.colo.add_cluster(machines=3)
         self.colo.add_cluster(machines=2)
-        for cluster in self.colo.clusters.values():
-            RecoveryManager(cluster).start()
         self.migrations = {name: MigrationManager(cluster)
                            for name, cluster in self.colo.clusters.items()}
         # The test's own record of what it placed: tenant -> requirement.

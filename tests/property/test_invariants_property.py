@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.analysis.invariants import check_controller
 from repro.cluster import WritePolicy
 from repro.harness import soaks
-from repro.harness.scenario import run_scenario
+from repro.harness.scenario import Kv, run_scenario
 
 
 def run_soak(seed, write_policy, mtbf_s):
@@ -21,7 +21,7 @@ def run_soak(seed, write_policy, mtbf_s):
     scenario = dataclasses.replace(
         soaks.faults(seed=seed, mtbf_s=mtbf_s, duration_s=15.0,
                      drain_s=25.0),
-        machines=5, databases=1, keys_per_db=15, clients_per_db=3)
+        machines=5, databases=1, tenant=Kv(keys=15), clients_per_db=3)
     scenario.config.write_policy = write_policy
     run = run_scenario(scenario)
     return run.controller, run.stats

@@ -243,7 +243,6 @@ class TestMachineLoadSignals:
     def test_fresh_machine_is_idle(self):
         machine = Machine(Simulator(), "m1", ClusterConfig().machine)
         assert machine.inflight == 0
-        assert machine.queue_depth == 0
         assert not machine.overloaded(8)
 
     def test_zero_watermark_never_overloaded(self):

@@ -368,6 +368,15 @@ def test_faults_are_data_applied_in_one_place():
                for path in HARNESS.glob("*.py")) <= 2
 
 
+def test_one_experiment_loop():
+    """DESIGN §4n: every simulation the harness runs is a declared
+    ``Scenario``; the module of hand-written run loops is gone, and only
+    ``run_scenario`` builds a simulator under ``repro.harness``."""
+    assert not (HARNESS / "runner.py").exists()
+    assert [path.name for path in sorted(HARNESS.glob("*.py"))
+            if "Simulator(" in path.read_text()] == ["scenario.py"]
+
+
 def test_every_emitted_kind_is_in_the_taxonomy_table():
     """The table in ``repro.analysis.trace``'s docstring is the one list
     of event kinds; a literal kind passed to ``.emit(`` anywhere under

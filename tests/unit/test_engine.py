@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Engine, EngineConfig, TxnState
+from repro.engine import engine as engine_module
 from repro.errors import (ConstraintError, SchemaError, SqlError,
                           TransactionError, WouldBlockError)
 
@@ -204,8 +205,10 @@ class TestTransactions:
         shop.abort(txn2)
         shop.commit(txn1)
 
-    def test_prepare_retains_read_locks_when_disabled(self):
-        eng = Engine("strict", EngineConfig(release_read_locks_at_prepare=False))
+    def test_prepare_retains_read_locks_when_disabled(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "RELEASE_READ_LOCKS_AT_PREPARE",
+                            False)
+        eng = Engine("strict")
         eng.create_database("shop")
         txn = eng.begin()
         eng.execute_sync(txn, "shop",
@@ -263,7 +266,6 @@ class TestEngineConfigSurface:
             "rows_per_page",
             "buffer_pool_pages",
             "btree_order",
-            "release_read_locks_at_prepare",
             "nonlocking_reads",
             "cpu_cost_per_row_us",
             "cpu_cost_per_statement_us",

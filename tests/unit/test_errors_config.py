@@ -4,6 +4,7 @@ import pytest
 
 from repro import errors
 from repro.cluster.config import ClusterConfig, MachineConfig
+from repro.engine import engine as engine_module
 from repro.engine.config import EngineConfig
 
 
@@ -35,7 +36,7 @@ class TestErrorHierarchy:
 class TestConfigDefaults:
     def test_engine_defaults_sane(self):
         config = EngineConfig()
-        assert config.release_read_locks_at_prepare is True
+        assert engine_module.RELEASE_READ_LOCKS_AT_PREPARE is True
         assert config.nonlocking_reads is False
         assert config.buffer_pool_pages > 0
         assert config.rows_per_page > 0

@@ -7,10 +7,10 @@ import pathlib
 import pytest
 
 from repro.cluster import ClusterConfig, ConsensusConfig
-from repro.harness import format_series, format_table, run_sla_placement
+from repro.harness import experiments, format_series, format_table
 from repro.harness.faults import Fault, crashes
-from repro.harness.runner import run_tpcw_cluster
-from repro.harness.scenario import Scenario, run_scenario
+from repro.harness.scenario import Kv, Scenario, run_scenario
+from repro.sla.optimal import first_fit_vs_optimal
 from repro.workloads.tpcw import TpcwScale
 
 
@@ -38,51 +38,60 @@ class TestReporting:
 
 class TestTpcwRunner:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_tpcw_cluster(
-            mix_name="shopping", machines=3, n_databases=2, replicas=2,
+    def run(self):
+        return run_scenario(experiments.tpcw(
+            mix="shopping", machines=3, databases=2, replicas=2,
             clients_per_db=2, duration_s=5.0,
             scale=TpcwScale(items=150, emulated_browsers=2),
-            think_time_s=0.05)
+            think_time_s=0.05))
 
-    def test_throughput_positive(self, result):
+    def test_throughput_positive(self, run):
+        result = experiments.tpcw_report(run)
         assert result.committed > 0
         assert result.throughput_tps == pytest.approx(
-            result.committed / result.sim_seconds)
+            result.committed / run.sim.now)
 
-    def test_buffer_hit_rate_sane(self, result):
-        assert 0.0 < result.buffer_hit_rate <= 1.0
+    def test_buffer_hit_rate_sane(self, run):
+        assert 0.0 < experiments.tpcw_report(run).buffer_hit_rate <= 1.0
 
-    def test_metrics_exposed(self, result):
-        assert set(result.metrics.per_db) == {"tpcw0", "tpcw1"}
+    def test_metrics_exposed(self, run):
+        assert set(run.metrics.per_db) == {"tpcw0", "tpcw1"}
+
+    def test_run_counts_read_browser_stats(self, run):
+        """A run's client counters read TPC-W browsers as they read
+        key-value clients."""
+        assert run.aborted == sum(s.deadlocks + s.rejections + s.other_aborts
+                                  for s in run.stats)
+        assert sum(s.committed for s in run.stats) == sum(
+            s.completed for s in run.stats) > 0
 
     def test_no_replication_variant(self):
-        result = run_tpcw_cluster(
-            mix_name="browsing", machines=2, n_databases=1, replicas=1,
+        run = run_scenario(experiments.tpcw(
+            mix="browsing", machines=2, databases=1, replicas=1,
             clients_per_db=1, duration_s=3.0,
             scale=TpcwScale(items=100, emulated_browsers=1),
-            think_time_s=0.05)
-        assert result.committed > 0
-        assert result.controller.replica_map.replica_count("tpcw0") == 1
+            think_time_s=0.05))
+        assert run.committed > 0
+        assert run.controller.replica_map.replica_count("tpcw0") == 1
 
 
 class TestSlaPlacementRunner:
     def test_runs_and_orders(self):
-        low = run_sla_placement(0.4, n_databases=10, seed=1)
-        high = run_sla_placement(2.0, n_databases=10, seed=1)
+        low = first_fit_vs_optimal(0.4, n_databases=10, seed=1)
+        high = first_fit_vs_optimal(2.0, n_databases=10, seed=1)
         assert low.avg_size_mb > high.avg_size_mb
         assert low.machines_first_fit >= low.machines_optimal
         assert high.machines_first_fit >= high.machines_optimal
 
     def test_deterministic(self):
-        a = run_sla_placement(1.2, n_databases=8, seed=5)
-        b = run_sla_placement(1.2, n_databases=8, seed=5)
+        a = first_fit_vs_optimal(1.2, n_databases=8, seed=5)
+        b = first_fit_vs_optimal(1.2, n_databases=8, seed=5)
         assert a == b
 
 
 def _tiny(**fields):
     return Scenario(config=ClusterConfig(), seed=1, duration_s=2.0,
-                    machines=3, databases=1, keys_per_db=10,
+                    machines=3, databases=1, tenant=Kv(keys=10),
                     clients_per_db=1, **fields)
 
 
@@ -174,7 +183,8 @@ class TestRunScenario:
 def test_every_harness_parameter_has_a_caller():
     """A settable value nobody sets is dead weight that still has to be
     read, documented and kept working: every parameter of every public
-    harness function must be passed by some call site under ``src/``,
+    harness function, and every field of a ``scenario`` declaration,
+    must be passed by some call site under ``src/``,
     ``tests/``, ``benchmarks/`` or ``examples/`` (by keyword or by
     position; a function handed over as a value — a CLI command in the
     registry — is called with its required parameters)."""
@@ -182,7 +192,16 @@ def test_every_harness_parameter_has_a_caller():
     declared, required = {}, {}
     for path in sorted((root / "src/repro/harness").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, ast.FunctionDef)
+            if (isinstance(node, ast.ClassDef) and node.name != "Run"
+                    and path.name == "scenario.py"):
+                # A declaration's fields are its parameters (set by
+                # constructor or by ``dataclasses.replace``); a Run's are
+                # what the loop fills in.
+                declared[node.name] = [
+                    f.target.id for f in node.body
+                    if isinstance(f, ast.AnnAssign)]
+                required[node.name] = []
+            elif (isinstance(node, ast.FunctionDef)
                     and not node.name.startswith("_")):
                 spec = node.args
                 params = [a.arg for a in
@@ -205,6 +224,9 @@ def test_every_harness_parameter_has_a_caller():
                 if name in declared:
                     passed[name].update(declared[name][:len(node.args)])
                     passed[name].update(k.arg for k in node.keywords)
+                if name == "replace":
+                    for fields in passed.values():
+                        fields.update(k.arg for k in node.keywords)
             for node in ast.walk(tree):
                 name = getattr(node, "id", getattr(node, "attr", None))
                 if (isinstance(node, (ast.Name, ast.Attribute))
