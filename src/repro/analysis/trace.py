@@ -1,10 +1,13 @@
 """Structured cluster event tracing (the observability layer).
 
 The cluster controller, its control plane, machines, recovery and
-migration all emit typed, sim-time-stamped :class:`TraceEvent` records into a
-shared ring-buffered :class:`Tracer`. The trace is the ground truth the
-2PC invariant checker (:mod:`repro.analysis.invariants`) audits, and is
-exportable as JSONL (``python -m repro.harness <experiment> --trace``).
+migration all emit typed, sim-time-stamped events into a shared
+ring-buffered :class:`Tracer`. The ring keeps each event as one compact
+tuple and builds the :class:`TraceEvent` a reader sees only when it is
+read, so the always-on 64 Ki-event ring keeps no object or dict per
+event. The trace is the ground truth the 2PC invariant checker
+(:mod:`repro.analysis.invariants`) audits, and is exportable as JSONL
+(``python -m repro.harness <experiment> --trace``).
 
 Event taxonomy (the ``kind`` field):
 
@@ -147,8 +150,9 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, TextIO,
 class TraceEvent:
     """One sim-time-stamped occurrence in the cluster.
 
-    ``seq`` is a tracer-assigned monotone counter: events emitted at the
-    same simulated time keep their emission order under ``(t, seq)``.
+    ``seq`` is the event's emission index in its tracer (the first event
+    emitted is 0, dropped ones included): events emitted at the same
+    simulated time keep their emission order under ``(t, seq)``.
     """
 
     seq: int
@@ -187,6 +191,14 @@ class Tracer:
     dropped (counted in :attr:`dropped`) so long soaks cannot exhaust
     memory. The invariant checker weakens cross-event rules when a trace
     is truncated.
+
+    The ring stores each event as one flat record ``(t, kind, db, txn,
+    machine, names, *values)``: ``names`` is an interned tuple of the
+    ``**extra`` keywords, so no record keeps a dict of its own, and
+    ``seq`` is not stored at all, because it is :attr:`dropped` plus the
+    event's position in the ring. :meth:`events` filters the records and
+    builds a :class:`TraceEvent` only for each one it returns (DESIGN
+    §4d).
     """
 
     def __init__(self, capacity: int = 65536,
@@ -195,43 +207,49 @@ class Tracer:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
         self.clock = clock or (lambda: 0.0)
-        self._events: List[TraceEvent] = []
-        self._start = 0          # ring head index into _events
-        self._seq = itertools.count()
+        self._ring: List[tuple] = []
+        self._start = 0          # ring head index into _ring
+        self._names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.dropped = 0
 
     # -- recording -----------------------------------------------------------
 
     def emit(self, kind: str, db: Optional[str] = None,
              txn: Optional[int] = None, machine: Optional[str] = None,
-             **extra: Any) -> TraceEvent:
-        event = TraceEvent(seq=next(self._seq), t=self.clock(), kind=kind,
-                           db=db, txn=txn, machine=machine, extra=extra)
-        if len(self._events) < self.capacity:
-            self._events.append(event)
+             **extra: Any) -> None:
+        if extra:
+            names = tuple(extra)
+            record = (self.clock(), kind, db, txn, machine,
+                      self._names.setdefault(names, names), *extra.values())
+        else:
+            record = (self.clock(), kind, db, txn, machine, ())
+        ring = self._ring
+        if len(ring) < self.capacity:
+            ring.append(record)
         else:
             # Overwrite the oldest slot; the ring never reallocates.
-            self._events[self._start] = event
+            ring[self._start] = record
             self._start = (self._start + 1) % self.capacity
             self.dropped += 1
-        return event
 
     # -- reading -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._ring)
 
     def events(self, kind: Optional[str] = None, db: Optional[str] = None,
                txn: Optional[int] = None,
                machine: Optional[str] = None) -> List[TraceEvent]:
         """Events in emission order, optionally filtered."""
-        ordered = (self._events[self._start:] + self._events[:self._start]
-                   if self.dropped else list(self._events))
-        return [e for e in ordered
-                if (kind is None or e.kind == kind)
-                and (db is None or e.db == db)
-                and (txn is None or e.txn == txn)
-                and (machine is None or e.machine == machine)]
+        ring, start = self._ring, self._start
+        ordered = ring[start:] + ring[:start] if start else ring
+        return [TraceEvent(seq, r[0], r[1], r[2], r[3], r[4],
+                           dict(zip(r[5], r[6:])))
+                for seq, r in enumerate(ordered, self.dropped)
+                if (kind is None or r[1] == kind)
+                and (db is None or r[2] == db)
+                and (txn is None or r[3] == txn)
+                and (machine is None or r[4] == machine)]
 
     # -- JSONL export / import -------------------------------------------------
 

@@ -24,6 +24,7 @@ experiment, prints its tables and returns its invariant-violation count.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from functools import partial
 from typing import Callable, Dict, Tuple
@@ -379,14 +380,19 @@ def cmd_many_tenants(args) -> int:
     return _export_cluster(run.controller, args)
 
 
+#: The checkout's ``benchmarks/`` directory, beside ``src/``.
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[3] / "benchmarks"
+
+
 def cmd_table1(args) -> int:
     # Import lazily: the benchmark module carries the implementation.
-    sys.path.insert(0, "benchmarks")
-    try:
-        from bench_table1_serializability import regenerate_table1
-    except ImportError:
-        print("run from the repository root (needs benchmarks/ on path)")
-        return 0
+    if not (BENCHMARKS / "bench_table1_serializability.py").exists():
+        print(f"table1 needs {BENCHMARKS}/bench_table1_serializability.py "
+              "(a source checkout; an installed package has no benchmarks/)")
+        return 1
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
+    from bench_table1_serializability import regenerate_table1
     table, _ = regenerate_table1()
     print(table)
     return 0

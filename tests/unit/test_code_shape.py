@@ -18,7 +18,8 @@ DESIGN §4x makes a range read one pass with one grant rule. DESIGN §4y
 keeps one First-Fit: the colo places over its clusters' replica maps,
 with no placement ledger of its own to keep in sync. DESIGN §4z sends
 a machine or a colo out of service one way, and keeps no restart from
-the log in ``src/``. DESIGN §4aa makes a bulk load one pass.
+the log in ``src/``. DESIGN §4aa makes a bulk load one pass. DESIGN
+§4d keeps the trace ring a ring of records: ``emit`` builds no event.
 """
 
 import ast
@@ -504,3 +505,17 @@ def test_a_bulk_load_is_one_pass():
     assert "extend" in called and "insert" not in called
     assert [node.lineno for node in ast.walk(engine_cls)
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_the_trace_ring_builds_no_event_on_emit():
+    """DESIGN §4d: ``Tracer.emit`` stores one flat record; a
+    ``TraceEvent`` is built only when ``events()`` reads it back."""
+    tracer = next(node for node in parse(SRC / "analysis" / "trace.py").body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    emit = next(node for node in methods(tracer) if node.name == "emit")
+    built = {node.func.id for node in ast.walk(emit)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "TraceEvent" not in built
+    assert "TraceEvent" in {node.func.id for node in ast.walk(tracer)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)}

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -34,9 +35,10 @@ class TestRingBuffer:
     def test_clock_stamps_events(self):
         now = {"t": 1.5}
         tracer = Tracer(clock=lambda: now["t"])
-        first = tracer.emit("txn_begin", txn=1)
+        tracer.emit("txn_begin", txn=1)
         now["t"] = 2.75
-        second = tracer.emit("committed", txn=1)
+        tracer.emit("committed", txn=1)
+        first, second = tracer.events()
         assert first.t == 1.5
         assert second.t == 2.75
 
@@ -120,9 +122,60 @@ class TestJsonlRoundTrip:
         assert TraceEvent.from_dict(record) == sparse
 
     def test_an_event_is_slots_only(self):
-        # 65,536 ring slots: no per-instance __dict__ (DESIGN §4q).
-        event = Tracer().emit("prepare", db="d", txn=3, note="x")
+        # An event read back carries no per-instance __dict__ (DESIGN §4q).
+        tracer = Tracer()
+        tracer.emit("prepare", db="d", txn=3, note="x")
+        [event] = tracer.events()
         assert not hasattr(event, "__dict__")
         assert event.extra == {"note": "x"}
         with pytest.raises(AttributeError):
             event.span = 1
+
+
+def kv_prod_write_txn(tracer, now, txn):
+    """One two-update commit's events, as a fabric-on RF-3 cluster with a
+    controller group of three traces it."""
+    machines = ["m0", "m1", "m2"]
+    now[0] += 0.001
+    tracer.emit("txn_begin", db="kv7", txn=txn)
+    for label in ("write", "write", "branch:prepare", "branch:commit"):
+        now[0] += 0.001
+        tracer.emit("fanout_start", txn=txn, label=label, width=3,
+                    machines=list(machines))
+        for name in machines:
+            if label == "write":
+                tracer.emit("write_issued", db="kv7", txn=txn, machine=name)
+            elif label == "branch:commit":
+                tracer.emit("commit_sent", db="kv7", txn=txn, machine=name)
+        now[0] += 0.003
+        for name in machines:
+            if label == "write":
+                tracer.emit("write_acked", db="kv7", txn=txn, machine=name)
+            elif label == "branch:prepare":
+                tracer.emit("prepare", db="kv7", txn=txn, machine=name)
+        tracer.emit("fanout_done", txn=txn, label=label, width=3,
+                    elapsed=0.003 + txn * 1e-9)
+        if label == "branch:prepare":
+            for name in ("c0", "c1", "c2"):
+                tracer.emit("ctl_applied", machine=name, index=txn,
+                            command="decision", digest="%016x" % txn)
+    tracer.emit("committed", db="kv7", txn=txn)
+
+
+def test_ring_bytes_per_event():
+    # The always-on ring holds 64 Ki events on every cluster; a retained
+    # event costs one record plus its values (DESIGN §4d): ~134 B on this
+    # mix, where an event object with its own extra dict cost ~260 B.
+    now = [0.0]
+    tracer = Tracer(capacity=65536, clock=lambda: now[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        txn = 1000
+        while len(tracer) < tracer.capacity:
+            kv_prod_write_txn(tracer, now, txn)
+            txn += 1
+        per_event = (tracemalloc.get_traced_memory()[0] - before) / len(tracer)
+    finally:
+        tracemalloc.stop()
+    assert per_event <= 200, f"{per_event:.0f} B per retained event"
