@@ -9,7 +9,7 @@ schemas online.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.types import SqlType
 from repro.errors import SchemaError
@@ -118,14 +118,6 @@ class TableSchema:
                 )
         self.indexes[index.name] = index
         self._touching_cache.clear()
-
-    def index_on(self, columns: Sequence[str]) -> Optional[IndexDef]:
-        """Find an index whose key is a prefix-match of ``columns``."""
-        want = tuple(columns)
-        for index in self.indexes.values():
-            if index.columns[: len(want)] == want:
-                return index
-        return None
 
 
 @dataclass

@@ -410,13 +410,6 @@ class HeapTable:
                 self.indexes[name].insert(new_ik, rid)
         return before, after
 
-    def lookup_pk(self, key: Tuple[Any, ...]) -> Optional[int]:
-        """rid of the row with the given primary key, if present."""
-        if not self.schema.primary_key:
-            raise SchemaError(f"{self.schema.name} has no primary key")
-        rids = self.indexes["__pk__"].search(key)
-        return rids[0] if rids else None
-
     def estimated_bytes(self) -> int:
         """Rough on-disk footprint used for SLA sizing."""
         if not self._rows:

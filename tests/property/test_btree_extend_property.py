@@ -3,8 +3,8 @@
 ``extend`` appends a key at or above the rightmost leaf's last key along
 a kept rightmost spine and sends any other key down ``insert``. The
 oracle is a fresh ``BPlusTree`` fed the same pairs one ``insert`` at a
-time; the two trees must be equal node for node — keys, rid lists,
-children, the leaf chain, ``height`` and ``len`` — because ``height``
+time; the two trees must be equal node for node — keys, each slot's
+rids, children, the leaf chain, ``height`` and ``len`` — because ``height``
 and the leaf count place the index pages the simulation charges.
 
 Key orders cover sorted, reversed, random and mixed runs, duplicate keys
@@ -48,10 +48,15 @@ def pairs_of(keys):
     return runs(keys).map(lambda ks: [(k, rid) for rid, k in enumerate(ks)])
 
 
+def rids_in(slot):
+    """A leaf slot's rids as a list: it holds a bare rid or a list."""
+    return list(slot) if type(slot) is list else [slot]
+
+
 def shape(node):
-    """A node's whole subtree as nested tuples."""
+    """A node's whole subtree as nested tuples, each slot as a list."""
     if node.leaf:
-        return ("leaf", list(node.keys), [list(v) for v in node.values])
+        return ("leaf", list(node.keys), [rids_in(v) for v in node.values])
     return ("node", list(node.keys), [shape(c) for c in node.children])
 
 

@@ -88,9 +88,13 @@ class TestTableSchema:
                                    Column("b", SqlType.INTEGER),
                                    Column("c", SqlType.INTEGER)])
         schema.add_index(IndexDef("ab", ("a", "b")))
-        assert schema.index_on(["a"]).name == "ab"
-        assert schema.index_on(["a", "b"]).name == "ab"
-        assert schema.index_on(["b"]) is None
+
+        def prefixed(*columns):
+            return [index.name for index in schema.indexes.values()
+                    if index.columns[:len(columns)] == columns]
+        assert prefixed("a") == ["ab"]
+        assert prefixed("a", "b") == ["ab"]
+        assert prefixed("b") == []
 
     def test_duplicate_index_rejected(self):
         schema = kv_schema()
@@ -129,7 +133,7 @@ class TestHeapTable:
     def test_delete_maintains_indexes(self, table):
         rid = table.insert((1, "one"))
         table.delete(rid)
-        assert table.lookup_pk((1,)) is None
+        assert table.indexes["__pk__"].search((1,)) == []
         table.insert((1, "anew"))  # pk free again
 
     def test_delete_missing_rid(self, table):
@@ -139,8 +143,8 @@ class TestHeapTable:
     def test_update_changes_index(self, table):
         rid = table.insert((1, "one"))
         table.update(rid, (2, "two"))
-        assert table.lookup_pk((1,)) is None
-        assert table.lookup_pk((2,)) == rid
+        assert table.indexes["__pk__"].search((1,)) == []
+        assert table.indexes["__pk__"].search((2,)) == [rid]
 
     def test_update_pk_collision_rejected(self, table):
         table.insert((1, "one"))
