@@ -28,9 +28,10 @@ Two modes:
   staged measurements, asserts the scaling shape (near-flat route and
   statement-entry p99 from the smallest to the largest stage, indexed
   placement under a millisecond per database at the largest stage,
-  sub-linear memory growth, lazy staging far under the eager
-  reference), and writes ``BENCH_many_tenants.json`` at the repository
-  root. ``--smoke`` shrinks the stages for CI.
+  sub-linear memory growth, at most ``MAX_STAGED_BYTES`` per staged
+  tenant, lazy staging far under the eager reference), and writes
+  ``BENCH_many_tenants.json`` at the repository root. ``--smoke``
+  shrinks the stages for CI.
 """
 
 import gc
@@ -64,6 +65,12 @@ WARM_SET = 8
 #: scheduler hiccup would otherwise dominate a p99 ratio.
 ROUTE_FLOOR_S = 2e-6
 STMT_FLOOR_S = 50e-6
+
+#: Bound on the marginal traced bytes per staged tenant, name included:
+#: ~133 B at the full stages and ~106 B at the smoke stages (CPython
+#: 3.11), ~319 B while each tenant held a private placement list, a
+#: private DDL list and a cold-set slot.
+MAX_STAGED_BYTES = 170
 
 
 def percentile(values, p):
@@ -302,6 +309,10 @@ def check_shape(stages, memory, placement, soak):
     assert marginal <= lazy[0]["bytes_per_tenant"] * 1.25, \
         f"marginal bytes/tenant {marginal:.0f} exceeds the smallest " \
         f"stage's average {lazy[0]['bytes_per_tenant']}"
+    # A staged tenant costs its name: placement and DDL are shared
+    # tuples and no set marks it cold.
+    assert marginal <= MAX_STAGED_BYTES, \
+        f"marginal bytes/tenant {marginal:.0f} over {MAX_STAGED_BYTES}"
     eager = [m for m in memory if not m["lazy"]]
     if eager:
         paired = next(m for m in lazy

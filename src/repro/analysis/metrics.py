@@ -31,11 +31,6 @@ class DbCounters:
         return (self.committed + self.deadlocks + self.rejected
                 + self.rollbacks + self.other_aborts)
 
-    @property
-    def mean_response_time(self) -> float:
-        return (self.response_time_total / self.committed
-                if self.committed else 0.0)
-
     def rejected_fraction(self) -> float:
         """Fraction of proactively rejected transactions (the SLA metric)."""
         total = self.total_finished

@@ -33,10 +33,6 @@ class SerializationGraph:
     def nodes(self) -> Set[int]:
         return set(self.adj)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adj.values())
-
     def find_cycle(self) -> Optional[List[int]]:
         """Some cycle as a node list, or None if the graph is acyclic."""
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -64,28 +60,6 @@ class SerializationGraph:
                 if found is not None:
                     return found
         return None
-
-    def is_acyclic(self) -> bool:
-        return self.find_cycle() is None
-
-    def topological_order(self) -> List[int]:
-        """A serialization order (raises ValueError if cyclic)."""
-        indegree: Dict[int, int] = {node: 0 for node in self.adj}
-        for src in self.adj:
-            for dst in self.adj[src]:
-                indegree[dst] += 1
-        frontier = sorted(n for n, d in indegree.items() if d == 0)
-        order: List[int] = []
-        while frontier:
-            node = frontier.pop(0)
-            order.append(node)
-            for nxt in sorted(self.adj[node]):
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    frontier.append(nxt)
-        if len(order) != len(self.adj):
-            raise ValueError("graph has a cycle; no serialization order")
-        return order
 
 
 def check_one_copy_serializable(

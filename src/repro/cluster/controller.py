@@ -735,7 +735,7 @@ class TxnCoordinator:
             exc = txn.poisoned
             self._abort(conn, txn, exc, "deferred",
                         f"transaction aborted: deferred write failure ({exc})")
-        if conn.db in ctl._cold_dbs:
+        if conn.db not in ctl._materialised:
             # The first admitted statement pays the tenant's engine-side
             # creation.
             ctl.ensure_materialised(conn.db)
@@ -1021,7 +1021,8 @@ class ClusterController:
             GlobalHistory() if self.config.record_history else None)
         self.copy_states: Dict[str, CopyState] = {}
         self.recovery = None          # attached by RecoveryManager
-        self.ddl: Dict[str, List[str]] = {}
+        # db -> DDL tuple; tenants created from one tuple share it.
+        self.ddl: Dict[str, Tuple[str, ...]] = {}
         # db -> declared SLA; a database created without one has no
         # entry. Registered at create_database / set_sla; provisions the
         # admission layer's token bucket and the runtime SLA monitor.
@@ -1037,9 +1038,9 @@ class ClusterController:
                                           self.trace)
         self.db_logs = self.replication.db_logs  # the same dict, by name
         self.txns = TxnCoordinator(self)
-        # Databases no statement, bulk load or copy has touched yet: no
-        # engine-side state exists for them (see ensure_materialised).
-        self._cold_dbs: Set[str] = set()
+        # Databases a statement, bulk load or copy has touched; a cold
+        # one holds no entry (see ensure_materialised).
+        self._materialised: Set[str] = set()
         # Called with (db, txn_id, write_log) at the decision point of
         # each writing transaction's 2PC (the commit is decided and
         # durable; it can no longer abort). The platform layer uses
@@ -1125,8 +1126,8 @@ class ClusterController:
         SLA monitor. A database without one is never throttled. The
         database is created cold: its engine DDL,
         replication and admission state materialise on first touch
-        (:meth:`ensure_materialised`), so an untouched tenant costs its
-        replica list and DDL text.
+        (:meth:`ensure_materialised`), so an untouched tenant costs two
+        dict slots: its placement and DDL are tuples it shares.
         """
         if machines is None:
             count = replicas or self.config.replication_factor
@@ -1147,9 +1148,8 @@ class ClusterController:
                           key=lambda m: (rm.hosted_count(m.name),
                                          rm.primary_count(m.name)))
             machines = [primary.name] + [m.name for m in rest[:count - 1]]
-        self._cold_dbs.add(db)
-        self.replica_map.add_database(db, list(machines))
-        self.ddl[db] = list(ddl)
+        self.replica_map.add_database(db, machines)
+        self.ddl[db] = tuple(ddl)
         self.set_sla(db, sla)
 
     def set_sla(self, db: str, sla) -> None:
@@ -1197,7 +1197,7 @@ class ClusterController:
                     and not machine.fenced and machine.engine.hosts(db)):
                 machine.engine.drop_database(db)
         self.replica_map.drop_database(db)
-        self._cold_dbs.discard(db)
+        self._materialised.discard(db)
         self.ddl.pop(db, None)
         self.copy_states.pop(db, None)
         self.replication.drop_database(db)
@@ -1221,7 +1221,7 @@ class ClusterController:
         self.admission.buckets.clear()
         self.copy_states.clear()
         self.replication.clear()
-        self._cold_dbs.clear()
+        self._materialised.clear()
         self.detector.reset()
         self.declared_dead.clear()
         for name in self.consensus.group.names:
@@ -1233,14 +1233,15 @@ class ClusterController:
 
         A cold database exists only in the replica map and the DDL
         registry; the first statement, bulk load, or copy touching it
-        creates the catalog entry and runs the DDL on every live
-        replica. A replica that left before that touch holds nothing of
-        ``db``, so it can only come back by a full copy.
+        marks it materialised, creates the catalog entry and runs the
+        DDL on every live replica. A replica that left before that touch
+        holds nothing of ``db``, so it can only come back by a full
+        copy. A no-op for a marked or unknown database.
         """
-        if db not in self._cold_dbs:
+        if db in self._materialised or db not in self.replica_map:
             return
-        self._cold_dbs.discard(db)
-        ddl = self.ddl.get(db, [])
+        self._materialised.add(db)
+        ddl = self.ddl[db]
         for name in self.replica_map.replicas_view(db):
             machine = self.machines.get(name)
             if (machine is not None and machine.alive and not machine.fenced

@@ -348,12 +348,13 @@ def many_tenants(n_databases: int = 2000, duration_s: float = 20.0,
 
     The hottest 1 % of ``n_databases`` tenants are loaded and driven by
     one Zipf-paced client each; the rest are staged cold (a replica-map
-    entry and a DDL string), every 4th with an SLA. The tenant service
-    churns them — one drop and one create every half second — and at
-    ``flash_at_s`` a flash crowd hits one tenant nobody has touched. The
-    interesting outputs are the resident-state gauges: per-tenant
-    controller state (delta logs, LSN maps, admission buckets, latency
-    histograms) must track the touched set, not the population.
+    slot and a DDL slot, each holding a shared tuple), every 4th with an
+    SLA. The tenant service churns them — one drop and one create every
+    half second — and at ``flash_at_s`` a flash crowd hits one tenant
+    nobody has touched. The interesting outputs are the resident-state
+    gauges: per-tenant controller state (delta logs, LSN maps, admission
+    buckets, latency histograms) must track the touched set, not the
+    population.
     """
     if n_databases < 10:
         raise ValueError("need at least 10 tenants for a meaningful soak")
@@ -466,5 +467,7 @@ def many_tenants_report(run: Run) -> ManyTenantsReport:
         resident_replica_lsn_maps=len(replication.replica_lsns),
         resident_admission_buckets=len(controller.admission.buckets),
         resident_latency_histograms=len(run.metrics.db_latencies),
-        cold_engine_tenants=len(controller._cold_dbs),
+        cold_engine_tenants=sum(
+            not any(m.engine.hosts(db) for m in controller.machines.values())
+            for db in controller.replica_map.databases()),
         paged_out_logs=len(run.events("log_paged_out")))

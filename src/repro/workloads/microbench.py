@@ -14,7 +14,7 @@ from repro.cluster.controller import ClusterController, TransactionAborted
 from repro.errors import ControllerFailedError, NotLeaderError, PlatformError
 from repro.sim.rng import SeededRNG
 
-KV_DDL = ["CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)"]
+KV_DDL = ("CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)",)
 #: A reconnecting client waits this long before it connects again.
 RECONNECT_S = 0.2
 

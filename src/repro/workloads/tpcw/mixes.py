@@ -75,11 +75,6 @@ class Mix:
         weights = [w for _, w in self.weights]
         return rng.weighted_choice(names, weights)
 
-    def write_fraction(self) -> float:
-        """Fraction of interactions that perform writes (SLA write_mix)."""
-        return sum(w for name, w in self.weights
-                   if name in WRITE_INTERACTIONS)
-
 
 MIXES: Dict[str, Mix] = {
     "browsing": Mix.from_percentages("browsing", _BROWSING),

@@ -8,9 +8,9 @@ so the transaction templates read like the benchmark's.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
-TPCW_DDL: List[str] = [
+TPCW_DDL: Tuple[str, ...] = (
     # -- catalog side ------------------------------------------------------
     """CREATE TABLE author (
         a_id INTEGER PRIMARY KEY,
@@ -120,7 +120,7 @@ TPCW_DDL: List[str] = [
         scl_qty INTEGER,
         PRIMARY KEY (scl_sc_id, scl_i_id)
     )""",
-]
+)
 
 TPCW_TABLES = [
     "author", "item", "country", "address", "customer",

@@ -177,7 +177,7 @@ class TestRecoveryAlgorithm1:
             txn = engine.begin()
             engine.execute_sync(txn, "kv", eng_ddl)
             engine.commit(txn)
-        controller.ddl["kv"].append(eng_ddl)
+        controller.ddl["kv"] += (eng_ddl,)
         controller.bulk_load("kv", "other", [(k, 0) for k in range(10)])
         controller.config.machine.copy_bytes_factor = 100_000.0
         recovery = RecoveryManager(controller, copy="table")

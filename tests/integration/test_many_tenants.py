@@ -61,7 +61,7 @@ class TestManyTenantsSoak:
         # Staging cost: no engine has run the DDL yet.
         assert all(not m.engine.hosts("cold")
                    for m in controller.machines.values())
-        assert "cold" in controller._cold_dbs
+        assert not controller.trace.events(kind="db_materialised")
 
         workload = KeyValueWorkload(controller, db_name="cold", keys=4,
                                     seed=1)
@@ -70,11 +70,11 @@ class TestManyTenantsSoak:
         proc.defused = True
         sim.run()
         assert stats.committed == 3
-        assert "cold" not in controller._cold_dbs
         replicas = controller.replica_map.replicas("cold")
         assert all(controller.machines[name].engine.hosts("cold")
                    for name in replicas)
-        assert controller.trace.events(kind="db_materialised")
+        materialised, = controller.trace.events(kind="db_materialised")
+        assert materialised.db == "cold"
 
 
 class TestDeferredDdlCorner:
