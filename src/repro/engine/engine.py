@@ -231,12 +231,6 @@ class Engine:
             stats.apply_delta(entry.kind, entry.before, entry.after)
         txn.undo.clear()
 
-    def table_stats(self, db_name: str, table_name: str):
-        """Catalogue statistics for one table (the live object)."""
-        database = self.database(db_name)
-        database.table(table_name)  # raises SchemaError when unknown
-        return database.stats[table_name]
-
     def _clear_dirty(self, txn: Transaction) -> None:
         for key in txn.dirty_keys:
             entry = self.dirty.get(key)
@@ -338,8 +332,8 @@ class Engine:
             schema.add_index(IndexDef(stmt.name, tuple(stmt.columns),
                                       stmt.unique))
             table = database.table(stmt.table)
-            tree = BPlusTree(order=self.config.btree_order)
             index = schema.indexes[stmt.name]
+            tree = BPlusTree(self.config.btree_order, len(index.columns))
             tree.extend((table.index_key(index, row), rid)
                         for rid, row in table.scan())
             table.indexes[stmt.name] = tree

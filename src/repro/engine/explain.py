@@ -153,9 +153,3 @@ def explain(plan, verbose: bool = False) -> str:
         for note in rejected:
             lines.append("  " + note)
     return "\n".join(lines)
-
-
-def explain_statement(engine, db_name: str, sql: str,
-                      verbose: bool = False) -> str:
-    """Explain a statement as ``engine`` plans (and will run) it."""
-    return explain(engine.plan(db_name, sql), verbose=verbose)

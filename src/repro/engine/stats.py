@@ -21,8 +21,8 @@ Maintenance is incremental and commit-driven, never a rescan:
 Min/max shrink correctly on delete: bounds are invalidated when the
 boundary value's count reaches zero and lazily recomputed over the
 distinct values (never the rows). ``tests/property/test_stats_property.py``
-pins incremental maintenance to a from-scratch recount after randomized
-statement soaks.
+pins incremental maintenance to a from-scratch recount
+(``tests/oracles/stats_rebuild.py``) after randomized statement soaks.
 """
 
 from __future__ import annotations
@@ -237,17 +237,6 @@ class TableStats:
             self.remove_row(before)
         else:
             self.update_row(before, after)
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def rebuild(cls, n_columns: int,
-                rows: Iterable[Sequence[Any]]) -> "TableStats":
-        """From-scratch recount (the test oracle)."""
-        stats = cls(n_columns)
-        for row in rows:
-            stats.add_row(row)
-        return stats
 
     def snapshot(self) -> Dict[str, Any]:
         """Comparable view of the full statistics state."""

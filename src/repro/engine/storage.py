@@ -9,8 +9,10 @@ ids a traversal would touch.
 is the one bulk path — a tenant's load, a copy landing — and equals a
 loop of ``insert``: it checks and coerces the rows column by column,
 indexes them with ``BPlusTree.extend``, stores a row that coerces to
-itself as the tuple it was given, and stops at the row the loop would
-have rejected, with the loop's error.
+itself as the tuple it was given, takes its rids from one process-wide
+pool of ints, and stops at the row the loop would have rejected, with
+the loop's error. A one-column index's tree stores key values, not
+1-tuples (``BPlusTree``'s ``width``).
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ NoneType = type(None)
 #: it is stored unchanged.
 _NATIVE = {SqlType.INTEGER: int, SqlType.FLOAT: float,
            SqlType.VARCHAR: str, SqlType.DATE: str}
+#: The rids ``insert_many`` hands out, one int object per value for every
+#: table and replica: its length is the largest ``next_rid`` a bulk load
+#: has reached.
+_RIDS: List[int] = []
 
 
 def _coerce_column(table: str, column: Column, values: Iterable[Any]
@@ -101,7 +107,8 @@ class HeapTable:
         self._index_page_cache: Dict[str, Tuple] = {}
         self.indexes: Dict[str, BPlusTree] = {}
         for index in schema.indexes.values():
-            self.indexes[index.name] = BPlusTree(order=config.btree_order)
+            self.indexes[index.name] = BPlusTree(config.btree_order,
+                                                 len(index.columns))
 
     # -- basic accessors --------------------------------------------------
 
@@ -243,7 +250,8 @@ class HeapTable:
         and indexed (``BPlusTree.extend``, one index at a time) and then
         that row's ``ConstraintError`` is raised. A row whose values all
         coerce to themselves is stored as the tuple passed in, so
-        replicas loaded from one list share their rows.
+        replicas loaded from one list share their rows; the rids are the
+        process-wide ``_RIDS``' ints, so they share those too.
         """
         schema = self.schema
         width = len(schema.columns)
@@ -293,10 +301,12 @@ class HeapTable:
                 error = ConstraintError(
                     f"{schema.name}: duplicate primary key {keys[dup]}")
                 del keys[dup:], stored[dup:]
-        start = self._next_rid
-        rids = list(range(start, start + len(stored)))
+        start, end = self._next_rid, self._next_rid + len(stored)
+        if len(_RIDS) < end:
+            _RIDS.extend(range(len(_RIDS), end))
+        rids = _RIDS[start:end]
         self._rows.update(zip(rids, stored))
-        self._next_rid = start + len(stored)
+        self._next_rid = end
         for name, index in schema.indexes.items():
             if name == "__pk__":
                 index_keys, keys = keys, None

@@ -53,23 +53,37 @@ def rids_in(slot):
     return list(slot) if type(slot) is list else [slot]
 
 
-def shape(node):
+def keys_of(node, bare):
+    """A node's keys as callers pass them: a one-column tree (``bare``)
+    stores each key's value, which is wrapped back into its 1-tuple."""
+    return [(key,) for key in node.keys] if bare else list(node.keys)
+
+
+def shape(node, bare=False):
     """A node's whole subtree as nested tuples, each slot as a list."""
     if node.leaf:
-        return ("leaf", list(node.keys), [rids_in(v) for v in node.values])
-    return ("node", list(node.keys), [shape(c) for c in node.children])
+        return ("leaf", keys_of(node, bare),
+                [rids_in(v) for v in node.values])
+    return ("node", keys_of(node, bare),
+            [shape(c, bare) for c in node.children])
 
 
 def leaf_chain(tree):
     node, chain = tree._leftmost_leaf(), []
     while node is not None:
-        chain.append(list(node.keys))
+        chain.append(keys_of(node, bare_of(tree)))
         node = node.next_leaf
     return chain
 
 
+def bare_of(tree):
+    """Does ``tree`` store bare values? (An oracle tree never does.)"""
+    return getattr(tree, "_bare", False)
+
+
 def state(tree):
-    return (shape(tree._root), leaf_chain(tree), tree.height, len(tree))
+    return (shape(tree._root, bare_of(tree)), leaf_chain(tree), tree.height,
+            len(tree))
 
 
 def build(cls, order, before, deleted, pairs, bulk):

@@ -15,6 +15,14 @@ over the script's queries.
 three broken trees: ``rids`` leaving a multi-rid slot unsorted, a delete
 of another rid from a bare slot dropping the key, and ``extend``'s
 same-key path overwriting the held rid instead of pairing it.
+
+A one-column tree (``width=1``) stores each key's value, not its 1-tuple,
+and must answer the same script as the tuple-keyed oracle: every step's
+return, the tree node for node with its keys wrapped back into 1-tuples,
+and every query. ``test_one_column_mutants_are_caught`` requires the
+differential to find three broken unwrappings: ``search`` comparing the
+stored value with a tuple (it always misses), ``rids`` handing ``past``
+the bare value, and ``_split_leaf`` storing a wrapped separator.
 """
 
 import inspect
@@ -80,27 +88,44 @@ def observe(tree, queries):
     return state(tree), one_rid(tree), answers(tree, queries)
 
 
-def diverges(cls, case):
+def diverges(cls, case, width=0):
+    """Does ``cls`` part from the oracle on ``case``? A comparison a broken
+    unwrapping makes between a value and a tuple raises ``TypeError``,
+    which the oracle, over integer keys, never does."""
     order, script, queries = case
-    got, want = cls(order=order), btree_lists.BPlusTree(order=order)
-    for op in script:
-        if apply(got, op) != apply(want, op):
-            return True
-        if observe(got, queries) != observe(want, queries):
-            return True
+    got = cls(order=order, width=width)
+    want = btree_lists.BPlusTree(order=order)
+    try:
+        for op in script:
+            if apply(got, op) != apply(want, op):
+                return True
+            if observe(got, queries) != observe(want, queries):
+                return True
+    except TypeError:
+        return True
     return False
 
 
-@settings(max_examples=300, deadline=None)
-@given(cases)
-def test_bare_slots_answer_as_the_list_tree(case):
+def replay(case, width):
     order, script, queries = case
-    tree = BPlusTree(order=order)
+    tree = BPlusTree(order=order, width=width)
     oracle = btree_lists.BPlusTree(order=order)
     for op in script:
         assert apply(tree, op) == apply(oracle, op)
         tree.check_invariants()
         assert observe(tree, queries) == observe(oracle, queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases)
+def test_bare_slots_answer_as_the_list_tree(case):
+    replay(case, width=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases)
+def test_one_column_tree_answers_as_the_tuple_tree(case):
+    replay(case, width=1)
 
 
 def mutant(method, old, new):
@@ -119,10 +144,26 @@ MUTANTS = (
 )
 
 
-def test_mutants_are_caught():
-    for cls in MUTANTS:
-        case = find(cases, lambda c: diverges(cls, c),
+ONE_COLUMN_MUTANTS = (
+    mutant("search", "leaf.keys[idx] == key", "leaf.keys[idx] == (key,)"),
+    mutant("rids", "past((value,))", "past(value)"),
+    mutant("_split_leaf", "return right.keys[0], right",
+           "return (right.keys[0],), right"),
+)
+
+
+def caught(mutants, width):
+    for cls in mutants:
+        case = find(cases, lambda c: diverges(cls, c, width),
                     settings=settings(max_examples=2000, deadline=None,
                                       derandomize=True, database=None,
                                       phases=[Phase.generate]))
-        assert not diverges(BPlusTree, case)
+        assert not diverges(BPlusTree, case, width)
+
+
+def test_mutants_are_caught():
+    caught(MUTANTS, width=0)
+
+
+def test_one_column_mutants_are_caught():
+    caught(ONE_COLUMN_MUTANTS, width=1)

@@ -372,7 +372,7 @@ def test_dml_target_scan_ignores_statistics(rows, head, picked):
     still scan (and so lock) as the reference planner says."""
     engine = schema_engine(IDENTITY_DDL)
     engine.load_table_rows("db", "t", [row + ("s",) for row in rows])
-    assert engine.table_stats("db", "t").row_count == len(rows)
+    assert engine.database("db").stats["t"].row_count == len(rows)
     sql = head + where_of("t", picked)
     production = engine.plan("db", sql)
     reference = plan_with(HeuristicPlanner(engine.database("db").schema), sql)

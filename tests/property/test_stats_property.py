@@ -4,7 +4,7 @@ The catalogue statistics are maintained incrementally — commit replays
 the transaction's undo log as deltas, aborts touch nothing. After any
 randomized soak of inserts, updates, deletes, commits, and aborts, the
 incrementally-maintained :class:`TableStats` must equal a from-scratch
-recount of the committed heap (``TableStats.rebuild``), including the
+recount of the committed heap (``tests/oracles/stats_rebuild.py``), including the
 lazily-refreshed min/max bounds and exact per-value counts.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Engine, EngineConfig
 from repro.errors import EngineError
-from repro.engine.stats import TableStats
+from tests.oracles.stats_rebuild import rebuild
 
 keys = st.integers(min_value=0, max_value=25)
 vals = st.one_of(st.none(), st.integers(min_value=-5, max_value=5))
@@ -30,8 +30,8 @@ operations = st.lists(
 
 def _snapshot_oracle(engine):
     table = engine.database("db").table("t")
-    rebuilt = TableStats.rebuild(len(table.schema.columns),
-                                 (row for _, row in table.scan()))
+    rebuilt = rebuild(len(table.schema.columns),
+                      (row for _, row in table.scan()))
     return rebuilt.snapshot()
 
 
@@ -76,7 +76,7 @@ def test_incremental_stats_match_recount(ops):
         else:
             engine.abort(txn)
 
-    live = engine.table_stats("db", "t").snapshot()
+    live = engine.database("db").stats["t"].snapshot()
     assert live == _snapshot_oracle(engine)
 
 
@@ -119,5 +119,5 @@ def test_stats_match_recount_inside_multistatement_txns(ops):
         else:
             engine.commit(txn)
 
-    live = engine.table_stats("db", "t").snapshot()
+    live = engine.database("db").stats["t"].snapshot()
     assert live == _snapshot_oracle(engine)

@@ -147,3 +147,30 @@ def test_bytes_per_unique_entry():
         tracemalloc.stop()
     assert len(tree) == n
     assert traced / n <= 48, f"{traced / n:.1f} B per entry"
+
+
+class TestOneColumn:
+    """A ``width=1`` tree stores bare values behind the tuple-key API."""
+
+    def test_stores_values_and_answers_in_tuples(self):
+        tree = BPlusTree(order=4, width=1)
+        tree.extend(((k,), k) for k in range(20))
+        tree.insert((5,), 99)
+        assert all(type(key) is int for key in tree._root.keys)
+        assert tree.search((5,)) == [5, 99]
+        assert tree.contains((19,)) and not tree.contains((20,))
+        assert list(tree.range_scan((3,), (5,))) == [
+            ((3,), [3]), ((4,), [4]), ((5,), [5, 99])]
+        assert tree.rids((17,), False, lambda key: key > (18,)) == [18]
+        assert tree.delete((5,), 99) and tree.search((5,)) == [5]
+        tree.check_invariants()
+
+    def test_null_raises_as_the_tuple_does(self):
+        errors = []
+        for width in (0, 1):
+            tree = BPlusTree(order=4, width=width)
+            tree.insert((1,), 1)
+            with pytest.raises(TypeError) as info:
+                tree.insert((None,), 2)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]

@@ -238,7 +238,7 @@ class TestTransactions:
 
 class TestCommitReleasesUndo:
     def test_commit_folds_undo_into_stats_and_drops_it(self, shop):
-        stats = shop.table_stats("shop", "item")
+        stats = shop.database("shop").stats["item"]
         assert stats.row_count == 40
         txn = shop.begin()
         shop.execute_sync(txn, "shop", "INSERT INTO item VALUES (?, ?, ?, ?)",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Engine
-from repro.engine.explain import explain, explain_statement
+from repro.engine.explain import explain
 
 
 @pytest.fixture
@@ -77,6 +77,5 @@ class TestExplain:
 class TestExplainStatement:
     def test_renders_the_engines_plan(self, eng):
         sql = "SELECT i_title FROM item WHERE i_id = 1"
-        text = explain_statement(eng, "db", sql)
+        text = explain(eng.plan("db", sql))
         assert "IndexEqScan item.__pk__" in text
-        assert text == explain(eng.plan("db", sql))

@@ -2,6 +2,7 @@
 
 from repro.engine import Engine, EngineConfig
 from repro.engine.stats import UNKNOWN, ColumnStats, TableStats
+from tests.oracles.stats_rebuild import rebuild
 
 
 class TestColumnStats:
@@ -73,7 +74,7 @@ class TestTableStats:
             stats.apply_delta(kind, before, after)
         assert stats.row_count == 2
         assert stats.columns[1].counts == {"z": 1, "c": 1}
-        assert stats.snapshot() == TableStats.rebuild(
+        assert stats.snapshot() == rebuild(
             2, [(1, "z"), (3, "c")]).snapshot()
 
     def test_rebuild_matches_incremental(self):
@@ -81,7 +82,7 @@ class TestTableStats:
         rows = [(1, None), (2, "x"), (3, "x")]
         for row in rows:
             stats.add_row(row)
-        assert TableStats.rebuild(2, rows).snapshot() == stats.snapshot()
+        assert rebuild(2, rows).snapshot() == stats.snapshot()
 
 
 class TestEngineMaintenance:
@@ -101,9 +102,9 @@ class TestEngineMaintenance:
         engine.execute_sync(txn, "db", "INSERT INTO t VALUES (1, 10)")
         engine.execute_sync(txn, "db", "INSERT INTO t VALUES (2, 10)")
         # Uncommitted changes are invisible to the planner's statistics.
-        assert engine.table_stats("db", "t").row_count == 0
+        assert engine.database("db").stats["t"].row_count == 0
         engine.commit(txn)
-        stats = engine.table_stats("db", "t")
+        stats = engine.database("db").stats["t"]
         assert stats.row_count == 2
         assert stats.columns[1].counts == {10: 2}
 
@@ -112,7 +113,7 @@ class TestEngineMaintenance:
         txn = engine.begin()
         engine.execute_sync(txn, "db", "INSERT INTO t VALUES (1, 10)")
         engine.abort(txn)
-        assert engine.table_stats("db", "t").row_count == 0
+        assert engine.database("db").stats["t"].row_count == 0
 
     def test_update_and_delete_deltas(self):
         engine = self._engine()
@@ -125,7 +126,7 @@ class TestEngineMaintenance:
         engine.execute_sync(txn, "db", "UPDATE t SET v = 9 WHERE k = 0")
         engine.execute_sync(txn, "db", "DELETE FROM t WHERE k = 3")
         engine.commit(txn)
-        stats = engine.table_stats("db", "t")
+        stats = engine.database("db").stats["t"]
         assert stats.row_count == 3
         assert stats.columns[1].counts == {1: 1, 2: 1, 9: 1}
         assert stats.columns[0].max == 2
