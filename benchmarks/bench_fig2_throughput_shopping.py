@@ -1,15 +1,21 @@
-"""Figure 2 — throughput with synchronous replication, shopping mix."""
+"""Figure 2 — throughput with synchronous replication, shopping mix
+(:func:`repro.harness.experiments.throughput_figure`). Expected shape
+(paper Section 5): Option 1 best of the replicated options, within
+5-25 % of no-replication; Options 2 and 3 pay for buffer-pool locality,
+which the printed hit rates show."""
 
 import pytest
 
-from common import report
-from throughput_common import peak, run_throughput_figure
+from repro.harness import experiments
+
+from common import peak, report
 
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_throughput_shopping(benchmark, capsys):
     text, series = benchmark.pedantic(
-        lambda: run_throughput_figure("shopping"), rounds=1, iterations=1)
+        lambda: experiments.throughput_figure("shopping"), rounds=1,
+        iterations=1)
     report("fig2_throughput_shopping", text, capsys)
     no_repl = peak(series, "no-replication")
     opt1 = peak(series, "option-1")

@@ -1,15 +1,18 @@
-"""Figure 3 — throughput with synchronous replication, browsing mix."""
+"""Figure 3 — throughput with synchronous replication, browsing mix
+(the sweep of Figure 2, :func:`repro.harness.experiments.throughput_figure`)."""
 
 import pytest
 
-from common import report
-from throughput_common import peak, run_throughput_figure
+from repro.harness import experiments
+
+from common import peak, report
 
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_throughput_browsing(benchmark, capsys):
     text, series = benchmark.pedantic(
-        lambda: run_throughput_figure("browsing"), rounds=1, iterations=1)
+        lambda: experiments.throughput_figure("browsing"), rounds=1,
+        iterations=1)
     report("fig3_throughput_browsing", text, capsys)
     no_repl = peak(series, "no-replication")
     opt1 = peak(series, "option-1")

@@ -1,15 +1,18 @@
-"""Figure 4 — throughput with synchronous replication, ordering mix."""
+"""Figure 4 — throughput with synchronous replication, ordering mix
+(the sweep of Figure 2, :func:`repro.harness.experiments.throughput_figure`)."""
 
 import pytest
 
-from common import report
-from throughput_common import peak, run_throughput_figure
+from repro.harness import experiments
+
+from common import peak, report
 
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_throughput_ordering(benchmark, capsys):
     text, series = benchmark.pedantic(
-        lambda: run_throughput_figure("ordering"), rounds=1, iterations=1)
+        lambda: experiments.throughput_figure("ordering"), rounds=1,
+        iterations=1)
     report("fig4_throughput_ordering", text, capsys)
     no_repl = peak(series, "no-replication")
     opt1 = peak(series, "option-1")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(
@@ -36,8 +36,9 @@ def report(name: str, text: str, capsys=None) -> None:
         fh.write(text + "\n")
 
 
-def within(value: float, lo: float, hi: float) -> bool:
-    return lo <= value <= hi
+def peak(series: Dict[str, Dict[int, float]], label: str) -> float:
+    """The highest point of one curve of Figures 2-4."""
+    return max(series[label].values())
 
 
 def bench_main(name: str, description: str, smoke_help: str,

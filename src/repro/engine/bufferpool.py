@@ -43,10 +43,6 @@ class AccessReport:
     hits: int = 0
     misses: int = 0
 
-    def merge(self, other: "AccessReport") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-
 
 class BufferPool:
     """Fixed-capacity LRU over page identifiers."""

@@ -56,13 +56,6 @@ class CostReport:
     cache_misses: int = 0
     lock_waits: int = 0
 
-    def merge(self, other: "CostReport") -> None:
-        self.rows_scanned += other.rows_scanned
-        self.rows_returned += other.rows_returned
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.lock_waits += other.lock_waits
-
 
 @dataclass
 class ExecResult:

@@ -5,16 +5,18 @@ Usage::
     python -m repro.harness table1
     python -m repro.harness table2
     python -m repro.harness fig2 | fig3 | fig4        # throughput figures
-    python -m repro.harness fig8 | fig9               # recovery figures
+    python -m repro.harness fig8-9                    # recovery figures
     python -m repro.harness faults --trace t.jsonl    # fault soak + trace
     python -m repro.harness all                       # everything quick
 
-``--trace PATH`` exports the cluster event trace of every run as JSONL
-and audits it with the 2PC invariant checker; any violated invariant
-makes the command exit non-zero. The figure benchmarks under
-``benchmarks/`` are the authoritative regenerators (with shape
-assertions); this CLI is the quick interactive way to eyeball a table
-without pytest.
+``--trace PATH`` exports the cluster event trace of every run as JSONL,
+one file per run (the run's label goes before the extension), and
+audits it with the 2PC invariant checker; any violated invariant makes
+the command exit non-zero. The paper's tables and figures are functions
+of :mod:`repro.harness.experiments`: at default flags ``table1``,
+``table2``, ``fig2``-``fig4`` and ``fig8-9`` print what the benchmarks
+under ``benchmarks/`` commit to ``benchmarks/results/``, and the
+benchmarks add the shape assertions.
 
 :data:`COMMANDS` is the registry: one ordered table that ``--list``,
 the argparse choices, ``all`` and dispatch all read. A command runs its
@@ -24,20 +26,15 @@ experiment, prints its tables and returns its invariant-violation count.
 from __future__ import annotations
 
 import argparse
-import pathlib
-import sys
 from functools import partial
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.invariants import check_bounds, check_trace
-from repro.cluster import ReadOption, WritePolicy
+from repro.cluster import WritePolicy
 from repro.harness import experiments, soaks
 from repro.harness.faults import injected
 from repro.harness.reporting import format_table
-from repro.harness.scenario import run_scenario
-from repro.sla.model import ResourceVector
-from repro.sla.optimal import first_fit_vs_optimal
-from repro.workloads.tpcw import TpcwScale
+from repro.harness.scenario import Run, run_scenario
 
 
 def _trace_path(base: str, label: str) -> str:
@@ -79,72 +76,37 @@ def _export_cluster(controller, args, label: str = "",
         expect_recovery_complete=expect_recovery_complete)
 
 
+def _audit_each(args, violations: List[int]) -> Callable[[str, Run], None]:
+    """A sweep's ``each_run``: audit every point, count its violations."""
+    return lambda label, run: violations.append(
+        _export_cluster(run.controller, args, label=label))
+
+
+def cmd_table1(args) -> int:
+    print(experiments.table1()[0])
+    return 0
+
+
 def cmd_table2(args) -> int:
-    capacity = ResourceVector(cpu=2.0, memory_mb=1200.0, disk_io_mbps=60.0,
-                              disk_mb=20000.0)
-    rows = []
-    for skew in (0.4, 0.8, 1.2, 1.6, 2.0):
-        result = first_fit_vs_optimal(skew, n_databases=args.databases,
-                                      seed=args.seed,
-                                      machine_capacity=capacity,
-                                      working_set_fraction=0.55)
-        rows.append([result.skew, result.avg_size_mb,
-                     result.avg_throughput_tps, result.machines_first_fit,
-                     result.machines_optimal])
-    print(format_table(
-        ["Skew Factor", "Average Size (MB)", "Average Throughput (TPS)",
-         "# of Machines Used", "Optimal Solution"], rows))
+    print(experiments.table2(databases=args.databases, seed=args.seed)[0])
     return 0
 
 
 def cmd_throughput(mix: str, args) -> int:
-    rows = []
-    violations = 0
-    configs = [("no-replication", 1, ReadOption.OPTION_1),
-               ("option-1", 2, ReadOption.OPTION_1),
-               ("option-2", 2, ReadOption.OPTION_2),
-               ("option-3", 2, ReadOption.OPTION_3)]
-    for label, replicas, option in configs:
-        run = run_scenario(experiments.tpcw(
-            mix=mix, read_option=option,
-            write_policy=WritePolicy.CONSERVATIVE,
-            machines=4, databases=4, replicas=replicas,
-            clients_per_db=args.clients, duration_s=args.duration,
-            scale=TpcwScale(items=1200, emulated_browsers=args.clients),
-            think_time_s=0.02, buffer_pool_pages=256))
-        report = experiments.tpcw_report(run)
-        rows.append([label, report.throughput_tps, report.buffer_hit_rate,
-                     report.deadlocks])
-        violations += _export_cluster(run.controller, args,
-                                      label=f"{mix}-{label}")
-    print(format_table(["configuration", "throughput (tps)",
-                        "buffer hit rate", "deadlocks"], rows))
-    return violations
+    violations: List[int] = []
+    print(experiments.throughput_figure(
+        mix, duration_s=args.duration,
+        each_run=_audit_each(args, violations))[0])
+    return sum(violations)
 
 
 def cmd_recovery(args) -> int:
-    rows = []
-    violations = 0
-    for copy in ("table", "database"):
-        for threads in (1, 2, 4):
-            # Figures 8-9 measure Algorithm 1's full copies: the reject
-            # window *is* the quantity under study.
-            run = run_scenario(experiments.recovery(
-                copy=copy, recovery_threads=threads,
-                duration_s=args.duration, failure_time_s=20.0,
-                copy_bytes_factor=2000.0))
-            report = experiments.recovery_report(run)
-            rows.append([copy, threads,
-                         report.mean_rejections_per_db,
-                         report.throughput_before_tps,
-                         report.throughput_during_tps,
-                         report.throughput_after_tps])
-            violations += _export_cluster(run.controller, args,
-                                          label=f"{copy}-{threads}")
-    print(format_table(
-        ["copy granularity", "recovery threads", "rejections/db",
-         "tps before", "tps during", "tps after"], rows))
-    return violations
+    """Figures 8 and 9 from one sweep, on their own 120 s timeline."""
+    violations: List[int] = []
+    fig8, fig9, _ = experiments.recovery_figures(
+        each_run=_audit_each(args, violations))
+    print(f"{fig8}\n\n{fig9}")
+    return sum(violations)
 
 
 def cmd_delta(args) -> int:
@@ -380,24 +342,6 @@ def cmd_many_tenants(args) -> int:
     return _export_cluster(run.controller, args)
 
 
-#: The checkout's ``benchmarks/`` directory, beside ``src/``.
-BENCHMARKS = pathlib.Path(__file__).resolve().parents[3] / "benchmarks"
-
-
-def cmd_table1(args) -> int:
-    # Import lazily: the benchmark module carries the implementation.
-    if not (BENCHMARKS / "bench_table1_serializability.py").exists():
-        print(f"table1 needs {BENCHMARKS}/bench_table1_serializability.py "
-              "(a source checkout; an installed package has no benchmarks/)")
-        return 1
-    if str(BENCHMARKS) not in sys.path:
-        sys.path.insert(0, str(BENCHMARKS))
-    from bench_table1_serializability import regenerate_table1
-    table, _ = regenerate_table1()
-    print(table)
-    return 0
-
-
 #: name -> (help, banner, command(args) -> violations), in the order
 #: ``--list`` prints and ``all`` runs them.
 COMMANDS: Dict[str, Tuple[str, str, Callable[[argparse.Namespace], int]]] = {
@@ -454,9 +398,8 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
     parser.add_argument("--duration", type=float, default=12.0,
-                        help="simulated seconds per run")
-    parser.add_argument("--clients", type=int, default=4,
-                        help="emulated browsers per database")
+                        help="simulated seconds per run (Figures 8-9 "
+                             "always run their own 120 s)")
     parser.add_argument("--databases", type=int, default=20,
                         help="tenant databases for placement experiments")
     parser.add_argument("--tenants", type=int, default=2000,

@@ -1,10 +1,19 @@
-"""The paper's measurements, as declarations for :func:`run_scenario`.
+"""The paper's measurements, as declarations for :func:`run_scenario`,
+and the paper's tables and figures that both the CLI and a bench run.
 
-TPC-W clusters (Figures 2-7 and the ablations), one induced failure
-under TPC-W (Figures 8-9), the delta-vs-full re-replication comparison
-and the 2PC commit-latency measurement. Each declaration returns a
-:class:`Scenario`, and each report reads a finished :class:`Run`. The
-cluster-tier soaks are in :mod:`repro.harness.soaks`.
+Declarations: Table 1's interleaving, TPC-W clusters (Figures 2-7 and
+the ablations), one induced failure under TPC-W (Figures 8-9), the
+delta-vs-full re-replication comparison and the 2PC commit-latency
+measurement. Each returns a :class:`Scenario`, and each report reads a
+finished :class:`Run`. The cluster-tier soaks are in
+:mod:`repro.harness.soaks`.
+
+Tables and figures: :func:`table1`, :func:`table2`,
+:func:`throughput_figure` (Figures 2-4) and :func:`recovery_figures`
+(Figures 8 and 9, one sweep). Each runs its sweep and returns the text
+committed under ``benchmarks/results/`` plus the data its bench asserts
+on; ``each_run(label, run)``, where given, sees every point's finished
+run (the CLI audits them).
 
 Every parameter has a caller (``tests/unit/test_harness.py`` walks the
 call sites); a value nobody varies is a literal of the declaration.
@@ -13,14 +22,41 @@ call sites); a value nobody varies is a literal of the declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis import check_one_copy_serializable
 from repro.cluster import ClusterConfig, ReadOption, WritePolicy
 from repro.cluster.network import NetworkConfig
 from repro.cluster.recovery import RecoveryRecord
 from repro.harness.faults import Fault
-from repro.harness.scenario import Kv, Run, Scenario, Tpcw
+from repro.harness.reporting import format_series, format_table
+from repro.harness.scenario import (Kv, Run, Scenario, Scripted, Tpcw,
+                                    run_scenario)
+from repro.sim.rng import SeededRNG
+from repro.sla.model import ResourceVector
+from repro.sla.optimal import SlaPlacementResult, first_fit_vs_optimal
 from repro.workloads.tpcw import TpcwScale
+
+#: Sees each point of a sweep: its label and its finished run.
+EachRun = Optional[Callable[[str, Run], None]]
+
+
+def serializability(read_option: ReadOption, write_policy: WritePolicy,
+                    seed: int) -> Scenario:
+    """The paper's Table 1 interleaving under one read option and write
+    policy: one key-value tenant of three keys on two machines, each a
+    replica, and three one-transaction clients — r(0) w(1), r(1) w(0),
+    r(1) w(2). Seed 0 starts all three at once, the paper's exact
+    interleaving; the other seeds jitter each start by up to 0.1 ms."""
+    rng = SeededRNG(seed)
+    return Scenario(
+        config=ClusterConfig(read_option=read_option,
+                             write_policy=write_policy,
+                             record_history=True, lock_wait_timeout_s=1.0),
+        seed=seed, duration_s=None, machines=2, databases=1,
+        tenant=Scripted(scripts=((0, 1), (1, 0), (1, 2))), clients_per_db=3,
+        start_delays_s=[0.0 if seed == 0 else rng.uniform(0, 1e-4)
+                        for _ in range(3)])
 
 
 def tpcw(
@@ -291,3 +327,122 @@ def commit_latency_report(run: Run) -> CommitLatencyReport:
         latency_s=config.network.latency_s, committed=run.committed,
         aborted=run.aborted, sim_seconds=run.sim.now,
         latencies=snapshot["phases"], fanouts=snapshot["fanouts"])
+
+
+# -- The paper's tables and figures ------------------------------------
+
+def table1() -> Tuple[str, Dict[Tuple[ReadOption, WritePolicy], bool]]:
+    """Table 1: per read option and write policy, whether the execution
+    of every seed 0-5 is one-copy serializable (a cycle check of the
+    global serialization graph). Returns the table and that matrix."""
+    rows, matrix = [], {}
+    for option in (ReadOption.OPTION_1, ReadOption.OPTION_2,
+                   ReadOption.OPTION_3):
+        row = [option.name.replace("_", " ").title()]
+        for policy in (WritePolicy.CONSERVATIVE, WritePolicy.AGGRESSIVE):
+            serializable = all(
+                check_one_copy_serializable(run_scenario(serializability(
+                    option, policy, seed)).controller.history)[0]
+                for seed in range(6))
+            matrix[(option, policy)] = serializable
+            row.append("Serializable" if serializable else "NOT serializable")
+        rows.append(row)
+    return format_table(
+        ["", "Conservative Controller", "Aggressive Controller"],
+        rows), matrix
+
+
+def table2(databases: int = 20,
+           seed: int = 3) -> Tuple[str, List[SlaPlacementResult]]:
+    """Table 2: First-Fit against the exhaustive optimum over ``databases``
+    zipfian tenants, skew 0.4-2.0. The machine is calibrated so ~20
+    databases land in the paper's 4-9 machine range: memory is the
+    binding dimension (working sets must stay resident), as on the
+    paper's 4 GB machines running 2 GB buffer pools."""
+    capacity = ResourceVector(cpu=2.0, memory_mb=1200.0, disk_io_mbps=60.0,
+                              disk_mb=20000.0)
+    results = [first_fit_vs_optimal(skew, n_databases=databases, seed=seed,
+                                    machine_capacity=capacity,
+                                    working_set_fraction=0.55)
+               for skew in (0.4, 0.8, 1.2, 1.6, 2.0)]
+    return format_table(
+        ["Skew Factor", "Average Size (MB)", "Average Throughput (TPS)",
+         "# of Machines Used", "Optimal Solution"],
+        [[r.skew, r.avg_size_mb, r.avg_throughput_tps, r.machines_first_fit,
+          r.machines_optimal] for r in results]), results
+
+
+def throughput_figure(
+    mix: str,
+    duration_s: float = 12.0,
+    each_run: EachRun = None,
+) -> Tuple[str, Dict[str, Dict[int, float]]]:
+    """One of Figures 2-4: TPC-W ``mix`` throughput of each curve at each
+    client count, with 2-way synchronous replication under a conservative
+    controller. Returns the table and ``{curve: {clients: tps}}``."""
+    curves = (("no-replication", 1, ReadOption.OPTION_1),
+              ("option-1", 2, ReadOption.OPTION_1),
+              ("option-2", 2, ReadOption.OPTION_2),
+              ("option-3", 2, ReadOption.OPTION_3))
+    clients_swept = (2, 4)
+    series: Dict[str, Dict[int, float]] = {}
+    hits: Dict[str, float] = {}
+    for label, replicas, option in curves:
+        series[label] = {}
+        for clients in clients_swept:
+            run = run_scenario(tpcw(
+                mix=mix, read_option=option, replicas=replicas,
+                clients_per_db=clients, duration_s=duration_s,
+                scale=TpcwScale(items=1200, emulated_browsers=clients),
+                think_time_s=0.02, buffer_pool_pages=256))
+            result = tpcw_report(run)
+            series[label][clients] = result.throughput_tps
+            hits[label] = result.buffer_hit_rate
+            if each_run is not None:
+                each_run(f"{mix}-{label}-{clients}eb", run)
+    headers = (["configuration"] + [f"tps @{c} EB/db" for c in clients_swept]
+               + ["buffer hit rate"])
+    rows = [[label] + [series[label][c] for c in clients_swept]
+            + [hits[label]] for label, _, _ in curves]
+    return format_table(headers, rows), series
+
+
+def recovery_figures(
+    each_run: EachRun = None,
+) -> Tuple[str, str, Dict[Tuple[str, int], RecoveryReport]]:
+    """Figures 8 and 9 from one sweep: Algorithm 1's table-level and
+    database-level copies (asked for by name: the platform's default,
+    the delta pipeline, rejects next to nothing) at 1, 2 and 4 recovery
+    threads, each a 120 s run with the failure at 20 s. Figure 8 is every
+    point's rejections per database; Figure 9 is the two 2-thread points'
+    throughput before, during and after recovery, and over time. Returns
+    both texts and ``{(copy, threads): report}``."""
+    threads_swept = (1, 2, 4)
+    results: Dict[Tuple[str, int], RecoveryReport] = {}
+    for copy in ("table", "database"):
+        for threads in threads_swept:
+            run = run_scenario(recovery(
+                copy=copy, recovery_threads=threads, failure_time_s=20.0,
+                copy_bytes_factor=2000.0))
+            results[(copy, threads)] = recovery_report(run)
+            if each_run is not None:
+                each_run(f"{copy}-{threads}", run)
+    fig8 = format_table(
+        ["recovery threads", "table-level rej/db", "db-level rej/db"],
+        [[threads, results[("table", threads)].mean_rejections_per_db,
+          results[("database", threads)].mean_rejections_per_db]
+         for threads in threads_swept])
+    table, database = results[("table", 2)], results[("database", 2)]
+    fig9 = format_table(
+        ["phase", "table-level tps", "db-level tps"],
+        [["before failure", table.throughput_before_tps,
+          database.throughput_before_tps],
+         ["during recovery", table.throughput_during_tps,
+          database.throughput_during_tps],
+         ["after recovery", table.throughput_after_tps,
+          database.throughput_after_tps]])
+    fig9 += "\n\n" + format_series("table-level throughput over time (tps)",
+                                   table.throughput_series)
+    fig9 += "\n" + format_series("db-level throughput over time (tps)",
+                                database.throughput_series)
+    return fig8, fig9, results

@@ -5,8 +5,8 @@ a :class:`Simulator` and knows the order of its phases:
 1. build the world — one cluster of ``machines``, or, when the scenario
    names a ``wan``, a :class:`DataPlatform` of three colos on it whose
    system controller is the world — and ``databases`` tenants of the
-   declared kind (:class:`Kv`, :class:`Tpcw`), tenant ``i`` seeded
-   ``seed + i``;
+   declared kind (:class:`Kv`, :class:`Scripted`, :class:`Tpcw`), tenant
+   ``i`` seeded ``seed + i``;
 2. start a :class:`RecoveryManager`, if the scenario names a ``copy``;
 3. start the **services** — parts that run to the end of the run
    (failure detector, overload monitor, tenant churn);
@@ -45,6 +45,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 from repro.analysis.metrics import MetricsCollector
 from repro.analysis.trace import TraceEvent
 from repro.cluster import ClusterConfig, ClusterController, RecoveryManager
+from repro.cluster.controller import TransactionAborted
 from repro.cluster.network import NetworkConfig
 from repro.cluster.recovery import RecoveryRecord
 from repro.harness.faults import Applied, Fault, apply
@@ -81,6 +82,42 @@ class Kv:
         return workload.client(
             client_id, run.scenario.transactions, reads_per_txn=self.reads,
             think_time_s=think_time_s, stats=stats), stats
+
+
+@dataclass(frozen=True)
+class Scripted:
+    """Key-value tenants as :class:`Kv` builds them, whose client ``c``
+    runs one transaction — read key ``scripts[c][0]``, update key
+    ``scripts[c][1]``, commit — and stops: Table 1's interleavings,
+    timed by ``Scenario.start_delays_s``."""
+
+    scripts: Tuple[Tuple[int, int], ...]
+
+    def install(self, run: "Run", i: int) -> KeyValueWorkload:
+        keys = 1 + max(key for script in self.scripts for key in script)
+        return Kv(keys=keys).install(run, i)
+
+    def client(self, run: "Run", tenant: int, client_id: int,
+               think_time_s: float) -> Tuple[Generator, KvStats]:
+        read_key, write_key = self.scripts[client_id]
+        stats = KvStats()
+        return _read_then_update(run.host, f"kv{tenant}", read_key,
+                                 write_key, stats), stats
+
+
+def _read_then_update(host: Any, db: str, read_key: int, write_key: int,
+                      stats: KvStats) -> Generator:
+    """Connect once it starts, then one read-update-commit transaction."""
+    conn = host.connect(db)
+    try:
+        yield conn.execute("SELECT v FROM kv WHERE k = ?", (read_key,))
+        yield conn.execute("UPDATE kv SET v = v + 1 WHERE k = ?",
+                           (write_key,))
+        yield conn.commit()
+    except TransactionAborted:
+        stats.aborted += 1
+    else:
+        stats.committed += 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +159,7 @@ class Scenario:
     #: Machines of the one cluster (a :attr:`wan` world ignores it).
     machines: int = 6
     databases: int = 3
-    tenant: Union[Kv, Tpcw] = Kv()
+    tenant: Union[Kv, Scripted, Tpcw] = Kv()
     clients_per_db: int = 2
     #: The contract each tenant is created with, in tenant order; a
     #: tenant past the end (or given None) declares no SLA.

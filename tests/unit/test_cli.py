@@ -1,14 +1,22 @@
 """Unit tests for the harness CLI."""
 
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import repro
-from repro.harness import cli
-from repro.harness.cli import main
+from repro.harness.cli import COMMANDS, main
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
+#: Paper commands -> the results files their benches write, in order.
+PAPER_RESULTS = {
+    "table1": ["table1_serializability"],
+    "table2": ["table2_sla_placement"],
+    "fig8-9": ["fig8_recovery_rejections", "fig9_recovery_throughput"],
+}
 
 
 class TestCli:
@@ -36,8 +44,15 @@ class TestCli:
         assert done.returncode == 0, done.stdout + done.stderr
         assert "Option 3" in done.stdout and "Aggressive" in done.stdout
 
-    def test_table1_without_its_bench_fails(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.setattr(cli, "BENCHMARKS", tmp_path)
-        assert main(["table1"]) == 1
-        assert "bench_table1_serializability.py" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", PAPER_RESULTS)
+    def test_prints_the_committed_results(self, command, capsys):
+        """At default flags a paper command prints, below its banner,
+        exactly what its bench commits under ``benchmarks/results/`` (one
+        blank line between two files)."""
+        assert main([command]) == 0
+        banner = COMMANDS[command][1]
+        out = capsys.readouterr().out
+        assert out.startswith(banner + "\n")
+        assert out[len(banner) + 1:] == "\n".join(
+            (RESULTS / f"{name}.txt").read_text()
+            for name in PAPER_RESULTS[command])

@@ -519,3 +519,25 @@ def test_the_trace_ring_builds_no_event_on_emit():
     assert "TraceEvent" in {node.func.id for node in ast.walk(tracer)
                             if isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Name)}
+
+
+def test_src_stands_alone():
+    """DESIGN §4n: the paper's tables and figures live in
+    ``repro.harness.experiments``, so nothing under ``src/`` reaches into
+    the checkout around it — no ``sys.path`` edit, and no string in code
+    (docstrings aside) that names the ``benchmarks`` directory."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = parse(path)
+        docstrings = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Expr)
+                      and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "path"
+                    and getattr(node.value, "id", None) == "sys"):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "benchmarks" in node.value
+                    and id(node) not in docstrings):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, offenders
