@@ -10,8 +10,9 @@ transactions (Figure 8 and the availability SLA of Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import log2
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -79,7 +80,6 @@ class DrCounters:
 
     shipped: int = 0               # log entries sequenced for shipping
     applied: int = 0               # log entries applied on a standby
-    promotions: int = 0            # standby colos promoted to primary
     failbacks: int = 0             # re-protections onto a repaired colo
     false_suspicions: int = 0      # colo suspected/declared but alive
 
@@ -210,21 +210,37 @@ class TimeSeries:
         return [(t, v / self.window) for t, v in self.series(until)]
 
 
+#: What an ``abort`` or ``rollback`` event counts, by its ``reason`` — a
+#: failure's exception name after any ``stage:``. An admission rejection
+#: is also a proactive rejection; a closed connection counts nothing; any
+#: other name is an other-abort.
+ABORT_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    "connection closed": (), "client rollback": ("rollbacks",),
+    "DeadlockError": ("deadlocks",), "LockTimeoutError": ("deadlocks",),
+    "OverloadRejectedError": ("overload_rejected", "rejected"),
+    **dict.fromkeys(("ProactiveRejectionError", "MachineFailedError",
+                     "RPCTimeoutError", "NoReplicaError"), ("rejected",)),
+}
+
+
+def _tally(record: Any, name: str, *_event: Any) -> None:
+    """An event whose every occurrence adds one to ``record.name``."""
+    setattr(record, name, getattr(record, name) + 1)
+
+
 class MetricsCollector:
     """Cluster-wide metrics: per-database counters plus time series.
 
-    The typed counter records (:class:`DbCounters` via :meth:`db`,
-    :attr:`network`, :attr:`dr`, :attr:`fanouts`) are written by the
-    site that owns the event; the ``record_*`` methods are the updates
-    that touch more than one of them. :meth:`snapshot` is the one
-    read-out.
+    What a trace event states is counted by :attr:`readers` from the
+    event, handed over by a ``Tracer(metrics=)``; what none states, the
+    site that owns it writes into the typed records (:class:`DbCounters`
+    via :meth:`db`, :attr:`network`, :attr:`fanouts`). :meth:`snapshot`
+    is the one read-out.
     """
 
     def __init__(self, window: float = 10.0):
         self.per_db: Dict[str, DbCounters] = {}
         self.commits_over_time = TimeSeries(window)
-        self.rejections_over_time = TimeSeries(window)
-        self.deadlocks_over_time = TimeSeries(window)
         # Per-phase latency distributions fed by the cluster controller
         # ("write" = replica write ack, "prepare" = 2PC phase 1,
         # "commit" = 2PC phase 2, "txn" = begin-to-commit; fan-out
@@ -251,6 +267,30 @@ class MetricsCollector:
         # :class:`DrPromotion` record per colo failover.
         self.dr = DrCounters()
         self.dr_promotions: List[DrPromotion] = []
+        network, dr = self.network, self.dr
+        false_suspicion = partial(_tally, network, "false_suspicions")
+        #: Event kind -> what counts the fact it states, called with the
+        #: event's ``(t, db, machine, extra)`` (DESIGN §4r).
+        self.readers: Dict[str, Callable[..., None]] = {
+            "committed": self._on_committed,
+            "decision_logged": lambda t, db, machine, extra:
+                self.record_phase_latency("prepare", extra["prepare_latency"]),
+            "fanout_start": self._on_fanout_start,
+            "abort": self._on_abort,
+            "rollback": self._on_abort,
+            "txn_orphaned": lambda t, db, *_: _tally(self.db(db),
+                                                     "other_aborts"),
+            "machine_unsuspected": false_suspicion,
+            "machine_readmitted": false_suspicion,
+            "ctl_election_start": partial(_tally, network, "elections"),
+            "ctl_leader_elected": self._on_leader_elected,
+            "dr_ship": partial(_tally, dr, "shipped"),
+            "dr_apply": partial(_tally, dr, "applied"),
+            "colo_unsuspected": partial(_tally, dr, "false_suspicions"),
+            "dr_failback": partial(_tally, dr, "failbacks"),
+            "dr_promote": self._on_dr_promote,
+            "dr_rto": self._on_dr_rto,
+        }
 
     def db(self, name: str) -> DbCounters:
         if name not in self.per_db:
@@ -268,22 +308,6 @@ class MetricsCollector:
             histogram = self.db_latencies[db] = Histogram()
         histogram.observe(response_time)
 
-    def record_deadlock(self, db: str, when: float) -> None:
-        self.db(db).deadlocks += 1
-        self.deadlocks_over_time.add(when)
-
-    def record_rejection(self, db: str, when: float) -> None:
-        self.db(db).rejected += 1
-        self.rejections_over_time.add(when)
-
-    def record_overload_rejection(self, db: str, when: float) -> None:
-        """An admission-control rejection: a proactive rejection (it
-        counts against the tenant's ``max_rejected_fraction``) that is
-        also tallied separately, so overload throttling is
-        distinguishable from failure- and copy-window rejections."""
-        self.db(db).overload_rejected += 1
-        self.record_rejection(db, when)
-
     def record_phase_latency(self, phase: str, seconds: float) -> None:
         histogram = self.phase_latencies.get(phase)
         if histogram is None:
@@ -300,23 +324,37 @@ class MetricsCollector:
         stats.total_width += width
         stats.max_width = max(stats.max_width, width)
 
-    def record_dr_promotion(self, db: str, old_primary: str,
-                            new_primary: str, epoch: int,
-                            declared_at: float,
-                            rpo_commits: int) -> DrPromotion:
-        promotion = DrPromotion(db=db, old_primary=old_primary,
-                                new_primary=new_primary, epoch=epoch,
-                                declared_at=declared_at,
-                                rpo_commits=rpo_commits)
-        self.dr.promotions += 1
-        self.dr_promotions.append(promotion)
-        return promotion
+    # -- readers (see ``readers``) --------------------------------------------
 
-    def record_dr_rto(self, db: str, seconds: float) -> None:
+    def _on_committed(self, t, db, machine, extra) -> None:
+        self.record_commit(db, t, extra["latency"])
+        if "commit_latency" in extra:
+            self.record_phase_latency("commit", extra["commit_latency"])
+        self.record_phase_latency("txn", extra["latency"])
+
+    def _on_fanout_start(self, t, db, machine, extra) -> None:
+        if extra["width"]:
+            self.record_fanout(extra["label"], extra["width"])
+
+    def _on_abort(self, t, db, machine, extra) -> None:
+        for name in ABORT_COUNTERS.get(extra["reason"].rpartition(":")[2],
+                                       ("other_aborts",)):
+            _tally(self.db(db), name)
+
+    def _on_leader_elected(self, t, db, machine, extra) -> None:
+        if extra["previous"] != machine:
+            self.network.leader_changes += 1
+
+    def _on_dr_promote(self, t, db, machine, extra) -> None:
+        self.dr_promotions.append(DrPromotion(
+            db, extra["old"], extra["new"], extra["epoch"],
+            extra["declared_at"], extra["rpo_commits"]))
+
+    def _on_dr_rto(self, t, db, machine, extra) -> None:
         """First successful statement on ``db``'s promoted primary."""
         for promotion in self.dr_promotions:
             if promotion.db == db and promotion.rto_s is None:
-                promotion.rto_s = seconds
+                promotion.rto_s = extra["seconds"]
                 return
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -353,8 +391,6 @@ class MetricsCollector:
             "network": {**vars(self.network),
                         "delivered": self.network.delivered},
             "links": _summaries(self.link_latencies),
-            # "promotions" is the per-failover list here; the counter
-            # of the same name is its length.
             "dr": {**vars(self.dr),
                    "promotions": [dict(vars(p)) for p in self.dr_promotions],
                    "rpo_commits": {p.db: p.rpo_commits

@@ -32,9 +32,11 @@ fanout_start       a coordinator broadcast was issued (``label`` names the
 fanout_done        every gathered branch of that broadcast settled
                    (``elapsed`` is the scatter-to-gather span)
 decision_logged    the coordinator decided commit, once the control plane
-                   holds the decision (``actor`` replica, ``term``)
+                   holds the decision (``actor`` replica, ``term``,
+                   ``prepare_latency`` from PREPARE out to the decision)
 commit_sent        a COMMIT message left the coordinator for one machine
-committed          the transaction finished committing
+committed          the transaction finished committing (``latency``; 2PC
+                   adds ``commit_latency`` since the decision)
 abort              the transaction was rolled back by the platform
 rollback           the client voluntarily rolled back
 copy_abandoned     a live copy lost its source or target to a failure
@@ -68,7 +70,8 @@ net_partition      the fabric was split into disconnected groups
 net_heal_all       every cut fabric link was healed
 ctl_election_start a controller replica started a leader campaign
                    (``term`` it is campaigning for)
-ctl_leader_elected a campaign won its quorum (``term``, ``lease_until``)
+ctl_leader_elected a campaign won its quorum (``term``, ``lease_until``,
+                   ``previous`` leader or null)
 ctl_lease_renewed  a leader's lease was extended by a renewal quorum
                    (``term``, new ``lease_until``)
 ctl_stepdown       a leader stopped leading (``term``, ``reason``)
@@ -101,7 +104,8 @@ colo_declared      the system controller declared a silent colo dead
 colo_fenced        a declared colo was fenced under a new ``epoch``
 colo_repaired      a colo was wiped and rejoined as a blank standby target
 dr_promote         a standby colo was promoted to primary for a database
-                   (``epoch``, ``rpo_commits`` = acked commits lost)
+                   (``epoch``, ``rpo_commits`` = acked commits lost,
+                   ``declared_at`` of the colo's declare)
 dr_rto             first successful statement on the promoted primary
                    (``seconds`` since the declare)
 dr_reprotect_start snapshot copy toward a fresh standby began
@@ -134,12 +138,15 @@ Adding an event: call ``tracer.emit(kind, db=..., txn=..., machine=...,
 **extra)`` at the site and a row to the table above (``emit`` accepts any
 kind; ``tests/unit/test_code_shape.py`` holds the table to the emit
 sites). If the checker should understand it, teach
-:mod:`repro.analysis.invariants` the kind.
+:mod:`repro.analysis.invariants` the kind. If a metric counts the fact,
+the event carries what the metric needs as ``extra`` and
+``MetricsCollector.readers`` gains the kind: a tracer built with
+``metrics=`` hands each such event to its reader after writing the ring,
+and the site writes no counter beside the emit (DESIGN §4r).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, TextIO,
@@ -202,7 +209,8 @@ class Tracer:
     """
 
     def __init__(self, capacity: int = 65536,
-                 clock: Optional[Callable[[], float]] = None):
+                 clock: Optional[Callable[[], float]] = None,
+                 metrics=None):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
@@ -211,18 +219,21 @@ class Tracer:
         self._start = 0          # ring head index into _ring
         self._names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.dropped = 0
+        # kind -> the reader of ``metrics`` that counts what it states.
+        self._readers = metrics.readers if metrics is not None else {}
 
     # -- recording -----------------------------------------------------------
 
     def emit(self, kind: str, db: Optional[str] = None,
              txn: Optional[int] = None, machine: Optional[str] = None,
              **extra: Any) -> None:
+        t = self.clock()
         if extra:
             names = tuple(extra)
-            record = (self.clock(), kind, db, txn, machine,
+            record = (t, kind, db, txn, machine,
                       self._names.setdefault(names, names), *extra.values())
         else:
-            record = (self.clock(), kind, db, txn, machine, ())
+            record = (t, kind, db, txn, machine, ())
         ring = self._ring
         if len(ring) < self.capacity:
             ring.append(record)
@@ -231,6 +242,9 @@ class Tracer:
             ring[self._start] = record
             self._start = (self._start + 1) % self.capacity
             self.dropped += 1
+        reader = self._readers.get(kind)
+        if reader is not None:
+            reader(t, db, machine, extra)
 
     # -- reading -------------------------------------------------------------
 

@@ -226,7 +226,7 @@ class PaxosGroup:
 
     def __init__(self, sim: Simulator, names: List[str],
                  config: Optional[ConsensusConfig] = None,
-                 fabric=None, transport=None, trace=None, metrics=None,
+                 fabric=None, transport=None, trace=None,
                  on_leader: Optional[Callable] = None):
         self.sim = sim
         self.config = config or ConsensusConfig()
@@ -245,7 +245,6 @@ class PaxosGroup:
             transport = FabricTransport(sim, fabric)
         self.transport = transport
         self.trace = trace
-        self.metrics = metrics
         self.on_leader = on_leader
         base = SeededRNG(self.config.seed)
         self._rngs = {name: base.fork(f"ctl:{name}") for name in self.names}
@@ -439,8 +438,6 @@ class PaxosGroup:
         node.campaign = _Campaign(ballot=ballot, started_at=self.sim.now)
         node.next_campaign_at = (self.sim.now + ELECTION_TIMEOUT_S
                                  + self._jitter(node))
-        if self.metrics is not None:
-            self.metrics.network.elections += 1
         if self.trace is not None:
             self.trace.emit("ctl_election_start", machine=node.name,
                             term=ballot_term(ballot, len(self.names)))
@@ -566,9 +563,8 @@ class PaxosGroup:
         if self.trace is not None:
             self.trace.emit("ctl_leader_elected", machine=node.name,
                             term=node.leader_term,
-                            lease_until=node.own_lease_until)
-        if self.metrics is not None and self.last_leader != node.name:
-            self.metrics.network.leader_changes += 1
+                            lease_until=node.own_lease_until,
+                            previous=self.last_leader)
         self.last_leader = node.name
         # The new term reaches every replica through the log itself (and
         # a group of one applies it, take-over included, in this call).
@@ -877,7 +873,7 @@ class ConsensusControlPlane:
         self.group = PaxosGroup(
             controller.sim, names, config=config,
             fabric=controller.fabric, trace=controller.trace,
-            metrics=controller.metrics, on_leader=self._on_leader)
+            on_leader=self._on_leader)
         #: The replica driving the data plane.
         self.acting_node: PaxosNode = self.group.nodes[names[0]]
         self.term = 0

@@ -437,8 +437,6 @@ class _Gather(Event):
         self.outcomes: List[Tuple[str, str, Any]] = []
         self.phase, self.acked, self.failed, self.counted = _BROADCASTS[label]
         if self.counted:
-            if names:
-                txns.metrics.record_fanout(label, len(names))
             txns.trace.emit("fanout_start", txn=txn.txn_id, label=label,
                             width=len(names), machines=list(names))
         for name in names:
@@ -577,7 +575,6 @@ class TxnCoordinator:
             return
         self.trace.emit("txn_orphaned", db=txn.db, txn=txn.txn_id,
                         term=txn.term, current_term=plane.term)
-        self.metrics.db(txn.db).other_aborts += 1
         self._finish(conn, txn)
         raise TransactionAborted(
             "controller leadership changed; the transaction was cleaned "
@@ -610,27 +607,12 @@ class TxnCoordinator:
 
     def _abort(self, conn: Connection, txn: _TxnState, exc: BaseException,
                stage: str = "", message: Optional[str] = None) -> None:
-        """Roll back everywhere, count the failure, raise it to the client."""
+        """Roll back everywhere, raise the failure to the client (the
+        ``abort`` event's reason is what the metrics count)."""
         reason = type(exc).__name__
         self._abort_everywhere(conn, txn,
                                reason=f"{stage}:{reason}" if stage else reason)
-        self._record_failure(txn, exc)
         raise TransactionAborted(message or str(exc), cause=exc) from exc
-
-    def _record_failure(self, txn: _TxnState, exc: BaseException) -> None:
-        if isinstance(exc, (DeadlockError, LockTimeoutError)):
-            self.metrics.record_deadlock(txn.db, self.sim.now)
-        elif isinstance(exc, OverloadRejectedError):
-            # Counts as a proactive rejection (below) *and* separately
-            # as an admission rejection, so the SLA monitor can tell a
-            # tenant throttled for overloading from one collaterally
-            # rejected by failures or copy windows.
-            self.metrics.record_overload_rejection(txn.db, self.sim.now)
-        elif isinstance(exc, (ProactiveRejectionError, MachineFailedError,
-                              NoReplicaError)):
-            self.metrics.record_rejection(txn.db, self.sim.now)
-        else:
-            self.metrics.db(txn.db).other_aborts += 1
 
     def _settle_commit(self, txn: _TxnState,
                        outcomes: List[Tuple[str, str, Any]],
@@ -894,12 +876,9 @@ class TxnCoordinator:
                 self, txn, self.rpc.live_targets(sorted(txn.touched)),
                 lambda m: m.commit_body(txn.txn_id), "commit-ro")
             self._settle_commit(txn, outcomes)
-            self.metrics.record_commit(txn.db, self.sim.now,
-                                       self.sim.now - txn.started_at)
-            self.metrics.record_phase_latency(
-                "txn", self.sim.now - txn.started_at)
             self.trace.emit("committed", db=txn.db, txn=txn.txn_id,
-                            readonly=True)
+                            readonly=True,
+                            latency=self.sim.now - txn.started_at)
             self._finish(conn, txn)
             return True
 
@@ -947,8 +926,8 @@ class TxnCoordinator:
         decision_at = self.sim.now
         self.trace.emit("decision_logged", db=txn.db, txn=txn.txn_id,
                         decision="commit", participants=prepared,
-                        **plane.decision_stamp())
-        self.metrics.record_phase_latency("prepare", decision_at - phase1_at)
+                        **plane.decision_stamp(),
+                        prepare_latency=decision_at - phase1_at)
         # Sequence the decided commit into the per-database replication
         # log, and fire the DR shipping hooks, before any COMMIT leaves.
         lsn = None
@@ -974,23 +953,18 @@ class TxnCoordinator:
             # Keep the durable decision while any participant still owes
             # an ack — a take-over must redrive COMMIT, not presume abort.
             plane.clear_decision(txn.db, txn.txn_id)
-        self.metrics.record_commit(txn.db, self.sim.now,
-                                   self.sim.now - txn.started_at)
-        self.metrics.record_phase_latency("commit", self.sim.now - decision_at)
-        self.metrics.record_phase_latency("txn", self.sim.now - txn.started_at)
-        self.trace.emit("committed", db=txn.db, txn=txn.txn_id)
+        self.trace.emit("committed", db=txn.db, txn=txn.txn_id,
+                        latency=self.sim.now - txn.started_at,
+                        commit_latency=self.sim.now - decision_at)
         self._finish(conn, txn)
         return True
 
     def _rollback(self, conn: Connection) -> Generator:
         if conn.txn is None or conn.txn.finished:
             return None
-        txn = conn.txn
-        # A voluntary client rollback is not a failure abort: count it
-        # separately so abort metrics reflect platform behaviour only.
-        self._abort_everywhere(conn, txn, kind="rollback",
+        # A voluntary rollback is not a failure abort: it counts apart.
+        self._abort_everywhere(conn, conn.txn, kind="rollback",
                                reason="client rollback")
-        self.metrics.db(txn.db).rollbacks += 1
         return True
         yield  # pragma: no cover - generator marker
 
@@ -1011,7 +985,7 @@ class ClusterController:
             sim, self.config.network, metrics=self.metrics,
             direct_latency_s=self.config.machine.network_latency_s)
         self.trace = Tracer(capacity=self.config.trace_capacity,
-                            clock=lambda: self.sim.now)
+                            clock=lambda: self.sim.now, metrics=self.metrics)
         self.fabric.trace = self.trace
         self.trace.emit("trace_meta", cluster=name,
                         write_policy=self.config.write_policy.value,
@@ -1317,7 +1291,6 @@ class ClusterController:
         self.trace.emit("machine_suspected", machine=name, misses=misses)
 
     def _on_unsuspect(self, name: str, suspected_for: float) -> None:
-        self.metrics.network.false_suspicions += 1
         self.trace.emit("machine_unsuspected", machine=name,
                         suspected_for=suspected_for)
 
@@ -1369,7 +1342,6 @@ class ClusterController:
         self.detector.forget(name)
         holdings, eligible = self.replication.rejoin_eligibility(
             name, machine, self.copy_states)
-        self.metrics.network.false_suspicions += 1
         if not eligible:
             machine.readmit_as_spare()
             self.trace.emit("machine_readmitted", machine=name, mode="spare")

@@ -113,7 +113,7 @@ class SystemController:
         self.declare_after_misses = declare_after_misses
         self.metrics = MetricsCollector()
         self.trace = Tracer(capacity=trace_capacity,
-                            clock=lambda: self.sim.now)
+                            clock=lambda: self.sim.now, metrics=self.metrics)
         self.wan = NetworkFabric(sim, self.wan_config, metrics=self.metrics,
                                  trace=self.trace)
         # wan_enabled: a constant now, kept because the dr soak's replay
@@ -249,7 +249,6 @@ class SystemController:
         link.shipped += 1
         link.log[seq] = list(writes)
         link.queue.put(seq)
-        self.metrics.dr.shipped += 1
         self.trace.emit("dr_ship", db=link.db, rseq=seq,
                         src=link.primary, dst=link.standby)
 
@@ -262,13 +261,6 @@ class SystemController:
             yield conn.commit()
         finally:
             conn.close()
-
-    def _record_apply(self, link: ReplicationLink, seq: int) -> None:
-        link.applied += 1
-        link.applied_seq = seq
-        self.metrics.dr.applied += 1
-        self.trace.emit("dr_apply", db=link.db, rseq=seq,
-                        machine=link.standby)
 
     def _standby_colo(self, link: ReplicationLink
                       ) -> Optional[ColoController]:
@@ -337,7 +329,10 @@ class SystemController:
                 continue
             except PlatformError:
                 return False
-            self._record_apply(link, seq)
+            link.applied += 1
+            link.applied_seq = seq
+            self.trace.emit("dr_apply", db=link.db, rseq=seq,
+                            machine=link.standby)
             return True
         return False
 
@@ -387,7 +382,6 @@ class SystemController:
         self.trace.emit("colo_suspected", machine=name, misses=misses)
 
     def _on_unsuspect(self, name: str, suspected_for: float) -> None:
-        self.metrics.dr.false_suspicions += 1
         self.trace.emit("colo_unsuspected", machine=name,
                         suspected_for=suspected_for)
 
@@ -502,10 +496,9 @@ class SystemController:
         # now on its clients do.
         self.colos[new_primary].cluster_of(db).set_sla(db,
                                                        self.records[db].sla)
-        self.metrics.record_dr_promotion(db, old_primary, new_primary,
-                                         epoch, declared_at, rpo)
         self.trace.emit("dr_promote", db=db, old=old_primary,
-                        new=new_primary, epoch=epoch, rpo_commits=rpo)
+                        new=new_primary, epoch=epoch, rpo_commits=rpo,
+                        declared_at=declared_at)
         self._arm_rto(db, new_primary, declared_at)
         self._schedule_reprotect(db)
 
@@ -521,9 +514,8 @@ class SystemController:
         def hook(hdb, db=db, cluster=cluster, declared_at=declared_at):
             if hdb != db:
                 return
-            seconds = self.sim.now - declared_at
-            self.metrics.record_dr_rto(db, seconds)
-            self.trace.emit("dr_rto", db=db, seconds=seconds)
+            self.trace.emit("dr_rto", db=db,
+                            seconds=self.sim.now - declared_at)
             try:
                 cluster.statement_hooks.remove(hook)
             except ValueError:
@@ -669,7 +661,6 @@ class SystemController:
         self.trace.emit("dr_protect", db=db, primary=primary,
                         standby=target_name, base_seq=0)
         if failback:
-            self.metrics.dr.failbacks += 1
             self.trace.emit("dr_failback", db=db, machine=target_name)
         return True
 

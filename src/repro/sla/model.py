@@ -74,10 +74,6 @@ class ResourceVector:
                 return float("inf")
         return max(fractions) if fractions else 0.0
 
-    def nonnegative(self) -> bool:
-        return (self.cpu >= -1e-9 and self.memory_mb >= -1e-9
-                and self.disk_io_mbps >= -1e-9 and self.disk_mb >= -1e-9)
-
 
 @dataclass(frozen=True)
 class Sla:
@@ -123,10 +119,3 @@ def availability_ok(sla: Sla, inputs: AvailabilityInputs) -> bool:
     return rejected_fraction_bound(inputs, sla.period_s) < \
         sla.max_rejected_fraction
 
-
-def max_recovery_time_s(sla: Sla, inputs: AvailabilityInputs) -> float:
-    """Largest copy time that still meets the SLA (planning helper)."""
-    events = inputs.machine_failure_rate + inputs.reallocation_rate
-    if events <= 0 or inputs.write_mix <= 0:
-        return float("inf")
-    return sla.max_rejected_fraction * sla.period_s / (events * inputs.write_mix)

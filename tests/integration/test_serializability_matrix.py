@@ -1,8 +1,9 @@
 """Table 1 as executable assertions.
 
-Runs the paper's adversarial T1/T2 workload through the cluster under
-every (read option, write policy) combination and checks one-copy
-serializability with the global serialization graph — plus randomized
+Runs the paper's adversarial workload — the declaration
+:func:`repro.harness.experiments.table1` runs, seeds 0-5 — under every
+(read option, write policy) combination and checks one-copy
+serializability with the global serialization graph; plus randomized
 stress runs and the release-locks-at-PREPARE ablation.
 """
 
@@ -12,9 +13,20 @@ from repro.analysis import check_one_copy_serializable
 from repro.cluster import ClusterConfig, ClusterController, ReadOption, WritePolicy
 from repro.cluster.controller import TransactionAborted
 from repro.engine import engine as engine_module
+from repro.harness import experiments, run_scenario
 from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
 from tests.conftest import assert_no_violations
+
+#: The seeds ``table1()`` runs per cell: a cell is serializable when
+#: every one of them is, and one cyclic history is its witness otherwise.
+TABLE1_SEEDS = range(6)
+
+
+def table1_runs(option, policy):
+    """``(seed, controller)`` of every Table 1 run of one cell."""
+    return [(seed, run_scenario(experiments.serializability(
+        option, policy, seed)).controller) for seed in TABLE1_SEEDS]
 
 
 def build(option, policy, machines=2, keys=2):
@@ -29,23 +41,6 @@ def build(option, policy, machines=2, keys=2):
     controller.bulk_load("app", "kv",
                          [(f"k{i}", 0) for i in range(keys)])
     return sim, controller
-
-
-def adversarial_pair(sim, controller):
-    """The paper's example: T1 r(x) w(y); T2 r(y) w(x)."""
-    def txn(read_key, write_key):
-        conn = controller.connect("app")
-        try:
-            yield conn.execute("SELECT v FROM kv WHERE k = ?", (read_key,))
-            yield conn.execute("UPDATE kv SET v = v + 1 WHERE k = ?",
-                               (write_key,))
-            yield conn.commit()
-        except TransactionAborted:
-            pass
-
-    sim.process(txn("k0", "k1"))
-    sim.process(txn("k1", "k0"))
-    sim.run()
 
 
 def stress(sim, controller, clients=6, txns=8, keys=4, seed=0):
@@ -70,6 +65,7 @@ def stress(sim, controller, clients=6, txns=8, keys=4, seed=0):
     sim.run()
 
 
+#: The cells the committed Table 1 calls serializable, and the others.
 SERIALIZABLE_COMBOS = [
     (ReadOption.OPTION_1, WritePolicy.CONSERVATIVE),
     (ReadOption.OPTION_1, WritePolicy.AGGRESSIVE),
@@ -86,29 +82,26 @@ ANOMALOUS_COMBOS = [
 class TestAdversarialPair:
     @pytest.mark.parametrize("option,policy", SERIALIZABLE_COMBOS)
     def test_serializable_combinations(self, option, policy):
-        sim, controller = build(option, policy)
-        adversarial_pair(sim, controller)
-        ok, cycle = check_one_copy_serializable(controller.history)
-        assert ok, f"unexpected cycle {cycle} for {option}/{policy}"
-        assert_no_violations(controller, strict=True)
+        for seed, controller in table1_runs(option, policy):
+            ok, cycle = check_one_copy_serializable(controller.history)
+            assert ok, f"unexpected cycle {cycle} for {option}/{policy} " \
+                       f"seed {seed}"
+            assert_no_violations(controller, strict=True)
 
     @pytest.mark.parametrize("option,policy", ANOMALOUS_COMBOS)
     def test_anomalous_combinations_produce_cycle(self, option, policy):
-        sim, controller = build(option, policy)
-        adversarial_pair(sim, controller)
-        ok, cycle = check_one_copy_serializable(controller.history)
-        assert not ok, f"{option}/{policy} should not be serializable"
-        assert cycle is not None
+        witnesses = [seed for seed, controller in table1_runs(option, policy)
+                     if not check_one_copy_serializable(controller.history)[0]]
+        assert witnesses, f"{option}/{policy} should not be serializable"
 
     @pytest.mark.parametrize("option,policy", ANOMALOUS_COMBOS)
     def test_disabling_prepare_optimization_restores_safety(
             self, option, policy, monkeypatch):
         monkeypatch.setattr(engine_module, "RELEASE_READ_LOCKS_AT_PREPARE",
                             False)
-        sim, controller = build(option, policy)
-        adversarial_pair(sim, controller)
-        ok, _ = check_one_copy_serializable(controller.history)
-        assert ok
+        for seed, controller in table1_runs(option, policy):
+            ok, cycle = check_one_copy_serializable(controller.history)
+            assert ok, f"cycle {cycle} for {option}/{policy} seed {seed}"
 
 
 class TestRandomizedStress:

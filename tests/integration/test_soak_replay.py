@@ -20,8 +20,13 @@ the same instant, and every other event is the same. ``disaster`` and
 one loop (DESIGN §4n): the DR clients are the loop's
 reconnecting key-value clients, and the tenant-scale soak's tenants are
 ``kv<i>``, its hot ones created and loaded before the cold ones are
-staged. Each one repeats across processes and under any
-``PYTHONHASHSEED``.
+staged. All seven were refreshed when the metrics became readers of
+the trace (DESIGN §4r): ``committed`` carries its ``latency`` (and a
+2PC commit its ``commit_latency``), ``decision_logged`` its
+``prepare_latency``, ``ctl_leader_elected`` the ``previous`` leader and
+``dr_promote`` its ``declared_at``; with those extras stripped, each
+trace hashes to the constant recorded before. Each one repeats across
+processes and under any ``PYTHONHASHSEED``.
 
 A soak also replays from its schedule alone: feeding ``run.schedule``
 back as the scenario's ``faults`` gives the same trace — the replay
@@ -71,17 +76,17 @@ SOAKS = {
     "faults": (
         lambda: cluster_trace(soaks.faults(
             duration_s=20.0, drain_s=10.0, mtbf_s=8.0, seed=3)),
-        "3200c13372e7305beeea264f1135075a"),
+        "5516821d314d474d4a977b8f9fac15d2"),
     # partitions --duration 10 --seed 3
     "partitions": (
         lambda: cluster_trace(soaks.partitions(
             duration_s=20.0, drain_s=30.0, partition_mtbf_s=8.0, seed=3)),
-        "0c2f2c6c601e433b8712b0169a36cdc8"),
+        "ef1e0814502330d26fec778d8864334c"),
     # controllers --duration 10 --seed 3
     "controllers-consensus": (
         lambda: cluster_trace(soaks.controllers(
             duration_s=20.0, drain_s=15.0, ctl_kill_mtbf_s=8.0, seed=3)),
-        "d435e806bec7fbd41eabc6f9ea03b1fd"),
+        "b33a8f59f2e84d846af93ca3ff99ab15"),
     # stampede --duration 4 --seed 3 --stampede-mtbf 16: the hot tenant
     # with its SLA (throttled), then without one (admission never
     # throttles it: the contrast arm)
@@ -89,23 +94,23 @@ SOAKS = {
         lambda: cluster_trace(soaks.stampede(
             hot_sla=True, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "d0489d45eeb39692f7179df5e0a43237"),
+        "16e4e88c29356800a9e6786e78214aa4"),
     "stampede-admission-off": (
         lambda: cluster_trace(soaks.stampede(
             hot_sla=False, duration_s=12.0, ramp_at_s=4.0, drain_s=4.0,
             mtbf_s=16.0, seed=3)),
-        "cc382b7672435ed209836d67a8482261"),
+        "86803a98e4ef0825fcc4a951712fd32a"),
     # disaster --duration 15 --seed 3
     "disaster": (
         lambda: run_scenario(soaks.disaster(
             duration_s=30.0, drain_s=20.0, wan_partition_mtbf_s=8.0,
             seed=3)).controller.trace,
-        "e2c42b2657c9a657158c199566bf4d86"),
+        "9c25096500348dacf225af40321b1f66"),
     # manytenants --tenants 2000 --duration 6
     "manytenants": (
         lambda: cluster_trace(soaks.many_tenants(
             n_databases=2000, duration_s=12.0, flash_at_s=6.0, seed=3)),
-        "b8eede3941712f5aebc9e41e72ac019c"),
+        "5d712ed3787207e0e14be6fbc291b704"),
 }
 
 

@@ -130,8 +130,7 @@ class GeneratorGather:
         returned in issue order.
         """
         names = list(names)
-        if names:
-            self.metrics.record_fanout(label, len(names))
+        # (The broadcast count is the metrics' reader of this event.)
         self.trace.emit("fanout_start", txn=txn_id, label=label,
                         width=len(names), machines=list(names))
         started = self.sim.now

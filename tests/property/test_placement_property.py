@@ -43,7 +43,9 @@ def test_first_fit_placements_are_feasible(loads):
     placement = first_fit(loads, bins=[], new_bin=new_bin_factory())
     for machine_bin in placement.bins:
         assert machine_bin.used.fits_within(machine_bin.capacity)
-        assert machine_bin.used.nonnegative()
+        used = machine_bin.used
+        assert min(used.cpu, used.memory_mb, used.disk_io_mbps,
+                   used.disk_mb) >= -1e-9
     # Anti-affinity: each database's replicas on distinct machines.
     for db in loads:
         assigned = placement.assignments[db.name]

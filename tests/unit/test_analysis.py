@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import repro
+from repro import errors
 from repro.analysis import (GlobalHistory, Histogram, MetricsCollector,
                             SerializationGraph, SiteHistory, TimeSeries,
-                            check_one_copy_serializable)
+                            Tracer, check_one_copy_serializable)
 from tests.property.test_histogram_property import nearest_rank
 
 
@@ -166,10 +167,11 @@ class TestTimeSeries:
 class TestMetricsCollector:
     def test_counters_and_rates(self):
         metrics = MetricsCollector()
+        trace = Tracer(metrics=metrics)
         metrics.record_commit("db1", 1.0, response_time=0.5)
         metrics.record_commit("db1", 2.0, response_time=1.5)
-        metrics.record_deadlock("db1", 3.0)
-        metrics.record_rejection("db2", 4.0)
+        trace.emit("abort", db="db1", reason="DeadlockError")
+        trace.emit("abort", db="db2", reason="ProactiveRejectionError")
         metrics.db("db1").other_aborts += 1
         assert metrics.total_committed() == 2
         assert metrics.total_deadlocks() == 1
@@ -181,7 +183,7 @@ class TestMetricsCollector:
         metrics = MetricsCollector()
         for _ in range(9):
             metrics.record_commit("db", 0.0)
-        metrics.record_rejection("db", 0.0)
+        Tracer(metrics=metrics).emit("abort", db="db", reason="NoReplicaError")
         assert metrics.db("db").rejected_fraction() == pytest.approx(0.1)
 
     def test_rejected_fraction_empty(self):
@@ -279,17 +281,18 @@ class TestSnapshot:
 
     def test_one_json_serialisable_dict(self):
         metrics = MetricsCollector()
+        trace = Tracer(metrics=metrics)
         metrics.record_commit("db1", 1.0, response_time=0.5)
-        metrics.record_overload_rejection("db1", 2.0)
-        metrics.db("db2").rollbacks += 1
+        trace.emit("abort", db="db1", reason="OverloadRejectedError")
+        trace.emit("rollback", db="db2", reason="client rollback")
         metrics.record_phase_latency("prepare", 0.25)
         metrics.record_fanout("prepare", 3)
         metrics.record_fanout("prepare", 1)
         metrics.network.rpc_timeouts += 2
         metrics.dr.shipped += 4
-        promotion = metrics.record_dr_promotion(
-            "db1", "east", "west", epoch=2, declared_at=9.0, rpo_commits=1)
-        metrics.record_dr_rto("db1", 0.75)
+        trace.emit("dr_promote", db="db1", old="east", new="west", epoch=2,
+                   rpo_commits=1, declared_at=9.0)
+        trace.emit("dr_rto", db="db1", seconds=0.75)
         snapshot = json.loads(json.dumps(metrics.snapshot()))
         assert sorted(snapshot) == ["dr", "fanouts", "links", "network",
                                     "per_db", "phases"]
@@ -311,4 +314,102 @@ class TestSnapshot:
             "epoch": 2, "declared_at": 9.0, "rpo_commits": 1,
             "rto_s": 0.75}]
         assert snapshot["dr"]["rto_s"] == {"db1": 0.75}
-        assert promotion.rto_s == 0.75
+        assert metrics.dr_promotions[0].rto_s == 0.75
+
+
+def failure_counts(cls: type):
+    """What an abort for a ``cls`` exception counted before the counts
+    moved onto the ``abort`` event: the coordinator's own ladder."""
+    if issubclass(cls, (errors.DeadlockError, errors.LockTimeoutError)):
+        return {"deadlocks": 1}
+    if issubclass(cls, errors.OverloadRejectedError):
+        return {"overload_rejected": 1, "rejected": 1}
+    if issubclass(cls, (errors.ProactiveRejectionError,
+                        errors.MachineFailedError, errors.NoReplicaError)):
+        return {"rejected": 1}
+    return {"other_aborts": 1}
+
+
+def every_subclass(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from every_subclass(sub)
+
+
+class TestEventReaders:
+    """A fact an event states is counted from the event (DESIGN §4r)."""
+
+    COUNTERS = ("committed", "deadlocks", "rejected", "overload_rejected",
+                "rollbacks", "other_aborts")
+
+    def counts(self, metrics, db="db"):
+        row = metrics.per_db.get(db)
+        return {name: getattr(row, name) for name in self.COUNTERS
+                if row is not None and getattr(row, name)}
+
+    @pytest.mark.parametrize("stage", ["", "prepare:", "deferred:"])
+    def test_an_abort_counts_what_its_exception_name_says(self, stage):
+        from repro.cluster.controller import TransactionAborted
+        from repro.cluster.network import NetworkPartitionedError
+        classes = {errors.PlatformError, *every_subclass(errors.PlatformError),
+                   TransactionAborted, NetworkPartitionedError, KeyError}
+        assert {errors.RPCTimeoutError, errors.OverloadRejectedError,
+                errors.SqlError} <= classes
+        for cls in sorted(classes, key=lambda c: c.__name__):
+            metrics = MetricsCollector()
+            Tracer(metrics=metrics).emit(
+                "abort", db="db", txn=1, reason=stage + cls.__name__)
+            assert self.counts(metrics) == failure_counts(cls), cls
+
+    def test_a_closed_connection_counts_nothing(self):
+        metrics = MetricsCollector()
+        trace = Tracer(metrics=metrics)
+        trace.emit("abort", db="db", txn=1, reason="connection closed")
+        assert metrics.per_db == {}
+        trace.emit("rollback", db="db", txn=2, reason="client rollback")
+        trace.emit("txn_orphaned", db="db", txn=3, term=1, current_term=2)
+        assert self.counts(metrics) == {"rollbacks": 1, "other_aborts": 1}
+
+    def test_a_commit_counts_its_latency_and_its_phases(self):
+        now = [2.0]
+        metrics = MetricsCollector()
+        trace = Tracer(clock=lambda: now[0], metrics=metrics)
+        trace.emit("committed", db="db", txn=1, readonly=True, latency=0.5)
+        trace.emit("decision_logged", db="db", txn=2, decision="commit",
+                   participants=["m1"], prepare_latency=0.125)
+        now[0] = 12.0
+        trace.emit("committed", db="db", txn=2, latency=0.75,
+                   commit_latency=0.25)
+        assert self.counts(metrics) == {"committed": 2}
+        assert metrics.db("db").response_time_total == 1.25
+        assert metrics.commits_over_time.series() == [(0.0, 1.0),
+                                                      (10.0, 1.0)]
+        phases = metrics.snapshot()["phases"]
+        assert {name: row["count"] for name, row in phases.items()} == {
+            "prepare": 1, "commit": 1, "txn": 2}
+        assert phases["commit"]["p50"] == 0.25
+        assert phases["prepare"]["p50"] == 0.125
+
+    def test_fabric_detector_and_election_events_count(self):
+        metrics = MetricsCollector()
+        trace = Tracer(metrics=metrics)
+        trace.emit("fanout_start", txn=1, label="prepare", width=0,
+                   machines=[])
+        trace.emit("fanout_start", txn=1, label="prepare", width=3,
+                   machines=["a", "b", "c"])
+        trace.emit("machine_unsuspected", machine="a", suspected_for=1.0)
+        trace.emit("machine_readmitted", machine="a", mode="spare")
+        trace.emit("ctl_election_start", machine="c0", term=1)
+        trace.emit("ctl_leader_elected", machine="c0", term=1,
+                   lease_until=3.0, previous=None)
+        trace.emit("ctl_leader_elected", machine="c0", term=2,
+                   lease_until=5.0, previous="c0")
+        assert metrics.fanouts["prepare"].count == 1
+        network = metrics.network
+        assert (network.false_suspicions, network.elections,
+                network.leader_changes) == (2, 1, 1)
+
+    def test_a_tracer_without_metrics_only_keeps_the_ring(self):
+        trace = Tracer(capacity=4)
+        trace.emit("committed", db="db", txn=1)
+        assert [event.kind for event in trace.events()] == ["committed"]

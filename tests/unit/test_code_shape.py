@@ -5,8 +5,9 @@ ROADMAP needle 2 asks for one implementation per mechanism and no
 fork lives and why. A change that grows a class past the line, adds a
 third ``fabric.enabled`` site, a config field or a forwarding method
 fails here first and has to say why. DESIGN §4r adds the measurement
-plane's shape: one histogram class, one read-out, counters written
-where they live, and an event taxonomy that matches the emit sites.
+plane's shape: one histogram class, one read-out, a metric counted from
+the event that states it (seven functions write what no event states),
+and an event taxonomy that matches the emit sites.
 DESIGN §4t adds the harness's: faults are data, applied in one place.
 DESIGN §4u adds the control plane's: one Paxos group per controller,
 and no second take-over path beside it. DESIGN §4v adds the policy
@@ -312,18 +313,64 @@ def methods(cls):
 
 
 def test_metrics_collector_is_counters_plus_one_snapshot():
-    """A one-line ``x += 1`` forward or a second hand-written view is
-    what PR 23 deleted: the site writes the typed counter it means and
-    ``snapshot()`` is the read-out."""
+    """No one-line ``x += 1`` forward and no second hand-written view: a
+    reader counts what an event states, a site writes the typed counter
+    no event states, and ``snapshot()`` is the read-out."""
     collector = next(node for node in parse(SRC / "analysis" / "metrics.py").body
                      if isinstance(node, ast.ClassDef)
                      and node.name == "MetricsCollector")
     names = [node.name for node in methods(collector)]
-    assert len([name for name in names if name.startswith("record_")]) <= 8
+    assert len([name for name in names if name.startswith("record_")]) <= 3
     assert [name for name in names if name.endswith("_summary")] == []
     assert [node.name for node in methods(collector)
             if node.returns is not None
             and ast.unparse(node.returns).startswith("Dict")] == ["snapshot"]
+
+
+#: The sites that write a metric no trace event states (DESIGN §4r):
+#: everything else is counted by ``MetricsCollector.readers`` from the
+#: event that states it.
+METRIC_WRITERS = {
+    "cluster/controller.py:_Rpc._timed_out",           # RPC timeouts, retries
+    "cluster/controller.py:RpcLayer.abort",            # the ABORT width
+    "cluster/controller.py:_Gather._settled",          # branch latencies
+    "cluster/controller.py:TxnCoordinator._classify",  # cache evictions
+    "cluster/network.py:NetworkFabric._depart",        # sent, link latency
+    "cluster/network.py:NetworkFabric._arrive",        # cut, dropped
+    "platform/system_controller.py:SystemController._on_return",
+}
+
+
+def test_a_metric_an_event_states_is_counted_from_the_event():
+    """DESIGN §4r: outside ``analysis/metrics.py``, a ``metrics.`` field
+    is assigned, or a ``metrics.record_*`` called, only in the functions
+    that own a fact no event states — not beside an ``emit`` of it."""
+    through = re.compile(r"\bmetrics\.")
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "analysis" / "metrics.py":
+            continue
+        module = parse(path)
+        functions = [(node.name, node) for node in module.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{node.name}", node)
+                      for cls in module.body if isinstance(cls, ast.ClassDef)
+                      for node in methods(cls)]
+        for name, function in functions:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    written = [ast.unparse(target) for target in node.targets]
+                elif isinstance(node, ast.AugAssign):
+                    written = [ast.unparse(node.target)]
+                elif isinstance(node, ast.Call):
+                    written = [ast.unparse(node.func)]
+                    if ".record_" not in written[0]:
+                        continue
+                else:
+                    continue
+                if any(through.search(text) for text in written):
+                    writers.add(f"{path.relative_to(SRC)}:{name}")
+    assert writers == METRIC_WRITERS
 
 
 def test_one_histogram_class():

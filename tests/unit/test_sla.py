@@ -7,7 +7,6 @@ from repro.sla import (AvailabilityInputs, DatabaseLoad, MachineBin,
                        estimate_requirements, first_fit,
                        optimal_machine_count, rejected_fraction_bound,
                        repack, worst_fit)
-from repro.sla.model import max_recovery_time_s
 from repro.sla.optimal import lower_bound
 from repro.errors import SlaViolationError
 
@@ -69,18 +68,6 @@ class TestSlaModel:
         bad = AvailabilityInputs(100.0, 100.0, 3600.0, 1.0)
         assert availability_ok(sla, good)
         assert not availability_ok(sla, bad)
-
-    def test_max_recovery_time_inverse(self):
-        sla = Sla(1.0, 1e-4)
-        inputs = AvailabilityInputs(2.0, 0.0, 0.0, 0.25)
-        limit = max_recovery_time_s(sla, inputs)
-        ok = AvailabilityInputs(2.0, 0.0, limit * 0.99, 0.25)
-        assert availability_ok(sla, ok)
-
-    def test_max_recovery_time_unbounded_without_writes(self):
-        sla = Sla(1.0, 0.001)
-        inputs = AvailabilityInputs(2.0, 1.0, 60.0, 0.0)
-        assert max_recovery_time_s(sla, inputs) == float("inf")
 
 
 class TestProfiler:

@@ -4,6 +4,7 @@ SLA is read against, and the availability inputs estimated from them."""
 import pytest
 
 from repro.analysis.metrics import MetricsCollector
+from repro.analysis.trace import Tracer
 from repro.cluster.recovery import RecoveryRecord
 from repro.sla.model import Sla, rejected_fraction_bound
 from repro.sla.monitor import OverloadMonitor, observed_availability_inputs
@@ -11,10 +12,11 @@ from repro.sla.monitor import OverloadMonitor, observed_availability_inputs
 
 def metrics_with(db: str, committed: int, rejected: int) -> MetricsCollector:
     metrics = MetricsCollector()
+    trace = Tracer(metrics=metrics)
     for _ in range(committed):
         metrics.record_commit(db, 0.0)
     for _ in range(rejected):
-        metrics.record_rejection(db, 0.0)
+        trace.emit("abort", db=db, reason="ProactiveRejectionError")
     return metrics
 
 
